@@ -42,6 +42,10 @@ use prete_topology::{Flow, Network, TunnelId, TunnelSet};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
+/// The availability target a [`TeSolver`] plans for unless
+/// [`TeSolver::beta`] says otherwise.
+pub const DEFAULT_BETA: f64 = 0.99;
+
 /// Resolves a requested thread count (`0` = all available cores).
 fn effective_threads(requested: usize) -> usize {
     if requested == 0 {
@@ -578,14 +582,14 @@ pub struct TeSolver<'p, 'a, 'c> {
 }
 
 impl<'p, 'a, 'c> TeSolver<'p, 'a, 'c> {
-    /// Creates a solver for `problem` with defaults: `beta = 0.99`,
-    /// [`SolveMethod::Heuristic`], the default [`SolveBudget`], all
-    /// available cores, default pricing/eta-update rules, no
-    /// warm-start cache, no recorder.
+    /// Creates a solver for `problem` with defaults: `beta =`
+    /// [`DEFAULT_BETA`], [`SolveMethod::Heuristic`], the default
+    /// [`SolveBudget`], all available cores, default pricing/eta-update
+    /// rules, no warm-start cache, no recorder.
     pub fn new(problem: &'p TeProblem<'a>) -> Self {
         Self {
             problem,
-            beta: 0.99,
+            beta: DEFAULT_BETA,
             method: SolveMethod::Heuristic,
             budget: SolveBudget::default(),
             threads: 0,

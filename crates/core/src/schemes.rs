@@ -18,7 +18,7 @@
 use crate::algorithm1::{update_tunnels, TunnelUpdateConfig};
 use crate::capacity::CapacityGroups;
 use crate::estimator::ProbabilityEstimator;
-use crate::optimizer::{SolveMethod, TeProblem, TeSolver};
+use crate::optimizer::{SolveMethod, TeProblem, TeSolver, DEFAULT_BETA};
 use crate::scenario::{DegradationState, ScenarioSet};
 use prete_lp::{solve, LinearProgram, Sense, SolveStatus, VarId};
 use prete_optical::FailureModel;
@@ -140,7 +140,20 @@ pub trait TeScheme {
     fn state_aware(&self) -> bool {
         false
     }
-    /// Computes the plan. `probs_override` replaces the scheme's own
+    /// The availability target β the scheme plans for. Schemes without
+    /// one (ECMP, FFC) report the [`TeSolver`] default.
+    fn beta(&self) -> f64 {
+        DEFAULT_BETA
+    }
+    /// The tunnel set the scheme routes over in `state`: the base set
+    /// for static schemes, base + Algorithm 1's reactive tunnels for
+    /// PreTE. Cheap (no LP) — the controller calls this, not [`plan`],
+    /// and runs the one TE solve of the epoch itself.
+    ///
+    /// [`plan`]: TeScheme::plan
+    fn tunnels(&self, ctx: &TeContext<'_>, state: &DegradationState) -> TunnelSet;
+    /// Computes the plan over [`tunnels`](TeScheme::tunnels).
+    /// `probs_override` replaces the scheme's own
     /// per-fiber probabilities (the evaluator uses it for the oracle's
     /// certainty splits); schemes that ignore probabilities ignore it.
     fn plan(
@@ -167,8 +180,12 @@ impl TeScheme for EcmpScheme {
         ReactionModel::None
     }
 
-    fn plan(&self, ctx: &TeContext<'_>, _state: &DegradationState, _p: Option<&[f64]>) -> Plan {
-        let tunnels = ctx.base_tunnels.clone();
+    fn tunnels(&self, ctx: &TeContext<'_>, _state: &DegradationState) -> TunnelSet {
+        ctx.base_tunnels.clone()
+    }
+
+    fn plan(&self, ctx: &TeContext<'_>, state: &DegradationState, _p: Option<&[f64]>) -> Plan {
+        let tunnels = self.tunnels(ctx, state);
         let mut allocation = vec![0.0; tunnels.len()];
         for flow in ctx.flows {
             let ts = tunnels.of_flow(flow.id);
@@ -292,10 +309,14 @@ impl TeScheme for FfcScheme {
         ReactionModel::LocalRateAdaptation
     }
 
-    fn plan(&self, ctx: &TeContext<'_>, _state: &DegradationState, _p: Option<&[f64]>) -> Plan {
+    fn tunnels(&self, ctx: &TeContext<'_>, _state: &DegradationState) -> TunnelSet {
+        ctx.base_tunnels.clone()
+    }
+
+    fn plan(&self, ctx: &TeContext<'_>, state: &DegradationState, _p: Option<&[f64]>) -> Plan {
         assert!(self.k >= 1 && self.k <= 2, "FFC-k supports k ∈ {{1,2}}");
         let groups = CapacityGroups::build(ctx.net);
-        let tunnels = ctx.base_tunnels.clone();
+        let tunnels = self.tunnels(ctx, state);
         let mut builder = ThroughputLp::new(ctx, &tunnels, &groups);
         for f in 0..ctx.flows.len() {
             builder.add_survival_row(f, &[]);
@@ -442,13 +463,21 @@ impl TeScheme for TeaVarScheme {
         ReactionModel::LocalRateAdaptation
     }
 
+    fn beta(&self) -> f64 {
+        self.beta
+    }
+
+    fn tunnels(&self, ctx: &TeContext<'_>, _state: &DegradationState) -> TunnelSet {
+        ctx.base_tunnels.clone()
+    }
+
     fn plan(&self, ctx: &TeContext<'_>, state: &DegradationState, probs_override: Option<&[f64]>) -> Plan {
         let probs = probs_override
             .map(<[f64]>::to_vec)
             .unwrap_or_else(|| self.estimator.probabilities(state));
         let selected = self.selected_scenarios(&probs, self.beta);
         let groups = CapacityGroups::build(ctx.net);
-        let tunnels = ctx.base_tunnels.clone();
+        let tunnels = self.tunnels(ctx, state);
         let mut builder = ThroughputLp::new(ctx, &tunnels, &groups);
         for f in 0..ctx.flows.len() {
             for q in &selected.scenarios {
@@ -503,6 +532,14 @@ impl TeScheme for ArrowScheme {
         }
     }
 
+    fn beta(&self) -> f64 {
+        self.beta
+    }
+
+    fn tunnels(&self, ctx: &TeContext<'_>, _state: &DegradationState) -> TunnelSet {
+        ctx.base_tunnels.clone()
+    }
+
     fn plan(&self, ctx: &TeContext<'_>, state: &DegradationState, probs_override: Option<&[f64]>) -> Plan {
         let probs = probs_override
             .map(<[f64]>::to_vec)
@@ -511,7 +548,7 @@ impl TeScheme for ArrowScheme {
         let teavar = TeaVarScheme { beta: self.beta, estimator: self.estimator.clone() };
         let selected = teavar.selected_scenarios(&probs, self.beta);
         let groups = CapacityGroups::build(ctx.net);
-        let tunnels = ctx.base_tunnels.clone();
+        let tunnels = self.tunnels(ctx, state);
         let mut builder = ThroughputLp::new(ctx, &tunnels, &groups);
         for f in 0..ctx.flows.len() {
             for q in &selected.scenarios {
@@ -580,12 +617,20 @@ impl TeScheme for FlexileScheme {
         ReactionModel::CentralizedRecompute { convergence_s: self.convergence_s }
     }
 
+    fn beta(&self) -> f64 {
+        self.beta
+    }
+
+    fn tunnels(&self, ctx: &TeContext<'_>, _state: &DegradationState) -> TunnelSet {
+        ctx.base_tunnels.clone()
+    }
+
     fn plan(&self, ctx: &TeContext<'_>, state: &DegradationState, probs_override: Option<&[f64]>) -> Plan {
         let probs = probs_override
             .map(<[f64]>::to_vec)
             .unwrap_or_else(|| self.estimator.probabilities(state));
         let scenarios = ScenarioSet::enumerate(&probs, 1, 0.0);
-        let tunnels = ctx.base_tunnels.clone();
+        let tunnels = self.tunnels(ctx, state);
         let problem = TeProblem::new(ctx.net, ctx.flows, &tunnels, &scenarios);
         let sol = TeSolver::new(&problem)
             .beta(self.beta)
@@ -655,15 +700,24 @@ impl TeScheme for PreTeScheme {
         true
     }
 
-    fn plan(&self, ctx: &TeContext<'_>, state: &DegradationState, probs_override: Option<&[f64]>) -> Plan {
-        let probs = probs_override
-            .map(<[f64]>::to_vec)
-            .unwrap_or_else(|| self.estimator.probabilities(state));
-        // Reactive step (Algorithm 1) for each degraded fiber.
+    fn beta(&self) -> f64 {
+        self.beta
+    }
+
+    /// The reactive step: Algorithm 1 for each degraded fiber.
+    fn tunnels(&self, ctx: &TeContext<'_>, state: &DegradationState) -> TunnelSet {
         let mut tunnels = ctx.base_tunnels.clone();
         for &f in &state.degraded {
             update_tunnels(ctx.net, &mut tunnels, f, self.tunnel_update);
         }
+        tunnels
+    }
+
+    fn plan(&self, ctx: &TeContext<'_>, state: &DegradationState, probs_override: Option<&[f64]>) -> Plan {
+        let probs = probs_override
+            .map(<[f64]>::to_vec)
+            .unwrap_or_else(|| self.estimator.probabilities(state));
+        let tunnels = self.tunnels(ctx, state);
         // Proactive step: optimize over the enlarged tunnel set.
         let scenarios = ScenarioSet::enumerate(&probs, 1, 0.0);
         let problem = TeProblem::new(ctx.net, ctx.flows, &tunnels, &scenarios);
@@ -829,6 +883,39 @@ mod tests {
         let degraded = scheme.plan(&ctx, &DegradationState::single(FiberId(0)), None);
         assert_eq!(degraded.tunnels.len(), thin.len());
         assert_eq!(scheme.name(), "PreTE-naive");
+    }
+
+    #[test]
+    fn tunnels_is_what_plan_routes_over() {
+        let (net, model, flows, _) = ctx_fixture();
+        // One tunnel per flow, so Algorithm 1 has something to add.
+        let thin = TunnelSet::initialize(&net, &flows, 1);
+        let ctx = TeContext { net: &net, model: &model, flows: &flows, base_tunnels: &thin };
+        let tc = TrueConditionals::ground_truth(&net, &model, 50, 1);
+        let estimator = ProbabilityEstimator::prete(&model, &tc);
+        let schemes: [&dyn TeScheme; 8] = [
+            &EcmpScheme,
+            &FfcScheme::one(),
+            &TeaVarScheme::new(&model, 0.9),
+            &ArrowScheme::new(&model, 0.95),
+            &FlexileScheme::new(&model, 0.995),
+            &PreTeScheme::new(0.999, estimator.clone()),
+            &PreTeScheme::naive(0.999, estimator),
+            &FfcScheme::two(),
+        ];
+        assert_eq!(
+            schemes.map(|s| s.beta()),
+            [DEFAULT_BETA, DEFAULT_BETA, 0.9, 0.95, 0.995, 0.999, 0.999, DEFAULT_BETA]
+        );
+        for scheme in schemes {
+            for state in [DegradationState::healthy(), DegradationState::single(FiberId(0))] {
+                let alone = scheme.tunnels(&ctx, &state);
+                let planned = scheme.plan(&ctx, &state, None).tunnels;
+                assert_eq!(alone.tunnels(), planned.tunnels(), "{} in {state:?}", scheme.name());
+                let grows = scheme.name() == "PreTE" && !state.is_healthy();
+                assert_eq!(alone.len() > thin.len(), grows, "{} in {state:?}", scheme.name());
+            }
+        }
     }
 
     #[test]

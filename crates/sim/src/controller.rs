@@ -170,7 +170,8 @@ impl<'a> Controller<'a> {
                 at_s,
                 predicted_cut_prob: p,
             });
-            // Reactive + proactive steps via the scheme.
+            // Reactive step via the scheme; the proactive solve below is
+            // the only one of the epoch.
             let ctx = TeContext {
                 net: self.net,
                 model: self.model,
@@ -178,17 +179,16 @@ impl<'a> Controller<'a> {
                 base_tunnels: self.base_tunnels,
             };
             let state = DegradationState::single(fiber);
-            let (plan, new_tunnels, timing) = {
+            let (tunnels, new_tunnels, timing) = {
                 let _tunnel = self.obs.span("tunnel");
-                let plan = self.scheme.plan(&ctx, &state, None);
+                let tunnels = self.scheme.tunnels(&ctx, &state);
                 // Schemes may *prune* tunnels as well as add them, so
-                // the plan can be smaller than the base set — saturate
+                // the set can be smaller than the base set — saturate
                 // instead of underflowing (an update that removes
                 // tunnels installs nothing new).
-                let new_tunnels =
-                    plan.tunnels.len().saturating_sub(self.base_tunnels.len());
+                let new_tunnels = tunnels.len().saturating_sub(self.base_tunnels.len());
                 let timing = self.latency.pipeline(new_tunnels);
-                (plan, new_tunnels, timing)
+                (tunnels, new_tunnels, timing)
             };
             let ready_at_s = at_s + timing.total_ms() / 1000.0;
             let decision_at_s = at_s + timing.decision_ms() / 1000.0;
@@ -201,10 +201,10 @@ impl<'a> Controller<'a> {
                 }
                 None => (ScenarioSet::enumerate(&probs, 1, 0.0), None),
             };
-            let problem = TeProblem::new(self.net, self.flows, &plan.tunnels, &scenarios);
+            let problem = TeProblem::new(self.net, self.flows, &tunnels, &scenarios);
             let mut cache = self.cache.borrow_mut();
             let mut solver_b = TeSolver::new(&problem)
-                .beta(0.99)
+                .beta(self.scheme.beta())
                 .method(SolveMethod::Heuristic)
                 .threads(self.threads)
                 .backend(self.backend)
@@ -283,6 +283,23 @@ pub(crate) fn estimate_probs(
         .collect()
 }
 
+/// The shape every controller epoch must have: one TE solve in the
+/// whole `epoch` span tree, and none hidden inside its `tunnel` span.
+#[cfg(test)]
+pub(crate) fn assert_one_solve_per_epoch(run: &prete_obs::RunReport, epochs: usize) {
+    fn count(node: &prete_obs::SpanNode, name: &str) -> usize {
+        usize::from(node.name == name)
+            + node.children.iter().map(|c| count(c, name)).sum::<usize>()
+    }
+    assert_eq!(run.spans.len(), epochs);
+    for epoch in &run.spans {
+        assert_eq!(epoch.name, "epoch");
+        assert_eq!(count(epoch, "solve"), 1, "TE solves in the epoch");
+        let tunnel = epoch.children.iter().find(|c| c.name == "tunnel").expect("tunnel span");
+        assert_eq!(count(tunnel, "solve"), 0, "the tunnel span only runs Algorithm 1");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,6 +375,56 @@ mod tests {
         assert!(p.decision_ms() < 300.0);
     }
 
+    #[test]
+    fn replay_solves_once_per_epoch_at_the_scheme_beta() {
+        let net = triangle();
+        let model = FailureModel::new(&net, 42);
+        let flows: Vec<Flow> = triangle_flows()
+            .into_iter()
+            .map(|f| Flow { demand_gbps: 4.0, ..f })
+            .collect();
+        let base = TunnelSet::initialize(&net, &flows, 1);
+        let truth = TrueConditionals::ground_truth(&net, &model, 50, 1);
+        // One tunnel per flow: flow 1 dies with its fiber (p ≈ 0.003),
+        // which β = 0.99 can leave unprotected and β = 0.999 cannot —
+        // so Φ tells which target the one solve ran at.
+        for (beta, forced) in [(0.99, false), (0.999, true)] {
+            let scheme = PreTeScheme::new(beta, ProbabilityEstimator::prete(&model, &truth));
+            let predictor = OptimistPredictor;
+            let controller = Controller {
+                net: &net,
+                model: &model,
+                flows: &flows,
+                base_tunnels: &base,
+                predictor: &predictor,
+                scheme: &scheme,
+                latency: LatencyModel::default(),
+                threads: 1,
+                backend: Default::default(),
+                pricing: Default::default(),
+                eta_update: Default::default(),
+                scenario_budget: None,
+                cache: Default::default(),
+                obs: Recorder::deterministic(),
+            };
+            for _ in 0..2 {
+                let report = controller.replay_trace(&fig4b_trace());
+                let stats = report.solver.expect("the degradation triggers a recompute");
+                assert_eq!(stats.lp_solves, 2, "subproblem + polish");
+                let phi = report
+                    .events
+                    .iter()
+                    .find_map(|e| match e {
+                        ControllerEvent::PolicyRecomputed { max_loss, .. } => Some(*max_loss),
+                        _ => None,
+                    })
+                    .expect("policy recomputed");
+                assert_eq!(phi == 1.0, forced, "β = {beta}: Φ = {phi}");
+            }
+            assert_one_solve_per_epoch(&controller.obs.report(), 2);
+        }
+    }
+
     /// A scheme that *prunes* tunnels below the pre-established base
     /// set — the shape that used to underflow the new-tunnel count.
     struct PruningScheme;
@@ -368,13 +435,16 @@ mod tests {
         fn reaction(&self) -> prete_core::schemes::ReactionModel {
             prete_core::schemes::ReactionModel::LocalRateAdaptation
         }
+        fn tunnels(&self, ctx: &TeContext<'_>, _state: &DegradationState) -> TunnelSet {
+            TunnelSet::initialize(ctx.net, ctx.flows, 1)
+        }
         fn plan(
             &self,
             ctx: &TeContext<'_>,
-            _state: &DegradationState,
+            state: &DegradationState,
             _probs_override: Option<&[f64]>,
         ) -> prete_core::schemes::Plan {
-            let tunnels = TunnelSet::initialize(ctx.net, ctx.flows, 1);
+            let tunnels = self.tunnels(ctx, state);
             let n = tunnels.len();
             prete_core::schemes::Plan {
                 tunnels,

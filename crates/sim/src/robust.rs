@@ -565,17 +565,15 @@ impl<'a> RobustController<'a> {
                 base_tunnels: self.inner.base_tunnels,
             };
             let state = DegradationState::single(fiber);
-            let tunnel_plan = {
+            let tunnels = {
                 let _tunnel = obs.span("tunnel");
-                self.inner.scheme.plan(&ctx, &state, None)
+                self.inner.scheme.tunnels(&ctx, &state)
             };
-            requested_tunnels =
-                tunnel_plan.tunnels.len().saturating_sub(self.inner.base_tunnels.len());
+            requested_tunnels = tunnels.len().saturating_sub(self.inner.base_tunnels.len());
 
             let probs = estimate_probs(self.inner.model, &state, p);
             let scenarios = ScenarioSet::enumerate(&probs, 1, 0.0);
-            let problem =
-                TeProblem::new(self.inner.net, self.inner.flows, &tunnel_plan.tunnels, &scenarios);
+            let problem = TeProblem::new(self.inner.net, self.inner.flows, &tunnels, &scenarios);
             let budget =
                 self.budget_override.unwrap_or_else(|| budget_from_latency(&self.inner.latency));
 
@@ -857,7 +855,7 @@ mod tests {
             eta_update: Default::default(),
             scenario_budget: None,
             cache: Default::default(),
-            obs: Default::default(),
+            obs: Recorder::deterministic(),
         };
         let plain = mk().replay_trace(&fig4b_trace());
         let robust = RobustController::new(
@@ -867,6 +865,9 @@ mod tests {
             0.99,
         );
         let report = robust.replay_trace(&fig4b_trace(), &FaultPlan::none(11));
+        // One TE solve — subproblem + polish — and none in the tunnel span.
+        assert_eq!(report.solver.lp_solves, 2);
+        crate::controller::assert_one_solve_per_epoch(&robust.inner.obs.report(), 1);
         // With nothing injected the robust path IS the plain path:
         // same events, same timing, no fallbacks, no degraded modes.
         assert_eq!(report.events, plain.events);

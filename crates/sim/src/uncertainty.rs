@@ -32,6 +32,18 @@ pub struct DemandShiftScheme<'a> {
     pub label: String,
 }
 
+impl DemandShiftScheme<'_> {
+    /// `ctx` with the planning-time demands swapped in.
+    fn shifted<'c>(&'c self, ctx: &TeContext<'c>) -> TeContext<'c> {
+        TeContext {
+            net: ctx.net,
+            model: ctx.model,
+            flows: &self.planning_flows,
+            base_tunnels: ctx.base_tunnels,
+        }
+    }
+}
+
 impl TeScheme for DemandShiftScheme<'_> {
     fn name(&self) -> String {
         format!("{}{}", self.inner.name(), self.label)
@@ -45,19 +57,21 @@ impl TeScheme for DemandShiftScheme<'_> {
         self.inner.state_aware()
     }
 
+    fn beta(&self) -> f64 {
+        self.inner.beta()
+    }
+
+    fn tunnels(&self, ctx: &TeContext<'_>, state: &DegradationState) -> TunnelSet {
+        self.inner.tunnels(&self.shifted(ctx), state)
+    }
+
     fn plan(
         &self,
         ctx: &TeContext<'_>,
         state: &DegradationState,
         probs_override: Option<&[f64]>,
     ) -> Plan {
-        let shifted = TeContext {
-            net: ctx.net,
-            model: ctx.model,
-            flows: &self.planning_flows,
-            base_tunnels: ctx.base_tunnels,
-        };
-        self.inner.plan(&shifted, state, probs_override)
+        self.inner.plan(&self.shifted(ctx), state, probs_override)
     }
 }
 
@@ -236,6 +250,21 @@ mod tests {
             .collect();
         let tunnels = TunnelSet::initialize(&net, &flows, 2);
         (net, model, truth, flows, tunnels)
+    }
+
+    #[test]
+    fn demand_shift_delegates_tunnels_and_beta() {
+        let (net, model, truth, flows, _) = fixture();
+        let thin = TunnelSet::initialize(&net, &flows, 1);
+        let ctx = TeContext { net: &net, model: &model, flows: &flows, base_tunnels: &thin };
+        let inner = PreTeScheme::new(0.995, ProbabilityEstimator::prete(&model, &truth));
+        let shifted =
+            DemandShiftScheme { inner: &inner, planning_flows: flows.clone(), label: "*".into() };
+        assert_eq!(shifted.beta(), 0.995);
+        let state = DegradationState::single(FiberId(0));
+        let alone = shifted.tunnels(&ctx, &state);
+        assert!(alone.len() > thin.len());
+        assert_eq!(alone.tunnels(), shifted.plan(&ctx, &state, None).tunnels.tunnels());
     }
 
     #[test]
