@@ -1,35 +1,23 @@
 //! `telemetry` — streaming-telemetry export for a deterministic
-//! multi-tenant fleet run, plus the bench-regression diff gate.
+//! multi-tenant fleet run.
 //!
 //! ```text
 //! Usage: telemetry [--tenants N] [--epochs N] [--seed N] [--threads N]
 //!                  [--flow-frac X] [--out-prom FILE] [--out-jsonl FILE]
 //!                  [--check-determinism]
-//!        telemetry bench-diff OLD NEW [--max-polish-regress-pct X]
 //! ```
 //!
-//! The default mode runs a mixed B4/IBM fleet (every tenant under a
-//! lenient SLO tracker) and exports its telemetry snapshot as
-//! Prometheus text and JSON lines. With `--check-determinism` the run
-//! repeats at a different solver thread count and the process exits
-//! non-zero unless both exports are byte-identical — the CI smoke
-//! invariant.
-//!
-//! `bench-diff` compares two `BENCH_solver.json` files and exits
-//! non-zero when any `(backend, config)` row's polish time regressed
-//! past the allowed percentage (default 15%).
+//! Runs a mixed B4/IBM fleet (every tenant under a lenient SLO
+//! tracker) and exports its telemetry snapshot as Prometheus text and
+//! JSON lines. With `--check-determinism` the run repeats at a
+//! different solver thread count and the process exits non-zero unless
+//! both exports are byte-identical — the CI smoke invariant.
 
-use prete_bench::telemetry::{
-    bench_diff, export, read_bench_file, telemetry_fleet, TelemetryRunConfig,
-};
+use prete_bench::telemetry::{export, telemetry_fleet, TelemetryRunConfig};
 use std::io::Write as _;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("bench-diff") {
-        run_bench_diff(&args[1..]);
-        return;
-    }
     let flag = |name: &str| {
         args.iter()
             .position(|a| a == name)
@@ -109,46 +97,6 @@ fn main() {
             "  determinism: exports byte-identical across thread counts {} vs {}",
             cfg.threads, other.threads
         );
-    }
-}
-
-fn run_bench_diff(args: &[String]) {
-    let positional: Vec<&String> =
-        args.iter().filter(|a| !a.starts_with("--")).take(2).collect();
-    let [old_path, new_path] = positional[..] else {
-        eprintln!("Usage: telemetry bench-diff OLD NEW [--max-polish-regress-pct X]");
-        std::process::exit(2);
-    };
-    let max_pct: f64 = args
-        .iter()
-        .position(|a| a == "--max-polish-regress-pct")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--max-polish-regress-pct takes a number"))
-        .unwrap_or(15.0);
-    // A missing or unreadable baseline is an operator error, not a
-    // bug: report it cleanly and exit with the usage code instead of
-    // panicking (first runs on a fresh branch have no old baseline).
-    let read = |label: &str, path: &String| {
-        read_bench_file(label, path).unwrap_or_else(|e| {
-            eprintln!("bench-diff: {e}");
-            std::process::exit(2);
-        })
-    };
-    let old = read("old", old_path);
-    let new = read("new", new_path);
-    match bench_diff(&old, &new, max_pct) {
-        Ok(diff) => {
-            print!("{}", diff.render());
-            let regs = diff.regressions();
-            if !regs.is_empty() {
-                eprintln!("{} row(s) regressed past {max_pct}%", regs.len());
-                std::process::exit(1);
-            }
-        }
-        Err(e) => {
-            eprintln!("bench-diff failed: {e}");
-            std::process::exit(2);
-        }
     }
 }
 

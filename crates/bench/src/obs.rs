@@ -213,7 +213,7 @@ pub fn overhead_on(net: &Network, flow_frac: f64, epochs: usize, reps: usize) ->
     }
 }
 
-/// [`overhead_on`] for the WAN topology — the CI bench-smoke gate.
+/// [`overhead_on`] for the WAN topology — the CI `run-report` gate.
 pub fn overhead_wan(epochs: usize, reps: usize) -> Overhead {
     overhead_on(&topologies::twan(), 0.02, epochs, reps)
 }

@@ -1,6 +1,5 @@
 //! Seeded torture-LP generator and the certified-differential harness
-//! behind both the `solver_differential` torture suite and
-//! `bench_solver --torture`.
+//! behind the `solver_differential` torture suite.
 //!
 //! Torture programs are deliberately ill-conditioned where the random
 //! differential cases are benign: coefficient magnitudes span
@@ -30,7 +29,6 @@ use prete_lp::{
     solve_with, ColdStart, EtaUpdate, LinearProgram, Pricing, Sense, SimplexOptions,
     SolveStatus, SolverBackend,
 };
-use serde::Serialize;
 
 /// Relative objective-agreement tolerance between two *certified*
 /// optimal answers.
@@ -396,12 +394,12 @@ pub fn shrink(mut spec: TortureSpec, cfg: (Pricing, EtaUpdate, ColdStart)) -> To
 }
 
 // ---------------------------------------------------------------------------
-// The suite runner (shared by the test and `bench_solver --torture`)
+// The suite runner
 // ---------------------------------------------------------------------------
 
 /// One violation of the certification contract, reproducible from
 /// `(seed, case)`.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TortureViolation {
     /// Suite seed the case was drawn from.
     pub seed: u64,
@@ -415,9 +413,8 @@ pub struct TortureViolation {
     pub shrunk: String,
 }
 
-/// Aggregate result of a torture sweep — the `--torture` JSON
-/// artifact.
-#[derive(Debug, Clone, Serialize)]
+/// Aggregate result of a torture sweep.
+#[derive(Debug, Clone)]
 pub struct TortureReport {
     /// Suite seed.
     pub seed: u64,

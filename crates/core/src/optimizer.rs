@@ -349,14 +349,6 @@ pub struct SolverStats {
     /// LP solves whose KKT certificate failed and were downgraded to
     /// [`prete_lp::SolveStatus::NumericallySuspect`].
     pub suspect_solves: usize,
-    /// Benders pool cuts retired by aging: slack at the master optimum
-    /// for `cut_age_limit` consecutive masters, folded into an
-    /// aggregate and dropped from the active pool.
-    pub cuts_aged: usize,
-    /// Aggregate cuts appended by the pool (each replaces ≥ 2 aged
-    /// cuts with their convex combination — still a valid inequality,
-    /// see the aging proptest).
-    pub cuts_aggregated: usize,
     /// Scenarios pruned or evicted during budgeted enumeration
     /// ([`crate::scenario::EnumerationStats::scenarios_pruned`],
     /// plumbed in by the caller via [`TeSolver::scenario_stats`]).
@@ -411,8 +403,6 @@ impl SolverStats {
         self.tightenings += other.tightenings;
         self.patched_columns += other.patched_columns;
         self.suspect_solves += other.suspect_solves;
-        self.cuts_aged += other.cuts_aged;
-        self.cuts_aggregated += other.cuts_aggregated;
         self.scenarios_pruned += other.scenarios_pruned;
         self.tail_mass = self.tail_mass.max(other.tail_mass);
         self.max_condition_estimate =
@@ -479,8 +469,6 @@ impl SolverStats {
         rec.add("solver.tightenings", self.tightenings);
         rec.add("solver.patched_columns", self.patched_columns);
         rec.add("solver.suspect_solves", self.suspect_solves as u64);
-        rec.add("solver.cuts_aged", self.cuts_aged as u64);
-        rec.add("solver.cuts_aggregated", self.cuts_aggregated as u64);
         rec.add("solver.scenarios_pruned", self.scenarios_pruned);
         if self.tail_mass > 0.0 {
             // Deterministic across thread counts (a pure function of
@@ -535,8 +523,6 @@ impl PartialEq for SolverStats {
             && self.tightenings == other.tightenings
             && self.patched_columns == other.patched_columns
             && self.suspect_solves == other.suspect_solves
-            && self.cuts_aged == other.cuts_aged
-            && self.cuts_aggregated == other.cuts_aggregated
             && self.scenarios_pruned == other.scenarios_pruned
     }
 }
@@ -573,11 +559,8 @@ pub struct TeSolver<'p, 'a, 'c> {
     pricing: Pricing,
     eta_update: EtaUpdate,
     cold_start: ColdStart,
-    tolerances: prete_lp::Tolerances,
     cache: Option<&'c mut BasisCache>,
     recorder: Recorder,
-    benders_shards: usize,
-    cut_age_limit: Option<usize>,
     scenario_stats: Option<(u64, f64)>,
 }
 
@@ -597,11 +580,8 @@ impl<'p, 'a, 'c> TeSolver<'p, 'a, 'c> {
             pricing: Pricing::default(),
             eta_update: EtaUpdate::default(),
             cold_start: ColdStart::default(),
-            tolerances: prete_lp::Tolerances::default(),
             cache: None,
             recorder: Recorder::disabled(),
-            benders_shards: 1,
-            cut_age_limit: None,
             scenario_stats: None,
         }
     }
@@ -690,51 +670,6 @@ impl<'p, 'a, 'c> TeSolver<'p, 'a, 'c> {
         self
     }
 
-    /// Numerical tolerances for every LP solve under this solver (see
-    /// [`prete_lp::Tolerances`]). The defaults reproduce the
-    /// historical thresholds bit-for-bit; malformed values are
-    /// rejected at solve time with
-    /// [`TeSolveError::InvalidConfig`].
-    pub fn tolerances(mut self, tolerances: prete_lp::Tolerances) -> Self {
-        self.tolerances = tolerances;
-        self
-    }
-
-    /// Number of Benders subproblem shards (default 1 = the historical
-    /// monolithic loop, bit-identical to previous releases). With
-    /// `shards > 1` the flow set is split into contiguous shards; each
-    /// iteration solves the global subproblem (upper bound + global
-    /// cut) *plus* one relaxed subproblem per shard in parallel over
-    /// scoped worker threads, each with its own persistent warm basis
-    /// for rhs-only dual re-solves. A shard LP keeps every capacity
-    /// row but only its own flows' coverage rows, so it is a
-    /// relaxation of the full subproblem and its optimality cut is
-    /// valid for the full master — shard counts change the cut set
-    /// (and thus the path), never the converged objective.
-    ///
-    /// # Panics
-    /// Panics when `shards == 0`.
-    pub fn benders_shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1, "at least one Benders shard required");
-        self.benders_shards = shards;
-        self
-    }
-
-    /// Enables Benders cut-pool aging: a cut slack at the master
-    /// optimum for `age_limit` consecutive masters is retired from the
-    /// active pool and folded into a convex-combination aggregate (a
-    /// valid inequality, so the optimum is never cut off — the master
-    /// stays a relaxation and the `UB − LB ≤ ε` exit still certifies
-    /// the answer). Off by default, preserving historical paths.
-    ///
-    /// # Panics
-    /// Panics when `age_limit == 0`.
-    pub fn cut_aging(mut self, age_limit: usize) -> Self {
-        assert!(age_limit >= 1, "cut age limit must be at least 1");
-        self.cut_age_limit = Some(age_limit);
-        self
-    }
-
     /// Attaches scenario-enumeration accounting (from
     /// [`crate::scenario::EnumerationStats`]) so pruning shows up in
     /// this solve's [`SolverStats`] (`scenarios_pruned`, `tail_mass`)
@@ -773,10 +708,6 @@ impl<'p, 'a, 'c> TeSolver<'p, 'a, 'c> {
     pub fn solve_with_stats(self) -> Result<(TeSolution, SolverStats), TeSolveError> {
         let t0 = Instant::now();
         let recorder = self.recorder;
-        let tols_check = SimplexOptions { tols: self.tolerances, ..SimplexOptions::default() };
-        if let Err(e) = tols_check.validate() {
-            return Err(TeSolveError::InvalidConfig(e));
-        }
         let span = recorder.span("solve");
         let threads = effective_threads(self.threads);
         recorder.event_with("solver.backend", || format!("{:?}", self.backend));
@@ -791,7 +722,6 @@ impl<'p, 'a, 'c> TeSolver<'p, 'a, 'c> {
             pricing: self.pricing,
             eta_update: self.eta_update,
             cold_start: self.cold_start,
-            tolerances: self.tolerances,
             cache: self.cache,
             stats: SolverStats {
                 threads,
@@ -803,8 +733,6 @@ impl<'p, 'a, 'c> TeSolver<'p, 'a, 'c> {
                 ..SolverStats::default()
             },
             obs: recorder.clone(),
-            benders_shards: self.benders_shards,
-            cut_age_limit: self.cut_age_limit,
         };
         let budget = self.budget;
         let result = match self.method {
@@ -881,10 +809,7 @@ impl SolveBudget {
 }
 
 /// Why a budgeted TE solve produced no usable policy.
-///
-/// Not `Eq`: [`TeSolveError::InvalidConfig`] carries the rejected
-/// float value.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TeSolveError {
     /// The solver ran out of its work budget before proving optimality.
     BudgetExceeded {
@@ -896,9 +821,6 @@ pub enum TeSolveError {
     /// exact MIP; the LP relaxation used by the heuristic always admits
     /// `Φ = 1`).
     Infeasible,
-    /// The solver was configured with malformed numerical tolerances
-    /// (see [`prete_lp::Tolerances`] / [`prete_lp::ConfigError`]).
-    InvalidConfig(prete_lp::ConfigError),
 }
 
 impl std::fmt::Display for TeSolveError {
@@ -908,9 +830,6 @@ impl std::fmt::Display for TeSolveError {
                 write!(f, "TE solve exceeded its work budget after {nodes} nodes")
             }
             TeSolveError::Infeasible => f.write_str("TE program is infeasible"),
-            TeSolveError::InvalidConfig(e) => {
-                write!(f, "invalid solver configuration: {e}")
-            }
         }
     }
 }
@@ -984,12 +903,9 @@ struct SolveCtx<'p, 'a, 'c> {
     pricing: Pricing,
     eta_update: EtaUpdate,
     cold_start: ColdStart,
-    tolerances: prete_lp::Tolerances,
     cache: Option<&'c mut BasisCache>,
     stats: SolverStats,
     obs: Recorder,
-    benders_shards: usize,
-    cut_age_limit: Option<usize>,
 }
 
 impl SolveCtx<'_, '_, '_> {
@@ -1000,7 +916,6 @@ impl SolveCtx<'_, '_, '_> {
             pricing: self.pricing,
             eta_update: self.eta_update,
             cold_start: self.cold_start,
-            tols: self.tolerances,
             ..SimplexOptions::default()
         }
     }
@@ -1265,99 +1180,6 @@ struct Cut {
     weights: Vec<(usize, usize, f64)>,
 }
 
-impl Cut {
-    /// The cut's right-hand value at a master selection.
-    fn value_at(&self, delta: &[Vec<usize>]) -> f64 {
-        let mut v = self.constant;
-        for &(f, qi, w) in &self.weights {
-            if delta[f].contains(&qi) {
-                v += w;
-            }
-        }
-        v
-    }
-}
-
-/// A pooled cut with its consecutive-slack age.
-struct PooledCut {
-    cut: Cut,
-    /// Consecutive masters at whose optimum this cut was slack.
-    slack_iters: usize,
-}
-
-/// The managed Benders cut pool: plain append-only storage by default
-/// (bit-identical to the historical loop), plus optional aging — cuts
-/// slack at the master optimum for `age_limit` consecutive masters are
-/// retired and folded into a convex-combination aggregate. The
-/// aggregate is implied by the originals (an equal-weight average of
-/// valid inequalities), so the master remains a relaxation and the
-/// `UB − LB ≤ ε` certificate is untouched; aging only bounds master
-/// growth on long scenario-scale runs.
-struct CutPool {
-    cuts: Vec<PooledCut>,
-    age_limit: Option<usize>,
-}
-
-impl CutPool {
-    fn new(age_limit: Option<usize>) -> Self {
-        Self { cuts: Vec::new(), age_limit }
-    }
-
-    fn push(&mut self, cut: Cut) {
-        self.cuts.push(PooledCut { cut, slack_iters: 0 });
-    }
-
-    fn len(&self) -> usize {
-        self.cuts.len()
-    }
-
-    /// Active cuts in deterministic pool order.
-    fn active(&self) -> Vec<&Cut> {
-        self.cuts.iter().map(|pc| &pc.cut).collect()
-    }
-
-    /// Updates ages against the latest master optimum and retires aged
-    /// cuts into one aggregate. Returns `(cuts_aged, aggregates_added)`.
-    fn age(&mut self, delta: &[Vec<usize>], master_obj: f64) -> (usize, usize) {
-        let Some(limit) = self.age_limit else {
-            return (0, 0);
-        };
-        let tol = 1e-9 * (1.0 + master_obj.abs());
-        for pc in &mut self.cuts {
-            if master_obj - pc.cut.value_at(delta) > tol {
-                pc.slack_iters += 1;
-            } else {
-                pc.slack_iters = 0;
-            }
-        }
-        // Retire only when an aggregate actually shrinks the pool.
-        if self.cuts.iter().filter(|pc| pc.slack_iters >= limit).count() < 2 {
-            return (0, 0);
-        }
-        let (aged, keep): (Vec<PooledCut>, Vec<PooledCut>) =
-            std::mem::take(&mut self.cuts)
-                .into_iter()
-                .partition(|pc| pc.slack_iters >= limit);
-        self.cuts = keep;
-        let lambda = 1.0 / aged.len() as f64;
-        let mut constant = 0.0;
-        // BTreeMap: deterministic weight order in the aggregate.
-        let mut weights: std::collections::BTreeMap<(usize, usize), f64> =
-            std::collections::BTreeMap::new();
-        for pc in &aged {
-            constant += lambda * pc.cut.constant;
-            for &(f, qi, w) in &pc.cut.weights {
-                *weights.entry((f, qi)).or_insert(0.0) += lambda * w;
-            }
-        }
-        self.push(Cut {
-            constant,
-            weights: weights.into_iter().map(|((f, qi), w)| (f, qi, w)).collect(),
-        });
-        (aged.len(), 1)
-    }
-}
-
 /// The materialized Benders subproblem LP: coverage rows exist for
 /// *every* (flow, scenario 0 ∪ affecting) pair, and a selection δ is
 /// imposed purely through the right-hand side (`d` when selected, `0`
@@ -1374,12 +1196,8 @@ struct BendersLp {
     cov_rows: Vec<(usize, usize, ConstraintId, f64)>,
 }
 
-/// Builds the materialized Benders subproblem for a contiguous flow
-/// range. The full problem passes `0..flows.len()`; a shard passes its
-/// slice — every capacity row is kept either way, so a shard LP is a
-/// *relaxation* of the full subproblem and its optimality cut remains
-/// valid for the full master.
-fn build_benders_lp(problem: &TeProblem<'_>, flows: std::ops::Range<usize>) -> BendersLp {
+/// Builds the materialized Benders subproblem.
+fn build_benders_lp(problem: &TeProblem<'_>) -> BendersLp {
     let n_tunnels = problem.tunnels.len();
     let mut lp = LinearProgram::new();
     let a_vars: Vec<VarId> =
@@ -1398,7 +1216,7 @@ fn build_benders_lp(problem: &TeProblem<'_>, flows: std::ops::Range<usize>) -> B
     }
 
     let mut cov_rows = Vec::new();
-    for f in flows {
+    for f in 0..problem.flows.len() {
         let d = problem.flows[f].demand_gbps;
         if d <= 0.0 {
             continue;
@@ -1457,58 +1275,6 @@ fn cut_from_duals(problem: &TeProblem<'_>, sp: &SubproblemResult) -> Cut {
     Cut { constant, weights }
 }
 
-/// One Benders subproblem shard: its materialized relaxed LP (full
-/// capacity rows, its own flows' coverage rows) and a persistent warm
-/// engine so every iteration after the first is a rhs-only dual
-/// re-solve. Each shard accumulates its own counters; the main thread
-/// collects them in shard order after the scoped join, keeping stats
-/// bit-identical across worker interleavings.
-struct BendersShard {
-    b: BendersLp,
-    ws: WarmSimplex,
-    solved_once: bool,
-    cut: Option<Cut>,
-    live_resolves: usize,
-    suspect_solves: usize,
-}
-
-impl BendersShard {
-    fn new(problem: &TeProblem<'_>, flows: std::ops::Range<usize>, opts: SimplexOptions) -> Self {
-        Self {
-            b: build_benders_lp(problem, flows),
-            ws: WarmSimplex::new(opts),
-            solved_once: false,
-            cut: None,
-            live_resolves: 0,
-            suspect_solves: 0,
-        }
-    }
-
-    fn solve_iteration(&mut self, problem: &TeProblem<'_>, delta: &[Vec<usize>]) {
-        set_benders_rhs(&mut self.b, delta);
-        let sol = if self.solved_once {
-            let (sol, live) = self.ws.resolve_rhs(&self.b.lp);
-            if live {
-                self.live_resolves += 1;
-            }
-            sol
-        } else {
-            self.solved_once = true;
-            self.ws.solve_from(&self.b.lp, None).0
-        };
-        if sol.status == SolveStatus::NumericallySuspect {
-            self.suspect_solves += 1;
-        }
-        assert!(
-            sol.is_usable(),
-            "shard subproblem must be solvable (Φ = 1 is always feasible), got {:?}",
-            sol.status
-        );
-        let sp = extract_subproblem(&sol, &self.b);
-        self.cut = Some(cut_from_duals(problem, &sp));
-    }
-}
-
 impl SolveCtx<'_, '_, '_> {
     fn benders(&mut self, beta: f64, eps: f64, max_iters: usize) -> TeSolution {
         let problem = self.problem;
@@ -1521,34 +1287,14 @@ impl SolveCtx<'_, '_, '_> {
                 v
             })
             .collect();
-        let mut b = build_benders_lp(problem, 0..problem.flows.len());
+        let mut b = build_benders_lp(problem);
         let key = problem.structure_key() ^ CACHE_SALT_BENDERS;
         let mut ws = WarmSimplex::new(self.simplex_opts());
-
-        // Shard workers: contiguous flow chunks, each a relaxation of
-        // the full subproblem (see `build_benders_lp`), so their cuts
-        // densify the master without weakening the certificate. With a
-        // single shard the global subproblem already covers it, so the
-        // legacy path is preserved bit for bit.
-        let nf = problem.flows.len();
-        let n_shards = self.benders_shards.min(nf.max(1));
-        let mut shards: Vec<BendersShard> = if n_shards > 1 {
-            let chunk = nf.div_ceil(n_shards);
-            (0..n_shards)
-                .map(|s| {
-                    let lo = s * chunk;
-                    let hi = ((s + 1) * chunk).min(nf);
-                    BendersShard::new(problem, lo..hi, self.simplex_opts())
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
 
         let mut delta = all_delta.clone();
         let mut ub = f64::INFINITY;
         let mut lb: f64 = 0.0;
-        let mut pool = CutPool::new(self.cut_age_limit);
+        let mut cuts: Vec<Cut> = Vec::new();
         let mut best: Option<(f64, Vec<Vec<usize>>)> = None;
         let mut lp_solves = 0usize;
         let mut iters = 0usize;
@@ -1599,31 +1345,11 @@ impl SolveCtx<'_, '_, '_> {
                 ub = sp.phi;
                 best = Some((sp.phi, delta.clone()));
             }
-            // Optimality cut (Eqn 11) from the global subproblem.
-            pool.push(cut_from_duals(problem, &sp));
+            // Optimality cut (Eqn 11).
+            cuts.push(cut_from_duals(problem, &sp));
             self.stats.cuts_added += 1;
-            // Shard cuts: each worker re-solves its relaxed LP against
-            // the same δ on its own warm engine. Scoped threads over
-            // disjoint &mut shards, collected in shard order, so the
-            // cut sequence is bit-identical at any worker count.
-            if !shards.is_empty() {
-                let t_sh = Instant::now();
-                std::thread::scope(|s| {
-                    for shard in shards.iter_mut() {
-                        s.spawn(|| shard.solve_iteration(problem, &delta));
-                    }
-                });
-                self.stats.subproblem_ms += ms_since(t_sh);
-                for shard in &mut shards {
-                    let cut = shard.cut.take().expect("shard solved this iteration");
-                    pool.push(cut);
-                    self.stats.cuts_added += 1;
-                    self.stats.lp_solves += 1;
-                    lp_solves += 1;
-                }
-            }
             self.obs.event_with("solver.benders-iteration", || {
-                format!("iter={iters} ub={ub:.6} lb={lb:.6} cuts={}", pool.len())
+                format!("iter={iters} ub={ub:.6} lb={lb:.6} cuts={}", cuts.len())
             });
             if ub - lb <= eps {
                 break;
@@ -1631,20 +1357,12 @@ impl SolveCtx<'_, '_, '_> {
             // Step 2: master problem.
             let t1 = Instant::now();
             let (new_delta, master_obj, nodes) =
-                solve_master(problem, beta, &pool.active(), &all_delta, self.simplex_opts());
+                solve_master(problem, beta, &cuts, &all_delta, self.simplex_opts());
             self.stats.master_ms += ms_since(t1);
             self.stats.mip_nodes += nodes;
             self.stats.lp_solves += 1;
             lp_solves += 1;
             lb = lb.max(master_obj);
-            let (aged, aggregated) = pool.age(&new_delta, master_obj);
-            if aged > 0 {
-                self.stats.cuts_aged += aged;
-                self.stats.cuts_aggregated += aggregated;
-                self.obs.event_with("solver.cut-aggregated", || {
-                    format!("retired {aged} aged cut(s) into {aggregated} aggregate(s)")
-                });
-            }
             if ub - lb <= eps {
                 break;
             }
@@ -1670,30 +1388,6 @@ impl SolveCtx<'_, '_, '_> {
         self.stats.patched_columns += engine.patched_columns;
         self.stats.max_condition_estimate =
             self.stats.max_condition_estimate.max(engine.condition_estimate);
-        // Absorb shard engines in shard order (deterministic totals).
-        for shard in &shards {
-            self.stats.rhs_resolves += shard.live_resolves;
-            if shard.suspect_solves > 0 {
-                self.stats.suspect_solves += shard.suspect_solves;
-                self.obs.event_with("solver.numerically-suspect", || {
-                    format!("{} shard subproblem solve(s)", shard.suspect_solves)
-                });
-            }
-            self.stats.pivots += shard.ws.pivots();
-            let e = shard.ws.engine_stats();
-            self.stats.refactorizations += e.refactorizations;
-            self.stats.etas += e.etas;
-            self.stats.fill_in += e.fill_in;
-            self.stats.ft_rollbacks += e.rollbacks;
-            if e.dense_fallback {
-                self.stats.dense_fallbacks += 1;
-            }
-            self.stats.refinements += e.refinements;
-            self.stats.tightenings += e.tightenings;
-            self.stats.patched_columns += e.patched_columns;
-            self.stats.max_condition_estimate =
-                self.stats.max_condition_estimate.max(e.condition_estimate);
-        }
         self.stats.benders_iters = iters;
         if let Some(basis) = ws.basis() {
             if let Some(c) = self.cache.as_mut() {
@@ -1719,7 +1413,7 @@ impl SolveCtx<'_, '_, '_> {
 fn solve_master(
     problem: &TeProblem<'_>,
     beta: f64,
-    cuts: &[&Cut],
+    cuts: &[Cut],
     all_delta: &[Vec<usize>],
     simplex: SimplexOptions,
 ) -> (Vec<Vec<usize>>, f64, usize) {
@@ -2187,8 +1881,6 @@ mod tests {
             tightenings: 3,
             patched_columns: 2,
             suspect_solves: 1,
-            cuts_aged: 4,
-            cuts_aggregated: 2,
             scenarios_pruned: 1234,
             tail_mass: 0.125,
             max_condition_estimate: 1500.0,
@@ -2221,8 +1913,6 @@ mod tests {
             r#""tightenings":3"#,
             r#""patched_columns":2"#,
             r#""suspect_solves":1"#,
-            r#""cuts_aged":4"#,
-            r#""cuts_aggregated":2"#,
             r#""scenarios_pruned":1234"#,
             r#""tail_mass":0.125"#,
             r#""max_condition_estimate":1500.0"#,
@@ -2262,7 +1952,6 @@ mod tests {
         assert_ne!(base, SolverStats { pivots: 101, ..base.clone() });
         assert_ne!(base, SolverStats { warm_hits: 2, ..base.clone() });
         assert_ne!(base, SolverStats { rhs_resolves: 0, ..base.clone() });
-        assert_ne!(base, SolverStats { cuts_aged: 1, ..base.clone() });
         assert_ne!(base, SolverStats { scenarios_pruned: 7, ..base.clone() });
         // Float telemetry (like condition estimates) stays outside
         // equality: tail mass depends on the enumeration budget, not on

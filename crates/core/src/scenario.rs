@@ -130,7 +130,7 @@ pub struct EnumerationStats {
     /// bounded buffer, or skipped wholesale by the subtree bound.
     pub scenarios_pruned: u64,
     /// Peak number of scenarios buffered at any point — the streaming
-    /// guarantee (`peak_buffered ≤ max_scenarios + 1`; CI gates on it).
+    /// guarantee (`peak_buffered ≤ max_scenarios + 1`).
     pub peak_buffered: usize,
     /// Probability mass of the returned scenarios (including any tail
     /// samples).

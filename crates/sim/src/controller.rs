@@ -193,14 +193,8 @@ impl<'a> Controller<'a> {
             let ready_at_s = at_s + timing.total_ms() / 1000.0;
             let decision_at_s = at_s + timing.decision_ms() / 1000.0;
             // Loss bound of the recomputed policy for reporting.
-            let probs = self.estimate_probs(&state, p);
-            let (scenarios, enum_stats) = match &self.scenario_budget {
-                Some(budget) => {
-                    let (s, st) = ScenarioSet::enumerate_with(&probs, budget);
-                    (s, Some(st))
-                }
-                None => (ScenarioSet::enumerate(&probs, 1, 0.0), None),
-            };
+            let probs = estimate_probs(self.model, &state, p);
+            let (scenarios, enum_stats) = self.enumerate_scenarios(&probs);
             let problem = TeProblem::new(self.net, self.flows, &tunnels, &scenarios);
             let mut cache = self.cache.borrow_mut();
             let mut solver_b = TeSolver::new(&problem)
@@ -239,8 +233,7 @@ impl<'a> Controller<'a> {
             pipeline = Some(timing);
             prepared_before_cut = cut_at.map(|c| ready_at_s <= c);
         }
-        if let (Some(at), Some(idx)) = (cut_at, detection.cut_at_idx) {
-            let _ = idx;
+        if let Some(at) = cut_at {
             self.obs.event_with("cut-observed", || {
                 format!("fiber={} at_s={at:.1}", trace.fiber.index())
             });
@@ -255,9 +248,21 @@ impl<'a> Controller<'a> {
         ControllerReport { events, pipeline, prepared_before_cut, solver }
     }
 
-    /// Eqn 1 with the live prediction for the degraded fiber.
-    fn estimate_probs(&self, state: &DegradationState, p_nn: f64) -> Vec<f64> {
-        estimate_probs(self.model, state, p_nn)
+    /// The epoch's scenario set under [`Controller::scenario_budget`],
+    /// with the budgeted enumerator's accounting for
+    /// [`TeSolver::scenario_stats`]. Shared by the plain and robust
+    /// controllers so every stack honours the budget.
+    pub(crate) fn enumerate_scenarios(
+        &self,
+        probs: &[f64],
+    ) -> (ScenarioSet, Option<EnumerationStats>) {
+        match &self.scenario_budget {
+            Some(budget) => {
+                let (s, st) = ScenarioSet::enumerate_with(probs, budget);
+                (s, Some(st))
+            }
+            None => (ScenarioSet::enumerate(probs, 1, 0.0), None),
+        }
     }
 }
 

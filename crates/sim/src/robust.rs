@@ -572,7 +572,7 @@ impl<'a> RobustController<'a> {
             requested_tunnels = tunnels.len().saturating_sub(self.inner.base_tunnels.len());
 
             let probs = estimate_probs(self.inner.model, &state, p);
-            let scenarios = ScenarioSet::enumerate(&probs, 1, 0.0);
+            let (scenarios, enum_stats) = self.inner.enumerate_scenarios(&probs);
             let problem = TeProblem::new(self.inner.net, self.inner.flows, &tunnels, &scenarios);
             let budget =
                 self.budget_override.unwrap_or_else(|| budget_from_latency(&self.inner.latency));
@@ -585,7 +585,7 @@ impl<'a> RobustController<'a> {
                     });
                 }
                 let mut cache = self.inner.cache.borrow_mut();
-                let (sol, stats) = TeSolver::new(&problem)
+                let mut solver_b = TeSolver::new(&problem)
                     .beta(self.beta)
                     .method(method)
                     .budget(budget)
@@ -594,8 +594,11 @@ impl<'a> RobustController<'a> {
                     .pricing(self.inner.pricing)
                     .eta_update(self.inner.eta_update)
                     .warm_cache(&mut cache)
-                    .recorder(&obs)
-                    .solve_with_stats()?;
+                    .recorder(&obs);
+                if let Some(st) = enum_stats.as_ref() {
+                    solver_b = solver_b.scenario_stats(st);
+                }
+                let (sol, stats) = solver_b.solve_with_stats()?;
                 solver_stats.merge(&stats);
                 Ok(sol)
             };
@@ -841,42 +844,56 @@ mod tests {
         let truth = TrueConditionals::ground_truth(&net, &model, 50, 1);
         let scheme = PreTeScheme::new(0.99, ProbabilityEstimator::prete(&model, &truth));
         let predictor = OptimistPredictor;
-        let mk = || Controller {
-            net: &net,
-            model: &model,
-            flows: &flows,
-            base_tunnels: &base,
-            predictor: &predictor,
-            scheme: &scheme,
-            latency: LatencyModel::default(),
-            threads: 0,
-            backend: Default::default(),
-            pricing: Default::default(),
-            eta_update: Default::default(),
-            scenario_budget: None,
-            cache: Default::default(),
-            obs: Recorder::deterministic(),
-        };
-        let plain = mk().replay_trace(&fig4b_trace());
-        let robust = RobustController::new(
-            mk(),
-            SolveMethod::Heuristic,
-            RetryPolicy::default(),
-            0.99,
-        );
-        let report = robust.replay_trace(&fig4b_trace(), &FaultPlan::none(11));
-        // One TE solve — subproblem + polish — and none in the tunnel span.
-        assert_eq!(report.solver.lp_solves, 2);
-        crate::controller::assert_one_solve_per_epoch(&robust.inner.obs.report(), 1);
-        // With nothing injected the robust path IS the plain path:
-        // same events, same timing, no fallbacks, no degraded modes.
-        assert_eq!(report.events, plain.events);
-        assert_eq!(report.pipeline, plain.pipeline);
-        assert_eq!(report.prepared_before_cut, plain.prepared_before_cut);
-        assert_eq!(report.prepared_before_cut, Some(true));
-        assert!(report.fallbacks_fired.is_empty());
-        assert!(report.degraded_modes().is_empty());
-        assert_eq!(report.worst_mode(), None);
+        // A 2-cut budget capped below the 7 candidate scenarios, so the
+        // enumerator prunes and leaves a tail: the robust stack must
+        // honour it exactly as the plain controller does.
+        let budgeted =
+            ScenarioBudget { max_cuts: 2, max_scenarios: 5, ..ScenarioBudget::default() };
+        for scenario_budget in [None, Some(budgeted)] {
+            let mk = || Controller {
+                net: &net,
+                model: &model,
+                flows: &flows,
+                base_tunnels: &base,
+                predictor: &predictor,
+                scheme: &scheme,
+                latency: LatencyModel::default(),
+                threads: 0,
+                backend: Default::default(),
+                pricing: Default::default(),
+                eta_update: Default::default(),
+                scenario_budget,
+                cache: Default::default(),
+                obs: Recorder::deterministic(),
+            };
+            let plain = mk().replay_trace(&fig4b_trace());
+            let robust = RobustController::new(
+                mk(),
+                SolveMethod::Heuristic,
+                RetryPolicy::default(),
+                0.99,
+            );
+            let report = robust.replay_trace(&fig4b_trace(), &FaultPlan::none(11));
+            // One TE solve — subproblem + polish — and none in the tunnel span.
+            assert_eq!(report.solver.lp_solves, 2);
+            crate::controller::assert_one_solve_per_epoch(&robust.inner.obs.report(), 1);
+            // With nothing injected the robust path IS the plain path:
+            // same events (Φ included), same timing, the same solver
+            // work on the same scenario set, no fallbacks, no degraded
+            // modes.
+            assert_eq!(report.events, plain.events);
+            assert_eq!(report.pipeline, plain.pipeline);
+            assert_eq!(report.prepared_before_cut, plain.prepared_before_cut);
+            assert_eq!(report.prepared_before_cut, Some(true));
+            let plain_solver = plain.solver.expect("the degradation triggered a solve");
+            assert_eq!(report.solver, plain_solver);
+            assert_eq!(report.solver.tail_mass, plain_solver.tail_mass);
+            assert_eq!(report.solver.scenarios_pruned > 0, scenario_budget.is_some());
+            assert_eq!(report.solver.tail_mass > 0.0, scenario_budget.is_some());
+            assert!(report.fallbacks_fired.is_empty());
+            assert!(report.degraded_modes().is_empty());
+            assert_eq!(report.worst_mode(), None);
+        }
     }
 
     #[test]

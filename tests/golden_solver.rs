@@ -15,8 +15,9 @@
 //!
 //! and commit the rewritten `tests/fixtures/golden_*.json`.
 
-use prete_core::prelude::{SolveMethod, SolverBackend, TeProblem, TeSolver};
-use prete_core::scenario::ScenarioSet;
+use prete_core::estimator::ProbabilityEstimator;
+use prete_core::prelude::{FailureModel, SolveMethod, SolverBackend, TeProblem, TeSolver};
+use prete_core::scenario::{ScenarioBudget, ScenarioSet};
 use prete_topology::{topologies, Network, TunnelSet};
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
@@ -287,6 +288,21 @@ fn check_gen(name: &str, spec_str: &str) {
         "{name}: structural digest drifted (counts match — positions, \
          capacities or orderings moved)"
     );
+
+    // The streaming guarantee at scale: 2-cut enumeration over tens
+    // of thousands of candidate scenarios never buffers more than the
+    // cap (+1 while evicting), and the mass accounting still closes.
+    let model = FailureModel::new(&net, 42);
+    let estimator = ProbabilityEstimator::static_model(&model);
+    let budget = ScenarioBudget {
+        max_cuts: 2,
+        mass_floor: 1e-7,
+        max_scenarios: 64,
+        ..ScenarioBudget::default()
+    };
+    let (_, stats) = ScenarioSet::enumerate_with(estimator.static_probabilities(), &budget);
+    assert!(stats.peak_buffered <= 65, "{name}: peak buffer {}", stats.peak_buffered);
+    assert!(stats.mass_gap() < 1e-6, "{name}: mass gap {:e}", stats.mass_gap());
 }
 
 #[test]

@@ -1134,58 +1134,6 @@ fn scaled_te_instance_is_certified_and_thread_invariant() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Cut aging/aggregation never cuts off the optimum: retiring slack
-    /// cuts into a convex-combination aggregate keeps the master a
-    /// relaxation, so even the most aggressive age limit must converge
-    /// to the same objective as the unmanaged cut pool — across shard
-    /// counts, on seeded random WANs.
-    #[test]
-    fn cut_aging_preserves_the_benders_optimum(
-        n in 4usize..7,
-        chords in prop::collection::vec((0usize..16, 0usize..8), 1..4),
-        seed in 0u64..1000,
-        p_scale in 0.2f64..1.0,
-        beta in 0.95f64..0.999,
-        age_limit in 1usize..4,
-    ) {
-        use prete_core::prelude::{SolveMethod, TeProblem, TeSolver};
-        use prete_core::scenario::ScenarioSet;
-        use prete_topology::{topologies, TunnelSet};
-
-        let net = random_wan(n, &chords);
-        let flows = topologies::flows_for(&net, 0.1, seed);
-        let tunnels = TunnelSet::initialize(&net, &flows, 3);
-        let probs: Vec<f64> =
-            (0..net.fibers().len()).map(|i| p_scale * 0.01 * (1.0 + (i % 5) as f64)).collect();
-        let scenarios = ScenarioSet::enumerate(&probs, 1, 0.0);
-        let problem = TeProblem::new(&net, &flows, &tunnels, &scenarios);
-
-        let plain = TeSolver::new(&problem)
-            .beta(beta)
-            .method(SolveMethod::benders())
-            .solve()
-            .expect("solvable");
-        for shards in [1usize, 2] {
-            let (aged, stats) = TeSolver::new(&problem)
-                .beta(beta)
-                .method(SolveMethod::benders())
-                .benders_shards(shards)
-                .cut_aging(age_limit)
-                .solve_with_stats()
-                .expect("solvable");
-            prop_assert!(
-                (aged.max_loss - plain.max_loss).abs() <= 2e-4,
-                "shards={} age_limit={}: {} vs unmanaged {}",
-                shards, age_limit, aged.max_loss, plain.max_loss
-            );
-            // Aged cuts only ever leave via aggregation, pairwise or
-            // better.
-            if stats.cuts_aged > 0 {
-                prop_assert!(stats.cuts_aged >= 2 * stats.cuts_aggregated);
-            }
-        }
-    }
-
     /// The parametric generator is a pure function of its spec: the
     /// same `(family, size, seed)` must produce a byte-identical
     /// topology digest no matter which thread builds it.

@@ -1,5 +1,5 @@
 //! Differential oracle suite for the k-cut scenario enumerator and the
-//! cut-pool Benders master.
+//! Benders solves on its output.
 //!
 //! Three contracts, mirroring the `solver_differential` pattern:
 //!
@@ -16,10 +16,8 @@
 //!   `Φ_exhaustive(β − tail) ≤ Φ_pruned(β) ≤ Φ_exhaustive(β + tail)`,
 //!   with *zero* objective disagreement whenever nothing was actually
 //!   pruned.
-//! * **Cut-pool equivalence** — sharded subproblem workers and cut
-//!   aging/aggregation must agree with the monolithic Benders objective
-//!   on the Table 3 topologies across shard counts {1, 2, 8}, with
-//!   bit-identical allocations where the pivot path is unchanged.
+//! * **Thread invariance** — Benders on B4 returns bit-identical
+//!   allocations at 1 and 8 worker threads.
 
 use prete_core::examples::{triangle, triangle_flows};
 use prete_core::prelude::*;
@@ -437,119 +435,29 @@ fn pruned_solves_stay_inside_the_certified_sandwich() {
 }
 
 // ---------------------------------------------------------------------------
-// Cut-pool Benders equivalence
+// Benders thread invariance
 // ---------------------------------------------------------------------------
 
-fn benders_on(
-    net: &Network,
-    flows: &[Flow],
-    tunnels: &TunnelSet,
-    scenarios: &ScenarioSet,
-    shards: usize,
-    aging: Option<usize>,
-    threads: usize,
-) -> (TeSolution, SolverStats) {
-    let problem = TeProblem::new(net, flows, tunnels, scenarios);
-    let mut solver = TeSolver::new(&problem)
-        .beta(0.99)
-        .method(SolveMethod::benders())
-        .threads(threads)
-        .benders_shards(shards);
-    if let Some(limit) = aging {
-        solver = solver.cut_aging(limit);
-    }
-    solver.solve_with_stats().expect("benders solve")
-}
-
-fn equivalence_on(net: &Network) {
-    let model = FailureModel::new(net, 42);
-    let flows = topologies::flows_for(net, 0.05, 42);
-    let tunnels = TunnelSet::initialize(net, &flows, 3);
-    let probs: Vec<f64> = net.fibers().iter().map(|f| model.p_cut(f.id)).collect();
-    let scenarios = ScenarioSet::enumerate(&probs, 1, 1e-6);
-    let (mono, mono_stats) = benders_on(net, &flows, &tunnels, &scenarios, 1, None, 1);
-    // Monolithic path: the pool plays no role — nothing aged, nothing
-    // aggregated, no shard subproblems.
-    assert_eq!(mono_stats.cuts_aged, 0);
-    assert_eq!(mono_stats.cuts_aggregated, 0);
-    // Thread invariance of the monolithic path (repo invariant).
-    let (mono8, _) = benders_on(net, &flows, &tunnels, &scenarios, 1, None, 8);
-    assert_eq!(mono.max_loss.to_bits(), mono8.max_loss.to_bits());
-    assert_eq!(mono.allocation, mono8.allocation);
-    for shards in [2usize, 8] {
-        for aging in [None, Some(2)] {
-            let (sol, stats) = benders_on(net, &flows, &tunnels, &scenarios, shards, aging, 1);
-            assert!(
-                (sol.max_loss - mono.max_loss).abs() <= 2e-4,
-                "{}: shards={shards} aging={aging:?}: {} vs monolithic {}",
-                net.name,
-                sol.max_loss,
-                mono.max_loss
-            );
-            // Shard workers add one cut per shard per iteration.
-            assert!(
-                stats.cuts_added >= stats.benders_iters * (1 + shards).min(2),
-                "{}: shards={shards}: only {} cuts over {} iters",
-                net.name,
-                stats.cuts_added,
-                stats.benders_iters
-            );
-            // Thread count still never changes results.
-            let (sol8, _) = benders_on(net, &flows, &tunnels, &scenarios, shards, aging, 8);
-            assert_eq!(sol.max_loss.to_bits(), sol8.max_loss.to_bits());
-            assert_eq!(sol.allocation, sol8.allocation);
-        }
-    }
-}
-
+/// Benders at 1 vs 8 worker threads is bit-identical on B4 (repo
+/// invariant: the thread count never changes results).
 #[test]
 fn cut_pool_benders_matches_monolithic_on_b4() {
-    equivalence_on(&topologies::b4());
-}
-
-#[test]
-#[ignore = "release-mode CI job: IBM is minutes in debug"]
-fn cut_pool_benders_matches_monolithic_on_ibm() {
-    equivalence_on(&topologies::ibm());
-}
-
-#[test]
-#[ignore = "release-mode CI job: TWAN is minutes in debug"]
-fn cut_pool_benders_matches_monolithic_on_twan() {
-    equivalence_on(&topologies::twan());
-}
-
-/// Aging retires slack cuts into an aggregate; the master stays a
-/// relaxation, so even the most aggressive limit must land on the same
-/// converged objective as the unmanaged pool.
-#[test]
-fn aggressive_cut_aging_never_cuts_off_the_optimum() {
-    let net = triangle();
-    let base_flows = triangle_flows();
-    let tunnels = TunnelSet::initialize(&net, &base_flows, 2);
-    for case_no in 0..60 {
-        let mut rng = Rng::new(SUITE_SEED ^ 0xa9e ^ (case_no as u64).wrapping_mul(0x5bd1));
-        let probs: Vec<f64> = (0..net.num_fibers()).map(|_| 0.25 * rng.unit()).collect();
-        let flows: Vec<Flow> = base_flows
-            .iter()
-            .map(|f| Flow { demand_gbps: f.demand_gbps * (0.5 + rng.unit()), ..*f })
-            .collect();
-        let scenarios = ScenarioSet::enumerate(&probs, 2, 0.0);
-        let (plain, _) = benders_on(&net, &flows, &tunnels, &scenarios, 1, None, 1);
-        for (shards, limit) in [(1, 1), (2, 1), (2, 3)] {
-            let (aged, stats) =
-                benders_on(&net, &flows, &tunnels, &scenarios, shards, Some(limit), 1);
-            assert!(
-                (aged.max_loss - plain.max_loss).abs() <= 2e-4,
-                "case {case_no} shards={shards} limit={limit}: {} vs {}",
-                aged.max_loss,
-                plain.max_loss
-            );
-            // When something aged, an aggregate replaced it.
-            if stats.cuts_aged > 0 {
-                assert!(stats.cuts_aggregated > 0);
-                assert!(stats.cuts_aged >= 2 * stats.cuts_aggregated);
-            }
-        }
-    }
+    let net = topologies::b4();
+    let model = FailureModel::new(&net, 42);
+    let flows = topologies::flows_for(&net, 0.05, 42);
+    let tunnels = TunnelSet::initialize(&net, &flows, 3);
+    let probs: Vec<f64> = net.fibers().iter().map(|f| model.p_cut(f.id)).collect();
+    let scenarios = ScenarioSet::enumerate(&probs, 1, 1e-6);
+    let problem = TeProblem::new(&net, &flows, &tunnels, &scenarios);
+    let solve = |threads: usize| {
+        TeSolver::new(&problem)
+            .beta(0.99)
+            .method(SolveMethod::benders())
+            .threads(threads)
+            .solve()
+            .expect("benders solve")
+    };
+    let (serial, par) = (solve(1), solve(8));
+    assert_eq!(serial.max_loss.to_bits(), par.max_loss.to_bits());
+    assert_eq!(serial.allocation, par.allocation);
 }
