@@ -1,37 +1,31 @@
-//! `chaos_soak` — crash/restart chaos soak on the WAN topology.
+//! `chaos_soak` — crash/restart chaos soak over a fleet of durable
+//! controllers.
 //!
 //! ```text
-//! Usage: chaos_soak [--seeds A,B,C] [--epochs N] [--crash-prob P]
-//!                   [--checkpoint-every N] [--topology twan|b4|ibm]
-//!                   [--flow-frac F] [--tenants N] [--out FILE]
+//! Usage: chaos_soak [--tenants N] [--seeds A,B,C] [--epochs N]
+//!                   [--crash-prob P] [--checkpoint-every N] [--out FILE]
 //! ```
 //!
-//! Runs one seeded chaos soak per seed: the durable controller is
-//! killed and rebuilt at random epochs (sometimes mid-solve, sometimes
-//! with a corrupted checkpoint or a truncated journal) while every
-//! epoch is checked against the chaos invariants — availability floor,
-//! finite allocations, span-tree well-formedness, bit-identity with an
-//! uninterrupted golden run, and monotone warm-cache counters.
-//!
-//! With `--tenants N` the soak runs in **fleet mode**: N tenant
-//! controllers on a B4/IBM topology mix (each with its own failure
-//! model, flows and seed stream) are driven by the multi-tenant fleet
-//! runtime while crash/corrupt/stale-journal events land on random
-//! tenants; the invariants add cross-tenant isolation — every
-//! surviving tenant must stay bit-identical to its uninterrupted solo
-//! run. `--topology`/`--flow-frac` only affect single-tenant mode.
+//! Runs one seeded chaos soak per seed: `--tenants` controllers
+//! (default 1, the single-controller soak) on a B4/IBM topology mix,
+//! each with its own failure model, flows and seed stream, are driven
+//! by the multi-tenant fleet runtime while each is killed and rebuilt
+//! at random epochs (sometimes mid-solve, sometimes with a corrupted
+//! checkpoint or a truncated journal). Every epoch is checked against
+//! the chaos invariants — availability floor, finite allocations,
+//! span-tree well-formedness, bit-identity with an uninterrupted solo
+//! run, monotone warm-cache counters — and the fleet against
+//! cross-tenant isolation: every surviving tenant must stay
+//! bit-identical to its solo run.
 //!
 //! All soak reports are written to `--out` (default `CHAOS_SOAK.json`).
 //! On a violation the report embeds the minimized repro — the smallest
-//! `(seed, epoch, event)` triple (plus the tenant, in fleet mode) that
-//! still reproduces it — and the binary exits non-zero so CI fails
-//! loudly with the artifact attached.
+//! `(seed, tenant, epoch, event)` tuple that still reproduces it — and
+//! the binary exits non-zero so CI fails loudly with the artifact
+//! attached.
 
-use prete_bench::chaos::{
-    fleet_soak_over, mixed_tenant_leaves, render_fleet_soak, render_soak, soak_on,
-};
-use prete_sim::{ChaosPlan, FleetChaosPlan, FleetConfig};
-use prete_topology::topologies;
+use prete_bench::chaos::{fleet_soak_over, mixed_tenant_leaves, render_fleet_soak};
+use prete_sim::{FleetChaosPlan, FleetConfig};
 use std::io::Write;
 
 fn main() {
@@ -57,69 +51,25 @@ fn main() {
         .map(|v| v.parse().expect("--checkpoint-every takes an integer"))
         .unwrap_or(5);
     let out = flag("--out").unwrap_or_else(|| "CHAOS_SOAK.json".into());
-    let tenants: Option<usize> =
-        flag("--tenants").map(|v| v.parse().expect("--tenants takes an integer"));
-
-    if let Some(tenants) = tenants {
-        // Fleet mode: a B4/IBM tenant mix under the fleet runtime.
-        let mut reports = Vec::new();
-        let mut violated = false;
-        for &seed in &seeds {
-            let plan = FleetChaosPlan { crash_prob, ..FleetChaosPlan::new(seed, epochs) };
-            plan.validate().expect("valid fleet chaos plan");
-            let leaves = mixed_tenant_leaves(tenants, 0.05, seed);
-            let report =
-                match fleet_soak_over(&leaves, checkpoint_every, &FleetConfig::default(), &plan) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        eprintln!("fleet chaos soak seed {seed} failed to run: {e:?}");
-                        std::process::exit(2);
-                    }
-                };
-            print!("{}", render_fleet_soak(&report));
-            violated |= report.violation.is_some();
-            reports.push(report);
-        }
-        let json = serde_json::to_string_pretty(&reports).expect("serialize");
-        let mut f = std::fs::File::create(&out).expect("create output file");
-        f.write_all(json.as_bytes()).expect("write output file");
-        println!("  [json → {out}]");
-        if violated {
-            eprintln!("fleet chaos soak found invariant violations — see {out} for minimized repros");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    // WAN is the full soak; B4 keeps 3 × 50 epochs inside a CI-smoke
-    // budget (the chaos machinery under test is identical).
-    let (net, default_frac) = match flag("--topology").as_deref().unwrap_or("twan") {
-        "twan" => (topologies::twan(), 0.02),
-        "b4" => (topologies::b4(), 0.08),
-        "ibm" => (topologies::ibm(), 0.08),
-        other => panic!("--topology takes twan|b4|ibm, got {other}"),
-    };
-    let flow_frac: f64 = flag("--flow-frac")
-        .map(|v| v.parse().expect("--flow-frac takes a number"))
-        .unwrap_or(default_frac);
+    let tenants: usize = flag("--tenants")
+        .map(|v| v.parse().expect("--tenants takes an integer"))
+        .unwrap_or(1);
 
     let mut reports = Vec::new();
     let mut violated = false;
     for &seed in &seeds {
-        let plan = ChaosPlan {
-            crash_prob,
-            checkpoint_every,
-            ..ChaosPlan::new(seed, epochs)
-        };
+        let plan = FleetChaosPlan { crash_prob, ..FleetChaosPlan::new(seed, epochs) };
         plan.validate().expect("valid chaos plan");
-        let report = match soak_on(&net, flow_frac, &plan) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("chaos soak seed {seed} failed to run: {e:?}");
-                std::process::exit(2);
-            }
-        };
-        print!("{}", render_soak(&report));
+        let leaves = mixed_tenant_leaves(tenants, 0.05, seed);
+        let report =
+            match fleet_soak_over(&leaves, checkpoint_every, &FleetConfig::default(), &plan) {
+                Ok(r) => r,
+                Err(e) => {
+                    eprintln!("chaos soak seed {seed} failed to run: {e:?}");
+                    std::process::exit(2);
+                }
+            };
+        print!("{}", render_fleet_soak(&report));
         violated |= report.violation.is_some();
         reports.push(report);
     }

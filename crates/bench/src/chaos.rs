@@ -1,26 +1,25 @@
 //! Chaos-soak experiments behind the `chaos_soak` binary.
 //!
-//! [`soak_on`] assembles the same WAN-shaped controller testbed as the
-//! run-report experiments — const-probability predictor, Benders with a
-//! shared warm-start cache, default retry policy — wraps it in the
+//! [`fleet_soak_over`] assembles one WAN-shaped controller testbed per
+//! tenant — const-probability predictor, heuristic solve with a
+//! warm-start cache, default retry policy — wraps each in the
 //! crash-safe [`DurableController`](prete_sim::DurableController)
-//! machinery and drives it through a seeded [`ChaosPlan`]: random
-//! crash/restart cycles, corrupted checkpoints and truncated journals,
-//! with every epoch checked against the chaos invariants (availability
-//! floor, finite allocations, span-tree well-formedness, bit-identity
-//! with an uninterrupted golden run, monotone warm-cache counters).
+//! machinery under the fleet runtime and drives them through a seeded
+//! [`FleetChaosPlan`]: random crash/restart cycles, corrupted
+//! checkpoints and truncated journals, with every epoch checked
+//! against the chaos invariants (availability floor, finite
+//! allocations, span-tree well-formedness, bit-identity with an
+//! uninterrupted solo run, monotone warm-cache counters, cross-tenant
+//! isolation). One tenant is the single-controller soak.
 
-use crate::SEED;
 use prete_core::estimator::{ProbabilityEstimator, TrueConditionals};
 use prete_core::prelude::*;
 use prete_core::schemes::PreTeScheme;
 use prete_nn::Predictor;
 use prete_optical::DegradationEvent;
-use prete_sim::latency::LatencyModel;
 use prete_sim::{
-    chaos_soak, fleet_chaos_soak, ChaosPlan, CheckpointError, Controller, FleetChaosPlan,
-    FleetConfig, FleetSoakReport, RetryPolicy, RobustController, ScriptedWorkload, SoakReport,
-    TenantSpec,
+    fleet_chaos_soak, CheckpointError, Controller, FleetChaosPlan, FleetConfig, FleetSoakReport,
+    RetryPolicy, RobustController, ScriptedWorkload, TenantSpec,
 };
 use prete_topology::{topologies, Network};
 use std::fmt::Write as _;
@@ -32,54 +31,6 @@ impl Predictor for ConstPredictor {
     fn predict_proba(&self, _e: &DegradationEvent) -> f64 {
         self.0
     }
-}
-
-/// Runs one chaos soak on an arbitrary topology — tests use B4 so the
-/// debug-mode workload stays in seconds; the WAN soak is release-only.
-pub fn soak_on(net: &Network, flow_frac: f64, plan: &ChaosPlan) -> Result<SoakReport, CheckpointError> {
-    let model = FailureModel::new(net, SEED);
-    let flows = topologies::flows_for(net, flow_frac, SEED);
-    let tunnels = TunnelSet::initialize(net, &flows, 2);
-    let truth = TrueConditionals::ground_truth(net, &model, 40, 1);
-    let scheme = PreTeScheme::new(0.99, ProbabilityEstimator::prete(&model, &truth));
-    let predictor = ConstPredictor(0.8);
-    let mk = || {
-        RobustController::new(
-            Controller {
-                net,
-                model: &model,
-                flows: &flows,
-                base_tunnels: &tunnels,
-                predictor: &predictor,
-                scheme: &scheme,
-                latency: LatencyModel::default(),
-                threads: 0,
-                backend: Default::default(),
-                pricing: Default::default(),
-                eta_update: Default::default(),
-                scenario_budget: None,
-                cache: Default::default(),
-                obs: Default::default(),
-            },
-            // Heuristic keeps 50-epoch WAN soaks inside the CI budget;
-            // it still drives the warm-start cache (its subproblem LPs
-            // warm-hit across epochs), so the checkpointed cache
-            // snapshot genuinely matters for the bit-identity
-            // invariant. The Benders path is soaked on the triangle
-            // testbed in `prete-sim::chaos`'s own tests.
-            SolveMethod::Heuristic,
-            RetryPolicy::default(),
-            0.99,
-        )
-    };
-    let workload = ScriptedWorkload::new(net.fibers().len());
-    chaos_soak(&mk, &workload, plan)
-}
-
-/// The acceptance-path soak: WAN topology, small flow fraction — the
-/// same scaling the run-report experiments use.
-pub fn soak_wan(plan: &ChaosPlan) -> Result<SoakReport, CheckpointError> {
-    soak_on(&topologies::twan(), 0.02, plan)
 }
 
 /// Everything one fleet tenant borrows: its own topology, failure
@@ -126,9 +77,8 @@ pub fn mixed_tenant_leaves(tenants: usize, flow_frac: f64, seed: u64) -> Vec<Ten
         .collect()
 }
 
-/// Builds one fleet spec per leaf — heuristic method, warm cache,
-/// default retry — borrowing topology, model and flows from `leaves`.
-/// Shared by the fleet soak and the telemetry experiments.
+/// Builds one fleet spec per leaf, borrowing topology, model and flows
+/// from `leaves`. Shared by the soak and the telemetry experiments.
 pub fn tenant_specs(leaves: &[TenantLeaves], checkpoint_every: u64) -> Vec<TenantSpec<'_>> {
     leaves
         .iter()
@@ -137,25 +87,23 @@ pub fn tenant_specs(leaves: &[TenantLeaves], checkpoint_every: u64) -> Vec<Tenan
                 l.name.clone(),
                 move || {
                     RobustController::new(
-                        Controller {
-                            net: &l.net,
-                            model: &l.model,
-                            flows: &l.flows,
-                            base_tunnels: &l.tunnels,
-                            predictor: &l.predictor,
-                            scheme: &l.scheme,
-                            latency: LatencyModel::default(),
-                            threads: 0,
-                            backend: Default::default(),
-                            pricing: Default::default(),
-                            eta_update: Default::default(),
-                            scenario_budget: None,
-                            cache: Default::default(),
-                            obs: Default::default(),
-                        },
+                        Controller::new(
+                            &l.net,
+                            &l.model,
+                            &l.flows,
+                            &l.tunnels,
+                            &l.predictor,
+                            &l.scheme,
+                        ),
+                        // Heuristic keeps 50-epoch soaks inside the CI
+                        // budget; it still drives the warm-start cache
+                        // (its subproblem LPs warm-hit across epochs),
+                        // so the checkpointed cache snapshot genuinely
+                        // matters for the bit-identity invariant. The
+                        // Benders path is soaked on the triangle
+                        // testbed in `prete-sim::fleet`'s own tests.
                         SolveMethod::Heuristic,
                         RetryPolicy::default(),
-                        0.99,
                     )
                 },
                 ScriptedWorkload::new(l.net.fibers().len()),
@@ -167,9 +115,8 @@ pub fn tenant_specs(leaves: &[TenantLeaves], checkpoint_every: u64) -> Vec<Tenan
         .collect()
 }
 
-/// Runs one fleet chaos soak over pre-built tenant leaves. Same solver
-/// shape as [`soak_on`] (heuristic method, warm cache, default retry),
-/// one durable controller per tenant.
+/// Runs one chaos soak over pre-built tenant leaves, one durable
+/// controller per tenant.
 pub fn fleet_soak_over(
     leaves: &[TenantLeaves],
     checkpoint_every: u64,
@@ -233,79 +180,17 @@ pub fn render_fleet_soak(report: &FleetSoakReport) -> String {
     s
 }
 
-/// Renders one soak as a text summary: the plan, the injected events,
-/// and either a clean verdict or the violation plus its minimized
-/// repro.
-pub fn render_soak(report: &SoakReport) -> String {
-    let mut s = String::new();
-    let p = &report.plan;
-    let _ = writeln!(
-        s,
-        "Chaos soak: seed={} epochs={}/{} crash_prob={} checkpoint_every={} floor={}",
-        p.seed, report.epochs_completed, p.epochs, p.crash_prob, p.checkpoint_every,
-        p.availability_floor
-    );
-    let _ = writeln!(
-        s,
-        "  executions={} recoveries={} events_injected={}",
-        report.executions,
-        report.recoveries,
-        report.events_injected.len()
-    );
-    if !report.events_injected.is_empty() {
-        let events: Vec<String> = report
-            .events_injected
-            .iter()
-            .map(|(e, ev)| format!("{e}:{ev:?}"))
-            .collect();
-        let _ = writeln!(s, "  injected: {}", events.join(" "));
-    }
-    match (&report.violation, &report.shrunk) {
-        (Some(v), shrunk) => {
-            let _ = writeln!(
-                s,
-                "  VIOLATION [{}] at epoch {} under {:?}: {}",
-                v.invariant, v.epoch, v.event, v.detail
-            );
-            if let Some(m) = shrunk {
-                let _ = writeln!(
-                    s,
-                    "  minimal repro: seed={} epoch={} event={:?} invariant={}",
-                    m.seed, m.epoch, m.event, m.invariant
-                );
-            }
-        }
-        (None, _) => {
-            let _ = writeln!(s, "  OK: all invariants held");
-        }
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn b4_soak_is_clean_and_renders() {
-        let plan = ChaosPlan { crash_prob: 0.6, ..ChaosPlan::new(SEED, 4) };
-        let report = soak_on(&topologies::b4(), 0.08, &plan).expect("soak runs");
-        assert!(report.violation.is_none(), "violation: {:?}", report.violation);
-        assert_eq!(report.epochs_completed, 4);
-        assert!(report.executions >= 4);
-        let text = render_soak(&report);
-        assert!(text.contains("OK: all invariants held"), "{text}");
-    }
+    use crate::SEED;
 
     #[test]
     fn mixed_fleet_soak_is_clean_and_renders() {
         let leaves = mixed_tenant_leaves(2, 0.05, SEED);
         assert_eq!(leaves[0].name, "b4-0");
         assert_eq!(leaves[1].name, "ibm-1");
-        let plan = prete_sim::FleetChaosPlan {
-            crash_prob: 0.5,
-            ..prete_sim::FleetChaosPlan::new(SEED, 3)
-        };
+        let plan = FleetChaosPlan { crash_prob: 0.5, ..FleetChaosPlan::new(SEED, 3) };
         let report =
             fleet_soak_over(&leaves, 3, &FleetConfig::default(), &plan).expect("fleet soak runs");
         assert!(report.violation.is_none(), "violation: {:?}", report.violation);

@@ -15,7 +15,6 @@ use prete_core::schemes::PreTeScheme;
 use prete_nn::Predictor;
 use prete_optical::trace::{synthesize, ScriptedDegradation, TraceConfig};
 use prete_optical::DegradationEvent;
-use prete_sim::latency::LatencyModel;
 use prete_sim::Controller;
 use prete_topology::{topologies, FiberId, Network};
 use serde::Serialize;
@@ -60,20 +59,8 @@ fn replay_epochs(net: &Network, flow_frac: f64, epochs: usize, obs: &Recorder) -
     let scheme = PreTeScheme::new(0.99, ProbabilityEstimator::prete(&model, &truth));
     let predictor = ConstPredictor(0.8);
     let controller = Controller {
-        net,
-        model: &model,
-        flows: &flows,
-        base_tunnels: &tunnels,
-        predictor: &predictor,
-        scheme: &scheme,
-        latency: LatencyModel::default(),
-        threads: 0,
-        backend: Default::default(),
-        pricing: Default::default(),
-        eta_update: Default::default(),
-        scenario_budget: None,
-        cache: Default::default(),
         obs: obs.clone(),
+        ..Controller::new(net, &model, &flows, &tunnels, &predictor, &scheme)
     };
     let n_fibers = net.fibers().len();
     let mut prepared = 0;

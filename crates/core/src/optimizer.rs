@@ -1851,6 +1851,19 @@ mod tests {
         merged.merge(&again);
         assert_eq!(merged.lp_solves, stats.lp_solves * 2);
         assert_eq!(merged.threads, 1);
+        // work_units() is the five deterministic counters — never wall
+        // clock or threads.
+        let counted = SolverStats {
+            pivots: 10,
+            lp_solves: 3,
+            mip_nodes: 2,
+            benders_iters: 4,
+            rhs_resolves: 5,
+            total_ms: 99.0,
+            threads: 8,
+            ..SolverStats::default()
+        };
+        assert_eq!(counted.work_units(), 24);
     }
 
     #[test]

@@ -29,11 +29,15 @@
 //! only changes *where* replay starts, never *what* it computes, every
 //! recovery converges to the same state.
 
-use crate::faults::{FaultPlan, PlanError};
+use crate::faults::{
+    FaultPersistence, FaultPlan, PlanError, PredictorFaultKind, PredictorFaults, SolverFaultKind,
+    SolverFaults, TelemetryFaults, TunnelFaults,
+};
 use crate::robust::{RobustController, RobustReport};
 use prete_lp::{BasisCacheSnapshot, EtaUpdate, Pricing, SolverBackend};
 use prete_obs::{Recorder, RunReport};
-use prete_optical::trace::LossTrace;
+use prete_optical::trace::{synthesize, LossTrace, ScriptedDegradation, TraceConfig};
+use prete_topology::FiberId;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -277,13 +281,19 @@ pub struct ControllerCheckpoint {
     pub digest: u64,
 }
 
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds bytes into a running FNV-1a hash (chainable across calls).
+pub(crate) fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv_fold(FNV_OFFSET, bytes)
 }
 
 impl ControllerCheckpoint {
@@ -368,6 +378,60 @@ impl<W: EpochWorkload + ?Sized> EpochWorkload for &W {
 
     fn plan(&self, epoch: u64, fault_seed: u64) -> FaultPlan {
         (**self).plan(epoch, fault_seed)
+    }
+}
+
+/// The standard soak workload: §5-shaped degradation→cut traces whose
+/// degree wobbles with the epoch, alternating between two fibers (so
+/// warm-cache hits and misses both occur), plus light seeded faults in
+/// every stage. A pure function of its arguments, as
+/// [`EpochWorkload`] requires.
+#[derive(Debug, Clone, Copy)]
+pub struct ScriptedWorkload {
+    /// Fibers in the network under test; the trace alternates between
+    /// fiber 0 and fiber `n_fibers / 2`.
+    pub n_fibers: usize,
+}
+
+impl ScriptedWorkload {
+    /// A workload alternating over `n_fibers` fibers.
+    pub fn new(n_fibers: usize) -> Self {
+        Self { n_fibers }
+    }
+}
+
+impl EpochWorkload for ScriptedWorkload {
+    fn trace(&self, epoch: u64, trace_seed: u64) -> LossTrace {
+        let deg = ScriptedDegradation {
+            start_s: 65,
+            duration_s: 45,
+            degree_db: 6.0 + 0.1 * (epoch % 5) as f64,
+            wobble_db: 0.2,
+        };
+        let fiber = if epoch.is_multiple_of(2) {
+            FiberId(0)
+        } else {
+            FiberId((self.n_fibers / 2).max(1) % self.n_fibers.max(1))
+        };
+        synthesize(fiber, 0, 160, &[deg], Some(110), TraceConfig::default(), trace_seed)
+    }
+
+    fn plan(&self, _epoch: u64, fault_seed: u64) -> FaultPlan {
+        FaultPlan {
+            seed: fault_seed,
+            telemetry: fault_seed.is_multiple_of(3).then(TelemetryFaults::light),
+            predictor: fault_seed.is_multiple_of(7).then_some(PredictorFaults {
+                kind: PredictorFaultKind::Unavailable,
+                persistence: FaultPersistence::Transient(1),
+            }),
+            solver: fault_seed.is_multiple_of(11).then_some(SolverFaults {
+                kind: SolverFaultKind::BudgetExceeded,
+                persistence: FaultPersistence::Transient(1),
+            }),
+            tunnels: fault_seed
+                .is_multiple_of(2)
+                .then_some(TunnelFaults { fail_prob: 0.5, permanent_prob: 0.2 }),
+        }
     }
 }
 
@@ -680,8 +744,6 @@ impl<'a, S: Store> DurableController<'a, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::ScriptedWorkload;
-    use crate::latency::LatencyModel;
     use crate::robust::RetryPolicy;
     use crate::Controller;
     use prete_core::estimator::{ProbabilityEstimator, TrueConditionals};
@@ -713,28 +775,12 @@ mod tests {
             let predictor = OptimistPredictor;
             let $mk = || {
                 RobustController::new(
-                    Controller {
-                        net: &net,
-                        model: &model,
-                        flows: &flows,
-                        base_tunnels: &base,
-                        predictor: &predictor,
-                        scheme: &scheme,
-                        latency: LatencyModel::default(),
-                        threads: 0,
-                        backend: Default::default(),
-                        pricing: Default::default(),
-                        eta_update: Default::default(),
-                        scenario_budget: None,
-                        cache: Default::default(),
-                        obs: Default::default(),
-                    },
+                    Controller::new(&net, &model, &flows, &base, &predictor, &scheme),
                     // Benders exercises the warm-start cache, so the
                     // checkpoint's cache snapshot genuinely matters for
                     // bit-identity.
                     SolveMethod::benders(),
                     RetryPolicy::default(),
-                    0.99,
                 )
             };
         };

@@ -7,12 +7,13 @@
 //! before the cut (the §5 feasibility argument: most degradation→cut
 //! intervals exceed the few seconds tunnels take).
 
+use crate::faults::FaultPlan;
 use crate::latency::{LatencyModel, PipelineTiming};
+use crate::robust::RetryPolicy;
 use prete_core::prelude::*;
-use prete_core::schemes::{TeContext, TeScheme};
+use prete_core::schemes::TeScheme;
 use prete_nn::Predictor;
-use prete_optical::trace::{detect_recorded, LossTrace};
-use prete_optical::{DegradationEvent, DegradationFeatures};
+use prete_optical::trace::LossTrace;
 use prete_topology::FiberId;
 use serde::Serialize;
 
@@ -115,143 +116,67 @@ pub struct Controller<'a> {
 }
 
 impl<'a> Controller<'a> {
+    /// A controller over the given leaves with the default latency
+    /// model, LP engine and exhaustive single-cut enumeration, automatic
+    /// threads, an empty warm-start cache and telemetry disabled.
+    pub fn new(
+        net: &'a Network,
+        model: &'a FailureModel,
+        flows: &'a [Flow],
+        base_tunnels: &'a TunnelSet,
+        predictor: &'a dyn Predictor,
+        scheme: &'a dyn TeScheme,
+    ) -> Self {
+        Self {
+            net,
+            model,
+            flows,
+            base_tunnels,
+            predictor,
+            scheme,
+            latency: LatencyModel::default(),
+            threads: 0,
+            backend: Default::default(),
+            pricing: Default::default(),
+            eta_update: Default::default(),
+            scenario_budget: None,
+            cache: Default::default(),
+            obs: Default::default(),
+        }
+    }
+
     /// Replays a single-fiber telemetry trace through the pipeline.
     ///
     /// Detection works on the trace exactly as the telemetry system
     /// would (threshold detector over the per-second loss series); the
     /// first detected degradation triggers prediction, Algorithm 1 and
     /// the TE recompute, all stamped with the latency model.
+    ///
+    /// This is the fault-free projection of the one epoch pipeline
+    /// (`Controller::run_epoch`, in `robust.rs`): nothing injected, the
+    /// heuristic solve under the default budget, and no standing policy
+    /// to fall back on — so no last-known-good solve is ever paid for,
+    /// and a solve that fails anyway is a bug and panics.
     pub fn replay_trace(&self, trace: &LossTrace) -> ControllerReport {
-        let _epoch = self.obs.span("epoch");
-        self.obs.add("controller.epochs", 1);
-        let mut events = Vec::new();
-        let detection = detect_recorded(trace, &self.obs);
-        let mut pipeline = None;
-        let mut prepared_before_cut = None;
-        let mut solver = None;
-        let cut_at = detection.cut_at_idx.map(|i| i as f64 * trace.dt_s as f64);
-
-        if let Some(deg) = detection.degradations.first() {
-            // The online detector needs a handful of consecutive
-            // degraded samples to flag the event — it does not wait for
-            // the window to end (the window often ends *because* the
-            // fiber cut).
-            const CONFIRM_SAMPLES: usize = 3;
-            let at_s =
-                (deg.start_idx + deg.len.min(CONFIRM_SAMPLES)) as f64 * trace.dt_s as f64;
-            let fiber = trace.fiber;
-            let fiber_meta = self.net.fiber(fiber);
-            let event = DegradationEvent {
-                fiber,
-                start_s: trace.start_s + deg.start_idx as u64,
-                duration_s: deg.len as u64,
-                features: DegradationFeatures {
-                    hour: ((trace.start_s / 3600) % 24) as u8,
-                    degree_db: deg.degree_db,
-                    gradient_db: deg.gradient_db,
-                    fluctuation: deg.fluctuation,
-                    region: fiber_meta.region,
-                    fiber_id: fiber.index(),
-                    length_km: fiber_meta.length_km,
-                    vendor: fiber_meta.vendor,
-                },
-                led_to_cut: false,
-                cut_delay_s: None,
-            };
-            let p = {
-                let _predict = self.obs.span("predict");
-                self.predictor.predict_proba(&event)
-            };
-            self.obs.event_with("prediction-fired", || {
-                format!("fiber={} p_cut={p:.4}", fiber.index())
-            });
-            events.push(ControllerEvent::DegradationDetected {
-                fiber,
-                at_s,
-                predicted_cut_prob: p,
-            });
-            // Reactive step via the scheme; the proactive solve below is
-            // the only one of the epoch.
-            let ctx = TeContext {
-                net: self.net,
-                model: self.model,
-                flows: self.flows,
-                base_tunnels: self.base_tunnels,
-            };
-            let state = DegradationState::single(fiber);
-            let (tunnels, new_tunnels, timing) = {
-                let _tunnel = self.obs.span("tunnel");
-                let tunnels = self.scheme.tunnels(&ctx, &state);
-                // Schemes may *prune* tunnels as well as add them, so
-                // the set can be smaller than the base set — saturate
-                // instead of underflowing (an update that removes
-                // tunnels installs nothing new).
-                let new_tunnels = tunnels.len().saturating_sub(self.base_tunnels.len());
-                let timing = self.latency.pipeline(new_tunnels);
-                (tunnels, new_tunnels, timing)
-            };
-            let ready_at_s = at_s + timing.total_ms() / 1000.0;
-            let decision_at_s = at_s + timing.decision_ms() / 1000.0;
-            // Loss bound of the recomputed policy for reporting.
-            let probs = estimate_probs(self.model, &state, p);
-            let (scenarios, enum_stats) = self.enumerate_scenarios(&probs);
-            let problem = TeProblem::new(self.net, self.flows, &tunnels, &scenarios);
-            let mut cache = self.cache.borrow_mut();
-            let mut solver_b = TeSolver::new(&problem)
-                .beta(self.scheme.beta())
-                .method(SolveMethod::Heuristic)
-                .threads(self.threads)
-                .backend(self.backend)
-                .pricing(self.pricing)
-                .eta_update(self.eta_update)
-                .warm_cache(&mut cache)
-                .recorder(&self.obs);
-            if let Some(st) = enum_stats.as_ref() {
-                solver_b = solver_b.scenario_stats(st);
-            }
-            let (sol, stats) = solver_b
-                .solve_with_stats()
-                .expect("heuristic solve under the default budget is infallible");
-            drop(cache);
-            solver = Some(stats);
-            self.obs.event_with("policy-recomputed", || {
-                format!("max_loss={:.6} at_s={decision_at_s:.3}", sol.max_loss)
-            });
-            events.push(ControllerEvent::PolicyRecomputed {
-                max_loss: sol.max_loss,
-                at_s: decision_at_s,
-            });
-            if new_tunnels > 0 {
-                self.obs.event_with("tunnels-established", || {
-                    format!("count={new_tunnels} ready_at_s={ready_at_s:.3}")
-                });
-                events.push(ControllerEvent::TunnelsEstablished {
-                    count: new_tunnels,
-                    ready_at_s,
-                });
-            }
-            pipeline = Some(timing);
-            prepared_before_cut = cut_at.map(|c| ready_at_s <= c);
+        let report = self.run_epoch(
+            trace,
+            &FaultPlan::none(0),
+            SolveMethod::Heuristic,
+            &RetryPolicy::default(),
+            SolveBudget::default(),
+            None,
+        );
+        ControllerReport {
+            solver: report.pipeline.is_some().then_some(report.solver),
+            events: report.events,
+            pipeline: report.pipeline,
+            prepared_before_cut: report.prepared_before_cut,
         }
-        if let Some(at) = cut_at {
-            self.obs.event_with("cut-observed", || {
-                format!("fiber={} at_s={at:.1}", trace.fiber.index())
-            });
-            events.push(ControllerEvent::CutObserved { fiber: trace.fiber, at_s: at });
-        }
-        if let Some(ok) = prepared_before_cut {
-            self.obs.add(
-                if ok { "controller.prepared_before_cut" } else { "controller.missed_cut" },
-                1,
-            );
-        }
-        ControllerReport { events, pipeline, prepared_before_cut, solver }
     }
 
     /// The epoch's scenario set under [`Controller::scenario_budget`],
     /// with the budgeted enumerator's accounting for
-    /// [`TeSolver::scenario_stats`]. Shared by the plain and robust
-    /// controllers so every stack honours the budget.
+    /// [`TeSolver::scenario_stats`].
     pub(crate) fn enumerate_scenarios(
         &self,
         probs: &[f64],
@@ -267,8 +192,8 @@ impl<'a> Controller<'a> {
 }
 
 /// Eqn 1 cut probabilities: the live NN prediction for degraded fibers,
-/// the discounted static prior for the rest. Shared by the plain and
-/// robust controllers.
+/// the discounted static prior for the rest (so a healthy state yields
+/// the static prior vector).
 pub(crate) fn estimate_probs(
     model: &FailureModel,
     state: &DegradationState,
@@ -310,8 +235,9 @@ mod tests {
     use super::*;
     use prete_core::estimator::{ProbabilityEstimator, TrueConditionals};
     use prete_core::examples::{triangle, triangle_flows};
-    use prete_core::schemes::PreTeScheme;
+    use prete_core::schemes::{PreTeScheme, TeContext};
     use prete_optical::trace::{synthesize, ScriptedDegradation, TraceConfig};
+    use prete_optical::DegradationEvent;
 
     struct OptimistPredictor;
     impl Predictor for OptimistPredictor {
@@ -346,22 +272,7 @@ mod tests {
         let truth = TrueConditionals::ground_truth(&net, &model, 50, 1);
         let scheme = PreTeScheme::new(0.99, ProbabilityEstimator::prete(&model, &truth));
         let predictor = OptimistPredictor;
-        let controller = Controller {
-            net: &net,
-            model: &model,
-            flows: &flows,
-            base_tunnels: &base,
-            predictor: &predictor,
-            scheme: &scheme,
-            latency: LatencyModel::default(),
-            threads: 0,
-            backend: Default::default(),
-            pricing: Default::default(),
-            eta_update: Default::default(),
-            scenario_budget: None,
-            cache: Default::default(),
-            obs: Default::default(),
-        };
+        let controller = Controller::new(&net, &model, &flows, &base, &predictor, &scheme);
         let report = controller.replay_trace(&fig4b_trace());
         // Degradation detected, tunnels built, policy recomputed, cut seen.
         assert!(matches!(report.events[0], ControllerEvent::DegradationDetected { .. }));
@@ -397,20 +308,9 @@ mod tests {
             let scheme = PreTeScheme::new(beta, ProbabilityEstimator::prete(&model, &truth));
             let predictor = OptimistPredictor;
             let controller = Controller {
-                net: &net,
-                model: &model,
-                flows: &flows,
-                base_tunnels: &base,
-                predictor: &predictor,
-                scheme: &scheme,
-                latency: LatencyModel::default(),
                 threads: 1,
-                backend: Default::default(),
-                pricing: Default::default(),
-                eta_update: Default::default(),
-                scenario_budget: None,
-                cache: Default::default(),
                 obs: Recorder::deterministic(),
+                ..Controller::new(&net, &model, &flows, &base, &predictor, &scheme)
             };
             for _ in 0..2 {
                 let report = controller.replay_trace(&fig4b_trace());
@@ -468,22 +368,7 @@ mod tests {
         let base = TunnelSet::initialize(&net, &flows, 2);
         let scheme = PruningScheme;
         let predictor = OptimistPredictor;
-        let controller = Controller {
-            net: &net,
-            model: &model,
-            flows: &flows,
-            base_tunnels: &base,
-            predictor: &predictor,
-            scheme: &scheme,
-            latency: LatencyModel::default(),
-            threads: 0,
-            backend: Default::default(),
-            pricing: Default::default(),
-            eta_update: Default::default(),
-            scenario_budget: None,
-            cache: Default::default(),
-            obs: Default::default(),
-        };
+        let controller = Controller::new(&net, &model, &flows, &base, &predictor, &scheme);
         let report = controller.replay_trace(&fig4b_trace());
         // Pruning installs nothing new: no establishment event, and the
         // pipeline runs with zero tunnel updates instead of panicking.
@@ -504,22 +389,7 @@ mod tests {
         let truth = TrueConditionals::ground_truth(&net, &model, 50, 1);
         let scheme = PreTeScheme::new(0.99, ProbabilityEstimator::prete(&model, &truth));
         let predictor = OptimistPredictor;
-        let controller = Controller {
-            net: &net,
-            model: &model,
-            flows: &flows,
-            base_tunnels: &base,
-            predictor: &predictor,
-            scheme: &scheme,
-            latency: LatencyModel::default(),
-            threads: 0,
-            backend: Default::default(),
-            pricing: Default::default(),
-            eta_update: Default::default(),
-            scenario_budget: None,
-            cache: Default::default(),
-            obs: Default::default(),
-        };
+        let controller = Controller::new(&net, &model, &flows, &base, &predictor, &scheme);
         let trace = synthesize(FiberId(0), 0, 300, &[], None, TraceConfig::default(), 4);
         let report = controller.replay_trace(&trace);
         assert!(report.events.is_empty());

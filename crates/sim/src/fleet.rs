@@ -35,17 +35,23 @@
 //!   `fleet.watchdog_trips` counters; [`FleetReport`] embeds the
 //!   [`RunReport`] and a digest over every decision and fingerprint
 //!   for cheap cross-run determinism comparison.
-//! * **Fleet chaos soak** — [`fleet_chaos_soak`] injects
-//!   crash/corrupt/stale-journal events across tenants and asserts the
-//!   isolation and bit-identity invariants, shrinking any violation to
-//!   a minimal `(seed, tenant, epoch, event)` repro.
+//! * **Chaos soak** — [`fleet_chaos_soak`] injects
+//!   crash/corrupt/stale-journal events across tenants (one tenant is
+//!   the single-controller soak) and checks, after every epoch
+//!   execution and recovery: the availability floor, a finite
+//!   allocation, well-formed span trees, bit-identity with an
+//!   uninterrupted solo run, and monotone warm-cache counters across
+//!   crash/restore — plus cross-tenant isolation at the end. Any
+//!   violation is shrunk to a minimal `(seed, tenant, epoch, event)`
+//!   repro.
 
 use crate::checkpoint::{
-    CheckpointError, DurableConfig, DurableController, EpochOutcome, EpochWorkload, MemStore,
+    fnv_fold, CheckpointError, DurableConfig, DurableController, EpochOutcome, EpochWorkload,
+    MemStore, FNV_OFFSET,
 };
 use crate::faults::PlanError;
 use crate::robust::RobustController;
-use prete_core::prelude::{Recorder, RunReport, SolveBudget, SolverStats};
+use prete_core::prelude::{Recorder, RunReport, SolveBudget};
 use prete_obs::{
     AnomalyConfig, AnomalyEvent, SeriesConfig, SeriesSet, SloAlert, SloObservation, SloSpec,
     SloTracker, SolverAnomalyDetector, SolverSample, TelemetrySnapshot, TenantTelemetry,
@@ -53,25 +59,7 @@ use prete_obs::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-
-/// Deterministic work units one solve consumed: the sum of every
-/// machine-independent counter the solver tracks. This is the currency
-/// of the fleet's admission budget — identical across thread counts,
-/// backends with the same pivot sequence, and replays.
-pub fn work_units(stats: &SolverStats) -> u64 {
-    stats.work_units()
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Folds bytes into a running FNV-1a hash (chainable across calls).
-fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use std::collections::BTreeMap;
 
 // ---------------------------------------------------------------------------
 // Tenant specification
@@ -80,9 +68,8 @@ fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
 /// Everything the fleet needs to run (and re-run) one tenant: a name,
 /// a closure building a *fresh* genesis controller over the tenant's
 /// own leaves (topology, flows, predictor, scheme — the closure
-/// borrows them from the caller's scope, mirroring the single-tenant
-/// [`chaos_soak`](crate::chaos::chaos_soak) idiom), the tenant's
-/// workload, and its durable-run parameters.
+/// borrows them from the caller's scope), the tenant's workload, and
+/// its durable-run parameters.
 pub struct TenantSpec<'a> {
     /// Tenant name, used in span names and reports.
     pub name: String,
@@ -320,6 +307,14 @@ impl<'a> Tenant<'a> {
         !matches!(self.state, TenantState::Quarantined { .. })
     }
 
+    /// The [`RoundOutcome::cache_ops`] sample of a running tenant at
+    /// fleet index `i`.
+    fn cache_sample(&self, i: usize) -> Option<(usize, u64, u64)> {
+        let TenantState::Running(ctl) = &self.state else { return None };
+        let cache = ctl.robust.inner.cache.borrow();
+        Some((i, ctl.epoch(), (cache.hits() + cache.misses()) as u64))
+    }
+
     fn fold_outcome(&mut self, out: &EpochOutcome, obs: &Recorder) -> Result<(), CheckpointError> {
         self.executions += 1;
         if out.record.epoch == self.fp_next {
@@ -525,7 +520,10 @@ impl<'a> Tenant<'a> {
         ctl.robust.budget_override = None;
         match result {
             Ok(out) => {
-                let cost = work_units(&out.report.solver);
+                // Deterministic work units — the currency of the
+                // admission budget, identical across thread counts and
+                // replays.
+                let cost = out.report.solver.work_units();
                 self.fold_outcome(&out, obs)?;
                 let allowed = cfg.watchdog_factor * self.estimate as f64;
                 let tripped = !degraded && (cost as f64) > allowed;
@@ -661,6 +659,9 @@ pub struct RoundOutcome {
     pub reexecuted: Vec<(usize, EpochOutcome)>,
     /// Decisions made this round.
     pub decisions: Vec<ShedRecord>,
+    /// `(tenant index, epochs completed, cumulative warm-cache
+    /// lookups)`, sampled after each recovery and each executed epoch.
+    pub cache_ops: Vec<(usize, u64, u64)>,
 }
 
 /// The deterministic multi-tenant event loop. See the module docs.
@@ -796,6 +797,7 @@ impl<'a> Fleet<'a> {
                 for o in t.ensure_running(cfg, obs, round)? {
                     out.reexecuted.push((i, o));
                 }
+                out.cache_ops.extend(t.cache_sample(i));
             }
         }
 
@@ -877,6 +879,7 @@ impl<'a> Fleet<'a> {
                     spent = spent.saturating_add(cost);
                     if let Some(o) = outcome {
                         out.executed.push((i, o));
+                        out.cache_ops.extend(tenant.cache_sample(i));
                     }
                 }
                 ShedDecision::Defer => {
@@ -951,6 +954,7 @@ impl<'a> Fleet<'a> {
                     spent = spent.saturating_add(cost);
                     if let Some(o) = outcome {
                         out.executed.push((i, o));
+                        out.cache_ops.extend(tenants[i].cache_sample(i));
                     }
                 }
             }
@@ -1035,12 +1039,11 @@ impl<'a> Fleet<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// Fleet chaos soak
+// Chaos soak
 // ---------------------------------------------------------------------------
 
 /// A process-level chaos event, injected at one `(tenant, epoch)` of a
-/// fleet soak. Mirrors [`ChaosEvent`](crate::chaos::ChaosEvent) but
-/// fires against one tenant of a running fleet.
+/// soak.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FleetChaosEvent {
     /// Kill the tenant after the epoch completes; recover next round.
@@ -1240,6 +1243,43 @@ fn check_outcome(
     }
 }
 
+/// Samples one tenant's cumulative warm-cache lookups at `epoch` epochs
+/// completed. Re-visiting an epoch count (a crash rolled the tenant
+/// back, or restored it in place) must find the same value — the
+/// checkpoint resumes the exact counters — and a later count must not
+/// regress.
+fn sample_counters(
+    seen: &mut BTreeMap<u64, u64>,
+    tenant: usize,
+    name: &str,
+    epoch: u64,
+    ops: u64,
+) -> Option<FleetViolation> {
+    let detail = match seen.get(&epoch) {
+        Some(&prev) if prev != ops => {
+            format!("cache ops at {epoch} epochs changed across recovery: {prev} → {ops}")
+        }
+        Some(_) => return None,
+        None => match seen.range(..epoch).next_back() {
+            Some((&at, &prev)) if ops < prev => {
+                format!("cache ops regressed: {prev}@{at} → {ops}@{epoch}")
+            }
+            _ => {
+                seen.insert(epoch, ops);
+                return None;
+            }
+        },
+    };
+    Some(FleetViolation {
+        tenant,
+        name: name.to_string(),
+        epoch,
+        event: None,
+        invariant: "monotone-counters".into(),
+        detail,
+    })
+}
+
 /// Runs one fleet soak under an explicit schedule. The soak disables
 /// shedding and the watchdog (`round_budget = 0`, infinite factor):
 /// its invariant is *isolation* — every surviving tenant must match
@@ -1273,6 +1313,7 @@ fn fleet_soak_with_schedule<'a>(
     let mut schedule: Vec<Vec<Option<FleetChaosEvent>>> = schedule.to_vec();
     let mut events_injected = Vec::new();
     let mut violation: Option<FleetViolation> = None;
+    let mut counters = vec![BTreeMap::new(); n];
     // A tenant completes `plan.epochs` epochs in at most that many
     // rounds plus one round per injected event; anything past that is
     // a stuck fleet, itself a violation.
@@ -1330,6 +1371,26 @@ fn fleet_soak_with_schedule<'a>(
                 break;
             }
         }
+        // Warm-cache counters and the recovery lifecycle report, after
+        // every recovery and every fresh epoch.
+        violation = violation.or_else(|| {
+            round_out.cache_ops.iter().find_map(|&(t, epoch, ops)| {
+                let tenant = &fleet.tenants[t];
+                let name = &tenant.spec.name;
+                sample_counters(&mut counters[t], t, name, epoch, ops).or_else(|| {
+                    let TenantState::Running(ctl) = &tenant.state else { return None };
+                    let e = ctl.lifecycle_report().validate_spans().err()?;
+                    Some(FleetViolation {
+                        tenant: t,
+                        name: name.clone(),
+                        epoch,
+                        event: None,
+                        invariant: "span-tree".into(),
+                        detail: format!("lifecycle report: {e}"),
+                    })
+                })
+            })
+        });
         if violation.is_some() {
             break;
         }
@@ -1522,9 +1583,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::ScriptedWorkload;
+    use crate::checkpoint::ScriptedWorkload;
     use crate::faults::{FaultPlan, TunnelFaults};
-    use crate::latency::LatencyModel;
     use crate::robust::RetryPolicy;
     use crate::Controller;
     use prete_core::estimator::{ProbabilityEstimator, TrueConditionals};
@@ -1574,45 +1634,14 @@ mod tests {
             name,
             move || {
                 RobustController::new(
-                    Controller {
-                        net: &l.net,
-                        model: &l.model,
-                        flows: &l.flows,
-                        base_tunnels: &l.base,
-                        predictor: &l.predictor,
-                        scheme: &l.scheme,
-                        latency: LatencyModel::default(),
-                        threads: 0,
-                        backend: Default::default(),
-                        pricing: Default::default(),
-                        eta_update: Default::default(),
-                        scenario_budget: None,
-                        cache: Default::default(),
-                        obs: Default::default(),
-                    },
+                    Controller::new(&l.net, &l.model, &l.flows, &l.base, &l.predictor, &l.scheme),
                     SolveMethod::benders(),
                     RetryPolicy::default(),
-                    0.99,
                 )
             },
             ScriptedWorkload::new(l.net.fibers().len()),
             run_seed,
         )
-    }
-
-    #[test]
-    fn work_units_are_the_deterministic_counters() {
-        let stats = SolverStats {
-            pivots: 10,
-            lp_solves: 3,
-            mip_nodes: 2,
-            benders_iters: 4,
-            rhs_resolves: 5,
-            total_ms: 99.0,
-            threads: 8,
-            ..SolverStats::default()
-        };
-        assert_eq!(work_units(&stats), 24);
     }
 
     #[test]
@@ -1801,30 +1830,47 @@ mod tests {
     fn fleet_chaos_soak_passes_with_events_across_tenants() {
         let la = leaves(42);
         let lb = leaves(43);
-        let mk = || vec![spec_over(&la, "a", 7), spec_over(&lb, "b", 8)];
-        let plan = FleetChaosPlan { crash_prob: 0.6, ..FleetChaosPlan::new(91, 5) };
-        let report = fleet_chaos_soak(&mk, &FleetConfig::default(), &plan).unwrap();
-        assert_eq!(report.violation, None, "soak violated: {:?}", report.violation);
-        assert_eq!(report.shrunk, None);
-        assert!(!report.events_injected.is_empty(), "no chaos fired at crash_prob=0.6");
-        for t in &report.fleet.tenants {
-            assert_eq!(t.epochs, 5, "{} did not finish", t.name);
-            assert_eq!(t.quarantined, None);
+        // Two tenants, and the single-controller soak as a one-tenant
+        // fleet under a dense schedule (most epochs inject an event, so
+        // every event kind occurs across 12 epochs).
+        let cases = [
+            (2, FleetChaosPlan { crash_prob: 0.6, ..FleetChaosPlan::new(91, 5) }),
+            (1, FleetChaosPlan { crash_prob: 0.8, ..FleetChaosPlan::new(33, 12) }),
+        ];
+        for (tenants, plan) in cases {
+            let mk = || {
+                let mut specs = vec![spec_over(&la, "a", 7), spec_over(&lb, "b", 8)];
+                specs.truncate(tenants);
+                specs
+            };
+            let report = fleet_chaos_soak(&mk, &FleetConfig::default(), &plan).unwrap();
+            assert_eq!(report.violation, None, "soak violated: {:?}", report.violation);
+            assert_eq!(report.shrunk, None);
+            assert!(!report.events_injected.is_empty(), "no chaos fired: {plan:?}");
+            assert_eq!(report.fleet.tenants.len(), tenants);
+            for t in &report.fleet.tenants {
+                assert_eq!(t.epochs, plan.epochs, "{} did not finish", t.name);
+                assert!(t.executions >= t.epochs, "re-executions can only add epochs");
+                assert_eq!(t.quarantined, None);
+            }
+            // Every event except a post-final-epoch crash forces a
+            // recovery (a tenant crashed after its last epoch has
+            // nothing left to run, so the soak ends without reviving
+            // it).
+            let must_recover = report
+                .events_injected
+                .iter()
+                .filter(|(_, e, ev)| {
+                    *ev == FleetChaosEvent::CrashMidSolve || e + 1 < plan.epochs
+                })
+                .count();
+            assert!(
+                report.fleet.recoveries as usize >= must_recover,
+                "recoveries {} < required {}",
+                report.fleet.recoveries,
+                must_recover
+            );
         }
-        // Every event except a post-final-epoch crash forces a
-        // recovery (a tenant crashed after its last epoch has nothing
-        // left to run, so the soak ends without reviving it).
-        let must_recover = report
-            .events_injected
-            .iter()
-            .filter(|(_, e, ev)| *ev == FleetChaosEvent::CrashMidSolve || e + 1 < plan.epochs)
-            .count();
-        assert!(
-            report.fleet.recoveries as usize >= must_recover,
-            "recoveries {} < required {}",
-            report.fleet.recoveries,
-            must_recover
-        );
     }
 
     #[test]
@@ -1846,7 +1892,20 @@ mod tests {
                     "{event:?} against tenant {tenant} violated"
                 );
                 assert_eq!(report.events_injected, vec![(tenant, 2, event)]);
+                assert_eq!(report.fleet.recoveries, 1);
+                assert!(report.fleet.tenants.iter().all(|t| t.epochs == 4));
             }
+        }
+        // The counter invariant those runs passed does fire: a restore
+        // that changes the count at an epoch already seen, and a later
+        // epoch whose count regressed.
+        let mut seen = BTreeMap::new();
+        assert_eq!(sample_counters(&mut seen, 1, "b", 2, 10), None);
+        assert_eq!(sample_counters(&mut seen, 1, "b", 2, 10), None);
+        assert_eq!(sample_counters(&mut seen, 1, "b", 3, 10), None);
+        for (epoch, ops) in [(2, 11), (4, 9)] {
+            let v = sample_counters(&mut seen, 1, "b", epoch, ops).expect("must violate");
+            assert_eq!((v.tenant, v.epoch, v.invariant.as_str()), (1, epoch, "monotone-counters"));
         }
     }
 
@@ -1880,6 +1939,70 @@ mod tests {
         assert_eq!(shrunk.event, None);
         assert_eq!(shrunk.tenant, 1);
         assert_eq!(shrunk.invariant, "bit-identity");
+    }
+
+    #[test]
+    fn unsatisfiable_floor_shrinks_to_an_eventless_repro() {
+        let la = leaves(42);
+        let mk = || vec![spec_over(&la, "a", 7)];
+        let cfg = FleetConfig::default();
+        // Bypass FleetChaosPlan::validate to force an unsatisfiable
+        // floor (losses are >= 0 by construction): the violation fires
+        // with no chaos at all, so the minimal repro carries no event.
+        let plan = FleetChaosPlan {
+            crash_prob: 0.8,
+            availability_floor: -1.0,
+            ..FleetChaosPlan::new(55, 4)
+        };
+        let goldens = solo_fingerprints(&mk(), plan.epochs).unwrap();
+        let report =
+            fleet_soak_with_schedule(mk(), &cfg, &plan, &plan.schedule(1), &goldens).unwrap();
+        let v = report.violation.clone().expect("unsatisfiable floor must violate");
+        assert_eq!((v.invariant.as_str(), v.tenant, v.epoch), ("availability-floor", 0, 0));
+        let shrunk =
+            fleet_shrink(&mk, &cfg, &plan, &report.events_injected, &goldens, &v).unwrap();
+        assert_eq!(
+            shrunk,
+            FleetShrunkRepro {
+                seed: 55,
+                tenant: 0,
+                epoch: 0,
+                event: None,
+                invariant: "availability-floor".into()
+            }
+        );
+    }
+
+    #[test]
+    fn shrink_falls_back_to_the_original_triple() {
+        let la = leaves(42);
+        let mk = || vec![spec_over(&la, "a", 7)];
+        // The system is actually crash-safe, so neither the eventless
+        // run nor the single injected event reproduces this synthetic
+        // violation; shrink must hand back the original coordinates.
+        let plan = FleetChaosPlan { crash_prob: 0.0, ..FleetChaosPlan::new(77, 3) };
+        let goldens = solo_fingerprints(&mk(), plan.epochs).unwrap();
+        let found = FleetViolation {
+            tenant: 0,
+            name: "a".into(),
+            epoch: 2,
+            event: Some(FleetChaosEvent::Crash),
+            invariant: "synthetic".into(),
+            detail: String::new(),
+        };
+        let events = [(0, 1, FleetChaosEvent::Crash)];
+        let shrunk =
+            fleet_shrink(&mk, &FleetConfig::default(), &plan, &events, &goldens, &found).unwrap();
+        assert_eq!(
+            shrunk,
+            FleetShrunkRepro {
+                seed: 77,
+                tenant: 0,
+                epoch: 2,
+                event: Some(FleetChaosEvent::Crash),
+                invariant: "synthetic".into()
+            }
+        );
     }
 
     #[test]
@@ -2038,9 +2161,24 @@ mod tests {
         let back: FleetChaosPlan = serde_json::from_str(&json).unwrap();
         assert_eq!(back, plan);
         assert_eq!(plan.validate(), Ok(()));
-        assert!(FleetChaosPlan { crash_prob: 1.5, ..plan }.validate().is_err());
-        assert!(FleetChaosPlan { epochs: 0, ..plan }.validate().is_err());
-        assert!(FleetChaosPlan { availability_floor: -1.0, ..plan }.validate().is_err());
+        assert_eq!(
+            FleetChaosPlan { crash_prob: 1.5, ..plan }.validate(),
+            Err(PlanError::ProbabilityOutOfRange { field: "fleet_chaos.crash_prob", value: 1.5 })
+        );
+        assert!(matches!(
+            FleetChaosPlan { crash_prob: f64::NAN, ..plan }.validate(),
+            Err(PlanError::ProbabilityOutOfRange { .. })
+        ));
+        assert_eq!(
+            FleetChaosPlan { epochs: 0, ..plan }.validate(),
+            Err(PlanError::ZeroAttempts { field: "fleet_chaos.epochs" })
+        );
+        for floor in [-1.0, f64::INFINITY] {
+            assert!(matches!(
+                FleetChaosPlan { availability_floor: floor, ..plan }.validate(),
+                Err(PlanError::OutOfDomain { .. })
+            ));
+        }
 
         assert_eq!(FleetConfig::default().validate(), Ok(()));
         assert!(FleetConfig { max_consecutive_failures: 0, ..FleetConfig::default() }
@@ -2059,5 +2197,11 @@ mod tests {
         // Adding a tenant never reshuffles existing streams.
         let s2 = plan.schedule(4);
         assert_eq!(&s2[..3], &s1[..]);
+        // Seed-sensitive, and crash_prob 0.3 over 100 epochs fires some
+        // slots but not all.
+        let long = FleetChaosPlan::new(5, 100).schedule(1);
+        assert_ne!(long, FleetChaosPlan::new(6, 100).schedule(1));
+        let hits = long[0].iter().filter(|s| s.is_some()).count();
+        assert!(hits > 10 && hits < 70, "implausible event density {hits}/100");
     }
 }

@@ -26,22 +26,22 @@
 //!   predicting failures (PreTE);
 //! * [`faults`] — deterministic, seeded fault injection: telemetry
 //!   corruption, predictor faults, solver faults, tunnel RPC failures;
-//! * [`robust`] — the robust controller wrapping the pipeline with
-//!   per-stage fallback chains and explicit degraded modes;
+//! * [`robust`] — the one epoch pipeline with per-stage fallback
+//!   chains and explicit degraded modes (the plain controller is its
+//!   fault-free projection), and the robust controller around it;
 //! * [`checkpoint`] — crash-safe controller state: versioned
 //!   checkpoints plus a write-ahead epoch journal, with bit-identical
 //!   recovery;
-//! * [`chaos`] — the chaos-soak harness: seeded kill/restart
-//!   schedules, per-epoch invariant checking, and repro shrinking;
 //! * [`fleet`] — the multi-tenant controller fleet: admission control
 //!   and overload shedding under a shared work-unit budget, per-tenant
 //!   fault isolation with recovery and quarantine, a watchdog feeding
-//!   the degraded-mode ladder, and a fleet-wide chaos soak.
+//!   the degraded-mode ladder, and the chaos soak (seeded kill/restart
+//!   schedules, per-epoch invariant checking, repro shrinking) for one
+//!   tenant or many.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chaos;
 pub mod checkpoint;
 pub mod controller;
 pub mod faults;
@@ -51,13 +51,10 @@ pub mod production;
 pub mod robust;
 pub mod uncertainty;
 
-pub use chaos::{
-    chaos_soak, ChaosEvent, ChaosPlan, ScriptedWorkload, ShrunkRepro, SoakReport, Violation,
-};
 pub use checkpoint::{
     CheckpointError, ControllerCheckpoint, DurableConfig, DurableController, EpochOutcome,
-    EpochRecord, EpochWorkload, FileStore, MemStore, Recovery, Store, StoreError,
-    CHECKPOINT_VERSION,
+    EpochRecord, EpochWorkload, FileStore, MemStore, Recovery, ScriptedWorkload, Store,
+    StoreError, CHECKPOINT_VERSION,
 };
 pub use controller::{Controller, ControllerEvent, ControllerReport};
 pub use faults::{
@@ -65,9 +62,9 @@ pub use faults::{
     SolverFaultKind, SolverFaults, TelemetryFaults, TunnelFaults, TunnelOutcome,
 };
 pub use fleet::{
-    fleet_chaos_soak, work_units, Fleet, FleetChaosEvent, FleetChaosPlan, FleetConfig,
-    FleetReport, FleetShrunkRepro, FleetSoakReport, FleetViolation, RoundOutcome, ShedCounts,
-    ShedDecision, ShedRecord, TenantSpec, TenantSummary, WatchdogTrip,
+    fleet_chaos_soak, Fleet, FleetChaosEvent, FleetChaosPlan, FleetConfig, FleetReport,
+    FleetShrunkRepro, FleetSoakReport, FleetViolation, RoundOutcome, ShedCounts, ShedDecision,
+    ShedRecord, TenantSpec, TenantSummary, WatchdogTrip,
 };
 pub use latency::{LatencyModel, PipelineTiming};
 pub use production::{replay_production_case, ProductionOutcome};
@@ -81,9 +78,8 @@ pub use uncertainty::{uncertainty_experiment, UncertaintyReport};
 /// controller types themselves plus the solver-facing API they are
 /// configured with (mirrors `prete_core::prelude`).
 pub mod prelude {
-    pub use crate::chaos::{chaos_soak, ChaosEvent, ChaosPlan, ScriptedWorkload, SoakReport};
     pub use crate::checkpoint::{
-        DurableConfig, DurableController, EpochWorkload, MemStore, Store,
+        DurableConfig, DurableController, EpochWorkload, MemStore, ScriptedWorkload, Store,
     };
     pub use crate::controller::{Controller, ControllerEvent, ControllerReport};
     pub use crate::faults::FaultPlan;

@@ -1,9 +1,10 @@
 //! The robust PreTE controller: explicit degraded modes and fallback
 //! chains around every pipeline stage.
 //!
-//! [`Controller`](crate::Controller) models the happy path; this module
-//! wraps the same pipeline with the failure semantics a production
-//! deployment needs. Each stage has a fallback chain, tried in order:
+//! This module holds the one epoch pipeline (`Controller::run_epoch`)
+//! with the failure semantics a production deployment needs;
+//! [`Controller::replay_trace`] is its fault-free projection. Each
+//! stage has a fallback chain, tried in order:
 //!
 //! | stage | fault | chain |
 //! |---|---|---|
@@ -340,8 +341,6 @@ pub struct RobustController<'a> {
     pub method: SolveMethod,
     /// Retry/backoff policy for prediction and tunnel RPCs.
     pub retry: RetryPolicy,
-    /// Planning availability target.
-    pub beta: f64,
     /// The last-known-good policy, computed over the base tunnels at
     /// construction; the terminal fallback when no fresh policy can be
     /// computed.
@@ -362,21 +361,16 @@ pub struct RobustController<'a> {
 
 impl<'a> RobustController<'a> {
     /// Wraps a controller, precomputing the last-known-good policy
-    /// (heuristic solve over the base tunnels under static priors —
-    /// infallible by construction).
-    pub fn new(inner: Controller<'a>, method: SolveMethod, retry: RetryPolicy, beta: f64) -> Self {
-        let priors: Vec<f64> = inner
-            .model
-            .profiles()
-            .iter()
-            .map(|p| (1.0 - prete_optical::ALPHA_PREDICTABLE) * p.p_cut)
-            .collect();
+    /// (heuristic solve over the base tunnels under static priors, at
+    /// the scheme's β — infallible by construction).
+    pub fn new(inner: Controller<'a>, method: SolveMethod, retry: RetryPolicy) -> Self {
+        let priors = estimate_probs(inner.model, &DegradationState::healthy(), 0.0);
         let scenarios = ScenarioSet::enumerate(&priors, 1, 0.0);
         let problem = TeProblem::new(inner.net, inner.flows, inner.base_tunnels, &scenarios);
         // Deliberately cold (no warm cache): the standing policy must
         // not depend on whatever was solved before construction.
         let last_known_good = TeSolver::new(&problem)
-            .beta(beta)
+            .beta(inner.scheme.beta())
             .method(SolveMethod::Heuristic)
             .threads(inner.threads)
             .backend(inner.backend)
@@ -384,7 +378,7 @@ impl<'a> RobustController<'a> {
             .eta_update(inner.eta_update)
             .solve()
             .expect("heuristic solve under the default budget is infallible");
-        Self { inner, method, retry, beta, last_known_good, priors, budget_override: None }
+        Self { inner, method, retry, last_known_good, priors, budget_override: None }
     }
 
     /// The standing policy used when every solve fallback fails.
@@ -415,7 +409,39 @@ impl<'a> RobustController<'a> {
     /// in force (fresh, heuristic, or last-known-good). Two replays of
     /// the same trace and fault plan return identical reports.
     pub fn replay_trace(&self, trace: &LossTrace, plan: &FaultPlan) -> RobustReport {
-        let obs = self.inner.obs.clone();
+        let budget =
+            self.budget_override.unwrap_or_else(|| budget_from_latency(&self.inner.latency));
+        self.inner.run_epoch(
+            trace,
+            plan,
+            self.method,
+            &self.retry,
+            budget,
+            Some((&self.last_known_good, &self.priors)),
+        )
+    }
+}
+
+impl Controller<'_> {
+    /// The one controller epoch: telemetry → detect → predict → Algorithm 1
+    /// → TE solve → tunnel establishment, with every stage's fallback
+    /// chain, under an `"epoch"` span with `"detect"`, `"predict"`,
+    /// `"tunnel"` and `"solve"` children.
+    ///
+    /// `standing` is the durable fallback state — the last-known-good
+    /// policy and the static priors. Without it a failed prediction falls
+    /// back to the model's static prior, a double solve failure panics,
+    /// and the report's `policy` is empty unless a recompute ran.
+    pub(crate) fn run_epoch(
+        &self,
+        trace: &LossTrace,
+        plan: &FaultPlan,
+        method: SolveMethod,
+        retry: &RetryPolicy,
+        budget: SolveBudget,
+        standing: Option<(&TeSolution, &[f64])>,
+    ) -> RobustReport {
+        let obs = &self.obs;
         let _epoch = obs.span("epoch");
         obs.add("controller.epochs", 1);
         let mut inj = FaultInjector::new(plan);
@@ -423,41 +449,50 @@ impl<'a> RobustController<'a> {
 
         // ---- Stage 1: telemetry. Corrupt per the script, then
         // sanitize before detection.
-        let observed = match inj.corrupt_trace(trace) {
-            Some(corrupted) => {
-                let sanitized = sanitize_trace(&corrupted);
-                note_fallback(
-                    &obs,
-                    &mut fallbacks,
-                    FallbackRecord {
-                        stage: FaultStage::Telemetry,
-                        fault: "telemetry corruption (drops/spikes/reorder)".into(),
-                        outcome: FallbackOutcome::DegradedTo(DegradedMode::SanitizedTelemetry),
-                    },
-                );
-                sanitized
-            }
-            None => trace.clone(),
-        };
+        let sanitized = inj.corrupt_trace(trace).map(|corrupted| {
+            note_fallback(
+                obs,
+                &mut fallbacks,
+                FallbackRecord {
+                    stage: FaultStage::Telemetry,
+                    fault: "telemetry corruption (drops/spikes/reorder)".into(),
+                    outcome: FallbackOutcome::DegradedTo(DegradedMode::SanitizedTelemetry),
+                },
+            );
+            sanitize_trace(&corrupted)
+        });
+        let observed = sanitized.as_ref().unwrap_or(trace);
 
         let mut events = Vec::new();
         let mut pipeline = None;
         let mut prepared_before_cut = None;
-        let mut policy = self.last_known_good.clone();
-        let mut policy_max_loss = self.last_known_good.max_loss;
+        let mut policy = standing.map_or_else(
+            || TeSolution {
+                allocation: Vec::new(),
+                max_loss: 0.0,
+                delta: Vec::new(),
+                lp_solves: 0,
+                benders_iters: 0,
+                quality: None,
+            },
+            |(last_known_good, _)| last_known_good.clone(),
+        );
         let mut requested_tunnels = 0;
         let mut committed_tunnels = 0;
         let mut solver_stats = SolverStats::default();
 
-        let detection = detect_recorded(&observed, &obs);
+        let detection = detect_recorded(observed, obs);
         let cut_at = detection.cut_at_idx.map(|i| i as f64 * observed.dt_s as f64);
 
         if let Some(deg) = detection.degradations.first() {
+            // The online detector needs a handful of consecutive degraded
+            // samples to flag the event — it does not wait for the window
+            // to end (the window often ends *because* the fiber cut).
             const CONFIRM_SAMPLES: usize = 3;
             let at_s =
                 (deg.start_idx + deg.len.min(CONFIRM_SAMPLES)) as f64 * observed.dt_s as f64;
             let fiber = observed.fiber;
-            let fiber_meta = self.inner.net.fiber(fiber);
+            let fiber_meta = self.net.fiber(fiber);
             let event = DegradationEvent {
                 fiber,
                 start_s: observed.start_s + deg.start_idx as u64,
@@ -480,15 +515,15 @@ impl<'a> RobustController<'a> {
             let mut retry_backoff_ms = 0.0;
             let p = {
                 let _predict = obs.span("predict");
-                let schedule = self.retry.schedule(plan.seed ^ 0x9d1c_0002);
+                let schedule = retry.schedule(plan.seed ^ 0x9d1c_0002);
                 let faulty = FaultyPredictor {
-                    inner: self.inner.predictor,
+                    inner: self.predictor,
                     fault: std::cell::RefCell::new(&mut inj),
                 };
                 let mut result = None;
                 let mut attempts = 0u32;
                 let mut last_err = None;
-                while attempts < self.retry.max_attempts {
+                while attempts < retry.max_attempts {
                     attempts += 1;
                     match faulty.try_predict_proba(&event) {
                         Ok(pred) => {
@@ -507,7 +542,7 @@ impl<'a> RobustController<'a> {
                     Some(p) => {
                         if attempts > 1 {
                             note_fallback(
-                                &obs,
+                                obs,
                                 &mut fallbacks,
                                 FallbackRecord {
                                     stage: FaultStage::Prediction,
@@ -528,9 +563,13 @@ impl<'a> RobustController<'a> {
                         // Static prior for the degraded fiber (Eqn 1's
                         // off-signal term): the probability PreTE would
                         // assume with no model at all.
-                        let prior = self.priors[fiber.index()];
+                        let prior = match standing {
+                            Some((_, priors)) => priors[fiber.index()],
+                            None => estimate_probs(self.model, &DegradationState::healthy(), 0.0)
+                                [fiber.index()],
+                        };
                         note_fallback(
-                            &obs,
+                            obs,
                             &mut fallbacks,
                             FallbackRecord {
                                 stage: FaultStage::Prediction,
@@ -559,24 +598,25 @@ impl<'a> RobustController<'a> {
             // ---- Stage 3: plan + TE solve with deadline budget, then
             // heuristic, then last-known-good.
             let ctx = TeContext {
-                net: self.inner.net,
-                model: self.inner.model,
-                flows: self.inner.flows,
-                base_tunnels: self.inner.base_tunnels,
+                net: self.net,
+                model: self.model,
+                flows: self.flows,
+                base_tunnels: self.base_tunnels,
             };
             let state = DegradationState::single(fiber);
             let tunnels = {
                 let _tunnel = obs.span("tunnel");
-                self.inner.scheme.tunnels(&ctx, &state)
+                self.scheme.tunnels(&ctx, &state)
             };
-            requested_tunnels = tunnels.len().saturating_sub(self.inner.base_tunnels.len());
+            // Schemes may *prune* tunnels as well as add them, so the set
+            // can be smaller than the base set — saturate instead of
+            // underflowing (an update that removes tunnels installs nothing
+            // new).
+            requested_tunnels = tunnels.len().saturating_sub(self.base_tunnels.len());
 
-            let probs = estimate_probs(self.inner.model, &state, p);
-            let (scenarios, enum_stats) = self.inner.enumerate_scenarios(&probs);
-            let problem = TeProblem::new(self.inner.net, self.inner.flows, &tunnels, &scenarios);
-            let budget =
-                self.budget_override.unwrap_or_else(|| budget_from_latency(&self.inner.latency));
-
+            let probs = estimate_probs(self.model, &state, p);
+            let (scenarios, enum_stats) = self.enumerate_scenarios(&probs);
+            let problem = TeProblem::new(self.net, self.flows, &tunnels, &scenarios);
             let mut attempt = |method: SolveMethod| -> Result<TeSolution, TeSolveError> {
                 if let Some(kind) = inj.next_solver_fault() {
                     return Err(match kind {
@@ -584,17 +624,17 @@ impl<'a> RobustController<'a> {
                         SolverFaultKind::Infeasible => TeSolveError::Infeasible,
                     });
                 }
-                let mut cache = self.inner.cache.borrow_mut();
+                let mut cache = self.cache.borrow_mut();
                 let mut solver_b = TeSolver::new(&problem)
-                    .beta(self.beta)
+                    .beta(self.scheme.beta())
                     .method(method)
                     .budget(budget)
-                    .threads(self.inner.threads)
-                    .backend(self.inner.backend)
-                    .pricing(self.inner.pricing)
-                    .eta_update(self.inner.eta_update)
+                    .threads(self.threads)
+                    .backend(self.backend)
+                    .pricing(self.pricing)
+                    .eta_update(self.eta_update)
                     .warm_cache(&mut cache)
-                    .recorder(&obs);
+                    .recorder(obs);
                 if let Some(st) = enum_stats.as_ref() {
                     solver_b = solver_b.scenario_stats(st);
                 }
@@ -602,12 +642,12 @@ impl<'a> RobustController<'a> {
                 solver_stats.merge(&stats);
                 Ok(sol)
             };
-            let (sol, used_last_known_good) = match attempt(self.method) {
+            let (sol, used_last_known_good) = match attempt(method) {
                 Ok(sol) => (sol, false),
                 Err(primary_err) => match attempt(SolveMethod::Heuristic) {
                     Ok(sol) => {
                         note_fallback(
-                            &obs,
+                            obs,
                             &mut fallbacks,
                             FallbackRecord {
                                 stage: FaultStage::Solve,
@@ -620,8 +660,11 @@ impl<'a> RobustController<'a> {
                         (sol, false)
                     }
                     Err(heuristic_err) => {
+                        let (last_known_good, _) = standing.unwrap_or_else(|| {
+                            panic!("heuristic solve failed with no standing policy: {heuristic_err}")
+                        });
                         note_fallback(
-                            &obs,
+                            obs,
                             &mut fallbacks,
                             FallbackRecord {
                                 stage: FaultStage::Solve,
@@ -633,11 +676,10 @@ impl<'a> RobustController<'a> {
                                 ),
                             },
                         );
-                        (self.last_known_good.clone(), true)
+                        (last_known_good.clone(), true)
                     }
                 },
             };
-            policy_max_loss = sol.max_loss;
             policy = sol;
 
             // ---- Stage 4: tunnel establishment with per-tunnel retry
@@ -645,9 +687,9 @@ impl<'a> RobustController<'a> {
             // bring up.
             let to_establish = if used_last_known_good { 0 } else { requested_tunnels };
             let mut tunnel_backoff_ms = 0.0;
-            let tunnel_schedule = self.retry.schedule(plan.seed ^ 0x9d1c_0004);
+            let tunnel_schedule = retry.schedule(plan.seed ^ 0x9d1c_0004);
             for _ in 0..to_establish {
-                match inj.tunnel_outcome(self.retry.max_attempts) {
+                match inj.tunnel_outcome(retry.max_attempts) {
                     TunnelOutcome::Committed { attempts } => {
                         committed_tunnels += 1;
                         if attempts > 1 {
@@ -657,7 +699,7 @@ impl<'a> RobustController<'a> {
                                     .sum();
                             tunnel_backoff_ms += backoff;
                             note_fallback(
-                                &obs,
+                                obs,
                                 &mut fallbacks,
                                 FallbackRecord {
                                     stage: FaultStage::TunnelEstablishment,
@@ -673,7 +715,7 @@ impl<'a> RobustController<'a> {
                     TunnelOutcome::Abandoned { attempts } => {
                         tunnel_backoff_ms += tunnel_schedule.iter().sum::<f64>();
                         note_fallback(
-                            &obs,
+                            obs,
                             &mut fallbacks,
                             FallbackRecord {
                                 stage: FaultStage::TunnelEstablishment,
@@ -689,7 +731,7 @@ impl<'a> RobustController<'a> {
 
             // ---- Timing: the plain pipeline for the committed tunnel
             // count, plus explicit retry-backoff stages.
-            let mut timing = self.inner.latency.pipeline(committed_tunnels);
+            let mut timing = self.latency.pipeline(committed_tunnels);
             if retry_backoff_ms > 0.0 {
                 // Retry backoff extends the inference stage's slot.
                 let idx = timing
@@ -726,10 +768,10 @@ impl<'a> RobustController<'a> {
             let ready_at_s = at_s + timing.total_ms() / 1000.0;
             let decision_at_s = at_s + timing.decision_ms() / 1000.0;
             obs.event_with("policy-recomputed", || {
-                format!("max_loss={policy_max_loss:.6} at_s={decision_at_s:.3}")
+                format!("max_loss={:.6} at_s={decision_at_s:.3}", policy.max_loss)
             });
             events.push(ControllerEvent::PolicyRecomputed {
-                max_loss: policy_max_loss,
+                max_loss: policy.max_loss,
                 at_s: decision_at_s,
             });
             if committed_tunnels > 0 {
@@ -754,13 +796,16 @@ impl<'a> RobustController<'a> {
             });
             events.push(ControllerEvent::CutObserved { fiber: observed.fiber, at_s: at });
         }
+        if let Some(ok) = prepared_before_cut {
+            obs.add(if ok { "controller.prepared_before_cut" } else { "controller.missed_cut" }, 1);
+        }
 
         RobustReport {
             events,
             pipeline,
             prepared_before_cut,
             fallbacks_fired: fallbacks,
-            policy_max_loss,
+            policy_max_loss: policy.max_loss,
             requested_tunnels,
             committed_tunnels,
             solver: solver_stats,
@@ -811,24 +856,8 @@ mod tests {
         let truth = TrueConditionals::ground_truth(&net, &model, 50, 1);
         let scheme = PreTeScheme::new(0.99, ProbabilityEstimator::prete(&model, &truth));
         let predictor = OptimistPredictor;
-        let inner = Controller {
-            net: &net,
-            model: &model,
-            flows: &flows,
-            base_tunnels: &base,
-            predictor: &predictor,
-            scheme: &scheme,
-            latency: LatencyModel::default(),
-            threads: 0,
-            backend: Default::default(),
-            pricing: Default::default(),
-            eta_update: Default::default(),
-            scenario_budget: None,
-            cache: Default::default(),
-            obs: Default::default(),
-        };
-        let robust =
-            RobustController::new(inner, SolveMethod::Heuristic, RetryPolicy::default(), 0.99);
+        let inner = Controller::new(&net, &model, &flows, &base, &predictor, &scheme);
+        let robust = RobustController::new(inner, SolveMethod::Heuristic, RetryPolicy::default());
         robust.replay_trace(&fig4b_trace(), plan)
     }
 
@@ -842,46 +871,37 @@ mod tests {
             .collect();
         let base = TunnelSet::initialize(&net, &flows, 1);
         let truth = TrueConditionals::ground_truth(&net, &model, 50, 1);
-        let scheme = PreTeScheme::new(0.99, ProbabilityEstimator::prete(&model, &truth));
         let predictor = OptimistPredictor;
         // A 2-cut budget capped below the 7 candidate scenarios, so the
         // enumerator prunes and leaves a tail: the robust stack must
         // honour it exactly as the plain controller does.
         let budgeted =
             ScenarioBudget { max_cuts: 2, max_scenarios: 5, ..ScenarioBudget::default() };
-        for scenario_budget in [None, Some(budgeted)] {
+        // One tunnel per flow: flow 1 dies with its fiber (p ≈ 0.003),
+        // which β = 0.99 can leave unprotected and β = 0.999 cannot —
+        // so Φ = 1 tells that both stacks solved at the scheme's β.
+        for (beta, scenario_budget) in [(0.99, None), (0.99, Some(budgeted)), (0.999, None)] {
+            let scheme = PreTeScheme::new(beta, ProbabilityEstimator::prete(&model, &truth));
             let mk = || Controller {
-                net: &net,
-                model: &model,
-                flows: &flows,
-                base_tunnels: &base,
-                predictor: &predictor,
-                scheme: &scheme,
-                latency: LatencyModel::default(),
-                threads: 0,
-                backend: Default::default(),
-                pricing: Default::default(),
-                eta_update: Default::default(),
                 scenario_budget,
-                cache: Default::default(),
                 obs: Recorder::deterministic(),
+                ..Controller::new(&net, &model, &flows, &base, &predictor, &scheme)
             };
-            let plain = mk().replay_trace(&fig4b_trace());
-            let robust = RobustController::new(
-                mk(),
-                SolveMethod::Heuristic,
-                RetryPolicy::default(),
-                0.99,
-            );
+            let plain_ctl = mk();
+            let plain = plain_ctl.replay_trace(&fig4b_trace());
+            let robust =
+                RobustController::new(mk(), SolveMethod::Heuristic, RetryPolicy::default());
             let report = robust.replay_trace(&fig4b_trace(), &FaultPlan::none(11));
             // One TE solve — subproblem + polish — and none in the tunnel span.
             assert_eq!(report.solver.lp_solves, 2);
-            crate::controller::assert_one_solve_per_epoch(&robust.inner.obs.report(), 1);
+            let (plain_run, robust_run) = (plain_ctl.obs.report(), robust.inner.obs.report());
+            crate::controller::assert_one_solve_per_epoch(&robust_run, 1);
             // With nothing injected the robust path IS the plain path:
             // same events (Φ included), same timing, the same solver
-            // work on the same scenario set, no fallbacks, no degraded
-            // modes.
+            // work on the same scenario set, the same counters and
+            // recorder events, no fallbacks, no degraded modes.
             assert_eq!(report.events, plain.events);
+            assert_eq!(report.policy_max_loss == 1.0, beta == 0.999, "β = {beta}");
             assert_eq!(report.pipeline, plain.pipeline);
             assert_eq!(report.prepared_before_cut, plain.prepared_before_cut);
             assert_eq!(report.prepared_before_cut, Some(true));
@@ -890,6 +910,12 @@ mod tests {
             assert_eq!(report.solver.tail_mass, plain_solver.tail_mass);
             assert_eq!(report.solver.scenarios_pruned > 0, scenario_budget.is_some());
             assert_eq!(report.solver.tail_mass > 0.0, scenario_budget.is_some());
+            assert_eq!(robust_run.counters, plain_run.counters);
+            assert_eq!(robust_run.counters["controller.prepared_before_cut"], 1);
+            let kinds = |run: &RunReport| -> Vec<String> {
+                run.events.iter().map(|e| e.kind.clone()).collect()
+            };
+            assert_eq!(kinds(&robust_run), kinds(&plain_run));
             assert!(report.fallbacks_fired.is_empty());
             assert!(report.degraded_modes().is_empty());
             assert_eq!(report.worst_mode(), None);

@@ -13,7 +13,6 @@ use prete_core::prelude::*;
 use prete_core::schemes::PreTeScheme;
 use prete_nn::{evaluate, Mlp, TrainConfig};
 use prete_optical::trace::{synthesize, ScriptedDegradation, TraceConfig};
-use prete_sim::latency::LatencyModel;
 use prete_sim::Controller;
 use prete_topology::{topologies, FiberId};
 
@@ -56,20 +55,8 @@ fn main() {
     let truth = TrueConditionals::ground_truth(&net, &model, 100, 3);
     let scheme = PreTeScheme::new(0.999, ProbabilityEstimator::prete(&model, &truth));
     let controller = Controller {
-        net: &net,
-        model: &model,
-        flows: &flows,
-        base_tunnels: &tunnels,
-        predictor: &nn,
-        scheme: &scheme,
-        latency: LatencyModel::default(),
-        threads: 0,
-        backend: Default::default(),
-        pricing: Default::default(),
-        eta_update: Default::default(),
-        scenario_budget: None,
-        cache: Default::default(),
         obs: obs.clone(),
+        ..Controller::new(&net, &model, &flows, &tunnels, &nn, &scheme)
     };
     let deg = ScriptedDegradation { start_s: 65, duration_s: 45, degree_db: 6.5, wobble_db: 0.3 };
     let trace = synthesize(FiberId(0), 0, 400, &[deg], Some(110), TraceConfig::default(), 5);

@@ -14,8 +14,8 @@ use prete_nn::Predictor;
 use prete_optical::trace::{synthesize, ScriptedDegradation, TraceConfig};
 use prete_optical::DegradationEvent;
 use prete_sim::{
-    Controller, FaultPersistence, FaultPlan, LatencyModel, PredictorFaultKind, PredictorFaults,
-    RetryPolicy, RobustController, SolverFaultKind, SolverFaults, TelemetryFaults, TunnelFaults,
+    Controller, FaultPersistence, FaultPlan, PredictorFaultKind, PredictorFaults, RetryPolicy,
+    RobustController, SolverFaultKind, SolverFaults, TelemetryFaults, TunnelFaults,
 };
 use prete_topology::FiberId;
 
@@ -39,23 +39,8 @@ fn main() {
     let truth = TrueConditionals::ground_truth(&net, &model, 50, 1);
     let scheme = PreTeScheme::new(0.99, ProbabilityEstimator::prete(&model, &truth));
     let predictor = OptimistPredictor;
-    let inner = Controller {
-        net: &net,
-        model: &model,
-        flows: &flows,
-        base_tunnels: &base,
-        predictor: &predictor,
-        scheme: &scheme,
-        latency: LatencyModel::default(),
-        threads: 0,
-        backend: Default::default(),
-        pricing: Default::default(),
-        eta_update: Default::default(),
-        scenario_budget: None,
-        cache: Default::default(),
-        obs: Default::default(),
-    };
-    let robust = RobustController::new(inner, SolveMethod::Heuristic, RetryPolicy::default(), 0.99);
+    let inner = Controller::new(&net, &model, &flows, &base, &predictor, &scheme);
+    let robust = RobustController::new(inner, SolveMethod::Heuristic, RetryPolicy::default());
 
     // The §5 testbed trace: healthy 0–65 s, degraded 65–110 s, cut at 110 s.
     let deg = ScriptedDegradation { start_s: 65, duration_s: 45, degree_db: 6.0, wobble_db: 0.15 };

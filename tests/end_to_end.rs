@@ -8,7 +8,6 @@ use prete_core::schemes::PreTeScheme;
 use prete_nn::Predictor;
 use prete_optical::trace::{synthesize, ScriptedDegradation, TraceConfig};
 use prete_optical::DegradationEvent;
-use prete_sim::latency::LatencyModel;
 use prete_sim::production::{replay_production_case, ProductionScenario};
 use prete_sim::uncertainty::uncertainty_experiment;
 use prete_sim::{Controller, ControllerEvent};
@@ -32,22 +31,7 @@ fn controller_prepares_before_cut_on_b4() {
     let truth = TrueConditionals::ground_truth(&net, &model, 60, 1);
     let scheme = PreTeScheme::new(0.999, ProbabilityEstimator::prete(&model, &truth));
     let predictor = FixedPredictor(0.7);
-    let controller = Controller {
-        net: &net,
-        model: &model,
-        flows: &flows,
-        base_tunnels: &tunnels,
-        predictor: &predictor,
-        scheme: &scheme,
-        latency: LatencyModel::default(),
-        threads: 0,
-        backend: Default::default(),
-        pricing: Default::default(),
-        eta_update: Default::default(),
-        scenario_budget: None,
-        cache: Default::default(),
-        obs: Default::default(),
-    };
+    let controller = Controller::new(&net, &model, &flows, &tunnels, &predictor, &scheme);
     // Degradation 60 s before the cut — the typical lead time of
     // Figure 5(a).
     let deg = ScriptedDegradation { start_s: 30, duration_s: 60, degree_db: 7.0, wobble_db: 0.25 };

@@ -481,7 +481,6 @@ proptest! {
         use prete_nn::Predictor;
         use prete_optical::trace::{synthesize, ScriptedDegradation, TraceConfig};
         use prete_optical::DegradationEvent;
-        use prete_sim::latency::LatencyModel;
         use prete_sim::Controller;
         use prete_topology::FiberId;
 
@@ -516,20 +515,8 @@ proptest! {
         let run = || {
             let obs = Recorder::deterministic();
             let controller = Controller {
-                net: &net,
-                model: &model,
-                flows: &flows,
-                base_tunnels: &base,
-                predictor: &predictor,
-                scheme: &scheme,
-                latency: LatencyModel::default(),
-                threads: 0,
-                backend: Default::default(),
-                pricing: Default::default(),
-                eta_update: Default::default(),
-                scenario_budget: None,
-                cache: Default::default(),
                 obs: obs.clone(),
+                ..Controller::new(&net, &model, &flows, &base, &predictor, &scheme)
             };
             let _ = controller.replay_trace(&trace);
             obs.report().to_json()
@@ -562,7 +549,6 @@ proptest! {
         use prete_core::prelude::*;
         use prete_nn::Predictor;
         use prete_optical::DegradationEvent;
-        use prete_sim::latency::LatencyModel;
         use prete_sim::{
             Controller, DurableConfig, DurableController, MemStore, RobustController,
             ScriptedWorkload,
@@ -586,27 +572,11 @@ proptest! {
         let predictor = Optimist;
         let mk = || {
             RobustController::new(
-                Controller {
-                    net: &net,
-                    model: &model,
-                    flows: &flows,
-                    base_tunnels: &base,
-                    predictor: &predictor,
-                    scheme: &scheme,
-                    latency: LatencyModel::default(),
-                    threads: 0,
-                    backend: Default::default(),
-                    pricing: Default::default(),
-                    eta_update: Default::default(),
-                    scenario_budget: None,
-                    cache: Default::default(),
-                    obs: Default::default(),
-                },
+                Controller::new(&net, &model, &flows, &base, &predictor, &scheme),
                 // Benders exercises the warm-start cache, so the
                 // checkpoint's cache snapshot matters for bit-identity.
                 SolveMethod::benders(),
                 prete_sim::RetryPolicy::default(),
-                0.99,
             )
         };
         let cfg = DurableConfig { run_seed, checkpoint_every };
