@@ -8,8 +8,8 @@
 //! paper recommends ratio = 1 as the runtime/availability sweet spot,
 //! and `ratio = 0` is "PreTE-naive").
 
-use prete_topology::paths::k_shortest_paths_avoiding;
-use prete_topology::{FiberId, Network, TunnelId, TunnelSet};
+use prete_topology::paths::PathFinder;
+use prete_topology::{FiberId, FlowId, Network, TunnelId, TunnelSet};
 use std::collections::HashSet;
 
 /// Configuration for Algorithm 1.
@@ -46,35 +46,27 @@ pub fn update_tunnels(
     }
     // Step 2: for each flow, count affected tunnels (Λ) and establish
     // replacements in G' = G \ {degraded}.
-    let flows: Vec<_> = tunnels
-        .tunnels()
-        .iter()
-        .map(|t| (t.flow, tunnels.tunnel(t.id).path.src(), tunnels.tunnel(t.id).path.dst()))
-        .collect::<std::collections::BTreeSet<_>>()
-        .into_iter()
-        .collect();
-    for (flow, src, dst) in flows {
+    let mut finder = PathFinder::new(net);
+    for flow in (0..tunnels.num_flows()).map(FlowId) {
         let lambda = tunnels.affected_count(net, flow, degraded);
         if lambda == 0 {
             continue;
         }
         let want = ((cfg.ratio * lambda as f64).ceil() as usize).min(cfg.max_new_per_flow);
+        let first = &tunnels.tunnel(tunnels.of_flow(flow)[0]).path;
         // Candidate pool: a few extra so duplicates of existing tunnels
         // can be skipped.
-        let candidates = k_shortest_paths_avoiding(net, src, dst, want + lambda + 2, &banned);
-        // Distinctness is by site route: a parallel wavelength of an
-        // existing tunnel adds no protection.
-        let existing: Vec<Vec<_>> = tunnels
-            .of_flow(flow)
-            .iter()
-            .map(|&t| tunnels.tunnel(t).path.sites.clone())
-            .collect();
+        let candidates =
+            finder.k_shortest_paths_avoiding(first.src(), first.dst(), want + lambda + 2, &banned);
         let mut added = 0usize;
         for path in candidates {
             if added >= want {
                 break;
             }
-            if existing.contains(&path.sites) {
+            // Distinctness is by site route: a parallel wavelength of an
+            // existing tunnel adds no protection.
+            let exists = |&t: &TunnelId| tunnels.tunnel(t).path.sites == path.sites;
+            if tunnels.of_flow(flow).iter().any(exists) {
                 continue;
             }
             created.push(tunnels.add_reactive(flow, path));

@@ -10,7 +10,7 @@
 
 use crate::graph::Network;
 use crate::ids::{FiberId, FlowId, LinkId, TunnelId};
-use crate::paths::{fiber_disjoint_paths, k_shortest_paths, Path};
+use crate::paths::{Path, PathFinder, DISJOINT_SEEDS};
 use crate::traffic::Flow;
 
 /// How a tunnel came to exist.
@@ -76,9 +76,26 @@ impl TunnelSet {
     /// # Panics
     /// Panics if some flow's endpoints are disconnected.
     pub fn initialize(net: &Network, flows: &[Flow], tunnels_per_flow: usize) -> Self {
+        Self::initialize_with(&mut PathFinder::new(net), flows, tunnels_per_flow)
+    }
+
+    /// [`TunnelSet::initialize`] on the caller's finder, whose search
+    /// count the work-counter test reads.
+    fn initialize_with(
+        finder: &mut PathFinder<'_>,
+        flows: &[Flow],
+        tunnels_per_flow: usize,
+    ) -> Self {
         assert!(tunnels_per_flow >= 1);
         let mut set = Self::new(flows.len());
         for flow in flows {
+            // One Yen run per flow: its head seeds the disjoint search
+            // and fills the rest of the budget.
+            let shortest = finder.k_shortest_paths(
+                flow.src,
+                flow.dst,
+                DISJOINT_SEEDS.max(tunnels_per_flow + 2),
+            );
             let mut chosen: Vec<Path> = Vec::new();
             // Tunnels are distinct iff their *site routes* differ:
             // parallel wavelength links between the same site pair do
@@ -90,13 +107,14 @@ impl TunnelSet {
             // topology permits three disjoint routes, under double
             // cuts — which is what FFC-2 needs to admit anything).
             let disjoint_budget = tunnels_per_flow.saturating_sub(1).clamp(2, 3);
-            for p in fiber_disjoint_paths(net, flow.src, flow.dst, disjoint_budget) {
+            let seeds = &shortest[..shortest.len().min(DISJOINT_SEEDS)];
+            for p in finder.disjoint_from(seeds, disjoint_budget) {
                 if chosen.len() < tunnels_per_flow && distinct(&chosen, &p) {
                     chosen.push(p);
                 }
             }
             // Then fill with k-shortest paths.
-            for p in k_shortest_paths(net, flow.src, flow.dst, tunnels_per_flow + 2) {
+            for p in shortest.into_iter().take(tunnels_per_flow + 2) {
                 if chosen.len() >= tunnels_per_flow {
                     break;
                 }
@@ -107,8 +125,8 @@ impl TunnelSet {
             assert!(
                 !chosen.is_empty(),
                 "flow {}→{} has no path",
-                net.site(flow.src).name,
-                net.site(flow.dst).name
+                finder.net.site(flow.src).name,
+                finder.net.site(flow.dst).name
             );
             for path in chosen {
                 set.push(flow.id, path, TunnelOrigin::PreEstablished);
@@ -160,6 +178,11 @@ impl TunnelSet {
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
         self.tunnels.is_empty()
+    }
+
+    /// Number of flows the set was sized for.
+    pub fn num_flows(&self) -> usize {
+        self.by_flow.len()
     }
 
     /// A tunnel by ID.
@@ -307,6 +330,19 @@ mod tests {
             assert_eq!(t.id, TunnelId(i));
         }
         assert_eq!(ts.of_flow(FlowId(0)).len(), 2);
+    }
+
+    /// A deterministic stand-in for a timing test: a second Yen pass
+    /// per flow or a lost Lawler index shows up here as more searches.
+    #[test]
+    fn initialize_search_count_is_pinned() {
+        let spec = crate::GenSpec::parse("gen:waxman:100").expect("a valid generator spec");
+        let net = crate::generate::generate(&spec);
+        let flows = crate::topologies::flows_for(&net, 0.02, 42);
+        let mut finder = PathFinder::new(&net);
+        let ts = TunnelSet::initialize_with(&mut finder, &flows, 4);
+        assert_eq!((flows.len(), ts.len()), (481, 1920));
+        assert_eq!(finder.searches(), 15_514, "32.25 searches per flow × 481");
     }
 
     #[test]
