@@ -130,7 +130,6 @@ struct SparseCore {
     factors: Option<Factors>,
     cursor: usize,
     iterations: usize,
-    flips: usize,
     refactorizations: u64,
     etas_total: u64,
     fill_total: u64,
@@ -353,7 +352,6 @@ impl SparseCore {
             factors: None,
             cursor: 0,
             iterations: 0,
-            flips: 0,
             refactorizations: 0,
             etas_total: 0,
             fill_total: 0,
@@ -888,7 +886,6 @@ impl SparseCore {
                 }
                 self.at_upper[q] = !self.at_upper[q];
                 self.iterations += 1;
-                self.flips += 1;
                 confirmed_since_progress = false;
             } else {
                 let Some(slot) = leave else {
@@ -1184,7 +1181,6 @@ impl SparseCore {
                 for (s, &x) in dv.iter().enumerate() {
                     self.x_b[s] += x;
                 }
-                self.flips += flip_cols.len();
             }
             let dir = self.enter_dir(q);
             let beta = if above { self.ub[self.basis[slot]] } else { 0.0 };
@@ -1310,7 +1306,6 @@ impl SparseCore {
                 other => self.failed(other),
             });
         }
-        let t_phase1 = std::time::Instant::now();
         if self.dual_start {
             // Park every profitable column at its upper bound (finite
             // by the build-time eligibility check): with the all-slack
@@ -1356,27 +1351,8 @@ impl SparseCore {
             self.drive_out_artificials()?;
         }
         self.cursor = 0;
-        let phase1_iters = self.iterations;
-        let phase1_ms = t_phase1.elapsed().as_secs_f64() * 1000.0;
-        let t_phase2 = std::time::Instant::now();
         let costs = self.costs.clone();
-        let st = self.iterate(&costs, false)?;
-        if std::env::var_os("PRETE_LP_DEBUG").is_some() {
-            eprintln!(
-                "lp-debug: m={} ncols={} finite_ub={} iters={} (phase1 {} in {:.1}ms, \
-                 phase2 {:.1}ms) flips={} status={:?}",
-                self.m,
-                self.ncols,
-                self.ub.iter().filter(|u| u.is_finite()).count(),
-                self.iterations,
-                phase1_iters,
-                phase1_ms,
-                t_phase2.elapsed().as_secs_f64() * 1000.0,
-                self.flips,
-                st
-            );
-        }
-        match st {
+        match self.iterate(&costs, false)? {
             SolveStatus::Optimal => Ok(self.extract()),
             other => Ok(self.failed(other)),
         }
