@@ -304,14 +304,14 @@ pub struct SimplexOptions {
     /// Worker threads for the parallel kernels (1 = serial).
     ///
     /// Dense backend: rows are eliminated independently against a
-    /// snapshot of the normalized pivot row. Sparse backend: pricing
-    /// computes per-column reduced costs into disjoint slices. In both
-    /// cases every thread count — including 1 — performs the exact same
-    /// per-cell arithmetic, so results are bit-identical. Parallelism
-    /// only kicks in above a work threshold ([`PARALLEL_PIVOT_CELLS`]
-    /// tableau cells / a pricing-segment width for the sparse engine);
-    /// entering/leaving selection always runs on the coordinating
-    /// thread.
+    /// snapshot of the normalized pivot row, above
+    /// [`PARALLEL_PIVOT_CELLS`] tableau cells; every thread count —
+    /// including 1 — performs the exact same per-cell arithmetic, so
+    /// results are bit-identical, and entering/leaving selection
+    /// always runs on the coordinating thread. The sparse backend is
+    /// serial whatever this says: a pricing segment is too little work
+    /// to pay for a thread spawn (measured 4–5× slower fanned out), and
+    /// its workspace belongs to one thread.
     pub threads: usize,
     /// Engine selection (default [`SolverBackend::SparseRevised`] with
     /// automatic dense fallback on factorization failure).
@@ -1797,9 +1797,9 @@ mod tests {
 
     #[test]
     fn parallel_pivots_are_bit_identical() {
-        // Large enough to clear PARALLEL_PIVOT_CELLS (dense) and
-        // PARALLEL_PRICE_COLS (sparse) so the threaded paths actually
-        // run, for every backend and thread count — including 1.
+        // Large enough to clear PARALLEL_PIVOT_CELLS so the dense
+        // threaded path actually runs; the sparse engine must ignore
+        // the thread count altogether.
         let lp = random_lp(120, 120, 7);
         for backend in [SolverBackend::DenseTableau, SolverBackend::SparseRevised] {
             let opts = |threads| SimplexOptions { threads, backend, ..Default::default() };

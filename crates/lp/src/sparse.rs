@@ -25,19 +25,22 @@
 //! ones. No explicit bound rows are generated, so the basis stays at
 //! the size of the genuine constraint set.
 //!
-//! Each iteration is one BTRAN (duals), a pricing scan — segmented
-//! partial Dantzig ([`Pricing::Dantzig`]) or a devex reference
-//! framework ([`Pricing::Devex`]), with an automatic switch to
-//! Bland's lowest-index rule after a stall (the anti-cycling
-//! guarantee) — one FTRAN (entering column) and an `O(m)` update,
-//! instead of the dense `O(m·n)` tableau elimination.
+//! Each iteration is a pricing scan — segmented partial Dantzig
+//! ([`Pricing::Dantzig`]) or a devex reference framework
+//! ([`Pricing::Devex`]), with an automatic switch to Bland's
+//! lowest-index rule after a stall (the anti-cycling guarantee) —
+//! against duals from one BTRAN per basis change (a bound flip keeps
+//! them), one reach-limited FTRAN (entering column) and an update
+//! over the nonzeros of its image, instead of the dense `O(m·n)`
+//! tableau elimination. Every vector an iteration fills lives in a
+//! workspace the core owns, so a pivot allocates nothing.
 //!
 //! The user program is reduced by [`crate::presolve`] before the core
 //! ever sees it; solutions are mapped back to the original space
 //! (including exact duals for eliminated rows) on the way out.
 
 use crate::factor::{
-    EtaFile, FactorError, FtFactors, FtUpdate, LuFactors, REFACTOR_INTERVAL,
+    EtaFile, FactorError, FtFactors, FtUpdate, FtranImage, LuFactors, REFACTOR_INTERVAL,
 };
 use crate::model::{LinearProgram, Sense};
 use crate::presolve::{presolve, PresolveMode, PresolveResult, Reduction};
@@ -49,12 +52,6 @@ use crate::simplex::{
 /// Columns per pricing segment (at least this many; larger programs
 /// use `ncols / 8`).
 const PRICE_SEGMENT: usize = 256;
-
-/// Minimum segment width before reduced-cost computation fans out
-/// across threads; each column's dot product is computed by exactly
-/// one thread with the same arithmetic as the serial path, so results
-/// are bit-identical at every thread count.
-pub(crate) const PARALLEL_PRICE_COLS: usize = 1536;
 
 /// Salt folded into sparse basis signatures so a dense-backend basis
 /// (or a basis from a different presolve reduction, or one saved by a
@@ -79,8 +76,64 @@ enum CKind {
 /// scheme [`SimplexOptions::eta_update`] selected.
 #[derive(Debug)]
 enum Factors {
-    Product { lu: LuFactors, etas: EtaFile },
+    Product { lu: Box<LuFactors>, etas: EtaFile },
     Ft(Box<FtFactors>),
+}
+
+/// Every vector an iteration fills, sized `m` once at build time so
+/// that no pivot allocates. One per [`SparseCore`], reached only
+/// through `&mut` on that core — never shared across threads.
+#[derive(Debug, Default)]
+struct Workspace {
+    /// FTRAN image of the entering column with its nonzero slots.
+    img: FtranImage,
+    /// BTRAN input by slot (`c_B`, a unit vector, a sign pattern); the
+    /// eta pass transforms it in place.
+    cb: Vec<f64>,
+    /// BTRAN output by row: `y = B⁻ᵀc_B` while a primal loop prices,
+    /// `ρ = B⁻ᵀe_slot` for a pivot row.
+    y: Vec<f64>,
+    /// BTRAN accumulator by slot.
+    acc: Vec<f64>,
+    /// Dense FTRAN input by row, consumed by the solve.
+    rhs: Vec<f64>,
+    /// Dense FTRAN output by slot.
+    sol: Vec<f64>,
+    /// The effective rhs a refactorization solves and refines against.
+    b_eff: Vec<f64>,
+    /// Reduced costs of one pricing segment.
+    price: Vec<f64>,
+}
+
+/// Records into the core's test-only `Probe`; compiles to nothing outside
+/// tests.
+macro_rules! probe {
+    ($core:ident, $($record:tt)*) => {
+        #[cfg(test)]
+        {
+            $core.probe.$($record)*;
+        }
+    };
+}
+
+/// What the iteration-identity test reads back from a solve.
+#[cfg(test)]
+#[derive(Debug, Default)]
+struct Probe {
+    /// `(entering, leaving slot)` per basis change, `(entering,
+    /// usize::MAX)` per bound flip, in order.
+    trace: Vec<(usize, usize)>,
+    /// BTRANs of `c_B` issued by `iterate` / by `dual_simplex`.
+    btran_iterate: usize,
+    btran_dual: usize,
+    iterate_calls: usize,
+    dual_calls: usize,
+    /// Basis changes made inside `iterate`.
+    iterate_pivots: usize,
+    /// Entering columns chosen by Bland's rule.
+    bland_picks: usize,
+    /// Artificials pivoted out by `drive_out_artificials`.
+    driven_out: usize,
 }
 
 /// The revised simplex core over one (already presolved) program.
@@ -144,6 +197,14 @@ struct SparseCore {
     /// Largest 1-norm condition estimate observed across this core's
     /// factorizations.
     condition_max: f64,
+    /// Columns with a nonzero phase-2 cost and a finite upper bound,
+    /// ascending: the only ones whose at-upper objective term is not
+    /// an exact zero (phase-1 costs sit on artificials, which have no
+    /// upper bound).
+    upper_cols: Vec<usize>,
+    ws: Workspace,
+    #[cfg(test)]
+    probe: Probe,
 }
 
 /// `TightenTolerance` rung: each retry multiplies the peel tolerance by
@@ -327,6 +388,16 @@ impl SparseCore {
         for &c in &basis {
             in_basis[c] = true;
         }
+        let upper_cols = (0..n).filter(|&j| costs[j] != 0.0 && ub[j].is_finite()).collect();
+        let ws = Workspace {
+            cb: vec![0.0; m],
+            y: vec![0.0; m],
+            acc: vec![0.0; m],
+            rhs: vec![0.0; m],
+            sol: vec![0.0; m],
+            b_eff: vec![0.0; m],
+            ..Workspace::default()
+        };
         Self {
             opts,
             m,
@@ -348,7 +419,7 @@ impl SparseCore {
             basis,
             in_basis,
             at_upper: vec![false; ncols],
-            x_b: Vec::new(),
+            x_b: vec![0.0; m],
             factors: None,
             cursor: 0,
             iterations: 0,
@@ -361,15 +432,20 @@ impl SparseCore {
             tightenings: 0,
             patched_columns: 0,
             condition_max: 0.0,
+            upper_cols,
+            ws,
+            #[cfg(test)]
+            probe: Probe::default(),
         }
     }
 
     /// Transformed rhs with the at-upper nonbasic contributions folded
-    /// in: `b_eff = b − Σ_{j at upper} ub_j · A_j`, so that
-    /// `x_B = B⁻¹ b_eff` are the basic values at the current
+    /// in, into `ws.b_eff`: `b_eff = b − Σ_{j at upper} ub_j · A_j`, so
+    /// that `x_B = B⁻¹ b_eff` are the basic values at the current
     /// bound assignment.
-    fn effective_rhs(&self) -> Vec<f64> {
-        let mut b = self.b.clone();
+    fn effective_rhs(&mut self) {
+        let b = &mut self.ws.b_eff;
+        b.clone_from(&self.b);
         for (j, &flag) in self.at_upper.iter().enumerate() {
             if flag {
                 for &(r, a) in &self.cols[j] {
@@ -377,7 +453,15 @@ impl SparseCore {
                 }
             }
         }
-        b
+    }
+
+    /// Recomputes `x_B = B⁻¹ b_eff` from scratch, leaving `b_eff` in
+    /// the workspace.
+    fn recompute_basics(&mut self) {
+        self.effective_rhs();
+        self.ws.rhs.clone_from(&self.ws.b_eff);
+        self.ftran();
+        std::mem::swap(&mut self.x_b, &mut self.ws.sol);
     }
 
     /// Rebuilds the LU factors from the current basis, resets the
@@ -407,7 +491,15 @@ impl SparseCore {
         self.refactorizations += 1;
         self.factors = Some(match self.opts.eta_update {
             EtaUpdate::ProductForm => {
-                Factors::Product { lu, etas: EtaFile::default() }
+                // The emptied eta file keeps its storage.
+                let etas = match self.factors.take() {
+                    Some(Factors::Product { mut etas, .. }) => {
+                        etas.clear();
+                        etas
+                    }
+                    _ => EtaFile::default(),
+                };
+                Factors::Product { lu: Box::new(lu), etas }
             }
             EtaUpdate::ForrestTomlin => {
                 let mut ft = FtFactors::from_lu(&lu);
@@ -415,10 +507,9 @@ impl SparseCore {
                 Factors::Ft(Box::new(ft))
             }
         });
-        self.observe_condition(&bcols);
-        let b_eff = self.effective_rhs();
-        self.x_b = self.ftran(&b_eff);
-        self.refine_basics(&b_eff);
+        self.observe_condition();
+        self.recompute_basics();
+        self.refine_basics();
         Ok(())
     }
 
@@ -427,21 +518,23 @@ impl SparseCore {
     /// ftran of the averaging vector and one btran of its sign
     /// pattern. Deterministic (no randomized probes) and cheap — two
     /// solves per refactorization.
-    fn observe_condition(&mut self, bcols: &[Vec<(usize, f64)>]) {
+    fn observe_condition(&mut self) {
         if self.m == 0 {
             return;
         }
-        let norm_b = bcols
+        let norm_b = self
+            .basis
             .iter()
-            .map(|col| col.iter().map(|&(_, a)| a.abs()).sum::<f64>())
+            .map(|&c| self.cols[c].iter().map(|&(_, a)| a.abs()).sum::<f64>())
             .fold(0.0f64, f64::max);
-        let probe = vec![1.0 / self.m as f64; self.m];
-        let w = self.ftran(&probe);
-        let w1: f64 = w.iter().map(|v| v.abs()).sum();
-        let xi: Vec<f64> =
-            w.iter().map(|v| if *v >= 0.0 { 1.0 } else { -1.0 }).collect();
-        let z = self.btran(&xi);
-        let z_inf = z.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
+        self.ws.rhs.fill(1.0 / self.m as f64);
+        self.ftran();
+        let w1: f64 = self.ws.sol.iter().map(|v| v.abs()).sum();
+        for (xi, v) in self.ws.cb.iter_mut().zip(&self.ws.sol) {
+            *xi = if *v >= 0.0 { 1.0 } else { -1.0 };
+        }
+        self.btran();
+        let z_inf = self.ws.y.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
         let cond = norm_b * w1.max(z_inf);
         if cond.is_finite() {
             self.condition_max = self.condition_max.max(cond);
@@ -451,67 +544,95 @@ impl SparseCore {
     /// One-step iterative refinement of the basic solution: when the
     /// residual `b_eff − B·x_B` exceeds the relative residual
     /// tolerance, solve once more against the residual and correct.
-    fn refine_basics(&mut self, b_eff: &[f64]) {
+    fn refine_basics(&mut self) {
         if self.m == 0 {
             return;
         }
-        let mut ax = vec![0.0f64; self.m];
+        // `B·x_B` accumulates in the FTRAN input, then turns into the
+        // residual in place.
+        let r = &mut self.ws.rhs;
+        r.fill(0.0);
         for (slot, &c) in self.basis.iter().enumerate() {
             let xs = self.x_b[slot];
             if xs != 0.0 {
-                for &(r, a) in &self.cols[c] {
-                    ax[r] += a * xs;
+                for &(i, a) in &self.cols[c] {
+                    r[i] += a * xs;
                 }
             }
         }
-        let mut r = vec![0.0f64; self.m];
         let mut r_inf = 0.0f64;
         let mut b_inf = 0.0f64;
-        for i in 0..self.m {
-            r[i] = b_eff[i] - ax[i];
-            r_inf = r_inf.max(r[i].abs());
-            b_inf = b_inf.max(b_eff[i].abs());
+        for (ri, &bi) in r.iter_mut().zip(&self.ws.b_eff) {
+            *ri = bi - *ri;
+            r_inf = r_inf.max(ri.abs());
+            b_inf = b_inf.max(bi.abs());
         }
         if r_inf > self.opts.tols.residual * (1.0 + b_inf) {
-            let dx = self.ftran(&r);
-            for (slot, d) in dx.iter().enumerate() {
-                self.x_b[slot] += d;
+            self.ftran();
+            for (x, d) in self.x_b.iter_mut().zip(&self.ws.sol) {
+                *x += d;
             }
             self.refinements += 1;
         }
     }
 
-    /// `B⁻¹ v` (`v` indexed by row, result by slot).
-    fn ftran(&self, v: &[f64]) -> Vec<f64> {
+    /// `B⁻¹ v` for a dense `v`: consumes `ws.rhs` (by row) into
+    /// `ws.sol` (by slot).
+    fn ftran(&mut self) {
+        let ws = &mut self.ws;
         match self.factors.as_ref().expect("factorized") {
             Factors::Product { lu, etas } => {
-                let mut w = lu.ftran(v);
-                etas.apply_ftran(&mut w);
-                w
+                lu.ftran(&mut ws.rhs, &mut ws.sol);
+                etas.apply_ftran(&mut ws.sol);
             }
-            Factors::Ft(ft) => ft.ftran(v),
+            Factors::Ft(ft) => ws.sol = ft.ftran(&ws.rhs),
         }
     }
 
-    /// `B⁻ᵀ c` (`c` indexed by slot, result by row).
-    fn btran(&self, c: &[f64]) -> Vec<f64> {
+    /// `B⁻ᵀ c`: `ws.cb` (by slot, clobbered) into `ws.y` (by row).
+    fn btran(&mut self) {
+        let ws = &mut self.ws;
         match self.factors.as_ref().expect("factorized") {
             Factors::Product { lu, etas } => {
-                let mut t = c.to_vec();
-                etas.apply_btran(&mut t);
-                lu.btran(&t)
+                etas.apply_btran(&mut ws.cb);
+                lu.btran(&ws.cb, &mut ws.acc, &mut ws.y);
             }
-            Factors::Ft(ft) => ft.btran(c),
+            Factors::Ft(ft) => ws.y = ft.btran(&ws.cb),
         }
     }
 
-    /// FTRAN of constraint column `j` (dense by slot).
-    fn ftran_col(&self, j: usize) -> Vec<f64> {
-        let mut v = vec![0.0f64; self.m];
-        for &(r, a) in &self.cols[j] {
-            v[r] = a;
+    /// The duals `y = B⁻ᵀ c_B` of the current basis under `costs`.
+    fn btran_costs(&mut self, costs: &[f64]) {
+        for (cb, &c) in self.ws.cb.iter_mut().zip(&self.basis) {
+            *cb = costs[c];
         }
-        self.ftran(&v)
+        self.btran();
+    }
+
+    /// Row `slot` of the basis inverse, `ρ = B⁻ᵀ e_slot`.
+    fn btran_unit(&mut self, slot: usize) {
+        self.ws.cb.fill(0.0);
+        self.ws.cb[slot] = 1.0;
+        self.btran();
+    }
+
+    /// FTRAN of constraint column `j` into `ws.img`, through the
+    /// reach-limited solve on the product-form path.
+    fn ftran_col(&mut self, j: usize) {
+        let ws = &mut self.ws;
+        match self.factors.as_ref().expect("factorized") {
+            Factors::Product { lu, etas } => {
+                lu.ftran_sparse(&self.cols[j], &mut ws.img);
+                etas.apply_ftran_sparse(&mut ws.img);
+            }
+            Factors::Ft(ft) => {
+                ws.rhs.fill(0.0);
+                for &(r, a) in &self.cols[j] {
+                    ws.rhs[r] = a;
+                }
+                ws.img.load_dense(ft.ftran(&ws.rhs));
+            }
+        }
     }
 
     #[inline]
@@ -530,23 +651,32 @@ impl SparseCore {
         }
     }
 
+    /// `c_B · w` over the nonzeros of the entering column's image (the
+    /// terms it skips are exact zeros).
+    fn basic_cost_dot_image(&self, costs: &[f64]) -> f64 {
+        let img = &self.ws.img;
+        img.nz.iter().map(|&s| costs[self.basis[s]] * img.w[s]).sum()
+    }
+
     /// Replaces the basic variable of `slot` with column `q`, whose
-    /// FTRAN image is `w`, and folds the column replacement into the
-    /// factors (eta push or Forrest–Tomlin update; either may demand
-    /// a refactorization instead). Callers update `x_b` and the
+    /// FTRAN image is `ws.img`, and folds the column replacement into
+    /// the factors (eta push or Forrest–Tomlin update; either may
+    /// demand a refactorization instead). Callers update `x_b` and the
     /// `at_upper` flags *before* calling, so a triggered
     /// refactorization recomputes `x_B` against the right bounds.
     /// Returns whether the basis change triggered a refactorization
     /// (incremental pricing state must then be recomputed — the
     /// refactorized solves round differently).
-    fn pivot(&mut self, slot: usize, q: usize, w: &[f64]) -> Result<bool, FactorError> {
+    fn pivot(&mut self, slot: usize, q: usize) -> Result<bool, FactorError> {
+        probe!(self, trace.push((q, slot)));
         self.in_basis[self.basis[slot]] = false;
         self.basis[slot] = q;
         self.in_basis[q] = true;
         self.iterations += 1;
         let refactor = match self.factors.as_mut().expect("factorized") {
             Factors::Product { etas, .. } => {
-                !etas.push(slot, w) || etas.len() >= REFACTOR_INTERVAL
+                !etas.push(slot, &self.ws.img.w, &self.ws.img.nz)
+                    || etas.len() >= REFACTOR_INTERVAL
             }
             Factors::Ft(ft) => {
                 ft.update(slot, &self.cols[q]) == FtUpdate::NeedsRefactor
@@ -560,17 +690,21 @@ impl SparseCore {
         Ok(refactor)
     }
 
+    /// Moves the basic values along the entering column's image by
+    /// step `t` in direction `dir`.
+    fn step_basics(&mut self, t: f64, dir: f64) {
+        let img = &self.ws.img;
+        for &s in &img.nz {
+            self.x_b[s] -= t * dir * img.w[s];
+        }
+    }
+
     /// Moves entering column `q` by step `t` along its direction
     /// (ratio-test step for a basis change): updates every other basic
     /// value, installs the entering value at `slot` and clears the
     /// entering at-upper flag. The basis swap itself is [`Self::pivot`].
-    fn apply_entering(&mut self, slot: usize, q: usize, w: &[f64], t: f64) {
-        let dir = self.enter_dir(q);
-        for (s, &ws) in w.iter().enumerate() {
-            if s != slot && ws != 0.0 {
-                self.x_b[s] -= t * dir * ws;
-            }
-        }
+    fn apply_entering(&mut self, slot: usize, q: usize, t: f64) {
+        self.step_basics(t, self.enter_dir(q));
         self.x_b[slot] = if self.at_upper[q] { self.ub[q] - t } else { t };
         self.at_upper[q] = false;
     }
@@ -578,34 +712,26 @@ impl SparseCore {
     /// Objective contribution of the nonbasic columns resting at their
     /// upper bounds.
     fn upper_objective(&self, costs: &[f64]) -> f64 {
-        self.at_upper
+        self.upper_cols
             .iter()
-            .enumerate()
-            .filter(|&(_, &f)| f)
-            .map(|(j, _)| costs[j] * self.ub[j])
+            .filter(|&&j| self.at_upper[j])
+            .map(|&j| costs[j] * self.ub[j])
             .sum()
     }
 
-    /// Entering-column selection: Dantzig partial pricing over column
-    /// segments with a deterministic cursor, or Bland's lowest-index
-    /// rule when `bland` is set. Reduced costs are sign-flipped for
-    /// at-upper columns so "profitable" is uniformly `d < −eps`.
-    /// (Devex pricing lives in [`Self::iterate`], scanning its
-    /// incrementally maintained reduced-cost vector.)
-    fn price(
-        &mut self,
-        y: &[f64],
-        costs: &[f64],
-        allow_art: bool,
-        bland: bool,
-    ) -> Option<usize> {
+    /// Entering-column selection against the duals in `ws.y`: Dantzig
+    /// partial pricing over column segments with a deterministic
+    /// cursor, or Bland's lowest-index rule when `bland` is set.
+    /// Reduced costs are sign-flipped for at-upper columns so
+    /// "profitable" is uniformly `d < −eps`. (Devex pricing lives in
+    /// [`Self::iterate`], scanning its incrementally maintained
+    /// reduced-cost vector.)
+    fn price(&mut self, costs: &[f64], allow_art: bool, bland: bool) -> Option<usize> {
         let eps = self.opts.eps;
-        let allowed = |this: &Self, j: usize| {
-            !this.in_basis[j] && (allow_art || this.kind[j] != CKind::Artificial)
-        };
         if bland {
+            let y = &self.ws.y;
             return (0..self.ncols).find(|&j| {
-                if !allowed(self, j) {
+                if self.in_basis[j] || (!allow_art && self.kind[j] == CKind::Artificial) {
                     return false;
                 }
                 let d = costs[j] - self.col_dot(j, y);
@@ -616,10 +742,12 @@ impl SparseCore {
         let seg = PRICE_SEGMENT.max(self.ncols / 8).min(self.ncols.max(1));
         let mut start = self.cursor.min(self.ncols.saturating_sub(1));
         let mut scanned = 0usize;
-        let mut d = vec![0.0f64; seg];
+        let mut d = std::mem::take(&mut self.ws.price);
+        d.resize(seg, 0.0);
+        let mut entering = None;
         while scanned < self.ncols {
             let len = seg.min(self.ncols - start).min(self.ncols - scanned);
-            self.price_segment(start, len, y, costs, allow_art, &mut d[..len]);
+            self.price_segment(start, &self.ws.y, costs, allow_art, &mut d[..len]);
             let mut best: Option<usize> = None;
             let mut best_d = -eps;
             for (k, &dj) in d[..len].iter().enumerate() {
@@ -628,97 +756,71 @@ impl SparseCore {
                     best = Some(start + k);
                 }
             }
-            if let Some(j) = best {
+            if best.is_some() {
                 self.cursor = (start + len) % self.ncols.max(1);
-                return Some(j);
+                entering = best;
+                break;
             }
             scanned += len;
             start = (start + len) % self.ncols.max(1);
         }
-        None
+        self.ws.price = d;
+        entering
     }
 
-    /// Reduced costs of columns `[start, start+len)` into `out`
-    /// (`+∞` for columns that may not enter; sign-flipped for
-    /// at-upper columns). Fanned out across threads above
-    /// [`PARALLEL_PRICE_COLS`]; per-column arithmetic is identical at
-    /// every thread count.
+    /// Reduced costs of columns `[start, start + out.len())` into
+    /// `out` (`+∞` for columns that may not enter; sign-flipped for
+    /// at-upper columns).
     fn price_segment(
         &self,
         start: usize,
-        len: usize,
         y: &[f64],
         costs: &[f64],
         allow_art: bool,
         out: &mut [f64],
     ) {
-        let one = |this: &Self, j: usize| {
-            if this.in_basis[j] || (!allow_art && this.kind[j] == CKind::Artificial) {
+        for (k, d) in out.iter_mut().enumerate() {
+            let j = start + k;
+            *d = if self.in_basis[j] || (!allow_art && self.kind[j] == CKind::Artificial) {
                 f64::INFINITY
             } else {
-                let d = costs[j] - this.col_dot(j, y);
-                if this.at_upper[j] {
+                let d = costs[j] - self.col_dot(j, y);
+                if self.at_upper[j] {
                     -d
                 } else {
                     d
                 }
-            }
-        };
-        if self.opts.threads > 1 && len >= PARALLEL_PRICE_COLS {
-            let nthreads = self.opts.threads.min(len).max(1);
-            let chunk = len.div_ceil(nthreads);
-            std::thread::scope(|s| {
-                for (ci, o) in out.chunks_mut(chunk).enumerate() {
-                    s.spawn(move || {
-                        for (k, slot) in o.iter_mut().enumerate() {
-                            *slot = one(self, start + ci * chunk + k);
-                        }
-                    });
-                }
-            });
-        } else {
-            for (k, slot) in out.iter_mut().enumerate() {
-                *slot = one(self, start + k);
-            }
+            };
         }
     }
 
     /// The pivot row `α_j = (B⁻¹ A_j)[slot]` for every nonbasic,
-    /// allowed column (zero elsewhere), from one BTRAN of `e_slot` and
-    /// one pass over the column file. This single row feeds both the
-    /// devex weight update and the incremental reduced-cost update, so
-    /// devex pays one extra solve + one matrix pass per pivot — not
-    /// the two full pricing passes of the naive formulation.
-    fn pivot_row(&self, slot: usize, allow_art: bool) -> Vec<f64> {
-        let mut e = vec![0.0f64; self.m];
-        e[slot] = 1.0;
-        let rho = self.btran(&e);
-        let mut alphas = vec![0.0f64; self.ncols];
+    /// allowed column (zero elsewhere) into `alphas`, from one BTRAN
+    /// of `e_slot` and one pass over the column file. This single row
+    /// feeds both the devex weight update and the incremental
+    /// reduced-cost update, so devex pays one extra solve + one matrix
+    /// pass per pivot — not the two full pricing passes of the naive
+    /// formulation.
+    fn pivot_row(&mut self, slot: usize, allow_art: bool, alphas: &mut [f64]) {
+        self.btran_unit(slot);
         for (j, alpha) in alphas.iter_mut().enumerate() {
-            if self.in_basis[j] || (!allow_art && self.kind[j] == CKind::Artificial) {
-                continue;
-            }
-            *alpha = self.col_dot(j, &rho);
+            *alpha = if self.in_basis[j] || (!allow_art && self.kind[j] == CKind::Artificial) {
+                0.0
+            } else {
+                self.col_dot(j, &self.ws.y)
+            };
         }
-        alphas
     }
 
     /// Devex reference-framework update after choosing `q` to replace
     /// the basic variable of `slot` (Forrest–Goldfarb): with pivot
-    /// element `α_q = w[slot]` and pivot row `alphas`, every
+    /// element `α_q = w[slot]` (of the image in `ws.img`) and pivot row `alphas`, every
     /// candidate's weight rises to `max(γ_j, (α_j/α_q)² γ_q)` and the
     /// leaving variable enters the nonbasic set with `max(γ_q/α_q², 1)`.
     /// Serial on purpose — the weights feed the next pricing pass and
     /// must be bit-identical at every thread count.
-    fn devex_update(
-        &self,
-        slot: usize,
-        q: usize,
-        w: &[f64],
-        alphas: &[f64],
-        weights: &mut [f64],
-    ) {
-        let alpha_q = w[slot];
+    fn devex_update(&self, slot: usize, q: usize, alphas: &[f64], weights: &mut [f64]) {
+        let alpha_q = self.ws.img.w[slot];
         if alpha_q == 0.0 {
             return;
         }
@@ -755,10 +857,16 @@ impl SparseCore {
     /// matrix pass, and the expensive BTRAN of the basic costs is only
     /// needed to rebuild `d` after a refactorization or a Bland
     /// excursion. Every chosen column is verified against its exact
-    /// reduced cost (one O(m) dot with the already-computed FTRAN
-    /// column) before pivoting — a stale-drift pick forces a rebuild
-    /// rather than a bad pivot.
+    /// reduced cost (one dot with the already-computed FTRAN column)
+    /// before pivoting — a stale-drift pick forces a rebuild rather
+    /// than a bad pivot.
+    ///
+    /// Dantzig and Bland pricing read the duals `y = B⁻ᵀc_B`, which
+    /// depend on the basis alone: a bound flip keeps them, so the
+    /// BTRAN is paid once per basis change (a refactorization only
+    /// happens inside one), not once per iteration.
     fn iterate(&mut self, costs: &[f64], allow_art: bool) -> Result<SolveStatus, FactorError> {
+        probe!(self, iterate_calls += 1);
         let eps = self.opts.eps;
         let mut best_obj = f64::INFINITY;
         let mut stall = 0usize;
@@ -766,8 +874,11 @@ impl SparseCore {
         let mut weights = if devex { vec![1.0f64; self.ncols] } else { Vec::new() };
         // True reduced costs for devex mode; rebuilt lazily whenever
         // `d_valid` drops (refactorization, Bland excursion, drift).
-        let mut d: Vec<f64> = Vec::new();
+        let mut d = if devex { vec![0.0f64; self.ncols] } else { Vec::new() };
         let mut d_valid = false;
+        let mut alphas = if devex { vec![0.0f64; self.ncols] } else { Vec::new() };
+        // Whether `ws.y` holds the duals of the current basis.
+        let mut y_valid = false;
         // Livelock guard: one optimality-confirmation rebuild is
         // granted per basis change. The rebuild recomputes the same
         // BTRAN-priced approximations from unchanged factors, so when
@@ -786,10 +897,10 @@ impl SparseCore {
             let q = if devex && !bland {
                 let fresh = !d_valid;
                 if !d_valid {
-                    let cb: Vec<f64> = self.basis.iter().map(|&c| costs[c]).collect();
-                    let y = self.btran(&cb);
-                    d = vec![0.0f64; self.ncols];
-                    self.price_segment(0, self.ncols, &y, costs, allow_art, &mut d);
+                    self.btran_costs(costs);
+                    y_valid = true;
+                    probe!(self, btran_iterate += 1);
+                    self.price_segment(0, &self.ws.y, costs, allow_art, &mut d);
                     // price_segment sign-flips at-upper entries; store
                     // the true reduced costs and flip while scoring.
                     for (j, dj) in d.iter_mut().enumerate() {
@@ -831,19 +942,22 @@ impl SparseCore {
                 if devex {
                     d_valid = false;
                 }
-                let cb: Vec<f64> = self.basis.iter().map(|&c| costs[c]).collect();
-                let y = self.btran(&cb);
-                self.price(&y, costs, allow_art, bland)
+                if !y_valid {
+                    self.btran_costs(costs);
+                    y_valid = true;
+                    probe!(self, btran_iterate += 1);
+                }
+                probe!(self, bland_picks += usize::from(bland));
+                self.price(costs, allow_art, bland)
             };
             let Some(q) = q else {
                 return Ok(SolveStatus::Optimal);
             };
-            let w = self.ftran_col(q);
+            self.ftran_col(q);
             if devex && !bland {
                 // Exact reduced cost of the chosen column from the
                 // FTRAN we already have: d_q = c_q − c_B·w.
-                let exact: f64 = costs[q]
-                    - self.basis.iter().zip(&w).map(|(&c, &ws)| costs[c] * ws).sum::<f64>();
+                let exact: f64 = costs[q] - self.basic_cost_dot_image(costs);
                 let deff = if self.at_upper[q] { -exact } else { exact };
                 d[q] = exact;
                 if deff >= -eps {
@@ -857,8 +971,10 @@ impl SparseCore {
             let mut leave: Option<usize> = None;
             let mut leave_to_upper = false;
             let mut best_ratio = f64::INFINITY;
-            for (s, &ws) in w.iter().enumerate() {
-                let a = dir * ws;
+            // A slot outside the image's nonzeros has `a = ±0` and can
+            // never block.
+            for &s in &self.ws.img.nz {
+                let a = dir * self.ws.img.w[s];
                 let (ratio, to_upper) = if a > eps {
                     (self.x_b[s] / a, false)
                 } else if a < -eps && self.ub[self.basis[s]].is_finite() {
@@ -878,26 +994,22 @@ impl SparseCore {
             if self.ub[q].is_finite() && self.ub[q] <= best_ratio {
                 // Bound flip: the entering variable reaches its
                 // opposite bound before any basic variable blocks.
-                let t = self.ub[q];
-                for (s, &ws) in w.iter().enumerate() {
-                    if ws != 0.0 {
-                        self.x_b[s] -= t * dir * ws;
-                    }
-                }
+                self.step_basics(self.ub[q], dir);
                 self.at_upper[q] = !self.at_upper[q];
                 self.iterations += 1;
                 confirmed_since_progress = false;
+                probe!(self, trace.push((q, usize::MAX)));
             } else {
                 let Some(slot) = leave else {
                     return Ok(SolveStatus::Unbounded);
                 };
                 if devex && !bland {
-                    let alphas = self.pivot_row(slot, allow_art);
-                    self.devex_update(slot, q, &w, &alphas, &mut weights);
+                    self.pivot_row(slot, allow_art, &mut alphas);
+                    self.devex_update(slot, q, &alphas, &mut weights);
                     // Incremental reduced costs: d_j ← d_j − (d_q/α_q)·α_j
                     // for nonbasic j; the leaving column re-enters the
                     // nonbasic set with d = −θ_d.
-                    let alpha_q = w[slot];
+                    let alpha_q = self.ws.img.w[slot];
                     if d_valid && alpha_q != 0.0 {
                         let theta_d = d[q] / alpha_q;
                         for (j, &alpha_j) in alphas.iter().enumerate() {
@@ -912,11 +1024,13 @@ impl SparseCore {
                     }
                 }
                 let leaving = self.basis[slot];
-                self.apply_entering(slot, q, &w, best_ratio);
+                self.apply_entering(slot, q, best_ratio);
                 if leave_to_upper {
                     self.at_upper[leaving] = true;
                 }
-                if self.pivot(slot, q, &w)? {
+                y_valid = false;
+                probe!(self, iterate_pivots += 1);
+                if self.pivot(slot, q)? {
                     d_valid = false;
                 }
                 confirmed_since_progress = false;
@@ -955,6 +1069,7 @@ impl SparseCore {
     ///   flip would overshoot the violated row. Dual-degenerate
     ///   programs retire many violations per basis change this way.
     fn dual_simplex(&mut self, perturb: bool) -> Result<SolveStatus, FactorError> {
+        probe!(self, dual_calls += 1);
         let eps = self.opts.eps;
         // Cold dual starts run on deterministically perturbed costs:
         // the TE programs carry whole families of identically-priced
@@ -992,7 +1107,7 @@ impl SparseCore {
         // refactorize-and-retry path would then re-select it forever.
         // The default matches the primal ratio test's pivot tolerance.
         let dual_pivot_tol = self.opts.tols.dual_pivot;
-        let mut d: Vec<f64> = Vec::new();
+        let mut d = vec![0.0f64; self.ncols];
         let mut d_valid = false;
         // Pivot-row scratch, reused across iterations and cleared
         // through `touched` (clearing 3 k-entry vectors every pivot
@@ -1014,18 +1129,23 @@ impl SparseCore {
         // escalates to the dense-fallback rung instead.
         let mut banned = vec![false; self.ncols];
         let mut refactored_since_pivot = false;
+        // Ratio-test candidates `(ratio, |ᾱ|, column)` and the columns
+        // the long step flips, refilled every iteration.
+        let mut cands: Vec<(f64, f64, usize)> = Vec::new();
+        let mut flip_cols: Vec<usize> = Vec::new();
         loop {
             if self.iterations >= self.opts.max_iterations {
                 return Ok(SolveStatus::IterationLimit);
             }
             if !d_valid {
-                let cb: Vec<f64> = self.basis.iter().map(|&c| costs[c]).collect();
-                let y = self.btran(&cb);
-                d = vec![0.0f64; self.ncols];
-                for j in 0..self.ncols {
-                    if !self.in_basis[j] && self.kind[j] != CKind::Artificial {
-                        d[j] = costs[j] - self.col_dot(j, &y);
-                    }
+                self.btran_costs(&costs);
+                probe!(self, btran_dual += 1);
+                for (j, dj) in d.iter_mut().enumerate() {
+                    *dj = if !self.in_basis[j] && self.kind[j] != CKind::Artificial {
+                        costs[j] - self.col_dot(j, &self.ws.y)
+                    } else {
+                        0.0
+                    };
                 }
                 d_valid = true;
             }
@@ -1049,9 +1169,7 @@ impl SparseCore {
                 return Ok(SolveStatus::Optimal);
             };
             let sgn = if above { 1.0 } else { -1.0 };
-            let mut e = vec![0.0f64; self.m];
-            e[slot] = 1.0;
-            let rho = self.btran(&e);
+            self.btran_unit(slot);
             // Signed pivot row, scattered row-wise through the CSR
             // mirror: only rows with a nonzero BTRAN entry contribute,
             // and accumulating in ascending row order keeps every
@@ -1064,7 +1182,7 @@ impl SparseCore {
                 mark[j] = false;
             }
             touched.clear();
-            for (r, &pr) in rho.iter().enumerate() {
+            for (r, &pr) in self.ws.y.iter().enumerate() {
                 if pr == 0.0 {
                     continue;
                 }
@@ -1080,7 +1198,7 @@ impl SparseCore {
             // is order-independent (the candidate list is sorted under
             // a total order below, and the incremental dual update
             // touches each column once).
-            let mut cands: Vec<(f64, f64, usize)> = Vec::new();
+            cands.clear();
             let mut banned_eligible = false;
             for &j in &touched {
                 if self.in_basis[j] || self.kind[j] == CKind::Artificial {
@@ -1113,8 +1231,10 @@ impl SparseCore {
             // (stability), then the lowest index (determinism).
             // `total_cmp` gives the same order as `partial_cmp` on the
             // finite values produced here while staying panic-free on
-            // torture inputs whose ratios overflow to non-finite.
-            cands.sort_by(|a, b| {
+            // torture inputs whose ratios overflow to non-finite. No
+            // two candidates compare equal (the column breaks every
+            // tie), so the in-place unstable sort gives the one order.
+            cands.sort_unstable_by(|a, b| {
                 a.0.total_cmp(&b.0)
                     .then(b.1.total_cmp(&a.1))
                     .then(a.2.cmp(&b.2))
@@ -1125,7 +1245,7 @@ impl SparseCore {
             // change is spent on the first candidate whose flip would
             // overshoot.
             let mut remaining = worst;
-            let mut flip_cols: Vec<usize> = Vec::new();
+            flip_cols.clear();
             let mut chosen: Option<(usize, f64)> = None;
             for &(_, _, j) in &cands {
                 let span = self.ub[j];
@@ -1147,8 +1267,9 @@ impl SparseCore {
                 }
                 return Ok(SolveStatus::Infeasible);
             };
-            let w = self.ftran_col(q);
-            if w[slot].abs() <= dual_pivot_tol {
+            self.ftran_col(q);
+            let alpha_q = self.ws.img.w[slot];
+            if alpha_q.abs() <= dual_pivot_tol {
                 // The FTRAN view of the pivot element disagrees with
                 // the BTRAN row (or the element is too small to pivot
                 // on without degrading the factors into singularity):
@@ -1169,7 +1290,8 @@ impl SparseCore {
             if !flip_cols.is_empty() {
                 // Toggle the passed candidates and absorb their
                 // combined rhs shift with a single FTRAN.
-                let mut v = vec![0.0f64; self.m];
+                let v = &mut self.ws.rhs;
+                v.fill(0.0);
                 for &j in &flip_cols {
                     let c = if self.at_upper[j] { 1.0 } else { -1.0 };
                     self.at_upper[j] = !self.at_upper[j];
@@ -1177,14 +1299,14 @@ impl SparseCore {
                         v[r] += c * self.ub[j] * a;
                     }
                 }
-                let dv = self.ftran(&v);
-                for (s, &x) in dv.iter().enumerate() {
-                    self.x_b[s] += x;
+                self.ftran();
+                for (x, dx) in self.x_b.iter_mut().zip(&self.ws.sol) {
+                    *x += dx;
                 }
             }
             let dir = self.enter_dir(q);
             let beta = if above { self.ub[self.basis[slot]] } else { 0.0 };
-            let t = (self.x_b[slot] - beta) / (dir * w[slot]);
+            let t = (self.x_b[slot] - beta) / (dir * alpha_q);
             let leaving = self.basis[slot];
             // Incremental dual update along the pivot row: the duals
             // move by θ_d = d_q/ᾱ_q, so dⱼ ← dⱼ − θ_d·ᾱⱼ; the leaving
@@ -1192,15 +1314,14 @@ impl SparseCore {
             // computed from the exact reduced cost of the entering
             // column (one dot with the FTRAN image we already have) so
             // the maintained vector cannot drift cumulatively.
-            let exact_dq: f64 = costs[q]
-                - self.basis.iter().zip(&w).map(|(&c, &ws)| costs[c] * ws).sum::<f64>();
+            let exact_dq: f64 = costs[q] - self.basic_cost_dot_image(&costs);
             let theta_d = exact_dq / abar_q;
             let q_was_upper = self.at_upper[q];
-            self.apply_entering(slot, q, &w, t);
+            self.apply_entering(slot, q, t);
             if above {
                 self.at_upper[leaving] = true;
             }
-            match self.pivot(slot, q, &w) {
+            match self.pivot(slot, q) {
                 Ok(refactored) => {
                     if refactored {
                         d_valid = false;
@@ -1259,20 +1380,20 @@ impl SparseCore {
             {
                 continue;
             }
-            let mut e = vec![0.0f64; self.m];
-            e[slot] = 1.0;
-            let rho = self.btran(&e);
+            self.btran_unit(slot);
             for j in 0..self.ncols {
                 if self.in_basis[j] || self.kind[j] == CKind::Artificial {
                     continue;
                 }
-                if self.col_dot(j, &rho).abs() > feas {
-                    let w = self.ftran_col(j);
-                    if w[slot].abs() > feas {
+                if self.col_dot(j, &self.ws.y).abs() > feas {
+                    self.ftran_col(j);
+                    let alpha = self.ws.img.w[slot];
+                    if alpha.abs() > feas {
                         let dir = self.enter_dir(j);
-                        let t = self.x_b[slot] / (dir * w[slot]);
-                        self.apply_entering(slot, j, &w, t);
-                        self.pivot(slot, j, &w)?;
+                        let t = self.x_b[slot] / (dir * alpha);
+                        self.apply_entering(slot, j, t);
+                        self.pivot(slot, j)?;
+                        probe!(self, driven_out += 1);
                         break;
                     }
                 }
@@ -1475,13 +1596,12 @@ impl SparseCore {
         let st = if primal_ok {
             self.iterate(&costs, false)?
         } else {
-            let cb: Vec<f64> = self.basis.iter().map(|&c| costs[c]).collect();
-            let y = self.btran(&cb);
+            self.btran_costs(&costs);
             let dual_ok = (0..self.ncols).all(|j| {
                 if self.in_basis[j] || self.kind[j] == CKind::Artificial {
                     return true;
                 }
-                let d = costs[j] - self.col_dot(j, &y);
+                let d = costs[j] - self.col_dot(j, &self.ws.y);
                 if self.at_upper[j] {
                     d <= feas
                 } else {
@@ -1511,7 +1631,7 @@ impl SparseCore {
         if self.m == 0 {
             return Ok(self.settle_box());
         }
-        self.x_b = self.ftran(&self.effective_rhs());
+        self.recompute_basics();
         self.cursor = 0;
         let st = self.dual_simplex(false)?;
         if st == SolveStatus::Optimal {
@@ -1541,7 +1661,7 @@ impl SparseCore {
     }
 
     /// Reduced-space optimal solution.
-    fn extract(&self) -> Solution {
+    fn extract(&mut self) -> Solution {
         let mut x = vec![0.0f64; self.n_structural];
         for (s, &c) in self.basis.iter().enumerate() {
             if c < self.n_structural {
@@ -1565,9 +1685,11 @@ impl SparseCore {
         let duals = if self.m == 0 {
             Vec::new()
         } else {
-            let cb: Vec<f64> = self.basis.iter().map(|&c| self.costs[c]).collect();
-            let y = self.btran(&cb);
-            self.user_rows.iter().map(|&(row, sign)| y[row] * sign).collect()
+            for (cb, &c) in self.ws.cb.iter_mut().zip(&self.basis) {
+                *cb = self.costs[c];
+            }
+            self.btran();
+            self.user_rows.iter().map(|&(row, sign)| self.ws.y[row] * sign).collect()
         };
         Solution {
             status: SolveStatus::Optimal,
@@ -1876,8 +1998,8 @@ impl SparseEngine {
             s.core.resolve_rhs(&deltas)?
         };
         if st == SolveStatus::Optimal {
+            let mut red_sol = self.state.as_mut().expect("checked").core.extract();
             let s = self.state.as_ref().expect("checked");
-            let mut red_sol = s.core.extract();
             if let Some(sc) = &s.scale {
                 sc.unscale(&mut red_sol);
             }
@@ -1922,7 +2044,7 @@ pub(crate) fn solve_sparse(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{LinearProgram, Sense};
+    use crate::model::{ConstraintId, LinearProgram, Sense};
     use crate::simplex::{solve_with, SolverBackend};
 
     fn sparse_opts() -> SimplexOptions {
@@ -2183,6 +2305,143 @@ mod tests {
                 assert_close(*a, *b, 1e-9);
             }
         }
+    }
+
+    /// A seeded LP with a finite box on every variable and costs of
+    /// both signs, so columns rest at — and flip between — both
+    /// bounds. `zero_rhs` of every ten rows get a zero right-hand side
+    /// (a degenerate vertex at the origin); `eq` of every ten are
+    /// equalities through the origin, whose artificials stay basic at
+    /// zero until they are driven out.
+    fn boxed_lp(seed: u64, nv: usize, nc: usize, zero_rhs: u64, eq: u64) -> LinearProgram {
+        let mut state = seed;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut lp = LinearProgram::new();
+        let vars: Vec<_> = (0..nv)
+            .map(|_| {
+                let ub = 0.25 * (1 + next() % 6) as f64;
+                let cost = (next() % 9) as f64 - 4.0;
+                lp.add_var(0.0, ub, cost)
+            })
+            .collect();
+        for _ in 0..nc {
+            let mut terms = Vec::new();
+            for &v in &vars {
+                if next() % 4 == 0 {
+                    terms.push((v, (next() % 7) as f64 - 3.0));
+                }
+            }
+            terms.retain(|&(_, a)| a != 0.0);
+            let roll = next() % 10;
+            if roll < eq {
+                lp.add_constraint(terms, Sense::Eq, 0.0);
+            } else if roll < eq + zero_rhs {
+                lp.add_constraint(terms, Sense::Le, 0.0);
+            } else if next() % 2 == 0 {
+                lp.add_constraint(terms, Sense::Le, 2.0 + (next() % 6) as f64);
+            } else {
+                lp.add_constraint(terms, Sense::Ge, -(2.0 + (next() % 6) as f64));
+            }
+        }
+        lp
+    }
+
+    fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+        words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            (h ^ w).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    /// What a solve did, as the identity test pins it: steps taken,
+    /// a digest of the `(entering, leaving slot | flip)` trace,
+    /// `iterations`, a digest of the final basis with its at-upper
+    /// flags, and the objective's bits.
+    fn fingerprint(core: &SparseCore, sol: &Solution) -> (usize, u64, usize, u64, u64) {
+        let trace = &core.probe.trace;
+        let basis = core.current_basis();
+        (
+            trace.len(),
+            fnv(trace.iter().flat_map(|&(q, s)| [q as u64, s as u64])),
+            sol.iterations,
+            fnv(basis
+                .cols()
+                .iter()
+                .map(|&c| c as u64)
+                .chain(basis.at_upper().iter().map(|&f| u64::from(f)))),
+            sol.objective.to_bits(),
+        )
+    }
+
+    /// The primal loop pays one BTRAN of `c_B` per basis change and one
+    /// per call — never one per bound flip.
+    fn assert_btran_identity(core: &SparseCore) {
+        let p = &core.probe;
+        let flips = p.trace.iter().filter(|&&(_, s)| s == usize::MAX).count();
+        assert!(flips > 0, "the case must flip bounds to prove anything");
+        assert_eq!(p.btran_iterate, p.iterate_pivots + p.iterate_calls, "{flips} flips");
+    }
+
+    #[test]
+    fn iteration_identity_is_pinned_by_counts() {
+        // One that stalls into Bland's rule: a degenerate origin and
+        // an impatient stall threshold.
+        let opts = SimplexOptions { stall_threshold: 3, ..sparse_opts() };
+        let mut core = SparseCore::build(&boxed_lp(0xB1A2D, 40, 30, 6, 0), opts, 0);
+        let sol = core.run().unwrap();
+        assert_eq!(sol.status, SolveStatus::Optimal);
+        assert!(core.probe.bland_picks > 0, "never stalled into Bland");
+        assert_btran_identity(&core);
+        assert_eq!(
+            fingerprint(&core, &sol),
+            (70, 1865561017500336247, 70, 9898662904481704824, 13852224119486837191),
+            "bland"
+        );
+
+        // One whose equality rows leave artificials basic at zero for
+        // `drive_out_artificials`.
+        let mut core = SparseCore::build(&boxed_lp(0x61, 36, 28, 1, 4), sparse_opts(), 0);
+        let sol = core.run().unwrap();
+        assert_eq!(sol.status, SolveStatus::Optimal);
+        assert!(core.probe.driven_out > 0, "no artificial was driven out");
+        assert_btran_identity(&core);
+        assert_eq!(
+            fingerprint(&core, &sol),
+            (38, 10378785687183355385, 38, 15691564948707057486, 13848815144768897022),
+            "drive-out"
+        );
+
+        // One solved warm: the saved optimal basis meets shifted
+        // right-hand sides, so the restore is primal infeasible and
+        // dual feasible — `dual_simplex`, then `iterate`.
+        let mut lp = boxed_lp(0x3A23, 40, 30, 0, 0);
+        let mut cold = SparseCore::build(&lp, sparse_opts(), 0);
+        assert_eq!(cold.run().unwrap().status, SolveStatus::Optimal);
+        let saved = cold.current_basis();
+        for i in 0..lp.num_constraints() {
+            let id = ConstraintId(i);
+            let rhs = lp.constraints()[i].rhs;
+            lp.set_rhs(id, if rhs > 0.0 { rhs * 0.5 } else { rhs * 0.25 });
+        }
+        let mut core = SparseCore::build(&lp, sparse_opts(), 0);
+        assert!(core.restore_basis(&saved).unwrap());
+        let sol = core.solve_restored().unwrap().expect("the restored basis is dual feasible");
+        let p = &core.probe;
+        assert_eq!((p.dual_calls, p.iterate_calls), (1, 1));
+        assert!(p.trace.len() > p.iterate_pivots, "the dual simplex had nothing to do");
+        // The dual loop rebuilds its reduced costs once, then only
+        // when a pivot refactorized (or the livelock guard did).
+        assert!(p.btran_dual >= 1 && p.btran_dual as u64 <= core.refactorizations);
+        assert_eq!(p.btran_iterate, p.iterate_pivots + p.iterate_calls);
+        assert_eq!(
+            fingerprint(&core, &sol),
+            (16, 3782201000182202493, 16, 13108591337517053317, 13852207350327040468),
+            "warm"
+        );
     }
 
     #[test]
