@@ -40,7 +40,8 @@
 //! (including exact duals for eliminated rows) on the way out.
 
 use crate::factor::{
-    EtaFile, FactorError, FtFactors, FtUpdate, FtranImage, LuFactors, REFACTOR_INTERVAL,
+    EtaFile, FactorError, FactorWork, FtFactors, FtUpdate, FtranImage, LuFactors,
+    REFACTOR_INTERVAL,
 };
 use crate::model::{LinearProgram, Sense};
 use crate::presolve::{presolve, PresolveMode, PresolveResult, Reduction};
@@ -103,6 +104,11 @@ struct Workspace {
     b_eff: Vec<f64>,
     /// Reduced costs of one pricing segment.
     price: Vec<f64>,
+    /// `c_B` by slot under the costs of the `iterate` call under way,
+    /// kept current by one store per basis change.
+    cost_b: Vec<f64>,
+    /// What a refactorization builds its factors in.
+    factor: FactorWork,
 }
 
 /// Records into the core's test-only `Probe`; compiles to nothing outside
@@ -396,6 +402,7 @@ impl SparseCore {
             rhs: vec![0.0; m],
             sol: vec![0.0; m],
             b_eff: vec![0.0; m],
+            cost_b: vec![0.0; m],
             ..Workspace::default()
         };
         Self {
@@ -475,16 +482,15 @@ impl SparseCore {
     /// estimated and the basic solution refined (`Refine` rung) when
     /// its residual exceeds [`crate::Tolerances::residual`].
     fn refactorize(&mut self) -> Result<(), FactorError> {
-        let bcols: Vec<Vec<(usize, f64)>> =
-            self.basis.iter().map(|&c| self.cols[c].clone()).collect();
-        let basis_nnz: usize = bcols.iter().map(Vec::len).sum();
+        let (cols, basis, work) = (&self.cols, &self.basis, &mut self.ws.factor);
+        let col = |s: usize| cols[basis[s]].as_slice();
+        let basis_nnz: usize = (0..self.m).map(|s| col(s).len()).sum();
         let tols = self.opts.tols;
-        let mut lu =
-            LuFactors::factorize_with(self.m, &bcols, tols.singular, self.peel_tol);
+        let mut lu = LuFactors::factorize_with(self.m, col, tols.singular, self.peel_tol, work);
         while lu.is_err() && self.peel_tol < PEEL_TOL_CAP {
             self.peel_tol = (self.peel_tol * PEEL_TIGHTEN).min(PEEL_TOL_CAP);
             self.tightenings += 1;
-            lu = LuFactors::factorize_with(self.m, &bcols, tols.singular, self.peel_tol);
+            lu = LuFactors::factorize_with(self.m, col, tols.singular, self.peel_tol, work);
         }
         let lu = lu?;
         self.fill_total += lu.fill_in(basis_nnz) as u64;
@@ -606,6 +612,12 @@ impl SparseCore {
         for (cb, &c) in self.ws.cb.iter_mut().zip(&self.basis) {
             *cb = costs[c];
         }
+        self.btran();
+    }
+
+    /// The same from `ws.cost_b`, the basic costs `iterate` keeps.
+    fn btran_basic_costs(&mut self) {
+        self.ws.cb.copy_from_slice(&self.ws.cost_b);
         self.btran();
     }
 
@@ -889,6 +901,8 @@ impl SparseCore {
         // at the factorization's noise floor, and KKT certification
         // decides whether it stands as `Optimal` or is downgraded.
         let mut confirmed_since_progress = false;
+        self.ws.cost_b.clear();
+        self.ws.cost_b.extend(self.basis.iter().map(|&c| costs[c]));
         loop {
             if self.iterations >= self.opts.max_iterations {
                 return Ok(SolveStatus::IterationLimit);
@@ -897,7 +911,7 @@ impl SparseCore {
             let q = if devex && !bland {
                 let fresh = !d_valid;
                 if !d_valid {
-                    self.btran_costs(costs);
+                    self.btran_basic_costs();
                     y_valid = true;
                     probe!(self, btran_iterate += 1);
                     self.price_segment(0, &self.ws.y, costs, allow_art, &mut d);
@@ -943,7 +957,7 @@ impl SparseCore {
                     d_valid = false;
                 }
                 if !y_valid {
-                    self.btran_costs(costs);
+                    self.btran_basic_costs();
                     y_valid = true;
                     probe!(self, btran_iterate += 1);
                 }
@@ -1030,17 +1044,13 @@ impl SparseCore {
                 }
                 y_valid = false;
                 probe!(self, iterate_pivots += 1);
+                self.ws.cost_b[slot] = costs[q];
                 if self.pivot(slot, q)? {
                     d_valid = false;
                 }
                 confirmed_since_progress = false;
             }
-            let obj: f64 = self
-                .basis
-                .iter()
-                .zip(&self.x_b)
-                .map(|(&c, &xb)| costs[c] * xb)
-                .sum::<f64>()
+            let obj = self.ws.cost_b.iter().zip(&self.x_b).map(|(&c, &xb)| c * xb).sum::<f64>()
                 + self.upper_objective(costs);
             if obj < best_obj - self.opts.tols.stall_improvement {
                 best_obj = obj;
@@ -1479,6 +1489,14 @@ impl SparseCore {
         }
     }
 
+    /// Rebuilds `in_basis` from `basis`, in place.
+    fn mark_basis(&mut self) {
+        self.in_basis.fill(false);
+        for &c in &self.basis {
+            self.in_basis[c] = true;
+        }
+    }
+
     /// Installs a saved basis + bound assignment (artificial entries
     /// fall back to the slot's initial basic column) and
     /// refactorizes. `false` leaves the core on its initial basis,
@@ -1524,10 +1542,7 @@ impl SparseCore {
             }
             match self.refactorize() {
                 Ok(()) => {
-                    self.in_basis = vec![false; self.ncols];
-                    for &c in &self.basis {
-                        self.in_basis[c] = true;
-                    }
+                    self.mark_basis();
                     return Ok(true);
                 }
                 Err(err) => {
@@ -1553,10 +1568,7 @@ impl SparseCore {
                         patched += 1;
                         match self.refactorize() {
                             Ok(()) => {
-                                self.in_basis = vec![false; self.ncols];
-                                for &c in &self.basis {
-                                    self.in_basis[c] = true;
-                                }
+                                self.mark_basis();
                                 return Ok(true);
                             }
                             Err(next) => err = next,
@@ -1568,10 +1580,7 @@ impl SparseCore {
             }
         }
         self.basis.clone_from(&self.init_basic);
-        self.in_basis = vec![false; self.ncols];
-        for &c in &self.basis {
-            self.in_basis[c] = true;
-        }
+        self.mark_basis();
         self.at_upper.iter_mut().for_each(|f| *f = false);
         self.refactorize()?;
         Ok(false)
@@ -1622,12 +1631,11 @@ impl SparseCore {
     /// Re-solves after a reduced-space rhs-only change. `deltas` are
     /// `(reduced_row, new_rhs − build_rhs)` pairs.
     fn resolve_rhs(&mut self, deltas: &[(usize, f64)]) -> Result<SolveStatus, FactorError> {
-        let mut new_b = self.b0.clone();
+        self.b.clone_from(&self.b0);
         for &(k, d) in deltas {
             let (row, sign) = self.user_rows[k];
-            new_b[row] += sign * d;
+            self.b[row] += sign * d;
         }
-        self.b = new_b;
         if self.m == 0 {
             return Ok(self.settle_box());
         }

@@ -1,75 +1,19 @@
 //! The sparse engine's pivots allocate nothing: every vector an
 //! iteration fills lives in the core's workspace, the eta file keeps
 //! its storage across refactorizations, and only a refactorization
-//! (one per 64 basis changes) builds new vectors. Counted
-//! with a global allocator that tallies calls — which is why this is
-//! an integration test (the library forbids `unsafe`) and the only
-//! test in its binary (no other thread allocates while it counts).
+//! (one per 64 basis changes) builds new vectors. Counted with the
+//! tallying allocator of `common/mod.rs`; the only test in its binary.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod common;
 
-use prete_lp::{solve_with, LinearProgram, Sense, SimplexOptions, SolveStatus};
+use std::sync::atomic::Ordering;
 
-struct Counting;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter is a relaxed statistic that
-// publishes no other data.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's obligations for `alloc` are `System`'s.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through this allocator with
-        // the same layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: as for `dealloc`; `new_size` is the caller's promise.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// A box-constrained covering LP that takes well over a thousand
-/// primal pivots and bound flips from the slack/artificial basis.
-fn long_lp() -> LinearProgram {
-    let mut state = 0x5EED_A110Cu64;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let mut lp = LinearProgram::new();
-    let vars: Vec<_> = (0..300)
-        .map(|_| lp.add_var(0.0, 0.5 + (next() % 4) as f64, 1.0 + (next() % 9) as f64))
-        .collect();
-    for _ in 0..200 {
-        let mut terms = Vec::new();
-        for &v in &vars {
-            if next() % 8 == 0 {
-                terms.push((v, 1.0 + (next() % 5) as f64));
-            }
-        }
-        lp.add_constraint(terms, Sense::Ge, 6.0 + (next() % 7) as f64);
-    }
-    lp
-}
+use common::{long_lp, ALLOCATIONS};
+use prete_lp::{solve_with, SimplexOptions, SolveStatus};
 
 #[test]
 fn a_pivot_allocates_nothing() {
-    let lp = long_lp();
+    let lp = long_lp(1);
     // (refactorizations, allocations) of the solve cut off after
     // `max_iterations` pivots and bound flips.
     let truncated = |max_iterations: usize| {
