@@ -26,8 +26,7 @@
 //! `(seed, case)` pair alone.
 
 use prete_lp::{
-    solve_with, ColdStart, EtaUpdate, LinearProgram, Pricing, Sense, SimplexOptions,
-    SolveStatus, SolverBackend,
+    solve_with, ColdStart, LinearProgram, Sense, SimplexOptions, SolveStatus, SolverBackend,
 };
 
 /// Relative objective-agreement tolerance between two *certified*
@@ -243,19 +242,13 @@ pub fn generate(seed: u64, case: usize) -> TortureSpec {
 // ---------------------------------------------------------------------------
 
 /// Sparse configurations exercised per torture case: the default
-/// engine plus the fully modern one (devex pricing, Forrest–Tomlin
-/// updates, dual cold starts).
-pub const TORTURE_MATRIX: [(Pricing, EtaUpdate, ColdStart); 2] = [
-    (Pricing::Dantzig, EtaUpdate::ProductForm, ColdStart::TwoPhase),
-    (Pricing::Devex, EtaUpdate::ForrestTomlin, ColdStart::Auto),
-];
+/// engine under each cold start.
+pub const TORTURE_MATRIX: [ColdStart; 2] = [ColdStart::TwoPhase, ColdStart::Auto];
 
-fn sparse_opts(cfg: (Pricing, EtaUpdate, ColdStart)) -> SimplexOptions {
+fn sparse_opts(cold_start: ColdStart) -> SimplexOptions {
     SimplexOptions {
         backend: SolverBackend::SparseRevised,
-        pricing: cfg.0,
-        eta_update: cfg.1,
-        cold_start: cfg.2,
+        cold_start,
         ..SimplexOptions::default()
     }
 }
@@ -290,10 +283,7 @@ pub enum TortureOutcome {
 /// Checks one spec under one sparse configuration. `Err(reason)` is a
 /// real violation of the certification contract; `Ok(outcome)` says
 /// what the comparison amounted to.
-pub fn check(
-    spec: &TortureSpec,
-    cfg: (Pricing, EtaUpdate, ColdStart),
-) -> Result<TortureOutcome, String> {
+pub fn check(spec: &TortureSpec, cfg: ColdStart) -> Result<TortureOutcome, String> {
     let lp = spec.build();
     let opts = sparse_opts(cfg);
     let tols = opts.tols;
@@ -355,7 +345,7 @@ pub fn check(
 /// Greedy shrink to a local minimum while the violation persists:
 /// drop rows, then unbind variables, mirroring the differential
 /// suite's shrinker.
-pub fn shrink(mut spec: TortureSpec, cfg: (Pricing, EtaUpdate, ColdStart)) -> TortureSpec {
+pub fn shrink(mut spec: TortureSpec, cfg: ColdStart) -> TortureSpec {
     loop {
         let mut reduced = false;
         let mut i = 0;
@@ -405,7 +395,7 @@ pub struct TortureViolation {
     pub seed: u64,
     /// Case index under that seed.
     pub case: usize,
-    /// Sparse configuration (`pricing/eta/cold-start`) that violated.
+    /// Sparse configuration (the cold start) that violated.
     pub config: String,
     /// What went wrong.
     pub reason: String,
@@ -469,7 +459,7 @@ pub fn run(seed: u64, cases: usize) -> TortureReport {
                     report.violations.push(TortureViolation {
                         seed,
                         case,
-                        config: format!("{:?}/{:?}/{:?}", cfg.0, cfg.1, cfg.2),
+                        config: format!("{cfg:?}"),
                         reason,
                         shrunk: format!("{small:?}"),
                     });

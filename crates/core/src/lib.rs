@@ -87,8 +87,8 @@ pub mod prelude {
         TeaVarScheme,
     };
     pub use prete_lp::{
-        BasisCache, ColdStart, ConfigError, EtaUpdate, NumericsEvent, Pricing,
-        RecoveryAction, SolutionQuality, SolverBackend, Tolerances,
+        BasisCache, ColdStart, ConfigError, NumericsEvent, RecoveryAction, SolutionQuality,
+        SolverBackend, Tolerances,
     };
     pub use prete_obs::{Recorder, RunReport};
     pub use prete_optical::{Dataset, DatasetConfig, FailureModel};

@@ -33,9 +33,8 @@
 use crate::capacity::CapacityGroups;
 use crate::scenario::ScenarioSet;
 use prete_lp::{
-    solve_mip, BasisCache, ColdStart, ConstraintId, EtaUpdate, LinearProgram, MipOptions,
-    MipStatus, Pricing, Sense, SimplexOptions, SolveStatus, SolverBackend, VarId,
-    WarmSimplex,
+    solve_mip, BasisCache, ColdStart, ConstraintId, LinearProgram, MipOptions, MipStatus, Sense,
+    SimplexOptions, SolveStatus, SolverBackend, VarId, WarmSimplex,
 };
 use prete_obs::Recorder;
 use prete_topology::{Flow, Network, TunnelId, TunnelSet};
@@ -330,10 +329,9 @@ pub struct SolverStats {
     /// Cumulative LU fill-in (factor nonzeros beyond basis nonzeros)
     /// in the sparse engine.
     pub fill_in: u64,
-    /// Forrest–Tomlin pivot rollbacks: pivots undone and re-priced
-    /// because the post-pivot refactorization failed (always 0 under
-    /// product-form updates).
-    pub ft_rollbacks: u64,
+    /// Dual-simplex pivot rollbacks: pivots undone and re-priced
+    /// because the post-pivot refactorization failed.
+    pub rollbacks: u64,
     /// Sparse solves that hit a singular factorization and were
     /// answered by the dense fallback engine.
     pub dense_fallbacks: usize,
@@ -366,12 +364,6 @@ pub struct SolverStats {
     pub max_condition_estimate: f64,
     /// Worker threads the solve was configured with.
     pub threads: usize,
-    /// Pricing rule the solve was configured with (configuration
-    /// label, not a work unit).
-    pub pricing: Pricing,
-    /// Basis-update scheme the solve was configured with
-    /// (configuration label, not a work unit).
-    pub eta_update: EtaUpdate,
     /// Cold-start strategy the solve was configured with
     /// (configuration label, not a work unit).
     pub cold_start: ColdStart,
@@ -397,7 +389,7 @@ impl SolverStats {
         self.refactorizations += other.refactorizations;
         self.etas += other.etas;
         self.fill_in += other.fill_in;
-        self.ft_rollbacks += other.ft_rollbacks;
+        self.rollbacks += other.rollbacks;
         self.dense_fallbacks += other.dense_fallbacks;
         self.refinements += other.refinements;
         self.tightenings += other.tightenings;
@@ -408,11 +400,9 @@ impl SolverStats {
         self.max_condition_estimate =
             self.max_condition_estimate.max(other.max_condition_estimate);
         self.threads = self.threads.max(other.threads);
-        // Configuration labels: the accumulator adopts the merged
-        // solve's choices, so a default-initialized epoch accumulator
+        // Configuration label: the accumulator adopts the merged
+        // solve's choice, so a default-initialized epoch accumulator
         // ends up labelled with what actually ran.
-        self.pricing = other.pricing;
-        self.eta_update = other.eta_update;
         self.cold_start = other.cold_start;
     }
 
@@ -463,7 +453,7 @@ impl SolverStats {
         rec.add("solver.refactorizations", self.refactorizations);
         rec.add("solver.etas", self.etas);
         rec.add("solver.fill_in", self.fill_in);
-        rec.add("solver.ft_rollbacks", self.ft_rollbacks);
+        rec.add("solver.rollbacks", self.rollbacks);
         rec.add("solver.dense_fallbacks", self.dense_fallbacks as u64);
         rec.add("solver.refinements", self.refinements);
         rec.add("solver.tightenings", self.tightenings);
@@ -501,8 +491,8 @@ impl SolverStats {
 
 impl PartialEq for SolverStats {
     /// Deterministic work-unit fields only — wall-clock measurements,
-    /// the machine-dependent thread count and the configuration labels
-    /// (`pricing`, `eta_update`) are excluded so replays on any
+    /// the machine-dependent thread count and the configuration label
+    /// (`cold_start`) are excluded so replays on any
     /// machine compare equal when they did the same work.
     fn eq(&self, other: &Self) -> bool {
         self.lp_solves == other.lp_solves
@@ -517,7 +507,7 @@ impl PartialEq for SolverStats {
             && self.refactorizations == other.refactorizations
             && self.etas == other.etas
             && self.fill_in == other.fill_in
-            && self.ft_rollbacks == other.ft_rollbacks
+            && self.rollbacks == other.rollbacks
             && self.dense_fallbacks == other.dense_fallbacks
             && self.refinements == other.refinements
             && self.tightenings == other.tightenings
@@ -556,8 +546,6 @@ pub struct TeSolver<'p, 'a, 'c> {
     budget: SolveBudget,
     threads: usize,
     backend: SolverBackend,
-    pricing: Pricing,
-    eta_update: EtaUpdate,
     cold_start: ColdStart,
     cache: Option<&'c mut BasisCache>,
     recorder: Recorder,
@@ -567,8 +555,8 @@ pub struct TeSolver<'p, 'a, 'c> {
 impl<'p, 'a, 'c> TeSolver<'p, 'a, 'c> {
     /// Creates a solver for `problem` with defaults: `beta =`
     /// [`DEFAULT_BETA`], [`SolveMethod::Heuristic`], the default
-    /// [`SolveBudget`], all available cores, default pricing/eta-update
-    /// rules, no warm-start cache, no recorder.
+    /// [`SolveBudget`], all available cores, the default backend and
+    /// cold start, no warm-start cache, no recorder.
     pub fn new(problem: &'p TeProblem<'a>) -> Self {
         Self {
             problem,
@@ -577,8 +565,6 @@ impl<'p, 'a, 'c> TeSolver<'p, 'a, 'c> {
             budget: SolveBudget::default(),
             threads: 0,
             backend: SolverBackend::default(),
-            pricing: Pricing::default(),
-            eta_update: EtaUpdate::default(),
             cold_start: ColdStart::default(),
             cache: None,
             recorder: Recorder::disabled(),
@@ -639,25 +625,6 @@ impl<'p, 'a, 'c> TeSolver<'p, 'a, 'c> {
         self
     }
 
-    /// Entering-variable pricing rule for the sparse engine
-    /// ([`Pricing::Dantzig`] segmented partial pricing by default,
-    /// [`Pricing::Devex`] reference-framework pricing to cut pivot
-    /// counts on large programs). Ignored by the dense oracle backend.
-    pub fn pricing(mut self, pricing: Pricing) -> Self {
-        self.pricing = pricing;
-        self
-    }
-
-    /// Basis-update scheme for the sparse engine
-    /// ([`EtaUpdate::ProductForm`] eta file by default,
-    /// [`EtaUpdate::ForrestTomlin`] LU updates with
-    /// stability-triggered refactorization). Ignored by the dense
-    /// oracle backend.
-    pub fn eta_update(mut self, eta_update: EtaUpdate) -> Self {
-        self.eta_update = eta_update;
-        self
-    }
-
     /// Cold-start strategy for the sparse engine
     /// ([`ColdStart::TwoPhase`] by default: the classic primal
     /// two-phase sequence, reproducing historical pivot paths;
@@ -711,22 +678,16 @@ impl<'p, 'a, 'c> TeSolver<'p, 'a, 'c> {
         let span = recorder.span("solve");
         let threads = effective_threads(self.threads);
         recorder.event_with("solver.backend", || format!("{:?}", self.backend));
-        recorder.event_with("solver.pricing", || format!("{:?}", self.pricing));
-        recorder.event_with("solver.eta-update", || format!("{:?}", self.eta_update));
         recorder.event_with("solver.cold-start", || format!("{:?}", self.cold_start));
         let evictions_before = self.cache.as_ref().map_or(0, |c| c.evictions());
         let mut ctx = SolveCtx {
             problem: self.problem,
             threads,
             backend: self.backend,
-            pricing: self.pricing,
-            eta_update: self.eta_update,
             cold_start: self.cold_start,
             cache: self.cache,
             stats: SolverStats {
                 threads,
-                pricing: self.pricing,
-                eta_update: self.eta_update,
                 cold_start: self.cold_start,
                 scenarios_pruned: self.scenario_stats.map_or(0, |(p, _)| p),
                 tail_mass: self.scenario_stats.map_or(0.0, |(_, t)| t),
@@ -900,8 +861,6 @@ struct SolveCtx<'p, 'a, 'c> {
     problem: &'p TeProblem<'a>,
     threads: usize,
     backend: SolverBackend,
-    pricing: Pricing,
-    eta_update: EtaUpdate,
     cold_start: ColdStart,
     cache: Option<&'c mut BasisCache>,
     stats: SolverStats,
@@ -913,22 +872,20 @@ impl SolveCtx<'_, '_, '_> {
         SimplexOptions {
             threads: self.threads,
             backend: self.backend,
-            pricing: self.pricing,
-            eta_update: self.eta_update,
             cold_start: self.cold_start,
             ..SimplexOptions::default()
         }
     }
 
     /// Folds a solve's engine counters (sparse refactorizations, etas,
-    /// fill-in, FT rollbacks, dense fallbacks) into the stats.
+    /// fill-in, rollbacks, dense fallbacks) into the stats.
     fn absorb_engine(&mut self, sol: &prete_lp::Solution) {
         self.stats.refactorizations += sol.engine.refactorizations;
         self.stats.etas += sol.engine.etas;
         self.stats.fill_in += sol.engine.fill_in;
         if sol.engine.rollbacks > 0 {
-            self.stats.ft_rollbacks += sol.engine.rollbacks;
-            self.obs.event_with("solver.ft-rollback", || {
+            self.stats.rollbacks += sol.engine.rollbacks;
+            self.obs.event_with("solver.rollback", || {
                 format!("{} pivot(s) rolled back", sol.engine.rollbacks)
             });
         }
@@ -1374,8 +1331,8 @@ impl SolveCtx<'_, '_, '_> {
         self.stats.etas += engine.etas;
         self.stats.fill_in += engine.fill_in;
         if engine.rollbacks > 0 {
-            self.stats.ft_rollbacks += engine.rollbacks;
-            self.obs.event_with("solver.ft-rollback", || {
+            self.stats.rollbacks += engine.rollbacks;
+            self.obs.event_with("solver.rollback", || {
                 format!("{} pivot(s) rolled back in benders loop", engine.rollbacks)
             });
         }
@@ -1888,7 +1845,7 @@ mod tests {
             refactorizations: 11,
             etas: 57,
             fill_in: 204,
-            ft_rollbacks: 2,
+            rollbacks: 2,
             dense_fallbacks: 1,
             refinements: 7,
             tightenings: 3,
@@ -1898,8 +1855,6 @@ mod tests {
             tail_mass: 0.125,
             max_condition_estimate: 1500.0,
             threads: 8,
-            pricing: Pricing::Devex,
-            eta_update: EtaUpdate::ForrestTomlin,
             cold_start: ColdStart::Auto,
         };
         let json = serde_json::to_string(&stats).unwrap();
@@ -1920,7 +1875,7 @@ mod tests {
             r#""refactorizations":11"#,
             r#""etas":57"#,
             r#""fill_in":204"#,
-            r#""ft_rollbacks":2"#,
+            r#""rollbacks":2"#,
             r#""dense_fallbacks":1"#,
             r#""refinements":7"#,
             r#""tightenings":3"#,
@@ -1930,8 +1885,6 @@ mod tests {
             r#""tail_mass":0.125"#,
             r#""max_condition_estimate":1500.0"#,
             r#""threads":8"#,
-            r#""pricing":"Devex""#,
-            r#""eta_update":"ForrestTomlin""#,
             r#""cold_start":"Auto""#,
         ] {
             assert!(json.contains(field), "{field} missing from {json}");

@@ -13,10 +13,10 @@
 //!   optimality cuts of Appendix A.4/A.5), kept as the trusted oracle
 //!   and automatic fallback, and the default sparse revised simplex
 //!   (presolve + CSC columns + LU-factorized basis with product-form
-//!   eta or Forrest–Tomlin updates, Dantzig or devex pricing, native
-//!   variable bounds — all selected by typed [`simplex::Pricing`] /
-//!   [`simplex::EtaUpdate`] options) for the large, extremely sparse
-//!   TE programs;
+//!   eta updates, partial Dantzig pricing with a Bland's-rule fallback,
+//!   native variable bounds, and a cold start chosen by
+//!   [`simplex::ColdStart`]) for the large, extremely sparse TE
+//!   programs;
 //! * [`mip`] — branch-and-bound over binary/integer variables on top of
 //!   the simplex relaxation, used for the Benders master problem and as
 //!   an exact (small-instance) reference solver for the full MIP

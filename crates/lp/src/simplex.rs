@@ -50,47 +50,28 @@ pub enum SolverBackend {
     SparseRevised,
 }
 
-/// Entering-variable pricing rule for the sparse revised engine.
-///
-/// The dense tableau oracle always prices with full Dantzig scans; this
-/// knob only affects [`SolverBackend::SparseRevised`]. Both rules share
-/// the automatic Bland's-rule anti-cycling fallback after a stall.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize, serde::Deserialize,
-)]
+/// What is left of the sparse engine's pricing-rule option: its one
+/// rule, segmented partial Dantzig with a Bland's-rule fallback after a
+/// stall. Nothing reads it; it survives only as the type of
+/// `Controller::pricing`, a field the repository benchmark names, and
+/// goes when the benchmark's next revision stops naming it.
+#[derive(Debug, Clone, Copy, Default)]
 pub enum Pricing {
-    /// Segmented partial Dantzig pricing: scan reduced costs in
-    /// rotating segments, take the most negative. Cheap per iteration
-    /// but blind to column geometry, so pivot counts grow on long thin
-    /// programs. The default — it preserves the historical pivot
-    /// sequences bit-for-bit.
+    /// Segmented partial Dantzig pricing.
     #[default]
     Dantzig,
-    /// Devex reference-framework pricing (Forrest–Goldfarb): maximize
-    /// `d_j² / γ_j` where `γ_j` approximates the steepest-edge norm of
-    /// column `j` in the current reference framework. Costs one extra
-    /// BTRAN per pivot but typically cuts pivot counts by severalfold
-    /// on the TE polish programs.
-    Devex,
 }
 
-/// Basis-inverse update strategy for the sparse revised engine.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize, serde::Deserialize,
-)]
+/// What is left of the sparse engine's basis-update option: its one
+/// scheme, product-form etas with periodic refactorization. Nothing
+/// reads it; it survives only as the type of `Controller::eta_update`,
+/// a field the repository benchmark names, and goes when the
+/// benchmark's next revision stops naming it.
+#[derive(Debug, Clone, Copy, Default)]
 pub enum EtaUpdate {
-    /// Product-form eta file: one dense eta column per pivot, with a
-    /// full refactorization every fixed number of pivots. Simple and
-    /// the historical default, but FTRAN/BTRAN cost grows linearly in
-    /// the eta count and the file churns on long solves.
+    /// Product-form eta file.
     #[default]
     ProductForm,
-    /// Forrest–Tomlin LU updates: the factorization itself absorbs each
-    /// basis change (spike column + one row elimination), with
-    /// refactorization triggered by a numerical stability test instead
-    /// of a fixed cadence. FTRAN/BTRAN stay near the cold-factor cost
-    /// across hundreds of pivots.
-    ForrestTomlin,
 }
 
 /// Cold-start strategy for the sparse revised engine.
@@ -151,10 +132,6 @@ pub struct Tolerances {
     /// instead of being accepted. Raised adaptively (sticky, per
     /// core) by the `TightenTolerance` recovery rung.
     pub peel: f64,
-    /// Forrest–Tomlin relative stability bound: an update whose
-    /// diagonal is below `ft_stability × max|spike|` forces a
-    /// refactorization instead (historically `FT_STAB_REL = 1e-7`).
-    pub ft_stability: f64,
     /// Objective improvement below which an iteration counts toward
     /// the anti-cycling stall detector (historically `1e-12`).
     pub stall_improvement: f64,
@@ -196,7 +173,6 @@ impl Default for Tolerances {
             phase1_infeas: 1e-6,
             singular: 1e-11,
             peel: 1e-11,
-            ft_stability: 1e-7,
             stall_improvement: 1e-12,
             residual: 1e-9,
             certify_primal: 1e-6,
@@ -221,7 +197,6 @@ impl Tolerances {
             ("phase1_infeas", self.phase1_infeas),
             ("singular", self.singular),
             ("peel", self.peel),
-            ("ft_stability", self.ft_stability),
             ("stall_improvement", self.stall_improvement),
             ("residual", self.residual),
             ("certify_primal", self.certify_primal),
@@ -316,10 +291,6 @@ pub struct SimplexOptions {
     /// Engine selection (default [`SolverBackend::SparseRevised`] with
     /// automatic dense fallback on factorization failure).
     pub backend: SolverBackend,
-    /// Entering-variable pricing rule (sparse engine only).
-    pub pricing: Pricing,
-    /// Basis-inverse update strategy (sparse engine only).
-    pub eta_update: EtaUpdate,
     /// Cold-start strategy (sparse engine only).
     pub cold_start: ColdStart,
 }
@@ -333,8 +304,6 @@ impl Default for SimplexOptions {
             stall_threshold: 1_000,
             threads: 1,
             backend: SolverBackend::default(),
-            pricing: Pricing::default(),
-            eta_update: EtaUpdate::default(),
             cold_start: ColdStart::default(),
         }
     }
@@ -391,16 +360,14 @@ pub struct EngineStats {
     /// Basis LU (re)factorizations, including the initial one.
     pub refactorizations: u64,
     /// Basis updates absorbed between refactorizations (product-form
-    /// eta vectors or Forrest–Tomlin spike updates, depending on
-    /// [`EtaUpdate`]).
+    /// eta vectors).
     pub etas: u64,
     /// Cumulative LU fill-in (factor nonzeros beyond the basis
     /// nonzeros) across all factorizations.
     pub fill_in: u64,
-    /// Forrest–Tomlin pivot rollbacks: pivots undone because the
+    /// Dual-simplex pivot rollbacks: pivots undone because the
     /// post-pivot refactorization failed, forcing the engine to
-    /// restore the previous basis and re-pivot. Always zero under
-    /// product-form updates.
+    /// restore the previous basis and re-pivot.
     pub rollbacks: u64,
     /// Iterative-refinement steps applied to basic solutions whose
     /// residual exceeded [`Tolerances::residual`].
@@ -475,7 +442,8 @@ pub enum NumericsEvent {
     /// The basis factorization came out singular (a peel or bump pivot
     /// fell below [`Tolerances::singular`]).
     SingularFactorization,
-    /// A Forrest–Tomlin / eta update was rejected as unstable.
+    /// An eta update was rejected as unstable (its pivot element too
+    /// small to divide by).
     UnstableUpdate,
     /// The basis condition estimate exceeded
     /// [`Tolerances::condition_limit`].
@@ -1970,13 +1938,12 @@ mod tests {
         // Each field in turn: NaN, negative, zero and >= 1 must all be
         // rejected with the field's name in the error.
         type Set = fn(&mut Tolerances, f64);
-        let fields: [(&str, Set); 12] = [
+        let fields: [(&str, Set); 11] = [
             ("feas", |t, v| t.feas = v),
             ("dual_pivot", |t, v| t.dual_pivot = v),
             ("phase1_infeas", |t, v| t.phase1_infeas = v),
             ("singular", |t, v| t.singular = v),
             ("peel", |t, v| t.peel = v),
-            ("ft_stability", |t, v| t.ft_stability = v),
             ("stall_improvement", |t, v| t.stall_improvement = v),
             ("residual", |t, v| t.residual = v),
             ("certify_primal", |t, v| t.certify_primal = v),

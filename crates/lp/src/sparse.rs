@@ -9,11 +9,8 @@
 //!
 //! * the constraint matrix in CSC form (never modified),
 //! * an LU factorization of the basis ([`crate::factor::LuFactors`])
-//!   kept current by either a product-form eta file
-//!   ([`EtaUpdate::ProductForm`], refactorized every
-//!   [`REFACTOR_INTERVAL`] pivots) or Forrest–Tomlin updates
-//!   ([`EtaUpdate::ForrestTomlin`], refactorized only when the update
-//!   itself reports numerical trouble),
+//!   kept current by a product-form eta file ([`EtaFile`],
+//!   refactorized every [`REFACTOR_INTERVAL`] pivots),
 //! * the basic-variable values `x_B`, the at-upper-bound flags of the
 //!   nonbasic columns, and a pricing cursor.
 //!
@@ -25,12 +22,10 @@
 //! ones. No explicit bound rows are generated, so the basis stays at
 //! the size of the genuine constraint set.
 //!
-//! Each iteration is a pricing scan — segmented partial Dantzig
-//! ([`Pricing::Dantzig`]) or a devex reference framework
-//! ([`Pricing::Devex`]), with an automatic switch to Bland's
-//! lowest-index rule after a stall (the anti-cycling guarantee) —
-//! against duals from one BTRAN per basis change (a bound flip keeps
-//! them), one reach-limited FTRAN (entering column) and an update
+//! Each iteration is a pricing scan — segmented partial Dantzig, with
+//! an automatic switch to Bland's lowest-index rule after a stall (the
+//! anti-cycling guarantee) — against duals from one BTRAN per basis
+//! change (a bound flip keeps them), one reach-limited FTRAN (entering column) and an update
 //! over the nonzeros of its image, instead of the dense `O(m·n)`
 //! tableau elimination. Every vector an iteration fills lives in a
 //! workspace the core owns, so a pivot allocates nothing.
@@ -39,16 +34,10 @@
 //! ever sees it; solutions are mapped back to the original space
 //! (including exact duals for eliminated rows) on the way out.
 
-use crate::factor::{
-    EtaFile, FactorError, FactorWork, FtFactors, FtUpdate, FtranImage, LuFactors,
-    REFACTOR_INTERVAL,
-};
+use crate::factor::{EtaFile, FactorError, FactorWork, FtranImage, LuFactors, REFACTOR_INTERVAL};
 use crate::model::{LinearProgram, Sense};
 use crate::presolve::{presolve, PresolveMode, PresolveResult, Reduction};
-use crate::simplex::{
-    Basis, ColdStart, EngineStats, EtaUpdate, Pricing, SimplexOptions, Solution,
-    SolveStatus,
-};
+use crate::simplex::{Basis, ColdStart, EngineStats, SimplexOptions, Solution, SolveStatus};
 
 /// Columns per pricing segment (at least this many; larger programs
 /// use `ncols / 8`).
@@ -60,25 +49,11 @@ const PRICE_SEGMENT: usize = 256;
 /// never restores onto a sparse core.
 const SPARSE_SIG_SALT: u64 = 0x6e47_1b0d_5fee_d0a2;
 
-/// When the largest devex reference weight exceeds this, the
-/// reference framework has drifted too far from the current basis and
-/// every weight is reset to 1 (restarting the framework at the
-/// current iterate, per Forrest–Goldfarb).
-const DEVEX_RESET: f64 = 1e7;
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CKind {
     Structural,
     Slack,
     Artificial,
-}
-
-/// Basis-inverse representation: LU factors plus whichever update
-/// scheme [`SimplexOptions::eta_update`] selected.
-#[derive(Debug)]
-enum Factors {
-    Product { lu: Box<LuFactors>, etas: EtaFile },
-    Ft(Box<FtFactors>),
 }
 
 /// Every vector an iteration fills, sized `m` once at build time so
@@ -186,7 +161,10 @@ struct SparseCore {
     /// Nonbasic columns resting at their (finite) upper bound.
     at_upper: Vec<bool>,
     x_b: Vec<f64>,
-    factors: Option<Factors>,
+    /// The basis inverse: the last refactorization's LU factors and the
+    /// etas pushed since.
+    lu: Option<LuFactors>,
+    etas: EtaFile,
     cursor: usize,
     iterations: usize,
     refactorizations: u64,
@@ -427,7 +405,8 @@ impl SparseCore {
             in_basis,
             at_upper: vec![false; ncols],
             x_b: vec![0.0; m],
-            factors: None,
+            lu: None,
+            etas: EtaFile::default(),
             cursor: 0,
             iterations: 0,
             refactorizations: 0,
@@ -471,8 +450,8 @@ impl SparseCore {
         std::mem::swap(&mut self.x_b, &mut self.ws.sol);
     }
 
-    /// Rebuilds the LU factors from the current basis, resets the
-    /// update scheme and recomputes `x_B` from scratch.
+    /// Rebuilds the LU factors from the current basis, empties the eta
+    /// file and recomputes `x_B` from scratch.
     ///
     /// On a singular factorization the `TightenTolerance` recovery
     /// rung fires in-place: the sticky peel tolerance is raised (more
@@ -495,24 +474,8 @@ impl SparseCore {
         let lu = lu?;
         self.fill_total += lu.fill_in(basis_nnz) as u64;
         self.refactorizations += 1;
-        self.factors = Some(match self.opts.eta_update {
-            EtaUpdate::ProductForm => {
-                // The emptied eta file keeps its storage.
-                let etas = match self.factors.take() {
-                    Some(Factors::Product { mut etas, .. }) => {
-                        etas.clear();
-                        etas
-                    }
-                    _ => EtaFile::default(),
-                };
-                Factors::Product { lu: Box::new(lu), etas }
-            }
-            EtaUpdate::ForrestTomlin => {
-                let mut ft = FtFactors::from_lu(&lu);
-                ft.set_tolerances(tols.singular, tols.ft_stability);
-                Factors::Ft(Box::new(ft))
-            }
-        });
+        self.lu = Some(lu);
+        self.etas.clear();
         self.observe_condition();
         self.recompute_basics();
         self.refine_basics();
@@ -586,25 +549,15 @@ impl SparseCore {
     /// `ws.sol` (by slot).
     fn ftran(&mut self) {
         let ws = &mut self.ws;
-        match self.factors.as_ref().expect("factorized") {
-            Factors::Product { lu, etas } => {
-                lu.ftran(&mut ws.rhs, &mut ws.sol);
-                etas.apply_ftran(&mut ws.sol);
-            }
-            Factors::Ft(ft) => ws.sol = ft.ftran(&ws.rhs),
-        }
+        self.lu.as_ref().expect("factorized").ftran(&mut ws.rhs, &mut ws.sol);
+        self.etas.apply_ftran(&mut ws.sol);
     }
 
     /// `B⁻ᵀ c`: `ws.cb` (by slot, clobbered) into `ws.y` (by row).
     fn btran(&mut self) {
         let ws = &mut self.ws;
-        match self.factors.as_ref().expect("factorized") {
-            Factors::Product { lu, etas } => {
-                etas.apply_btran(&mut ws.cb);
-                lu.btran(&ws.cb, &mut ws.acc, &mut ws.y);
-            }
-            Factors::Ft(ft) => ws.y = ft.btran(&ws.cb),
-        }
+        self.etas.apply_btran(&mut ws.cb);
+        self.lu.as_ref().expect("factorized").btran(&ws.cb, &mut ws.acc, &mut ws.y);
     }
 
     /// The duals `y = B⁻ᵀ c_B` of the current basis under `costs`.
@@ -629,22 +582,11 @@ impl SparseCore {
     }
 
     /// FTRAN of constraint column `j` into `ws.img`, through the
-    /// reach-limited solve on the product-form path.
+    /// reach-limited solve.
     fn ftran_col(&mut self, j: usize) {
-        let ws = &mut self.ws;
-        match self.factors.as_ref().expect("factorized") {
-            Factors::Product { lu, etas } => {
-                lu.ftran_sparse(&self.cols[j], &mut ws.img);
-                etas.apply_ftran_sparse(&mut ws.img);
-            }
-            Factors::Ft(ft) => {
-                ws.rhs.fill(0.0);
-                for &(r, a) in &self.cols[j] {
-                    ws.rhs[r] = a;
-                }
-                ws.img.load_dense(ft.ftran(&ws.rhs));
-            }
-        }
+        let img = &mut self.ws.img;
+        self.lu.as_ref().expect("factorized").ftran_sparse(&self.cols[j], img);
+        self.etas.apply_ftran_sparse(img);
     }
 
     #[inline]
@@ -671,29 +613,23 @@ impl SparseCore {
     }
 
     /// Replaces the basic variable of `slot` with column `q`, whose
-    /// FTRAN image is `ws.img`, and folds the column replacement into
-    /// the factors (eta push or Forrest–Tomlin update; either may
-    /// demand a refactorization instead). Callers update `x_b` and the
-    /// `at_upper` flags *before* calling, so a triggered
-    /// refactorization recomputes `x_B` against the right bounds.
-    /// Returns whether the basis change triggered a refactorization
-    /// (incremental pricing state must then be recomputed — the
-    /// refactorized solves round differently).
+    /// FTRAN image is `ws.img`, and pushes the column replacement onto
+    /// the eta file (or refactorizes, when the eta's pivot is too small
+    /// or the file is full). Callers update `x_b` and the `at_upper`
+    /// flags *before* calling, so a triggered refactorization
+    /// recomputes `x_B` against the right bounds. Returns whether the
+    /// basis change triggered a refactorization (incremental reduced
+    /// costs must then be recomputed — the refactorized solves round
+    /// differently).
     fn pivot(&mut self, slot: usize, q: usize) -> Result<bool, FactorError> {
         probe!(self, trace.push((q, slot)));
         self.in_basis[self.basis[slot]] = false;
         self.basis[slot] = q;
         self.in_basis[q] = true;
         self.iterations += 1;
-        let refactor = match self.factors.as_mut().expect("factorized") {
-            Factors::Product { etas, .. } => {
-                !etas.push(slot, &self.ws.img.w, &self.ws.img.nz)
-                    || etas.len() >= REFACTOR_INTERVAL
-            }
-            Factors::Ft(ft) => {
-                ft.update(slot, &self.cols[q]) == FtUpdate::NeedsRefactor
-            }
-        };
+        let img = &self.ws.img;
+        let refactor =
+            !self.etas.push(slot, &img.w, &img.nz) || self.etas.len() >= REFACTOR_INTERVAL;
         if refactor {
             self.refactorize()?;
         } else {
@@ -735,9 +671,7 @@ impl SparseCore {
     /// partial pricing over column segments with a deterministic
     /// cursor, or Bland's lowest-index rule when `bland` is set.
     /// Reduced costs are sign-flipped for at-upper columns so
-    /// "profitable" is uniformly `d < −eps`. (Devex pricing lives in
-    /// [`Self::iterate`], scanning its incrementally maintained
-    /// reduced-cost vector.)
+    /// "profitable" is uniformly `d < −eps`.
     fn price(&mut self, costs: &[f64], allow_art: bool, bland: bool) -> Option<usize> {
         let eps = self.opts.eps;
         if bland {
@@ -783,6 +717,11 @@ impl SparseCore {
     /// Reduced costs of columns `[start, start + out.len())` into
     /// `out` (`+∞` for columns that may not enter; sign-flipped for
     /// at-upper columns).
+    ///
+    /// Kept out of line: inlined into `price`, its only caller, the
+    /// scan ran ≈ 5 % slower per `benders-b4` epoch (pricing is half
+    /// of a B&B node) for the same pivots.
+    #[inline(never)]
     fn price_segment(
         &self,
         start: usize,
@@ -806,101 +745,22 @@ impl SparseCore {
         }
     }
 
-    /// The pivot row `α_j = (B⁻¹ A_j)[slot]` for every nonbasic,
-    /// allowed column (zero elsewhere) into `alphas`, from one BTRAN
-    /// of `e_slot` and one pass over the column file. This single row
-    /// feeds both the devex weight update and the incremental
-    /// reduced-cost update, so devex pays one extra solve + one matrix
-    /// pass per pivot — not the two full pricing passes of the naive
-    /// formulation.
-    fn pivot_row(&mut self, slot: usize, allow_art: bool, alphas: &mut [f64]) {
-        self.btran_unit(slot);
-        for (j, alpha) in alphas.iter_mut().enumerate() {
-            *alpha = if self.in_basis[j] || (!allow_art && self.kind[j] == CKind::Artificial) {
-                0.0
-            } else {
-                self.col_dot(j, &self.ws.y)
-            };
-        }
-    }
-
-    /// Devex reference-framework update after choosing `q` to replace
-    /// the basic variable of `slot` (Forrest–Goldfarb): with pivot
-    /// element `α_q = w[slot]` (of the image in `ws.img`) and pivot row `alphas`, every
-    /// candidate's weight rises to `max(γ_j, (α_j/α_q)² γ_q)` and the
-    /// leaving variable enters the nonbasic set with `max(γ_q/α_q², 1)`.
-    /// Serial on purpose — the weights feed the next pricing pass and
-    /// must be bit-identical at every thread count.
-    fn devex_update(&self, slot: usize, q: usize, alphas: &[f64], weights: &mut [f64]) {
-        let alpha_q = self.ws.img.w[slot];
-        if alpha_q == 0.0 {
-            return;
-        }
-        let base = weights[q] / (alpha_q * alpha_q);
-        let mut maxw = 0.0f64;
-        for (j, &alpha_j) in alphas.iter().enumerate() {
-            if self.in_basis[j] || j == q {
-                continue;
-            }
-            if alpha_j != 0.0 {
-                let cand = alpha_j * alpha_j * base;
-                if cand > weights[j] {
-                    weights[j] = cand;
-                }
-            }
-            if weights[j] > maxw {
-                maxw = weights[j];
-            }
-        }
-        weights[self.basis[slot]] = base.max(1.0);
-        if maxw > DEVEX_RESET {
-            weights.iter_mut().for_each(|g| *g = 1.0);
-        }
-    }
-
     /// Primal simplex loop over the given costs, with a bound-flip
     /// ratio test: the entering variable may hit its own opposite
     /// bound first (no basis change), and a basic variable may leave
     /// at either of its bounds.
     ///
-    /// Under [`Pricing::Devex`] the loop maintains the full (true,
-    /// unflipped) reduced-cost vector incrementally from each pivot
-    /// row, so pricing is an O(ncols) scan of `d² / γ` instead of a
-    /// matrix pass, and the expensive BTRAN of the basic costs is only
-    /// needed to rebuild `d` after a refactorization or a Bland
-    /// excursion. Every chosen column is verified against its exact
-    /// reduced cost (one dot with the already-computed FTRAN column)
-    /// before pivoting — a stale-drift pick forces a rebuild rather
-    /// than a bad pivot.
-    ///
-    /// Dantzig and Bland pricing read the duals `y = B⁻ᵀc_B`, which
-    /// depend on the basis alone: a bound flip keeps them, so the
-    /// BTRAN is paid once per basis change (a refactorization only
-    /// happens inside one), not once per iteration.
+    /// Pricing reads the duals `y = B⁻ᵀc_B`, which depend on the basis
+    /// alone: a bound flip keeps them, so the BTRAN is paid once per
+    /// basis change (a refactorization only happens inside one), not
+    /// once per iteration.
     fn iterate(&mut self, costs: &[f64], allow_art: bool) -> Result<SolveStatus, FactorError> {
         probe!(self, iterate_calls += 1);
         let eps = self.opts.eps;
         let mut best_obj = f64::INFINITY;
         let mut stall = 0usize;
-        let devex = self.opts.pricing == Pricing::Devex;
-        let mut weights = if devex { vec![1.0f64; self.ncols] } else { Vec::new() };
-        // True reduced costs for devex mode; rebuilt lazily whenever
-        // `d_valid` drops (refactorization, Bland excursion, drift).
-        let mut d = if devex { vec![0.0f64; self.ncols] } else { Vec::new() };
-        let mut d_valid = false;
-        let mut alphas = if devex { vec![0.0f64; self.ncols] } else { Vec::new() };
         // Whether `ws.y` holds the duals of the current basis.
         let mut y_valid = false;
-        // Livelock guard: one optimality-confirmation rebuild is
-        // granted per basis change. The rebuild recomputes the same
-        // BTRAN-priced approximations from unchanged factors, so when
-        // every candidate it proposes is vetoed by its exact FTRAN
-        // reduced cost (possible on torture-grade bases, where the two
-        // views genuinely disagree), a second rebuild would cycle
-        // forever. Terminating instead is safe: the returned point is
-        // at the factorization's noise floor, and KKT certification
-        // decides whether it stands as `Optimal` or is downgraded.
-        let mut confirmed_since_progress = false;
         self.ws.cost_b.clear();
         self.ws.cost_b.extend(self.basis.iter().map(|&c| costs[c]));
         loop {
@@ -908,79 +768,16 @@ impl SparseCore {
                 return Ok(SolveStatus::IterationLimit);
             }
             let bland = stall >= self.opts.stall_threshold;
-            let q = if devex && !bland {
-                let fresh = !d_valid;
-                if !d_valid {
-                    self.btran_basic_costs();
-                    y_valid = true;
-                    probe!(self, btran_iterate += 1);
-                    self.price_segment(0, &self.ws.y, costs, allow_art, &mut d);
-                    // price_segment sign-flips at-upper entries; store
-                    // the true reduced costs and flip while scoring.
-                    for (j, dj) in d.iter_mut().enumerate() {
-                        if self.at_upper[j] && dj.is_finite() {
-                            *dj = -*dj;
-                        }
-                    }
-                    d_valid = true;
-                }
-                let mut best: Option<usize> = None;
-                let mut best_score = 0.0f64;
-                for (j, &dj) in d.iter().enumerate() {
-                    if !dj.is_finite() || self.in_basis[j] {
-                        continue;
-                    }
-                    let deff = if self.at_upper[j] { -dj } else { dj };
-                    if deff < -eps {
-                        let score = deff * deff / weights[j];
-                        if score > best_score {
-                            best_score = score;
-                            best = Some(j);
-                        }
-                    }
-                }
-                if best.is_none() && !fresh {
-                    // The maintained vector says optimal but has seen
-                    // incremental updates since its last rebuild —
-                    // confirm against a fresh pass before terminating
-                    // (at most once per basis change; see the guard).
-                    if confirmed_since_progress {
-                        return Ok(SolveStatus::Optimal);
-                    }
-                    confirmed_since_progress = true;
-                    d_valid = false;
-                    continue;
-                }
-                best
-            } else {
-                if devex {
-                    d_valid = false;
-                }
-                if !y_valid {
-                    self.btran_basic_costs();
-                    y_valid = true;
-                    probe!(self, btran_iterate += 1);
-                }
-                probe!(self, bland_picks += usize::from(bland));
-                self.price(costs, allow_art, bland)
-            };
-            let Some(q) = q else {
+            if !y_valid {
+                self.btran_basic_costs();
+                y_valid = true;
+                probe!(self, btran_iterate += 1);
+            }
+            probe!(self, bland_picks += usize::from(bland));
+            let Some(q) = self.price(costs, allow_art, bland) else {
                 return Ok(SolveStatus::Optimal);
             };
             self.ftran_col(q);
-            if devex && !bland {
-                // Exact reduced cost of the chosen column from the
-                // FTRAN we already have: d_q = c_q − c_B·w.
-                let exact: f64 = costs[q] - self.basic_cost_dot_image(costs);
-                let deff = if self.at_upper[q] { -exact } else { exact };
-                d[q] = exact;
-                if deff >= -eps {
-                    // Drift: the cached entry was stale enough to flip
-                    // the verdict. The entry is now exact (so this
-                    // column won't be re-picked); re-price.
-                    continue;
-                }
-            }
             let dir = self.enter_dir(q);
             let mut leave: Option<usize> = None;
             let mut leave_to_upper = false;
@@ -1011,32 +808,11 @@ impl SparseCore {
                 self.step_basics(self.ub[q], dir);
                 self.at_upper[q] = !self.at_upper[q];
                 self.iterations += 1;
-                confirmed_since_progress = false;
                 probe!(self, trace.push((q, usize::MAX)));
             } else {
                 let Some(slot) = leave else {
                     return Ok(SolveStatus::Unbounded);
                 };
-                if devex && !bland {
-                    self.pivot_row(slot, allow_art, &mut alphas);
-                    self.devex_update(slot, q, &alphas, &mut weights);
-                    // Incremental reduced costs: d_j ← d_j − (d_q/α_q)·α_j
-                    // for nonbasic j; the leaving column re-enters the
-                    // nonbasic set with d = −θ_d.
-                    let alpha_q = self.ws.img.w[slot];
-                    if d_valid && alpha_q != 0.0 {
-                        let theta_d = d[q] / alpha_q;
-                        for (j, &alpha_j) in alphas.iter().enumerate() {
-                            if alpha_j != 0.0 && j != q {
-                                d[j] -= theta_d * alpha_j;
-                            }
-                        }
-                        d[self.basis[slot]] = -theta_d;
-                        d[q] = 0.0;
-                    } else {
-                        d_valid = false;
-                    }
-                }
                 let leaving = self.basis[slot];
                 self.apply_entering(slot, q, best_ratio);
                 if leave_to_upper {
@@ -1045,10 +821,7 @@ impl SparseCore {
                 y_valid = false;
                 probe!(self, iterate_pivots += 1);
                 self.ws.cost_b[slot] = costs[q];
-                if self.pivot(slot, q)? {
-                    d_valid = false;
-                }
-                confirmed_since_progress = false;
+                self.pivot(slot, q)?;
             }
             let obj = self.ws.cost_b.iter().zip(&self.x_b).map(|(&c, &xb)| c * xb).sum::<f64>()
                 + self.upper_objective(costs);
@@ -2183,26 +1956,6 @@ mod tests {
     }
 
     #[test]
-    fn devex_and_forrest_tomlin_match_dantzig_product_form() {
-        let lp = mixed_lp(24, 18);
-        let base = solve_with(&lp, sparse_opts());
-        assert!(base.is_optimal());
-        for pricing in [Pricing::Dantzig, Pricing::Devex] {
-            for eta in [EtaUpdate::ProductForm, EtaUpdate::ForrestTomlin] {
-                let opts = SimplexOptions {
-                    pricing,
-                    eta_update: eta,
-                    ..sparse_opts()
-                };
-                let s = solve_with(&lp, opts);
-                assert!(s.is_optimal(), "{pricing:?}/{eta:?}");
-                assert_close(s.objective, base.objective, 1e-6);
-                lp.check_feasible(&s.x, 1e-6).unwrap();
-            }
-        }
-    }
-
-    #[test]
     fn infeasible_and_unbounded_match_dense() {
         let mut inf = LinearProgram::new();
         let x = inf.add_var(0.0, f64::INFINITY, 1.0);
@@ -2251,23 +2004,18 @@ mod tests {
         let c1 =
             lp.add_constraint(vec![(x, 1.0), (y, 1.0), (z, 1.0)], Sense::Ge, 5.0);
         let c2 = lp.add_constraint(vec![(x, 1.0), (y, -1.0)], Sense::Le, 3.0);
-        for eta in [EtaUpdate::ProductForm, EtaUpdate::ForrestTomlin] {
-            let opts = SimplexOptions { eta_update: eta, ..sparse_opts() };
-            let mut eng = SparseEngine::new(opts);
-            let (first, _) = eng.solve_from(&lp, None).unwrap();
-            assert!(first.is_optimal());
-            for (b1, b2) in [(8.0, 1.0), (3.0, 2.0), (9.5, 0.0), (5.0, 3.0)] {
-                lp.set_rhs(c1, b1);
-                lp.set_rhs(c2, b2);
-                let (warm, used) = eng.resolve_rhs(&lp).unwrap();
-                let cold = solve_with(&lp, opts);
-                assert!(used, "warm path must apply for rhs-only changes");
-                assert_eq!(warm.status, cold.status, "{eta:?} rhs ({b1},{b2})");
-                assert_close(warm.objective, cold.objective, 1e-7);
-                lp.check_feasible(&warm.x, 1e-6).unwrap();
-            }
-            lp.set_rhs(c1, 5.0);
-            lp.set_rhs(c2, 3.0);
+        let mut eng = SparseEngine::new(sparse_opts());
+        let (first, _) = eng.solve_from(&lp, None).unwrap();
+        assert!(first.is_optimal());
+        for (b1, b2) in [(8.0, 1.0), (3.0, 2.0), (9.5, 0.0), (5.0, 3.0)] {
+            lp.set_rhs(c1, b1);
+            lp.set_rhs(c2, b2);
+            let (warm, used) = eng.resolve_rhs(&lp).unwrap();
+            let cold = solve_with(&lp, sparse_opts());
+            assert!(used, "warm path must apply for rhs-only changes");
+            assert_eq!(warm.status, cold.status, "rhs ({b1},{b2})");
+            assert_close(warm.objective, cold.objective, 1e-7);
+            lp.check_feasible(&warm.x, 1e-6).unwrap();
         }
     }
 
@@ -2295,11 +2043,8 @@ mod tests {
         // The saved basis must carry the bound assignment: on restore,
         // the at-upper flags reproduce the same optimal point.
         let lp = mixed_lp(18, 10);
-        for (pricing, eta) in [
-            (Pricing::Dantzig, EtaUpdate::ProductForm),
-            (Pricing::Devex, EtaUpdate::ForrestTomlin),
-        ] {
-            let opts = SimplexOptions { pricing, eta_update: eta, ..sparse_opts() };
+        for cold_start in [ColdStart::TwoPhase, ColdStart::Auto] {
+            let opts = SimplexOptions { cold_start, ..sparse_opts() };
             let mut eng = SparseEngine::new(opts);
             let (cold, _) = eng.solve_from(&lp, None).unwrap();
             assert!(cold.is_optimal());

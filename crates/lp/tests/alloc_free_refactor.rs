@@ -5,7 +5,7 @@
 //! The layout this replaced cloned the basis columns and built two
 //! `Vec`s per row on every call — 3·m allocations and more per
 //! refactorization: 1 111 and 2 957 on the two programs below (200 and
-//! 800 rows), where this test reads 17.4 and 17.6.
+//! 800 rows), where this test reads 16.4 and 16.6.
 //! Counted with the tallying allocator of `common/mod.rs`, as in
 //! `alloc_free_pivots.rs`; the only test in its binary.
 
@@ -42,8 +42,8 @@ fn a_refactorization_allocates_its_factors_and_nothing_else() {
     assert_eq!((small.num_constraints(), large.num_constraints()), (200, 800));
     let per_small = allocations_per_refactorization(&small);
     let per_large = allocations_per_refactorization(&large);
-    // Thirteen factor arrays and their box, plus the odd growth of a
-    // workspace vector or of the eta file.
+    // Thirteen factor arrays, plus the odd growth of a workspace
+    // vector or of the eta file.
     assert!(per_small <= 24.0, "m = 200: {per_small:.1} allocations per refactorization");
     assert!(per_large <= 24.0, "m = 800: {per_large:.1} allocations per refactorization");
 }

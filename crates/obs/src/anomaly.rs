@@ -15,7 +15,7 @@
 //!   direction (the LU core refactorizes on a fixed interval plus
 //!   stability triggers, so sustained cadence drift means numerical
 //!   trouble).
-//! - **Dense-fallback / FT-rollback spikes** — any occurrence after a
+//! - **Dense-fallback / pivot-rollback spikes** — any occurrence after a
 //!   clean trailing window (these are exceptional recovery paths; one
 //!   firing after quiet history is signal, a constant background rate
 //!   is baseline).
@@ -46,8 +46,8 @@ pub struct SolverSample {
     pub refactorizations: u64,
     /// Sparse→dense backend fallbacks this epoch.
     pub dense_fallbacks: u64,
-    /// Forrest–Tomlin pivot rollbacks this epoch.
-    pub ft_rollbacks: u64,
+    /// Dual-simplex pivot rollbacks this epoch.
+    pub rollbacks: u64,
     /// Warm-start cache hits this epoch.
     pub warm_hits: u64,
     /// Warm-start cache misses this epoch.
@@ -78,8 +78,8 @@ pub enum AnomalyKind {
     RefactorCadenceDrift,
     /// Dense fallback fired after a clean trailing window.
     DenseFallbackSpike,
-    /// FT pivot rollback fired after a clean trailing window.
-    FtRollbackSpike,
+    /// Pivot rollback fired after a clean trailing window.
+    RollbackSpike,
     /// Warm-cache hit rate collapsed vs the trailing baseline.
     WarmCacheCollapse,
     /// Numerical recovery activity (refinements, tolerance
@@ -99,7 +99,7 @@ impl AnomalyKind {
             AnomalyKind::EtaChurn => "eta_churn",
             AnomalyKind::RefactorCadenceDrift => "refactor_cadence_drift",
             AnomalyKind::DenseFallbackSpike => "dense_fallback_spike",
-            AnomalyKind::FtRollbackSpike => "ft_rollback_spike",
+            AnomalyKind::RollbackSpike => "rollback_spike",
             AnomalyKind::WarmCacheCollapse => "warm_cache_collapse",
             AnomalyKind::NumericalInstability => "numerical_instability",
             AnomalyKind::ConditionBlowup => "condition_blowup",
@@ -175,7 +175,7 @@ pub struct AnomalyEvent {
     /// Logical epoch of the offending sample.
     pub epoch: u64,
     /// Statistic name (`pivots`, `etas`, `refactor_cadence`,
-    /// `dense_fallbacks`, `ft_rollbacks`, `warm_hit_rate`).
+    /// `dense_fallbacks`, `rollbacks`, `warm_hit_rate`).
     pub stat: String,
     /// Detector that fired.
     pub kind: AnomalyKind,
@@ -365,16 +365,16 @@ impl SolverAnomalyDetector {
         }
         if self.rollbacks.len() >= cfg.min_history
             && self.rollbacks.sum == 0.0
-            && sample.ft_rollbacks > 0
+            && sample.rollbacks > 0
         {
             fire(
-                AnomalyKind::FtRollbackSpike,
-                "ft_rollbacks",
-                sample.ft_rollbacks as f64,
+                AnomalyKind::RollbackSpike,
+                "rollbacks",
+                sample.rollbacks as f64,
                 0.0,
                 format!(
-                    "{} FT rollback(s) after {} clean epochs",
-                    sample.ft_rollbacks,
+                    "{} rollback(s) after {} clean epochs",
+                    sample.rollbacks,
                     self.rollbacks.len()
                 ),
             );
@@ -459,7 +459,7 @@ impl SolverAnomalyDetector {
         self.etas.push(etas, cfg.window);
         self.cadence.push(cadence, cfg.window);
         self.dense.push(sample.dense_fallbacks as f64, cfg.window);
-        self.rollbacks.push(sample.ft_rollbacks as f64, cfg.window);
+        self.rollbacks.push(sample.rollbacks as f64, cfg.window);
         self.recovery.push(recovery as f64, cfg.window);
         self.condition.push(cond, cfg.window);
         if let Some(rate) = rate {
@@ -479,7 +479,7 @@ mod tests {
             etas: 400,
             refactorizations: 8,
             dense_fallbacks: 0,
-            ft_rollbacks: 0,
+            rollbacks: 0,
             warm_hits: 9,
             warm_misses: 1,
             refinements: 0,
@@ -571,11 +571,11 @@ mod tests {
 
         let mut det = SolverAnomalyDetector::default();
         warm_up(&mut det, 8);
-        let spike = SolverSample { dense_fallbacks: 1, ft_rollbacks: 2, ..steady() };
+        let spike = SolverSample { dense_fallbacks: 1, rollbacks: 2, ..steady() };
         let events = det.observe("t0", 8, &spike);
         assert_eq!(events.len(), 2, "{events:?}");
         assert_eq!(events[0].kind, AnomalyKind::DenseFallbackSpike);
-        assert_eq!(events[1].kind, AnomalyKind::FtRollbackSpike);
+        assert_eq!(events[1].kind, AnomalyKind::RollbackSpike);
         assert_eq!(events[1].value, 2.0);
     }
 

@@ -270,7 +270,7 @@ impl TelemetrySnapshot {
                 "eta_churn",
                 "refactor_cadence_drift",
                 "dense_fallback_spike",
-                "ft_rollback_spike",
+                "rollback_spike",
                 "warm_cache_collapse",
             ] {
                 let n = t

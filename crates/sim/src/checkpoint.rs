@@ -34,7 +34,7 @@ use crate::faults::{
     SolverFaults, TelemetryFaults, TunnelFaults,
 };
 use crate::robust::{RobustController, RobustReport};
-use prete_lp::{BasisCacheSnapshot, EtaUpdate, Pricing, SolverBackend};
+use prete_lp::{BasisCacheSnapshot, SolverBackend};
 use prete_obs::{Recorder, RunReport};
 use prete_optical::trace::{synthesize, LossTrace, ScriptedDegradation, TraceConfig};
 use prete_topology::FiberId;
@@ -59,7 +59,10 @@ use std::path::{Path, PathBuf};
 /// (`TeSolution::quality`); solves may now resume from a
 /// `NumericallySuspect` baseline, which pre-v5 controllers would have
 /// treated as plain Optimal.
-pub const CHECKPOINT_VERSION: u32 = 5;
+/// v6: the `pricing`/`eta_update` fields are gone — the sparse engine
+/// has one pricing rule and one basis-update scheme, so there is no
+/// choice left to restore.
+pub const CHECKPOINT_VERSION: u32 = 6;
 
 // ---------------------------------------------------------------------------
 // Storage backends
@@ -270,12 +273,6 @@ pub struct ControllerCheckpoint {
     /// LP engine the controller was solving with; restored so a
     /// recovered run keeps producing bit-identical solver work.
     pub backend: SolverBackend,
-    /// Entering-variable pricing rule in force when the checkpoint was
-    /// taken; restored for the same bit-identity reason as `backend`.
-    pub pricing: Pricing,
-    /// Basis-update scheme in force when the checkpoint was taken;
-    /// restored for the same bit-identity reason as `backend`.
-    pub eta_update: EtaUpdate,
     /// FNV-1a digest of the canonical JSON with this field zeroed;
     /// detects torn writes and bit rot on load.
     pub digest: u64,
@@ -591,8 +588,6 @@ impl<'a, S: Store> DurableController<'a, S> {
                 robust.set_priors(c.priors.clone());
                 robust.inner.cache.borrow_mut().restore(&c.basis_cache);
                 robust.inner.backend = c.backend;
-                robust.inner.pricing = c.pricing;
-                robust.inner.eta_update = c.eta_update;
                 c.epoch
             }
             None => 0,
@@ -729,8 +724,6 @@ impl<'a, S: Store> DurableController<'a, S> {
             priors: self.robust.priors().to_vec(),
             basis_cache: self.robust.inner.cache.borrow().snapshot(),
             backend: self.robust.inner.backend,
-            pricing: self.robust.inner.pricing,
-            eta_update: self.robust.inner.eta_update,
             digest: 0,
         }
         .seal()?;
@@ -808,8 +801,6 @@ mod tests {
             priors: vec![0.1, 0.2, 0.3],
             basis_cache: BasisCacheSnapshot::default(),
             backend: SolverBackend::default(),
-            pricing: Pricing::default(),
-            eta_update: EtaUpdate::default(),
             digest: 0,
         }
         .seal()
@@ -1013,22 +1004,51 @@ mod tests {
     fn version_mismatch_rejects_the_checkpoint() {
         testbed!(mk);
         let w = ScriptedWorkload::new(3);
+        let (mut golden, _) =
+            DurableController::recover(mk(), MemStore::default(), CFG, &w).unwrap();
+        let golden_fp: Vec<_> =
+            (0..5).map(|_| fingerprint(&golden.run_epoch(&w).unwrap())).collect();
         let (mut durable, _) =
             DurableController::recover(mk(), MemStore::default(), CFG, &w).unwrap();
         for _ in 0..4 {
             durable.run_epoch(&w).unwrap();
         }
-        let mut store = durable.into_store();
-        // Re-seal under a future version: digest is valid, version not.
-        let blob = store.checkpoint.clone().unwrap();
-        let mut ckpt: ControllerCheckpoint = serde_json::from_str(&blob).unwrap();
-        ckpt.version = CHECKPOINT_VERSION + 1;
-        let ckpt = ckpt.seal().unwrap();
-        store.checkpoint = Some(serde_json::to_string(&ckpt).unwrap());
+        let store = durable.into_store();
+        let ckpt: ControllerCheckpoint =
+            serde_json::from_str(store.checkpoint.as_deref().unwrap()).unwrap();
 
-        let (_, rec) = DurableController::recover(mk(), store, CFG, &w).unwrap();
-        assert!(rec.checkpoint_rejected);
-        assert_eq!(rec.resumed_at, 4);
+        // Re-sealed under a future version: digest is valid, version not.
+        let future = ControllerCheckpoint { version: CHECKPOINT_VERSION + 1, ..ckpt.clone() };
+        let future = serde_json::to_string(&future.seal().unwrap()).unwrap();
+        // The same state as v5 wrote it: the engine options it recorded
+        // sit after `backend`, under a digest valid for those bytes.
+        let mut fields = match serde_json::to_value(&ckpt).unwrap() {
+            serde_json::Value::Map(fields) => fields,
+            other => panic!("a checkpoint encodes as an object, not {other:?}"),
+        };
+        fields.iter_mut().find(|(k, _)| k == "version").unwrap().1 = 5u32.to_value();
+        let at = fields.iter().position(|(k, _)| k == "backend").unwrap() + 1;
+        fields.insert(at, ("pricing".into(), "Dantzig".to_value()));
+        fields.insert(at + 1, ("eta_update".into(), "ProductForm".to_value()));
+        assert_eq!(fields.last().unwrap().0, "digest");
+        let sealed = |digest: u64| {
+            let mut fields = fields.clone();
+            fields.last_mut().unwrap().1 = digest.to_value();
+            serde_json::to_string(&serde_json::Value::Map(fields)).unwrap()
+        };
+        let v5 = sealed(fnv1a64(sealed(0).as_bytes()));
+
+        for blob in [future, v5] {
+            let store = MemStore { checkpoint: Some(blob), ..store.clone() };
+            let (mut recovered, rec) = DurableController::recover(mk(), store, CFG, &w).unwrap();
+            assert!(rec.checkpoint_rejected);
+            assert_eq!(rec.resumed_at, 4);
+            assert_eq!(rec.reexecuted.len(), 4, "the journal replays from genesis");
+            for (i, out) in rec.reexecuted.iter().enumerate() {
+                assert_eq!(fingerprint(out), golden_fp[i], "re-executed epoch {i} diverged");
+            }
+            assert_eq!(fingerprint(&recovered.run_epoch(&w).unwrap()), golden_fp[4]);
+        }
     }
 
     #[test]

@@ -92,12 +92,14 @@ pub struct Controller<'a> {
     /// automatic fallback). Checkpoints record the choice so a restored
     /// controller keeps solving with the same engine.
     pub backend: SolverBackend,
-    /// Entering-variable pricing rule for the sparse LP engine
-    /// (checkpointed alongside `backend`).
-    pub pricing: Pricing,
-    /// Basis-update scheme for the sparse LP engine (checkpointed
-    /// alongside `backend`).
-    pub eta_update: EtaUpdate,
+    /// Unread: the sparse engine has one pricing rule. Kept only
+    /// because the repository benchmark builds a controller by naming
+    /// every field; goes with the benchmark revision that stops naming
+    /// it.
+    pub pricing: prete_lp::Pricing,
+    /// Unread: the sparse engine has one basis-update scheme. Kept for
+    /// the same reason as `pricing`, and goes with it.
+    pub eta_update: prete_lp::EtaUpdate,
     /// Scenario enumeration budget for the TE recompute. `None` keeps
     /// the historical exhaustive single-cut enumeration; `Some` routes
     /// through the budgeted streaming enumerator ([`ScenarioSet::

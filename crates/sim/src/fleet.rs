@@ -348,7 +348,7 @@ impl<'a> Tenant<'a> {
             etas: stats.etas,
             refactorizations: stats.refactorizations,
             dense_fallbacks: stats.dense_fallbacks as u64,
-            ft_rollbacks: stats.ft_rollbacks,
+            rollbacks: stats.rollbacks,
             warm_hits: stats.warm_hits as u64,
             warm_misses: stats.warm_misses as u64,
             refinements: stats.refinements,

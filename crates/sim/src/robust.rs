@@ -374,8 +374,6 @@ impl<'a> RobustController<'a> {
             .method(SolveMethod::Heuristic)
             .threads(inner.threads)
             .backend(inner.backend)
-            .pricing(inner.pricing)
-            .eta_update(inner.eta_update)
             .solve()
             .expect("heuristic solve under the default budget is infallible");
         Self { inner, method, retry, last_known_good, priors, budget_override: None }
@@ -631,8 +629,6 @@ impl Controller<'_> {
                     .budget(budget)
                     .threads(self.threads)
                     .backend(self.backend)
-                    .pricing(self.pricing)
-                    .eta_update(self.eta_update)
                     .warm_cache(&mut cache)
                     .recorder(obs);
                 if let Some(st) = enum_stats.as_ref() {

@@ -779,16 +779,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Every pricing/eta-update combination of the sparse engine is
-    /// deterministic in the ways the controller relies on: cold solves
-    /// are bit-identical across 1/2/8 solver threads, warm solves from
-    /// identical cache snapshots are bit-identical across the same
-    /// thread counts, and warm agrees with cold on the optimum within
-    /// LP tolerance. Devex and Forrest–Tomlin must uphold the same
-    /// reproducibility contract the Dantzig/product-form default was
-    /// built on.
+    /// Both cold starts of the sparse engine are deterministic in the
+    /// ways the controller relies on: cold solves are bit-identical
+    /// across 1/2/8 solver threads, warm solves from identical cache
+    /// snapshots are bit-identical across the same thread counts, and
+    /// warm agrees with cold on the optimum within LP tolerance.
     #[test]
-    fn pricing_eta_combos_are_bit_identical_warm_and_cold_across_threads(
+    fn cold_starts_are_bit_identical_warm_and_cold_across_threads(
         n in 4usize..7,
         chords in prop::collection::vec((0usize..16, 0usize..8), 1..4),
         seed in 0u64..1000,
@@ -796,8 +793,7 @@ proptest! {
         beta in 0.95f64..0.999,
     ) {
         use prete_core::prelude::{
-            BasisCache, ColdStart, EtaUpdate, Pricing, SolveMethod, SolverBackend, TeProblem,
-            TeSolver,
+            BasisCache, ColdStart, SolveMethod, SolverBackend, TeProblem, TeSolver,
         };
         use prete_core::scenario::ScenarioSet;
         use prete_topology::{topologies, TunnelSet};
@@ -813,15 +809,8 @@ proptest! {
             f.demand_gbps *= wobble[i % wobble.len()];
         }
 
-        let matrix = [
-            (Pricing::Dantzig, EtaUpdate::ProductForm, ColdStart::TwoPhase),
-            (Pricing::Dantzig, EtaUpdate::ForrestTomlin, ColdStart::Auto),
-            (Pricing::Devex, EtaUpdate::ProductForm, ColdStart::Auto),
-            (Pricing::Devex, EtaUpdate::ForrestTomlin, ColdStart::TwoPhase),
-            (Pricing::Devex, EtaUpdate::ForrestTomlin, ColdStart::Auto),
-        ];
-        for (pricing, eta_update, cold_start) in matrix {
-            // Prime a cache on the base problem under this combo.
+        for cold_start in [ColdStart::TwoPhase, ColdStart::Auto] {
+            // Prime a cache on the base problem under this cold start.
             let mut cache = BasisCache::new();
             {
                 let problem = TeProblem::new(&net, &base_flows, &tunnels, &scenarios);
@@ -829,8 +818,6 @@ proptest! {
                     .beta(beta)
                     .method(SolveMethod::Heuristic)
                     .backend(SolverBackend::SparseRevised)
-                    .pricing(pricing)
-                    .eta_update(eta_update)
                     .cold_start(cold_start)
                     .warm_cache(&mut cache)
                     .solve()
@@ -849,8 +836,6 @@ proptest! {
                     .beta(beta)
                     .method(SolveMethod::Heuristic)
                     .backend(SolverBackend::SparseRevised)
-                    .pricing(pricing)
-                    .eta_update(eta_update)
                     .cold_start(cold_start)
                     .threads(threads)
                     .solve()
@@ -864,8 +849,6 @@ proptest! {
                     .beta(beta)
                     .method(SolveMethod::Heuristic)
                     .backend(SolverBackend::SparseRevised)
-                    .pricing(pricing)
-                    .eta_update(eta_update)
                     .cold_start(cold_start)
                     .threads(threads)
                     .warm_cache(&mut cache)
@@ -875,26 +858,25 @@ proptest! {
             };
             let cold = cold_run(1);
             let (warm, hits) = warm_run(1);
-            prop_assert!(hits > 0, "{:?}/{:?}: warm re-solve never hit the cache",
-                pricing, eta_update);
+            prop_assert!(hits > 0, "{:?}: warm re-solve never hit the cache", cold_start);
             prop_assert!(
                 (f64::from_bits(warm.1) - f64::from_bits(cold.1)).abs() < 1e-6,
-                "{:?}/{:?}: warm {} vs cold {}",
-                pricing, eta_update, f64::from_bits(warm.1), f64::from_bits(cold.1)
+                "{:?}: warm {} vs cold {}",
+                cold_start, f64::from_bits(warm.1), f64::from_bits(cold.1)
             );
             for threads in [2usize, 8] {
                 let cold_t = cold_run(threads);
                 prop_assert_eq!(
                     &cold.0, &cold_t.0,
-                    "{:?}/{:?}: cold allocations diverge at {} threads",
-                    pricing, eta_update, threads
+                    "{:?}: cold allocations diverge at {} threads",
+                    cold_start, threads
                 );
                 prop_assert_eq!(cold.1, cold_t.1);
                 let (warm_t, _) = warm_run(threads);
                 prop_assert_eq!(
                     &warm.0, &warm_t.0,
-                    "{:?}/{:?}: warm allocations diverge at {} threads",
-                    pricing, eta_update, threads
+                    "{:?}: warm allocations diverge at {} threads",
+                    cold_start, threads
                 );
                 prop_assert_eq!(warm.1, warm_t.1);
             }

@@ -17,28 +17,16 @@
 //! reproducible `(seed, case)` pair.
 
 use prete_lp::{
-    solve_with, ColdStart, EtaUpdate, LinearProgram, Pricing, SimplexOptions, Sense,
-    SolveStatus, SolverBackend,
+    solve_with, ColdStart, LinearProgram, SimplexOptions, Sense, SolveStatus, SolverBackend,
 };
 
 const CASES: usize = 520;
 
-/// The sparse-engine configuration matrix: every pricing rule crossed
-/// with every basis-update scheme and both cold-start strategies
+/// The sparse-engine configuration matrix: both cold-start strategies
 /// (`Auto` exercises the dual-simplex cold path with bound flipping
-/// and cost perturbation wherever a program qualifies). Each
-/// combination must independently agree with the dense oracle on all
-/// 520 cases.
-const MATRIX: [(Pricing, EtaUpdate, ColdStart); 8] = [
-    (Pricing::Dantzig, EtaUpdate::ProductForm, ColdStart::TwoPhase),
-    (Pricing::Dantzig, EtaUpdate::ForrestTomlin, ColdStart::TwoPhase),
-    (Pricing::Devex, EtaUpdate::ProductForm, ColdStart::TwoPhase),
-    (Pricing::Devex, EtaUpdate::ForrestTomlin, ColdStart::TwoPhase),
-    (Pricing::Dantzig, EtaUpdate::ProductForm, ColdStart::Auto),
-    (Pricing::Dantzig, EtaUpdate::ForrestTomlin, ColdStart::Auto),
-    (Pricing::Devex, EtaUpdate::ProductForm, ColdStart::Auto),
-    (Pricing::Devex, EtaUpdate::ForrestTomlin, ColdStart::Auto),
-];
+/// and cost perturbation wherever a program qualifies). Each must
+/// independently agree with the dense oracle on all 520 cases.
+const MATRIX: [ColdStart; 2] = [ColdStart::TwoPhase, ColdStart::Auto];
 const SUITE_SEED: u64 = 0x9e37_79b9_2026_0807;
 
 // ---------------------------------------------------------------------------
@@ -201,18 +189,8 @@ fn opts(backend: SolverBackend) -> SimplexOptions {
     SimplexOptions { backend, ..SimplexOptions::default() }
 }
 
-fn sparse_opts(
-    pricing: Pricing,
-    eta_update: EtaUpdate,
-    cold_start: ColdStart,
-) -> SimplexOptions {
-    SimplexOptions {
-        backend: SolverBackend::SparseRevised,
-        pricing,
-        eta_update,
-        cold_start,
-        ..SimplexOptions::default()
-    }
+fn sparse_opts(cold_start: ColdStart) -> SimplexOptions {
+    SimplexOptions { backend: SolverBackend::SparseRevised, cold_start, ..SimplexOptions::default() }
 }
 
 /// KKT certification of an optimal primal/dual pair: primal
@@ -268,18 +246,13 @@ fn kkt_violation(spec: &CaseSpec, lp: &LinearProgram, sol: &prete_lp::Solution) 
     None
 }
 
-/// Runs the dense oracle against the sparse engine under one
-/// pricing/eta-update combination; `Some(reason)` when they disagree
-/// or either optimal answer fails certification.
-fn check_with(
-    spec: &CaseSpec,
-    pricing: Pricing,
-    eta_update: EtaUpdate,
-    cold_start: ColdStart,
-) -> Option<String> {
+/// Runs the dense oracle against the sparse engine under one cold
+/// start; `Some(reason)` when they disagree or either optimal answer
+/// fails certification.
+fn check_with(spec: &CaseSpec, cold_start: ColdStart) -> Option<String> {
     let lp = spec.build();
     let dense = solve_with(&lp, opts(SolverBackend::DenseTableau));
-    let sparse = solve_with(&lp, sparse_opts(pricing, eta_update, cold_start));
+    let sparse = solve_with(&lp, sparse_opts(cold_start));
     if sparse.engine.dense_fallback {
         return Some("sparse solve fell back to dense (singular factorization)".into());
     }
@@ -318,19 +291,14 @@ fn check_with(
 /// (cost → 0, bounds → [0, ∞), terms removed), keeping each mutation
 /// only while the failure persists under the same sparse configuration
 /// that produced it.
-fn shrink(
-    mut spec: CaseSpec,
-    pricing: Pricing,
-    eta_update: EtaUpdate,
-    cold_start: ColdStart,
-) -> CaseSpec {
+fn shrink(mut spec: CaseSpec, cold_start: ColdStart) -> CaseSpec {
     loop {
         let mut reduced = false;
         let mut i = 0;
         while i < spec.rows.len() {
             let mut candidate = spec.clone();
             candidate.rows.remove(i);
-            if check_with(&candidate, pricing, eta_update, cold_start).is_some() {
+            if check_with(&candidate, cold_start).is_some() {
                 spec = candidate;
                 reduced = true;
             } else {
@@ -351,7 +319,7 @@ fn shrink(
             for r in &mut candidate.rows {
                 r.terms.retain(|&(k, _)| k != j);
             }
-            if check_with(&candidate, pricing, eta_update, cold_start).is_some() {
+            if check_with(&candidate, cold_start).is_some() {
                 spec = candidate;
                 reduced = true;
             }
@@ -375,16 +343,15 @@ fn sparse_engine_matches_dense_oracle_on_random_lps() {
     for case in 0..CASES {
         let spec = generate(SUITE_SEED, case);
         let mut failed = false;
-        for (pricing, eta_update, cold_start) in MATRIX {
-            if let Some(reason) = check_with(&spec, pricing, eta_update, cold_start) {
-                let small = shrink(spec.clone(), pricing, eta_update, cold_start);
+        for cold_start in MATRIX {
+            if let Some(reason) = check_with(&spec, cold_start) {
+                let small = shrink(spec.clone(), cold_start);
                 eprintln!(
-                    "FAIL (seed={SUITE_SEED:#x}, case={case}, \
-                     {pricing:?}/{eta_update:?}/{cold_start:?}): \
+                    "FAIL (seed={SUITE_SEED:#x}, case={case}, {cold_start:?}): \
                      {reason}\n  shrunk to: {small:?}\n  reproduce: \
                      `generate({SUITE_SEED:#x}, {case})` in tests/solver_differential.rs"
                 );
-                failures.push((case, pricing, eta_update, cold_start, reason));
+                failures.push((case, cold_start, reason));
                 failed = true;
             }
         }
@@ -404,7 +371,7 @@ fn sparse_engine_matches_dense_oracle_on_random_lps() {
         "{} differential failures over {CASES} cases x {} configs (seed {SUITE_SEED:#x}): {:?}",
         failures.len(),
         MATRIX.len(),
-        failures.iter().map(|(c, p, e, cs, _)| (*c, *p, *e, *cs)).collect::<Vec<_>>()
+        failures.iter().map(|(c, cs, _)| (*c, *cs)).collect::<Vec<_>>()
     );
     // The generator must actually cover the interesting statuses —
     // otherwise the suite silently tests less than it claims.
@@ -514,12 +481,9 @@ fn sparse_engine_matches_dense_oracle_on_corner_cases() {
         },
     ];
     for (i, spec) in corner_cases.iter().enumerate() {
-        for (pricing, eta_update, cold_start) in MATRIX {
-            if let Some(reason) = check_with(spec, pricing, eta_update, cold_start) {
-                panic!(
-                    "corner case {i} failed under \
-                     {pricing:?}/{eta_update:?}/{cold_start:?}: {reason}\n  spec: {spec:?}"
-                );
+        for cold_start in MATRIX {
+            if let Some(reason) = check_with(spec, cold_start) {
+                panic!("corner case {i} failed under {cold_start:?}: {reason}\n  spec: {spec:?}");
             }
         }
     }
