@@ -26,7 +26,7 @@
 //! `(seed, case)` pair alone.
 
 use prete_lp::{
-    solve_with, ColdStart, LinearProgram, Sense, SimplexOptions, SolveStatus, SolverBackend,
+    solve_oracle, solve_with, ColdStart, LinearProgram, Sense, SimplexOptions, SolveStatus,
 };
 
 /// Relative objective-agreement tolerance between two *certified*
@@ -241,17 +241,9 @@ pub fn generate(seed: u64, case: usize) -> TortureSpec {
 // The certified-differential check
 // ---------------------------------------------------------------------------
 
-/// Sparse configurations exercised per torture case: the default
-/// engine under each cold start.
+/// Sparse configurations exercised per torture case: the engine under
+/// each cold start.
 pub const TORTURE_MATRIX: [ColdStart; 2] = [ColdStart::TwoPhase, ColdStart::Auto];
-
-fn sparse_opts(cold_start: ColdStart) -> SimplexOptions {
-    SimplexOptions {
-        backend: SolverBackend::SparseRevised,
-        cold_start,
-        ..SimplexOptions::default()
-    }
-}
 
 /// What one `(case, config)` torture run concluded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -285,13 +277,10 @@ pub enum TortureOutcome {
 /// what the comparison amounted to.
 pub fn check(spec: &TortureSpec, cfg: ColdStart) -> Result<TortureOutcome, String> {
     let lp = spec.build();
-    let opts = sparse_opts(cfg);
+    let opts = SimplexOptions { cold_start: cfg, ..SimplexOptions::default() };
     let tols = opts.tols;
     let sparse = solve_with(&lp, opts);
-    let dense = solve_with(
-        &lp,
-        SimplexOptions { backend: SolverBackend::DenseTableau, ..SimplexOptions::default() },
-    );
+    let dense = solve_oracle(&lp, SimplexOptions::default());
 
     // Contract 1: an Optimal without a passing certificate must not
     // exist — certification runs on every return path.

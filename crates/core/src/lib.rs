@@ -76,8 +76,7 @@ pub mod prelude {
     pub use crate::eval::{AvailabilityEvaluator, AvailabilityReport, EvalConfig};
     pub use crate::gain::max_supported_scale;
     pub use crate::optimizer::{
-        ProblemConfig, SolveBudget, SolveMethod, SolverStats, TeProblem, TeSolution,
-        TeSolveError, TeSolver,
+        SolveBudget, SolveMethod, SolverStats, TeProblem, TeSolution, TeSolveError, TeSolver,
     };
     pub use crate::scenario::{
         DegradationState, EnumerationStats, FailureScenario, ScenarioBudget, ScenarioSet,
@@ -88,7 +87,7 @@ pub mod prelude {
     };
     pub use prete_lp::{
         BasisCache, ColdStart, ConfigError, NumericsEvent, RecoveryAction, SolutionQuality,
-        SolverBackend, Tolerances,
+        Tolerances,
     };
     pub use prete_obs::{Recorder, RunReport};
     pub use prete_optical::{Dataset, DatasetConfig, FailureModel};

@@ -34,7 +34,7 @@ use crate::capacity::CapacityGroups;
 use crate::scenario::ScenarioSet;
 use prete_lp::{
     solve_mip, BasisCache, ColdStart, ConstraintId, LinearProgram, MipOptions, MipStatus, Sense,
-    SimplexOptions, SolveStatus, SolverBackend, VarId, WarmSimplex,
+    SimplexOptions, SolveStatus, VarId, WarmSimplex,
 };
 use prete_obs::Recorder;
 use prete_topology::{Flow, Network, TunnelId, TunnelSet};
@@ -80,29 +80,13 @@ impl SolveMethod {
     }
 }
 
-/// Typed construction knobs for [`TeProblem`] — a config struct instead
-/// of bare positional `f64`/`usize` parameters, so numeric knobs cannot
-/// be transposed silently at call sites.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProblemConfig {
-    /// Worker threads for the per-flow survival precompute (`0` = all
-    /// available cores, `1` = serial). Flows are processed in fixed
-    /// chunks with per-flow-independent arithmetic, so every thread
-    /// count produces identical results.
-    pub precompute_threads: usize,
-    /// Failure scenarios per flow that get an explicit delivery
-    /// variable in the allocation polish pass (most probable first).
-    pub polish_scenarios_per_flow: usize,
-    /// Slack added to the frozen `Φ` in the polish pass to absorb LP
-    /// round-off.
-    pub polish_slack: f64,
-}
+/// Failure scenarios per flow that get an explicit delivery variable in
+/// the allocation polish pass (most probable first).
+const POLISH_SCENARIOS_PER_FLOW: usize = 6;
 
-impl Default for ProblemConfig {
-    fn default() -> Self {
-        Self { precompute_threads: 1, polish_scenarios_per_flow: 6, polish_slack: 1e-9 }
-    }
-}
+/// Slack added to the frozen `Φ` in the polish pass to absorb LP
+/// round-off.
+const POLISH_SLACK: f64 = 1e-9;
 
 /// A TE problem instance: network, flows with demands, tunnels
 /// (pre-established plus any reactive ones), and the scenario set.
@@ -118,8 +102,6 @@ pub struct TeProblem<'a> {
     pub scenarios: &'a ScenarioSet,
     /// Capacity trunk groups.
     pub groups: CapacityGroups,
-    /// Construction/polish knobs.
-    config: ProblemConfig,
     /// `surviving[f][q]` = tunnel ids of flow `f` alive in scenario `q`.
     surviving: Vec<Vec<Vec<TunnelId>>>,
     /// Per flow: scenario indices (≠ 0) that kill at least one tunnel.
@@ -127,72 +109,35 @@ pub struct TeProblem<'a> {
 }
 
 impl<'a> TeProblem<'a> {
-    /// Builds a problem with default [`ProblemConfig`].
+    /// Builds a problem, precomputing per-flow tunnel survivals.
     pub fn new(
         net: &'a Network,
         flows: &'a [Flow],
         tunnels: &'a TunnelSet,
         scenarios: &'a ScenarioSet,
     ) -> Self {
-        Self::with_config(net, flows, tunnels, scenarios, ProblemConfig::default())
-    }
-
-    /// Builds a problem, precomputing per-flow tunnel survivals (in
-    /// parallel when `config.precompute_threads > 1`).
-    pub fn with_config(
-        net: &'a Network,
-        flows: &'a [Flow],
-        tunnels: &'a TunnelSet,
-        scenarios: &'a ScenarioSet,
-        config: ProblemConfig,
-    ) -> Self {
         let groups = CapacityGroups::build(net);
-        // Per flow: (surviving tunnels per scenario, affecting scenarios).
-        type FlowSurvival = (Vec<Vec<TunnelId>>, Vec<usize>);
-        let compute = |flow: &Flow| -> FlowSurvival {
-            let all = tunnels.of_flow(flow.id).to_vec();
-            let mut per_q = Vec::with_capacity(scenarios.len());
-            let mut aff = Vec::new();
-            for (qi, q) in scenarios.scenarios.iter().enumerate() {
-                let surv: Vec<TunnelId> = all
-                    .iter()
-                    .copied()
-                    .filter(|&t| tunnels.tunnel(t).survives(net, &q.cut))
-                    .collect();
-                if qi != 0 && surv.len() != all.len() {
-                    aff.push(qi);
+        let (surviving, affecting) = flows
+            .iter()
+            .map(|flow| {
+                let all = tunnels.of_flow(flow.id);
+                let mut per_q = Vec::with_capacity(scenarios.len());
+                let mut aff = Vec::new();
+                for (qi, q) in scenarios.scenarios.iter().enumerate() {
+                    let surv: Vec<TunnelId> = all
+                        .iter()
+                        .copied()
+                        .filter(|&t| tunnels.tunnel(t).survives(net, &q.cut))
+                        .collect();
+                    if qi != 0 && surv.len() != all.len() {
+                        aff.push(qi);
+                    }
+                    per_q.push(surv);
                 }
-                per_q.push(surv);
-            }
-            (per_q, aff)
-        };
-        let threads = effective_threads(config.precompute_threads);
-        let per_flow: Vec<FlowSurvival> = if threads > 1 && flows.len() > 1 {
-            // Fixed chunking over disjoint output slices: each flow is
-            // computed independently, so the fan-out is bit-identical
-            // to the serial loop at any thread count.
-            let mut out: Vec<Option<FlowSurvival>> = vec![None; flows.len()];
-            let chunk = flows.len().div_ceil(threads);
-            std::thread::scope(|s| {
-                for (outs, fls) in out.chunks_mut(chunk).zip(flows.chunks(chunk)) {
-                    s.spawn(move || {
-                        for (o, flow) in outs.iter_mut().zip(fls) {
-                            *o = Some(compute(flow));
-                        }
-                    });
-                }
-            });
-            out.into_iter().map(|o| o.expect("chunk filled")).collect()
-        } else {
-            flows.iter().map(compute).collect()
-        };
-        let (surviving, affecting) = per_flow.into_iter().unzip();
-        Self { net, flows, tunnels, scenarios, groups, config, surviving, affecting }
-    }
-
-    /// The configuration this problem was built with.
-    pub fn config(&self) -> ProblemConfig {
-        self.config
+                (per_q, aff)
+            })
+            .unzip();
+        Self { net, flows, tunnels, scenarios, groups, surviving, affecting }
     }
 
     /// A hash of the problem's structural skeleton (flow/tunnel/scenario
@@ -321,8 +266,7 @@ pub struct SolverStats {
     pub rhs_resolves: usize,
     /// Warm-basis cache entries evicted (LRU) during this solve.
     pub cache_evictions: usize,
-    /// Basis LU (re)factorizations in the sparse engine (0 under the
-    /// dense backend).
+    /// Basis LU (re)factorizations in the sparse engine.
     pub refactorizations: u64,
     /// Product-form eta updates appended in the sparse engine.
     pub etas: u64,
@@ -332,8 +276,13 @@ pub struct SolverStats {
     /// Dual-simplex pivot rollbacks: pivots undone and re-priced
     /// because the post-pivot refactorization failed.
     pub rollbacks: u64,
-    /// Sparse solves that hit a singular factorization and were
-    /// answered by the dense fallback engine.
+    /// LP solves whose recovery ladder ran out
+    /// ([`prete_lp::SolveStatus::NumericalFailure`]) — the event that
+    /// once handed a solve to a dense fallback engine, kept under the
+    /// name the repository benchmark reads. A subproblem that ends this
+    /// way fails the TE solve ([`TeSolveError::LpFailed`]); the count
+    /// still reaches the recorder, which is published before the error
+    /// returns.
     pub dense_fallbacks: usize,
     /// One-step iterative refinements of basic solutions (sparse
     /// engine, `Refine` recovery rung).
@@ -545,7 +494,6 @@ pub struct TeSolver<'p, 'a, 'c> {
     method: SolveMethod,
     budget: SolveBudget,
     threads: usize,
-    backend: SolverBackend,
     cold_start: ColdStart,
     cache: Option<&'c mut BasisCache>,
     recorder: Recorder,
@@ -555,8 +503,8 @@ pub struct TeSolver<'p, 'a, 'c> {
 impl<'p, 'a, 'c> TeSolver<'p, 'a, 'c> {
     /// Creates a solver for `problem` with defaults: `beta =`
     /// [`DEFAULT_BETA`], [`SolveMethod::Heuristic`], the default
-    /// [`SolveBudget`], all available cores, the default backend and
-    /// cold start, no warm-start cache, no recorder.
+    /// [`SolveBudget`], all available cores, the default cold start, no
+    /// warm-start cache, no recorder.
     pub fn new(problem: &'p TeProblem<'a>) -> Self {
         Self {
             problem,
@@ -564,7 +512,6 @@ impl<'p, 'a, 'c> TeSolver<'p, 'a, 'c> {
             method: SolveMethod::Heuristic,
             budget: SolveBudget::default(),
             threads: 0,
-            backend: SolverBackend::default(),
             cold_start: ColdStart::default(),
             cache: None,
             recorder: Recorder::disabled(),
@@ -614,24 +561,11 @@ impl<'p, 'a, 'c> TeSolver<'p, 'a, 'c> {
         self
     }
 
-    /// LP engine for every solve under this solver (subproblems,
-    /// polish, master relaxations). Defaults to
-    /// [`SolverBackend::SparseRevised`]; the dense tableau remains
-    /// available as an oracle and is the automatic fallback when a
-    /// sparse factorization goes singular (counted in
-    /// [`SolverStats::dense_fallbacks`]).
-    pub fn backend(mut self, backend: SolverBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Cold-start strategy for the sparse engine
+    /// Cold-start strategy for every LP under this solver
     /// ([`ColdStart::TwoPhase`] by default: the classic primal
     /// two-phase sequence, reproducing historical pivot paths;
     /// [`ColdStart::Auto`] opts into a single dual simplex pass from
-    /// the all-slack basis whenever the program qualifies — the fast
-    /// path the benchmark gate measures). Ignored by the dense oracle
-    /// backend.
+    /// the all-slack basis whenever the program qualifies).
     pub fn cold_start(mut self, cold_start: ColdStart) -> Self {
         self.cold_start = cold_start;
         self
@@ -677,13 +611,11 @@ impl<'p, 'a, 'c> TeSolver<'p, 'a, 'c> {
         let recorder = self.recorder;
         let span = recorder.span("solve");
         let threads = effective_threads(self.threads);
-        recorder.event_with("solver.backend", || format!("{:?}", self.backend));
         recorder.event_with("solver.cold-start", || format!("{:?}", self.cold_start));
         let evictions_before = self.cache.as_ref().map_or(0, |c| c.evictions());
         let mut ctx = SolveCtx {
             problem: self.problem,
             threads,
-            backend: self.backend,
             cold_start: self.cold_start,
             cache: self.cache,
             stats: SolverStats {
@@ -701,7 +633,7 @@ impl<'p, 'a, 'c> TeSolver<'p, 'a, 'c> {
                 if budget.max_benders_iters == 0 && budget.max_mip_nodes == 0 {
                     Err(TeSolveError::BudgetExceeded { nodes: 0 })
                 } else {
-                    Ok(ctx.heuristic(self.beta))
+                    ctx.heuristic(self.beta)
                 }
             }
             SolveMethod::Benders { eps, max_iters } => {
@@ -709,7 +641,7 @@ impl<'p, 'a, 'c> TeSolver<'p, 'a, 'c> {
                 if cap == 0 {
                     Err(TeSolveError::BudgetExceeded { nodes: 0 })
                 } else {
-                    Ok(ctx.benders(self.beta, eps, cap))
+                    ctx.benders(self.beta, eps, cap)
                 }
             }
             SolveMethod::BranchAndBound => {
@@ -782,6 +714,14 @@ pub enum TeSolveError {
     /// exact MIP; the LP relaxation used by the heuristic always admits
     /// `Φ = 1`).
     Infeasible,
+    /// An LP the method needed ended without a usable point: its
+    /// recovery ladder ran out ([`SolveStatus::NumericalFailure`],
+    /// counted in [`SolverStats::dense_fallbacks`]) or it hit the
+    /// pivot cap.
+    LpFailed {
+        /// The LP's terminal status.
+        status: SolveStatus,
+    },
 }
 
 impl std::fmt::Display for TeSolveError {
@@ -791,6 +731,9 @@ impl std::fmt::Display for TeSolveError {
                 write!(f, "TE solve exceeded its work budget after {nodes} nodes")
             }
             TeSolveError::Infeasible => f.write_str("TE program is infeasible"),
+            TeSolveError::LpFailed { status } => {
+                write!(f, "a TE solve LP ended {status:?} without a usable point")
+            }
         }
     }
 }
@@ -860,7 +803,6 @@ fn ms_since(t0: Instant) -> f64 {
 struct SolveCtx<'p, 'a, 'c> {
     problem: &'p TeProblem<'a>,
     threads: usize,
-    backend: SolverBackend,
     cold_start: ColdStart,
     cache: Option<&'c mut BasisCache>,
     stats: SolverStats,
@@ -871,14 +813,26 @@ impl SolveCtx<'_, '_, '_> {
     fn simplex_opts(&self) -> SimplexOptions {
         SimplexOptions {
             threads: self.threads,
-            backend: self.backend,
             cold_start: self.cold_start,
             ..SimplexOptions::default()
         }
     }
 
+    /// Passes a usable LP solution; anything else becomes the typed
+    /// error the TE solve fails with, and a recovery ladder that ran
+    /// out is counted first.
+    fn usable(&mut self, sol: &prete_lp::Solution) -> Result<(), TeSolveError> {
+        if sol.is_usable() {
+            return Ok(());
+        }
+        if sol.status == SolveStatus::NumericalFailure {
+            self.stats.dense_fallbacks += 1;
+        }
+        Err(TeSolveError::LpFailed { status: sol.status })
+    }
+
     /// Folds a solve's engine counters (sparse refactorizations, etas,
-    /// fill-in, rollbacks, dense fallbacks) into the stats.
+    /// fill-in, rollbacks, ladder rungs) into the stats.
     fn absorb_engine(&mut self, sol: &prete_lp::Solution) {
         self.stats.refactorizations += sol.engine.refactorizations;
         self.stats.etas += sol.engine.etas;
@@ -888,10 +842,6 @@ impl SolveCtx<'_, '_, '_> {
             self.obs.event_with("solver.rollback", || {
                 format!("{} pivot(s) rolled back", sol.engine.rollbacks)
             });
-        }
-        if sol.engine.dense_fallback {
-            self.stats.dense_fallbacks += 1;
-            self.obs.event("solver.dense-fallback", "singular sparse factorization");
         }
         self.stats.refinements += sol.engine.refinements;
         self.stats.tightenings += sol.engine.tightenings;
@@ -938,7 +888,7 @@ impl SolveCtx<'_, '_, '_> {
 
     /// Builds and solves the selected-rows subproblem LP (heuristic
     /// path: one LP per solve, warm-started across epochs).
-    fn subproblem(&mut self, delta: &[Vec<usize>]) -> SubproblemResult {
+    fn subproblem(&mut self, delta: &[Vec<usize>]) -> Result<SubproblemResult, TeSolveError> {
         let t0 = Instant::now();
         let problem = self.problem;
         let n_tunnels = problem.tunnels.len();
@@ -980,16 +930,12 @@ impl SolveCtx<'_, '_, '_> {
 
         let key = problem.structure_key() ^ CACHE_SALT_HEURISTIC ^ hash_delta(delta);
         let sol = self.warm_solve(&lp, key);
-        // A suspect verdict still carries the optimal-basis point and
-        // duals (plus its failing certificate, already counted by
-        // `absorb_engine`); only a genuinely failed solve is a bug.
-        assert!(
-            sol.is_usable(),
-            "subproblem must be solvable (Φ = 1 is always feasible), got {:?}",
-            sol.status
-        );
         self.stats.subproblem_ms += ms_since(t0);
-        SubproblemResult {
+        // Φ = 1 is always feasible. A suspect verdict still carries the
+        // optimal-basis point and duals (plus its failing certificate,
+        // already counted by `absorb_engine`).
+        self.usable(&sol)?;
+        Ok(SubproblemResult {
             allocation: a_vars.iter().map(|&v| sol.value(v).max(0.0)).collect(),
             phi: sol.value(phi).max(0.0),
             cap_duals: cap_rows.iter().map(|&r| sol.duals[r.index()]).collect(),
@@ -997,21 +943,21 @@ impl SolveCtx<'_, '_, '_> {
                 .iter()
                 .map(|&(f, qi, r)| (f, qi, sol.duals[r.index()].max(0.0)))
                 .collect(),
-        }
+        })
     }
 
-    fn heuristic(&mut self, beta: f64) -> TeSolution {
+    fn heuristic(&mut self, beta: f64) -> Result<TeSolution, TeSolveError> {
         let delta = greedy_delta(self.problem, beta);
-        let sp = self.subproblem(&delta);
-        let (allocation, quality) = self.polish(&delta, sp.phi);
-        TeSolution {
+        let sp = self.subproblem(&delta)?;
+        let (allocation, quality) = self.polish(&delta, sp.phi)?;
+        Ok(TeSolution {
             allocation,
             max_loss: sp.phi,
             delta,
             lp_solves: 2,
             benders_iters: 0,
             quality,
-        }
+        })
     }
 
     /// Lexicographic second pass: with `Φ` fixed at its optimum, choose
@@ -1027,10 +973,13 @@ impl SolveCtx<'_, '_, '_> {
     /// this pass models that, and because the weights are the scenario
     /// probabilities it is a direct surrogate for the availability the
     /// evaluator measures.
-    fn polish(&mut self, delta: &[Vec<usize>], phi: f64) -> (Vec<f64>, Option<prete_lp::SolutionQuality>) {
+    fn polish(
+        &mut self,
+        delta: &[Vec<usize>],
+        phi: f64,
+    ) -> Result<(Vec<f64>, Option<prete_lp::SolutionQuality>), TeSolveError> {
         let t0 = Instant::now();
         let problem = self.problem;
-        let cfg = problem.config();
         let n_tunnels = problem.tunnels.len();
         let total_demand: f64 = problem.flows.iter().map(|f| f.demand_gbps).sum();
         let mean_demand = (total_demand / problem.flows.len().max(1) as f64).max(1e-9);
@@ -1074,7 +1023,7 @@ impl SolveCtx<'_, '_, '_> {
         }
         // Coverage rows with Φ frozen (small slack absorbs LP
         // round-off), plus delivery vars s_{f,q} ≤ min(d_f, Σ surv a).
-        let phi_slack = phi + cfg.polish_slack;
+        let phi_slack = phi + POLISH_SLACK;
         for (f, selected) in delta.iter().enumerate() {
             let d = problem.flows[f].demand_gbps;
             if d <= 0.0 {
@@ -1089,7 +1038,7 @@ impl SolveCtx<'_, '_, '_> {
                     .partial_cmp(&problem.scenarios.scenarios[a].prob)
                     .expect("finite")
             });
-            with_delivery.truncate(cfg.polish_scenarios_per_flow);
+            with_delivery.truncate(POLISH_SCENARIOS_PER_FLOW);
             for &qi in selected {
                 let cover: Vec<(VarId, f64)> = problem
                     .surviving(f, qi)
@@ -1120,12 +1069,12 @@ impl SolveCtx<'_, '_, '_> {
         let key = problem.structure_key() ^ CACHE_SALT_POLISH ^ hash_delta(delta);
         let sol = self.warm_solve(&lp, key);
         self.stats.polish_ms += ms_since(t0);
-        if !sol.is_usable() {
+        if self.usable(&sol).is_err() {
             // Extremely defensive: fall back to the primary solution
             // shape by re-solving the plain subproblem.
-            return (self.subproblem(delta).allocation, None);
+            return Ok((self.subproblem(delta)?.allocation, None));
         }
-        (a_vars.iter().map(|&v| sol.value(v).max(0.0)).collect(), sol.quality)
+        Ok((a_vars.iter().map(|&v| sol.value(v).max(0.0)).collect(), sol.quality))
     }
 }
 
@@ -1233,7 +1182,12 @@ fn cut_from_duals(problem: &TeProblem<'_>, sp: &SubproblemResult) -> Cut {
 }
 
 impl SolveCtx<'_, '_, '_> {
-    fn benders(&mut self, beta: f64, eps: f64, max_iters: usize) -> TeSolution {
+    fn benders(
+        &mut self,
+        beta: f64,
+        eps: f64,
+        max_iters: usize,
+    ) -> Result<TeSolution, TeSolveError> {
         let problem = self.problem;
         // Initialization (Algorithm 2 lines 2–4): δ = 1 for all rows we
         // materialize (scenario 0 + affecting), UB = 1, LB = 0, C = ∅.
@@ -1291,11 +1245,7 @@ impl SolveCtx<'_, '_, '_> {
                     format!("benders subproblem iter={iters}")
                 });
             }
-            assert!(
-                sol.is_usable(),
-                "subproblem must be solvable (Φ = 1 is always feasible), got {:?}",
-                sol.status
-            );
+            self.usable(&sol)?;
             let sp = extract_subproblem(&sol, &b);
             lp_solves += 1;
             if sp.phi < ub {
@@ -1336,10 +1286,6 @@ impl SolveCtx<'_, '_, '_> {
                 format!("{} pivot(s) rolled back in benders loop", engine.rollbacks)
             });
         }
-        if engine.dense_fallback {
-            self.stats.dense_fallbacks += 1;
-            self.obs.event("solver.dense-fallback", "singular sparse factorization in benders loop");
-        }
         self.stats.refinements += engine.refinements;
         self.stats.tightenings += engine.tightenings;
         self.stats.patched_columns += engine.patched_columns;
@@ -1352,15 +1298,15 @@ impl SolveCtx<'_, '_, '_> {
             }
         }
         let (phi, delta) = best.expect("at least one subproblem solved");
-        let (allocation, quality) = self.polish(&delta, phi);
-        TeSolution {
+        let (allocation, quality) = self.polish(&delta, phi)?;
+        Ok(TeSolution {
             allocation,
             max_loss: phi,
             delta,
             lp_solves: lp_solves + 1,
             benders_iters: iters,
             quality,
-        }
+        })
     }
 }
 
@@ -1507,7 +1453,7 @@ impl SolveCtx<'_, '_, '_> {
             })
             .collect();
         let max_loss = r.x[phi.index()].max(0.0);
-        let (allocation, quality) = self.polish(&delta, max_loss);
+        let (allocation, quality) = self.polish(&delta, max_loss)?;
         Ok(TeSolution {
             allocation,
             max_loss,
@@ -1997,25 +1943,37 @@ mod tests {
     }
 
     #[test]
-    fn problem_config_precompute_parallelism_is_invisible() {
+    fn unusable_lp_status_is_a_typed_error_and_counted() {
         let (net, flows, tunnels, scenarios) = triangle_problem(&TRIANGLE_PROBS);
-        let serial = TeProblem::new(&net, &flows, &tunnels, &scenarios);
-        let par = TeProblem::with_config(
-            &net,
-            &flows,
-            &tunnels,
-            &scenarios,
-            ProblemConfig { precompute_threads: 4, ..ProblemConfig::default() },
-        );
-        assert_eq!(serial.structure_key(), par.structure_key());
-        for f in 0..flows.len() {
-            assert_eq!(serial.affecting(f), par.affecting(f));
-            for q in 0..scenarios.len() {
-                assert_eq!(serial.surviving(f, q), par.surviving(f, q));
-            }
-        }
-        let a = run(&serial, 0.99, SolveMethod::Heuristic);
-        let b = run(&par, 0.99, SolveMethod::Heuristic);
-        assert_eq!(a.allocation, b.allocation);
+        let p = TeProblem::new(&net, &flows, &tunnels, &scenarios);
+        let mut ctx = SolveCtx {
+            problem: &p,
+            threads: 1,
+            cold_start: ColdStart::default(),
+            cache: None,
+            stats: SolverStats::default(),
+            obs: Recorder::disabled(),
+        };
+        let ended = |status| prete_lp::Solution {
+            status,
+            x: Vec::new(),
+            objective: f64::NAN,
+            duals: Vec::new(),
+            iterations: 0,
+            engine: Default::default(),
+            quality: None,
+        };
+        // A ladder that ran out fails the solve instead of panicking,
+        // and counts under the name the benchmark reads.
+        let failed = SolveStatus::NumericalFailure;
+        assert_eq!(ctx.usable(&ended(failed)), Err(TeSolveError::LpFailed { status: failed }));
+        assert_eq!(ctx.stats.dense_fallbacks, 1);
+        // The pivot cap fails it too, but is not a ladder run-out.
+        let capped = SolveStatus::IterationLimit;
+        assert_eq!(ctx.usable(&ended(capped)), Err(TeSolveError::LpFailed { status: capped }));
+        assert_eq!(ctx.stats.dense_fallbacks, 1);
+        // A suspect point is still a point.
+        assert_eq!(ctx.usable(&ended(SolveStatus::NumericallySuspect)), Ok(()));
+        assert!(TeSolveError::LpFailed { status: failed }.to_string().contains("NumericalFailure"));
     }
 }

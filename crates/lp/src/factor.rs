@@ -48,8 +48,9 @@ const SINGULAR_TOL: f64 = 1e-11;
 
 /// The basis matrix could not be factorized (structurally or
 /// numerically singular). Callers climb the recovery ladder: tighten
-/// the peel tolerance, patch the offending column (when known), and
-/// only then fall back to the dense backend.
+/// the peel tolerance, then patch the offending column (when known);
+/// past the last rung the solve ends
+/// [`crate::SolveStatus::NumericalFailure`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FactorError {
     /// Basis slot whose pivot collapsed, when the factorization can

@@ -7,16 +7,17 @@
 //!
 //! * [`model::LinearProgram`] — a small modelling API (variables with
 //!   bounds, sparse linear constraints, minimization objective);
-//! * [`simplex`] — the solver front end with two engines behind one
-//!   API ([`simplex::SolverBackend`]): a two-phase dense-tableau
-//!   primal simplex with dual extraction (the duals drive the Benders
-//!   optimality cuts of Appendix A.4/A.5), kept as the trusted oracle
-//!   and automatic fallback, and the default sparse revised simplex
-//!   (presolve + CSC columns + LU-factorized basis with product-form
-//!   eta updates, partial Dantzig pricing with a Bland's-rule fallback,
-//!   native variable bounds, and a cold start chosen by
-//!   [`simplex::ColdStart`]) for the large, extremely sparse TE
-//!   programs;
+//! * [`simplex`] — the solver front end over one engine, the sparse
+//!   revised simplex (presolve + CSC columns + LU-factorized basis with
+//!   product-form eta updates, partial Dantzig pricing with a
+//!   Bland's-rule fallback, native variable bounds, and a cold start
+//!   chosen by [`simplex::ColdStart`]) for the large, extremely sparse
+//!   TE programs, with dual extraction (the duals drive the Benders
+//!   optimality cuts of Appendix A.4/A.5) and a recovery ladder that
+//!   ends in a typed [`SolveStatus::NumericalFailure`];
+//! * [`solve_oracle`] — the two-phase dense-tableau primal simplex,
+//!   cold and serial, kept only as the reference the tests hold the
+//!   engine to;
 //! * [`mip`] — branch-and-bound over binary/integer variables on top of
 //!   the simplex relaxation, used for the Benders master problem and as
 //!   an exact (small-instance) reference solver for the full MIP
@@ -29,9 +30,8 @@
 //! Problem sizes in this workspace are a few hundred to a few thousand
 //! rows/columns. The dense tableau stays deliberately simple — easy to
 //! verify — per the project's smoltcp-inspired "simplicity and
-//! robustness over cleverness" rule; the sparse engine is held to the
-//! dense oracle by a differential test suite
-//! (`tests/solver_differential.rs`).
+//! robustness over cleverness" rule; the sparse engine is held to it by
+//! a differential test suite (`tests/solver_differential.rs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,6 +39,7 @@
 mod factor;
 pub mod mip;
 pub mod model;
+mod oracle;
 mod presolve;
 pub mod simplex;
 mod sparse;
@@ -46,6 +47,7 @@ pub mod warm;
 
 pub use mip::{solve_mip, MipOptions, MipResult, MipStatus};
 pub use model::{Constraint, ConstraintId, LinearProgram, Sense, VarId};
+pub use oracle::solve_oracle;
 pub use simplex::{
     solve, solve_with, Basis, ColdStart, ConfigError, EngineStats, EtaUpdate,
     NumericsEvent, Pricing, RecoveryAction, SimplexOptions, Solution,

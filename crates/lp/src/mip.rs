@@ -124,7 +124,9 @@ pub fn solve_mip(lp: &LinearProgram, integers: &[VarId], opts: MipOptions) -> Mi
                     }
                     continue;
                 }
-                SolveStatus::IterationLimit => continue,
+                // No point to bound or branch on: the node is dropped
+                // like a pruned one.
+                SolveStatus::IterationLimit | SolveStatus::NumericalFailure => continue,
                 // A suspect relaxation still carries a usable bound and
                 // point — pruning it would silently drop feasible
                 // subtrees on ill-conditioned masters.
@@ -196,35 +198,30 @@ pub fn solve_mip(lp: &LinearProgram, integers: &[VarId], opts: MipOptions) -> Mi
 
 /// Solves the LP relaxations of a wave of nodes, in wave order. With
 /// more than one node and `simplex.threads > 1` the solves run on
-/// scoped worker threads (each node's relaxation is independent); the
-/// per-node simplex then runs serially so the two parallelism levels
-/// do not multiply. Results are collected in wave order either way.
+/// scoped worker threads (each node's relaxation is independent).
+/// Results are collected in wave order either way.
 fn relax_wave(
     lp: &LinearProgram,
     wave: &[Vec<(VarId, f64, f64)>],
     simplex: SimplexOptions,
 ) -> Vec<Solution> {
-    let relax = |tightenings: &[(VarId, f64, f64)], opts: SimplexOptions| {
+    let relax = |tightenings: &[(VarId, f64, f64)]| {
         let mut child = lp.clone();
         for &(v, lo, hi) in tightenings {
             tighten(&mut child, v, lo, hi);
         }
-        solve_with(&child, opts)
+        solve_with(&child, simplex)
     };
     if simplex.threads > 1 && wave.len() > 1 {
-        let inner = SimplexOptions { threads: 1, ..simplex };
         std::thread::scope(|s| {
-            let handles: Vec<_> = wave
-                .iter()
-                .map(|t| s.spawn(move || relax(t, inner)))
-                .collect();
+            let handles: Vec<_> = wave.iter().map(|t| s.spawn(move || relax(t))).collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("wave worker panicked"))
                 .collect()
         })
     } else {
-        wave.iter().map(|t| relax(t, simplex)).collect()
+        wave.iter().map(|t| relax(t)).collect()
     }
 }
 

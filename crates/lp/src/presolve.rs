@@ -1,4 +1,4 @@
-//! Presolve reductions for the sparse revised simplex backend.
+//! Presolve reductions for the sparse revised simplex.
 //!
 //! Before the sparse engine builds its constraint matrix, the user
 //! program is reduced by the classic cheap transformations:

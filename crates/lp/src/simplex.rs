@@ -1,17 +1,8 @@
-//! Two-phase dense-tableau primal simplex with dual extraction.
-//!
-//! ## Transformation pipeline
-//!
-//! 1. Variables are shifted so every lower bound is 0 (`x = x' + lb`);
-//!    the objective constant this introduces is added back at the end.
-//! 2. Finite upper bounds become extra `<=` rows (the TE programs have
-//!    very few of them — only the loss variables are boxed).
-//! 3. Rows with negative right-hand side are negated (senses flip).
-//! 4. `<=` rows get a slack column, `>=` rows a surplus column plus an
-//!    artificial, `=` rows an artificial.
-//! 5. Phase 1 minimizes the artificial sum from the slack/artificial
-//!    basis; phase 2 minimizes the real objective with artificial
-//!    columns barred from entering.
+//! The solver front end: options, tolerances, statuses, certified
+//! solutions and the recovery ladder's vocabulary. [`solve_with`] and
+//! [`WarmSimplex`] run the sparse revised simplex (`sparse.rs`); the
+//! dense tableau survives only as the test oracle
+//! [`crate::solve_oracle`].
 //!
 //! ## Duals
 //!
@@ -31,21 +22,15 @@
 
 use crate::model::{LinearProgram, Sense};
 
-/// Which simplex engine executes a solve.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize, serde::Deserialize,
-)]
+pub use crate::sparse::WarmSimplex;
+
+/// What is left of the engine option: its one engine, the sparse
+/// revised simplex. Nothing reads it; it survives only as the type of
+/// `Controller::backend`, a field the repository benchmark names, and
+/// goes when the benchmark's next revision stops naming it.
+#[derive(Debug, Clone, Copy, Default)]
 pub enum SolverBackend {
-    /// The original dense-tableau two-phase primal simplex. Kept as the
-    /// trusted oracle and as the automatic fallback when the sparse
-    /// engine hits a singular basis factorization.
-    DenseTableau,
-    /// Sparse revised simplex: presolve, CSC columns, LU-factorized
-    /// basis with product-form eta updates and periodic
-    /// refactorization, partial pricing with a Bland's-rule
-    /// anti-cycling fallback. The default — TE programs are extremely
-    /// sparse and the revised iteration costs `O(nnz)` instead of the
-    /// dense `O(m·n)` tableau elimination.
+    /// Sparse revised simplex.
     #[default]
     SparseRevised,
 }
@@ -94,15 +79,16 @@ pub enum ColdStart {
     Auto,
     /// Always run the classic primal two-phase method from the
     /// slack/artificial basis. This reproduces the historical cold-solve
-    /// pivot sequences bit-for-bit (and is the benchmark regression
-    /// gate's legacy leg), so it is the default.
+    /// pivot sequences bit-for-bit, which the golden fixtures pin, so it
+    /// is the default.
     #[default]
     TwoPhase,
 }
 
-/// The documented numerical tolerances of both simplex engines,
-/// centralizing the thresholds that used to live as scattered literals
-/// across the factorization, pricing, ratio-test and presolve code.
+/// The documented numerical tolerances of the simplex engine and its
+/// oracle, centralizing the thresholds that used to live as scattered
+/// literals across the factorization, pricing, ratio-test and presolve
+/// code.
 ///
 /// Every field except the two limits is a *tolerance*: a dimensionless
 /// threshold in `(0, 1)`. The defaults reproduce the historical
@@ -276,22 +262,14 @@ pub struct SimplexOptions {
     pub tols: Tolerances,
     /// Iterations without improvement before switching to Bland's rule.
     pub stall_threshold: usize,
-    /// Worker threads for the parallel kernels (1 = serial).
-    ///
-    /// Dense backend: rows are eliminated independently against a
-    /// snapshot of the normalized pivot row, above
-    /// [`PARALLEL_PIVOT_CELLS`] tableau cells; every thread count —
-    /// including 1 — performs the exact same per-cell arithmetic, so
-    /// results are bit-identical, and entering/leaving selection
-    /// always runs on the coordinating thread. The sparse backend is
-    /// serial whatever this says: a pricing segment is too little work
-    /// to pay for a thread spawn (measured 4–5× slower fanned out), and
-    /// its workspace belongs to one thread.
+    /// Worker threads for branch-and-bound (1 = serial):
+    /// [`crate::solve_mip`] relaxes the nodes of one wave on this many
+    /// scoped threads. The simplex itself is serial whatever this says:
+    /// a pricing segment is too little work to pay for a thread spawn
+    /// (measured 4–5× slower fanned out), and its workspace belongs to
+    /// one thread.
     pub threads: usize,
-    /// Engine selection (default [`SolverBackend::SparseRevised`] with
-    /// automatic dense fallback on factorization failure).
-    pub backend: SolverBackend,
-    /// Cold-start strategy (sparse engine only).
+    /// Cold-start strategy.
     pub cold_start: ColdStart,
 }
 
@@ -303,7 +281,6 @@ impl Default for SimplexOptions {
             tols: Tolerances::default(),
             stall_threshold: 1_000,
             threads: 1,
-            backend: SolverBackend::default(),
             cold_start: ColdStart::default(),
         }
     }
@@ -328,11 +305,6 @@ impl SimplexOptions {
     }
 }
 
-/// Minimum tableau cells (`rows × columns`) before a pivot fans row
-/// elimination out across threads; below this the spawn overhead
-/// dominates.
-pub const PARALLEL_PIVOT_CELLS: usize = 32_768;
-
 /// Outcome of a solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolveStatus {
@@ -351,10 +323,17 @@ pub enum SolveStatus {
     /// [`Solution::quality`] reports the measured residuals, but the
     /// answer must not be trusted as exact.
     NumericallySuspect,
+    /// The recovery ladder ran out: a basis factorization stayed
+    /// singular after every rung of [`NumericsEvent::ladder`], or a
+    /// dual-simplex verdict rested only on pivots the factors could not
+    /// support. There is no point — `x`, `objective` and `duals` are
+    /// placeholders — so, unlike [`SolveStatus::NumericallySuspect`],
+    /// the solution is not [`Solution::is_usable`].
+    NumericalFailure,
 }
 
-/// Per-solve engine counters beyond the pivot count. All zeros for the
-/// dense backend (it has no factorization machinery).
+/// Per-solve engine counters beyond the pivot count. All zeros from
+/// the oracle ([`crate::solve_oracle`] has no factorization).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EngineStats {
     /// Basis LU (re)factorizations, including the initial one.
@@ -381,12 +360,9 @@ pub struct EngineStats {
     pub patched_columns: u64,
     /// Largest 1-norm condition estimate (LINPACK-style) observed
     /// across this solve's basis factorizations; `0` when no estimate
-    /// was computed (dense backend, or `m == 0`). Deterministic: a
-    /// pure function of the pivot sequence.
+    /// was computed (the oracle, or `m == 0`). Deterministic: a pure
+    /// function of the pivot sequence.
     pub condition_estimate: f64,
-    /// Whether a sparse solve failed factorization and the dense
-    /// engine produced this solution instead.
-    pub dense_fallback: bool,
 }
 
 /// KKT-residual certificate attached to every solution that terminated
@@ -432,8 +408,8 @@ impl SolutionQuality {
 
 /// A numerical-trouble signal raised inside the sparse engine. Each
 /// event maps, deterministically, onto a ladder of
-/// [`RecoveryAction`]s — tried in order until one succeeds — replacing
-/// the old single singular-factorization → dense-fallback edge.
+/// [`RecoveryAction`]s, tried in order until one succeeds. A solve
+/// whose ladder runs out ends [`SolveStatus::NumericalFailure`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NumericsEvent {
     /// `‖b − B·x_B‖∞` exceeded [`Tolerances::residual`] after a
@@ -466,9 +442,6 @@ pub enum RecoveryAction {
     /// Replace the offending basis column with the slot's initial
     /// slack/artificial column and refactorize.
     PatchSingularColumn,
-    /// Abandon the sparse engine for this solve; the dense tableau
-    /// oracle produces the solution.
-    DenseFallback,
 }
 
 impl NumericsEvent {
@@ -476,12 +449,10 @@ impl NumericsEvent {
     pub fn ladder(self) -> &'static [RecoveryAction] {
         use RecoveryAction::*;
         match self {
-            NumericsEvent::ResidualExceeded => &[Refine, Refactorize, DenseFallback],
-            NumericsEvent::SingularFactorization => {
-                &[TightenTolerance, PatchSingularColumn, DenseFallback]
-            }
-            NumericsEvent::UnstableUpdate => &[Refactorize, TightenTolerance, DenseFallback],
-            NumericsEvent::ConditionExceeded => &[Refactorize, DenseFallback],
+            NumericsEvent::ResidualExceeded => &[Refine, Refactorize],
+            NumericsEvent::SingularFactorization => &[TightenTolerance, PatchSingularColumn],
+            NumericsEvent::UnstableUpdate => &[Refactorize, TightenTolerance],
+            NumericsEvent::ConditionExceeded => &[Refactorize],
         }
     }
 }
@@ -501,7 +472,7 @@ pub struct Solution {
     pub duals: Vec<f64>,
     /// Total pivots performed.
     pub iterations: usize,
-    /// Engine counters (refactorizations, etas, fill-in, fallback).
+    /// Engine counters (refactorizations, etas, fill-in, ladder rungs).
     pub engine: EngineStats,
     /// KKT certificate, present whenever the engine reached a formally
     /// optimal basis (`Optimal` and `NumericallySuspect` statuses).
@@ -660,36 +631,19 @@ pub fn solve(lp: &LinearProgram) -> Solution {
     solve_with(lp, SimplexOptions::default())
 }
 
-/// Solves with explicit options, dispatching on
-/// [`SimplexOptions::backend`]. A sparse solve that fails basis
-/// factorization falls back to the dense engine automatically (flagged
-/// in [`EngineStats::dense_fallback`]).
+/// Solves with explicit options: full presolve, then the sparse revised
+/// simplex from scratch. A solve whose recovery ladder runs out ends
+/// [`SolveStatus::NumericalFailure`].
 pub fn solve_with(lp: &LinearProgram, opts: SimplexOptions) -> Solution {
-    match opts.backend {
-        SolverBackend::DenseTableau => solve_dense(lp, opts),
-        SolverBackend::SparseRevised => match crate::sparse::solve_sparse(lp, opts) {
-            Ok(sol) => sol,
-            Err(_) => {
-                let mut sol = solve_dense(lp, opts);
-                sol.engine.dense_fallback = true;
-                sol
-            }
-        },
-    }
+    WarmSimplex::one_shot(opts).solve_from(lp, None).0
 }
 
-fn solve_dense(lp: &LinearProgram, opts: SimplexOptions) -> Solution {
-    let mut t = Tableau::build(lp, opts);
-    let mut sol = t.run(lp);
-    certify(lp, &mut sol, &opts.tols);
-    sol
-}
-
-/// A saved simplex basis: the basic column of every tableau row plus a
-/// signature of the tableau *structure* (row senses, sign
-/// normalization, bound pattern) it was extracted from.
+/// A saved simplex basis: the basic column of every row plus a
+/// signature of the program *structure* (row senses, sign
+/// normalization, bound pattern, presolve reduction, scaling) it was
+/// extracted from.
 ///
-/// A basis can be restored onto a later tableau with the same structure
+/// A basis can be restored onto a later program with the same structure
 /// even when matrix coefficients or right-hand sides changed — exactly
 /// the shape of successive TE epochs, where demands drift but the
 /// constraint skeleton is fixed. Restoring skips simplex phase 1
@@ -699,12 +653,10 @@ fn solve_dense(lp: &LinearProgram, opts: SimplexOptions) -> Solution {
 pub struct Basis {
     cols: Vec<usize>,
     signature: u64,
-    /// Nonbasic-at-upper-bound flags, one per engine column (sparse
-    /// engine with native bounds only; empty for the dense tableau,
-    /// whose bounds live in explicit rows). Pre-bounds snapshots lack
-    /// the field and fail to decode — the checkpoint layer versions
-    /// its snapshots (`CHECKPOINT_VERSION`), so stale ones are rebuilt
-    /// from the journal instead of restored.
+    /// Nonbasic-at-upper-bound flags, one per engine column.
+    /// Pre-bounds snapshots lack the field and fail to decode — the
+    /// checkpoint layer versions its snapshots (`CHECKPOINT_VERSION`),
+    /// so stale ones are rebuilt from the journal instead of restored.
     at_upper: Vec<bool>,
 }
 
@@ -719,7 +671,7 @@ impl Basis {
         self.cols.is_empty()
     }
 
-    /// The structural signature of the tableau this basis came from.
+    /// The structural signature of the program this basis came from.
     pub fn signature(&self) -> u64 {
         self.signature
     }
@@ -740,843 +692,11 @@ impl Basis {
     }
 }
 
-/// A persistent simplex instance that keeps its tableau alive between
-/// solves so follow-up solves can be warm-started.
-///
-/// Two warm paths are supported:
-///
-/// * [`WarmSimplex::resolve_rhs`] — the caller changed *only*
-///   right-hand sides (via [`LinearProgram::set_rhs`]) since the last
-///   solve. The live tableau's rhs column is recomputed through the
-///   basis inverse (read off the identity columns) and a dual-simplex
-///   loop restores feasibility: the previous optimal basis is dual
-///   feasible by construction, so this typically takes a few pivots
-///   where a cold solve would need full phase 1 + 2. This is the
-///   within-Benders warm start (the δ selection only moves the
-///   coverage right-hand sides).
-/// * [`WarmSimplex::solve_from`] — a fresh solve seeded from a saved
-///   [`Basis`] (for example from a [`crate::BasisCache`] across
-///   controller epochs). The tableau is rebuilt with the new
-///   coefficients, the basis is restored by prescribed pivots, and
-///   phase 1 is skipped when the restored point is primal or dual
-///   feasible.
-///
-/// Every warm path falls back to a cold solve on any mismatch, so the
-/// result status is never worse than [`solve_with`].
-#[derive(Debug)]
-pub struct WarmSimplex {
-    opts: SimplexOptions,
-    state: Option<WarmState>,
-    sparse: Option<crate::sparse::SparseEngine>,
-    /// Counters carried over from sparse engines discarded after a
-    /// factorization failure, so lifetime stats survive the fallback.
-    retired_pivots: usize,
-    retired_engine: EngineStats,
-}
-
-#[derive(Debug)]
-struct WarmState {
-    tab: Tableau,
-    /// User-constraint rhs values at build time (baseline for deltas).
-    build_user_rhs: Vec<f64>,
-    optimal: bool,
-}
-
-impl WarmSimplex {
-    /// Creates an instance with the given options.
-    pub fn new(opts: SimplexOptions) -> Self {
-        Self {
-            opts,
-            state: None,
-            sparse: None,
-            retired_pivots: 0,
-            retired_engine: EngineStats::default(),
-        }
-    }
-
-    /// Banks a failed sparse engine's counters before the dense engine
-    /// takes over.
-    fn retire_sparse(&mut self) {
-        if let Some(eng) = self.sparse.take() {
-            self.retired_pivots += eng.pivots();
-            let st = eng.stats();
-            self.retired_engine.refactorizations += st.refactorizations;
-            self.retired_engine.etas += st.etas;
-            self.retired_engine.fill_in += st.fill_in;
-            self.retired_engine.rollbacks += st.rollbacks;
-            self.retired_engine.refinements += st.refinements;
-            self.retired_engine.tightenings += st.tightenings;
-            self.retired_engine.patched_columns += st.patched_columns;
-            self.retired_engine.condition_estimate =
-                self.retired_engine.condition_estimate.max(st.condition_estimate);
-            self.retired_engine.dense_fallback = true;
-        }
-    }
-
-    /// Cold solve (keeps the engine state for later warm re-solves).
-    pub fn solve(&mut self, lp: &LinearProgram) -> Solution {
-        self.solve_from(lp, None).0
-    }
-
-    /// Solves from scratch, optionally restoring a saved basis first.
-    /// Returns the solution and whether the warm basis was actually
-    /// used (signature match + successful restore).
-    pub fn solve_from(&mut self, lp: &LinearProgram, warm: Option<&Basis>) -> (Solution, bool) {
-        if self.opts.backend == SolverBackend::SparseRevised {
-            let opts = self.opts;
-            let eng =
-                self.sparse.get_or_insert_with(|| crate::sparse::SparseEngine::new(opts));
-            match eng.solve_from(lp, warm) {
-                Ok(res) => return res,
-                Err(_) => {
-                    // Singular basis factorization mid-solve: discard
-                    // the sparse state and let the dense engine answer.
-                    self.retire_sparse();
-                    let (mut sol, used) = self.solve_from_dense(lp, warm);
-                    sol.engine.dense_fallback = true;
-                    return (sol, used);
-                }
-            }
-        }
-        self.solve_from_dense(lp, warm)
-    }
-
-    fn solve_from_dense(&mut self, lp: &LinearProgram, warm: Option<&Basis>) -> (Solution, bool) {
-        let mut tab = Tableau::build(lp, self.opts);
-        let mut warm_used = false;
-        let mut sol = match warm {
-            Some(b) if b.signature == tab.signature && tab.restore_basis(b) => {
-                match tab.solve_restored(lp) {
-                    Some(sol) => {
-                        warm_used = true;
-                        sol
-                    }
-                    None => {
-                        tab = Tableau::build(lp, self.opts);
-                        tab.run(lp)
-                    }
-                }
-            }
-            _ => tab.run(lp),
-        };
-        certify(lp, &mut sol, &self.opts.tols);
-        let optimal = sol.is_usable();
-        self.state = Some(WarmState {
-            tab,
-            build_user_rhs: lp.constraints().iter().map(|c| c.rhs).collect(),
-            optimal,
-        });
-        (sol, warm_used)
-    }
-
-    /// Re-solves after the caller changed *only* constraint right-hand
-    /// sides since the previous solve on this instance. Falls back to a
-    /// cold solve when no optimal tableau is live or the program shape
-    /// changed. Returns the solution and whether the live-tableau warm
-    /// path was taken.
-    ///
-    /// Correctness contract: between the previous solve and this call,
-    /// the program must only have been mutated through
-    /// [`LinearProgram::set_rhs`]. Coefficient or shape changes require
-    /// [`WarmSimplex::solve_from`].
-    pub fn resolve_rhs(&mut self, lp: &LinearProgram) -> (Solution, bool) {
-        if self.opts.backend == SolverBackend::SparseRevised {
-            let opts = self.opts;
-            let eng =
-                self.sparse.get_or_insert_with(|| crate::sparse::SparseEngine::new(opts));
-            match eng.resolve_rhs(lp) {
-                Ok(res) => return res,
-                Err(_) => {
-                    self.retire_sparse();
-                    let (mut sol, _) = self.solve_from_dense(lp, None);
-                    sol.engine.dense_fallback = true;
-                    return (sol, false);
-                }
-            }
-        }
-        let usable = self
-            .state
-            .as_ref()
-            .is_some_and(|s| s.optimal && s.build_user_rhs.len() == lp.num_constraints());
-        if !usable {
-            return (self.solve_from_dense(lp, None).0, false);
-        }
-        let WarmState { tab, build_user_rhs, optimal } = self.state.as_mut().expect("checked");
-        // New transformed rhs per tableau row: the build-time value plus
-        // the (sign-adjusted) user delta; upper-bound rows are untouched.
-        let mut new_b = tab.rhs0.clone();
-        for (u, &(row, sign)) in tab.user_rows.iter().enumerate() {
-            new_b[row] += sign * (lp.constraints()[u].rhs - build_user_rhs[u]);
-        }
-        tab.apply_rhs(&new_b);
-        let st = tab.dual_simplex();
-        let st = if st == SolveStatus::Optimal { tab.iterate(false) } else { st };
-        if st == SolveStatus::Optimal {
-            *optimal = true;
-            *build_user_rhs = lp.constraints().iter().map(|c| c.rhs).collect();
-            tab.rhs0 = new_b;
-            let mut sol = tab.extract(lp);
-            certify(lp, &mut sol, &self.opts.tols);
-            (sol, true)
-        } else {
-            // Dual-unbounded (new rhs infeasible) or iteration trouble:
-            // a cold solve gives the authoritative status.
-            (self.solve(lp), false)
-        }
-    }
-
-    /// The optimal basis of the last solve, if it reached optimality.
-    pub fn basis(&self) -> Option<Basis> {
-        if self.opts.backend == SolverBackend::SparseRevised {
-            return self.sparse.as_ref()?.basis();
-        }
-        let s = self.state.as_ref()?;
-        s.optimal.then(|| s.tab.extract_basis())
-    }
-
-    /// Cumulative pivots performed by this instance, including any
-    /// sparse engine retired to a dense fallback and the dense tableau
-    /// that replaced it.
-    pub fn pivots(&self) -> usize {
-        let live_sparse = self.sparse.as_ref().map_or(0, |e| e.pivots());
-        let live_dense = self.state.as_ref().map_or(0, |s| s.tab.iterations);
-        self.retired_pivots + live_sparse + live_dense
-    }
-
-    /// Cumulative engine counters (refactorizations, eta columns,
-    /// fill-in, whether a dense fallback ever happened) across this
-    /// instance's lifetime.
-    pub fn engine_stats(&self) -> EngineStats {
-        let mut st = self.retired_engine;
-        if let Some(eng) = &self.sparse {
-            let live = eng.stats();
-            st.refactorizations += live.refactorizations;
-            st.etas += live.etas;
-            st.fill_in += live.fill_in;
-            st.rollbacks += live.rollbacks;
-            st.refinements += live.refinements;
-            st.tightenings += live.tightenings;
-            st.patched_columns += live.patched_columns;
-            st.condition_estimate = st.condition_estimate.max(live.condition_estimate);
-        }
-        st
-    }
-}
-
-/// Column classification inside the tableau.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ColKind {
-    Structural,
-    Slack,
-    Artificial,
-}
-
-#[derive(Debug)]
-struct Tableau {
-    opts: SimplexOptions,
-    /// Row-major (m+1) x (ncols+1); last row = objective (reduced
-    /// costs, negated objective value in the rhs cell), last column =
-    /// rhs.
-    t: Vec<f64>,
-    m: usize,
-    ncols: usize,
-    /// Basis variable (column) of each row.
-    basis: Vec<usize>,
-    kind: Vec<ColKind>,
-    /// For each user constraint row index: (tableau row, sign flip).
-    user_rows: Vec<(usize, f64)>,
-    /// Identity-ish column used to read the dual of each tableau row.
-    dual_col: Vec<usize>,
-    /// Shifted lower bounds per structural variable.
-    shift: Vec<f64>,
-    /// Objective constant from the shift.
-    obj_const: f64,
-    n_structural: usize,
-    iterations: usize,
-    /// Transformed rhs per row at build time (baseline for rhs-only
-    /// warm re-solves).
-    rhs0: Vec<f64>,
-    /// Hash of the structural skeleton (variable bound pattern, row
-    /// senses and sign normalization) — a saved [`Basis`] may only be
-    /// restored onto a tableau with the same signature.
-    signature: u64,
-}
-
-impl Tableau {
-    fn build(lp: &LinearProgram, opts: SimplexOptions) -> Self {
-        let n = lp.num_vars();
-        let shift: Vec<f64> = lp.vars().iter().map(|v| v.lower).collect();
-        let obj_const: f64 =
-            lp.vars().iter().map(|v| v.objective * v.lower).sum();
-
-        // Assemble rows: user constraints then upper-bound rows.
-        // Each row: (dense coeffs over structural vars, sense, rhs).
-        struct Row {
-            coeffs: Vec<(usize, f64)>,
-            sense: Sense,
-            rhs: f64,
-        }
-        let mut rows: Vec<Row> = Vec::with_capacity(lp.num_constraints());
-        for c in lp.constraints() {
-            // Sum duplicate terms, shift rhs by lower bounds.
-            let mut dense: Vec<f64> = vec![0.0; n];
-            for &(v, a) in &c.terms {
-                dense[v.index()] += a;
-            }
-            let mut rhs = c.rhs;
-            for (j, &a) in dense.iter().enumerate() {
-                rhs -= a * shift[j];
-            }
-            let coeffs: Vec<(usize, f64)> = dense
-                .iter()
-                .enumerate()
-                .filter(|&(_, &a)| a != 0.0)
-                .map(|(j, &a)| (j, a))
-                .collect();
-            rows.push(Row { coeffs, sense: c.sense, rhs });
-        }
-        let n_user = rows.len();
-        for (j, v) in lp.vars().iter().enumerate() {
-            if v.upper.is_finite() {
-                rows.push(Row {
-                    coeffs: vec![(j, 1.0)],
-                    sense: Sense::Le,
-                    rhs: v.upper - v.lower,
-                });
-            }
-        }
-
-        // Normalize rhs >= 0, decide slack/artificial columns.
-        let m = rows.len();
-        let mut signs = vec![1.0f64; m];
-        for (i, r) in rows.iter_mut().enumerate() {
-            if r.rhs < 0.0 {
-                signs[i] = -1.0;
-                r.rhs = -r.rhs;
-                for c in &mut r.coeffs {
-                    c.1 = -c.1;
-                }
-                r.sense = match r.sense {
-                    Sense::Le => Sense::Ge,
-                    Sense::Ge => Sense::Le,
-                    Sense::Eq => Sense::Eq,
-                };
-            }
-        }
-        let mut n_slack = 0usize;
-        let mut n_art = 0usize;
-        for r in &rows {
-            match r.sense {
-                Sense::Le => n_slack += 1,
-                Sense::Ge => {
-                    n_slack += 1; // surplus
-                    n_art += 1;
-                }
-                Sense::Eq => n_art += 1,
-            }
-        }
-        let ncols = n + n_slack + n_art;
-        let stride = ncols + 1;
-        let mut t = vec![0.0f64; (m + 1) * stride];
-        let mut kind = vec![ColKind::Structural; ncols];
-        for k in kind.iter_mut().take(n + n_slack).skip(n) {
-            *k = ColKind::Slack;
-        }
-        for k in kind.iter_mut().skip(n + n_slack) {
-            *k = ColKind::Artificial;
-        }
-
-        let mut basis = vec![usize::MAX; m];
-        let mut dual_col = vec![usize::MAX; m];
-        let mut slack_next = n;
-        let mut art_next = n + n_slack;
-        for (i, r) in rows.iter().enumerate() {
-            let row = &mut t[i * stride..(i + 1) * stride];
-            for &(j, a) in &r.coeffs {
-                row[j] = a;
-            }
-            row[ncols] = r.rhs;
-            match r.sense {
-                Sense::Le => {
-                    row[slack_next] = 1.0;
-                    basis[i] = slack_next;
-                    dual_col[i] = slack_next;
-                    slack_next += 1;
-                }
-                Sense::Ge => {
-                    row[slack_next] = -1.0; // surplus
-                    slack_next += 1;
-                    row[art_next] = 1.0;
-                    basis[i] = art_next;
-                    dual_col[i] = art_next;
-                    art_next += 1;
-                }
-                Sense::Eq => {
-                    row[art_next] = 1.0;
-                    basis[i] = art_next;
-                    dual_col[i] = art_next;
-                    art_next += 1;
-                }
-            }
-        }
-
-        let user_rows = (0..n_user).map(|i| (i, signs[i])).collect();
-        // Structural signature: anything that determines the column
-        // layout (and therefore what a saved basis index means).
-        let signature = {
-            use std::hash::{Hash, Hasher};
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            n.hash(&mut h);
-            for v in lp.vars() {
-                v.upper.is_finite().hash(&mut h);
-            }
-            for (i, r) in rows.iter().enumerate() {
-                (r.sense as u8).hash(&mut h);
-                (signs[i] < 0.0).hash(&mut h);
-            }
-            h.finish()
-        };
-        let rhs0 = rows.iter().map(|r| r.rhs).collect();
-        Self {
-            opts,
-            t,
-            m,
-            ncols,
-            basis,
-            kind,
-            user_rows,
-            dual_col,
-            shift,
-            obj_const,
-            n_structural: n,
-            iterations: 0,
-            rhs0,
-            signature,
-        }
-    }
-
-    #[inline]
-    fn stride(&self) -> usize {
-        self.ncols + 1
-    }
-
-    fn obj_row(&self) -> usize {
-        self.m
-    }
-
-    fn at(&self, r: usize, c: usize) -> f64 {
-        self.t[r * self.stride() + c]
-    }
-
-    /// Sets the objective row to the reduced costs of cost vector `c`
-    /// given the current basis (costs of non-listed columns are 0).
-    fn price_objective(&mut self, costs: &[f64]) {
-        let stride = self.stride();
-        let or = self.obj_row() * stride;
-        // Raw costs.
-        for j in 0..self.ncols {
-            self.t[or + j] = costs.get(j).copied().unwrap_or(0.0);
-        }
-        self.t[or + self.ncols] = 0.0;
-        // Subtract c_B times each basic row.
-        for i in 0..self.m {
-            let cb = costs.get(self.basis[i]).copied().unwrap_or(0.0);
-            if cb != 0.0 {
-                let rr = i * stride;
-                for j in 0..=self.ncols {
-                    self.t[or + j] -= cb * self.t[rr + j];
-                }
-            }
-        }
-    }
-
-    fn pivot(&mut self, row: usize, col: usize) {
-        let stride = self.stride();
-        let p = self.at(row, col);
-        debug_assert!(p.abs() > self.opts.eps);
-        let rr = row * stride;
-        let inv = 1.0 / p;
-        for j in 0..=self.ncols {
-            self.t[rr + j] *= inv;
-        }
-        if self.opts.threads > 1 && (self.m + 1) * stride >= PARALLEL_PIVOT_CELLS {
-            self.eliminate_parallel(row, col);
-        } else {
-            for r in 0..=self.m {
-                if r == row {
-                    continue;
-                }
-                let f = self.at(r, col);
-                if f == 0.0 {
-                    continue;
-                }
-                let br = r * stride;
-                for j in 0..=self.ncols {
-                    self.t[br + j] -= f * self.t[rr + j];
-                }
-                // Kill residual round-off in the pivot column.
-                self.t[br + col] = 0.0;
-            }
-        }
-        self.basis[row] = col;
-        self.iterations += 1;
-    }
-
-    /// Row elimination fanned out over scoped threads. Each row is
-    /// eliminated against a snapshot of the already-normalized pivot
-    /// row with the exact inner loop of the serial path, and rows are
-    /// independent, so the result is bit-identical to the serial
-    /// elimination at every thread count.
-    fn eliminate_parallel(&mut self, row: usize, col: usize) {
-        let stride = self.stride();
-        let ncols = self.ncols;
-        let prow: Vec<f64> = self.t[row * stride..row * stride + stride].to_vec();
-        let nrows = self.m + 1;
-        let nthreads = self.opts.threads.min(nrows).max(1);
-        let chunk_rows = nrows.div_ceil(nthreads);
-        std::thread::scope(|s| {
-            for (ci, chunk) in self.t.chunks_mut(chunk_rows * stride).enumerate() {
-                let prow = &prow;
-                s.spawn(move || {
-                    for (k, r) in chunk.chunks_mut(stride).enumerate() {
-                        if ci * chunk_rows + k == row {
-                            continue;
-                        }
-                        let f = r[col];
-                        if f == 0.0 {
-                            continue;
-                        }
-                        for j in 0..=ncols {
-                            r[j] -= f * prow[j];
-                        }
-                        r[col] = 0.0;
-                    }
-                });
-            }
-        });
-    }
-
-    /// Overwrites the rhs column (including the objective cell) with the
-    /// basis-inverse image of the new transformed rhs `new_b`. The
-    /// basis inverse is read off the per-row identity columns, which is
-    /// why this works on the *live* tableau without refactorization.
-    fn apply_rhs(&mut self, new_b: &[f64]) {
-        debug_assert_eq!(new_b.len(), self.m);
-        let stride = self.stride();
-        for r in 0..=self.m {
-            let rr = r * stride;
-            let mut v = 0.0;
-            for (k, &bk) in new_b.iter().enumerate() {
-                if bk != 0.0 {
-                    v += self.t[rr + self.dual_col[k]] * bk;
-                }
-            }
-            self.t[rr + self.ncols] = v;
-        }
-    }
-
-    /// Dual simplex: starting from a dual-feasible (reduced costs ≥ 0)
-    /// but possibly primal-infeasible tableau, pivots until the rhs
-    /// column is non-negative. Returns `Infeasible` when a negative row
-    /// has no eligible entering column (the new rhs admits no feasible
-    /// point) — callers treat that as "fall back to a cold solve".
-    fn dual_simplex(&mut self) -> SolveStatus {
-        let eps = self.opts.eps;
-        loop {
-            if self.iterations >= self.opts.max_iterations {
-                return SolveStatus::IterationLimit;
-            }
-            // Leaving row: most negative rhs (ties → lowest row).
-            let mut leave: Option<usize> = None;
-            let mut most_neg = -1e-9;
-            for r in 0..self.m {
-                let b = self.at(r, self.ncols);
-                if b < most_neg {
-                    most_neg = b;
-                    leave = Some(r);
-                }
-            }
-            let Some(row) = leave else {
-                return SolveStatus::Optimal;
-            };
-            // Entering column: dual ratio test over negative entries.
-            let or = self.obj_row() * self.stride();
-            let rr = row * self.stride();
-            let mut enter: Option<usize> = None;
-            let mut best_ratio = f64::INFINITY;
-            for j in 0..self.ncols {
-                if self.kind[j] == ColKind::Artificial {
-                    continue;
-                }
-                let a = self.t[rr + j];
-                if a < -eps {
-                    let ratio = self.t[or + j].max(0.0) / -a;
-                    if ratio < best_ratio - eps {
-                        best_ratio = ratio;
-                        enter = Some(j);
-                    }
-                }
-            }
-            let Some(col) = enter else {
-                return SolveStatus::Infeasible;
-            };
-            self.pivot(row, col);
-        }
-    }
-
-    /// The current basis paired with this tableau's structural
-    /// signature.
-    fn extract_basis(&self) -> Basis {
-        Basis { cols: self.basis.clone(), signature: self.signature, at_upper: Vec::new() }
-    }
-
-    /// Re-pivots a freshly built tableau onto a saved basis. Saved
-    /// artificial columns are skipped (they only appear in degenerate
-    /// rows and the initial slack is an equally good basic choice).
-    /// Returns `false` when the basis indexes columns this tableau does
-    /// not have.
-    fn restore_basis(&mut self, saved: &Basis) -> bool {
-        if saved.cols.len() != self.m || saved.cols.iter().any(|&c| c >= self.ncols) {
-            return false;
-        }
-        let mut in_basis = vec![false; self.ncols];
-        for &b in &self.basis {
-            in_basis[b] = true;
-        }
-        let mut taken = vec![false; self.m];
-        let wanted: Vec<usize> = saved
-            .cols
-            .iter()
-            .copied()
-            .filter(|&j| self.kind[j] != ColKind::Artificial)
-            .collect();
-        for (r, &b) in self.basis.iter().enumerate() {
-            if wanted.contains(&b) {
-                taken[r] = true;
-            }
-        }
-        for &j in &wanted {
-            if in_basis[j] {
-                continue;
-            }
-            // Best pivot row among rows still holding their initial
-            // basic variable.
-            let mut best: Option<(usize, f64)> = None;
-            for (r, &is_taken) in taken.iter().enumerate() {
-                if is_taken {
-                    continue;
-                }
-                let a = self.at(r, j).abs();
-                if a > self.opts.tols.feas && best.is_none_or(|(_, ba)| a > ba) {
-                    best = Some((r, a));
-                }
-            }
-            let Some((r, _)) = best else {
-                // Numerically unrestorable column: leave the initial
-                // basic variable in place and carry on.
-                continue;
-            };
-            let old = self.basis[r];
-            self.pivot(r, j);
-            in_basis[old] = false;
-            in_basis[j] = true;
-            taken[r] = true;
-        }
-        true
-    }
-
-    /// Finishes a solve after [`Tableau::restore_basis`]: prices the
-    /// phase-2 objective and cleans up with primal or dual pivots,
-    /// skipping phase 1 entirely. `None` means the restored point was
-    /// unusable and the caller should fall back to a cold solve.
-    fn solve_restored(&mut self, lp: &LinearProgram) -> Option<Solution> {
-        let mut costs = vec![0.0f64; self.ncols];
-        for (j, v) in lp.vars().iter().enumerate() {
-            costs[j] = v.objective;
-        }
-        self.price_objective(&costs);
-        let feas = self.opts.tols.feas;
-        let primal_ok = (0..self.m).all(|r| self.at(r, self.ncols) >= -feas);
-        let st = if primal_ok {
-            self.iterate(false)
-        } else {
-            let or = self.obj_row() * self.stride();
-            let dual_ok = (0..self.ncols)
-                .all(|j| self.kind[j] == ColKind::Artificial || self.t[or + j] >= -feas);
-            if !dual_ok {
-                return None;
-            }
-            match self.dual_simplex() {
-                SolveStatus::Optimal => self.iterate(false),
-                other => other,
-            }
-        };
-        (st == SolveStatus::Optimal).then(|| self.extract(lp))
-    }
-
-    /// Runs the simplex loop on the current objective row. `allow`
-    /// filters candidate entering columns.
-    fn iterate(&mut self, allow_artificials: bool) -> SolveStatus {
-        let eps = self.opts.eps;
-        let mut best_obj = f64::INFINITY;
-        let mut stall = 0usize;
-        loop {
-            if self.iterations >= self.opts.max_iterations {
-                return SolveStatus::IterationLimit;
-            }
-            let use_bland = stall >= self.opts.stall_threshold;
-            // Entering column.
-            let or = self.obj_row() * self.stride();
-            let mut enter: Option<usize> = None;
-            let mut best = -eps;
-            for j in 0..self.ncols {
-                if !allow_artificials && self.kind[j] == ColKind::Artificial {
-                    continue;
-                }
-                let c = self.t[or + j];
-                if use_bland {
-                    if c < -eps {
-                        enter = Some(j);
-                        break;
-                    }
-                } else if c < best {
-                    best = c;
-                    enter = Some(j);
-                }
-            }
-            let Some(col) = enter else {
-                return SolveStatus::Optimal;
-            };
-            // Ratio test.
-            let mut leave: Option<usize> = None;
-            let mut best_ratio = f64::INFINITY;
-            for r in 0..self.m {
-                let a = self.at(r, col);
-                if a > eps {
-                    let ratio = self.at(r, self.ncols) / a;
-                    let better = ratio < best_ratio - eps
-                        || (ratio < best_ratio + eps
-                            && leave.is_none_or(|l| self.basis[r] < self.basis[l]));
-                    if better {
-                        best_ratio = ratio;
-                        leave = Some(r);
-                    }
-                }
-            }
-            let Some(row) = leave else {
-                return SolveStatus::Unbounded;
-            };
-            self.pivot(row, col);
-            let obj = -self.at(self.obj_row(), self.ncols);
-            if obj < best_obj - self.opts.tols.stall_improvement {
-                best_obj = obj;
-                stall = 0;
-            } else {
-                stall += 1;
-            }
-        }
-    }
-
-    fn run(&mut self, lp: &LinearProgram) -> Solution {
-        let _eps = self.opts.eps;
-        // Phase 1: minimize artificial sum.
-        let has_art = self.kind.contains(&ColKind::Artificial);
-        if has_art {
-            let costs: Vec<f64> = self
-                .kind
-                .iter()
-                .map(|&k| if k == ColKind::Artificial { 1.0 } else { 0.0 })
-                .collect();
-            self.price_objective(&costs);
-            let st = self.iterate(true);
-            if st == SolveStatus::IterationLimit {
-                return self.failed(SolveStatus::IterationLimit, lp);
-            }
-            let phase1 = -self.at(self.obj_row(), self.ncols);
-            if phase1 > self.opts.tols.phase1_infeas {
-                return self.failed(SolveStatus::Infeasible, lp);
-            }
-            // Drive artificials out of the basis where possible so they
-            // cannot re-enter trouble in phase 2.
-            let feas = self.opts.tols.feas;
-            for r in 0..self.m {
-                if self.kind[self.basis[r]] == ColKind::Artificial
-                    && self.at(r, self.ncols).abs() <= feas
-                {
-                    if let Some(col) = (0..self.ncols).find(|&j| {
-                        self.kind[j] != ColKind::Artificial && self.at(r, j).abs() > feas
-                    }) {
-                        self.pivot(r, col);
-                    }
-                }
-            }
-        }
-        // Phase 2: real objective.
-        let mut costs = vec![0.0f64; self.ncols];
-        for (j, v) in lp.vars().iter().enumerate() {
-            costs[j] = v.objective;
-        }
-        self.price_objective(&costs);
-        let st = self.iterate(false);
-        match st {
-            SolveStatus::Optimal => self.extract(lp),
-            other => self.failed(other, lp),
-        }
-    }
-
-    fn extract(&self, _lp: &LinearProgram) -> Solution {
-        let mut x = vec![0.0f64; self.n_structural];
-        for r in 0..self.m {
-            let b = self.basis[r];
-            if b < self.n_structural {
-                x[b] = self.at(r, self.ncols);
-            }
-        }
-        for (j, xi) in x.iter_mut().enumerate() {
-            *xi += self.shift[j];
-        }
-        let objective = -self.at(self.obj_row(), self.ncols) + self.obj_const;
-        // Duals: reduced cost of each row's identity column.
-        // Slack column (coefficient +1, cost 0): reduced = -y → y = -rc.
-        // Artificial column (coefficient +1, cost 0 in phase 2): same.
-        let or = self.obj_row() * self.stride();
-        let duals: Vec<f64> = self
-            .user_rows
-            .iter()
-            .map(|&(row, sign)| {
-                let col = self.dual_col[row];
-                let rc = self.t[or + col];
-                -rc * sign
-            })
-            .collect();
-        Solution {
-            status: SolveStatus::Optimal,
-            x,
-            objective,
-            duals,
-            iterations: self.iterations,
-            engine: EngineStats::default(),
-            quality: None,
-        }
-    }
-
-    fn failed(&self, status: SolveStatus, lp: &LinearProgram) -> Solution {
-        Solution {
-            status,
-            x: vec![0.0; lp.num_vars()],
-            objective: f64::NAN,
-            duals: vec![0.0; lp.num_constraints()],
-            iterations: self.iterations,
-            engine: EngineStats::default(),
-            quality: None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::{LinearProgram, Sense};
+    use crate::solve_oracle;
 
     fn assert_close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() <= tol, "{a} vs {b}");
@@ -1765,28 +885,25 @@ mod tests {
 
     #[test]
     fn parallel_pivots_are_bit_identical() {
-        // Large enough to clear PARALLEL_PIVOT_CELLS so the dense
-        // threaded path actually runs; the sparse engine must ignore
-        // the thread count altogether.
+        // The simplex is serial: the thread count may not reach a
+        // single pivot.
         let lp = random_lp(120, 120, 7);
-        for backend in [SolverBackend::DenseTableau, SolverBackend::SparseRevised] {
-            let opts = |threads| SimplexOptions { threads, backend, ..Default::default() };
-            let serial = solve_with(&lp, opts(1));
-            assert!(serial.is_optimal(), "{backend:?}");
-            for threads in [1, 2, 8] {
-                let par = solve_with(&lp, opts(threads));
-                assert_eq!(par.status, serial.status);
-                assert_eq!(par.iterations, serial.iterations, "{backend:?} threads {threads}");
-                assert!(
-                    par.x.iter().zip(&serial.x).all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "{backend:?} threads {threads}: x differs"
-                );
-                assert_eq!(par.objective.to_bits(), serial.objective.to_bits());
-                assert!(
-                    par.duals.iter().zip(&serial.duals).all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "{backend:?} threads {threads}: duals differ"
-                );
-            }
+        let opts = |threads| SimplexOptions { threads, ..Default::default() };
+        let serial = solve_with(&lp, opts(1));
+        assert!(serial.is_optimal());
+        for threads in [1, 2, 8] {
+            let par = solve_with(&lp, opts(threads));
+            assert_eq!(par.status, serial.status);
+            assert_eq!(par.iterations, serial.iterations, "threads {threads}");
+            assert!(
+                par.x.iter().zip(&serial.x).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "threads {threads}: x differs"
+            );
+            assert_eq!(par.objective.to_bits(), serial.objective.to_bits());
+            assert!(
+                par.duals.iter().zip(&serial.duals).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "threads {threads}: duals differ"
+            );
         }
     }
 
@@ -2018,13 +1135,12 @@ mod tests {
 
     #[test]
     fn every_optimal_solution_is_certified() {
-        for backend in [SolverBackend::DenseTableau, SolverBackend::SparseRevised] {
-            let lp = random_lp(24, 18, 11);
-            let opts = SimplexOptions { backend, ..Default::default() };
-            let s = solve_with(&lp, opts);
-            assert!(s.is_optimal(), "{backend:?}");
-            let q = s.quality.unwrap_or_else(|| panic!("{backend:?}: Optimal without quality"));
-            assert!(q.passes(&opts.tols), "{backend:?}: {q:?}");
+        let lp = random_lp(24, 18, 11);
+        let opts = SimplexOptions::default();
+        for (label, s) in [("sparse", solve_with(&lp, opts)), ("oracle", solve_oracle(&lp, opts))] {
+            assert!(s.is_optimal(), "{label}");
+            let q = s.quality.unwrap_or_else(|| panic!("{label}: Optimal without quality"));
+            assert!(q.passes(&opts.tols), "{label}: {q:?}");
         }
     }
 

@@ -1,11 +1,11 @@
-//! Sparse revised simplex backend.
+//! The sparse revised simplex: the one engine behind
+//! [`crate::solve_with`] and [`WarmSimplex`].
 //!
-//! This engine mirrors the dense tableau's transformation pipeline
-//! (lower-bound shifts, rhs sign normalization, slack/surplus/
-//! artificial columns, two phases with artificials barred from
-//! phase 2) so statuses, duals and objective values line up with the
-//! dense oracle — but instead of carrying an `(m+1) × (n+1)` tableau
-//! it keeps:
+//! It mirrors the dense oracle's transformation pipeline (lower-bound
+//! shifts, rhs sign normalization, slack/surplus/artificial columns,
+//! two phases with artificials barred from phase 2) so statuses, duals
+//! and objective values line up with [`crate::solve_oracle`] — but
+//! instead of carrying an `(m+1) × (n+1)` tableau it keeps:
 //!
 //! * the constraint matrix in CSC form (never modified),
 //! * an LU factorization of the basis ([`crate::factor::LuFactors`])
@@ -43,10 +43,10 @@ use crate::simplex::{Basis, ColdStart, EngineStats, SimplexOptions, Solution, So
 /// use `ncols / 8`).
 const PRICE_SEGMENT: usize = 256;
 
-/// Salt folded into sparse basis signatures so a dense-backend basis
-/// (or a basis from a different presolve reduction, or one saved by a
-/// pre-native-bounds build whose cores carried explicit bound rows)
-/// never restores onto a sparse core.
+/// Salt folded into basis signatures so a basis saved by an older build
+/// (a dense-tableau one, or a pre-native-bounds one whose cores carried
+/// explicit bound rows) never restores onto a core; the presolve
+/// pattern and scaling hashes keep different reductions apart.
 const SPARSE_SIG_SALT: u64 = 0x6e47_1b0d_5fee_d0a2;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,8 +197,8 @@ struct SparseCore {
 const PEEL_TIGHTEN: f64 = 100.0;
 
 /// Ceiling for the sticky peel tolerance — beyond this the basis is
-/// genuinely singular and the ladder moves to column patching or the
-/// dense fallback.
+/// genuinely singular and the ladder moves to column patching, or runs
+/// out.
 const PEEL_TOL_CAP: f64 = 1e-5;
 
 /// Maximum `PatchSingularColumn` rungs per basis restore.
@@ -908,8 +908,8 @@ impl SparseCore {
         // from the ratio test until the next successful basis change
         // (monotone progress: each visit either pivots or shrinks the
         // candidate set). If banning leaves no candidate,
-        // infeasibility can no longer be concluded and the failure
-        // escalates to the dense-fallback rung instead.
+        // infeasibility can no longer be concluded and the ladder has
+        // run out.
         let mut banned = vec![false; self.ncols];
         let mut refactored_since_pivot = false;
         // Ratio-test candidates `(ratio, |ᾱ|, column)` and the columns
@@ -1437,7 +1437,6 @@ impl SparseCore {
             tightenings: self.tightenings,
             patched_columns: self.patched_columns,
             condition_estimate: self.condition_max,
-            dense_fallback: false,
         }
     }
 
@@ -1620,11 +1619,33 @@ impl Scaling {
     }
 }
 
-/// A warm-capable sparse solver instance: presolve + core + postsolve,
-/// with the same `solve_from` / `resolve_rhs` semantics as the dense
-/// [`crate::simplex::WarmSimplex`] paths.
+/// A persistent solver instance: presolve + sparse core + postsolve,
+/// kept alive between solves so follow-up solves can be warm-started.
+///
+/// Two warm paths are supported:
+///
+/// * [`WarmSimplex::resolve_rhs`] — the caller changed *only*
+///   right-hand sides (via [`LinearProgram::set_rhs`]) since the last
+///   solve. The live core's basic values are recomputed against the
+///   new rhs and a dual-simplex loop restores feasibility: the previous
+///   optimal basis is dual feasible by construction, so this typically
+///   takes a few pivots where a cold solve would need full phase 1 + 2.
+///   This is the within-Benders warm start (the δ selection only moves
+///   the coverage right-hand sides). Rhs-safe presolve keeps every
+///   rhs-only change on this path.
+/// * [`WarmSimplex::solve_from`] — a fresh solve seeded from a saved
+///   [`Basis`] (for example from a [`crate::BasisCache`] across
+///   controller epochs). The core is rebuilt with the new coefficients,
+///   the basis is installed and refactorized, and phase 1 is skipped
+///   when the restored point is primal or dual feasible.
+///
+/// Every warm path falls back to a cold solve on any mismatch, so the
+/// result status is never worse than [`crate::solve_with`]'s. A solve
+/// whose recovery ladder runs out ends
+/// [`SolveStatus::NumericalFailure`]; the instance then holds no
+/// reusable basis.
 #[derive(Debug)]
-pub(crate) struct SparseEngine {
+pub struct WarmSimplex {
     opts: SimplexOptions,
     mode: PresolveMode,
     state: Option<SpState>,
@@ -1638,15 +1659,39 @@ struct SpState {
     optimal: bool,
 }
 
-impl SparseEngine {
-    /// Warm-capable instance: rhs-safe presolve so *any* rhs-only
-    /// change between solves stays on the warm path.
+/// A cold or basis-seeded solve on a freshly built `core` over `lp`
+/// (the presolved, possibly scaled program). Returns the reduced-space
+/// solution and whether the saved basis was used.
+fn solve_core(
+    core: &mut SparseCore,
+    lp: &LinearProgram,
+    salt: u64,
+    warm: Option<&Basis>,
+) -> Result<(Solution, bool), FactorError> {
+    if let Some(b) = warm {
+        if b.signature() == core.signature && core.restore_basis(b)? {
+            // A restored point that is neither primal nor dual
+            // feasible, or whose pivots the ladder cannot carry, is
+            // dropped for a cold solve on a rebuilt core.
+            if let Ok(Some(sol)) = core.solve_restored() {
+                return Ok((sol, true));
+            }
+            *core = SparseCore::build(lp, core.opts, salt);
+        }
+    }
+    Ok((core.run()?, false))
+}
+
+impl WarmSimplex {
+    /// Creates an instance with the given options. Its presolve is
+    /// rhs-safe, so *any* rhs-only change between solves stays on the
+    /// warm path.
     pub fn new(opts: SimplexOptions) -> Self {
         Self { opts, mode: PresolveMode::RhsSafe, state: None }
     }
 
     /// One-shot instance: full presolve.
-    fn one_shot(opts: SimplexOptions) -> Self {
+    pub(crate) fn one_shot(opts: SimplexOptions) -> Self {
         Self { opts, mode: PresolveMode::Full, state: None }
     }
 
@@ -1705,16 +1750,19 @@ impl SparseEngine {
         }
     }
 
-    /// Cold or basis-seeded solve; mirrors `WarmSimplex::solve_from`.
-    pub fn solve_from(
-        &mut self,
-        lp: &LinearProgram,
-        warm: Option<&Basis>,
-    ) -> Result<(Solution, bool), FactorError> {
+    /// Cold solve (keeps the engine state for later warm re-solves).
+    pub fn solve(&mut self, lp: &LinearProgram) -> Solution {
+        self.solve_from(lp, None).0
+    }
+
+    /// Solves from scratch, optionally restoring a saved basis first.
+    /// Returns the solution and whether the warm basis was actually
+    /// used (signature match + successful restore).
+    pub fn solve_from(&mut self, lp: &LinearProgram, warm: Option<&Basis>) -> (Solution, bool) {
         let red = match presolve(lp, self.mode) {
             PresolveResult::Infeasible => {
                 self.state = None;
-                return Ok((self.presolve_infeasible(lp), false));
+                return (self.presolve_infeasible(lp), false);
             }
             PresolveResult::Ready(r) => r,
         };
@@ -1727,72 +1775,62 @@ impl SparseEngine {
             None => (std::borrow::Cow::Borrowed(&red.reduced), red.pattern_hash),
         };
         let mut core = SparseCore::build(&core_lp, self.opts, salt);
-        let mut warm_used = false;
-        let mut red_sol = match warm {
-            Some(b)
-                if b.signature() == core.signature && core.restore_basis(b)? =>
-            {
-                match core.solve_restored()? {
-                    Some(sol) => {
-                        warm_used = true;
-                        sol
-                    }
-                    None => {
-                        core = SparseCore::build(&core_lp, self.opts, salt);
-                        core.run()?
-                    }
-                }
-            }
-            _ => core.run()?,
-        };
+        let (mut red_sol, warm_used) = solve_core(&mut core, &core_lp, salt, warm)
+            .unwrap_or_else(|_| (core.failed(SolveStatus::NumericalFailure), false));
         if let Some(sc) = &scale {
             sc.unscale(&mut red_sol);
         }
         let sol = self.finish(lp, &red, red_sol);
         let optimal = sol.is_usable();
         self.state = Some(SpState { red, core, scale, optimal });
-        Ok((sol, warm_used))
+        (sol, warm_used)
     }
 
-    /// Rhs-only warm re-solve; mirrors `WarmSimplex::resolve_rhs`.
-    pub fn resolve_rhs(
-        &mut self,
-        lp: &LinearProgram,
-    ) -> Result<(Solution, bool), FactorError> {
+    /// Re-solves after the caller changed *only* constraint right-hand
+    /// sides since the previous solve on this instance. Falls back to a
+    /// cold solve when no optimal core is live or the change is not
+    /// rhs-safe for the live reduction. Returns the solution and
+    /// whether the live-core warm path was taken.
+    ///
+    /// Correctness contract: between the previous solve and this call,
+    /// the program must only have been mutated through
+    /// [`LinearProgram::set_rhs`]. Coefficient or shape changes require
+    /// [`WarmSimplex::solve_from`].
+    pub fn resolve_rhs(&mut self, lp: &LinearProgram) -> (Solution, bool) {
         let usable = self
             .state
             .as_ref()
             .is_some_and(|s| s.optimal && s.red.rhs_change_is_safe(lp));
         if !usable {
-            return Ok((self.solve_from(lp, None)?.0, false));
+            return (self.solve_from(lp, None).0, false);
         }
-        let st = {
-            let s = self.state.as_mut().expect("checked");
-            let mut deltas = s.red.reduced_rhs_deltas(lp);
-            if let Some(sc) = &s.scale {
-                // The core holds the scaled rows, so rhs deltas scale
-                // by the (exact power-of-two) row factors.
-                for (k, d) in deltas.iter_mut() {
-                    *d *= sc.row[*k];
-                }
+        let s = self.state.as_mut().expect("checked");
+        let mut deltas = s.red.reduced_rhs_deltas(lp);
+        if let Some(sc) = &s.scale {
+            // The core holds the scaled rows, so rhs deltas scale by
+            // the (exact power-of-two) row factors.
+            for (k, d) in deltas.iter_mut() {
+                *d *= sc.row[*k];
             }
-            s.core.resolve_rhs(&deltas)?
-        };
-        if st == SolveStatus::Optimal {
-            let mut red_sol = self.state.as_mut().expect("checked").core.extract();
-            let s = self.state.as_ref().expect("checked");
+        }
+        if let Ok(SolveStatus::Optimal) = s.core.resolve_rhs(&deltas) {
+            let mut red_sol = s.core.extract();
             if let Some(sc) = &s.scale {
                 sc.unscale(&mut red_sol);
             }
+            let s = self.state.as_ref().expect("checked");
             let sol = self.finish(lp, &s.red, red_sol);
             if sol.is_usable() {
-                return Ok((sol, true));
+                return (sol, true);
             }
             // pending_unbounded turned a formally optimal reduced solve
             // into an unbounded verdict; report it via the cold path
             // for a consistent state.
         }
-        Ok((self.solve_from(lp, None)?.0, false))
+        // Dual-unbounded (the new rhs is infeasible), the pivot cap, or
+        // a ladder that ran out on the live core: a cold solve gives
+        // the authoritative status.
+        (self.solve_from(lp, None).0, false)
     }
 
     /// The optimal basis of the last solve (reduced space + sparse
@@ -1807,33 +1845,22 @@ impl SparseEngine {
         self.state.as_ref().map_or(0, |s| s.core.iterations)
     }
 
-    /// Cumulative engine counters of the live core.
-    pub fn stats(&self) -> EngineStats {
+    /// Cumulative engine counters (refactorizations, eta columns,
+    /// fill-in, ladder rungs) of the live core.
+    pub fn engine_stats(&self) -> EngineStats {
         self.state.as_ref().map_or_else(EngineStats::default, |s| s.core.engine_stats())
     }
-}
-
-/// One-shot sparse solve (the `solve_with` sparse path).
-pub(crate) fn solve_sparse(
-    lp: &LinearProgram,
-    opts: SimplexOptions,
-) -> Result<Solution, FactorError> {
-    let mut eng = SparseEngine::one_shot(opts);
-    Ok(eng.solve_from(lp, None)?.0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::{ConstraintId, LinearProgram, Sense};
-    use crate::simplex::{solve_with, SolverBackend};
+    use crate::simplex::solve_with;
+    use crate::solve_oracle;
 
-    fn sparse_opts() -> SimplexOptions {
-        SimplexOptions { backend: SolverBackend::SparseRevised, ..Default::default() }
-    }
-
-    fn dense_opts() -> SimplexOptions {
-        SimplexOptions { backend: SolverBackend::DenseTableau, ..Default::default() }
+    fn opts() -> SimplexOptions {
+        SimplexOptions::default()
     }
 
     fn assert_close(a: f64, b: f64, tol: f64) {
@@ -1880,8 +1907,8 @@ mod tests {
         let y = lp.add_var(0.0, f64::INFINITY, -1.0);
         lp.add_constraint(vec![(x, 1.0), (y, 2.0)], Sense::Le, 4.0);
         lp.add_constraint(vec![(x, 3.0), (y, 1.0)], Sense::Le, 6.0);
-        let s = solve_with(&lp, sparse_opts());
-        let d = solve_with(&lp, dense_opts());
+        let s = solve_with(&lp, opts());
+        let d = solve_oracle(&lp, opts());
         assert!(s.is_optimal());
         assert_close(s.objective, d.objective, 1e-8);
         assert_close(s.value(x), d.value(x), 1e-8);
@@ -1898,8 +1925,8 @@ mod tests {
         lp.add_constraint(vec![(x, 1.0), (y, 1.0), (z, 1.0)], Sense::Eq, 10.0);
         lp.add_constraint(vec![(x, 1.0), (y, -1.0)], Sense::Ge, 2.0);
         lp.add_constraint(vec![(y, 1.0), (z, 2.0)], Sense::Le, 14.0);
-        let s = solve_with(&lp, sparse_opts());
-        let d = solve_with(&lp, dense_opts());
+        let s = solve_with(&lp, opts());
+        let d = solve_oracle(&lp, opts());
         assert_eq!(s.status, d.status);
         assert_close(s.objective, d.objective, 1e-7);
         lp.check_feasible(&s.x, 1e-6).unwrap();
@@ -1923,8 +1950,8 @@ mod tests {
         let z = lp.add_var(0.0, f64::INFINITY, 1.5);
         lp.add_constraint(vec![(x, 1.0), (y, 1.0), (z, -1.0)], Sense::Le, 6.0);
         lp.add_constraint(vec![(x, 2.0), (y, -1.0), (z, 1.0)], Sense::Ge, 1.0);
-        let s = solve_with(&lp, sparse_opts());
-        let d = solve_with(&lp, dense_opts());
+        let s = solve_with(&lp, opts());
+        let d = solve_oracle(&lp, opts());
         assert_eq!(s.status, d.status);
         assert_close(s.objective, d.objective, 1e-7);
         assert_close(s.value(x), d.value(x), 1e-7);
@@ -1942,8 +1969,8 @@ mod tests {
         let mut lp = LinearProgram::new();
         let x = lp.add_var(-2.0, 3.0, -1.5);
         let y = lp.add_var(0.5, 4.0, 2.0);
-        let s = solve_with(&lp, sparse_opts());
-        let d = solve_with(&lp, dense_opts());
+        let s = solve_with(&lp, opts());
+        let d = solve_oracle(&lp, opts());
         assert!(s.is_optimal());
         assert_close(s.objective, d.objective, 1e-9);
         assert_close(s.value(x), 3.0, 1e-9);
@@ -1952,7 +1979,7 @@ mod tests {
         // A profitable variable without an upper bound is unbounded.
         let mut unb = LinearProgram::new();
         unb.add_var(0.0, f64::INFINITY, -1.0);
-        assert_eq!(solve_with(&unb, sparse_opts()).status, SolveStatus::Unbounded);
+        assert_eq!(solve_with(&unb, opts()).status, SolveStatus::Unbounded);
     }
 
     #[test]
@@ -1962,13 +1989,13 @@ mod tests {
         let y = inf.add_var(0.0, f64::INFINITY, 1.0);
         inf.add_constraint(vec![(x, 1.0), (y, 1.0)], Sense::Le, 1.0);
         inf.add_constraint(vec![(x, 1.0), (y, 1.0)], Sense::Ge, 3.0);
-        assert_eq!(solve_with(&inf, sparse_opts()).status, SolveStatus::Infeasible);
+        assert_eq!(solve_with(&inf, opts()).status, SolveStatus::Infeasible);
 
         let mut unb = LinearProgram::new();
         let x = unb.add_var(0.0, f64::INFINITY, -1.0);
         let y = unb.add_var(0.0, f64::INFINITY, 0.0);
         unb.add_constraint(vec![(x, 1.0), (y, -1.0)], Sense::Le, 1.0);
-        assert_eq!(solve_with(&unb, sparse_opts()).status, SolveStatus::Unbounded);
+        assert_eq!(solve_with(&unb, opts()).status, SolveStatus::Unbounded);
     }
 
     #[test]
@@ -1978,14 +2005,14 @@ mod tests {
         let y = lp.add_var(0.0, f64::INFINITY, 3.0);
         let c1 = lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Sense::Ge, 4.0);
         let c2 = lp.add_constraint(vec![(x, 1.0), (y, -1.0)], Sense::Le, 1.0);
-        let mut eng = SparseEngine::new(sparse_opts());
-        let (first, _) = eng.solve_from(&lp, None).unwrap();
+        let mut eng = WarmSimplex::new(opts());
+        let (first, _) = eng.solve_from(&lp, None);
         assert!(first.is_optimal());
         for (b1, b2) in [(6.0, 1.0), (2.0, 0.5), (10.0, -2.0), (4.0, 1.0)] {
             lp.set_rhs(c1, b1);
             lp.set_rhs(c2, b2);
-            let (warm, used) = eng.resolve_rhs(&lp).unwrap();
-            let cold = solve_with(&lp, sparse_opts());
+            let (warm, used) = eng.resolve_rhs(&lp);
+            let cold = solve_with(&lp, opts());
             assert!(used, "warm path must apply for rhs-only changes");
             assert_eq!(warm.status, cold.status);
             assert_close(warm.objective, cold.objective, 1e-7);
@@ -2004,14 +2031,14 @@ mod tests {
         let c1 =
             lp.add_constraint(vec![(x, 1.0), (y, 1.0), (z, 1.0)], Sense::Ge, 5.0);
         let c2 = lp.add_constraint(vec![(x, 1.0), (y, -1.0)], Sense::Le, 3.0);
-        let mut eng = SparseEngine::new(sparse_opts());
-        let (first, _) = eng.solve_from(&lp, None).unwrap();
+        let mut eng = WarmSimplex::new(opts());
+        let (first, _) = eng.solve_from(&lp, None);
         assert!(first.is_optimal());
         for (b1, b2) in [(8.0, 1.0), (3.0, 2.0), (9.5, 0.0), (5.0, 3.0)] {
             lp.set_rhs(c1, b1);
             lp.set_rhs(c2, b2);
-            let (warm, used) = eng.resolve_rhs(&lp).unwrap();
-            let cold = solve_with(&lp, sparse_opts());
+            let (warm, used) = eng.resolve_rhs(&lp);
+            let cold = solve_with(&lp, opts());
             assert!(used, "warm path must apply for rhs-only changes");
             assert_eq!(warm.status, cold.status, "rhs ({b1},{b2})");
             assert_close(warm.objective, cold.objective, 1e-7);
@@ -2027,12 +2054,12 @@ mod tests {
         let z = lp.add_var(0.0, f64::INFINITY, 0.5);
         lp.add_constraint(vec![(x, 1.0), (y, 1.0), (z, 1.0)], Sense::Ge, 6.0);
         lp.add_constraint(vec![(x, 2.0), (z, -1.0)], Sense::Le, 4.0);
-        let mut eng = SparseEngine::new(sparse_opts());
-        let (cold, _) = eng.solve_from(&lp, None).unwrap();
+        let mut eng = WarmSimplex::new(opts());
+        let (cold, _) = eng.solve_from(&lp, None);
         assert!(cold.is_optimal());
         let basis = eng.basis().expect("optimal basis");
-        let mut eng2 = SparseEngine::new(sparse_opts());
-        let (warm, used) = eng2.solve_from(&lp, Some(&basis)).unwrap();
+        let mut eng2 = WarmSimplex::new(opts());
+        let (warm, used) = eng2.solve_from(&lp, Some(&basis));
         assert!(used, "same structure must accept the saved basis");
         assert!(warm.is_optimal());
         assert_close(warm.objective, cold.objective, 1e-9);
@@ -2044,13 +2071,13 @@ mod tests {
         // the at-upper flags reproduce the same optimal point.
         let lp = mixed_lp(18, 10);
         for cold_start in [ColdStart::TwoPhase, ColdStart::Auto] {
-            let opts = SimplexOptions { cold_start, ..sparse_opts() };
-            let mut eng = SparseEngine::new(opts);
-            let (cold, _) = eng.solve_from(&lp, None).unwrap();
+            let started = SimplexOptions { cold_start, ..opts() };
+            let mut eng = WarmSimplex::new(started);
+            let (cold, _) = eng.solve_from(&lp, None);
             assert!(cold.is_optimal());
             let basis = eng.basis().expect("optimal basis");
-            let mut eng2 = SparseEngine::new(opts);
-            let (warm, used) = eng2.solve_from(&lp, Some(&basis)).unwrap();
+            let mut eng2 = WarmSimplex::new(started);
+            let (warm, used) = eng2.solve_from(&lp, Some(&basis));
             assert!(used, "same structure must accept the saved basis");
             assert!(warm.is_optimal());
             assert_close(warm.objective, cold.objective, 1e-9);
@@ -2143,8 +2170,8 @@ mod tests {
     fn iteration_identity_is_pinned_by_counts() {
         // One that stalls into Bland's rule: a degenerate origin and
         // an impatient stall threshold.
-        let opts = SimplexOptions { stall_threshold: 3, ..sparse_opts() };
-        let mut core = SparseCore::build(&boxed_lp(0xB1A2D, 40, 30, 6, 0), opts, 0);
+        let impatient = SimplexOptions { stall_threshold: 3, ..opts() };
+        let mut core = SparseCore::build(&boxed_lp(0xB1A2D, 40, 30, 6, 0), impatient, 0);
         let sol = core.run().unwrap();
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!(core.probe.bland_picks > 0, "never stalled into Bland");
@@ -2157,7 +2184,7 @@ mod tests {
 
         // One whose equality rows leave artificials basic at zero for
         // `drive_out_artificials`.
-        let mut core = SparseCore::build(&boxed_lp(0x61, 36, 28, 1, 4), sparse_opts(), 0);
+        let mut core = SparseCore::build(&boxed_lp(0x61, 36, 28, 1, 4), opts(), 0);
         let sol = core.run().unwrap();
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!(core.probe.driven_out > 0, "no artificial was driven out");
@@ -2172,7 +2199,7 @@ mod tests {
         // right-hand sides, so the restore is primal infeasible and
         // dual feasible — `dual_simplex`, then `iterate`.
         let mut lp = boxed_lp(0x3A23, 40, 30, 0, 0);
-        let mut cold = SparseCore::build(&lp, sparse_opts(), 0);
+        let mut cold = SparseCore::build(&lp, opts(), 0);
         assert_eq!(cold.run().unwrap().status, SolveStatus::Optimal);
         let saved = cold.current_basis();
         for i in 0..lp.num_constraints() {
@@ -2180,7 +2207,7 @@ mod tests {
             let rhs = lp.constraints()[i].rhs;
             lp.set_rhs(id, if rhs > 0.0 { rhs * 0.5 } else { rhs * 0.25 });
         }
-        let mut core = SparseCore::build(&lp, sparse_opts(), 0);
+        let mut core = SparseCore::build(&lp, opts(), 0);
         assert!(core.restore_basis(&saved).unwrap());
         let sol = core.solve_restored().unwrap().expect("the restored basis is dual feasible");
         let p = &core.probe;
@@ -2211,10 +2238,48 @@ mod tests {
                 .collect();
             lp.add_constraint(terms, Sense::Ge, 5.0 + (i % 7) as f64);
         }
-        let s = solve_with(&lp, sparse_opts());
+        let s = solve_with(&lp, opts());
         assert!(s.is_optimal());
         assert!(s.engine.refactorizations >= 1, "initial factorization counted");
-        assert!(!s.engine.dense_fallback);
         assert!(s.iterations > 0);
+    }
+
+    #[test]
+    fn restore_onto_parallel_columns_patches_the_singular_slot() {
+        // Both structurals are basic at the optimum of the first
+        // program. The second has the same pattern with the columns
+        // made parallel, so the saved basis is singular there: the
+        // sticky peel tolerance climbs to its cap (`TightenTolerance`,
+        // which cannot cure an exact dependency), then the slot the
+        // factorization names gets its slack back
+        // (`PatchSingularColumn`) and the solve finishes warm.
+        // The second row of the parallel program is the first one
+        // tripled, so either slot the patch may pick leaves a primal
+        // feasible point.
+        let build = |a11: f64, b1: f64| {
+            let mut lp = LinearProgram::new();
+            let x = lp.add_var(0.0, f64::INFINITY, -1.0);
+            let y = lp.add_var(0.0, f64::INFINITY, -1.0);
+            lp.add_constraint(vec![(x, 1.0), (y, 2.0)], Sense::Le, 4.0);
+            lp.add_constraint(vec![(x, 3.0), (y, a11)], Sense::Le, b1);
+            lp
+        };
+        let mut first = WarmSimplex::new(opts());
+        let cold = first.solve(&build(1.0, 6.0));
+        assert!(cold.is_optimal() && cold.x.iter().all(|&v| v > 0.5), "{:?}", cold.x);
+        let basis = first.basis().expect("optimal basis");
+
+        let parallel = build(6.0, 12.0);
+        let mut ws = WarmSimplex::new(opts());
+        let (warm, used) = ws.solve_from(&parallel, Some(&basis));
+        assert!(used, "the patched basis must still seed the solve");
+        let st = ws.engine_stats();
+        assert!(st.tightenings >= 1, "{st:?}");
+        assert!(st.patched_columns >= 1, "{st:?}");
+        assert_eq!(warm.engine, st, "the solution reports the rungs it took");
+        let oracle = solve_oracle(&parallel, opts());
+        assert!(warm.is_optimal() && oracle.is_optimal());
+        assert_close(warm.objective, oracle.objective, 1e-9);
+        parallel.check_feasible(&warm.x, 1e-9).unwrap();
     }
 }

@@ -15,10 +15,10 @@
 //!   direction (the LU core refactorizes on a fixed interval plus
 //!   stability triggers, so sustained cadence drift means numerical
 //!   trouble).
-//! - **Dense-fallback / pivot-rollback spikes** — any occurrence after a
-//!   clean trailing window (these are exceptional recovery paths; one
-//!   firing after quiet history is signal, a constant background rate
-//!   is baseline).
+//! - **Ladder-exhaustion / pivot-rollback spikes** — any occurrence
+//!   after a clean trailing window (these are exceptional recovery
+//!   paths; one firing after quiet history is signal, a constant
+//!   background rate is baseline).
 //! - **Warm-cache hit-rate collapse** — the hit rate falls below
 //!   `drop ×` its trailing mean after the cache had warmed up.
 //!
@@ -44,7 +44,9 @@ pub struct SolverSample {
     pub etas: u64,
     /// Basis refactorizations this epoch.
     pub refactorizations: u64,
-    /// Sparse→dense backend fallbacks this epoch.
+    /// LP solves whose recovery ladder ran out this epoch
+    /// (`SolverStats::dense_fallbacks`, named for the dense fallback
+    /// engine that once caught them).
     pub dense_fallbacks: u64,
     /// Dual-simplex pivot rollbacks this epoch.
     pub rollbacks: u64,
@@ -76,7 +78,7 @@ pub enum AnomalyKind {
     EtaChurn,
     /// Pivots-per-refactorization left the baseline envelope.
     RefactorCadenceDrift,
-    /// Dense fallback fired after a clean trailing window.
+    /// A recovery ladder ran out after a clean trailing window.
     DenseFallbackSpike,
     /// Pivot rollback fired after a clean trailing window.
     RollbackSpike,
@@ -357,7 +359,7 @@ impl SolverAnomalyDetector {
                 sample.dense_fallbacks as f64,
                 0.0,
                 format!(
-                    "{} dense fallback(s) after {} clean epochs",
+                    "{} recovery-ladder run-out(s) after {} clean epochs",
                     sample.dense_fallbacks,
                     self.dense.len()
                 ),

@@ -34,7 +34,7 @@ use crate::faults::{
     SolverFaults, TelemetryFaults, TunnelFaults,
 };
 use crate::robust::{RobustController, RobustReport};
-use prete_lp::{BasisCacheSnapshot, SolverBackend};
+use prete_lp::BasisCacheSnapshot;
 use prete_obs::{Recorder, RunReport};
 use prete_optical::trace::{synthesize, LossTrace, ScriptedDegradation, TraceConfig};
 use prete_topology::FiberId;
@@ -62,7 +62,8 @@ use std::path::{Path, PathBuf};
 /// v6: the `pricing`/`eta_update` fields are gone — the sparse engine
 /// has one pricing rule and one basis-update scheme, so there is no
 /// choice left to restore.
-pub const CHECKPOINT_VERSION: u32 = 6;
+/// v7: the `backend` field is gone — `prete-lp` has one engine.
+pub const CHECKPOINT_VERSION: u32 = 7;
 
 // ---------------------------------------------------------------------------
 // Storage backends
@@ -270,9 +271,6 @@ pub struct ControllerCheckpoint {
     pub priors: Vec<f64>,
     /// Warm-start basis cache contents and counters.
     pub basis_cache: BasisCacheSnapshot,
-    /// LP engine the controller was solving with; restored so a
-    /// recovered run keeps producing bit-identical solver work.
-    pub backend: SolverBackend,
     /// FNV-1a digest of the canonical JSON with this field zeroed;
     /// detects torn writes and bit rot on load.
     pub digest: u64,
@@ -587,7 +585,6 @@ impl<'a, S: Store> DurableController<'a, S> {
                 robust.set_last_known_good(c.last_known_good.clone());
                 robust.set_priors(c.priors.clone());
                 robust.inner.cache.borrow_mut().restore(&c.basis_cache);
-                robust.inner.backend = c.backend;
                 c.epoch
             }
             None => 0,
@@ -723,7 +720,6 @@ impl<'a, S: Store> DurableController<'a, S> {
             last_known_good: self.robust.last_known_good().clone(),
             priors: self.robust.priors().to_vec(),
             basis_cache: self.robust.inner.cache.borrow().snapshot(),
-            backend: self.robust.inner.backend,
             digest: 0,
         }
         .seal()?;
@@ -800,7 +796,6 @@ mod tests {
             },
             priors: vec![0.1, 0.2, 0.3],
             basis_cache: BasisCacheSnapshot::default(),
-            backend: SolverBackend::default(),
             digest: 0,
         }
         .seal()
@@ -1020,25 +1015,34 @@ mod tests {
         // Re-sealed under a future version: digest is valid, version not.
         let future = ControllerCheckpoint { version: CHECKPOINT_VERSION + 1, ..ckpt.clone() };
         let future = serde_json::to_string(&future.seal().unwrap()).unwrap();
-        // The same state as v5 wrote it: the engine options it recorded
-        // sit after `backend`, under a digest valid for those bytes.
-        let mut fields = match serde_json::to_value(&ckpt).unwrap() {
-            serde_json::Value::Map(fields) => fields,
-            other => panic!("a checkpoint encodes as an object, not {other:?}"),
+        // The same state as an older version wrote it: the engine
+        // options it recorded sit after `basis_cache`, under a digest
+        // valid for those bytes.
+        let legacy = |version: u32, engine: &[(&str, &str)]| {
+            let mut fields = match serde_json::to_value(&ckpt).unwrap() {
+                serde_json::Value::Map(fields) => fields,
+                other => panic!("a checkpoint encodes as an object, not {other:?}"),
+            };
+            fields.iter_mut().find(|(k, _)| k == "version").unwrap().1 = version.to_value();
+            let at = fields.iter().position(|(k, _)| k == "basis_cache").unwrap() + 1;
+            for (i, &(k, v)) in engine.iter().enumerate() {
+                fields.insert(at + i, (k.into(), v.to_value()));
+            }
+            assert_eq!(fields.last().unwrap().0, "digest");
+            let sealed = |digest: u64| {
+                let mut fields = fields.clone();
+                fields.last_mut().unwrap().1 = digest.to_value();
+                serde_json::to_string(&serde_json::Value::Map(fields)).unwrap()
+            };
+            sealed(fnv1a64(sealed(0).as_bytes()))
         };
-        fields.iter_mut().find(|(k, _)| k == "version").unwrap().1 = 5u32.to_value();
-        let at = fields.iter().position(|(k, _)| k == "backend").unwrap() + 1;
-        fields.insert(at, ("pricing".into(), "Dantzig".to_value()));
-        fields.insert(at + 1, ("eta_update".into(), "ProductForm".to_value()));
-        assert_eq!(fields.last().unwrap().0, "digest");
-        let sealed = |digest: u64| {
-            let mut fields = fields.clone();
-            fields.last_mut().unwrap().1 = digest.to_value();
-            serde_json::to_string(&serde_json::Value::Map(fields)).unwrap()
-        };
-        let v5 = sealed(fnv1a64(sealed(0).as_bytes()));
+        let v6 = legacy(6, &[("backend", "SparseRevised")]);
+        let v5 = legacy(
+            5,
+            &[("backend", "SparseRevised"), ("pricing", "Dantzig"), ("eta_update", "ProductForm")],
+        );
 
-        for blob in [future, v5] {
+        for blob in [future, v6, v5] {
             let store = MemStore { checkpoint: Some(blob), ..store.clone() };
             let (mut recovered, rec) = DurableController::recover(mk(), store, CFG, &w).unwrap();
             assert!(rec.checkpoint_rejected);

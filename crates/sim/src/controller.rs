@@ -87,18 +87,15 @@ pub struct Controller<'a> {
     /// never changes solver *results* (bit-identity across thread
     /// counts is a repo invariant), only wall-clock.
     pub threads: usize,
-    /// LP engine for the TE recompute (default
-    /// [`SolverBackend::SparseRevised`]; the dense tableau is the
-    /// automatic fallback). Checkpoints record the choice so a restored
-    /// controller keeps solving with the same engine.
-    pub backend: SolverBackend,
-    /// Unread: the sparse engine has one pricing rule. Kept only
-    /// because the repository benchmark builds a controller by naming
-    /// every field; goes with the benchmark revision that stops naming
-    /// it.
+    /// Unread: `prete-lp` has one engine. Kept only because the
+    /// repository benchmark builds a controller by naming every field;
+    /// goes with the benchmark revision that stops naming it.
+    pub backend: prete_lp::SolverBackend,
+    /// Unread: the sparse engine has one pricing rule. Kept for the
+    /// same reason as `backend`, and goes with it.
     pub pricing: prete_lp::Pricing,
     /// Unread: the sparse engine has one basis-update scheme. Kept for
-    /// the same reason as `pricing`, and goes with it.
+    /// the same reason as `backend`, and goes with it.
     pub eta_update: prete_lp::EtaUpdate,
     /// Scenario enumeration budget for the TE recompute. `None` keeps
     /// the historical exhaustive single-cut enumeration; `Some` routes
@@ -119,8 +116,8 @@ pub struct Controller<'a> {
 
 impl<'a> Controller<'a> {
     /// A controller over the given leaves with the default latency
-    /// model, LP engine and exhaustive single-cut enumeration, automatic
-    /// threads, an empty warm-start cache and telemetry disabled.
+    /// model and exhaustive single-cut enumeration, automatic threads,
+    /// an empty warm-start cache and telemetry disabled.
     pub fn new(
         net: &'a Network,
         model: &'a FailureModel,

@@ -373,7 +373,6 @@ impl<'a> RobustController<'a> {
             .beta(inner.scheme.beta())
             .method(SolveMethod::Heuristic)
             .threads(inner.threads)
-            .backend(inner.backend)
             .solve()
             .expect("heuristic solve under the default budget is infallible");
         Self { inner, method, retry, last_known_good, priors, budget_override: None }
@@ -628,7 +627,6 @@ impl Controller<'_> {
                     .method(method)
                     .budget(budget)
                     .threads(self.threads)
-                    .backend(self.backend)
                     .warm_cache(&mut cache)
                     .recorder(obs);
                 if let Some(st) = enum_stats.as_ref() {

@@ -1,8 +1,8 @@
 //! Golden regression fixtures for the TE solver.
 //!
 //! Canonical instances (B4 and the Abilene-sized IBM WAN) are solved
-//! under **both** LP backends and compared against committed expected
-//! objectives and allocation vectors, so figure-level numbers
+//! and compared against committed expected objectives and allocation
+//! vectors, so figure-level numbers
 //! (`bench/figures.rs` feeds from the same solver) cannot drift
 //! silently — a pricing, presolve or factorization change that moves
 //! the optimum shows up as a fixture diff, not as a mystery in a plot.
@@ -16,25 +16,24 @@
 //! and commit the rewritten `tests/fixtures/golden_*.json`.
 
 use prete_core::estimator::ProbabilityEstimator;
-use prete_core::prelude::{FailureModel, SolveMethod, SolverBackend, TeProblem, TeSolver};
+use prete_core::prelude::{FailureModel, SolveMethod, TeProblem, TeSolver};
 use prete_core::scenario::{ScenarioBudget, ScenarioSet};
 use prete_topology::{topologies, Network, TunnelSet};
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 
-/// One backend's expected optimum on a canonical instance.
+/// The expected optimum on a canonical instance.
 #[derive(Debug, Serialize, Deserialize)]
-struct GoldenBackend {
+struct GoldenOptimum {
     max_loss: f64,
     allocation: Vec<f64>,
 }
 
-/// A committed fixture: one topology, every backend.
+/// A committed fixture: one topology and its optimum.
 #[derive(Debug, Serialize, Deserialize)]
 struct Golden {
     topology: String,
-    dense: GoldenBackend,
-    sparse: GoldenBackend,
+    sparse: GoldenOptimum,
 }
 
 /// Objectives must match to this relative tolerance; the solver is
@@ -52,7 +51,7 @@ fn fixture_path(name: &str) -> PathBuf {
 
 /// The canonical instance: the figure pipeline's seed and load, one
 /// simultaneous failure, deterministic per-fiber probabilities.
-fn solve(net: &Network, backend: SolverBackend) -> GoldenBackend {
+fn solve(net: &Network) -> GoldenOptimum {
     let flows = topologies::flows_for(net, 0.08, 42);
     let tunnels = TunnelSet::initialize(net, &flows, 4);
     let probs: Vec<f64> =
@@ -62,18 +61,13 @@ fn solve(net: &Network, backend: SolverBackend) -> GoldenBackend {
     let sol = TeSolver::new(&problem)
         .beta(0.999)
         .method(SolveMethod::Heuristic)
-        .backend(backend)
         .solve()
         .expect("canonical instance is solvable");
-    GoldenBackend { max_loss: sol.max_loss, allocation: sol.allocation }
+    GoldenOptimum { max_loss: sol.max_loss, allocation: sol.allocation }
 }
 
 fn check(name: &str, net: &Network) {
-    let got = Golden {
-        topology: name.to_string(),
-        dense: solve(net, SolverBackend::DenseTableau),
-        sparse: solve(net, SolverBackend::SparseRevised),
-    };
+    let got = Golden { topology: name.to_string(), sparse: solve(net) };
     let path = fixture_path(name);
     if std::env::var_os("GOLDEN_BLESS").is_some() {
         let json = serde_json::to_string_pretty(&got).expect("serialize fixture");
@@ -90,36 +84,21 @@ fn check(name: &str, net: &Network) {
         )
     });
     let want: Golden = serde_json::from_str(&text).expect("parse fixture");
-    for (label, w, g) in
-        [("dense", &want.dense, &got.dense), ("sparse", &want.sparse, &got.sparse)]
-    {
-        let scale = 1.0 + w.max_loss.abs();
-        assert!(
-            (g.max_loss - w.max_loss).abs() <= OBJ_TOL * scale,
-            "{name}/{label}: max_loss drifted: expected {}, got {}",
-            w.max_loss,
-            g.max_loss
-        );
-        assert_eq!(
-            g.allocation.len(),
-            w.allocation.len(),
-            "{name}/{label}: allocation length changed"
-        );
-        for (t, (gv, wv)) in g.allocation.iter().zip(&w.allocation).enumerate() {
-            assert!(
-                (gv - wv).abs() <= ALLOC_TOL,
-                "{name}/{label}: allocation[{t}] drifted: expected {wv}, got {gv}"
-            );
-        }
-    }
-    // The two backends agree with each other, not just with history.
-    let scale = 1.0 + got.dense.max_loss.abs();
+    let (w, g) = (&want.sparse, &got.sparse);
+    let scale = 1.0 + w.max_loss.abs();
     assert!(
-        (got.dense.max_loss - got.sparse.max_loss).abs() <= 1e-6 * scale,
-        "backends disagree on {name}: dense {} vs sparse {}",
-        got.dense.max_loss,
-        got.sparse.max_loss
+        (g.max_loss - w.max_loss).abs() <= OBJ_TOL * scale,
+        "{name}: max_loss drifted: expected {}, got {}",
+        w.max_loss,
+        g.max_loss
     );
+    assert_eq!(g.allocation.len(), w.allocation.len(), "{name}: allocation length changed");
+    for (t, (gv, wv)) in g.allocation.iter().zip(&w.allocation).enumerate() {
+        assert!(
+            (gv - wv).abs() <= ALLOC_TOL,
+            "{name}: allocation[{t}] drifted: expected {wv}, got {gv}"
+        );
+    }
 }
 
 #[test]
@@ -138,8 +117,8 @@ fn golden_ibm_matches_committed_fixture() {
 
 /// A committed fixture for one *pathologically scaled* LP (torture
 /// case 18: coefficients spanning many decades, nontrivial pivot
-/// paths on both engines). Pins the certified objective and primal
-/// point of both backends so the numerical-robustness layer —
+/// paths in the engine and the oracle). Pins the certified objective
+/// and primal point of both so the numerical-robustness layer —
 /// equilibration scaling, refinement, certification — cannot drift
 /// silently under later solver changes.
 #[derive(Debug, Serialize, Deserialize)]
@@ -158,13 +137,12 @@ const SCALED_OBJ_TOL: f64 = 1e-9;
 
 #[test]
 fn golden_scaled_lp_matches_committed_fixture() {
-    use prete_lp::{solve_with, SimplexOptions, SolveStatus};
+    use prete_lp::{solve_oracle, solve_with, SimplexOptions, SolveStatus};
 
     const CASE: usize = 18;
     let lp = prete_bench::torture::generate(prete_bench::torture::SUITE_SEED, CASE).build();
-    let run = |backend| solve_with(&lp, SimplexOptions { backend, ..Default::default() });
-    let dense = run(SolverBackend::DenseTableau);
-    let sparse = run(SolverBackend::SparseRevised);
+    let dense = solve_oracle(&lp, SimplexOptions::default());
+    let sparse = solve_with(&lp, SimplexOptions::default());
     // The fixture only makes sense while both engines *certify* this
     // program — a tolerance change that downgrades it should fail
     // loudly here, not silently weaken the pin.

@@ -333,9 +333,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Parallel solves are bit-identical to serial on seeded random
-    /// topologies: for 2, 4 and 8 threads (solver *and* problem
-    /// precompute), every allocation entry and `max_loss` match the
-    /// single-threaded run exactly.
+    /// topologies: for 2, 4 and 8 solver threads, every allocation
+    /// entry and `max_loss` match the single-threaded run exactly.
     #[test]
     fn parallel_te_solves_match_serial_bitwise(
         n in 4usize..7,
@@ -344,9 +343,7 @@ proptest! {
         p_scale in 0.2f64..1.0,
         beta in 0.95f64..0.999,
     ) {
-        use prete_core::prelude::{
-            ProblemConfig, SolveMethod, TeProblem, TeSolver,
-        };
+        use prete_core::prelude::{SolveMethod, TeProblem, TeSolver};
         use prete_core::scenario::ScenarioSet;
         use prete_topology::{topologies, TunnelSet};
 
@@ -356,15 +353,14 @@ proptest! {
         let probs: Vec<f64> =
             (0..net.fibers().len()).map(|i| p_scale * 0.01 * (1.0 + (i % 5) as f64)).collect();
         let scenarios = ScenarioSet::enumerate(&probs, 1, 0.0);
+        let problem = TeProblem::new(&net, &flows, &tunnels, &scenarios);
 
         for method in [SolveMethod::Heuristic, SolveMethod::benders()] {
             let solve = |threads: usize| {
-                let cfg = ProblemConfig { precompute_threads: threads.max(1), ..Default::default() };
-                let problem = TeProblem::with_config(&net, &flows, &tunnels, &scenarios, cfg);
                 let sol = TeSolver::new(&problem)
                     .beta(beta)
                     .method(method)
-                    .threads(threads.max(1))
+                    .threads(threads)
                     .solve()
                     .expect("solvable");
                 (
@@ -664,9 +660,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Anti-cycling: degenerate programs full of tied ratio tests and
-    /// tied reduced costs terminate under the pivot cap on *both*
-    /// backends — the Bland's-rule fallback must break every cycle —
-    /// and the backends agree on the optimum.
+    /// tied reduced costs terminate under the pivot cap in *both* the
+    /// engine and the oracle — the Bland's-rule fallback must break
+    /// every cycle — and the two agree on the optimum.
     #[test]
     fn degenerate_lps_terminate_under_pivot_cap(
         n in 2usize..8,
@@ -674,19 +670,18 @@ proptest! {
         dup in 0usize..3,
         seed in 0u64..1000,
     ) {
-        use prete_lp::{solve_with, SimplexOptions, SolveStatus, SolverBackend};
+        use prete_lp::{solve_oracle, solve_with, SimplexOptions, SolveStatus};
         let lp = degenerate_lp(n, m, dup, seed);
         // A cap far below the default: a cycle would spin to the
         // limit, an anti-cycled run finishes in at most a few dozen
         // pivots on programs this size.
-        let opts = |backend| SimplexOptions {
-            backend,
+        let opts = SimplexOptions {
             max_iterations: 5_000,
             stall_threshold: 3,
             ..Default::default()
         };
-        let dense = solve_with(&lp, opts(SolverBackend::DenseTableau));
-        let sparse = solve_with(&lp, opts(SolverBackend::SparseRevised));
+        let dense = solve_oracle(&lp, opts);
+        let sparse = solve_with(&lp, opts);
         prop_assert!(dense.status != SolveStatus::IterationLimit, "dense hit the pivot cap");
         prop_assert!(sparse.status != SolveStatus::IterationLimit, "sparse hit the pivot cap");
         prop_assert_eq!(dense.status, sparse.status);
@@ -700,12 +695,11 @@ proptest! {
     }
 
     /// Sparse warm-start counterpart of
-    /// [`warm_resolve_matches_cold_after_perturbation`]: with the
-    /// backend pinned to `SparseRevised`, a warm re-solve after a
-    /// demand perturbation matches a cold solve of the perturbed
-    /// problem within LP tolerance, and warm solving is *bit-identical*
-    /// across repeated runs from the same cache snapshot — the warm
-    /// path may never introduce nondeterminism.
+    /// [`warm_resolve_matches_cold_after_perturbation`]: a warm
+    /// re-solve after a demand perturbation matches a cold solve of the
+    /// perturbed problem within LP tolerance, and warm solving is
+    /// *bit-identical* across repeated runs from the same cache
+    /// snapshot — the warm path may never introduce nondeterminism.
     #[test]
     fn sparse_warm_resolve_matches_cold_and_is_deterministic(
         n in 4usize..7,
@@ -714,7 +708,7 @@ proptest! {
         wobble in prop::collection::vec(0.95f64..1.05, 24),
         beta in 0.95f64..0.999,
     ) {
-        use prete_core::prelude::{BasisCache, SolveMethod, SolverBackend, TeProblem, TeSolver};
+        use prete_core::prelude::{BasisCache, SolveMethod, TeProblem, TeSolver};
         use prete_core::scenario::ScenarioSet;
         use prete_topology::{topologies, TunnelSet};
 
@@ -731,7 +725,6 @@ proptest! {
             let _ = TeSolver::new(&problem)
                 .beta(beta)
                 .method(SolveMethod::Heuristic)
-                .backend(SolverBackend::SparseRevised)
                 .warm_cache(&mut cache)
                 .solve()
                 .expect("solvable");
@@ -746,7 +739,6 @@ proptest! {
             TeSolver::new(&problem)
                 .beta(beta)
                 .method(SolveMethod::Heuristic)
-                .backend(SolverBackend::SparseRevised)
                 .warm_cache(cache)
                 .solve_with_stats()
                 .expect("solvable")
@@ -755,7 +747,6 @@ proptest! {
         let cold = TeSolver::new(&problem)
             .beta(beta)
             .method(SolveMethod::Heuristic)
-            .backend(SolverBackend::SparseRevised)
             .solve()
             .expect("solvable");
         prop_assert!(stats.warm_hits > 0, "perturbed re-solve never hit the cache");
@@ -792,9 +783,7 @@ proptest! {
         wobble in prop::collection::vec(0.95f64..1.05, 24),
         beta in 0.95f64..0.999,
     ) {
-        use prete_core::prelude::{
-            BasisCache, ColdStart, SolveMethod, SolverBackend, TeProblem, TeSolver,
-        };
+        use prete_core::prelude::{BasisCache, ColdStart, SolveMethod, TeProblem, TeSolver};
         use prete_core::scenario::ScenarioSet;
         use prete_topology::{topologies, TunnelSet};
 
@@ -817,7 +806,6 @@ proptest! {
                 let _ = TeSolver::new(&problem)
                     .beta(beta)
                     .method(SolveMethod::Heuristic)
-                    .backend(SolverBackend::SparseRevised)
                     .cold_start(cold_start)
                     .warm_cache(&mut cache)
                     .solve()
@@ -835,7 +823,6 @@ proptest! {
                 let sol = TeSolver::new(&problem)
                     .beta(beta)
                     .method(SolveMethod::Heuristic)
-                    .backend(SolverBackend::SparseRevised)
                     .cold_start(cold_start)
                     .threads(threads)
                     .solve()
@@ -848,7 +835,6 @@ proptest! {
                 let (sol, stats) = TeSolver::new(&problem)
                     .beta(beta)
                     .method(SolveMethod::Heuristic)
-                    .backend(SolverBackend::SparseRevised)
                     .cold_start(cold_start)
                     .threads(threads)
                     .warm_cache(&mut cache)
@@ -949,10 +935,11 @@ proptest! {
     /// duality against the *scaled* rhs. The transformed programs span
     /// ten-plus decades of coefficient dynamic range, so they cross
     /// the equilibration threshold and exercise the full
-    /// presolve → scale → solve → unscale → certify pipeline on both
-    /// backends. A certified `Optimal` must round-trip the objective;
-    /// an ill-conditioned draw may downgrade to `NumericallySuspect`
-    /// instead, but may never flip to `Infeasible`/`Unbounded`.
+    /// presolve → scale → solve → unscale → certify pipeline, and the
+    /// oracle's solve → certify. A certified `Optimal` must round-trip
+    /// the objective; an ill-conditioned draw may downgrade to
+    /// `NumericallySuspect` instead, but may never flip to
+    /// `Infeasible`/`Unbounded`.
     #[test]
     fn scaling_and_postsolve_round_trip_objective_and_duals(
         a in prop::collection::vec(prop::collection::vec(0.5f64..4.0, 5), 1..6),
@@ -961,7 +948,10 @@ proptest! {
         row_exp in prop::collection::vec(-5i32..6, 6),
         col_exp in prop::collection::vec(-5i32..6, 5),
     ) {
-        use prete_lp::{solve_with, LinearProgram, Sense, SimplexOptions, SolveStatus, SolverBackend};
+        use prete_lp::{
+            solve_oracle, solve_with, LinearProgram, Sense, SimplexOptions, Solution, SolveStatus,
+        };
+        type Engine = fn(&LinearProgram, SimplexOptions) -> Solution;
         let n = costs.len();
         let m = a.len();
         // Base: min c·x, A x ≤ b, x ≥ 0 with A strictly positive and
@@ -981,23 +971,24 @@ proptest! {
         let ones = vec![1.0f64; 6];
         let rs: Vec<f64> = row_exp.iter().map(|&e| 10f64.powi(e)).collect();
         let cs: Vec<f64> = col_exp.iter().map(|&e| 10f64.powi(e)).collect();
-        for backend in [SolverBackend::DenseTableau, SolverBackend::SparseRevised] {
-            let opts = SimplexOptions { backend, ..SimplexOptions::default() };
-            let base = solve_with(&build(&ones, &ones), opts);
-            prop_assert_eq!(base.status, SolveStatus::Optimal, "{:?} base not optimal", backend);
-            let scaled = solve_with(&build(&rs, &cs), opts);
+        let engines: [(&str, Engine); 2] = [("oracle", solve_oracle), ("sparse", solve_with)];
+        let opts = SimplexOptions::default();
+        for (engine, run) in engines {
+            let base = run(&build(&ones, &ones), opts);
+            prop_assert_eq!(base.status, SolveStatus::Optimal, "{} base not optimal", engine);
+            let scaled = run(&build(&rs, &cs), opts);
             prop_assert!(
                 scaled.is_usable(),
-                "{:?}: scaled program flipped to {:?}", backend, scaled.status
+                "{}: scaled program flipped to {:?}", engine, scaled.status
             );
-            let q = scaled.quality.unwrap_or_else(|| panic!("{backend:?}: no certificate"));
+            let q = scaled.quality.unwrap_or_else(|| panic!("{engine}: no certificate"));
             if scaled.status == SolveStatus::Optimal {
-                prop_assert!(q.passes(&opts.tols), "{:?}: Optimal with failing {q:?}", backend);
+                prop_assert!(q.passes(&opts.tols), "{}: Optimal with failing {q:?}", engine);
                 let tol = 1e-6 * (1.0 + base.objective.abs());
                 prop_assert!(
                     (scaled.objective - base.objective).abs() <= tol,
-                    "{:?}: objective did not round-trip: base {} vs scaled {}",
-                    backend, base.objective, scaled.objective
+                    "{}: objective did not round-trip: base {} vs scaled {}",
+                    engine, base.objective, scaled.objective
                 );
                 // Strong duality in the scaled space: the unscaled-
                 // then-returned duals must price the scaled rhs back
@@ -1006,8 +997,8 @@ proptest! {
                     scaled.duals.iter().zip(&rs).zip(&slacks).map(|((&y, &r), &b)| y * r * b).sum();
                 prop_assert!(
                     (dual_obj - scaled.objective).abs() <= 1e-5 * (1.0 + scaled.objective.abs()),
-                    "{:?}: duality gap after unscale: {} vs {}",
-                    backend, dual_obj, scaled.objective
+                    "{}: duality gap after unscale: {} vs {}",
+                    engine, dual_obj, scaled.objective
                 );
             }
         }
@@ -1016,14 +1007,13 @@ proptest! {
 
 /// Satellite of the numerical-robustness layer: a *pathologically
 /// scaled* TE instance — link capacities spanning nine decades — must
-/// still produce a certified, KKT-checked polish on both backends, and
-/// the answer must stay bit-identical across solver thread counts
-/// {1, 2, 8} (the robustness machinery — equilibration, refinement,
-/// recovery ladder — is all deterministic, so threading may not leak
-/// into it).
+/// still produce a certified, KKT-checked polish, and the answer must
+/// stay bit-identical across solver thread counts {1, 2, 8} (the
+/// robustness machinery — equilibration, refinement, recovery ladder —
+/// is all deterministic, so threading may not leak into it).
 #[test]
 fn scaled_te_instance_is_certified_and_thread_invariant() {
-    use prete_core::prelude::{SolveMethod, SolverBackend, TeProblem, TeSolver};
+    use prete_core::prelude::{SolveMethod, TeProblem, TeSolver};
     use prete_core::scenario::ScenarioSet;
     use prete_topology::{topologies, NetworkBuilder, TunnelSet};
 
@@ -1048,38 +1038,29 @@ fn scaled_te_instance_is_certified_and_thread_invariant() {
     let scenarios = ScenarioSet::enumerate(&probs, 1, 0.0);
     let problem = TeProblem::new(&net, &flows, &tunnels, &scenarios);
 
-    for backend in [SolverBackend::DenseTableau, SolverBackend::SparseRevised] {
-        let solve = |threads: usize| {
-            TeSolver::new(&problem)
-                .beta(0.99)
-                .method(SolveMethod::Heuristic)
-                .backend(backend)
-                .threads(threads)
-                .solve()
-                .unwrap_or_else(|e| panic!("{backend:?}/{threads} threads: {e:?}"))
-        };
-        let serial = solve(1);
-        assert!(
-            serial.quality.is_some(),
-            "{backend:?}: scaled polish returned no certificate"
+    let solve = |threads: usize| {
+        TeSolver::new(&problem)
+            .beta(0.99)
+            .method(SolveMethod::Heuristic)
+            .threads(threads)
+            .solve()
+            .unwrap_or_else(|e| panic!("{threads} threads: {e:?}"))
+    };
+    let serial = solve(1);
+    assert!(serial.quality.is_some(), "scaled polish returned no certificate");
+    assert!(serial.max_loss.is_finite());
+    for threads in [2usize, 8] {
+        let parallel = solve(threads);
+        assert_eq!(
+            serial.allocation, parallel.allocation,
+            "allocations diverge at {threads} threads"
         );
-        assert!(serial.max_loss.is_finite());
-        for threads in [2usize, 8] {
-            let parallel = solve(threads);
-            assert_eq!(
-                serial.allocation, parallel.allocation,
-                "{backend:?}: allocations diverge at {threads} threads"
-            );
-            assert_eq!(
-                serial.max_loss.to_bits(),
-                parallel.max_loss.to_bits(),
-                "{backend:?}: max_loss diverges at {threads} threads"
-            );
-            assert_eq!(
-                serial.quality, parallel.quality,
-                "{backend:?}: certificate diverges at {threads} threads"
-            );
-        }
+        assert_eq!(
+            serial.max_loss.to_bits(),
+            parallel.max_loss.to_bits(),
+            "max_loss diverges at {threads} threads"
+        );
+        assert_eq!(serial.quality, parallel.quality, "certificate diverges at {threads} threads");
     }
 }
 

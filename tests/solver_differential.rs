@@ -1,8 +1,9 @@
 //! Differential oracle suite: the sparse revised simplex engine vs the
 //! dense tableau on seeded random LPs.
 //!
-//! The dense two-phase tableau is the trusted oracle (simple enough to
-//! audit by hand); the sparse engine must agree with it on
+//! The dense two-phase tableau ([`prete_lp::solve_oracle`]) is the
+//! trusted oracle (simple enough to audit by hand, and on no solve
+//! path); the engine must agree with it on
 //!
 //! * termination status (optimal / infeasible / unbounded),
 //! * the optimal objective (≤ 1e-6 relative), and
@@ -17,7 +18,7 @@
 //! reproducible `(seed, case)` pair.
 
 use prete_lp::{
-    solve_with, ColdStart, LinearProgram, SimplexOptions, Sense, SolveStatus, SolverBackend,
+    solve_oracle, solve_with, ColdStart, LinearProgram, SimplexOptions, Sense, SolveStatus,
 };
 
 const CASES: usize = 520;
@@ -185,12 +186,8 @@ fn generate(seed: u64, case: usize) -> CaseSpec {
 
 const TOL: f64 = 1e-6;
 
-fn opts(backend: SolverBackend) -> SimplexOptions {
-    SimplexOptions { backend, ..SimplexOptions::default() }
-}
-
-fn sparse_opts(cold_start: ColdStart) -> SimplexOptions {
-    SimplexOptions { backend: SolverBackend::SparseRevised, cold_start, ..SimplexOptions::default() }
+fn oracle(lp: &LinearProgram) -> prete_lp::Solution {
+    solve_oracle(lp, SimplexOptions::default())
 }
 
 /// KKT certification of an optimal primal/dual pair: primal
@@ -251,10 +248,10 @@ fn kkt_violation(spec: &CaseSpec, lp: &LinearProgram, sol: &prete_lp::Solution) 
 /// fails certification.
 fn check_with(spec: &CaseSpec, cold_start: ColdStart) -> Option<String> {
     let lp = spec.build();
-    let dense = solve_with(&lp, opts(SolverBackend::DenseTableau));
-    let sparse = solve_with(&lp, sparse_opts(cold_start));
-    if sparse.engine.dense_fallback {
-        return Some("sparse solve fell back to dense (singular factorization)".into());
+    let dense = oracle(&lp);
+    let sparse = solve_with(&lp, SimplexOptions { cold_start, ..SimplexOptions::default() });
+    if sparse.status == SolveStatus::NumericalFailure {
+        return Some("the sparse recovery ladder ran out".into());
     }
     if dense.status != sparse.status {
         return Some(format!(
@@ -359,11 +356,13 @@ fn sparse_engine_matches_dense_oracle_on_random_lps() {
             continue;
         }
         let lp = spec.build();
-        match solve_with(&lp, opts(SolverBackend::DenseTableau)).status {
+        match oracle(&lp).status {
             SolveStatus::Optimal => optimal += 1,
             SolveStatus::Infeasible => infeasible += 1,
             SolveStatus::Unbounded => unbounded += 1,
-            SolveStatus::IterationLimit | SolveStatus::NumericallySuspect => {}
+            SolveStatus::IterationLimit
+            | SolveStatus::NumericallySuspect
+            | SolveStatus::NumericalFailure => {}
         }
     }
     assert!(
