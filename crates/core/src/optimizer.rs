@@ -13,10 +13,20 @@
 //!
 //! with `δ` appearing only on the right-hand side — exactly the shape
 //! Benders decomposition wants (Appendix A.4: the subproblem sizes are
-//! "independent of the number of δ to be addressed"). Rows are emitted
-//! only for the no-failure scenario and the scenarios that actually
-//! kill one of the flow's tunnels; an unaffecting scenario's row is
-//! identical to the no-failure row and would be redundant.
+//! "independent of the number of δ to be addressed").
+//!
+//! A row depends on the scenario only through the set of tunnels that
+//! survive it, so [`TeProblem::new`] interns, per flow, the distinct
+//! surviving sets (*survival classes*). The heuristic's min-Φ LP gets
+//! one coverage row per selected class that contains no other selected
+//! class: equal sets give equal rows, and because `a ≥ 0` a superset's
+//! row is implied by its subset's. The feasible `(a, Φ)` region, and so
+//! `Φ*`, is unchanged; a dead class (no tunnel survives) leaves the
+//! single row `d_f·Φ ≥ d_f`. The polish LP, the materialized Benders
+//! subproblem, its master and the exact MIP keep one row per
+//! (flow, scenario), over the no-failure scenario and the scenarios that
+//! kill one of the flow's tunnels (an unaffecting scenario's row equals
+//! the no-failure row).
 //!
 //! ## Solvers
 //!
@@ -102,14 +112,22 @@ pub struct TeProblem<'a> {
     pub scenarios: &'a ScenarioSet,
     /// Capacity trunk groups.
     pub groups: CapacityGroups,
-    /// `surviving[f][q]` = tunnel ids of flow `f` alive in scenario `q`.
-    surviving: Vec<Vec<Vec<TunnelId>>>,
+    /// Survival classes: `classes[f]` lists the distinct sets of flow
+    /// `f`'s tunnels that survive some scenario, in first-seen scenario
+    /// order. Each set keeps the order of [`TunnelSet::of_flow`].
+    classes: Vec<Vec<Vec<TunnelId>>>,
+    /// `class_of[f][q]` = index into `classes[f]` of the set alive in
+    /// scenario `q`.
+    class_of: Vec<Vec<usize>>,
     /// Per flow: scenario indices (≠ 0) that kill at least one tunnel.
     affecting: Vec<Vec<usize>>,
+    /// Per flow: probability mass of the scenarios (≠ 0) outside
+    /// `affecting`.
+    unaffecting_mass: Vec<f64>,
 }
 
 impl<'a> TeProblem<'a> {
-    /// Builds a problem, precomputing per-flow tunnel survivals.
+    /// Builds a problem, precomputing per-flow survival classes.
     pub fn new(
         net: &'a Network,
         flows: &'a [Flow],
@@ -117,27 +135,53 @@ impl<'a> TeProblem<'a> {
         scenarios: &'a ScenarioSet,
     ) -> Self {
         let groups = CapacityGroups::build(net);
-        let (surviving, affecting) = flows
-            .iter()
-            .map(|flow| {
-                let all = tunnels.of_flow(flow.id);
-                let mut per_q = Vec::with_capacity(scenarios.len());
-                let mut aff = Vec::new();
-                for (qi, q) in scenarios.scenarios.iter().enumerate() {
-                    let surv: Vec<TunnelId> = all
-                        .iter()
-                        .copied()
-                        .filter(|&t| tunnels.tunnel(t).survives(net, &q.cut))
-                        .collect();
-                    if qi != 0 && surv.len() != all.len() {
+        let mut classes = Vec::with_capacity(flows.len());
+        let mut class_of = Vec::with_capacity(flows.len());
+        let mut affecting = Vec::with_capacity(flows.len());
+        let mut unaffecting_mass = Vec::with_capacity(flows.len());
+        let mut surv: Vec<TunnelId> = Vec::new();
+        for flow in flows {
+            let all = tunnels.of_flow(flow.id);
+            let mut sets: Vec<Vec<TunnelId>> = Vec::new();
+            let mut of_q = Vec::with_capacity(scenarios.len());
+            let mut aff = Vec::new();
+            let mut unaffected = 0.0;
+            for (qi, q) in scenarios.scenarios.iter().enumerate() {
+                surv.clear();
+                surv.extend(
+                    all.iter().copied().filter(|&t| tunnels.tunnel(t).survives(net, &q.cut)),
+                );
+                if qi != 0 {
+                    if surv.len() != all.len() {
                         aff.push(qi);
+                    } else {
+                        unaffected += q.prob;
                     }
-                    per_q.push(surv);
                 }
-                (per_q, aff)
-            })
-            .unzip();
-        Self { net, flows, tunnels, scenarios, groups, surviving, affecting }
+                // A flow has at most 2^|tunnels| classes, so a scan is
+                // cheap.
+                let c = sets.iter().position(|s| *s == surv).unwrap_or_else(|| {
+                    sets.push(surv.clone());
+                    sets.len() - 1
+                });
+                of_q.push(c);
+            }
+            unaffecting_mass.push(unaffected);
+            classes.push(sets);
+            class_of.push(of_q);
+            affecting.push(aff);
+        }
+        Self {
+            net,
+            flows,
+            tunnels,
+            scenarios,
+            groups,
+            classes,
+            class_of,
+            affecting,
+            unaffecting_mass,
+        }
     }
 
     /// A hash of the problem's structural skeleton (flow/tunnel/scenario
@@ -160,7 +204,26 @@ impl<'a> TeProblem<'a> {
 
     /// Tunnels of flow `f` (by dense index) surviving scenario `q`.
     pub fn surviving(&self, f: usize, q: usize) -> &[TunnelId] {
-        &self.surviving[f][q]
+        &self.classes[f][self.class_of[f][q]]
+    }
+
+    /// The survival classes of flow `f` whose coverage rows scenarios
+    /// `selected` need: each class once, in first-selected order, and
+    /// none that strictly contains another selected class — with
+    /// `a ≥ 0`, the smaller set's row implies the larger one's.
+    fn minimal_classes(&self, f: usize, selected: &[usize]) -> Vec<&[TunnelId]> {
+        let mut distinct: Vec<&[TunnelId]> = Vec::with_capacity(selected.len());
+        for &qi in selected {
+            let set = self.surviving(f, qi);
+            if !distinct.contains(&set) {
+                distinct.push(set);
+            }
+        }
+        distinct
+            .iter()
+            .copied()
+            .filter(|&set| !distinct.iter().any(|&o| strict_subset(o, set)))
+            .collect()
     }
 
     /// Scenario indices affecting flow `f` (excluding the no-failure
@@ -172,16 +235,15 @@ impl<'a> TeProblem<'a> {
     /// Probability mass of scenarios that do NOT affect flow `f`
     /// (excluding scenario 0) — implicitly selected in the master.
     pub fn unaffecting_mass(&self, f: usize) -> f64 {
-        let aff = &self.affecting[f];
-        self.scenarios
-            .scenarios
-            .iter()
-            .enumerate()
-            .skip(1)
-            .filter(|(qi, _)| !aff.contains(qi))
-            .map(|(_, q)| q.prob)
-            .sum()
+        self.unaffecting_mass[f]
     }
+}
+
+/// `a ⊊ b` for two survival classes of one flow. Both keep the order of
+/// the flow's tunnel list, so `a ⊆ b` is a subsequence test.
+fn strict_subset(a: &[TunnelId], b: &[TunnelId]) -> bool {
+    let mut rest = b.iter();
+    a.len() < b.len() && a.iter().all(|t| rest.any(|u| u == t))
 }
 
 /// A solved TE policy.
@@ -769,17 +831,6 @@ fn greedy_delta(problem: &TeProblem<'_>, beta: f64) -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// Builds and solves the subproblem LP for a fixed selection, returning
-/// `(allocation, Φ, capacity duals, coverage duals keyed by (f, qi))`.
-struct SubproblemResult {
-    allocation: Vec<f64>,
-    phi: f64,
-    /// dual per capacity group (≤ 0 under the min convention).
-    cap_duals: Vec<f64>,
-    /// (flow, scenario, dual ≥ 0) for each coverage row.
-    cov_duals: Vec<(usize, usize, f64)>,
-}
-
 /// Cache-key salts separating the LP families that share one problem
 /// structure (a basis from one family must not seed another; the
 /// structural signature would reject it anyway, but separate keys keep
@@ -886,9 +937,10 @@ impl SolveCtx<'_, '_, '_> {
         sol
     }
 
-    /// Builds and solves the selected-rows subproblem LP (heuristic
-    /// path: one LP per solve, warm-started across epochs).
-    fn subproblem(&mut self, delta: &[Vec<usize>]) -> Result<SubproblemResult, TeSolveError> {
+    /// Builds and solves the min-Φ LP for a fixed selection (heuristic
+    /// path: one LP per solve, warm-started across epochs), returning
+    /// `(allocation, Φ)`.
+    fn subproblem(&mut self, delta: &[Vec<usize>]) -> Result<(Vec<f64>, f64), TeSolveError> {
         let t0 = Instant::now();
         let problem = self.problem;
         let n_tunnels = problem.tunnels.len();
@@ -904,27 +956,23 @@ impl SolveCtx<'_, '_, '_> {
                 group_terms[g].push((a_vars[t.id.index()], 1.0));
             }
         }
-        let mut cap_rows = Vec::with_capacity(problem.groups.len());
         for (g, terms) in group_terms.into_iter().enumerate() {
-            cap_rows.push(lp.add_constraint(terms, Sense::Le, problem.groups.capacity(g)));
+            lp.add_constraint(terms, Sense::Le, problem.groups.capacity(g));
         }
 
-        // Coverage rows: Σ surviving a + d·Φ ≥ d for each selected (f, q).
-        let mut cov_rows = Vec::new();
+        // Coverage rows: Σ surviving a + d·Φ ≥ d, one per ⊆-minimal
+        // survival class of the selected scenarios (a dead class leaves
+        // the single row d·Φ ≥ d).
         for (f, selected) in delta.iter().enumerate() {
             let d = problem.flows[f].demand_gbps;
             if d <= 0.0 {
                 continue;
             }
-            for &qi in selected {
-                let mut terms: Vec<(VarId, f64)> = problem
-                    .surviving(f, qi)
-                    .iter()
-                    .map(|&t| (a_vars[t.index()], 1.0))
-                    .collect();
+            for set in problem.minimal_classes(f, selected) {
+                let mut terms: Vec<(VarId, f64)> =
+                    set.iter().map(|&t| (a_vars[t.index()], 1.0)).collect();
                 terms.push((phi, d));
-                let row = lp.add_constraint(terms, Sense::Ge, d);
-                cov_rows.push((f, qi, row));
+                lp.add_constraint(terms, Sense::Ge, d);
             }
         }
 
@@ -932,27 +980,19 @@ impl SolveCtx<'_, '_, '_> {
         let sol = self.warm_solve(&lp, key);
         self.stats.subproblem_ms += ms_since(t0);
         // Φ = 1 is always feasible. A suspect verdict still carries the
-        // optimal-basis point and duals (plus its failing certificate,
-        // already counted by `absorb_engine`).
+        // optimal-basis point (plus its failing certificate, already
+        // counted by `absorb_engine`).
         self.usable(&sol)?;
-        Ok(SubproblemResult {
-            allocation: a_vars.iter().map(|&v| sol.value(v).max(0.0)).collect(),
-            phi: sol.value(phi).max(0.0),
-            cap_duals: cap_rows.iter().map(|&r| sol.duals[r.index()]).collect(),
-            cov_duals: cov_rows
-                .iter()
-                .map(|&(f, qi, r)| (f, qi, sol.duals[r.index()].max(0.0)))
-                .collect(),
-        })
+        Ok((a_vars.iter().map(|&v| sol.value(v).max(0.0)).collect(), sol.value(phi).max(0.0)))
     }
 
     fn heuristic(&mut self, beta: f64) -> Result<TeSolution, TeSolveError> {
         let delta = greedy_delta(self.problem, beta);
-        let sp = self.subproblem(&delta)?;
-        let (allocation, quality) = self.polish(&delta, sp.phi)?;
+        let (_, phi) = self.subproblem(&delta)?;
+        let (allocation, quality) = self.polish(&delta, phi)?;
         Ok(TeSolution {
             allocation,
-            max_loss: sp.phi,
+            max_loss: phi,
             delta,
             lp_solves: 2,
             benders_iters: 0,
@@ -1072,7 +1112,7 @@ impl SolveCtx<'_, '_, '_> {
         if self.usable(&sol).is_err() {
             // Extremely defensive: fall back to the primary solution
             // shape by re-solving the plain subproblem.
-            return Ok((self.subproblem(delta)?.allocation, None));
+            return Ok((self.subproblem(delta)?.0, None));
         }
         Ok((a_vars.iter().map(|&v| sol.value(v).max(0.0)).collect(), sol.quality))
     }
@@ -1095,7 +1135,6 @@ struct Cut {
 /// two-phase run.
 struct BendersLp {
     lp: LinearProgram,
-    a_vars: Vec<VarId>,
     phi: VarId,
     cap_rows: Vec<ConstraintId>,
     /// (flow, scenario, row, demand) for every materialized row.
@@ -1140,7 +1179,7 @@ fn build_benders_lp(problem: &TeProblem<'_>) -> BendersLp {
             cov_rows.push((f, qi, row, d));
         }
     }
-    BendersLp { lp, a_vars, phi, cap_rows, cov_rows }
+    BendersLp { lp, phi, cap_rows, cov_rows }
 }
 
 fn set_benders_rhs(b: &mut BendersLp, delta: &[Vec<usize>]) {
@@ -1150,33 +1189,22 @@ fn set_benders_rhs(b: &mut BendersLp, delta: &[Vec<usize>]) {
     }
 }
 
-fn extract_subproblem(sol: &prete_lp::Solution, b: &BendersLp) -> SubproblemResult {
-    SubproblemResult {
-        allocation: b.a_vars.iter().map(|&v| sol.value(v).max(0.0)).collect(),
-        phi: sol.value(b.phi).max(0.0),
-        cap_duals: b.cap_rows.iter().map(|&r| sol.duals[r.index()]).collect(),
-        cov_duals: b
-            .cov_rows
-            .iter()
-            .map(|&(f, qi, r, _)| (f, qi, sol.duals[r.index()].max(0.0)))
-            .collect(),
-    }
-}
-
 /// The Eqn 11 optimality cut from a subproblem's duals:
-/// `Φ ≥ Σ_g y_g c_g + Σ v_{f,q} d_f δ_{f,q}`.
-fn cut_from_duals(problem: &TeProblem<'_>, sp: &SubproblemResult) -> Cut {
-    let constant: f64 = sp
-        .cap_duals
+/// `Φ ≥ Σ_g y_g c_g + Σ v_{f,q} d_f δ_{f,q}`, with `y_g ≤ 0` the
+/// capacity duals (min convention) and `v_{f,q} ≥ 0` the coverage duals.
+fn cut_from_duals(problem: &TeProblem<'_>, sol: &prete_lp::Solution, b: &BendersLp) -> Cut {
+    let constant: f64 = b
+        .cap_rows
         .iter()
         .enumerate()
-        .map(|(g, &y)| y * problem.groups.capacity(g))
+        .map(|(g, &r)| sol.duals[r.index()] * problem.groups.capacity(g))
         .sum();
-    let weights: Vec<(usize, usize, f64)> = sp
-        .cov_duals
+    let weights: Vec<(usize, usize, f64)> = b
+        .cov_rows
         .iter()
-        .filter(|&&(_, _, v)| v > 1e-12)
-        .map(|&(f, qi, v)| (f, qi, v * problem.flows[f].demand_gbps))
+        .map(|&(f, qi, r, _)| (f, qi, sol.duals[r.index()].max(0.0)))
+        .filter(|&(_, _, v)| v > 1e-12)
+        .map(|(f, qi, v)| (f, qi, v * problem.flows[f].demand_gbps))
         .collect();
     Cut { constant, weights }
 }
@@ -1246,14 +1274,14 @@ impl SolveCtx<'_, '_, '_> {
                 });
             }
             self.usable(&sol)?;
-            let sp = extract_subproblem(&sol, &b);
+            let phi = sol.value(b.phi).max(0.0);
             lp_solves += 1;
-            if sp.phi < ub {
-                ub = sp.phi;
-                best = Some((sp.phi, delta.clone()));
+            if phi < ub {
+                ub = phi;
+                best = Some((phi, delta.clone()));
             }
             // Optimality cut (Eqn 11).
-            cuts.push(cut_from_duals(problem, &sp));
+            cuts.push(cut_from_duals(problem, &sol, &b));
             self.stats.cuts_added += 1;
             self.obs.event_with("solver.benders-iteration", || {
                 format!("iter={iters} ub={ub:.6} lb={lb:.6} cuts={}", cuts.len())
@@ -1940,6 +1968,188 @@ mod tests {
         // the same work-unit totals.
         let (acc2, _) = run_epochs();
         assert_eq!(acc, acc2);
+    }
+
+    /// A workload-shaped instance: `flows_for(load)` demands scaled by
+    /// `scale`, four tunnels per flow, the PreTE estimator on the seed-42
+    /// failure model, and the scenarios of a healthy network or of one
+    /// degraded fiber (1-cut, or `budget`'s streaming enumeration).
+    struct Instance {
+        net: Network,
+        flows: Vec<Flow>,
+        tunnels: TunnelSet,
+        scenarios: ScenarioSet,
+    }
+
+    impl Instance {
+        fn new(
+            net: Network,
+            load: f64,
+            scale: f64,
+            degraded: Option<usize>,
+            budget: Option<crate::scenario::ScenarioBudget>,
+        ) -> Self {
+            use crate::estimator::{ProbabilityEstimator, TrueConditionals};
+            use crate::scenario::DegradationState;
+            let model = prete_optical::FailureModel::new(&net, 42);
+            let mut flows = prete_topology::topologies::flows_for(&net, load, 42);
+            for f in &mut flows {
+                f.demand_gbps *= scale;
+            }
+            let tunnels = TunnelSet::initialize(&net, &flows, 4);
+            let truth = TrueConditionals::ground_truth(&net, &model, 100, 3);
+            let state = degraded.map_or_else(DegradationState::healthy, |k| {
+                DegradationState::single(prete_topology::FiberId(k))
+            });
+            let probs = ProbabilityEstimator::prete(&model, &truth).probabilities(&state);
+            let scenarios = match budget {
+                Some(b) => ScenarioSet::enumerate_with(&probs, &b).0,
+                None => ScenarioSet::enumerate(&probs, 1, 0.0),
+            };
+            Self { net, flows, tunnels, scenarios }
+        }
+
+        fn problem(&self) -> TeProblem<'_> {
+            TeProblem::new(&self.net, &self.flows, &self.tunnels, &self.scenarios)
+        }
+    }
+
+    /// Every materialized row: scenario 0 plus the affecting scenarios.
+    fn all_rows(p: &TeProblem<'_>) -> Vec<Vec<usize>> {
+        (0..p.flows.len())
+            .map(|f| std::iter::once(0).chain(p.affecting(f).iter().copied()).collect())
+            .collect()
+    }
+
+    /// (coverage rows, distinct survival classes, ⊆-minimal classes)
+    /// of the min-Φ LP over `delta`.
+    fn census(p: &TeProblem<'_>, delta: &[Vec<usize>]) -> (usize, usize, usize) {
+        let mut counts = (0, 0, 0);
+        for (f, selected) in delta.iter().enumerate() {
+            if p.flows[f].demand_gbps <= 0.0 {
+                continue;
+            }
+            let mut distinct: Vec<usize> = selected.iter().map(|&q| p.class_of[f][q]).collect();
+            distinct.sort_unstable();
+            distinct.dedup();
+            counts.0 += selected.len();
+            counts.1 += distinct.len();
+            counts.2 += p.minimal_classes(f, selected).len();
+        }
+        counts
+    }
+
+    #[test]
+    fn survival_class_census_is_pinned() {
+        // Coverage rows → distinct survival classes → ⊆-minimal classes.
+        // A change to the class rule or to the rows it reads moves these.
+        let twan = Instance::new(prete_topology::topologies::twan(), 0.08, 1.0, None, None);
+        let p = twan.problem();
+        assert_eq!(census(&p, &greedy_delta(&p, 0.999)), (1316, 679, 319), "TWAN, β 0.999");
+        let b4 = Instance::new(prete_topology::topologies::b4(), 0.08, 2.0, Some(1), None);
+        let p = b4.problem();
+        assert_eq!(census(&p, &all_rows(&p)), (540, 382, 140), "B4, every Benders row");
+    }
+
+    /// The min-Φ LP with one coverage row per selected (flow, scenario):
+    /// the builder survival classes replaced, kept as the exactness
+    /// oracle for the class LP.
+    fn per_scenario_phi(p: &TeProblem<'_>, delta: &[Vec<usize>]) -> f64 {
+        let mut lp = LinearProgram::new();
+        let a: Vec<VarId> = (0..p.tunnels.len()).map(|_| lp.var_nonneg(0.0)).collect();
+        let phi = lp.var_nonneg(1.0);
+        let mut group_terms: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); p.groups.len()];
+        for t in p.tunnels.tunnels() {
+            for g in p.groups.groups_of_path(&t.path.links) {
+                group_terms[g].push((a[t.id.index()], 1.0));
+            }
+        }
+        for (g, terms) in group_terms.into_iter().enumerate() {
+            lp.add_constraint(terms, Sense::Le, p.groups.capacity(g));
+        }
+        for (f, selected) in delta.iter().enumerate() {
+            let d = p.flows[f].demand_gbps;
+            if d <= 0.0 {
+                continue;
+            }
+            for &qi in selected {
+                let mut terms: Vec<(VarId, f64)> =
+                    p.surviving(f, qi).iter().map(|&t| (a[t.index()], 1.0)).collect();
+                terms.push((phi, d));
+                lp.add_constraint(terms, Sense::Ge, d);
+            }
+        }
+        let sol = prete_lp::solve_with(&lp, SimplexOptions { threads: 1, ..Default::default() });
+        assert!(sol.is_usable(), "oracle LP ended {:?}", sol.status);
+        sol.value(phi).max(0.0)
+    }
+
+    #[test]
+    fn class_rows_keep_the_per_scenario_optimum() {
+        use crate::scenario::ScenarioBudget;
+        let waxman_budget = ScenarioBudget {
+            max_cuts: 2,
+            mass_floor: 1e-7,
+            max_scenarios: 64,
+            tail_samples: 0,
+            ..ScenarioBudget::default()
+        };
+        let waxman = prete_topology::generate::generate(
+            &prete_topology::GenSpec::parse("gen:waxman:100").expect("a valid generator spec"),
+        );
+        let (net, flows, tunnels, scenarios) = triangle_problem(&TRIANGLE_PROBS);
+        let triangle = Instance { net, flows, tunnels, scenarios };
+        use prete_topology::topologies::{b4, ibm, twan};
+        // (instance, β, whether every materialized row is checked too).
+        // The 3× demands make Φ interior; TWAN at 1× is `steady-twan`.
+        let cases = [
+            (triangle, 0.99, true),
+            (Instance::new(b4(), 0.08, 2.0, Some(1), None), 0.95, true),
+            (Instance::new(ibm(), 0.08, 1.0, None, None), 0.999, false),
+            (Instance::new(ibm(), 0.08, 3.0, None, None), 0.999, false),
+            (Instance::new(twan(), 0.08, 1.0, None, None), 0.999, false),
+            (Instance::new(twan(), 0.08, 3.0, None, None), 0.999, false),
+            // Fiber 0 is a bridge for some flows: their dead class
+            // leaves the single row d·Φ ≥ d.
+            (Instance::new(waxman, 0.02, 1.0, Some(0), Some(waxman_budget)), 0.8, false),
+        ];
+        let mut dead_rows = vec![0; cases.len()];
+        for (case, (inst, beta, every_row)) in cases.iter().enumerate() {
+            let p = inst.problem();
+            let greedy = greedy_delta(&p, *beta);
+            let deltas = if *every_row { vec![all_rows(&p), greedy] } else { vec![greedy] };
+            for delta in &deltas {
+                let mut ctx = SolveCtx {
+                    problem: &p,
+                    threads: 1,
+                    cold_start: ColdStart::default(),
+                    cache: None,
+                    stats: SolverStats::default(),
+                    obs: Recorder::disabled(),
+                };
+                let (allocation, phi) = ctx.subproblem(delta).expect("Φ = 1 is feasible");
+                let oracle = per_scenario_phi(&p, delta);
+                assert!(
+                    (phi - oracle).abs() <= 1e-9 * (1.0 + oracle),
+                    "case {case}: class Φ {phi} vs per-scenario Φ {oracle}"
+                );
+                // The class LP's point satisfies every uncompressed row.
+                for (f, selected) in delta.iter().enumerate() {
+                    let d = p.flows[f].demand_gbps;
+                    for &qi in selected {
+                        let surv = p.surviving(f, qi);
+                        dead_rows[case] += usize::from(surv.is_empty());
+                        let lhs: f64 = surv.iter().map(|&t| allocation[t.index()]).sum();
+                        assert!(
+                            lhs + d * phi >= d - 1e-9 * d,
+                            "case {case}: flow {f} scenario {qi} short by {}",
+                            d - lhs - d * phi
+                        );
+                    }
+                }
+            }
+        }
+        assert!(dead_rows[cases.len() - 1] > 0, "the bridge fiber left no dead class");
     }
 
     #[test]
