@@ -2,16 +2,15 @@
 //! multi-tenant fleet run.
 //!
 //! ```text
-//! Usage: telemetry [--tenants N] [--epochs N] [--seed N] [--threads N]
-//!                  [--flow-frac X] [--out-prom FILE] [--out-jsonl FILE]
-//!                  [--check-determinism]
+//! Usage: telemetry [--tenants N] [--epochs N] [--seed N] [--flow-frac X]
+//!                  [--out-prom FILE] [--out-jsonl FILE] [--check-determinism]
 //! ```
 //!
 //! Runs a mixed B4/IBM fleet (every tenant under a lenient SLO
 //! tracker) and exports its telemetry snapshot as Prometheus text and
-//! JSON lines. With `--check-determinism` the run repeats at a
-//! different solver thread count and the process exits non-zero unless
-//! both exports are byte-identical — the CI smoke invariant.
+//! JSON lines. With `--check-determinism` the same run repeats and the
+//! process exits non-zero unless both exports are byte-identical — the
+//! CI smoke invariant.
 
 use prete_bench::telemetry::{export, telemetry_fleet, TelemetryRunConfig};
 use std::io::Write as _;
@@ -35,9 +34,6 @@ fn main() {
         seed: flag("--seed")
             .map(|v| v.parse().expect("--seed takes an integer"))
             .unwrap_or(defaults.seed),
-        threads: flag("--threads")
-            .map(|v| v.parse().expect("--threads takes an integer"))
-            .unwrap_or(defaults.threads),
         flow_frac: flag("--flow-frac")
             .map(|v| v.parse().expect("--flow-frac takes a number"))
             .unwrap_or(defaults.flow_frac),
@@ -79,24 +75,14 @@ fn main() {
     }
 
     if args.iter().any(|a| a == "--check-determinism") {
-        // Re-run at a different thread count: every exported byte must
-        // be a pure function of the run's inputs.
-        let other = TelemetryRunConfig {
-            threads: if cfg.threads == 1 { 2 } else { 1 },
-            ..cfg
-        };
-        let again = export(&telemetry_fleet(&other).expect("repeat fleet runs"));
+        // Re-run the same configuration: every exported byte must be
+        // a pure function of the run's inputs.
+        let again = export(&telemetry_fleet(&cfg).expect("repeat fleet runs"));
         if again != exports {
-            eprintln!(
-                "telemetry exports diverged across thread counts {} vs {}",
-                cfg.threads, other.threads
-            );
+            eprintln!("telemetry exports diverged across two identical runs");
             std::process::exit(1);
         }
-        println!(
-            "  determinism: exports byte-identical across thread counts {} vs {}",
-            cfg.threads, other.threads
-        );
+        println!("  determinism: exports byte-identical across two identical runs");
     }
 }
 

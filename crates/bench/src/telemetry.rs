@@ -7,9 +7,8 @@
 //! [`TelemetrySnapshot`](prete_obs::TelemetrySnapshot) the binary
 //! exports as Prometheus text and JSON lines. Because every quantity
 //! the snapshot aggregates is a pure function of the run's inputs, the
-//! exports are byte-identical across repeat runs and solver thread
-//! counts — the binary's `--check-determinism` mode asserts exactly
-//! that.
+//! exports are byte-identical across repeat runs — the binary's
+//! `--check-determinism` mode asserts exactly that.
 
 use crate::chaos::{mixed_tenant_leaves, tenant_specs};
 use prete_obs::SloSpec;
@@ -24,15 +23,13 @@ pub struct TelemetryRunConfig {
     pub epochs: u64,
     /// Master seed for per-tenant models, flows and seed streams.
     pub seed: u64,
-    /// Solver threads (0 = auto). Never affects any exported byte.
-    pub threads: usize,
     /// Fraction of node pairs carrying a flow.
     pub flow_frac: f64,
 }
 
 impl Default for TelemetryRunConfig {
     fn default() -> Self {
-        Self { tenants: 4, epochs: 6, seed: crate::SEED, threads: 0, flow_frac: 0.05 }
+        Self { tenants: 4, epochs: 6, seed: crate::SEED, flow_frac: 0.05 }
     }
 }
 
@@ -46,8 +43,7 @@ pub fn telemetry_fleet(cfg: &TelemetryRunConfig) -> Result<FleetReport, Checkpoi
         .into_iter()
         .map(|s| s.with_slo(SloSpec::default()))
         .collect();
-    let fleet_cfg = FleetConfig { solver_threads: cfg.threads, ..FleetConfig::default() };
-    let mut fleet = Fleet::new(specs, fleet_cfg)?;
+    let mut fleet = Fleet::new(specs, FleetConfig::default())?;
     // A clean fleet finishes in exactly `epochs` rounds; the cap
     // guards against a quarantined tenant pinning the loop open.
     for _ in 0..cfg.epochs.saturating_mul(2).saturating_add(4) {
@@ -97,8 +93,8 @@ mod tests {
         let e1 = export(&report);
         assert!(e1.prom.contains("prete_ts_count"));
         assert!(e1.jsonl.lines().count() > 0);
-        // Byte-identical across a repeat run at a different thread count.
-        let e2 = export(&telemetry_fleet(&TelemetryRunConfig { threads: 2, ..cfg }).unwrap());
+        // Byte-identical across a repeat run.
+        let e2 = export(&telemetry_fleet(&cfg).unwrap());
         assert_eq!(e1, e2);
     }
 }

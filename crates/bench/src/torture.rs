@@ -278,7 +278,6 @@ pub enum TortureOutcome {
 pub fn check(spec: &TortureSpec, cfg: ColdStart) -> Result<TortureOutcome, String> {
     let lp = spec.build();
     let opts = SimplexOptions { cold_start: cfg, ..SimplexOptions::default() };
-    let tols = opts.tols;
     let sparse = solve_with(&lp, opts);
     let dense = solve_oracle(&lp, SimplexOptions::default());
 
@@ -288,7 +287,7 @@ pub fn check(spec: &TortureSpec, cfg: ColdStart) -> Result<TortureOutcome, Strin
         if sol.status == SolveStatus::Optimal {
             match sol.quality {
                 None => return Err(format!("{label}: Optimal without SolutionQuality")),
-                Some(q) if !q.passes(&tols) => {
+                Some(q) if !q.passes() => {
                     return Err(format!(
                         "{label}: Optimal with failing certificate {q:?}"
                     ))

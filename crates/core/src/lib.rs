@@ -85,10 +85,7 @@ pub mod prelude {
         ArrowScheme, EcmpScheme, FfcScheme, FlexileScheme, PreTeScheme, TeScheme,
         TeaVarScheme,
     };
-    pub use prete_lp::{
-        BasisCache, ColdStart, ConfigError, NumericsEvent, RecoveryAction, SolutionQuality,
-        Tolerances,
-    };
+    pub use prete_lp::{BasisCache, ColdStart, NumericsEvent, RecoveryAction, SolutionQuality};
     pub use prete_obs::{Recorder, RunReport};
     pub use prete_optical::{Dataset, DatasetConfig, FailureModel};
     pub use prete_topology::{

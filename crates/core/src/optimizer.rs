@@ -55,15 +55,6 @@ use std::time::Instant;
 /// [`TeSolver::beta`] says otherwise.
 pub const DEFAULT_BETA: f64 = 0.99;
 
-/// Resolves a requested thread count (`0` = all available cores).
-fn effective_threads(requested: usize) -> usize {
-    if requested == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        requested
-    }
-}
-
 /// How to solve the scenario-selection MIP.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SolveMethod {
@@ -373,8 +364,6 @@ pub struct SolverStats {
     /// sequence — but a float summary, so excluded from `PartialEq`
     /// like the configuration labels).
     pub max_condition_estimate: f64,
-    /// Worker threads the solve was configured with.
-    pub threads: usize,
     /// Cold-start strategy the solve was configured with
     /// (configuration label, not a work unit).
     pub cold_start: ColdStart,
@@ -382,7 +371,7 @@ pub struct SolverStats {
 
 impl SolverStats {
     /// Accumulates another solve's counters into this one (wall times
-    /// and work units add; `threads` keeps the maximum seen).
+    /// and work units add).
     pub fn merge(&mut self, other: &SolverStats) {
         self.total_ms += other.total_ms;
         self.subproblem_ms += other.subproblem_ms;
@@ -410,7 +399,6 @@ impl SolverStats {
         self.tail_mass = self.tail_mass.max(other.tail_mass);
         self.max_condition_estimate =
             self.max_condition_estimate.max(other.max_condition_estimate);
-        self.threads = self.threads.max(other.threads);
         // Configuration label: the accumulator adopts the merged
         // solve's choice, so a default-initialized epoch accumulator
         // ends up labelled with what actually ran.
@@ -443,9 +431,9 @@ impl SolverStats {
     /// Publishes this solve's counters and timings into a
     /// [`Recorder`], making the stats part of the run report instead of
     /// a side-channel. Work units become `solver.*` counters. Under a
-    /// live clock, wall times feed `solver.*_ms` histograms and the
-    /// thread count becomes a gauge; under a deterministic clock those
-    /// are machine-dependent and excluded, and *logical-duration*
+    /// live clock, wall times feed `solver.*_ms` histograms; under a
+    /// deterministic clock those are machine-dependent and excluded,
+    /// and *logical-duration*
     /// histograms (work-unit counts per solve) are recorded instead so
     /// deterministic reports still carry full percentile tables.
     pub fn publish(&self, rec: &Recorder) {
@@ -472,15 +460,13 @@ impl SolverStats {
         rec.add("solver.suspect_solves", self.suspect_solves as u64);
         rec.add("solver.scenarios_pruned", self.scenarios_pruned);
         if self.tail_mass > 0.0 {
-            // Deterministic across thread counts (a pure function of
-            // the scenario budget), so safe in byte-identical reports.
+            // A pure function of the scenario budget, so safe in
+            // byte-identical reports.
             rec.gauge("solver.tail_mass", self.tail_mass);
         }
         if !rec.is_deterministic() {
-            // The thread count is an execution parameter like the wall
-            // times: deterministic reports must be identical across
-            // thread counts, so neither belongs there.
-            rec.gauge("solver.threads", self.threads as f64);
+            // Wall times are machine-dependent: deterministic reports
+            // must be byte-identical across runs, so they stay out.
             rec.observe("solver.total_ms", self.total_ms);
             rec.observe("solver.subproblem_ms", self.subproblem_ms);
             rec.observe("solver.master_ms", self.master_ms);
@@ -501,10 +487,10 @@ impl SolverStats {
 }
 
 impl PartialEq for SolverStats {
-    /// Deterministic work-unit fields only — wall-clock measurements,
-    /// the machine-dependent thread count and the configuration label
-    /// (`cold_start`) are excluded so replays on any
-    /// machine compare equal when they did the same work.
+    /// Deterministic work-unit fields only — wall-clock measurements
+    /// and the configuration label (`cold_start`) are excluded so
+    /// replays on any machine compare equal when they did the same
+    /// work.
     fn eq(&self, other: &Self) -> bool {
         self.lp_solves == other.lp_solves
             && self.pivots == other.pivots
@@ -529,7 +515,7 @@ impl PartialEq for SolverStats {
 }
 
 /// Builder for TE solves: owns `beta`, the [`SolveMethod`], the
-/// [`SolveBudget`], the thread count and an optional warm-start
+/// [`SolveBudget`], the cold start and an optional warm-start
 /// [`BasisCache`], replacing the positional-argument
 /// `solve_te(problem, beta, method)` family.
 ///
@@ -555,7 +541,6 @@ pub struct TeSolver<'p, 'a, 'c> {
     beta: f64,
     method: SolveMethod,
     budget: SolveBudget,
-    threads: usize,
     cold_start: ColdStart,
     cache: Option<&'c mut BasisCache>,
     recorder: Recorder,
@@ -565,7 +550,7 @@ pub struct TeSolver<'p, 'a, 'c> {
 impl<'p, 'a, 'c> TeSolver<'p, 'a, 'c> {
     /// Creates a solver for `problem` with defaults: `beta =`
     /// [`DEFAULT_BETA`], [`SolveMethod::Heuristic`], the default
-    /// [`SolveBudget`], all available cores, the default cold start, no
+    /// [`SolveBudget`], the default cold start, no
     /// warm-start cache, no recorder.
     pub fn new(problem: &'p TeProblem<'a>) -> Self {
         Self {
@@ -573,7 +558,6 @@ impl<'p, 'a, 'c> TeSolver<'p, 'a, 'c> {
             beta: DEFAULT_BETA,
             method: SolveMethod::Heuristic,
             budget: SolveBudget::default(),
-            threads: 0,
             cold_start: ColdStart::default(),
             cache: None,
             recorder: Recorder::disabled(),
@@ -616,10 +600,9 @@ impl<'p, 'a, 'c> TeSolver<'p, 'a, 'c> {
         self
     }
 
-    /// Worker threads (`0` = all available cores). Any value produces
-    /// bit-identical solutions; see DESIGN.md "Solver architecture".
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+    /// Unread: kept because the repository benchmark names it. A solve
+    /// runs on the calling thread whatever this says.
+    pub fn threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -672,16 +655,13 @@ impl<'p, 'a, 'c> TeSolver<'p, 'a, 'c> {
         let t0 = Instant::now();
         let recorder = self.recorder;
         let span = recorder.span("solve");
-        let threads = effective_threads(self.threads);
         recorder.event_with("solver.cold-start", || format!("{:?}", self.cold_start));
         let evictions_before = self.cache.as_ref().map_or(0, |c| c.evictions());
         let mut ctx = SolveCtx {
             problem: self.problem,
-            threads,
             cold_start: self.cold_start,
             cache: self.cache,
             stats: SolverStats {
-                threads,
                 cold_start: self.cold_start,
                 scenarios_pruned: self.scenario_stats.map_or(0, |(p, _)| p),
                 tail_mass: self.scenario_stats.map_or(0.0, |(_, t)| t),
@@ -710,11 +690,8 @@ impl<'p, 'a, 'c> TeSolver<'p, 'a, 'c> {
                 if budget.max_mip_nodes == 0 {
                     Err(TeSolveError::BudgetExceeded { nodes: 0 })
                 } else {
-                    let opts = MipOptions {
-                        max_nodes: budget.max_mip_nodes,
-                        simplex: ctx.simplex_opts(),
-                        ..MipOptions::default()
-                    };
+                    let opts =
+                        MipOptions { max_nodes: budget.max_mip_nodes, simplex: ctx.simplex_opts() };
                     ctx.bnb(self.beta, opts)
                 }
             }
@@ -853,7 +830,6 @@ fn ms_since(t0: Instant) -> f64 {
 /// Per-solve context: configuration plus the stats being accumulated.
 struct SolveCtx<'p, 'a, 'c> {
     problem: &'p TeProblem<'a>,
-    threads: usize,
     cold_start: ColdStart,
     cache: Option<&'c mut BasisCache>,
     stats: SolverStats,
@@ -862,11 +838,7 @@ struct SolveCtx<'p, 'a, 'c> {
 
 impl SolveCtx<'_, '_, '_> {
     fn simplex_opts(&self) -> SimplexOptions {
-        SimplexOptions {
-            threads: self.threads,
-            cold_start: self.cold_start,
-            ..SimplexOptions::default()
-        }
+        SimplexOptions { cold_start: self.cold_start, ..SimplexOptions::default() }
     }
 
     /// Passes a usable LP solution; anything else becomes the typed
@@ -1377,7 +1349,7 @@ fn solve_master(
         lp.add_constraint(terms, Sense::Ge, cut.constant);
     }
     let binaries: Vec<VarId> = dvars.iter().flatten().copied().collect();
-    let opts = MipOptions { max_nodes: 4000, simplex, ..Default::default() };
+    let opts = MipOptions { max_nodes: 4000, simplex };
     let r = solve_mip(&lp, &binaries, opts);
     let x = if r.status == MipStatus::Optimal || r.has_incumbent() {
         r.x.clone()
@@ -1662,7 +1634,6 @@ mod tests {
         let (_, stats) = TeSolver::new(&p)
             .beta(0.99)
             .method(SolveMethod::benders())
-            .threads(1)
             .warm_cache(&mut cache)
             .recorder(&rec)
             .solve_with_stats()
@@ -1670,7 +1641,6 @@ mod tests {
         let (_, s2) = TeSolver::new(&p)
             .beta(0.99)
             .method(SolveMethod::benders())
-            .threads(1)
             .warm_cache(&mut cache)
             .recorder(&rec)
             .solve_with_stats()
@@ -1701,38 +1671,14 @@ mod tests {
     }
 
     #[test]
-    fn parallel_solves_are_bit_identical_to_serial() {
-        let (net, flows, tunnels, scenarios) = triangle_problem(&TRIANGLE_PROBS);
-        let p = TeProblem::new(&net, &flows, &tunnels, &scenarios);
-        for method in [SolveMethod::Heuristic, SolveMethod::benders(), SolveMethod::BranchAndBound]
-        {
-            let serial = TeSolver::new(&p).beta(0.99).method(method).threads(1).solve().unwrap();
-            for threads in [2, 4, 8] {
-                let par = TeSolver::new(&p)
-                    .beta(0.99)
-                    .method(method)
-                    .threads(threads)
-                    .solve()
-                    .unwrap();
-                let sb: Vec<u64> = serial.allocation.iter().map(|a| a.to_bits()).collect();
-                let pb: Vec<u64> = par.allocation.iter().map(|a| a.to_bits()).collect();
-                assert_eq!(sb, pb, "{method:?} @ {threads} threads");
-                assert_eq!(serial.max_loss.to_bits(), par.max_loss.to_bits());
-                assert_eq!(serial.delta, par.delta);
-            }
-        }
-    }
-
-    #[test]
     fn warm_cache_reuse_keeps_solutions_identical() {
         let (net, flows, tunnels, scenarios) = triangle_problem(&TRIANGLE_PROBS);
         let p = TeProblem::new(&net, &flows, &tunnels, &scenarios);
-        let cold = TeSolver::new(&p).beta(0.99).threads(1).solve().unwrap();
+        let cold = TeSolver::new(&p).beta(0.99).solve().unwrap();
 
         let mut cache = BasisCache::new();
         let (first, s1) = TeSolver::new(&p)
             .beta(0.99)
-            .threads(1)
             .warm_cache(&mut cache)
             .solve_with_stats()
             .unwrap();
@@ -1740,7 +1686,6 @@ mod tests {
         assert!(!cache.is_empty(), "optimal bases were saved");
         let (second, s2) = TeSolver::new(&p)
             .beta(0.99)
-            .threads(1)
             .warm_cache(&mut cache)
             .solve_with_stats()
             .unwrap();
@@ -1758,7 +1703,6 @@ mod tests {
         let (_, stats) = TeSolver::new(&p)
             .beta(0.99)
             .method(SolveMethod::benders())
-            .threads(1)
             .solve_with_stats()
             .unwrap();
         assert!(stats.benders_iters > 0);
@@ -1773,7 +1717,6 @@ mod tests {
         let (_, again) = TeSolver::new(&p)
             .beta(0.99)
             .method(SolveMethod::benders())
-            .threads(1)
             .solve_with_stats()
             .unwrap();
         assert_eq!(stats, again);
@@ -1781,9 +1724,8 @@ mod tests {
         let mut merged = stats.clone();
         merged.merge(&again);
         assert_eq!(merged.lp_solves, stats.lp_solves * 2);
-        assert_eq!(merged.threads, 1);
         // work_units() is the five deterministic counters — never wall
-        // clock or threads.
+        // clock.
         let counted = SolverStats {
             pivots: 10,
             lp_solves: 3,
@@ -1791,7 +1733,6 @@ mod tests {
             benders_iters: 4,
             rhs_resolves: 5,
             total_ms: 99.0,
-            threads: 8,
             ..SolverStats::default()
         };
         assert_eq!(counted.work_units(), 24);
@@ -1828,7 +1769,6 @@ mod tests {
             scenarios_pruned: 1234,
             tail_mass: 0.125,
             max_condition_estimate: 1500.0,
-            threads: 8,
             cold_start: ColdStart::Auto,
         };
         let json = serde_json::to_string(&stats).unwrap();
@@ -1858,7 +1798,6 @@ mod tests {
             r#""scenarios_pruned":1234"#,
             r#""tail_mass":0.125"#,
             r#""max_condition_estimate":1500.0"#,
-            r#""threads":8"#,
             r#""cold_start":"Auto""#,
         ] {
             assert!(json.contains(field), "{field} missing from {json}");
@@ -1877,14 +1816,13 @@ mod tests {
             rhs_resolves: 1,
             ..SolverStats::default()
         };
-        // Different machine: wall times and thread count differ, work
-        // units agree — still equal.
+        // Different machine: wall times differ, work units agree —
+        // still equal.
         let other_machine = SolverStats {
             total_ms: 999.0,
             subproblem_ms: 500.0,
             master_ms: 400.0,
             polish_ms: 99.0,
-            threads: 32,
             ..base.clone()
         };
         assert_eq!(base, other_machine);
@@ -1907,7 +1845,6 @@ mod tests {
             TeSolver::new(&p)
                 .beta(0.99)
                 .method(SolveMethod::benders())
-                .threads(1)
                 .warm_cache(cache)
                 .solve_with_stats()
                 .unwrap()
@@ -1943,7 +1880,6 @@ mod tests {
             for _ in 0..epochs {
                 let (_, s) = TeSolver::new(&p)
                     .beta(0.99)
-                    .threads(1)
                     .warm_cache(&mut cache)
                     .solve_with_stats()
                     .unwrap();
@@ -2079,7 +2015,7 @@ mod tests {
                 lp.add_constraint(terms, Sense::Ge, d);
             }
         }
-        let sol = prete_lp::solve_with(&lp, SimplexOptions { threads: 1, ..Default::default() });
+        let sol = prete_lp::solve(&lp);
         assert!(sol.is_usable(), "oracle LP ended {:?}", sol.status);
         sol.value(phi).max(0.0)
     }
@@ -2121,7 +2057,6 @@ mod tests {
             for delta in &deltas {
                 let mut ctx = SolveCtx {
                     problem: &p,
-                    threads: 1,
                     cold_start: ColdStart::default(),
                     cache: None,
                     stats: SolverStats::default(),
@@ -2158,7 +2093,6 @@ mod tests {
         let p = TeProblem::new(&net, &flows, &tunnels, &scenarios);
         let mut ctx = SolveCtx {
             problem: &p,
-            threads: 1,
             cold_start: ColdStart::default(),
             cache: None,
             stats: SolverStats::default(),

@@ -103,7 +103,7 @@ pub struct ScenarioBudget {
     /// `max_cuts` fibers cut" and split the tail mass evenly, so the
     /// returned set still sums to ≈ 1.
     pub tail_samples: usize,
-    /// Seed for tail sampling (deterministic across thread counts).
+    /// Seed for tail sampling (the same seed draws the same tail).
     pub seed: u64,
 }
 

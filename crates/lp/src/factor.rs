@@ -34,17 +34,13 @@
 //! [`REFACTOR_INTERVAL`] pivots), which bounds both the solve cost and
 //! the accumulated round-off.
 
+use crate::simplex::SINGULAR_TOL;
 use std::collections::BinaryHeap;
 
 /// Refactorize after this many eta updates. Chosen so eta application
 /// stays cheap relative to one LU solve while refactorizations stay
 /// rare relative to pivots.
 pub const REFACTOR_INTERVAL: usize = 64;
-
-/// Pivot magnitude below which a factorization is declared singular
-/// (the default [`crate::Tolerances::singular`]).
-#[cfg(test)]
-const SINGULAR_TOL: f64 = 1e-11;
 
 /// The basis matrix could not be factorized (structurally or
 /// numerically singular). Callers climb the recovery ladder: tighten
@@ -229,14 +225,14 @@ impl LuFactors {
     #[cfg(test)]
     pub fn factorize(m: usize, cols: &[Vec<(usize, f64)>]) -> Result<Self, FactorError> {
         let col = |s: usize| cols[s].as_slice();
-        Self::factorize_with(m, col, SINGULAR_TOL, SINGULAR_TOL, &mut FactorWork::default())
+        Self::factorize_with(m, col, crate::simplex::PEEL_TOL, &mut FactorWork::default())
     }
 
     /// Factorizes the `m × m` basis whose column for slot `s` is the
     /// sparse vector `col(s)` (`(row, value)` pairs, rows unique), in
     /// time proportional to its nonzeros plus `m` plus the bump's
-    /// arithmetic. `singular_tol` is the pivot magnitude below which
-    /// the basis is declared singular; `peel_tol` is the
+    /// arithmetic. A pivot smaller than [`SINGULAR_TOL`] declares the
+    /// basis singular; `peel_tol` is the
     /// Markowitz-style threshold below which a triangular-peel
     /// singleton pivot is *deferred* into the partial-pivoted bump
     /// instead of being accepted — raising it (the `TightenTolerance`
@@ -246,7 +242,6 @@ impl LuFactors {
     pub fn factorize_with<'a>(
         m: usize,
         col: impl Fn(usize) -> &'a [(usize, f64)],
-        singular_tol: f64,
         peel_tol: f64,
         work: &mut FactorWork,
     ) -> Result<Self, FactorError> {
@@ -376,7 +371,7 @@ impl LuFactors {
         if lu.row.len() < m {
             // No singletons left: the residual bump pivots on all the
             // rows and columns that remain, or fails.
-            lu.bump(work, singular_tol)?;
+            lu.bump(work)?;
         }
         debug_assert_eq!(lu.row.len(), m);
         lu.index();
@@ -435,7 +430,7 @@ impl LuFactors {
     /// and only those are visited. What that skips of a dense sweep is
     /// `x − f·0`, so every stored value has the dense sweep's bits —
     /// short of an infinite `f`, which meets no `0` to make a NaN of.
-    fn bump(&mut self, work: &mut FactorWork, singular_tol: f64) -> Result<(), FactorError> {
+    fn bump(&mut self, work: &mut FactorWork) -> Result<(), FactorError> {
         let m = self.m;
         let FactorWork { ent, col_ptr, done, brows, bcols, rpos, rperm, bump, at, targets, prow, .. } =
             work;
@@ -476,7 +471,7 @@ impl LuFactors {
                 }
                 n = next_in_col;
             }
-            if best_v < singular_tol || best == usize::MAX {
+            if best_v < SINGULAR_TOL || best == usize::MAX {
                 // The offending slot: partial pivoting exhausted every
                 // remaining row for this column.
                 return Err(FactorError { slot: Some(bcols[step]) });
@@ -830,12 +825,11 @@ mod tests {
     fn factorize_tol(
         m: usize,
         cols: &[Vec<(usize, f64)>],
-        singular_tol: f64,
         peel_tol: f64,
     ) -> Result<LuFactors, FactorError> {
         thread_local!(static WORK: std::cell::RefCell<FactorWork> = Default::default());
         let col = |s: usize| cols[s].as_slice();
-        WORK.with_borrow_mut(|w| LuFactors::factorize_with(m, col, singular_tol, peel_tol, w))
+        WORK.with_borrow_mut(|w| LuFactors::factorize_with(m, col, peel_tol, w))
     }
 
     fn xorshift(mut seed: u64) -> impl FnMut() -> u64 {
@@ -1017,7 +1011,7 @@ mod tests {
         let m = 3;
         let a = vec![2.0, 0.0, 0.0, 1.0, 3.0, 0.0, -1.0, 4.0, 5.0];
         let cols = dense_to_cols(m, &a);
-        let f = factorize_tol(m, &cols, 1e-11, 10.0).unwrap();
+        let f = factorize_tol(m, &cols, 10.0).unwrap();
         let x_true = vec![1.0, -2.0, 0.5];
         let b = mat_vec(m, &a, &x_true);
         for (xi, ti) in f.ftran_vec(&b).iter().zip(&x_true) {
@@ -1360,7 +1354,7 @@ mod tests {
         cols: &[Vec<(usize, f64)>],
         peel_tol: f64,
     ) -> Result<(LuFactors, RefLu), FactorError> {
-        let got = factorize_tol(m, cols, SINGULAR_TOL, peel_tol);
+        let got = factorize_tol(m, cols, peel_tol);
         let want = reference_factorize(m, cols, SINGULAR_TOL, peel_tol);
         let bits = |v: &[(usize, f64)]| -> Vec<(usize, u64)> {
             v.iter().map(|&(i, x)| (i, x.to_bits())).collect()
@@ -1695,7 +1689,7 @@ mod tests {
     ) -> (f64, f64) {
         let time = |cols: &[Vec<(usize, f64)>]| {
             let start = std::time::Instant::now();
-            let f = factorize_tol(cols.len(), cols, SINGULAR_TOL, SINGULAR_TOL).unwrap();
+            let f = factorize_tol(cols.len(), cols, SINGULAR_TOL).unwrap();
             let took = start.elapsed().as_secs_f64();
             assert!(fill_in(f.fill_in(cols.iter().map(Vec::len).sum())));
             took

@@ -49,8 +49,8 @@ pub use mip::{solve_mip, MipOptions, MipResult, MipStatus};
 pub use model::{Constraint, ConstraintId, LinearProgram, Sense, VarId};
 pub use oracle::solve_oracle;
 pub use simplex::{
-    solve, solve_with, Basis, ColdStart, ConfigError, EngineStats, EtaUpdate,
-    NumericsEvent, Pricing, RecoveryAction, SimplexOptions, Solution,
-    SolutionQuality, SolveStatus, SolverBackend, Tolerances, WarmSimplex,
+    solve, solve_with, Basis, ColdStart, EngineStats, EtaUpdate, NumericsEvent, Pricing,
+    RecoveryAction, SimplexOptions, Solution, SolutionQuality, SolveStatus, SolverBackend,
+    WarmSimplex,
 };
 pub use warm::{BasisCache, BasisCacheSnapshot};

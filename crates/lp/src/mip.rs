@@ -11,20 +11,27 @@
 //! most-fractional integer variable, with best-first restarts kept
 //! simple (DFS finds incumbents early, which matters more here than
 //! node ordering — the LP relaxations of the scenario-selection
-//! problems are near-integral).
+//! problems are near-integral). Nodes are popped in waves of `WAVE`
+//! and relaxed one after another on the calling thread.
 
 use crate::model::{LinearProgram, Sense, VarId};
 use crate::simplex::{solve_with, SimplexOptions, Solution, SolveStatus};
 
 /// Nodes popped (in DFS order) and relaxed together per wave.
 ///
-/// The wave size is a constant — *not* derived from the thread count —
-/// so the exploration order, and with it every incumbent and bound
-/// decision, is identical whether the wave's LP relaxations are solved
-/// serially or fanned out across threads. That makes `solve_mip`
-/// bit-identical at every thread count; threads only change how fast a
-/// wave finishes.
+/// The wave fixes the exploration order: all of a wave's relaxations
+/// are solved before any of their children are pushed, so the stack —
+/// and with it every incumbent, bound decision and node count — depends
+/// on this size. The Benders master's node counts and Φ on B4 are
+/// pinned at `WAVE = 4`.
 const WAVE: usize = 4;
+
+/// Integrality tolerance: `x` counts as integral when within this
+/// distance of an integer.
+const INT_TOL: f64 = 1e-6;
+
+/// Absolute optimality gap at which a node is pruned.
+const GAP_TOL: f64 = 1e-9;
 
 /// Options for the branch-and-bound search.
 #[derive(Debug, Clone, Copy)]
@@ -32,23 +39,13 @@ pub struct MipOptions {
     /// Maximum number of explored nodes before giving up and returning
     /// the incumbent (status [`MipStatus::NodeLimit`]).
     pub max_nodes: usize,
-    /// Integrality tolerance: `x` counts as integral when within this
-    /// distance of an integer.
-    pub int_tol: f64,
-    /// Absolute optimality gap at which a node is pruned.
-    pub gap_tol: f64,
     /// Options for the inner LP solves.
     pub simplex: SimplexOptions,
 }
 
 impl Default for MipOptions {
     fn default() -> Self {
-        Self {
-            max_nodes: 100_000,
-            int_tol: 1e-6,
-            gap_tol: 1e-9,
-            simplex: SimplexOptions::default(),
-        }
+        Self { max_nodes: 100_000, simplex: SimplexOptions::default() }
     }
 }
 
@@ -136,12 +133,12 @@ pub fn solve_mip(lp: &LinearProgram, integers: &[VarId], opts: MipOptions) -> Mi
                 lower_bound = sol.objective;
             }
             // Prune by bound.
-            if sol.objective >= best_obj - opts.gap_tol {
+            if sol.objective >= best_obj - GAP_TOL {
                 continue;
             }
             // Find most-fractional integer variable.
             let mut branch: Option<(VarId, f64)> = None;
-            let mut best_frac = opts.int_tol;
+            let mut best_frac = INT_TOL;
             for &v in integers {
                 let xv = sol.x[v.index()];
                 let frac = (xv - xv.round()).abs();
@@ -196,33 +193,21 @@ pub fn solve_mip(lp: &LinearProgram, integers: &[VarId], opts: MipOptions) -> Mi
     }
 }
 
-/// Solves the LP relaxations of a wave of nodes, in wave order. With
-/// more than one node and `simplex.threads > 1` the solves run on
-/// scoped worker threads (each node's relaxation is independent).
-/// Results are collected in wave order either way.
+/// Solves the LP relaxations of a wave of nodes, in wave order.
 fn relax_wave(
     lp: &LinearProgram,
     wave: &[Vec<(VarId, f64, f64)>],
     simplex: SimplexOptions,
 ) -> Vec<Solution> {
-    let relax = |tightenings: &[(VarId, f64, f64)]| {
-        let mut child = lp.clone();
-        for &(v, lo, hi) in tightenings {
-            tighten(&mut child, v, lo, hi);
-        }
-        solve_with(&child, simplex)
-    };
-    if simplex.threads > 1 && wave.len() > 1 {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = wave.iter().map(|t| s.spawn(move || relax(t))).collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("wave worker panicked"))
-                .collect()
+    wave.iter()
+        .map(|tightenings| {
+            let mut child = lp.clone();
+            for &(v, lo, hi) in tightenings {
+                tighten(&mut child, v, lo, hi);
+            }
+            solve_with(&child, simplex)
         })
-    } else {
-        wave.iter().map(|t| relax(t)).collect()
-    }
+        .collect()
 }
 
 /// Intersects a variable's bounds with `[lo, hi]`. When the

@@ -20,19 +20,24 @@
 //! per user constraint, read off the reduced cost of the row's identity
 //! column. Dantzig pricing switches to Bland's rule after
 //! [`SimplexOptions::stall_threshold`] non-improving pivots, which
-//! guarantees termination.
+//! guarantees termination. Its tolerances are the engine's own
+//! constants (`simplex.rs`), so both solvers judge a pivot, a phase-1
+//! residual and a certificate by the same thresholds.
 
 use crate::model::{LinearProgram, Sense};
-use crate::simplex::{certify, EngineStats, SimplexOptions, Solution, SolveStatus};
+use crate::simplex::{
+    certify, EngineStats, SimplexOptions, Solution, SolveStatus, EPS, FEAS_TOL, PHASE1_INFEAS_TOL,
+    STALL_IMPROVEMENT,
+};
 
 /// Solves `lp` (minimization) on the dense tableau from scratch and
-/// certifies the answer like every other solve. Reads `max_iterations`,
-/// `eps`, `stall_threshold` and `tols` from `opts`; the engine options
-/// (`threads`, `cold_start`) mean nothing here. [`Solution::engine`] is
+/// certifies the answer like every other solve. Reads `max_iterations`
+/// and `stall_threshold` from `opts` and the engine's tolerance
+/// constants; `cold_start` means nothing here. [`Solution::engine`] is
 /// all zeros: the tableau has no factorization.
 pub fn solve_oracle(lp: &LinearProgram, opts: SimplexOptions) -> Solution {
     let mut sol = Tableau::build(lp, opts).run(lp);
-    certify(lp, &mut sol, &opts.tols);
+    certify(lp, &mut sol);
     sol
 }
 
@@ -241,7 +246,7 @@ impl Tableau {
     fn pivot(&mut self, row: usize, col: usize) {
         let stride = self.stride();
         let p = self.at(row, col);
-        debug_assert!(p.abs() > self.opts.eps);
+        debug_assert!(p.abs() > EPS);
         let rr = row * stride;
         let inv = 1.0 / p;
         for j in 0..=self.ncols {
@@ -269,7 +274,6 @@ impl Tableau {
     /// Runs the simplex loop on the current objective row.
     /// `allow_artificials` lets artificial columns enter (phase 1).
     fn iterate(&mut self, allow_artificials: bool) -> SolveStatus {
-        let eps = self.opts.eps;
         let mut best_obj = f64::INFINITY;
         let mut stall = 0usize;
         loop {
@@ -280,14 +284,14 @@ impl Tableau {
             // Entering column.
             let or = self.obj_row() * self.stride();
             let mut enter: Option<usize> = None;
-            let mut best = -eps;
+            let mut best = -EPS;
             for j in 0..self.ncols {
                 if !allow_artificials && self.kind[j] == ColKind::Artificial {
                     continue;
                 }
                 let c = self.t[or + j];
                 if use_bland {
-                    if c < -eps {
+                    if c < -EPS {
                         enter = Some(j);
                         break;
                     }
@@ -304,10 +308,10 @@ impl Tableau {
             let mut best_ratio = f64::INFINITY;
             for r in 0..self.m {
                 let a = self.at(r, col);
-                if a > eps {
+                if a > EPS {
                     let ratio = self.at(r, self.ncols) / a;
-                    let better = ratio < best_ratio - eps
-                        || (ratio < best_ratio + eps
+                    let better = ratio < best_ratio - EPS
+                        || (ratio < best_ratio + EPS
                             && leave.is_none_or(|l| self.basis[r] < self.basis[l]));
                     if better {
                         best_ratio = ratio;
@@ -320,7 +324,7 @@ impl Tableau {
             };
             self.pivot(row, col);
             let obj = -self.at(self.obj_row(), self.ncols);
-            if obj < best_obj - self.opts.tols.stall_improvement {
+            if obj < best_obj - STALL_IMPROVEMENT {
                 best_obj = obj;
                 stall = 0;
             } else {
@@ -343,18 +347,17 @@ impl Tableau {
                 return self.failed(SolveStatus::IterationLimit, lp);
             }
             let phase1 = -self.at(self.obj_row(), self.ncols);
-            if phase1 > self.opts.tols.phase1_infeas {
+            if phase1 > PHASE1_INFEAS_TOL {
                 return self.failed(SolveStatus::Infeasible, lp);
             }
             // Drive artificials out of the basis where possible so they
             // cannot re-enter trouble in phase 2.
-            let feas = self.opts.tols.feas;
             for r in 0..self.m {
                 if self.kind[self.basis[r]] == ColKind::Artificial
-                    && self.at(r, self.ncols).abs() <= feas
+                    && self.at(r, self.ncols).abs() <= FEAS_TOL
                 {
                     if let Some(col) = (0..self.ncols).find(|&j| {
-                        self.kind[j] != ColKind::Artificial && self.at(r, j).abs() > feas
+                        self.kind[j] != ColKind::Artificial && self.at(r, j).abs() > FEAS_TOL
                     }) {
                         self.pivot(r, col);
                     }

@@ -37,7 +37,10 @@
 use crate::factor::{EtaFile, FactorError, FactorWork, FtranImage, LuFactors, REFACTOR_INTERVAL};
 use crate::model::{LinearProgram, Sense};
 use crate::presolve::{presolve, PresolveMode, PresolveResult, Reduction};
-use crate::simplex::{Basis, ColdStart, EngineStats, SimplexOptions, Solution, SolveStatus};
+use crate::simplex::{
+    Basis, ColdStart, EngineStats, SimplexOptions, Solution, SolveStatus, DUAL_PIVOT_TOL, EPS,
+    FEAS_TOL, PEEL_TOL, PHASE1_INFEAS_TOL, RESIDUAL_TOL, SCALE_THRESHOLD, STALL_IMPROVEMENT,
+};
 
 /// Columns per pricing segment (at least this many; larger programs
 /// use `ncols / 8`).
@@ -173,7 +176,7 @@ struct SparseCore {
     rollbacks: u64,
     /// Sticky Markowitz peel tolerance, raised by the
     /// `TightenTolerance` recovery rung (starts at
-    /// [`crate::Tolerances::peel`]).
+    /// [`PEEL_TOL`]).
     peel_tol: f64,
     refinements: u64,
     tightenings: u64,
@@ -413,7 +416,7 @@ impl SparseCore {
             etas_total: 0,
             fill_total: 0,
             rollbacks: 0,
-            peel_tol: opts.tols.peel,
+            peel_tol: PEEL_TOL,
             refinements: 0,
             tightenings: 0,
             patched_columns: 0,
@@ -459,17 +462,16 @@ impl SparseCore {
     /// bump) and the factorization retried, up to [`PEEL_TOL_CAP`].
     /// After a successful factorization the condition of the basis is
     /// estimated and the basic solution refined (`Refine` rung) when
-    /// its residual exceeds [`crate::Tolerances::residual`].
+    /// its residual exceeds [`RESIDUAL_TOL`].
     fn refactorize(&mut self) -> Result<(), FactorError> {
         let (cols, basis, work) = (&self.cols, &self.basis, &mut self.ws.factor);
         let col = |s: usize| cols[basis[s]].as_slice();
         let basis_nnz: usize = (0..self.m).map(|s| col(s).len()).sum();
-        let tols = self.opts.tols;
-        let mut lu = LuFactors::factorize_with(self.m, col, tols.singular, self.peel_tol, work);
+        let mut lu = LuFactors::factorize_with(self.m, col, self.peel_tol, work);
         while lu.is_err() && self.peel_tol < PEEL_TOL_CAP {
             self.peel_tol = (self.peel_tol * PEEL_TIGHTEN).min(PEEL_TOL_CAP);
             self.tightenings += 1;
-            lu = LuFactors::factorize_with(self.m, col, tols.singular, self.peel_tol, work);
+            lu = LuFactors::factorize_with(self.m, col, self.peel_tol, work);
         }
         let lu = lu?;
         self.fill_total += lu.fill_in(basis_nnz) as u64;
@@ -536,7 +538,7 @@ impl SparseCore {
             r_inf = r_inf.max(ri.abs());
             b_inf = b_inf.max(bi.abs());
         }
-        if r_inf > self.opts.tols.residual * (1.0 + b_inf) {
+        if r_inf > RESIDUAL_TOL * (1.0 + b_inf) {
             self.ftran();
             for (x, d) in self.x_b.iter_mut().zip(&self.ws.sol) {
                 *x += d;
@@ -671,9 +673,8 @@ impl SparseCore {
     /// partial pricing over column segments with a deterministic
     /// cursor, or Bland's lowest-index rule when `bland` is set.
     /// Reduced costs are sign-flipped for at-upper columns so
-    /// "profitable" is uniformly `d < −eps`.
+    /// "profitable" is uniformly `d < −EPS`.
     fn price(&mut self, costs: &[f64], allow_art: bool, bland: bool) -> Option<usize> {
-        let eps = self.opts.eps;
         if bland {
             let y = &self.ws.y;
             return (0..self.ncols).find(|&j| {
@@ -682,7 +683,7 @@ impl SparseCore {
                 }
                 let d = costs[j] - self.col_dot(j, y);
                 let d = if self.at_upper[j] { -d } else { d };
-                d < -eps
+                d < -EPS
             });
         }
         let seg = PRICE_SEGMENT.max(self.ncols / 8).min(self.ncols.max(1));
@@ -695,7 +696,7 @@ impl SparseCore {
             let len = seg.min(self.ncols - start).min(self.ncols - scanned);
             self.price_segment(start, &self.ws.y, costs, allow_art, &mut d[..len]);
             let mut best: Option<usize> = None;
-            let mut best_d = -eps;
+            let mut best_d = -EPS;
             for (k, &dj) in d[..len].iter().enumerate() {
                 if dj < best_d {
                     best_d = dj;
@@ -756,7 +757,6 @@ impl SparseCore {
     /// once per iteration.
     fn iterate(&mut self, costs: &[f64], allow_art: bool) -> Result<SolveStatus, FactorError> {
         probe!(self, iterate_calls += 1);
-        let eps = self.opts.eps;
         let mut best_obj = f64::INFINITY;
         let mut stall = 0usize;
         // Whether `ws.y` holds the duals of the current basis.
@@ -786,15 +786,15 @@ impl SparseCore {
             // never block.
             for &s in &self.ws.img.nz {
                 let a = dir * self.ws.img.w[s];
-                let (ratio, to_upper) = if a > eps {
+                let (ratio, to_upper) = if a > EPS {
                     (self.x_b[s] / a, false)
-                } else if a < -eps && self.ub[self.basis[s]].is_finite() {
+                } else if a < -EPS && self.ub[self.basis[s]].is_finite() {
                     ((self.ub[self.basis[s]] - self.x_b[s]) / -a, true)
                 } else {
                     continue;
                 };
-                let better = ratio < best_ratio - eps
-                    || (ratio < best_ratio + eps
+                let better = ratio < best_ratio - EPS
+                    || (ratio < best_ratio + EPS
                         && leave.is_none_or(|l| self.basis[s] < self.basis[l]));
                 if better {
                     best_ratio = ratio;
@@ -825,7 +825,7 @@ impl SparseCore {
             }
             let obj = self.ws.cost_b.iter().zip(&self.x_b).map(|(&c, &xb)| c * xb).sum::<f64>()
                 + self.upper_objective(costs);
-            if obj < best_obj - self.opts.tols.stall_improvement {
+            if obj < best_obj - STALL_IMPROVEMENT {
                 best_obj = obj;
                 stall = 0;
             } else {
@@ -853,7 +853,6 @@ impl SparseCore {
     ///   programs retire many violations per basis change this way.
     fn dual_simplex(&mut self, perturb: bool) -> Result<SolveStatus, FactorError> {
         probe!(self, dual_calls += 1);
-        let eps = self.opts.eps;
         // Cold dual starts run on deterministically perturbed costs:
         // the TE programs carry whole families of identically-priced
         // columns (every slack at 0, every allocation at its uniform
@@ -885,11 +884,10 @@ impl SparseCore {
             self.costs.clone()
         };
         // Candidates need a meaningfully sized pivot element: a
-        // borderline `|α| ≈ eps` candidate can pass the row scan yet
-        // show a sub-eps `w[slot]` after the FTRAN, and the
+        // borderline `|α| ≈ EPS` candidate can pass the row scan yet
+        // show a sub-`EPS` `w[slot]` after the FTRAN, and the
         // refactorize-and-retry path would then re-select it forever.
         // The default matches the primal ratio test's pivot tolerance.
-        let dual_pivot_tol = self.opts.tols.dual_pivot;
         let mut d = vec![0.0f64; self.ncols];
         let mut d_valid = false;
         // Pivot-row scratch, reused across iterations and cleared
@@ -991,9 +989,9 @@ impl SparseCore {
                 let abar = sgn * alphas[j];
                 alphas[j] = abar;
                 let eligible = if self.at_upper[j] {
-                    abar < -dual_pivot_tol
+                    abar < -DUAL_PIVOT_TOL
                 } else {
-                    abar > dual_pivot_tol
+                    abar > DUAL_PIVOT_TOL
                 };
                 if eligible && banned[j] {
                     banned_eligible = true;
@@ -1032,7 +1030,7 @@ impl SparseCore {
             let mut chosen: Option<(usize, f64)> = None;
             for &(_, _, j) in &cands {
                 let span = self.ub[j];
-                if span.is_finite() && remaining - span * alphas[j].abs() > eps {
+                if span.is_finite() && remaining - span * alphas[j].abs() > EPS {
                     remaining -= span * alphas[j].abs();
                     flip_cols.push(j);
                 } else {
@@ -1052,7 +1050,7 @@ impl SparseCore {
             };
             self.ftran_col(q);
             let alpha_q = self.ws.img.w[slot];
-            if alpha_q.abs() <= dual_pivot_tol {
+            if alpha_q.abs() <= DUAL_PIVOT_TOL {
                 // The FTRAN view of the pivot element disagrees with
                 // the BTRAN row (or the element is too small to pivot
                 // on without degrading the factors into singularity):
@@ -1156,10 +1154,9 @@ impl SparseCore {
     /// Pivots leftover zero-valued artificial basics out of the basis
     /// wherever a structural/slack column can replace them.
     fn drive_out_artificials(&mut self) -> Result<(), FactorError> {
-        let feas = self.opts.tols.feas;
         for slot in 0..self.m {
             if self.kind[self.basis[slot]] != CKind::Artificial
-                || self.x_b[slot].abs() > feas
+                || self.x_b[slot].abs() > FEAS_TOL
             {
                 continue;
             }
@@ -1168,10 +1165,10 @@ impl SparseCore {
                 if self.in_basis[j] || self.kind[j] == CKind::Artificial {
                     continue;
                 }
-                if self.col_dot(j, &self.ws.y).abs() > feas {
+                if self.col_dot(j, &self.ws.y).abs() > FEAS_TOL {
                     self.ftran_col(j);
                     let alpha = self.ws.img.w[slot];
-                    if alpha.abs() > feas {
+                    if alpha.abs() > FEAS_TOL {
                         let dir = self.enter_dir(j);
                         let t = self.x_b[slot] / (dir * alpha);
                         self.apply_entering(slot, j, t);
@@ -1249,7 +1246,7 @@ impl SparseCore {
                 .filter(|(&c, _)| self.kind[c] == CKind::Artificial)
                 .map(|(_, &xb)| xb)
                 .sum();
-            if phase1 > self.opts.tols.phase1_infeas {
+            if phase1 > PHASE1_INFEAS_TOL {
                 return Ok(self.failed(SolveStatus::Infeasible));
             }
             self.drive_out_artificials()?;
@@ -1370,10 +1367,9 @@ impl SparseCore {
         }
         self.cursor = 0;
         let costs = self.costs.clone();
-        let feas = self.opts.tols.feas;
         let primal_ok = self.x_b.iter().enumerate().all(|(s, &v)| {
             let ub = self.ub[self.basis[s]];
-            v >= -feas && (!ub.is_finite() || v <= ub + feas)
+            v >= -FEAS_TOL && (!ub.is_finite() || v <= ub + FEAS_TOL)
         });
         let st = if primal_ok {
             self.iterate(&costs, false)?
@@ -1385,9 +1381,9 @@ impl SparseCore {
                 }
                 let d = costs[j] - self.col_dot(j, &self.ws.y);
                 if self.at_upper[j] {
-                    d <= feas
+                    d <= FEAS_TOL
                 } else {
-                    d >= -feas
+                    d >= -FEAS_TOL
                 }
             });
             if !dual_ok {
@@ -1502,7 +1498,7 @@ impl SparseCore {
 /// `b' = R·b`, bounds `l' = l/C`, `u' = u/C`; the solved point maps
 /// back as `x = C·x'`, `y = R·y'` and the objective value carries over
 /// unchanged. Activated only when the reduced matrix's dynamic range
-/// exceeds [`crate::Tolerances::scale_threshold`], so well-conditioned
+/// exceeds [`SCALE_THRESHOLD`], so well-conditioned
 /// TE programs keep their historical bit-exact pivot sequences.
 #[derive(Debug)]
 struct Scaling {
@@ -1723,7 +1719,7 @@ impl WarmSimplex {
                 // Optimal the sparse path returns carries KKT
                 // residuals, and a failing certificate downgrades to
                 // `NumericallySuspect` instead of lying.
-                crate::simplex::certify(lp, &mut out, &self.opts.tols);
+                crate::simplex::certify(lp, &mut out);
                 out
             }
             status => Solution {
@@ -1766,7 +1762,7 @@ impl WarmSimplex {
             }
             PresolveResult::Ready(r) => r,
         };
-        let scale = compute_scaling(&red.reduced, self.opts.tols.scale_threshold);
+        let scale = compute_scaling(&red.reduced, SCALE_THRESHOLD);
         let (core_lp, salt) = match &scale {
             Some(sc) => (
                 std::borrow::Cow::Owned(sc.apply(&red.reduced)),

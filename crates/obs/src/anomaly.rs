@@ -24,7 +24,7 @@
 //!
 //! Detection is pure integer/float arithmetic over logical epochs —
 //! no wall clock, no randomness — so the event stream is
-//! byte-identical across repeat runs and thread counts. Every event
+//! byte-identical across repeat runs. Every event
 //! carries the offending `(tenant, epoch, stat)` plus the observed
 //! value and baseline, so an operator can jump straight from an alert
 //! to the epoch journal.

@@ -6,7 +6,7 @@
 //! renderers are fully deterministic — tenants arrive sorted, series
 //! iterate in name order, SLO kinds in `SloKind::ALL` order — so a
 //! snapshot taken under the logical clock renders byte-identically
-//! across repeat runs and thread counts. That determinism is load-
+//! across repeat runs. That determinism is load-
 //! bearing: the telemetry binary diffs repeated exports as a
 //! self-check, and CI archives them as artifacts.
 //!

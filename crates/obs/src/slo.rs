@@ -19,7 +19,7 @@
 //! de-latches only when burn falls back below 1.0, so a flapping
 //! signal yields one alert per excursion rather than one per epoch.
 //! All state is integer-counted over logical epochs, so trackers are
-//! byte-identical across repeat runs and thread counts.
+//! byte-identical across repeat runs.
 
 use std::collections::VecDeque;
 

@@ -9,7 +9,7 @@
 //! 1. **Epoch-keyed, not wall-clock-keyed.** Points are indexed by the
 //!    controller's logical epoch, so a series produced under the
 //!    deterministic [`crate::LogicalClock`] is byte-identical across
-//!    repeat runs and thread counts.
+//!    repeat runs.
 //! 2. **Order-independent merges.** Window sums accumulate as
 //!    fixed-point integers (2^20 scale), which are associative and
 //!    commutative where floating-point addition is not, and eviction

@@ -473,10 +473,6 @@ impl EpochOutcome {
         report.solver.subproblem_ms = 0.0;
         report.solver.master_ms = 0.0;
         report.solver.polish_ms = 0.0;
-        // Like the wall times, the thread count is an execution
-        // parameter, not a result: runs at different thread counts
-        // must fingerprint identically.
-        report.solver.threads = 0;
         Ok((encode(&report)?, self.run.to_json()))
     }
 }

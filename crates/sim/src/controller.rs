@@ -83,9 +83,8 @@ pub struct Controller<'a> {
     pub scheme: &'a dyn TeScheme,
     /// Stage latencies.
     pub latency: LatencyModel,
-    /// Worker threads for the TE recompute (`0` = auto). Thread count
-    /// never changes solver *results* (bit-identity across thread
-    /// counts is a repo invariant), only wall-clock.
+    /// Unread: every solve runs on the calling thread. Kept for the
+    /// same reason as `backend`, and goes with it.
     pub threads: usize,
     /// Unread: `prete-lp` has one engine. Kept only because the
     /// repository benchmark builds a controller by naming every field;
@@ -116,8 +115,7 @@ pub struct Controller<'a> {
 
 impl<'a> Controller<'a> {
     /// A controller over the given leaves with the default latency
-    /// model and exhaustive single-cut enumeration, automatic threads,
-    /// an empty warm-start cache and telemetry disabled.
+    /// model and exhaustive single-cut enumeration, an empty warm-start cache and telemetry disabled.
     pub fn new(
         net: &'a Network,
         model: &'a FailureModel,
@@ -307,7 +305,6 @@ mod tests {
             let scheme = PreTeScheme::new(beta, ProbabilityEstimator::prete(&model, &truth));
             let predictor = OptimistPredictor;
             let controller = Controller {
-                threads: 1,
                 obs: Recorder::deterministic(),
                 ..Controller::new(&net, &model, &flows, &base, &predictor, &scheme)
             };

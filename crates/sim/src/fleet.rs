@@ -16,7 +16,7 @@
 //!   [`ShedRecord`]s. Budgets are work units (simplex pivots, LP
 //!   solves, MIP nodes…), never wall clock, so every decision is a
 //!   pure function of the run's inputs and replays identically on any
-//!   machine and at any thread count.
+//!   machine.
 //! * **Fault isolation** — each tenant owns its topology, trace
 //!   stream, seed stream, [`Store`](crate::checkpoint::Store) and
 //!   warm-start cache. A tenant that crashes or corrupts its
@@ -202,9 +202,6 @@ pub struct FleetConfig {
     /// times its admitted estimate forces the tenant's next epoch onto
     /// the degraded budget. Use `f64::INFINITY` to disable.
     pub watchdog_factor: f64,
-    /// Solver threads for every tenant (0 = auto). Never affects any
-    /// decision or result, only wall clock.
-    pub solver_threads: usize,
 }
 
 impl Default for FleetConfig {
@@ -215,7 +212,6 @@ impl Default for FleetConfig {
             degraded_budget: SolveBudget { max_mip_nodes: 1_000, max_benders_iters: 2 },
             max_consecutive_failures: 3,
             watchdog_factor: 8.0,
-            solver_threads: 0,
         }
     }
 }
@@ -449,8 +445,7 @@ impl<'a> Tenant<'a> {
                 }
                 TenantState::Crashed(store) => {
                     let snapshot = store.clone();
-                    let mut robust = (self.spec.build)();
-                    robust.inner.threads = cfg.solver_threads;
+                    let robust = (self.spec.build)();
                     let w: &dyn EpochWorkload = self.spec.workload.as_ref();
                     match DurableController::recover(
                         robust,
@@ -521,7 +516,7 @@ impl<'a> Tenant<'a> {
         match result {
             Ok(out) => {
                 // Deterministic work units — the currency of the
-                // admission budget, identical across thread counts and
+                // admission budget, identical across machines and
                 // replays.
                 let cost = out.report.solver.work_units();
                 self.fold_outcome(&out, obs)?;
@@ -630,8 +625,8 @@ impl FleetReport {
     /// A single digest over every scheduling decision and every
     /// tenant's fingerprint digest. Two fleet runs with equal digests
     /// made the same decisions and produced bit-identical tenant
-    /// epochs — the cheap way to assert determinism across repeat runs
-    /// and thread counts.
+    /// epochs — the cheap way to assert determinism across repeat
+    /// runs.
     pub fn decision_digest(&self) -> u64 {
         let mut h = FNV_OFFSET;
         for rec in &self.shed_log {
@@ -691,8 +686,7 @@ impl<'a> Fleet<'a> {
                     })
                 })?;
             }
-            let mut robust = (spec.build)();
-            robust.inner.threads = cfg.solver_threads;
+            let robust = (spec.build)();
             let w: &dyn EpochWorkload = spec.workload.as_ref();
             let (ctl, _) =
                 DurableController::recover(robust, MemStore::default(), spec.durable_config(), &w)?;
@@ -1691,8 +1685,8 @@ mod tests {
     }
 
     #[test]
-    fn tight_budget_sheds_deterministically_across_thread_counts() {
-        let run = |threads: usize| {
+    fn tight_budget_sheds_deterministically() {
+        let run = || {
             let la = leaves(42);
             let lb = leaves(43);
             let lc = leaves(44);
@@ -1701,7 +1695,6 @@ mod tests {
                 // the others degrade, defer or reject.
                 round_budget: 600,
                 initial_estimate: 500,
-                solver_threads: threads,
                 ..FleetConfig::default()
             };
             let mut fleet = Fleet::new(
@@ -1717,9 +1710,9 @@ mod tests {
             let report = fleet.report();
             (report.decision_digest(), report.shed, report.shed_log.clone())
         };
-        let (d1, shed, log) = run(1);
-        let (d2, shed2, log2) = run(2);
-        assert_eq!(d1, d2, "shed decisions diverged across thread counts");
+        let (d1, shed, log) = run();
+        let (d2, shed2, log2) = run();
+        assert_eq!(d1, d2, "shed decisions diverged across identical runs");
         assert_eq!(shed, shed2);
         assert_eq!(log, log2);
         // The budget actually bit: not every epoch was admitted full.
@@ -2008,7 +2001,7 @@ mod tests {
     #[test]
     fn telemetry_snapshot_is_deterministic_and_merges_fleet_wide() {
         let epochs = 4u64;
-        let run = |threads: usize| {
+        let run = || {
             let la = leaves(42);
             let lb = leaves(43);
             // Tenant b declares an impossible solve-work target: every
@@ -2025,7 +2018,7 @@ mod tests {
                     spec_over(&la, "a", 7),
                     spec_over(&lb, "b", 8).with_slo(strict),
                 ],
-                FleetConfig { solver_threads: threads, ..FleetConfig::default() },
+                FleetConfig::default(),
             )
             .unwrap();
             while (0..2).any(|i| fleet.tenant_epoch(i) < epochs) {
@@ -2033,7 +2026,7 @@ mod tests {
             }
             fleet.report()
         };
-        let report = run(1);
+        let report = run();
 
         // Per-tenant series landed, sorted by tenant name.
         let names: Vec<&str> =
@@ -2079,8 +2072,8 @@ mod tests {
         assert_eq!(fleet_wu.series.points.len(), tenant_points);
         assert_eq!(tenant_points as u64, 2 * epochs);
 
-        // Byte-identical telemetry across thread counts.
-        let again = serde_json::to_string(&run(2).telemetry).unwrap();
+        // Byte-identical telemetry across identical runs.
+        let again = serde_json::to_string(&run().telemetry).unwrap();
         assert_eq!(serde_json::to_string(&report.telemetry).unwrap(), again);
     }
 
@@ -2097,7 +2090,7 @@ mod tests {
             window: 8,
             ..SloSpec::default()
         };
-        let run = |threads: usize, with_slo: bool| {
+        let run = |with_slo: bool| {
             let la = leaves_with_demand(42, 40.0);
             let mut spec = spec_over(&la, "a", 7);
             if with_slo {
@@ -2106,7 +2099,6 @@ mod tests {
             let cfg = FleetConfig {
                 round_budget: 20,
                 initial_estimate: 50,
-                solver_threads: threads,
                 ..FleetConfig::default()
             };
             let mut fleet = Fleet::new(vec![spec], cfg).unwrap();
@@ -2114,7 +2106,7 @@ mod tests {
             fleet.report()
         };
 
-        let protected = run(1, true);
+        let protected = run(true);
         // Pressure engaged at least once after the first epoch burned.
         assert!(
             protected.run.counters.get("fleet.shed.protect").copied().unwrap_or(0) >= 1,
@@ -2127,11 +2119,11 @@ mod tests {
         assert!(protected.run.counters["slo.alerts"] >= 1);
         // Protection changed admission: the no-SLO twin makes
         // different decisions (phase-one Degrade instead of Defer).
-        let plain = run(1, false);
+        let plain = run(false);
         assert_ne!(protected.decision_digest(), plain.decision_digest());
         assert!(!plain.run.counters.contains_key("fleet.shed.protect"));
-        // And the protected run is still thread-count deterministic.
-        assert_eq!(protected.decision_digest(), run(2, true).decision_digest());
+        // And the protected run repeats exactly.
+        assert_eq!(protected.decision_digest(), run(true).decision_digest());
     }
 
     #[test]

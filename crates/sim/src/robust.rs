@@ -372,7 +372,6 @@ impl<'a> RobustController<'a> {
         let last_known_good = TeSolver::new(&problem)
             .beta(inner.scheme.beta())
             .method(SolveMethod::Heuristic)
-            .threads(inner.threads)
             .solve()
             .expect("heuristic solve under the default budget is infallible");
         Self { inner, method, retry, last_known_good, priors, budget_override: None }
@@ -626,7 +625,6 @@ impl Controller<'_> {
                     .beta(self.scheme.beta())
                     .method(method)
                     .budget(budget)
-                    .threads(self.threads)
                     .warm_cache(&mut cache)
                     .recorder(obs);
                 if let Some(st) = enum_stats.as_ref() {

@@ -1,7 +1,7 @@
 //! Differential oracle suite for the k-cut scenario enumerator and the
 //! Benders solves on its output.
 //!
-//! Three contracts, mirroring the `solver_differential` pattern:
+//! Two contracts, mirroring the `solver_differential` pattern:
 //!
 //! * **Powerset oracle** — on fiber counts small enough to brute-force,
 //!   the streaming enumerator must match a powerset-filtered
@@ -16,8 +16,6 @@
 //!   `Φ_exhaustive(β − tail) ≤ Φ_pruned(β) ≤ Φ_exhaustive(β + tail)`,
 //!   with *zero* objective disagreement whenever nothing was actually
 //!   pruned.
-//! * **Thread invariance** — Benders on B4 returns bit-identical
-//!   allocations at 1 and 8 worker threads.
 
 use prete_core::examples::{triangle, triangle_flows};
 use prete_core::prelude::*;
@@ -432,32 +430,4 @@ fn pruned_solves_stay_inside_the_certified_sandwich() {
          {SUITE_SEED:#x}): {disagreements:?}",
         disagreements.len()
     );
-}
-
-// ---------------------------------------------------------------------------
-// Benders thread invariance
-// ---------------------------------------------------------------------------
-
-/// Benders at 1 vs 8 worker threads is bit-identical on B4 (repo
-/// invariant: the thread count never changes results).
-#[test]
-fn cut_pool_benders_matches_monolithic_on_b4() {
-    let net = topologies::b4();
-    let model = FailureModel::new(&net, 42);
-    let flows = topologies::flows_for(&net, 0.05, 42);
-    let tunnels = TunnelSet::initialize(&net, &flows, 3);
-    let probs: Vec<f64> = net.fibers().iter().map(|f| model.p_cut(f.id)).collect();
-    let scenarios = ScenarioSet::enumerate(&probs, 1, 1e-6);
-    let problem = TeProblem::new(&net, &flows, &tunnels, &scenarios);
-    let solve = |threads: usize| {
-        TeSolver::new(&problem)
-            .beta(0.99)
-            .method(SolveMethod::benders())
-            .threads(threads)
-            .solve()
-            .expect("benders solve")
-    };
-    let (serial, par) = (solve(1), solve(8));
-    assert_eq!(serial.max_loss.to_bits(), par.max_loss.to_bits());
-    assert_eq!(serial.allocation, par.allocation);
 }
