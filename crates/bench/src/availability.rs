@@ -15,8 +15,10 @@ use prete_topology::topologies;
 use serde::Serialize;
 
 /// Baseline network load at demand scale 1 (fraction of total IP
-/// capacity). Calibrated so the Figure 13 availability region of
-/// interest (≥ 99 %) spans demand scales ≈ 1–8.
+/// capacity). On B4 the no-failure state carries every demand only up
+/// to scale s* ≈ 2.97; past it every scheme that admits full demand
+/// falls to ≈ 0.48 availability. ROADMAP item 3 recalibrates the
+/// scale grids against s*.
 pub const BASE_LOAD: f64 = 0.05;
 
 /// Planning availability target used by the probabilistic schemes.

@@ -3,7 +3,6 @@
 use crate::measurement::year_dataset;
 use prete_nn::encoder::FeatureMask;
 use prete_nn::{evaluate, per_link_error, DecisionTree, EvalReport, Mlp, StatisticModel, TeaVarModel, TrainConfig};
-use prete_optical::DegradationEvent;
 use serde::Serialize;
 
 /// Table 5 rows plus the Figure 14 error CDFs.
@@ -83,15 +82,6 @@ pub fn table8_ablation(epochs: usize) -> Vec<AblationRow> {
         });
     }
     rows
-}
-
-/// Convenience: a trained full NN plus the test split size (used by the
-/// examples and integration tests).
-pub fn train_reference_nn(epochs: usize) -> (Mlp, Vec<DegradationEvent>) {
-    let (_net, _model, ds) = year_dataset();
-    let (train, test) = ds.train_test_split(0.8);
-    let nn = Mlp::train(&train, TrainConfig { epochs, seed: crate::SEED, ..Default::default() });
-    (nn, test.into_iter().cloned().collect())
 }
 
 #[cfg(test)]

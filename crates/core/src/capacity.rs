@@ -10,7 +10,8 @@
 //! group* — the set of links with identical endpoints and fiber set —
 //! with the group's aggregate capacity on the right-hand side.
 
-use prete_topology::{FiberId, LinkId, Network, SiteId};
+use prete_lp::{ConstraintId, LinearProgram, Sense, VarId};
+use prete_topology::{FiberId, LinkId, Network, SiteId, Tunnel, TunnelId};
 
 /// Partition of IP links into trunk groups.
 #[derive(Debug, Clone)]
@@ -85,12 +86,56 @@ impl CapacityGroups {
         gs.dedup();
         gs
     }
+
+    /// Adds the Eqn 3 rows `Σ a_t ≤ c_g` over `tunnels`, one per group
+    /// in group order, and returns their ids. A group no listed tunnel
+    /// crosses keeps its empty row: the row count fixes every basis
+    /// signature.
+    pub fn add_rows<'t>(
+        &self,
+        lp: &mut LinearProgram,
+        a: &[VarId],
+        tunnels: impl IntoIterator<Item = &'t Tunnel>,
+    ) -> Vec<ConstraintId> {
+        let mut terms: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); self.len()];
+        for t in tunnels {
+            for g in self.groups_of_path(&t.path.links) {
+                terms[g].push((a[t.id.index()], 1.0));
+            }
+        }
+        terms
+            .into_iter()
+            .enumerate()
+            .map(|(g, terms)| lp.add_constraint(terms, Sense::Le, self.capacity(g)))
+            .collect()
+    }
+
+    /// Load per group of `tunnels` carrying `allocation` (indexed by
+    /// tunnel id).
+    pub fn load<'t>(
+        &self,
+        tunnels: impl IntoIterator<Item = &'t Tunnel>,
+        allocation: &[f64],
+    ) -> Vec<f64> {
+        let mut load = vec![0.0; self.len()];
+        for t in tunnels {
+            for g in self.groups_of_path(&t.path.links) {
+                load[g] += allocation[t.id.index()];
+            }
+        }
+        load
+    }
+}
+
+/// The terms `Σ_{t ∈ ids} a_t` of a coverage or survival row.
+pub fn tunnel_sum(a: &[VarId], ids: &[TunnelId]) -> Vec<(VarId, f64)> {
+    ids.iter().map(|&t| (a[t.index()], 1.0)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prete_topology::{topologies, NetworkBuilder};
+    use prete_topology::{topologies, Flow, FlowId, NetworkBuilder, TunnelSet};
 
     #[test]
     fn b4_groups_equal_fibers() {
@@ -135,5 +180,35 @@ mod tests {
         // links 0 and 1 are parallel on fiber 0 → same group, deduped.
         let gs = g.groups_of_path(&links);
         assert_eq!(gs.len(), 1);
+    }
+
+    #[test]
+    fn add_rows_keeps_empty_groups_in_group_order() {
+        // Two fibers in a line: the only tunnel crosses the second
+        // group, so the first keeps an empty row, and rows come out in
+        // group order.
+        let mut b = NetworkBuilder::new("line");
+        let s0 = b.site("s0", 0);
+        let s1 = b.site("s1", 0);
+        let s2 = b.site("s2", 0);
+        let f0 = b.fiber(s0, s1, 10.0, 0);
+        let f1 = b.fiber(s1, s2, 10.0, 0);
+        b.link_on(f0, 100.0);
+        let l1 = b.link_on(f1, 40.0);
+        let net = b.build();
+        let g = CapacityGroups::build(&net);
+        let flows = [Flow { id: FlowId(0), src: s1, dst: s2, demand_gbps: 1.0 }];
+        let tunnels = TunnelSet::initialize(&net, &flows, 1);
+        assert_eq!(tunnels.tunnels()[0].path.links, vec![l1]);
+        let mut lp = LinearProgram::new();
+        let a = vec![lp.var_nonneg(0.0)];
+        let rows = g.add_rows(&mut lp, &a, tunnels.tunnels());
+        assert_eq!(rows, vec![ConstraintId(0), ConstraintId(1)]);
+        let (empty, used) = (lp.constraint(rows[0]), lp.constraint(rows[1]));
+        assert!(empty.terms.is_empty());
+        assert_eq!(empty.rhs, 100.0);
+        assert_eq!(used.terms, vec![(a[0], 1.0)]);
+        assert_eq!(used.rhs, 40.0);
+        assert_eq!(g.load(tunnels.tunnels(), &[3.0]), vec![0.0, 3.0]);
     }
 }

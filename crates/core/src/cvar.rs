@@ -14,7 +14,7 @@
 //! validation of the scheme used in the sweeps and as the risk metric
 //! the paper's availability methodology is built on.
 
-use crate::capacity::CapacityGroups;
+use crate::capacity::{tunnel_sum, CapacityGroups};
 use crate::scenario::ScenarioSet;
 use prete_lp::{solve, LinearProgram, Sense, SolveStatus, VarId};
 use prete_topology::{Flow, Network, TunnelSet};
@@ -46,11 +46,29 @@ pub fn minimize_cvar(
     scenarios: &ScenarioSet,
     beta: f64,
 ) -> CvarSolution {
+    let (lp, a_vars, alpha) = cvar_lp(net, flows, tunnels, scenarios, beta);
+    let sol = solve(&lp);
+    assert_eq!(sol.status, SolveStatus::Optimal, "CVaR LP must solve");
+    CvarSolution {
+        allocation: a_vars.iter().map(|&v| sol.value(v).max(0.0)).collect(),
+        var: sol.value(alpha),
+        cvar: sol.objective,
+    }
+}
+
+/// The CVaR LP [`minimize_cvar`] solves: returns the program, the
+/// tunnel columns and `α`.
+pub(crate) fn cvar_lp(
+    net: &Network,
+    flows: &[Flow],
+    tunnels: &TunnelSet,
+    scenarios: &ScenarioSet,
+    beta: f64,
+) -> (LinearProgram, Vec<VarId>, VarId) {
     assert!(beta > 0.0 && beta < 1.0, "beta must be in (0,1)");
     let groups = CapacityGroups::build(net);
     let mut lp = LinearProgram::new();
-    let a_vars: Vec<VarId> =
-        (0..tunnels.len()).map(|_| lp.var_nonneg(0.0)).collect();
+    let a_vars: Vec<VarId> = (0..tunnels.len()).map(|_| lp.var_nonneg(0.0)).collect();
     // α is a free quantile variable; losses live in [0,1] so α ∈ [0,1]
     // at any optimum.
     let alpha = lp.var_unit(1.0);
@@ -61,19 +79,8 @@ pub fn minimize_cvar(
         .map(|q| lp.var_nonneg(q.prob / (1.0 - beta)))
         .collect();
     // L_q variables.
-    let l_vars: Vec<VarId> =
-        (0..scenarios.len()).map(|_| lp.var_unit(0.0)).collect();
-
-    // Capacity rows.
-    let mut group_terms: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); groups.len()];
-    for t in tunnels.tunnels() {
-        for g in groups.groups_of_path(&t.path.links) {
-            group_terms[g].push((a_vars[t.id.index()], 1.0));
-        }
-    }
-    for (g, terms) in group_terms.into_iter().enumerate() {
-        lp.add_constraint(terms, Sense::Le, groups.capacity(g));
-    }
+    let l_vars: Vec<VarId> = (0..scenarios.len()).map(|_| lp.var_unit(0.0)).collect();
+    groups.add_rows(&mut lp, &a_vars, tunnels.tunnels());
     for (qi, q) in scenarios.scenarios.iter().enumerate() {
         // z_q ≥ L_q − α.
         lp.add_constraint(
@@ -86,23 +93,12 @@ pub fn minimize_cvar(
             if flow.demand_gbps <= 0.0 {
                 continue;
             }
-            let mut terms: Vec<(VarId, f64)> = tunnels
-                .of_flow(flow.id)
-                .iter()
-                .filter(|&&t| tunnels.tunnel(t).survives(net, &q.cut))
-                .map(|&t| (a_vars[t.index()], 1.0))
-                .collect();
+            let mut terms = tunnel_sum(&a_vars, &tunnels.surviving(net, flow.id, &q.cut));
             terms.push((l_vars[qi], flow.demand_gbps));
             lp.add_constraint(terms, Sense::Ge, flow.demand_gbps);
         }
     }
-    let sol = solve(&lp);
-    assert_eq!(sol.status, SolveStatus::Optimal, "CVaR LP must solve");
-    CvarSolution {
-        allocation: a_vars.iter().map(|&v| sol.value(v).max(0.0)).collect(),
-        var: sol.value(alpha),
-        cvar: sol.objective,
-    }
+    (lp, a_vars, alpha)
 }
 
 #[cfg(test)]
@@ -170,12 +166,7 @@ mod tests {
         let (net, flows, tunnels, scenarios) = setup(10.0);
         let s = minimize_cvar(&net, &flows, &tunnels, &scenarios, 0.99);
         let groups = CapacityGroups::build(&net);
-        let mut load = vec![0.0; groups.len()];
-        for t in tunnels.tunnels() {
-            for g in groups.groups_of_path(&t.path.links) {
-                load[g] += s.allocation[t.id.index()];
-            }
-        }
+        let load = groups.load(tunnels.tunnels(), &s.allocation);
         for (g, &l) in load.iter().enumerate() {
             assert!(l <= groups.capacity(g) + 1e-6, "group {g}: {l}");
         }

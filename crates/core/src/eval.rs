@@ -28,7 +28,7 @@
 //! state into will-cut / won't-cut outcomes with ground-truth weights
 //! and handing the scheme the corresponding certainty vector.
 
-use crate::capacity::CapacityGroups;
+use crate::capacity::{tunnel_sum, CapacityGroups};
 use crate::estimator::TrueConditionals;
 use crate::scenario::{DegradationState, ScenarioSet};
 use crate::schemes::{Plan, ReactionModel, TeContext, TeScheme};
@@ -291,24 +291,18 @@ impl<'a> AvailabilityEvaluator<'a> {
         }
         let tol = self.cfg.loss_tol * d;
         let delivered = plan.delivered(self.net, &self.groups, f, &self.flows, cut);
-        // Admission shortfall (TeaVaR/FFC/ARROW admit b_f < d_f under
-        // load): traffic beyond the admitted rate is lost all epoch, so
-        // charge the unserved fraction of the epoch... no: availability
-        // here is binary per flow per scenario — a flow with any loss
-        // beyond tolerance is "unavailable" per the SLA definition.
+        // Availability is binary per (flow, scenario): any loss beyond
+        // tolerance marks the flow unavailable for the whole epoch, so
+        // an admitted `b_f < d_f` (TeaVaR/FFC/ARROW under load) reads as
+        // unavailable even when every admitted bit arrives. ROADMAP
+        // item 4 decides whether a partial rule replaces this.
         let healthy_ok = delivered + tol >= d;
+        let outage = if healthy_ok { 0.0 } else { 1.0 };
         match scheme.reaction() {
-            ReactionModel::None | ReactionModel::LocalRateAdaptation => {
-                if healthy_ok {
-                    0.0
-                } else {
-                    1.0
-                }
-            }
+            // Nothing failed, or nothing reacts: the plan's delivery decides.
+            _ if cut.is_empty() => outage,
+            ReactionModel::None | ReactionModel::LocalRateAdaptation => outage,
             ReactionModel::CentralizedRecompute { convergence_s } => {
-                if cut.is_empty() {
-                    return if healthy_ok { 0.0 } else { 1.0 };
-                }
                 // Was the flow touched by the failure at all? A reactive
                 // scheme loses the traffic of killed tunnels until the
                 // centralized recompute converges.
@@ -328,9 +322,6 @@ impl<'a> AvailabilityEvaluator<'a> {
                 }
             }
             ReactionModel::OpticalRestoration { latency_s, restore_fraction } => {
-                if cut.is_empty() {
-                    return if healthy_ok { 0.0 } else { 1.0 };
-                }
                 let restored = (delivered
                     + restore_fraction
                         * plan.killed_allocation(self.net, f, &self.flows, cut))
@@ -358,40 +349,31 @@ impl<'a> AvailabilityEvaluator<'a> {
     /// Flexile's post-convergence delivery: the max-throughput LP on
     /// the failed topology (every flow capped at its demand).
     fn recompute_optimum(&self, plan: &Plan, cut: &[FiberId]) -> Vec<f64> {
+        let (lp, b_vars) = self.recompute_lp(plan, cut);
+        let sol = solve(&lp);
+        assert_eq!(sol.status, SolveStatus::Optimal);
+        b_vars.iter().map(|&v| sol.value(v).max(0.0)).collect()
+    }
+
+    /// The LP [`recompute_optimum`](Self::recompute_optimum) solves:
+    /// capacity rows over the tunnels that survive `cut`, and per flow
+    /// `Σ surviving a ≥ b_f`. Returns the program and the `b` columns.
+    pub(crate) fn recompute_lp(&self, plan: &Plan, cut: &[FiberId]) -> (LinearProgram, Vec<VarId>) {
         let mut lp = LinearProgram::new();
-        let a_vars: Vec<VarId> = (0..plan.tunnels.len())
-            .map(|_| lp.var_nonneg(0.0))
-            .collect();
+        let a_vars: Vec<VarId> = (0..plan.tunnels.len()).map(|_| lp.var_nonneg(0.0)).collect();
         let b_vars: Vec<VarId> = self
             .flows
             .iter()
             .map(|fl| lp.var_bounded(0.0, fl.demand_gbps, -1.0))
             .collect();
-        let mut group_terms: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); self.groups.len()];
-        for t in plan.tunnels.tunnels() {
-            if t.survives(self.net, cut) {
-                for g in self.groups.groups_of_path(&t.path.links) {
-                    group_terms[g].push((a_vars[t.id.index()], 1.0));
-                }
-            }
-        }
-        for (g, terms) in group_terms.into_iter().enumerate() {
-            lp.add_constraint(terms, Sense::Le, self.groups.capacity(g));
-        }
+        let surviving = plan.tunnels.tunnels().iter().filter(|t| t.survives(self.net, cut));
+        self.groups.add_rows(&mut lp, &a_vars, surviving);
         for (f, fl) in self.flows.iter().enumerate() {
-            let terms: Vec<(VarId, f64)> = plan
-                .tunnels
-                .of_flow(fl.id)
-                .iter()
-                .filter(|&&t| plan.tunnels.tunnel(t).survives(self.net, cut))
-                .map(|&t| (a_vars[t.index()], 1.0))
-                .chain(std::iter::once((b_vars[f], -1.0)))
-                .collect();
+            let mut terms = tunnel_sum(&a_vars, &plan.tunnels.surviving(self.net, fl.id, cut));
+            terms.push((b_vars[f], -1.0));
             lp.add_constraint(terms, Sense::Ge, 0.0);
         }
-        let sol = solve(&lp);
-        assert_eq!(sol.status, SolveStatus::Optimal);
-        b_vars.iter().map(|&v| sol.value(v).max(0.0)).collect()
+        (lp, b_vars)
     }
 }
 

@@ -40,11 +40,11 @@
 //!   exact on small instances; the tests use it as the reference the
 //!   other two must match.
 
-use crate::capacity::CapacityGroups;
+use crate::capacity::{tunnel_sum, CapacityGroups};
 use crate::scenario::ScenarioSet;
 use prete_lp::{
-    solve_mip, BasisCache, ColdStart, ConstraintId, LinearProgram, MipOptions, MipStatus, Sense,
-    SimplexOptions, SolveStatus, VarId, WarmSimplex,
+    solve_mip, BasisCache, ColdStart, ConstraintId, EngineStats, LinearProgram, MipOptions,
+    MipStatus, Sense, SimplexOptions, SolveStatus, VarId, WarmSimplex,
 };
 use prete_obs::Recorder;
 use prete_topology::{Flow, Network, TunnelId, TunnelSet};
@@ -854,23 +854,29 @@ impl SolveCtx<'_, '_, '_> {
         Err(TeSolveError::LpFailed { status: sol.status })
     }
 
-    /// Folds a solve's engine counters (sparse refactorizations, etas,
-    /// fill-in, rollbacks, ladder rungs) into the stats.
-    fn absorb_engine(&mut self, sol: &prete_lp::Solution) {
-        self.stats.refactorizations += sol.engine.refactorizations;
-        self.stats.etas += sol.engine.etas;
-        self.stats.fill_in += sol.engine.fill_in;
-        if sol.engine.rollbacks > 0 {
-            self.stats.rollbacks += sol.engine.rollbacks;
+    /// Folds engine counters (sparse refactorizations, etas, fill-in,
+    /// rollbacks, ladder rungs) into the stats.
+    fn absorb_counters(&mut self, engine: &EngineStats) {
+        self.stats.refactorizations += engine.refactorizations;
+        self.stats.etas += engine.etas;
+        self.stats.fill_in += engine.fill_in;
+        if engine.rollbacks > 0 {
+            self.stats.rollbacks += engine.rollbacks;
             self.obs.event_with("solver.rollback", || {
-                format!("{} pivot(s) rolled back", sol.engine.rollbacks)
+                format!("{} pivot(s) rolled back", engine.rollbacks)
             });
         }
-        self.stats.refinements += sol.engine.refinements;
-        self.stats.tightenings += sol.engine.tightenings;
-        self.stats.patched_columns += sol.engine.patched_columns;
+        self.stats.refinements += engine.refinements;
+        self.stats.tightenings += engine.tightenings;
+        self.stats.patched_columns += engine.patched_columns;
         self.stats.max_condition_estimate =
-            self.stats.max_condition_estimate.max(sol.engine.condition_estimate);
+            self.stats.max_condition_estimate.max(engine.condition_estimate);
+    }
+
+    /// Folds a solve's engine counters and its suspect verdict into the
+    /// stats.
+    fn absorb_engine(&mut self, sol: &prete_lp::Solution) {
+        self.absorb_counters(&sol.engine);
         if sol.status == SolveStatus::NumericallySuspect {
             self.stats.suspect_solves += 1;
             self.obs.event_with("solver.numerically-suspect", || {
@@ -883,71 +889,54 @@ impl SolveCtx<'_, '_, '_> {
         }
     }
 
-    /// Solves `lp`, seeding from the basis cached under `key` when a
-    /// cache is attached, and saves the optimal basis back.
-    fn warm_solve(&mut self, lp: &LinearProgram, key: u64) -> prete_lp::Solution {
-        let mut ws = WarmSimplex::new(self.simplex_opts());
+    /// Solves `lp` on `ws`, seeding from the basis cached under `key`
+    /// when a cache is attached, and counts the hit or miss.
+    fn cached_solve(
+        &mut self,
+        ws: &mut WarmSimplex,
+        lp: &LinearProgram,
+        key: u64,
+    ) -> prete_lp::Solution {
         let warm = self.cache.as_mut().and_then(|c| c.get(key)).cloned();
         let (sol, used) = ws.solve_from(lp, warm.as_ref());
-        self.absorb_engine(&sol);
         if self.cache.is_some() {
-            if used {
-                self.stats.warm_hits += 1;
-                self.obs.event_with("solver.warm-start", || format!("hit key={key:#x}"));
+            let (count, verdict) = if used {
+                (&mut self.stats.warm_hits, "hit")
             } else {
-                self.stats.warm_misses += 1;
-                self.obs.event_with("solver.warm-start", || format!("miss key={key:#x}"));
-            }
-        }
-        self.stats.lp_solves += 1;
-        self.stats.pivots += sol.iterations;
-        if let Some(b) = ws.basis() {
-            if let Some(c) = self.cache.as_mut() {
-                c.put(key, b);
-            }
+                (&mut self.stats.warm_misses, "miss")
+            };
+            *count += 1;
+            self.obs.event_with("solver.warm-start", || format!("{verdict} key={key:#x}"));
         }
         sol
     }
 
-    /// Builds and solves the min-Φ LP for a fixed selection (heuristic
-    /// path: one LP per solve, warm-started across epochs), returning
+    /// Saves `ws`'s optimal basis under `key` when a cache is attached.
+    fn save_basis(&mut self, ws: &WarmSimplex, key: u64) {
+        if let (Some(b), Some(c)) = (ws.basis(), self.cache.as_mut()) {
+            c.put(key, b);
+        }
+    }
+
+    /// Solves `lp` from the basis cached under `key` (if any) and saves
+    /// the optimal basis back.
+    fn warm_solve(&mut self, lp: &LinearProgram, key: u64) -> prete_lp::Solution {
+        let mut ws = WarmSimplex::new(self.simplex_opts());
+        let sol = self.cached_solve(&mut ws, lp, key);
+        self.absorb_engine(&sol);
+        self.stats.lp_solves += 1;
+        self.stats.pivots += sol.iterations;
+        self.save_basis(&ws, key);
+        sol
+    }
+
+    /// Solves the min-Φ LP for a fixed selection (heuristic path: one
+    /// LP per solve, warm-started across epochs), returning
     /// `(allocation, Φ)`.
     fn subproblem(&mut self, delta: &[Vec<usize>]) -> Result<(Vec<f64>, f64), TeSolveError> {
         let t0 = Instant::now();
         let problem = self.problem;
-        let n_tunnels = problem.tunnels.len();
-        let mut lp = LinearProgram::new();
-        let a_vars: Vec<VarId> =
-            (0..n_tunnels).map(|_| lp.var_nonneg(0.0)).collect();
-        let phi = lp.var_nonneg(1.0);
-
-        // Capacity rows (Eqn 3), per trunk group.
-        let mut group_terms: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); problem.groups.len()];
-        for t in problem.tunnels.tunnels() {
-            for g in problem.groups.groups_of_path(&t.path.links) {
-                group_terms[g].push((a_vars[t.id.index()], 1.0));
-            }
-        }
-        for (g, terms) in group_terms.into_iter().enumerate() {
-            lp.add_constraint(terms, Sense::Le, problem.groups.capacity(g));
-        }
-
-        // Coverage rows: Σ surviving a + d·Φ ≥ d, one per ⊆-minimal
-        // survival class of the selected scenarios (a dead class leaves
-        // the single row d·Φ ≥ d).
-        for (f, selected) in delta.iter().enumerate() {
-            let d = problem.flows[f].demand_gbps;
-            if d <= 0.0 {
-                continue;
-            }
-            for set in problem.minimal_classes(f, selected) {
-                let mut terms: Vec<(VarId, f64)> =
-                    set.iter().map(|&t| (a_vars[t.index()], 1.0)).collect();
-                terms.push((phi, d));
-                lp.add_constraint(terms, Sense::Ge, d);
-            }
-        }
-
+        let (lp, a_vars, phi) = problem.min_phi_lp(delta);
         let key = problem.structure_key() ^ CACHE_SALT_HEURISTIC ^ hash_delta(delta);
         let sol = self.warm_solve(&lp, key);
         self.stats.subproblem_ms += ms_since(t0);
@@ -972,11 +961,90 @@ impl SolveCtx<'_, '_, '_> {
         })
     }
 
-    /// Lexicographic second pass: with `Φ` fixed at its optimum, choose
-    /// among the optimal allocations the one that maximizes the
-    /// probability-weighted delivered fraction across the no-failure
-    /// scenario and the selected failure scenarios, then fills spare
-    /// capacity.
+    /// Solves the polish LP ([`TeProblem::polish_lp`]) for `delta` with
+    /// `Φ` frozen at `phi`, returning the allocation and its
+    /// certificate.
+    fn polish(
+        &mut self,
+        delta: &[Vec<usize>],
+        phi: f64,
+    ) -> Result<(Vec<f64>, Option<prete_lp::SolutionQuality>), TeSolveError> {
+        let t0 = Instant::now();
+        let problem = self.problem;
+        let (lp, a_vars) = problem.polish_lp(delta, phi);
+        let key = problem.structure_key() ^ CACHE_SALT_POLISH ^ hash_delta(delta);
+        let sol = self.warm_solve(&lp, key);
+        self.stats.polish_ms += ms_since(t0);
+        if self.usable(&sol).is_err() {
+            // Extremely defensive: fall back to the primary solution
+            // shape by re-solving the plain subproblem.
+            return Ok((self.subproblem(delta)?.0, None));
+        }
+        Ok((a_vars.iter().map(|&v| sol.value(v).max(0.0)).collect(), sol.quality))
+    }
+}
+
+impl TeProblem<'_> {
+    /// The materialized rows of flow `f`: the no-failure scenario and
+    /// the scenarios affecting the flow (an unaffecting scenario's row
+    /// equals the no-failure row).
+    fn materialized(&self, f: usize) -> Vec<usize> {
+        std::iter::once(0).chain(self.affecting(f).iter().copied()).collect()
+    }
+
+    /// The coverage terms `Σ_{t ∈ T_{f,q} ∪ Y_{f,q}^s} a_t`.
+    fn cover(&self, a: &[VarId], f: usize, q: usize) -> Vec<(VarId, f64)> {
+        tunnel_sum(a, self.surviving(f, q))
+    }
+
+    /// Adds flow `f`'s knapsack row (constraint 5) over its
+    /// `(scenario, δ)` columns: `Σ p_q δ_{f,q} ≥ β −` the unaffecting
+    /// mass, clamped to the attainable mass when enumeration fell short.
+    fn add_knapsack(&self, lp: &mut LinearProgram, f: usize, dvars: &[(usize, VarId)], beta: f64) {
+        let scen = &self.scenarios.scenarios;
+        let attainable: f64 = dvars.iter().map(|&(qi, _)| scen[qi].prob).sum();
+        let rhs = (beta - self.unaffecting_mass(f)).min(attainable * (1.0 - 1e-12));
+        let terms = dvars.iter().map(|&(qi, v)| (v, scen[qi].prob)).collect();
+        lp.add_constraint(terms, Sense::Ge, rhs);
+    }
+
+    /// One column `a_t ≥ 0` per tunnel plus the Eqn 3 rows over them:
+    /// the start of the min-Φ, Benders and exact-MIP programs.
+    fn tunnel_columns(&self, lp: &mut LinearProgram) -> (Vec<VarId>, Vec<ConstraintId>) {
+        let a: Vec<VarId> = (0..self.tunnels.len()).map(|_| lp.var_nonneg(0.0)).collect();
+        let cap_rows = self.groups.add_rows(lp, &a, self.tunnels.tunnels());
+        (a, cap_rows)
+    }
+
+    /// The min-Φ LP for a fixed selection `delta`: `min Φ` over the
+    /// capacity rows and `Σ surviving a + d·Φ ≥ d`, one per ⊆-minimal
+    /// survival class of the selected scenarios (a dead class leaves the
+    /// single row `d·Φ ≥ d`). Returns the program, the tunnel columns
+    /// and `Φ`.
+    fn min_phi_lp(&self, delta: &[Vec<usize>]) -> (LinearProgram, Vec<VarId>, VarId) {
+        let mut lp = LinearProgram::new();
+        let (a_vars, _) = self.tunnel_columns(&mut lp);
+        let phi = lp.var_nonneg(1.0);
+        for (f, selected) in delta.iter().enumerate() {
+            let d = self.flows[f].demand_gbps;
+            if d <= 0.0 {
+                continue;
+            }
+            for set in self.minimal_classes(f, selected) {
+                let mut terms = tunnel_sum(&a_vars, set);
+                terms.push((phi, d));
+                lp.add_constraint(terms, Sense::Ge, d);
+            }
+        }
+        (lp, a_vars, phi)
+    }
+
+    /// The polish LP, a lexicographic second pass: with `Φ` fixed at
+    /// its optimum `phi`, choose among the optimal allocations the one
+    /// that maximizes the probability-weighted delivered fraction
+    /// across the no-failure scenario and the selected failure
+    /// scenarios, then fills spare capacity. Returns the program and
+    /// the tunnel columns.
     ///
     /// The min-Φ LP alone returns a *minimal* vertex — allocations
     /// exactly meeting `(1 − Φ)d` — which would make flows artificially
@@ -985,17 +1053,11 @@ impl SolveCtx<'_, '_, '_> {
     /// this pass models that, and because the weights are the scenario
     /// probabilities it is a direct surrogate for the availability the
     /// evaluator measures.
-    fn polish(
-        &mut self,
-        delta: &[Vec<usize>],
-        phi: f64,
-    ) -> Result<(Vec<f64>, Option<prete_lp::SolutionQuality>), TeSolveError> {
-        let t0 = Instant::now();
-        let problem = self.problem;
-        let n_tunnels = problem.tunnels.len();
-        let total_demand: f64 = problem.flows.iter().map(|f| f.demand_gbps).sum();
-        let mean_demand = (total_demand / problem.flows.len().max(1) as f64).max(1e-9);
-        let p0 = problem.scenarios.scenarios[0].prob.max(1e-12);
+    fn polish_lp(&self, delta: &[Vec<usize>], phi: f64) -> (LinearProgram, Vec<VarId>) {
+        let scen = &self.scenarios.scenarios;
+        let total_demand: f64 = self.flows.iter().map(|f| f.demand_gbps).sum();
+        let mean_demand = (total_demand / self.flows.len().max(1) as f64).max(1e-9);
+        let p0 = scen[0].prob.max(1e-12);
         let mut lp = LinearProgram::new();
         // Each allocation is capped by its tunnel's bottleneck group
         // capacity. The capacity rows already imply this, so the
@@ -1003,11 +1065,11 @@ impl SolveCtx<'_, '_, '_> {
         // makes every negative-cost column bounded, which lets the
         // sparse engine cold-start with a single dual simplex pass
         // instead of a two-phase primal solve.
-        let mut bottleneck = vec![f64::INFINITY; n_tunnels];
-        for t in problem.tunnels.tunnels() {
-            for g in problem.groups.groups_of_path(&t.path.links) {
+        let mut bottleneck = vec![f64::INFINITY; self.tunnels.len()];
+        for t in self.tunnels.tunnels() {
+            for g in self.groups.groups_of_path(&t.path.links) {
                 let b = &mut bottleneck[t.id.index()];
-                *b = b.min(problem.groups.capacity(g));
+                *b = b.min(self.groups.capacity(g));
             }
         }
         let a_vars: Vec<VarId> = bottleneck
@@ -1022,55 +1084,28 @@ impl SolveCtx<'_, '_, '_> {
             .collect();
         // Fairness tie-break on the worst no-failure delivered fraction.
         let z = lp.var_unit(-0.01 * total_demand.max(1.0));
-
-        // Capacity rows.
-        let mut group_terms: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); problem.groups.len()];
-        for t in problem.tunnels.tunnels() {
-            for g in problem.groups.groups_of_path(&t.path.links) {
-                group_terms[g].push((a_vars[t.id.index()], 1.0));
-            }
-        }
-        for (g, terms) in group_terms.into_iter().enumerate() {
-            lp.add_constraint(terms, Sense::Le, problem.groups.capacity(g));
-        }
+        self.groups.add_rows(&mut lp, &a_vars, self.tunnels.tunnels());
         // Coverage rows with Φ frozen (small slack absorbs LP
         // round-off), plus delivery vars s_{f,q} ≤ min(d_f, Σ surv a).
         let phi_slack = phi + POLISH_SLACK;
         for (f, selected) in delta.iter().enumerate() {
-            let d = problem.flows[f].demand_gbps;
+            let d = self.flows[f].demand_gbps;
             if d <= 0.0 {
                 continue;
             }
             // Pick q0 plus the most probable selected failure scenarios.
             let mut with_delivery: Vec<usize> =
                 selected.iter().copied().filter(|&q| q != 0).collect();
-            with_delivery.sort_by(|&a, &b| {
-                problem.scenarios.scenarios[b]
-                    .prob
-                    .partial_cmp(&problem.scenarios.scenarios[a].prob)
-                    .expect("finite")
-            });
+            with_delivery
+                .sort_by(|&a, &b| scen[b].prob.partial_cmp(&scen[a].prob).expect("finite"));
             with_delivery.truncate(POLISH_SCENARIOS_PER_FLOW);
             for &qi in selected {
-                let cover: Vec<(VarId, f64)> = problem
-                    .surviving(f, qi)
-                    .iter()
-                    .map(|&t| (a_vars[t.index()], 1.0))
-                    .collect();
-                lp.add_constraint(cover, Sense::Ge, d * (1.0 - phi_slack));
+                lp.add_constraint(self.cover(&a_vars, f, qi), Sense::Ge, d * (1.0 - phi_slack));
             }
             for &qi in std::iter::once(&0usize).chain(&with_delivery) {
-                let weight = if qi == 0 {
-                    1.0
-                } else {
-                    (problem.scenarios.scenarios[qi].prob / p0).min(1.0)
-                };
+                let weight = if qi == 0 { 1.0 } else { (scen[qi].prob / p0).min(1.0) };
                 let s = lp.var_bounded(0.0, d, -weight * mean_demand / d);
-                let mut terms: Vec<(VarId, f64)> = problem
-                    .surviving(f, qi)
-                    .iter()
-                    .map(|&t| (a_vars[t.index()], 1.0))
-                    .collect();
+                let mut terms = self.cover(&a_vars, f, qi);
                 terms.push((s, -1.0));
                 lp.add_constraint(terms, Sense::Ge, 0.0);
                 if qi == 0 {
@@ -1078,24 +1113,42 @@ impl SolveCtx<'_, '_, '_> {
                 }
             }
         }
-        let key = problem.structure_key() ^ CACHE_SALT_POLISH ^ hash_delta(delta);
-        let sol = self.warm_solve(&lp, key);
-        self.stats.polish_ms += ms_since(t0);
-        if self.usable(&sol).is_err() {
-            // Extremely defensive: fall back to the primary solution
-            // shape by re-solving the plain subproblem.
-            return Ok((self.subproblem(delta)?.0, None));
+        (lp, a_vars)
+    }
+
+    /// The full MIP (2)–(8): the tunnel columns, `Φ`, and per flow a
+    /// binary δ per materialized row with its coverage row
+    /// `Σ surv a + d·Φ − d·δ ≥ 0` and the flow's knapsack row. Returns
+    /// the program, `Φ` and the per-flow `(scenario, δ)` columns.
+    fn mip_lp(&self, beta: f64) -> (LinearProgram, VarId, Vec<Vec<(usize, VarId)>>) {
+        let mut lp = LinearProgram::new();
+        let (a_vars, _) = self.tunnel_columns(&mut lp);
+        let phi = lp.var_unit(1.0);
+        let mut dvars = Vec::with_capacity(self.flows.len());
+        for f in 0..self.flows.len() {
+            let d = self.flows[f].demand_gbps;
+            let vars: Vec<(usize, VarId)> =
+                self.materialized(f).into_iter().map(|qi| (qi, lp.var_unit(0.0))).collect();
+            for &(qi, dv) in &vars {
+                let mut terms = self.cover(&a_vars, f, qi);
+                terms.push((phi, d));
+                terms.push((dv, -d));
+                lp.add_constraint(terms, Sense::Ge, 0.0);
+            }
+            self.add_knapsack(&mut lp, f, &vars, beta);
+            dvars.push(vars);
         }
-        Ok((a_vars.iter().map(|&v| sol.value(v).max(0.0)).collect(), sol.quality))
+        (lp, phi, dvars)
     }
 }
 
-/// One Benders optimality cut (Eqn 11): `Φ ≥ const + Σ w_{f,q} δ_{f,q}`.
-#[derive(Debug, Clone)]
-struct Cut {
-    constant: f64,
-    /// (flow, scenario, weight ≥ 0).
-    weights: Vec<(usize, usize, f64)>,
+/// The selection a δ point makes: per flow, the scenarios whose
+/// binary is set.
+fn selection(dvars: &[Vec<(usize, VarId)>], x: &[f64]) -> Vec<Vec<usize>> {
+    dvars
+        .iter()
+        .map(|vars| vars.iter().filter(|&&(_, v)| x[v.index()] > 0.5).map(|&(qi, _)| qi).collect())
+        .collect()
 }
 
 /// The materialized Benders subproblem LP: coverage rows exist for
@@ -1109,76 +1162,112 @@ struct BendersLp {
     lp: LinearProgram,
     phi: VarId,
     cap_rows: Vec<ConstraintId>,
-    /// (flow, scenario, row, demand) for every materialized row.
+    /// (flow, scenario, row, demand) for every materialized row of a
+    /// flow with positive demand.
     cov_rows: Vec<(usize, usize, ConstraintId, f64)>,
 }
 
-/// Builds the materialized Benders subproblem.
-fn build_benders_lp(problem: &TeProblem<'_>) -> BendersLp {
-    let n_tunnels = problem.tunnels.len();
-    let mut lp = LinearProgram::new();
-    let a_vars: Vec<VarId> =
-        (0..n_tunnels).map(|_| lp.var_nonneg(0.0)).collect();
-    let phi = lp.var_nonneg(1.0);
-
-    let mut group_terms: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); problem.groups.len()];
-    for t in problem.tunnels.tunnels() {
-        for g in problem.groups.groups_of_path(&t.path.links) {
-            group_terms[g].push((a_vars[t.id.index()], 1.0));
+impl BendersLp {
+    /// Builds the materialized Benders subproblem with every row
+    /// selected.
+    fn new(problem: &TeProblem<'_>) -> Self {
+        let mut lp = LinearProgram::new();
+        let (a_vars, cap_rows) = problem.tunnel_columns(&mut lp);
+        let phi = lp.var_nonneg(1.0);
+        let mut cov_rows = Vec::new();
+        for f in 0..problem.flows.len() {
+            let d = problem.flows[f].demand_gbps;
+            if d <= 0.0 {
+                continue;
+            }
+            for qi in problem.materialized(f) {
+                let mut terms = problem.cover(&a_vars, f, qi);
+                terms.push((phi, d));
+                let row = lp.add_constraint(terms, Sense::Ge, d);
+                cov_rows.push((f, qi, row, d));
+            }
         }
-    }
-    let mut cap_rows = Vec::with_capacity(problem.groups.len());
-    for (g, terms) in group_terms.into_iter().enumerate() {
-        cap_rows.push(lp.add_constraint(terms, Sense::Le, problem.groups.capacity(g)));
+        Self { lp, phi, cap_rows, cov_rows }
     }
 
-    let mut cov_rows = Vec::new();
-    for f in 0..problem.flows.len() {
-        let d = problem.flows[f].demand_gbps;
-        if d <= 0.0 {
-            continue;
+    /// Imposes the selection `delta` through the coverage rows' rhs.
+    fn select(&mut self, delta: &[Vec<usize>]) {
+        for &(f, qi, row, d) in &self.cov_rows {
+            let rhs = if delta[f].contains(&qi) { d } else { 0.0 };
+            self.lp.set_rhs(row, rhs);
         }
-        let mut rows = vec![0usize];
-        rows.extend_from_slice(problem.affecting(f));
-        for qi in rows {
-            let mut terms: Vec<(VarId, f64)> = problem
-                .surviving(f, qi)
-                .iter()
-                .map(|&t| (a_vars[t.index()], 1.0))
-                .collect();
-            terms.push((phi, d));
-            let row = lp.add_constraint(terms, Sense::Ge, d);
-            cov_rows.push((f, qi, row, d));
-        }
-    }
-    BendersLp { lp, phi, cap_rows, cov_rows }
-}
-
-fn set_benders_rhs(b: &mut BendersLp, delta: &[Vec<usize>]) {
-    for &(f, qi, row, d) in &b.cov_rows {
-        let rhs = if delta[f].contains(&qi) { d } else { 0.0 };
-        b.lp.set_rhs(row, rhs);
     }
 }
 
-/// The Eqn 11 optimality cut from a subproblem's duals:
-/// `Φ ≥ Σ_g y_g c_g + Σ v_{f,q} d_f δ_{f,q}`, with `y_g ≤ 0` the
-/// capacity duals (min convention) and `v_{f,q} ≥ 0` the coverage duals.
-fn cut_from_duals(problem: &TeProblem<'_>, sol: &prete_lp::Solution, b: &BendersLp) -> Cut {
-    let constant: f64 = b
-        .cap_rows
-        .iter()
-        .enumerate()
-        .map(|(g, &r)| sol.duals[r.index()] * problem.groups.capacity(g))
-        .sum();
-    let weights: Vec<(usize, usize, f64)> = b
-        .cov_rows
-        .iter()
-        .map(|&(f, qi, r, _)| (f, qi, sol.duals[r.index()].max(0.0)))
-        .filter(|&(_, _, v)| v > 1e-12)
-        .map(|(f, qi, v)| (f, qi, v * problem.flows[f].demand_gbps))
-        .collect();
-    Cut { constant, weights }
+/// The Benders master: `min Φ` over binary δ subject to each flow's
+/// knapsack row (constraint 5) and the optimality cuts so far. Built
+/// once per Benders solve; every iteration appends its cut.
+struct Master {
+    lp: LinearProgram,
+    phi: VarId,
+    /// Per flow: `(scenario, δ)` for every materialized row.
+    dvars: Vec<Vec<(usize, VarId)>>,
+    /// The δ of each [`BendersLp`] coverage row, in `cov_rows` order:
+    /// both walk the materialized rows of the flows with positive
+    /// demand.
+    row_vars: Vec<VarId>,
+}
+
+impl Master {
+    /// Builds `Φ`, the δ columns and the knapsack rows.
+    fn new(problem: &TeProblem<'_>, beta: f64) -> Self {
+        let mut lp = LinearProgram::new();
+        let phi = lp.var_unit(1.0);
+        let mut dvars = Vec::with_capacity(problem.flows.len());
+        let mut row_vars = Vec::new();
+        for f in 0..problem.flows.len() {
+            let vars: Vec<(usize, VarId)> =
+                problem.materialized(f).into_iter().map(|qi| (qi, lp.var_unit(0.0))).collect();
+            problem.add_knapsack(&mut lp, f, &vars, beta);
+            if problem.flows[f].demand_gbps > 0.0 {
+                row_vars.extend(vars.iter().map(|&(_, v)| v));
+            }
+            dvars.push(vars);
+        }
+        Self { lp, phi, dvars, row_vars }
+    }
+
+    /// Appends the Eqn 11 optimality cut from a subproblem's duals,
+    /// `Φ − Σ v_{f,q} d_f δ_{f,q} ≥ Σ_g y_g c_g`, with `y_g ≤ 0` the
+    /// capacity duals (min convention) and `v_{f,q} ≥ 0` the coverage
+    /// duals.
+    fn add_cut(&mut self, problem: &TeProblem<'_>, sol: &prete_lp::Solution, b: &BendersLp) {
+        debug_assert_eq!(b.cov_rows.len(), self.row_vars.len());
+        let constant: f64 = b
+            .cap_rows
+            .iter()
+            .enumerate()
+            .map(|(g, &r)| sol.duals[r.index()] * problem.groups.capacity(g))
+            .sum();
+        let mut terms = vec![(self.phi, 1.0)];
+        for (&(_, _, r, d), &dv) in b.cov_rows.iter().zip(&self.row_vars) {
+            let v = sol.duals[r.index()].max(0.0);
+            if v > 1e-12 {
+                terms.push((dv, -(v * d)));
+            }
+        }
+        self.lp.add_constraint(terms, Sense::Ge, constant);
+    }
+
+    /// Solves the master, returning the new selection, the master
+    /// objective (a lower bound) and the B&B node count.
+    fn solve(&self, simplex: SimplexOptions) -> (Vec<Vec<usize>>, f64, usize) {
+        let binaries: Vec<VarId> = self.dvars.iter().flatten().map(|&(_, v)| v).collect();
+        let r = solve_mip(&self.lp, &binaries, MipOptions { max_nodes: 4000, simplex });
+        let delta = if r.status == MipStatus::Optimal || r.has_incumbent() {
+            selection(&self.dvars, &r.x)
+        } else {
+            // Fallback: select everything (always feasible).
+            self.dvars.iter().map(|vars| vars.iter().map(|&(qi, _)| qi).collect()).collect()
+        };
+        let obj = if r.has_incumbent() { r.objective } else { 0.0 };
+        (delta, obj, r.nodes)
+    }
 }
 
 impl SolveCtx<'_, '_, '_> {
@@ -1191,21 +1280,15 @@ impl SolveCtx<'_, '_, '_> {
         let problem = self.problem;
         // Initialization (Algorithm 2 lines 2–4): δ = 1 for all rows we
         // materialize (scenario 0 + affecting), UB = 1, LB = 0, C = ∅.
-        let all_delta: Vec<Vec<usize>> = (0..problem.flows.len())
-            .map(|f| {
-                let mut v = vec![0usize];
-                v.extend_from_slice(problem.affecting(f));
-                v
-            })
-            .collect();
-        let mut b = build_benders_lp(problem);
+        let mut b = BendersLp::new(problem);
+        let mut master = Master::new(problem, beta);
         let key = problem.structure_key() ^ CACHE_SALT_BENDERS;
         let mut ws = WarmSimplex::new(self.simplex_opts());
 
-        let mut delta = all_delta.clone();
+        let mut delta: Vec<Vec<usize>> =
+            (0..problem.flows.len()).map(|f| problem.materialized(f)).collect();
         let mut ub = f64::INFINITY;
         let mut lb: f64 = 0.0;
-        let mut cuts: Vec<Cut> = Vec::new();
         let mut best: Option<(f64, Vec<Vec<usize>>)> = None;
         let mut lp_solves = 0usize;
         let mut iters = 0usize;
@@ -1216,20 +1299,9 @@ impl SolveCtx<'_, '_, '_> {
             // (possibly cache-seeded) full solve; later ones are
             // rhs-only dual-simplex moves on the live tableau.
             let t0 = Instant::now();
-            set_benders_rhs(&mut b, &delta);
+            b.select(&delta);
             let sol = if iters == 1 {
-                let warm = self.cache.as_mut().and_then(|c| c.get(key)).cloned();
-                let (sol, used) = ws.solve_from(&b.lp, warm.as_ref());
-                if self.cache.is_some() {
-                    if used {
-                        self.stats.warm_hits += 1;
-                        self.obs.event_with("solver.warm-start", || format!("hit key={key:#x}"));
-                    } else {
-                        self.stats.warm_misses += 1;
-                        self.obs.event_with("solver.warm-start", || format!("miss key={key:#x}"));
-                    }
-                }
-                sol
+                self.cached_solve(&mut ws, &b.lp, key)
             } else {
                 let (sol, live) = ws.resolve_rhs(&b.lp);
                 if live {
@@ -1252,19 +1324,18 @@ impl SolveCtx<'_, '_, '_> {
                 ub = phi;
                 best = Some((phi, delta.clone()));
             }
-            // Optimality cut (Eqn 11).
-            cuts.push(cut_from_duals(problem, &sol, &b));
+            // Optimality cut (Eqn 11): one per iteration.
+            master.add_cut(problem, &sol, &b);
             self.stats.cuts_added += 1;
             self.obs.event_with("solver.benders-iteration", || {
-                format!("iter={iters} ub={ub:.6} lb={lb:.6} cuts={}", cuts.len())
+                format!("iter={iters} ub={ub:.6} lb={lb:.6} cuts={iters}")
             });
             if ub - lb <= eps {
                 break;
             }
             // Step 2: master problem.
             let t1 = Instant::now();
-            let (new_delta, master_obj, nodes) =
-                solve_master(problem, beta, &cuts, &all_delta, self.simplex_opts());
+            let (new_delta, master_obj, nodes) = master.solve(self.simplex_opts());
             self.stats.master_ms += ms_since(t1);
             self.stats.mip_nodes += nodes;
             self.stats.lp_solves += 1;
@@ -1276,27 +1347,9 @@ impl SolveCtx<'_, '_, '_> {
             delta = new_delta;
         }
         self.stats.pivots += ws.pivots();
-        let engine = ws.engine_stats();
-        self.stats.refactorizations += engine.refactorizations;
-        self.stats.etas += engine.etas;
-        self.stats.fill_in += engine.fill_in;
-        if engine.rollbacks > 0 {
-            self.stats.rollbacks += engine.rollbacks;
-            self.obs.event_with("solver.rollback", || {
-                format!("{} pivot(s) rolled back in benders loop", engine.rollbacks)
-            });
-        }
-        self.stats.refinements += engine.refinements;
-        self.stats.tightenings += engine.tightenings;
-        self.stats.patched_columns += engine.patched_columns;
-        self.stats.max_condition_estimate =
-            self.stats.max_condition_estimate.max(engine.condition_estimate);
+        self.absorb_counters(&ws.engine_stats());
         self.stats.benders_iters = iters;
-        if let Some(basis) = ws.basis() {
-            if let Some(c) = self.cache.as_mut() {
-                c.put(key, basis);
-            }
-        }
+        self.save_basis(&ws, key);
         let (phi, delta) = best.expect("at least one subproblem solved");
         let (allocation, quality) = self.polish(&delta, phi)?;
         Ok(TeSolution {
@@ -1308,125 +1361,13 @@ impl SolveCtx<'_, '_, '_> {
             quality,
         })
     }
-}
 
-/// Solves the Benders master: min Φ s.t. the availability knapsack per
-/// flow and all optimality cuts, δ binary. Returns the new selection,
-/// the master objective (a lower bound), and the B&B node count.
-fn solve_master(
-    problem: &TeProblem<'_>,
-    beta: f64,
-    cuts: &[Cut],
-    all_delta: &[Vec<usize>],
-    simplex: SimplexOptions,
-) -> (Vec<Vec<usize>>, f64, usize) {
-    let scen = &problem.scenarios.scenarios;
-    let mut lp = LinearProgram::new();
-    let phi = lp.var_unit(1.0);
-    // δ variables for (flow, materialized scenario).
-    let mut dvars: Vec<Vec<VarId>> = Vec::with_capacity(all_delta.len());
-    for (f, qs) in all_delta.iter().enumerate() {
-        let vars: Vec<VarId> = qs.iter().map(|_| lp.var_unit(0.0)).collect();
-        // Knapsack (constraint 5): Σ δ p + unaffecting mass ≥ β,
-        // clamped to the attainable mass when enumeration fell short.
-        let attainable: f64 = qs.iter().map(|&qi| scen[qi].prob).sum();
-        let rhs = (beta - problem.unaffecting_mass(f)).min(attainable * (1.0 - 1e-12));
-        let terms: Vec<(VarId, f64)> = vars
-            .iter()
-            .zip(qs)
-            .map(|(&v, &qi)| (v, scen[qi].prob))
-            .collect();
-        lp.add_constraint(terms, Sense::Ge, rhs);
-        dvars.push(vars);
-    }
-    // Cuts: Φ - Σ w δ ≥ const.
-    for cut in cuts {
-        let mut terms = vec![(phi, 1.0)];
-        for &(f, qi, w) in &cut.weights {
-            let pos = all_delta[f].iter().position(|&x| x == qi).expect("cut row exists");
-            terms.push((dvars[f][pos], -w));
-        }
-        lp.add_constraint(terms, Sense::Ge, cut.constant);
-    }
-    let binaries: Vec<VarId> = dvars.iter().flatten().copied().collect();
-    let opts = MipOptions { max_nodes: 4000, simplex };
-    let r = solve_mip(&lp, &binaries, opts);
-    let x = if r.status == MipStatus::Optimal || r.has_incumbent() {
-        r.x.clone()
-    } else {
-        // Fallback: select everything (always feasible).
-        let mut x = vec![0.0; lp.num_vars()];
-        for v in &binaries {
-            x[v.index()] = 1.0;
-        }
-        x
-    };
-    let delta: Vec<Vec<usize>> = all_delta
-        .iter()
-        .zip(&dvars)
-        .map(|(qs, vars)| {
-            qs.iter()
-                .zip(vars)
-                .filter(|&(_, &v)| x[v.index()] > 0.5)
-                .map(|(&qi, _)| qi)
-                .collect()
-        })
-        .collect();
-    let obj = if r.has_incumbent() { r.objective } else { 0.0 };
-    (delta, obj, r.nodes)
-}
-
-impl SolveCtx<'_, '_, '_> {
     /// Full MIP (2)–(8) via branch-and-bound: exact reference for small
     /// instances, surfacing budget exhaustion and infeasibility instead
     /// of panicking.
     fn bnb(&mut self, beta: f64, opts: MipOptions) -> Result<TeSolution, TeSolveError> {
         let t0 = Instant::now();
-        let problem = self.problem;
-        let scen = &problem.scenarios.scenarios;
-        let n_tunnels = problem.tunnels.len();
-        let mut lp = LinearProgram::new();
-        let a_vars: Vec<VarId> =
-            (0..n_tunnels).map(|_| lp.var_nonneg(0.0)).collect();
-        let phi = lp.var_unit(1.0);
-        // Capacity.
-        let mut group_terms: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); problem.groups.len()];
-        for t in problem.tunnels.tunnels() {
-            for g in problem.groups.groups_of_path(&t.path.links) {
-                group_terms[g].push((a_vars[t.id.index()], 1.0));
-            }
-        }
-        for (g, terms) in group_terms.into_iter().enumerate() {
-            lp.add_constraint(terms, Sense::Le, problem.groups.capacity(g));
-        }
-        // δ vars + coverage + knapsack.
-        let mut dvars: Vec<Vec<(usize, VarId)>> = Vec::new();
-        for f in 0..problem.flows.len() {
-            let d = problem.flows[f].demand_gbps;
-            let mut rows = vec![0usize];
-            rows.extend_from_slice(problem.affecting(f));
-            let vars: Vec<(usize, VarId)> = rows
-                .iter()
-                .map(|&qi| (qi, lp.var_unit(0.0)))
-                .collect();
-            for &(qi, dv) in &vars {
-                // Σ surv a + d Φ − d δ ≥ 0.
-                let mut terms: Vec<(VarId, f64)> = problem
-                    .surviving(f, qi)
-                    .iter()
-                    .map(|&t| (a_vars[t.index()], 1.0))
-                    .collect();
-                terms.push((phi, d));
-                terms.push((dv, -d));
-                lp.add_constraint(terms, Sense::Ge, 0.0);
-            }
-            let attainable: f64 = vars.iter().map(|&(qi, _)| scen[qi].prob).sum();
-            let rhs = (beta - problem.unaffecting_mass(f)).min(attainable * (1.0 - 1e-12));
-            let terms: Vec<(VarId, f64)> =
-                vars.iter().map(|&(qi, v)| (v, scen[qi].prob)).collect();
-            lp.add_constraint(terms, Sense::Ge, rhs);
-            dvars.push(vars);
-        }
+        let (lp, phi, dvars) = self.problem.mip_lp(beta);
         let binaries: Vec<VarId> = dvars.iter().flatten().map(|&(_, v)| v).collect();
         let r = solve_mip(&lp, &binaries, opts);
         self.stats.master_ms += ms_since(t0);
@@ -1434,24 +1375,13 @@ impl SolveCtx<'_, '_, '_> {
         self.stats.lp_solves += r.nodes;
         match r.status {
             MipStatus::Optimal => {}
-            MipStatus::Infeasible => return Err(TeSolveError::Infeasible),
             // Φ ∈ [0, 1] bounds the objective, so Unbounded only arises
             // from a malformed program — report it as infeasibility
             // rather than aborting the controller.
-            MipStatus::Unbounded => return Err(TeSolveError::Infeasible),
-            MipStatus::NodeLimit => {
-                return Err(TeSolveError::BudgetExceeded { nodes: r.nodes })
-            }
+            MipStatus::Infeasible | MipStatus::Unbounded => return Err(TeSolveError::Infeasible),
+            MipStatus::NodeLimit => return Err(TeSolveError::BudgetExceeded { nodes: r.nodes }),
         }
-        let delta: Vec<Vec<usize>> = dvars
-            .iter()
-            .map(|vars| {
-                vars.iter()
-                    .filter(|&&(_, v)| r.x[v.index()] > 0.5)
-                    .map(|&(qi, _)| qi)
-                    .collect()
-            })
-            .collect();
+        let delta = selection(&dvars, &r.x);
         let max_loss = r.x[phi.index()].max(0.0);
         let (allocation, quality) = self.polish(&delta, max_loss)?;
         Ok(TeSolution {
@@ -1565,13 +1495,7 @@ mod tests {
         let (net, flows, tunnels, scenarios) = triangle_problem(&TRIANGLE_PROBS);
         let p = TeProblem::new(&net, &flows, &tunnels, &scenarios);
         let sol = run(&p, 0.999999, SolveMethod::Heuristic);
-        // Recompute per-group load.
-        let mut load = vec![0.0; p.groups.len()];
-        for t in tunnels.tunnels() {
-            for g in p.groups.groups_of_path(&t.path.links) {
-                load[g] += sol.allocation[t.id.index()];
-            }
-        }
+        let load = p.groups.load(tunnels.tunnels(), &sol.allocation);
         for (g, &l) in load.iter().enumerate() {
             assert!(l <= p.groups.capacity(g) + 1e-6, "group {g}: {l}");
         }
@@ -1952,9 +1876,7 @@ mod tests {
 
     /// Every materialized row: scenario 0 plus the affecting scenarios.
     fn all_rows(p: &TeProblem<'_>) -> Vec<Vec<usize>> {
-        (0..p.flows.len())
-            .map(|f| std::iter::once(0).chain(p.affecting(f).iter().copied()).collect())
-            .collect()
+        (0..p.flows.len()).map(|f| p.materialized(f)).collect()
     }
 
     /// (coverage rows, distinct survival classes, ⊆-minimal classes)
@@ -2085,6 +2007,81 @@ mod tests {
             }
         }
         assert!(dead_rows[cases.len() - 1] > 0, "the bridge fiber left no dead class");
+    }
+
+    /// FNV-1a-64 of an LP's JSON form.
+    fn fingerprint(lp: &LinearProgram) -> u64 {
+        let json = serde_json::to_string(lp).expect("an LP serializes");
+        json.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn te_lp_fingerprints_are_pinned() {
+        // Every TE program the solvers see, byte for byte, on the
+        // seed-42 B4 instance at β 0.95 (and min-Φ / polish on TWAN at
+        // β 0.999). A change that moves one of these moves pivots,
+        // figures and goldens: re-bless deliberately.
+        use crate::eval::{AvailabilityEvaluator, EvalConfig};
+        use crate::schemes::{Plan, TeContext, TeaVarScheme};
+        use prete_topology::topologies::{b4, twan};
+        let mut seen = Vec::new();
+        let b4 = Instance::new(b4(), 0.08, 2.0, Some(1), None);
+        let p = b4.problem();
+        let sol = TeSolver::new(&p).beta(0.95).solve().expect("heuristic solves");
+        seen.push(("B4 min-Φ", fingerprint(&p.min_phi_lp(&sol.delta).0)));
+        seen.push(("B4 polish", fingerprint(&p.polish_lp(&sol.delta, sol.max_loss).0)));
+        let sub = BendersLp::new(&p);
+        seen.push(("B4 Benders subproblem", fingerprint(&sub.lp)));
+        let (first, _) = WarmSimplex::new(SimplexOptions::default()).solve_from(&sub.lp, None);
+        let mut master = Master::new(&p, 0.95);
+        master.add_cut(&p, &first, &sub);
+        seen.push(("B4 master, first cut", fingerprint(&master.lp)));
+        seen.push(("B4 exact MIP", fingerprint(&p.mip_lp(0.95).0)));
+        let model = prete_optical::FailureModel::new(&b4.net, 42);
+        let ctx =
+            TeContext { net: &b4.net, model: &model, flows: &b4.flows, base_tunnels: &b4.tunnels };
+        let teavar = TeaVarScheme::new(&model, 0.95);
+        let probs = teavar.estimator.probabilities(&crate::scenario::DegradationState::healthy());
+        let throughput = teavar.throughput_lp(&ctx, &b4.tunnels, &probs);
+        seen.push(("B4 TeaVaR throughput", fingerprint(&throughput.lp)));
+        let truth = crate::estimator::TrueConditionals::ground_truth(&b4.net, &model, 100, 3);
+        let eval = AvailabilityEvaluator::new(
+            &b4.net,
+            &model,
+            b4.flows.clone(),
+            &b4.tunnels,
+            &truth,
+            EvalConfig::default(),
+        );
+        // The recompute LP reads only the plan's tunnels.
+        let plan =
+            Plan { tunnels: b4.tunnels.clone(), allocation: Vec::new(), admitted: Vec::new() };
+        let cut = [prete_topology::FiberId(1)];
+        seen.push(("B4 Flexile recompute", fingerprint(&eval.recompute_lp(&plan, &cut).0)));
+        let cvar = crate::cvar::cvar_lp(&b4.net, &b4.flows, &b4.tunnels, &b4.scenarios, 0.95);
+        seen.push(("B4 CVaR", fingerprint(&cvar.0)));
+        let twan = Instance::new(twan(), 0.08, 1.0, None, None);
+        let p = twan.problem();
+        let sol = TeSolver::new(&p).beta(0.999).solve().expect("heuristic solves");
+        seen.push(("TWAN min-Φ", fingerprint(&p.min_phi_lp(&sol.delta).0)));
+        seen.push(("TWAN polish", fingerprint(&p.polish_lp(&sol.delta, sol.max_loss).0)));
+        let pinned: [(&str, u64); 10] = [
+            ("B4 min-Φ", 0x5ef8_cc06_ca97_e475),
+            ("B4 polish", 0xe4a6_179a_01c2_9aad),
+            ("B4 Benders subproblem", 0xd5ee_e0df_2b9b_6001),
+            ("B4 master, first cut", 0xd083_5b79_cb0f_79bd),
+            ("B4 exact MIP", 0xe2a4_7f67_f75f_c2db),
+            ("B4 TeaVaR throughput", 0xbbc2_7018_ce75_2cd4),
+            ("B4 Flexile recompute", 0xd13b_d2be_e15d_426e),
+            ("B4 CVaR", 0x11d1_f006_bb5c_51d5),
+            ("TWAN min-Φ", 0x109c_663c_7155_26ce),
+            ("TWAN polish", 0x93e0_f6df_804a_61de),
+        ];
+        let got: Vec<String> = seen.iter().map(|(n, h)| format!("{n}: {h:#018x}")).collect();
+        let want: Vec<String> = pinned.iter().map(|(n, h)| format!("{n}: {h:#018x}")).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

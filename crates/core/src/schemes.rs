@@ -16,13 +16,13 @@
 //! [`ReactionModel`].
 
 use crate::algorithm1::{update_tunnels, TunnelUpdateConfig};
-use crate::capacity::CapacityGroups;
+use crate::capacity::{tunnel_sum, CapacityGroups};
 use crate::estimator::ProbabilityEstimator;
 use crate::optimizer::{SolveMethod, TeProblem, TeSolver, DEFAULT_BETA};
 use crate::scenario::{DegradationState, ScenarioSet};
 use prete_lp::{solve, LinearProgram, Sense, SolveStatus, VarId};
 use prete_optical::FailureModel;
-use prete_topology::{FiberId, Flow, Network, TunnelSet};
+use prete_topology::{FiberId, Flow, FlowId, Network, TunnelSet};
 
 /// Shared planning context.
 #[derive(Debug)]
@@ -90,14 +90,9 @@ impl Plan {
         cut: &[FiberId],
     ) -> f64 {
         // Surviving per-group load.
-        let mut load = vec![0.0; groups.len()];
-        for t in self.tunnels.tunnels() {
-            if self.allocation[t.id.index()] > 0.0 && t.survives(net, cut) {
-                for g in groups.groups_of_path(&t.path.links) {
-                    load[g] += self.allocation[t.id.index()];
-                }
-            }
-        }
+        let carrying =
+            self.tunnels.tunnels().iter().filter(|t| self.allocation[t.id.index()] > 0.0);
+        let load = groups.load(carrying.filter(|t| t.survives(net, cut)), &self.allocation);
         let flow_id = flows[f].id;
         let mut total = 0.0;
         for &tid in self.tunnels.of_flow(flow_id) {
@@ -120,13 +115,34 @@ impl Plan {
     /// Allocation lost by flow `f` under `cut` (used by the ARROW
     /// restoration model).
     pub fn killed_allocation(&self, net: &Network, f: usize, flows: &[Flow], cut: &[FiberId]) -> f64 {
-        self.tunnels
-            .of_flow(flows[f].id)
-            .iter()
-            .filter(|&&t| !self.tunnels.tunnel(t).survives(net, cut))
-            .map(|&t| self.allocation[t.index()])
-            .sum()
+        killed(net, &self.tunnels, &self.allocation, flows[f].id, cut)
     }
+}
+
+/// Allocation on `flow`'s tunnels that `cut` kills.
+fn killed(
+    net: &Network,
+    tunnels: &TunnelSet,
+    allocation: &[f64],
+    flow: FlowId,
+    cut: &[FiberId],
+) -> f64 {
+    tunnels
+        .of_flow(flow)
+        .iter()
+        .filter(|&&t| !tunnels.tunnel(t).survives(net, cut))
+        .map(|&t| allocation[t.index()])
+        .sum()
+}
+
+/// The per-fiber probabilities a scheme plans with: `probs_override`
+/// when given, else `estimator`'s for `state`.
+fn beliefs(
+    estimator: &ProbabilityEstimator,
+    state: &DegradationState,
+    probs_override: Option<&[f64]>,
+) -> Vec<f64> {
+    probs_override.map_or_else(|| estimator.probabilities(state), <[f64]>::to_vec)
 }
 
 /// A TE scheme: computes plans and declares its reaction behaviour.
@@ -229,8 +245,8 @@ impl FfcScheme {
 
 /// Shared helper: LP maximizing Σ b_f subject to trunk capacities and a
 /// set of per-flow survival rows. Returns (allocation, admitted).
-struct ThroughputLp<'p> {
-    lp: LinearProgram,
+pub(crate) struct ThroughputLp<'p> {
+    pub(crate) lp: LinearProgram,
     a_vars: Vec<VarId>,
     b_vars: Vec<VarId>,
     ctx: &'p TeContext<'p>,
@@ -240,8 +256,7 @@ struct ThroughputLp<'p> {
 impl<'p> ThroughputLp<'p> {
     fn new(ctx: &'p TeContext<'p>, tunnels: &'p TunnelSet, groups: &CapacityGroups) -> Self {
         let mut lp = LinearProgram::new();
-        let a_vars: Vec<VarId> =
-            (0..tunnels.len()).map(|_| lp.var_nonneg(0.0)).collect();
+        let a_vars: Vec<VarId> = (0..tunnels.len()).map(|_| lp.var_nonneg(0.0)).collect();
         // maximize Σ b_f → minimize -Σ b_f.
         let b_vars: Vec<VarId> = ctx
             .flows
@@ -264,28 +279,14 @@ impl<'p> ThroughputLp<'p> {
                 );
             }
         }
-        let mut group_terms: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); groups.len()];
-        for t in tunnels.tunnels() {
-            for g in groups.groups_of_path(&t.path.links) {
-                group_terms[g].push((a_vars[t.id.index()], 1.0));
-            }
-        }
-        for (g, terms) in group_terms.into_iter().enumerate() {
-            lp.add_constraint(terms, Sense::Le, groups.capacity(g));
-        }
+        groups.add_rows(&mut lp, &a_vars, tunnels.tunnels());
         Self { lp, a_vars, b_vars, ctx, tunnels }
     }
 
     /// Adds `Σ_{t surviving cut} a_t ≥ b_f`.
     fn add_survival_row(&mut self, f: usize, cut: &[FiberId]) {
-        let flow_id = self.ctx.flows[f].id;
-        let mut terms: Vec<(VarId, f64)> = self
-            .tunnels
-            .of_flow(flow_id)
-            .iter()
-            .filter(|&&t| self.tunnels.tunnel(t).survives(self.ctx.net, cut))
-            .map(|&t| (self.a_vars[t.index()], 1.0))
-            .collect();
+        let surviving = self.tunnels.surviving(self.ctx.net, self.ctx.flows[f].id, cut);
+        let mut terms = tunnel_sum(&self.a_vars, &surviving);
         terms.push((self.b_vars[f], -1.0));
         self.lp.add_constraint(terms, Sense::Ge, 0.0);
     }
@@ -355,9 +356,8 @@ impl TeScheme for FfcScheme {
                     self.k,
                 ) {
                     let surviving: f64 = tunnels
-                        .of_flow(ctx.flows[f].id)
+                        .surviving(ctx.net, ctx.flows[f].id, &cut)
                         .iter()
-                        .filter(|&&t| tunnels.tunnel(t).survives(ctx.net, &cut))
                         .map(|&t| allocation[t.index()])
                         .sum();
                     if surviving + 1e-7 < admitted[f] && added.insert((f, cut.clone())) {
@@ -380,21 +380,13 @@ fn worst_cut(
     net: &Network,
     tunnels: &TunnelSet,
     allocation: &[f64],
-    flow: prete_topology::FlowId,
+    flow: FlowId,
     fibers: &[FiberId],
     k: usize,
 ) -> Option<Vec<FiberId>> {
-    let kill = |cut: &[FiberId]| -> f64 {
-        tunnels
-            .of_flow(flow)
-            .iter()
-            .filter(|&&t| !tunnels.tunnel(t).survives(net, cut))
-            .map(|&t| allocation[t.index()])
-            .sum()
-    };
     let mut best: Option<(f64, Vec<FiberId>)> = None;
     let mut consider = |cut: Vec<FiberId>| {
-        let v = kill(&cut);
+        let v = killed(net, tunnels, allocation, flow, &cut);
         if best.as_ref().map_or(v > 0.0, |(bv, _)| v > *bv) {
             best = Some((v, cut));
         }
@@ -433,7 +425,7 @@ impl TeaVarScheme {
         Self { beta, estimator: ProbabilityEstimator::static_model(model) }
     }
 
-    fn selected_scenarios(&self, probs: &[f64], beta: f64) -> ScenarioSet {
+    fn selected_scenarios(probs: &[f64], beta: f64) -> ScenarioSet {
         let all = ScenarioSet::enumerate(probs, 1, 0.0);
         let mut mass = 0.0;
         let mut kept = Vec::new();
@@ -451,6 +443,25 @@ impl TeaVarScheme {
         // applies to its knapsack rows — and strictly better than
         // aborting the scheme.
         ScenarioSet { scenarios: kept }
+    }
+
+    /// The LP [`plan`](TeScheme::plan) solves: maximize admitted
+    /// bandwidth with a survival row per flow and selected scenario.
+    pub(crate) fn throughput_lp<'p>(
+        &self,
+        ctx: &'p TeContext<'p>,
+        tunnels: &'p TunnelSet,
+        probs: &[f64],
+    ) -> ThroughputLp<'p> {
+        let selected = Self::selected_scenarios(probs, self.beta);
+        let groups = CapacityGroups::build(ctx.net);
+        let mut builder = ThroughputLp::new(ctx, tunnels, &groups);
+        for f in 0..ctx.flows.len() {
+            for q in &selected.scenarios {
+                builder.add_survival_row(f, &q.cut);
+            }
+        }
+        builder
     }
 }
 
@@ -472,19 +483,9 @@ impl TeScheme for TeaVarScheme {
     }
 
     fn plan(&self, ctx: &TeContext<'_>, state: &DegradationState, probs_override: Option<&[f64]>) -> Plan {
-        let probs = probs_override
-            .map(<[f64]>::to_vec)
-            .unwrap_or_else(|| self.estimator.probabilities(state));
-        let selected = self.selected_scenarios(&probs, self.beta);
-        let groups = CapacityGroups::build(ctx.net);
+        let probs = beliefs(&self.estimator, state, probs_override);
         let tunnels = self.tunnels(ctx, state);
-        let mut builder = ThroughputLp::new(ctx, &tunnels, &groups);
-        for f in 0..ctx.flows.len() {
-            for q in &selected.scenarios {
-                builder.add_survival_row(f, &q.cut);
-            }
-        }
-        let (allocation, admitted) = builder.solve();
+        let (allocation, admitted) = self.throughput_lp(ctx, &tunnels, &probs).solve();
         Plan { tunnels, allocation, admitted }
     }
 }
@@ -541,12 +542,9 @@ impl TeScheme for ArrowScheme {
     }
 
     fn plan(&self, ctx: &TeContext<'_>, state: &DegradationState, probs_override: Option<&[f64]>) -> Plan {
-        let probs = probs_override
-            .map(<[f64]>::to_vec)
-            .unwrap_or_else(|| self.estimator.probabilities(state));
+        let probs = beliefs(&self.estimator, state, probs_override);
         // TeaVaR-like selection.
-        let teavar = TeaVarScheme { beta: self.beta, estimator: self.estimator.clone() };
-        let selected = teavar.selected_scenarios(&probs, self.beta);
+        let selected = TeaVarScheme::selected_scenarios(&probs, self.beta);
         let groups = CapacityGroups::build(ctx.net);
         let tunnels = self.tunnels(ctx, state);
         let mut builder = ThroughputLp::new(ctx, &tunnels, &groups);
@@ -626,20 +624,25 @@ impl TeScheme for FlexileScheme {
     }
 
     fn plan(&self, ctx: &TeContext<'_>, state: &DegradationState, probs_override: Option<&[f64]>) -> Plan {
-        let probs = probs_override
-            .map(<[f64]>::to_vec)
-            .unwrap_or_else(|| self.estimator.probabilities(state));
-        let scenarios = ScenarioSet::enumerate(&probs, 1, 0.0);
-        let tunnels = self.tunnels(ctx, state);
-        let problem = TeProblem::new(ctx.net, ctx.flows, &tunnels, &scenarios);
-        let sol = TeSolver::new(&problem)
-            .beta(self.beta)
-            .method(self.method)
-            .solve()
-            .expect("unbudgeted solve");
-        let admitted = ctx.flows.iter().map(|f| f.demand_gbps).collect();
-        Plan { tunnels, allocation: sol.allocation, admitted }
+        let probs = beliefs(&self.estimator, state, probs_override);
+        optimized_plan(ctx, self.tunnels(ctx, state), &probs, self.beta, self.method)
     }
+}
+
+/// A plan from the (2)–(8) optimization over `tunnels` and the single
+/// cuts of `probs`, admitting every demand in full (Flexile, PreTE).
+fn optimized_plan(
+    ctx: &TeContext<'_>,
+    tunnels: TunnelSet,
+    probs: &[f64],
+    beta: f64,
+    method: SolveMethod,
+) -> Plan {
+    let scenarios = ScenarioSet::enumerate(probs, 1, 0.0);
+    let problem = TeProblem::new(ctx.net, ctx.flows, &tunnels, &scenarios);
+    let sol = TeSolver::new(&problem).beta(beta).method(method).solve().expect("unbudgeted solve");
+    let admitted = ctx.flows.iter().map(|f| f.demand_gbps).collect();
+    Plan { tunnels, allocation: sol.allocation, admitted }
 }
 
 // --------------------------------------------------------------- PreTE
@@ -714,20 +717,9 @@ impl TeScheme for PreTeScheme {
     }
 
     fn plan(&self, ctx: &TeContext<'_>, state: &DegradationState, probs_override: Option<&[f64]>) -> Plan {
-        let probs = probs_override
-            .map(<[f64]>::to_vec)
-            .unwrap_or_else(|| self.estimator.probabilities(state));
-        let tunnels = self.tunnels(ctx, state);
+        let probs = beliefs(&self.estimator, state, probs_override);
         // Proactive step: optimize over the enlarged tunnel set.
-        let scenarios = ScenarioSet::enumerate(&probs, 1, 0.0);
-        let problem = TeProblem::new(ctx.net, ctx.flows, &tunnels, &scenarios);
-        let sol = TeSolver::new(&problem)
-            .beta(self.beta)
-            .method(self.method)
-            .solve()
-            .expect("unbudgeted solve");
-        let admitted = ctx.flows.iter().map(|f| f.demand_gbps).collect();
-        Plan { tunnels, allocation: sol.allocation, admitted }
+        optimized_plan(ctx, self.tunnels(ctx, state), &probs, self.beta, self.method)
     }
 }
 
@@ -924,12 +916,7 @@ mod tests {
         let ctx = TeContext { net: &net, model: &model, flows: &flows, base_tunnels: &tunnels };
         let plan = FlexileScheme::new(&model, 0.99).plan(&ctx, &DegradationState::healthy(), None);
         let groups = CapacityGroups::build(&net);
-        let mut load = vec![0.0; groups.len()];
-        for t in plan.tunnels.tunnels() {
-            for g in groups.groups_of_path(&t.path.links) {
-                load[g] += plan.allocation[t.id.index()];
-            }
-        }
+        let load = groups.load(plan.tunnels.tunnels(), &plan.allocation);
         for (g, &l) in load.iter().enumerate() {
             assert!(l <= groups.capacity(g) + 1e-6, "group {g}: {l}");
         }

@@ -210,30 +210,11 @@ impl LinearProgram {
         id
     }
 
-    /// Adds a named constraint.
-    pub fn add_named_constraint(
-        &mut self,
-        name: impl Into<String>,
-        terms: Vec<(VarId, f64)>,
-        sense: Sense,
-        rhs: f64,
-    ) -> ConstraintId {
-        let id = self.add_constraint(terms, sense, rhs);
-        self.constraints[id.index()].name = Some(name.into());
-        id
-    }
-
     /// Replaces the right-hand side of an existing constraint (used by
     /// iterative algorithms like Benders that re-solve with new RHS).
     pub fn set_rhs(&mut self, c: ConstraintId, rhs: f64) {
         assert!(rhs.is_finite());
         self.constraints[c.index()].rhs = rhs;
-    }
-
-    /// Replaces the objective coefficient of a variable.
-    pub fn set_objective(&mut self, v: VarId, coeff: f64) {
-        assert!(coeff.is_finite());
-        self.vars[v.index()].objective = coeff;
     }
 
     /// Number of variables.

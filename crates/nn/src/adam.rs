@@ -20,12 +20,6 @@ pub struct Adam {
 }
 
 impl Adam {
-    /// Creates an optimizer for `n` parameters with the paper's
-    /// hyper-parameters (lr 1e-3, L2 2e-4).
-    pub fn paper_defaults(n: usize) -> Self {
-        Self::new(n, 1e-3, 2e-4)
-    }
-
     /// Creates an optimizer with explicit learning rate and L2 decay.
     pub fn new(n: usize, lr: f64, l2: f64) -> Self {
         assert!(lr > 0.0 && l2 >= 0.0);

@@ -59,11 +59,6 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// A mutable row.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// Flat data access (for the optimizer).
     pub fn data(&self) -> &[f64] {
         &self.data

@@ -289,16 +289,6 @@ impl TelemetrySnapshot {
         }
         out
     }
-
-    /// Total SLO alerts across all tenants.
-    pub fn total_alerts(&self) -> usize {
-        self.tenants.iter().map(|t| t.alerts.len()).sum()
-    }
-
-    /// Total anomalies across all tenants.
-    pub fn total_anomalies(&self) -> usize {
-        self.tenants.iter().map(|t| t.anomalies.len()).sum()
-    }
 }
 
 #[cfg(test)]

@@ -388,15 +388,6 @@ impl TimeSeries {
                 .collect(),
         }
     }
-
-    /// The most recent window aggregate at the given level width, if
-    /// that level exists and has data.
-    pub fn latest_window(&self, width: u64) -> Option<WindowSnapshot> {
-        self.levels
-            .iter()
-            .find(|l| l.width == width)
-            .and_then(|l| l.windows.iter().next_back().map(|(&s, a)| a.snapshot(s, width)))
-    }
 }
 
 /// Serializable rollup level: every retained window at one width.
@@ -695,16 +686,6 @@ mod tests {
         assert_eq!(ab.snapshot(), ba.snapshot());
         assert_eq!(ab.len(), 3);
         assert_eq!(ab.get("y").unwrap().len(), 2);
-    }
-
-    #[test]
-    fn latest_window_reads_the_newest_aggregate() {
-        let s = series_with(&[(0, 1.0), (40, 2.0), (41, 6.0)]);
-        let w = s.latest_window(32).unwrap();
-        assert_eq!(w.start_epoch, 32);
-        assert_eq!(w.count, 2);
-        assert_eq!(w.max, 6.0);
-        assert!(s.latest_window(99).is_none());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! are appended with [`TunnelSet::add_reactive`].
 
 use crate::graph::Network;
-use crate::ids::{FiberId, FlowId, LinkId, TunnelId};
+use crate::ids::{FiberId, FlowId, TunnelId};
 use crate::paths::{Path, PathFinder, DISJOINT_SEEDS};
 use crate::traffic::Flow;
 
@@ -37,12 +37,6 @@ pub struct Tunnel {
 }
 
 impl Tunnel {
-    /// The indicator `L(t, e)` of Table 2: 1 iff this tunnel uses IP
-    /// link `e`.
-    pub fn uses_link(&self, e: LinkId) -> bool {
-        self.path.links.contains(&e)
-    }
-
     /// Whether the tunnel traverses fiber `f` (and is therefore lost
     /// when `f` is cut).
     pub fn uses_fiber(&self, net: &Network, f: FiberId) -> bool {
