@@ -164,7 +164,6 @@ impl FeatureEncoder {
     }
 
     fn fit_inner(train: &[&DegradationEvent], mask: FeatureMask) -> FeatureEncoder {
-        assert!(!train.is_empty(), "cannot fit encoder on empty training set");
         FeatureEncoder {
             degree: Range::fit(train.iter().map(|e| e.features.degree_db)),
             gradient: Range::fit(train.iter().map(|e| e.features.gradient_db)),

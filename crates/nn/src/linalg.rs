@@ -30,28 +30,11 @@ impl Matrix {
         m
     }
 
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Element access.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f64 {
         debug_assert!(r < self.rows && c < self.cols);
         self.data[r * self.cols + c]
-    }
-
-    /// Mutable element access.
-    #[inline]
-    pub fn get_mut(&mut self, r: usize, c: usize) -> &mut f64 {
-        debug_assert!(r < self.rows && c < self.cols);
-        &mut self.data[r * self.cols + c]
     }
 
     /// A row as a slice.
@@ -69,42 +52,20 @@ impl Matrix {
         &mut self.data
     }
 
-    /// `y = W x` for a column vector `x` (len = cols).
-    pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.cols);
-        (0..self.rows)
-            .map(|r| {
-                self.row(r)
-                    .iter()
-                    .zip(x)
-                    .map(|(&w, &xi)| w * xi)
-                    .sum()
-            })
-            .collect()
-    }
-
-    /// `y = Wᵀ x` for a column vector `x` (len = rows).
-    pub fn matvec_t(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.rows);
-        let mut y = vec![0.0; self.cols];
-        for (r, &xr) in x.iter().enumerate() {
-            if xr == 0.0 {
-                continue;
-            }
-            for (c, yi) in y.iter_mut().enumerate() {
-                *yi += self.get(r, c) * xr;
-            }
-        }
-        y
+    /// The transpose.
+    pub fn transpose(&self) -> Matrix {
+        Matrix::from_fn(self.cols, self.rows, |r, c| self.get(c, r))
     }
 }
 
-/// Numerically stable softmax.
-pub fn softmax(x: &[f64]) -> Vec<f64> {
-    let m = x.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<f64> = x.iter().map(|&v| (v - m).exp()).collect();
-    let s: f64 = exps.iter().sum();
-    exps.into_iter().map(|e| e / s).collect()
+/// Numerically stable two-class softmax: the max folds from −∞ and the
+/// sum from the neutral element of `Iterator::sum`, as the `n`-class
+/// form does.
+pub fn softmax(x: [f64; 2]) -> [f64; 2] {
+    let m = x.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
+    let e = x.map(|v| (v - m).exp());
+    let s: f64 = e.iter().sum();
+    e.map(|v| v / s)
 }
 
 #[cfg(test)]
@@ -112,30 +73,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn matvec_identity() {
-        let i = Matrix::from_fn(3, 3, |r, c| if r == c { 1.0 } else { 0.0 });
-        assert_eq!(i.matvec(&[1.0, 2.0, 3.0]), vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn matvec_rectangular() {
-        // [[1,2,3],[4,5,6]] * [1,1,1] = [6,15]
+    fn transpose_swaps_indices() {
         let m = Matrix::from_fn(2, 3, |r, c| (r * 3 + c + 1) as f64);
-        assert_eq!(m.matvec(&[1.0, 1.0, 1.0]), vec![6.0, 15.0]);
-        // transpose: [1,1] * M = [5,7,9]
-        assert_eq!(m.matvec_t(&[1.0, 1.0]), vec![5.0, 7.0, 9.0]);
+        let t = m.transpose();
+        assert_eq!(t.row(2), &[3.0, 6.0]);
+        assert_eq!(t.transpose(), m);
     }
 
     #[test]
     fn softmax_sums_to_one_and_orders() {
-        let p = softmax(&[1.0, 2.0, 3.0]);
+        let p = softmax([1.0, 2.0]);
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!(p[2] > p[1] && p[1] > p[0]);
+        assert!(p[1] > p[0]);
     }
 
     #[test]
     fn softmax_stable_under_large_inputs() {
-        let p = softmax(&[1000.0, 1001.0]);
+        let p = softmax([1000.0, 1001.0]);
         assert!(p.iter().all(|v| v.is_finite()));
         assert!((p[1] - 1.0 / (1.0 + (-1.0f64).exp())).abs() < 1e-12);
     }

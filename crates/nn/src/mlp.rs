@@ -62,14 +62,45 @@ impl Default for TrainConfig {
 #[derive(Debug, Clone)]
 pub struct Mlp {
     encoder: FeatureEncoder,
+    /// Input-major: row `c` holds input `c`'s weight into every hidden
+    /// unit, so one input is one contiguous AXPY.
     w1: Matrix,
     b1: Vec<f64>,
     w2: Matrix,
     b2: Vec<f64>,
     region_emb: Matrix,
     fiber_emb: Matrix,
-    d_in: usize,
 }
+
+/// First column of the vendor one-hot.
+const VENDOR0: usize = 4 + HOURS;
+/// Most nonzero inputs one event has: four continuous features, one
+/// hour and one vendor bit, and the two embeddings.
+const MAX_NONZEROS: usize = 4 + 1 + 1 + REGION_EMB + FIBER_EMB;
+
+/// The nonzero entries of one input vector, `(column, value)` in
+/// ascending column order.
+struct Inputs {
+    len: usize,
+    at: [(usize, f64); MAX_NONZEROS],
+}
+
+impl Inputs {
+    fn push(&mut self, col: usize, value: f64) {
+        if value != 0.0 {
+            self.at[self.len] = (col, value);
+            self.len += 1;
+        }
+    }
+
+    fn as_slice(&self) -> &[(usize, f64)] {
+        &self.at[..self.len]
+    }
+}
+
+/// One gradient buffer per parameter tensor, in [`Mlp::params_mut`]
+/// order.
+type Grads = [Vec<f64>; 6];
 
 impl Mlp {
     /// Trains a network on the given training events.
@@ -101,17 +132,16 @@ impl Mlp {
         let encoder = FeatureEncoder::fit_recorded(train, cfg.mask, obs);
         obs.gauge("nn.train_samples", train.len() as f64);
         obs.gauge("nn.positives", pos as f64);
-        let d_in = 4 + HOURS + encoder.n_vendors + REGION_EMB + FIBER_EMB;
+        let d_in = VENDOR0 + encoder.n_vendors + REGION_EMB + FIBER_EMB;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut model = Mlp {
-            w1: xavier(cfg.hidden, d_in, &mut rng),
+            w1: xavier(cfg.hidden, d_in, &mut rng).transpose(),
             b1: vec![0.0; cfg.hidden],
             w2: xavier(2, cfg.hidden, &mut rng),
             b2: vec![0.0; 2],
             region_emb: xavier(encoder.n_regions, REGION_EMB, &mut rng),
             fiber_emb: xavier(encoder.n_fibers, FIBER_EMB, &mut rng),
             encoder,
-            d_in,
         };
 
         // Oversample the minority class to equilibrium (Appendix A.2).
@@ -131,13 +161,9 @@ impl Mlp {
             indices.push(*minority.choose(&mut rng).expect("non-empty minority"));
         }
 
-        let mut opt_w1 = Adam::new(model.w1.data().len(), cfg.lr, cfg.l2);
-        let mut opt_b1 = Adam::new(model.b1.len(), cfg.lr, cfg.l2);
-        let mut opt_w2 = Adam::new(model.w2.data().len(), cfg.lr, cfg.l2);
-        let mut opt_b2 = Adam::new(model.b2.len(), cfg.lr, cfg.l2);
-        let mut opt_re = Adam::new(model.region_emb.data().len(), cfg.lr, cfg.l2);
-        let mut opt_fe = Adam::new(model.fiber_emb.data().len(), cfg.lr, cfg.l2);
-
+        let mut opts = model.params_mut().map(|p| Adam::new(p.len(), cfg.lr, cfg.l2));
+        let mut grads: Grads = model.params_mut().map(|p| vec![0.0; p.len()]);
+        let (mut h, mut dz1) = (vec![0.0; cfg.hidden], vec![0.0; cfg.hidden]);
         let encoded: Vec<(Encoded, bool)> = train
             .iter()
             .map(|e| (model.encoder.encode(e), e.led_to_cut))
@@ -146,26 +172,17 @@ impl Mlp {
         for _epoch in 0..cfg.epochs {
             indices.shuffle(&mut rng);
             for chunk in indices.chunks(cfg.batch) {
-                let mut g_w1 = vec![0.0; model.w1.data().len()];
-                let mut g_b1 = vec![0.0; model.b1.len()];
-                let mut g_w2 = vec![0.0; model.w2.data().len()];
-                let mut g_b2 = vec![0.0; model.b2.len()];
-                let mut g_re = vec![0.0; model.region_emb.data().len()];
-                let mut g_fe = vec![0.0; model.fiber_emb.data().len()];
+                for g in &mut grads {
+                    g.fill(0.0);
+                }
                 let scale = 1.0 / chunk.len() as f64;
                 for &i in chunk {
                     let (enc, label) = &encoded[i];
-                    model.backward(
-                        enc, *label, scale, &mut g_w1, &mut g_b1, &mut g_w2, &mut g_b2,
-                        &mut g_re, &mut g_fe,
-                    );
+                    model.accumulate(enc, *label, scale, &mut h, &mut dz1, &mut grads);
                 }
-                opt_w1.step(model.w1.data_mut(), &g_w1);
-                opt_b1.step(&mut model.b1, &g_b1);
-                opt_w2.step(model.w2.data_mut(), &g_w2);
-                opt_b2.step(&mut model.b2, &g_b2);
-                opt_re.step(model.region_emb.data_mut(), &g_re);
-                opt_fe.step(model.fiber_emb.data_mut(), &g_fe);
+                for ((opt, params), g) in opts.iter_mut().zip(model.params_mut()).zip(&grads) {
+                    opt.step(params, g);
+                }
             }
         }
         obs.event_with("nn-trained", || {
@@ -179,105 +196,140 @@ impl Mlp {
         model
     }
 
-    /// Assembles the input vector for an encoded event.
-    fn input(&self, e: &Encoded) -> Vec<f64> {
-        let mut x = vec![0.0; self.d_in];
-        x[..4].copy_from_slice(&e.cont);
-        if self.encoder.mask.time {
-            x[4 + e.hour] = 1.0;
+    /// The parameter tensors, flat: W1, b1, W2, b2, region and fiber
+    /// embeddings.
+    fn params_mut(&mut self) -> [&mut [f64]; 6] {
+        [
+            self.w1.data_mut(),
+            &mut self.b1,
+            self.w2.data_mut(),
+            &mut self.b2,
+            self.region_emb.data_mut(),
+            self.fiber_emb.data_mut(),
+        ]
+    }
+
+    /// First columns of the region and fiber-ID embeddings.
+    fn embedding_columns(&self) -> (usize, usize) {
+        let r0 = VENDOR0 + self.encoder.n_vendors;
+        (r0, r0 + REGION_EMB)
+    }
+
+    /// The nonzero inputs of an encoded event: continuous features, the
+    /// hour and vendor bits and the embedding entries its mask keeps.
+    fn inputs(&self, e: &Encoded) -> Inputs {
+        let mask = self.encoder.mask;
+        let (r0, f0) = self.embedding_columns();
+        let mut x = Inputs { len: 0, at: [(0, 0.0); MAX_NONZEROS] };
+        for (c, &v) in e.cont.iter().enumerate() {
+            x.push(c, v);
         }
-        let v0 = 4 + HOURS;
-        if self.encoder.mask.vendor {
-            x[v0 + e.vendor] = 1.0;
+        if mask.time {
+            x.push(4 + e.hour, 1.0);
         }
-        let r0 = v0 + self.encoder.n_vendors;
-        if self.encoder.mask.region {
-            x[r0..r0 + REGION_EMB].copy_from_slice(self.region_emb.row(e.region));
+        if mask.vendor {
+            x.push(VENDOR0 + e.vendor, 1.0);
         }
-        let f0 = r0 + REGION_EMB;
-        if self.encoder.mask.fiber_id {
-            x[f0..f0 + FIBER_EMB].copy_from_slice(self.fiber_emb.row(e.fiber));
+        if mask.region {
+            for (k, &v) in self.region_emb.row(e.region).iter().enumerate() {
+                x.push(r0 + k, v);
+            }
+        }
+        if mask.fiber_id {
+            for (k, &v) in self.fiber_emb.row(e.fiber).iter().enumerate() {
+                x.push(f0 + k, v);
+            }
         }
         x
     }
 
-    /// Forward pass returning (input, hidden pre-activation, hidden
-    /// activation, class probabilities).
-    fn forward(&self, e: &Encoded) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>) {
-        let x = self.input(e);
-        let mut z1 = self.w1.matvec(&x);
-        for (z, b) in z1.iter_mut().zip(&self.b1) {
-            *z += b;
+    /// Forward pass: hidden activations into `h`, class probabilities
+    /// out.
+    ///
+    /// Every hidden unit sums its inputs in ascending column order from
+    /// `-0.0`, the neutral element `Iterator::sum` folds from, so it
+    /// makes the dense dot product's additions in the dense order minus
+    /// the `w · 0` terms. Those change no nonzero partial sum, and
+    /// adding `b1` (never `-0.0`) makes a zero one `+0.0` either way:
+    /// every activation and probability is bit-identical to the dense
+    /// product's.
+    fn forward(&self, x: &[(usize, f64)], h: &mut [f64]) -> [f64; 2] {
+        h.fill(-0.0);
+        for &(c, v) in x {
+            for (z, &w) in h.iter_mut().zip(self.w1.row(c)) {
+                *z += w * v;
+            }
         }
-        let h: Vec<f64> = z1.iter().map(|&z| z.max(0.0)).collect();
-        let mut z2 = self.w2.matvec(&h);
-        for (z, b) in z2.iter_mut().zip(&self.b2) {
-            *z += b;
+        for (z, &b) in h.iter_mut().zip(&self.b1) {
+            *z = (*z + b).max(0.0);
         }
-        let p = softmax(&z2);
-        (x, z1, h, p)
+        let z2 = [0, 1].map(|k| {
+            self.w2.row(k).iter().zip(&*h).map(|(&w, &a)| w * a).sum::<f64>() + self.b2[k]
+        });
+        softmax(z2)
     }
 
-    /// Accumulates gradients of the NLL loss for one sample.
-    #[allow(clippy::too_many_arguments)]
-    fn backward(
+    /// Accumulates the NLL gradients of one sample into `grads`, with
+    /// `h` and `dz1` as scratch.
+    ///
+    /// A unit the ReLU gates off has `dz1 = 0`; its zero terms leave
+    /// gradients that start at `+0.0` unchanged bit for bit, so the
+    /// AXPYs over the hidden units need no branch.
+    fn accumulate(
         &self,
         e: &Encoded,
         label: bool,
         scale: f64,
-        g_w1: &mut [f64],
-        g_b1: &mut [f64],
-        g_w2: &mut [f64],
-        g_b2: &mut [f64],
-        g_re: &mut [f64],
-        g_fe: &mut [f64],
+        h: &mut [f64],
+        dz1: &mut [f64],
+        grads: &mut Grads,
     ) {
-        let (x, z1, h, p) = self.forward(e);
-        let y = usize::from(label);
+        let x = self.inputs(e);
+        let mut dz2 = self.forward(x.as_slice(), h);
+        let [g_w1, g_b1, g_w2, g_b2, g_re, g_fe] = grads;
         // dL/dz2 = p - onehot(y)
-        let mut dz2 = p;
-        dz2[y] -= 1.0;
+        dz2[usize::from(label)] -= 1.0;
         for d in dz2.iter_mut() {
             *d *= scale;
         }
         let hidden = h.len();
         for (k, &d) in dz2.iter().enumerate() {
             g_b2[k] += d;
-            for j in 0..hidden {
-                g_w2[k * hidden + j] += d * h[j];
+            for (g, &a) in g_w2[k * hidden..(k + 1) * hidden].iter_mut().zip(&*h) {
+                *g += d * a;
             }
         }
-        // dL/dh = W2ᵀ dz2, gated by ReLU.
-        let dh = self.w2.matvec_t(&dz2);
-        let dz1: Vec<f64> = dh
-            .iter()
-            .zip(&z1)
-            .map(|(&d, &z)| if z > 0.0 { d } else { 0.0 })
-            .collect();
-        for (k, &d) in dz1.iter().enumerate() {
-            if d == 0.0 {
-                continue;
-            }
-            g_b1[k] += d;
-            for (j, &xj) in x.iter().enumerate() {
-                if xj != 0.0 {
-                    g_w1[k * self.d_in + j] += d * xj;
+        // dL/dh = W2ᵀ dz2 (from +0.0, skipping a zero dz2 entry), gated
+        // by the ReLU: h > 0 exactly where its pre-activation was.
+        for (k, dz) in dz1.iter_mut().enumerate() {
+            *dz = 0.0;
+            if h[k] > 0.0 {
+                for (r, &d) in dz2.iter().enumerate() {
+                    if d != 0.0 {
+                        *dz += self.w2.get(r, k) * d;
+                    }
                 }
             }
         }
-        // dL/dx → embedding rows.
-        let dx = self.w1.matvec_t(&dz1);
-        let v0 = 4 + HOURS;
-        let r0 = v0 + self.encoder.n_vendors;
-        let f0 = r0 + REGION_EMB;
+        for (g, &d) in g_b1.iter_mut().zip(&*dz1) {
+            *g += d;
+        }
+        for &(c, v) in x.as_slice() {
+            for (g, &d) in g_w1[c * hidden..(c + 1) * hidden].iter_mut().zip(&*dz1) {
+                *g += d * v;
+            }
+        }
+        // dL/dx = W1ᵀ dz1, needed only at the embedding columns.
+        let dx = |c: usize| self.w1.row(c).iter().zip(&*dz1).fold(0.0, |s, (&w, &d)| s + w * d);
+        let (r0, f0) = self.embedding_columns();
         if self.encoder.mask.region {
             for k in 0..REGION_EMB {
-                g_re[e.region * REGION_EMB + k] += dx[r0 + k];
+                g_re[e.region * REGION_EMB + k] += dx(r0 + k);
             }
         }
         if self.encoder.mask.fiber_id {
             for k in 0..FIBER_EMB {
-                g_fe[e.fiber * FIBER_EMB + k] += dx[f0 + k];
+                g_fe[e.fiber * FIBER_EMB + k] += dx(f0 + k);
             }
         }
     }
@@ -290,9 +342,8 @@ impl Mlp {
 
 impl Predictor for Mlp {
     fn predict_proba(&self, event: &DegradationEvent) -> f64 {
-        let enc = self.encoder.encode(event);
-        let (_, _, _, p) = self.forward(&enc);
-        p[1]
+        let x = self.inputs(&self.encoder.encode(event));
+        self.forward(x.as_slice(), &mut vec![0.0; self.b1.len()])[1]
     }
 }
 
@@ -399,6 +450,52 @@ mod tests {
         a.features.degree_db = 3.0;
         b.features.degree_db = 10.0;
         assert_eq!(model.predict_proba(&a), model.predict_proba(&b));
+    }
+
+    /// FNV-1a-64 over the bits of every predicted probability.
+    fn proba_digest(model: &Mlp, events: &[DegradationEvent]) -> u64 {
+        events
+            .iter()
+            .flat_map(|e| model.predict_proba(e).to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    #[test]
+    fn mlp_training_is_pinned() {
+        // The react-twan set-up's training, scored on every event
+        // (train and held out) of its simulated year.
+        let net = prete_topology::topologies::twan();
+        let failures = prete_optical::FailureModel::new(&net, 42);
+        let year = prete_optical::Dataset::generate(
+            &net,
+            &failures,
+            prete_optical::DatasetConfig::one_year(7),
+        );
+        let (train, _held_out) = year.train_test_split(0.8);
+        let model = Mlp::train(&train, TrainConfig { seed: 1, ..Default::default() });
+        let mut digests = vec![("twan", proba_digest(&model, &year.events))];
+        // Every Table 8 mask on the toy task.
+        let events = toy_events(160, 7);
+        let refs: Vec<&DegradationEvent> = events.iter().collect();
+        let masks = ["time", "degree", "gradient", "fluctuation", "region", "fiber_id", "vendor"]
+            .map(|f| (f, FeatureMask::without(f)));
+        for (name, mask) in std::iter::once(("all", FeatureMask::ALL)).chain(masks) {
+            let cfg = TrainConfig { epochs: 4, seed: 3, mask, ..Default::default() };
+            digests.push((name, proba_digest(&Mlp::train(&refs, cfg), &events)));
+        }
+        // Captured on the dense layout this kernel replaced.
+        let expected = [
+            ("twan", 0x2955d9e025904afc),
+            ("all", 0x4392a6aeca39e8ad),
+            ("time", 0x523f4b757c7a52f9),
+            ("degree", 0xd2d22f1c30cfad8d),
+            ("gradient", 0x0f8738e88f88147c),
+            ("fluctuation", 0x962a41f0247c73a0),
+            ("region", 0x8e40656cbb442736),
+            ("fiber_id", 0x17747eef738e3960),
+            ("vendor", 0x9cdce6e282624bd6),
+        ];
+        assert_eq!(digests, expected);
     }
 
     #[test]
