@@ -12,7 +12,6 @@
 #![warn(missing_docs)]
 
 pub mod availability;
-pub mod chaos;
 pub mod example3node;
 pub mod granularity;
 pub mod measurement;

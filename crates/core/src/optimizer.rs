@@ -239,9 +239,8 @@ fn strict_subset(a: &[TunnelId], b: &[TunnelId]) -> bool {
 
 /// A solved TE policy.
 ///
-/// Serializable (and comparable) so a controller checkpoint can carry
-/// its last-known-good policy across a crash; the float fields are
-/// finite in any solution a solver returns, so `PartialEq` is exact.
+/// Serializable and comparable; the float fields are finite in any
+/// solution a solver returns, so `PartialEq` is exact.
 #[must_use]
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TeSolution {
@@ -258,8 +257,7 @@ pub struct TeSolution {
     pub benders_iters: usize,
     /// KKT certificate of the allocation LP this policy came from
     /// (`None` for the exact-MIP path, whose allocation is certified
-    /// per node relaxation instead). `Option`, so pre-certification
-    /// checkpoints (which lack the key) still deserialize.
+    /// per node relaxation instead).
     pub quality: Option<prete_lp::SolutionQuality>,
 }
 
@@ -405,8 +403,7 @@ impl SolverStats {
         self.cold_start = other.cold_start;
     }
 
-    /// Total deterministic solver work-units for this solve: the same
-    /// definition the fleet budgets rounds with
+    /// Total deterministic solver work-units for this solve
     /// (pivots + lp_solves + mip_nodes + benders_iters +
     /// rhs_resolves) — never wall clock.
     pub fn work_units(&self) -> u64 {
@@ -712,10 +709,8 @@ impl<'p, 'a, 'c> TeSolver<'p, 'a, 'c> {
 /// Deterministic work budget for a fallible TE solve.
 ///
 /// Budgets are expressed in solver work units — branch-and-bound nodes
-/// and Benders iterations — rather than wall-clock time, so a replay
-/// with a fixed fault plan produces bit-identical results on any
-/// machine. The controller converts its wall-clock deadline into work
-/// units once, up front, via its latency model.
+/// and Benders iterations — rather than wall-clock time, so a budgeted
+/// solve produces bit-identical results on any machine.
 #[must_use]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, serde::Deserialize)]
 pub struct SolveBudget {
@@ -728,15 +723,6 @@ pub struct SolveBudget {
 impl Default for SolveBudget {
     fn default() -> Self {
         Self { max_mip_nodes: 100_000, max_benders_iters: 50 }
-    }
-}
-
-impl SolveBudget {
-    /// A budget that is already spent — every budgeted solve fails
-    /// immediately with [`TeSolveError::BudgetExceeded`]. Used by fault
-    /// injection to model a solver that cannot meet its deadline.
-    pub fn exhausted() -> Self {
-        Self { max_mip_nodes: 0, max_benders_iters: 0 }
     }
 }
 

@@ -88,7 +88,7 @@ pub enum ColdStart {
 // The numerical tolerances of the simplex engine and its oracle, in
 // one place: every threshold the factorization, pricing, ratio-test,
 // certification and scaling code compares against. Every pivot
-// sequence, golden and checkpoint depends on these exact values. All
+// sequence and golden depends on these exact values. All
 // but the two limits are dimensionless thresholds in `(0, 1)`.
 
 /// Numerical tolerance for reduced costs / pivots / feasibility.
@@ -527,9 +527,6 @@ pub struct Basis {
     cols: Vec<usize>,
     signature: u64,
     /// Nonbasic-at-upper-bound flags, one per engine column.
-    /// Pre-bounds snapshots lack the field and fail to decode — the
-    /// checkpoint layer versions its snapshots (`CHECKPOINT_VERSION`),
-    /// so stale ones are rebuilt from the journal instead of restored.
     at_upper: Vec<bool>,
 }
 

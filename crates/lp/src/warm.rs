@@ -13,8 +13,8 @@
 //! tracked by a logical access counter (not wall clock), so eviction
 //! order is a pure function of the operation sequence — two replays
 //! that perform the same lookups and stores evict the same keys, and a
-//! [`BasisCacheSnapshot`] restore resumes the exact recency stream a
-//! crash interrupted.
+//! [`BasisCacheSnapshot`] restore resumes the exact recency stream of
+//! the cache it was taken from.
 
 use crate::simplex::Basis;
 use std::collections::HashMap;
@@ -156,7 +156,7 @@ impl BasisCache {
     }
 
     /// Captures the complete cache state (entries sorted by key so the
-    /// serialized form is canonical) for checkpointing. Recency and
+    /// serialized form is canonical). Recency and
     /// the eviction bookkeeping are part of the snapshot: a restored
     /// cache must evict the same keys the original would have.
     pub fn snapshot(&self) -> BasisCacheSnapshot {
@@ -179,8 +179,8 @@ impl BasisCache {
     /// Replaces this cache's state with a snapshot. Counters, the
     /// logical clock and per-entry recency are restored too:
     /// downstream solver stats fold in `hits`/`misses`/`evictions`,
-    /// and eviction order must resume the exact stream a crash
-    /// interrupted.
+    /// and eviction order must resume the exact stream of the
+    /// snapshotted cache.
     pub fn restore(&mut self, snap: &BasisCacheSnapshot) {
         self.map = snap
             .entries

@@ -51,24 +51,15 @@ pub trait Predictor {
     }
 }
 
-/// Why a prediction could not be used by the controller.
-///
-/// In production the inference service is a separate process reached
-/// over RPC: it can return garbage (NaN from an overflowed softmax,
-/// values outside `[0, 1]` from a stale calibration layer), miss its
-/// latency budget, or be down entirely. The controller must treat all
-/// four the same way — fall back to the static prior — so they share
-/// one error type.
+/// Why a prediction could not be used by the controller: the model
+/// returned NaN (an overflowed softmax) or a value outside `[0, 1]`.
+/// The controller treats both alike and falls back to the static prior.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PredictError {
     /// The model produced NaN or an infinity.
     NonFinite,
     /// The model produced a finite value outside `[0, 1]`.
     OutOfRange,
-    /// Inference finished but blew the caller's latency budget.
-    LatencyExceeded,
-    /// The predictor is unreachable (RPC failure, crashed process).
-    Unavailable,
 }
 
 impl std::fmt::Display for PredictError {
@@ -76,8 +67,6 @@ impl std::fmt::Display for PredictError {
         let s = match self {
             PredictError::NonFinite => "predictor returned a non-finite probability",
             PredictError::OutOfRange => "predictor returned a probability outside [0, 1]",
-            PredictError::LatencyExceeded => "inference exceeded its latency budget",
-            PredictError::Unavailable => "predictor unavailable",
         };
         f.write_str(s)
     }
@@ -85,29 +74,15 @@ impl std::fmt::Display for PredictError {
 
 impl std::error::Error for PredictError {}
 
-/// A validated prediction together with the (modelled) inference time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Prediction {
-    /// Probability of failure, guaranteed finite and in `[0, 1]`.
-    pub p_cut: f64,
-    /// Modelled inference latency in milliseconds (0 when the caller
-    /// does its own latency accounting).
-    pub latency_ms: f64,
-}
-
-/// Fallible prediction surface used by robustness-aware callers.
-///
-/// Every infallible [`Predictor`] is trivially a `TryPredictor` whose
-/// output is validated for finiteness and range; fault-injecting or
-/// RPC-backed predictors implement this trait directly and may return
-/// any [`PredictError`].
+/// Validated prediction: every [`Predictor`] is a `TryPredictor` whose
+/// output is checked for finiteness and range.
 pub trait TryPredictor {
-    /// Predicts, or explains why the result cannot be trusted.
-    fn try_predict_proba(&self, event: &DegradationEvent) -> Result<Prediction, PredictError>;
+    /// The cut probability, or why it cannot be trusted.
+    fn try_predict_proba(&self, event: &DegradationEvent) -> Result<f64, PredictError>;
 }
 
 impl<P: Predictor + ?Sized> TryPredictor for P {
-    fn try_predict_proba(&self, event: &DegradationEvent) -> Result<Prediction, PredictError> {
+    fn try_predict_proba(&self, event: &DegradationEvent) -> Result<f64, PredictError> {
         let p = self.predict_proba(event);
         if !p.is_finite() {
             return Err(PredictError::NonFinite);
@@ -115,6 +90,6 @@ impl<P: Predictor + ?Sized> TryPredictor for P {
         if !(0.0..=1.0).contains(&p) {
             return Err(PredictError::OutOfRange);
         }
-        Ok(Prediction { p_cut: p, latency_ms: 0.0 })
+        Ok(p)
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! "Taming Imbalance and Complexity in WAN TE" shows solver behavior
 //! (pivot counts, cut growth) drifting pathologically as scenario
-//! sets grow; these detectors catch that drift *while the fleet is
-//! running* instead of post-mortem. A [`SolverAnomalyDetector`] folds
+//! sets grow; these detectors catch that drift *while the controllers
+//! run* instead of post-mortem. A [`SolverAnomalyDetector`] folds
 //! one [`SolverSample`] per `(tenant, epoch)` and compares each
 //! statistic against a trailing-window baseline:
 //!
@@ -27,13 +27,13 @@
 //! byte-identical across repeat runs. Every event
 //! carries the offending `(tenant, epoch, stat)` plus the observed
 //! value and baseline, so an operator can jump straight from an alert
-//! to the epoch journal.
+//! to the epoch that fired it.
 
 use std::collections::VecDeque;
 
 use serde::Serialize;
 
-/// One epoch's solver statistics, as fed by the fleet from
+/// One epoch's solver statistics, as fed by the telemetry run from
 /// `SolverStats` (kept as a plain struct so `prete-obs` stays
 /// dependency-free).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -1,14 +1,13 @@
 //! Telemetry snapshot export: Prometheus text format and JSON lines.
 //!
-//! A [`TelemetrySnapshot`] is the wire form of fleet telemetry: one
-//! [`TenantTelemetry`] per tenant (series, SLO status, fired alerts,
-//! anomalies) plus fleet-wide series merged across tenants. Both
+//! A [`TelemetrySnapshot`] is the wire form of multi-tenant telemetry:
+//! one [`TenantTelemetry`] per tenant (series, SLO status, fired
+//! alerts, anomalies) plus the series merged across tenants. Both
 //! renderers are fully deterministic — tenants arrive sorted, series
 //! iterate in name order, SLO kinds in `SloKind::ALL` order — so a
 //! snapshot taken under the logical clock renders byte-identically
-//! across repeat runs. That determinism is load-
-//! bearing: the telemetry binary diffs repeated exports as a
-//! self-check, and CI archives them as artifacts.
+//! across repeat runs; `tests/telemetry.rs` compares two runs'
+//! exports byte for byte.
 //!
 //! The Prometheus renderer follows the text exposition format:
 //! counters/gauges from an optional [`RunReport`], histograms as
@@ -41,12 +40,12 @@ pub struct TenantTelemetry {
     pub anomalies: Vec<AnomalyEvent>,
 }
 
-/// The full fleet telemetry snapshot (see module docs).
+/// The full telemetry snapshot (see module docs).
 #[derive(Debug, Clone, PartialEq, Serialize, Default)]
 pub struct TelemetrySnapshot {
     /// Per-tenant telemetry, sorted by tenant name.
     pub tenants: Vec<TenantTelemetry>,
-    /// Fleet-wide series: the order-independent merge of every
+    /// All-tenant series: the order-independent merge of every
     /// tenant's series (demonstrably identical whatever the merge
     /// order — see `TimeSeries::merge`).
     pub fleet: Vec<NamedSeriesSnapshot>,
@@ -102,7 +101,7 @@ impl TelemetrySnapshot {
     /// JSON-lines export: one self-describing object per line
     /// (`type` ∈ `series` / `slo` / `slo_alert` / `anomaly` /
     /// `counter` / `gauge` / `histogram`), deterministic order.
-    /// Pass the fleet's [`RunReport`] to include its metrics.
+    /// Pass the run's [`RunReport`] to include its metrics.
     pub fn to_jsonl(&self, run: Option<&RunReport>) -> String {
         use serde::Value;
         let mut out = String::new();
@@ -188,7 +187,7 @@ impl TelemetrySnapshot {
     }
 
     /// Prometheus text-exposition export (see module docs). Pass the
-    /// fleet's [`RunReport`] to include its counters, gauges and
+    /// run's [`RunReport`] to include its counters, gauges and
     /// histograms.
     pub fn to_prometheus(&self, run: Option<&RunReport>) -> String {
         let mut out = String::new();

@@ -11,7 +11,7 @@
 //! * **metrics** — monotone counters, last-write gauges and
 //!   fixed-bucket latency histograms (p50/p95/p99/max);
 //! * **events** — a bounded, structured log of pipeline occurrences
-//!   (degradation detected, prediction fired, fallback engaged,
+//!   (degradation detected, prediction fired, degraded mode entered,
 //!   warm-start hit/miss, Benders iteration);
 //! * **run reports** — [`RunReport`], a serde_json export of the span
 //!   tree plus metric snapshots, rendered human-readably by the
@@ -174,9 +174,8 @@ impl Recorder {
     }
 
     /// Attaches a `key = value` annotation to the innermost open span
-    /// (no-op when no span is open). Recovery paths use this to mark an
-    /// epoch span with `recovered_from = <checkpoint epoch>` so a
-    /// post-crash replay is visible in the span tree.
+    /// (no-op when no span is open), e.g. `method = benders` on a solve
+    /// span.
     pub fn annotate(&self, key: &str, value: &str) {
         if let Some(inner) = &self.inner {
             let mut st = inner.state.lock().expect("recorder lock");

@@ -58,7 +58,7 @@ impl Histogram {
     /// Folds another histogram into this one (bucket-wise count sums,
     /// min/max of extrema). Counts and extrema are order-independent;
     /// the floating-point `sum` is deterministic for a fixed merge
-    /// order (fleet exports always merge in tenant-name order).
+    /// order.
     pub fn merge(&mut self, other: &Histogram) {
         if other.count == 0 {
             return;

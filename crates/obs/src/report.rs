@@ -14,8 +14,8 @@ pub struct SpanNode {
     pub start_ms: f64,
     /// Duration (ms); 0 for spans still open at snapshot time.
     pub duration_ms: f64,
-    /// `key = value` annotations attached while the span was open
-    /// (e.g. `recovered_from = <epoch>` after a crash restart).
+    /// `key = value` annotations attached with [`crate::Recorder::annotate`]
+    /// while the span was open.
     pub annotations: Vec<(String, String)>,
     /// Nested child spans, in start order.
     pub children: Vec<SpanNode>,
@@ -84,11 +84,6 @@ impl RunReport {
         serde_json::to_string(self).expect("run report serializes")
     }
 
-    /// Pretty-printed JSON.
-    pub fn to_json_pretty(&self) -> String {
-        serde_json::to_string_pretty(self).expect("run report serializes")
-    }
-
     /// Aggregates the direct children of every root span named `root`
     /// into a stage-attribution table, ordered by first appearance.
     /// Share is relative to the summed root durations.
@@ -147,8 +142,7 @@ impl RunReport {
     /// duration; children must start in order and lie inside their
     /// parent's `[start, start + duration]` window. Spans with zero
     /// duration and children are treated as open-at-snapshot and only
-    /// ordering is checked for their subtree. The chaos harness runs
-    /// this as a per-epoch invariant.
+    /// ordering is checked for their subtree.
     pub fn validate_spans(&self) -> Result<(), String> {
         fn check(node: &SpanNode, path: &str) -> Result<(), String> {
             let path = if path.is_empty() {

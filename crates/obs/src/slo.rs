@@ -276,10 +276,9 @@ impl SloTracker {
         self.state(kind).burn_rate(self.budget(kind))
     }
 
-    /// True when the availability budget is burning at or above 1.0 —
-    /// the fleet treats such tenants as *protected*: shedding them
-    /// further would spend budget they no longer have, so admission
-    /// prefers a deferred full solve over a degraded one.
+    /// True when the availability budget is burning at or above 1.0:
+    /// shedding such a tenant further would spend budget it no longer
+    /// has.
     pub fn pressure(&self) -> bool {
         self.burn_rate(SloKind::Availability) >= 1.0
     }

@@ -218,8 +218,8 @@ pub struct DetectedDegradation {
     /// Number of degraded samples.
     pub len: usize,
     /// Extracted features (region/fiber/length/vendor left for the
-    /// caller to fill from topology metadata; `hour` derived from the
-    /// trace start time).
+    /// caller to fill from topology metadata; `hour` from the
+    /// degradation's start, `trace.start_s + start_idx · dt_s`).
     pub degree_db: f64,
     /// Mean |Δ| between adjacent samples in the window.
     pub gradient_db: f64,

@@ -7,13 +7,12 @@
 //! before the cut (the §5 feasibility argument: most degradation→cut
 //! intervals exceed the few seconds tunnels take).
 
-use crate::faults::FaultPlan;
 use crate::latency::{LatencyModel, PipelineTiming};
-use crate::robust::RetryPolicy;
 use prete_core::prelude::*;
-use prete_core::schemes::TeScheme;
-use prete_nn::Predictor;
-use prete_optical::trace::LossTrace;
+use prete_core::schemes::{TeContext, TeScheme};
+use prete_nn::{Predictor, TryPredictor};
+use prete_optical::trace::{detect_recorded, LossTrace};
+use prete_optical::{DegradationEvent, DegradationFeatures};
 use prete_topology::FiberId;
 use serde::Serialize;
 
@@ -142,42 +141,164 @@ impl<'a> Controller<'a> {
         }
     }
 
-    /// Replays a single-fiber telemetry trace through the pipeline.
+    /// Replays a single-fiber telemetry trace through the pipeline: the
+    /// one controller epoch, telemetry → detect → predict → Algorithm 1
+    /// → scenario regeneration → TE solve, under an `"epoch"` span with
+    /// `"detect"`, `"predict"`, `"tunnel"` and `"solve"` children.
     ///
     /// Detection works on the trace exactly as the telemetry system
     /// would (threshold detector over the per-second loss series); the
     /// first detected degradation triggers prediction, Algorithm 1 and
     /// the TE recompute, all stamped with the latency model.
     ///
-    /// This is the fault-free projection of the one epoch pipeline
-    /// (`Controller::run_epoch`, in `robust.rs`): nothing injected, the
-    /// heuristic solve under the default budget, and no standing policy
-    /// to fall back on — so no last-known-good solve is ever paid for,
-    /// and a solve that fails anyway is a bug and panics.
+    /// Two failures have a plain answer. A prediction that is NaN or
+    /// outside `[0, 1]` is replaced by the fiber's static prior
+    /// `(1 − α)·p_cut` (one `degraded-mode` event; a deterministic model
+    /// would return the same error again, so there is no retry). The TE
+    /// recompute is one heuristic solve under the default budget; there
+    /// is no standing policy to fall back on, so a solve error is a bug
+    /// and panics naming the [`TeSolveError`].
     pub fn replay_trace(&self, trace: &LossTrace) -> ControllerReport {
-        let report = self.run_epoch(
-            trace,
-            &FaultPlan::none(0),
-            SolveMethod::Heuristic,
-            &RetryPolicy::default(),
-            SolveBudget::default(),
-            None,
-        );
-        ControllerReport {
-            solver: report.pipeline.is_some().then_some(report.solver),
-            events: report.events,
-            pipeline: report.pipeline,
-            prepared_before_cut: report.prepared_before_cut,
+        let obs = &self.obs;
+        let _epoch = obs.span("epoch");
+        obs.add("controller.epochs", 1);
+
+        let mut events = Vec::new();
+        let mut pipeline = None;
+        let mut prepared_before_cut = None;
+        let mut solver = None;
+
+        let detection = detect_recorded(trace, obs);
+        let dt_s = trace.dt_s;
+        let cut_at = detection.cut_at_idx.map(|i| i as f64 * dt_s as f64);
+
+        if let Some(deg) = detection.degradations.first() {
+            // The online detector needs a handful of consecutive degraded
+            // samples to flag the event — it does not wait for the window
+            // to end (the window often ends *because* the fiber cut).
+            const CONFIRM_SAMPLES: usize = 3;
+            let at_s = (deg.start_idx + deg.len.min(CONFIRM_SAMPLES)) as f64 * dt_s as f64;
+            let fiber = trace.fiber;
+            let fiber_meta = self.net.fiber(fiber);
+            // Stamped in seconds at the degradation's own start, as the
+            // training set stamps its events.
+            let start_s = trace.start_s + deg.start_idx as u64 * dt_s;
+            let event = DegradationEvent {
+                fiber,
+                start_s,
+                duration_s: deg.len as u64 * dt_s,
+                features: DegradationFeatures {
+                    hour: ((start_s / 3600) % 24) as u8,
+                    degree_db: deg.degree_db,
+                    gradient_db: deg.gradient_db,
+                    fluctuation: deg.fluctuation,
+                    region: fiber_meta.region,
+                    fiber_id: fiber.index(),
+                    length_km: fiber_meta.length_km,
+                    vendor: fiber_meta.vendor,
+                },
+                led_to_cut: false,
+                cut_delay_s: None,
+            };
+
+            let p = {
+                let _predict = obs.span("predict");
+                self.predictor.try_predict_proba(&event).unwrap_or_else(|e| {
+                    obs.event_with("degraded-mode", || {
+                        format!("stage=Prediction mode=prior-probability fault={e}")
+                    });
+                    static_prior(self.model, fiber)
+                })
+            };
+            obs.event_with("prediction-fired", || {
+                format!("fiber={} p_cut={p:.4}", fiber.index())
+            });
+            events.push(ControllerEvent::DegradationDetected {
+                fiber,
+                at_s,
+                predicted_cut_prob: p,
+            });
+
+            let ctx = TeContext {
+                net: self.net,
+                model: self.model,
+                flows: self.flows,
+                base_tunnels: self.base_tunnels,
+            };
+            let state = DegradationState::single(fiber);
+            let tunnels = {
+                let _tunnel = obs.span("tunnel");
+                self.scheme.tunnels(&ctx, &state)
+            };
+            // Schemes may *prune* tunnels as well as add them, so the set
+            // can be smaller than the base set — saturate instead of
+            // underflowing (an update that removes tunnels installs nothing
+            // new).
+            let new_tunnels = tunnels.len().saturating_sub(self.base_tunnels.len());
+
+            let probs = estimate_probs(self.model, &state, p);
+            let (scenarios, enum_stats) = self.enumerate_scenarios(&probs);
+            let problem = TeProblem::new(self.net, self.flows, &tunnels, &scenarios);
+            let (policy, stats) = {
+                let mut cache = self.cache.borrow_mut();
+                let mut te = TeSolver::new(&problem)
+                    .beta(self.scheme.beta())
+                    .method(SolveMethod::Heuristic)
+                    .warm_cache(&mut cache)
+                    .recorder(obs);
+                if let Some(st) = enum_stats.as_ref() {
+                    te = te.scenario_stats(st);
+                }
+                te.solve_with_stats().unwrap_or_else(|e| panic!("TE recompute failed: {e}"))
+            };
+            solver = Some(stats);
+
+            let timing = self.latency.pipeline(new_tunnels);
+            let ready_at_s = at_s + timing.total_ms() / 1000.0;
+            let decision_at_s = at_s + timing.decision_ms() / 1000.0;
+            obs.event_with("policy-recomputed", || {
+                format!("max_loss={:.6} at_s={decision_at_s:.3}", policy.max_loss)
+            });
+            events.push(ControllerEvent::PolicyRecomputed {
+                max_loss: policy.max_loss,
+                at_s: decision_at_s,
+            });
+            if new_tunnels > 0 {
+                // Every tunnel the plan asks for is established, so
+                // `requested` repeats `count`; it stays in the detail so
+                // run reports keep their bytes.
+                obs.event_with("tunnels-established", || {
+                    format!(
+                        "count={new_tunnels} requested={new_tunnels} \
+                         ready_at_s={ready_at_s:.3}"
+                    )
+                });
+                events.push(ControllerEvent::TunnelsEstablished {
+                    count: new_tunnels,
+                    ready_at_s,
+                });
+            }
+            pipeline = Some(timing);
+            prepared_before_cut = cut_at.map(|c| ready_at_s <= c);
         }
+
+        if let Some(at) = cut_at {
+            obs.event_with("cut-observed", || {
+                format!("fiber={} at_s={at:.1}", trace.fiber.index())
+            });
+            events.push(ControllerEvent::CutObserved { fiber: trace.fiber, at_s: at });
+        }
+        if let Some(ok) = prepared_before_cut {
+            obs.add(if ok { "controller.prepared_before_cut" } else { "controller.missed_cut" }, 1);
+        }
+
+        ControllerReport { events, pipeline, prepared_before_cut, solver }
     }
 
     /// The epoch's scenario set under [`Controller::scenario_budget`],
     /// with the budgeted enumerator's accounting for
     /// [`TeSolver::scenario_stats`].
-    pub(crate) fn enumerate_scenarios(
-        &self,
-        probs: &[f64],
-    ) -> (ScenarioSet, Option<EnumerationStats>) {
+    fn enumerate_scenarios(&self, probs: &[f64]) -> (ScenarioSet, Option<EnumerationStats>) {
         match &self.scenario_budget {
             Some(budget) => {
                 let (s, st) = ScenarioSet::enumerate_with(probs, budget);
@@ -188,43 +309,26 @@ impl<'a> Controller<'a> {
     }
 }
 
+/// The static prior of one fiber, Eqn 1's off-signal term `(1 − α)·p_cut`:
+/// the probability PreTE assumes for it with no usable prediction.
+fn static_prior(model: &FailureModel, fiber: FiberId) -> f64 {
+    (1.0 - prete_optical::ALPHA_PREDICTABLE) * model.profile(fiber).p_cut
+}
+
 /// Eqn 1 cut probabilities: the live NN prediction for degraded fibers,
 /// the discounted static prior for the rest (so a healthy state yields
 /// the static prior vector).
-pub(crate) fn estimate_probs(
-    model: &FailureModel,
-    state: &DegradationState,
-    p_nn: f64,
-) -> Vec<f64> {
-    model
-        .profiles()
-        .iter()
-        .enumerate()
-        .map(|(n, prof)| {
-            if state.is_degraded(FiberId(n)) {
+fn estimate_probs(model: &FailureModel, state: &DegradationState, p_nn: f64) -> Vec<f64> {
+    (0..model.profiles().len())
+        .map(|n| {
+            let fiber = FiberId(n);
+            if state.is_degraded(fiber) {
                 p_nn
             } else {
-                (1.0 - prete_optical::ALPHA_PREDICTABLE) * prof.p_cut
+                static_prior(model, fiber)
             }
         })
         .collect()
-}
-
-/// The shape every controller epoch must have: one TE solve in the
-/// whole `epoch` span tree, and none hidden inside its `tunnel` span.
-#[cfg(test)]
-pub(crate) fn assert_one_solve_per_epoch(run: &prete_obs::RunReport, epochs: usize) {
-    fn count(node: &prete_obs::SpanNode, name: &str) -> usize {
-        usize::from(node.name == name)
-            + node.children.iter().map(|c| count(c, name)).sum::<usize>()
-    }
-    assert_eq!(run.spans.len(), epochs);
-    for epoch in &run.spans {
-        assert_eq!(epoch.name, "epoch");
-        assert_eq!(count(epoch, "solve"), 1, "TE solves in the epoch");
-        let tunnel = epoch.children.iter().find(|c| c.name == "tunnel").expect("tunnel span");
-        assert_eq!(count(tunnel, "solve"), 0, "the tunnel span only runs Algorithm 1");
-    }
 }
 
 #[cfg(test)]
@@ -288,6 +392,33 @@ mod tests {
         assert!(p.decision_ms() < 300.0);
     }
 
+    /// The shape every controller epoch must have: one TE solve in the
+    /// whole `epoch` span tree, and none hidden inside its `tunnel` span.
+    fn assert_one_solve_per_epoch(run: &RunReport, epochs: usize) {
+        fn count(node: &prete_obs::SpanNode, name: &str) -> usize {
+            usize::from(node.name == name)
+                + node.children.iter().map(|c| count(c, name)).sum::<usize>()
+        }
+        assert_eq!(run.spans.len(), epochs);
+        for epoch in &run.spans {
+            assert_eq!(epoch.name, "epoch");
+            assert_eq!(count(epoch, "solve"), 1, "TE solves in the epoch");
+            let tunnel = epoch.children.iter().find(|c| c.name == "tunnel").expect("tunnel span");
+            assert_eq!(count(tunnel, "solve"), 0, "the tunnel span only runs Algorithm 1");
+        }
+    }
+
+    fn policy_phi(report: &ControllerReport) -> f64 {
+        report
+            .events
+            .iter()
+            .find_map(|e| match e {
+                ControllerEvent::PolicyRecomputed { max_loss, .. } => Some(*max_loss),
+                _ => None,
+            })
+            .expect("policy recomputed")
+    }
+
     #[test]
     fn replay_solves_once_per_epoch_at_the_scheme_beta() {
         let net = triangle();
@@ -298,31 +429,124 @@ mod tests {
             .collect();
         let base = TunnelSet::initialize(&net, &flows, 1);
         let truth = TrueConditionals::ground_truth(&net, &model, 50, 1);
+        // A 2-cut budget capped below the 7 candidate scenarios, so the
+        // enumerator prunes and leaves a tail the solve must account for.
+        let budgeted =
+            ScenarioBudget { max_cuts: 2, max_scenarios: 5, ..ScenarioBudget::default() };
         // One tunnel per flow: flow 1 dies with its fiber (p ≈ 0.003),
         // which β = 0.99 can leave unprotected and β = 0.999 cannot —
         // so Φ tells which target the one solve ran at.
-        for (beta, forced) in [(0.99, false), (0.999, true)] {
+        for (beta, scenario_budget) in [(0.99, None), (0.99, Some(budgeted)), (0.999, None)] {
             let scheme = PreTeScheme::new(beta, ProbabilityEstimator::prete(&model, &truth));
             let predictor = OptimistPredictor;
             let controller = Controller {
+                scenario_budget,
                 obs: Recorder::deterministic(),
                 ..Controller::new(&net, &model, &flows, &base, &predictor, &scheme)
             };
             for _ in 0..2 {
                 let report = controller.replay_trace(&fig4b_trace());
-                let stats = report.solver.expect("the degradation triggers a recompute");
+                let stats = report.solver.as_ref().expect("the degradation triggers a recompute");
                 assert_eq!(stats.lp_solves, 2, "subproblem + polish");
-                let phi = report
-                    .events
-                    .iter()
-                    .find_map(|e| match e {
-                        ControllerEvent::PolicyRecomputed { max_loss, .. } => Some(*max_loss),
-                        _ => None,
-                    })
-                    .expect("policy recomputed");
-                assert_eq!(phi == 1.0, forced, "β = {beta}: Φ = {phi}");
+                assert_eq!(stats.scenarios_pruned > 0, scenario_budget.is_some());
+                assert_eq!(stats.tail_mass > 0.0, scenario_budget.is_some());
+                assert_eq!(report.prepared_before_cut, Some(true));
+                let phi = policy_phi(&report);
+                assert_eq!(phi == 1.0, beta == 0.999, "β = {beta}: Φ = {phi}");
             }
-            assert_one_solve_per_epoch(&controller.obs.report(), 2);
+            let run = controller.obs.report();
+            assert_one_solve_per_epoch(&run, 2);
+            assert_eq!(run.counters["controller.prepared_before_cut"], 2);
+            assert!(run.events_of_kind("degraded-mode").is_empty());
+        }
+    }
+
+    struct NanPredictor;
+    impl Predictor for NanPredictor {
+        fn predict_proba(&self, _e: &DegradationEvent) -> f64 {
+            f64::NAN
+        }
+    }
+
+    #[test]
+    fn unusable_prediction_falls_back_to_the_static_prior() {
+        let net = triangle();
+        let model = FailureModel::new(&net, 42);
+        let flows = triangle_flows();
+        let base = TunnelSet::initialize(&net, &flows, 1);
+        let truth = TrueConditionals::ground_truth(&net, &model, 50, 1);
+        let scheme = PreTeScheme::new(0.99, ProbabilityEstimator::prete(&model, &truth));
+        let predictor = NanPredictor;
+        let controller = Controller {
+            obs: Recorder::deterministic(),
+            ..Controller::new(&net, &model, &flows, &base, &predictor, &scheme)
+        };
+        let report = controller.replay_trace(&fig4b_trace());
+        let p = match report.events[0] {
+            ControllerEvent::DegradationDetected { predicted_cut_prob, .. } => predicted_cut_prob,
+            ref e => panic!("first event {e:?}"),
+        };
+        let prior = (1.0 - prete_optical::ALPHA_PREDICTABLE) * model.profile(FiberId(0)).p_cut;
+        assert_eq!(p.to_bits(), prior.to_bits(), "p = {p}, static prior = {prior}");
+        let run = controller.obs.report();
+        let degraded = run.events_of_kind("degraded-mode");
+        assert_eq!(degraded.len(), 1);
+        assert!(degraded[0].detail.contains("non-finite"), "{}", degraded[0].detail);
+        assert!(policy_phi(&report).is_finite());
+        assert!(report.solver.is_some());
+    }
+
+    /// Hands out a fixed probability and keeps every event it was asked
+    /// about, so a test can read what the controller fed the model.
+    #[derive(Default)]
+    struct RecordingPredictor(std::cell::RefCell<Vec<DegradationEvent>>);
+    impl Predictor for RecordingPredictor {
+        fn predict_proba(&self, e: &DegradationEvent) -> f64 {
+            self.0.borrow_mut().push(e.clone());
+            0.8
+        }
+    }
+
+    fn predicted_event(trace: &LossTrace) -> DegradationEvent {
+        let net = triangle();
+        let model = FailureModel::new(&net, 42);
+        let flows = triangle_flows();
+        let base = TunnelSet::initialize(&net, &flows, 2);
+        let truth = TrueConditionals::ground_truth(&net, &model, 50, 1);
+        let scheme = PreTeScheme::new(0.99, ProbabilityEstimator::prete(&model, &truth));
+        let predictor = RecordingPredictor::default();
+        let controller = Controller::new(&net, &model, &flows, &base, &predictor, &scheme);
+        let _ = controller.replay_trace(trace);
+        let mut seen = predictor.0.into_inner();
+        assert_eq!(seen.len(), 1, "one prediction per epoch");
+        seen.pop().expect("one event")
+    }
+
+    #[test]
+    fn degradation_event_is_stamped_in_seconds_at_its_start() {
+        // The script degrades 65–110 s after the trace start. Both
+        // stamps must be seconds, within a sample or two of it, not
+        // sample counts.
+        let deg = ScriptedDegradation {
+            start_s: 65,
+            duration_s: 45,
+            degree_db: 6.0,
+            wobble_db: 0.15,
+        };
+        // Starting 10 s before 01:00, the degradation starts in hour 1,
+        // and the training set stamps `hour` at the event's own start.
+        let late = synthesize(FiberId(0), 3_590, 400, &[deg], Some(110), TraceConfig::default(), 9);
+        let coarse = fig4b_trace().downsample(3);
+        for (trace, hour) in [(late, 1), (coarse, 0)] {
+            let event = predicted_event(&trace);
+            let detected = prete_optical::trace::detect(&trace);
+            let d = &detected.degradations[0];
+            assert_eq!(event.start_s, trace.start_s + trace.dt_s * d.start_idx as u64);
+            assert_eq!(event.duration_s, trace.dt_s * d.len as u64);
+            let offset = event.start_s - trace.start_s;
+            assert!(offset.abs_diff(65) <= 6, "start +{offset} s");
+            assert!(event.duration_s.abs_diff(45) <= 9, "duration {} s", event.duration_s);
+            assert_eq!(event.features.hour, hour, "start {} s", event.start_s);
         }
     }
 

@@ -9,10 +9,10 @@
 //! giving the linear update time of Figure 11(b) (~5 s for 20 tunnels
 //! → ~250 ms per tunnel).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Per-stage latency parameters in milliseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LatencyModel {
     /// Analyzing the optical data to flag the degradation.
     pub detection_ms: f64,
@@ -42,7 +42,7 @@ impl Default for LatencyModel {
 }
 
 /// A named pipeline stage with its simulated duration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Stage {
     /// Stage label ("detection", "inference", …).
     pub name: String,
@@ -53,7 +53,7 @@ pub struct Stage {
 }
 
 /// The full pipeline timing for one degradation event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PipelineTiming {
     /// Stages in execution order (the Figure 11(a) rectangles).
     pub stages: Vec<Stage>,

@@ -249,61 +249,6 @@ proptest! {
     }
 }
 
-use prete_sim::RetryPolicy;
-
-proptest! {
-    /// The backoff schedule never exceeds its worst-case bound:
-    /// `max_attempts - 1` waits, each capped at `max_delay_ms`.
-    #[test]
-    fn retry_backoff_total_is_bounded(
-        seed in 0u64..u64::MAX,
-        max_attempts in 1u32..10,
-        base_delay_ms in 1.0f64..250.0,
-        multiplier in 1.0f64..4.0,
-        max_delay_ms in 10.0f64..3000.0,
-        jitter in 0.0f64..1.0,
-    ) {
-        let p = RetryPolicy { max_attempts, base_delay_ms, multiplier, max_delay_ms, jitter };
-        let s = p.schedule(seed);
-        prop_assert_eq!(s.len(), (max_attempts - 1) as usize);
-        for &d in &s {
-            prop_assert!(d >= 0.0);
-            prop_assert!(d <= max_delay_ms + 1e-9, "interval {d} over cap {max_delay_ms}");
-        }
-        prop_assert!(s.iter().sum::<f64>() <= p.worst_case_total_ms() + 1e-9);
-    }
-
-    /// Backoff intervals are monotone non-decreasing: a later retry
-    /// never waits less than an earlier one, whatever the jitter draws.
-    #[test]
-    fn retry_backoff_is_monotone(
-        seed in 0u64..u64::MAX,
-        max_attempts in 2u32..10,
-        multiplier in 1.0f64..4.0,
-        jitter in 0.0f64..1.0,
-    ) {
-        let p = RetryPolicy { max_attempts, multiplier, jitter, ..RetryPolicy::default() };
-        let s = p.schedule(seed);
-        for w in s.windows(2) {
-            prop_assert!(w[1] >= w[0], "schedule not monotone: {s:?}");
-        }
-    }
-
-    /// The schedule is a pure function of the seed: two computations
-    /// agree bit-for-bit, which is what makes fault-injected replays
-    /// reproducible end to end.
-    #[test]
-    fn retry_backoff_is_deterministic_per_seed(
-        seed in 0u64..u64::MAX,
-        jitter in 0.0f64..1.0,
-    ) {
-        let p = RetryPolicy { jitter, ..RetryPolicy::default() };
-        let a: Vec<u64> = p.schedule(seed).iter().map(|d| d.to_bits()).collect();
-        let b: Vec<u64> = p.schedule(seed).iter().map(|d| d.to_bits()).collect();
-        prop_assert_eq!(a, b);
-    }
-}
-
 /// A small random ring-plus-chords WAN for the solver determinism
 /// properties: `n` sites on a ring (one fiber + one IP link per span)
 /// plus proptest-chosen chords.
@@ -469,107 +414,6 @@ proptest! {
         let first = run();
         prop_assert!(first.contains("\"deterministic\":true"));
         prop_assert_eq!(first, run());
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Crash safety: a controller killed at an arbitrary epoch
-    /// (optionally mid-solve, after the write-ahead journal entry but
-    /// before execution) and rebuilt from its surviving store produces
-    /// bit-identical epoch outcomes to a run that never crashed — for
-    /// arbitrary run seeds, horizons, crash points and checkpoint
-    /// cadences.
-    #[test]
-    fn crash_recovery_is_bit_identical(
-        run_seed in 0u64..1000,
-        epochs in 2u64..7,
-        crash_frac in 0.0f64..1.0,
-        checkpoint_every in 1u64..5,
-        mid_solve in 0u64..2,
-    ) {
-        use prete_core::estimator::{ProbabilityEstimator, TrueConditionals};
-        use prete_core::examples::{triangle, triangle_flows};
-        use prete_core::prelude::*;
-        use prete_nn::Predictor;
-        use prete_optical::DegradationEvent;
-        use prete_sim::{
-            Controller, DurableConfig, DurableController, MemStore, RobustController,
-            ScriptedWorkload,
-        };
-
-        struct Optimist;
-        impl Predictor for Optimist {
-            fn predict_proba(&self, _e: &DegradationEvent) -> f64 {
-                0.8
-            }
-        }
-
-        let net = triangle();
-        let model = FailureModel::new(&net, 42);
-        let flows: Vec<Flow> =
-            triangle_flows().into_iter().map(|f| Flow { demand_gbps: 4.0, ..f }).collect();
-        let base = TunnelSet::initialize(&net, &flows, 1);
-        let truth = TrueConditionals::ground_truth(&net, &model, 50, 1);
-        let scheme =
-            prete_core::schemes::PreTeScheme::new(0.99, ProbabilityEstimator::prete(&model, &truth));
-        let predictor = Optimist;
-        let mk = || {
-            RobustController::new(
-                Controller::new(&net, &model, &flows, &base, &predictor, &scheme),
-                // Benders exercises the warm-start cache, so the
-                // checkpoint's cache snapshot matters for bit-identity.
-                SolveMethod::benders(),
-                prete_sim::RetryPolicy::default(),
-            )
-        };
-        let cfg = DurableConfig { run_seed, checkpoint_every };
-        let w = ScriptedWorkload::new(3);
-
-        // Golden run: never crashes.
-        let (mut golden, _) =
-            DurableController::recover(mk(), MemStore::default(), cfg, &w).unwrap();
-        let mut golden_fps = Vec::new();
-        for _ in 0..epochs {
-            golden_fps.push(golden.run_epoch(&w).unwrap().fingerprint().unwrap());
-        }
-
-        // Crashed run: execute a prefix, optionally journal one more
-        // epoch without executing it (a crash mid-solve), then drop the
-        // controller and rebuild from the surviving store alone.
-        let crash_at = ((crash_frac * (epochs + 1) as f64) as u64).min(epochs);
-        let staged = mid_solve == 1 && crash_at < epochs;
-        let mut fps: Vec<Option<(String, String)>> = vec![None; epochs as usize];
-        let (mut ctl, _) =
-            DurableController::recover(mk(), MemStore::default(), cfg, &w).unwrap();
-        for e in 0..crash_at {
-            fps[e as usize] = Some(ctl.run_epoch(&w).unwrap().fingerprint().unwrap());
-        }
-        if staged {
-            ctl.stage_epoch().unwrap();
-        }
-        let store = ctl.into_store();
-
-        let (mut ctl, rec) = DurableController::recover(mk(), store, cfg, &w).unwrap();
-        prop_assert_eq!(rec.resumed_at, crash_at + staged as u64);
-        prop_assert_eq!(rec.dropped_records, 0);
-        // Epochs re-executed during recovery (journaled past the last
-        // checkpoint) must reproduce the golden run exactly, including
-        // any epoch that was journaled but never executed.
-        for o in &rec.reexecuted {
-            let fp = o.fingerprint().unwrap();
-            prop_assert_eq!(&fp, &golden_fps[o.record.epoch as usize],
-                "re-executed epoch {} diverged", o.record.epoch);
-            fps[o.record.epoch as usize] = Some(fp);
-        }
-        for e in rec.resumed_at..epochs {
-            fps[e as usize] = Some(ctl.run_epoch(&w).unwrap().fingerprint().unwrap());
-        }
-        for (e, fp) in fps.into_iter().enumerate() {
-            let fp = fp.expect("every epoch was executed exactly once");
-            prop_assert_eq!(&fp, &golden_fps[e], "epoch {} diverged after recovery", e);
-        }
     }
 }
 

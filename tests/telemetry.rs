@@ -12,8 +12,8 @@ use prete_obs::{
 #[test]
 fn exports_are_byte_identical_across_repeat_runs_and_thread_counts() {
     let cfg = TelemetryRunConfig { tenants: 2, epochs: 3, ..TelemetryRunConfig::default() };
-    let first = export(&telemetry_fleet(&cfg).unwrap());
-    let repeat = export(&telemetry_fleet(&cfg).unwrap());
+    let first = export(&telemetry_fleet(&cfg));
+    let repeat = export(&telemetry_fleet(&cfg));
     assert_eq!(first, repeat, "repeat run diverged");
     assert!(first.prom.contains("prete_ts_count"));
     assert!(first.prom.contains("prete_slo_burn_rate"));

@@ -81,7 +81,7 @@ fn algorithm1_updates_are_pinned() {
     }
 }
 
-/// ROADMAP item 5, sized: why `scale-waxman100` reads `served_share_phi`
+/// ROADMAP item 9, sized: why `scale-waxman100` reads `served_share_phi`
 /// = 0.17. Closing the gap changes tunnels and is that item's own PR;
 /// this only keeps the counts honest until then.
 #[test]
