@@ -90,10 +90,12 @@ fn run(name: &str, scope: Scope, json: Option<&str>) {
             let (_net, model, ds) = measurement::year_dataset();
             match name {
                 "fig4a" => {
-                    let curve = measurement::fig4a_degradation_lengths(&ds);
-                    let p50 = curve.iter().find(|p| p.1 >= 0.5).map(|p| p.0).unwrap_or(0.0);
-                    println!("Figure 4(a): degradation length CDF; median ≈ {p50:.0} s");
-                    emit("fig4a", json, &curve);
+                    let lengths = measurement::fig4a_degradation_lengths(&ds);
+                    println!(
+                        "Figure 4(a): degradation length CDF; median {:.0} s",
+                        lengths.median()
+                    );
+                    emit("fig4a", json, &lengths.sampled_curve(60));
                 }
                 "fig4b" => {
                     let (fine, coarse) = measurement::fig4b_transition_trace();

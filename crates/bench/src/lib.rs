@@ -18,7 +18,6 @@ pub mod measurement;
 pub mod obs;
 pub mod prediction;
 pub mod runtime;
-pub mod telemetry;
 pub mod torture;
 
 /// How much work an experiment should do.

@@ -173,11 +173,11 @@ pub struct Overhead {
     pub overhead_pct: f64,
 }
 
-/// Times [`replay_epochs`] with instrumentation on (live clock, real
-/// span/counter/event recording) and off (the no-op recorder every
-/// disabled code path compiles down to). One untimed warm-up run, then
-/// best-of-`reps` per mode, interleaved so frequency scaling hits both
-/// modes alike.
+/// Times the controller replay behind [`run_report_on`] with
+/// instrumentation on (live clock, real span/counter/event recording)
+/// and off (the no-op recorder every disabled code path compiles down
+/// to). One untimed warm-up run, then best-of-`reps` per mode,
+/// interleaved so frequency scaling hits both modes alike.
 pub fn overhead_on(net: &Network, flow_frac: f64, epochs: usize, reps: usize) -> Overhead {
     let time = |obs: &Recorder| {
         let t0 = Instant::now();

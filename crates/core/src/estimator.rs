@@ -22,10 +22,10 @@ use prete_optical::{FailureModel, ALPHA_PREDICTABLE};
 use prete_topology::{FiberId, Network};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Per-fiber mean conditional cut probability given a degradation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TrueConditionals {
     /// `per_fiber[n] = E[P(cut | degradation on fiber n)]`.
     pub per_fiber: Vec<f64>,
@@ -89,7 +89,7 @@ impl TrueConditionals {
 }
 
 /// How a scheme maps the optical state to per-fiber probabilities.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 enum Mode {
     /// Constant `p_i` (the TeaVaR worldview).
     Static,
@@ -101,7 +101,7 @@ enum Mode {
 }
 
 /// A calibrated probability estimator (one per scheme instance).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ProbabilityEstimator {
     static_p: Vec<f64>,
     mode: Mode,

@@ -24,10 +24,10 @@
 //! Poisson-binomial computation and again by the differential suite.
 
 use prete_topology::FiberId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which fibers are currently degraded (the `s` of Table 2).
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
 pub struct DegradationState {
     /// Degraded fibers, sorted.
     pub degraded: Vec<FiberId>,
@@ -64,7 +64,7 @@ impl DegradationState {
 
 /// One failure scenario: the set of simultaneously cut fibers with its
 /// product-form probability.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FailureScenario {
     /// Cut fibers (empty = the no-failure scenario).
     pub cut: Vec<FiberId>,
@@ -154,7 +154,7 @@ impl EnumerationStats {
 }
 
 /// The scenario set `Q_s` for one degradation state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ScenarioSet {
     /// Scenarios, no-failure first, then by decreasing probability.
     pub scenarios: Vec<FailureScenario>,

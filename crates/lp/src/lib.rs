@@ -53,4 +53,4 @@ pub use simplex::{
     RecoveryAction, SimplexOptions, Solution, SolutionQuality, SolveStatus, SolverBackend,
     WarmSimplex,
 };
-pub use warm::{BasisCache, BasisCacheSnapshot};
+pub use warm::BasisCache;

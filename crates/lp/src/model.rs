@@ -6,10 +6,10 @@
 //! TE formulations in the paper are all stated as minimizations of the
 //! global loss `Φ`, Eqn (2)).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Index of a decision variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct VarId(pub usize);
 
 impl VarId {
@@ -20,7 +20,7 @@ impl VarId {
 }
 
 /// Index of a constraint row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct ConstraintId(pub usize);
 
 impl ConstraintId {
@@ -31,7 +31,7 @@ impl ConstraintId {
 }
 
 /// Direction of a linear constraint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Sense {
     /// `Σ a_j x_j <= b`
     Le,
@@ -42,7 +42,7 @@ pub enum Sense {
 }
 
 /// A sparse linear constraint.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Constraint {
     /// `(variable, coefficient)` pairs; variables may repeat (they are
     /// summed during solving).
@@ -56,7 +56,7 @@ pub struct Constraint {
 }
 
 /// A variable's metadata.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Variable {
     /// Lower bound (finite; default 0).
     pub lower: f64,
@@ -69,7 +69,7 @@ pub struct Variable {
 }
 
 /// A minimization linear program.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct LinearProgram {
     vars: Vec<Variable>,
     constraints: Vec<Constraint>,

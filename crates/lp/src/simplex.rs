@@ -60,9 +60,7 @@ pub enum EtaUpdate {
 }
 
 /// Cold-start strategy for the sparse revised engine.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize)]
 pub enum ColdStart {
     /// Pick the cheapest sound start per program: when every
     /// negative-cost column carries a finite upper bound (and no
@@ -244,7 +242,7 @@ pub struct EngineStats {
 /// at a formally optimal basis. All residuals are relative (scaled by
 /// `1 + ‖row‖`-style factors), so the documented certification
 /// tolerances apply uniformly across badly scaled programs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize)]
 pub struct SolutionQuality {
     /// Max relative primal violation over constraint rows and variable
     /// bounds.
@@ -522,7 +520,7 @@ pub fn solve_with(lp: &LinearProgram, opts: SimplexOptions) -> Solution {
 /// constraint skeleton is fixed. Restoring skips simplex phase 1
 /// entirely and usually leaves only a handful of phase-2 (or dual)
 /// pivots.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Basis {
     cols: Vec<usize>,
     signature: u64,

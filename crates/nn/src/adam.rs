@@ -4,10 +4,10 @@
 //! hyper-parameters throughout — "the NN algorithm performs well for a
 //! wide range of hyper-parameter values".
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Adam state for one parameter tensor (flat).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Adam {
     lr: f64,
     beta1: f64,

@@ -13,10 +13,10 @@
 
 use crate::Predictor;
 use prete_optical::DegradationEvent;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The TeaVaR-style naive model: a constant (near zero) probability.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TeaVarModel {
     /// The static per-epoch failure probability it answers with.
     pub p_static: f64,
@@ -37,7 +37,7 @@ impl Predictor for TeaVarModel {
 }
 
 /// Per-fiber empirical cut rate with Laplace smoothing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StatisticModel {
     rates: Vec<f64>,
     global: f64,
@@ -82,7 +82,7 @@ impl Predictor for StatisticModel {
 }
 
 /// A node of the CART tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 enum Node {
     Leaf {
         proba: f64,
@@ -96,7 +96,7 @@ enum Node {
 }
 
 /// CART decision tree with Gini impurity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DecisionTree {
     root: Node,
     /// Maximum depth used during fitting.

@@ -12,11 +12,11 @@
 //! categorical indices the MLP's embedding tables consume.
 
 use prete_optical::DegradationEvent;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which features the model may see — the knob behind the Table 8
 /// leave-one-out ablation (`NN w/o fiber ID` etc.).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct FeatureMask {
     /// Include the time-of-day one-hot.
     pub time: bool,
@@ -66,7 +66,7 @@ impl FeatureMask {
 }
 
 /// Min-max range of one continuous feature.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 struct Range {
     lo: f64,
     hi: f64,
@@ -111,7 +111,7 @@ pub struct Encoded {
 }
 
 /// Fitted encoder: min-max ranges plus category counts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FeatureEncoder {
     degree: Range,
     gradient: Range,

@@ -3,10 +3,10 @@
 //! A deliberately small row-major `f64` matrix — the network is tiny
 //! (tens of inputs, 64 hidden units), so clarity beats BLAS here.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A dense row-major matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

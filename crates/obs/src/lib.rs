@@ -17,6 +17,10 @@
 //!   tree plus metric snapshots, rendered human-readably by the
 //!   `run_report` binary in `prete-bench`.
 //!
+//! That is the whole crate: the controller's decision latency (the
+//! paper's Fig. 11) is read off the span tree and its histograms, so
+//! there is no time-series, SLO, anomaly-detection or export layer.
+//!
 //! Time is injected via the [`Clock`] trait: [`MonotonicClock`] for
 //! live runs, [`LogicalClock`] for replays — under the logical clock a
 //! replay's report is a pure function of the work performed, so two
@@ -46,24 +50,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod anomaly;
 pub mod clock;
-pub mod export;
 pub mod metrics;
 pub mod report;
-pub mod slo;
-pub mod timeseries;
 
-pub use anomaly::{AnomalyConfig, AnomalyEvent, AnomalyKind, SolverAnomalyDetector, SolverSample};
 pub use clock::{Clock, LogicalClock, MonotonicClock};
-pub use export::{TelemetrySnapshot, TenantTelemetry};
 pub use metrics::{Histogram, HistogramSnapshot, BUCKET_BOUNDS_MS};
 pub use report::{Event, RunReport, SpanNode, StageRow};
-pub use slo::{SloAlert, SloKind, SloObservation, SloSpec, SloStatusReport, SloTracker};
-pub use timeseries::{
-    NamedSeriesSnapshot, SeriesConfig, SeriesPoint, SeriesSet, SeriesSnapshot, TimeSeries,
-    WindowAgg, WindowSnapshot,
-};
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -79,7 +72,6 @@ struct RawSpan {
     end_ms: Option<f64>,
     parent: Option<usize>,
     children: Vec<usize>,
-    annotations: Vec<(String, String)>,
 }
 
 #[derive(Debug, Default)]
@@ -164,25 +156,12 @@ impl Recorder {
             end_ms: None,
             parent,
             children: Vec::new(),
-            annotations: Vec::new(),
         });
         if let Some(p) = parent {
             st.spans[p].children.push(idx);
         }
         st.stack.push(idx);
         SpanGuard { handle: Some((Arc::clone(inner), idx)) }
-    }
-
-    /// Attaches a `key = value` annotation to the innermost open span
-    /// (no-op when no span is open), e.g. `method = benders` on a solve
-    /// span.
-    pub fn annotate(&self, key: &str, value: &str) {
-        if let Some(inner) = &self.inner {
-            let mut st = inner.state.lock().expect("recorder lock");
-            if let Some(&idx) = st.stack.last() {
-                st.spans[idx].annotations.push((key.to_string(), value.to_string()));
-            }
-        }
     }
 
     /// Adds `delta` to a monotone counter.
@@ -241,7 +220,6 @@ impl Recorder {
                 name: s.name.clone(),
                 start_ms: s.start_ms,
                 duration_ms: s.end_ms.map(|e| e - s.start_ms).unwrap_or(0.0),
-                annotations: s.annotations.clone(),
                 children: s.children.iter().map(|&c| build(st, c)).collect(),
             }
         }
@@ -339,23 +317,6 @@ mod tests {
         let r = rec.report();
         assert_eq!(r.spans.len(), 3);
         assert_eq!(r.histograms["span.epoch"].count, 3);
-    }
-
-    #[test]
-    fn annotations_attach_to_the_innermost_open_span() {
-        let rec = Recorder::deterministic();
-        rec.annotate("orphan", "ignored"); // no span open: dropped
-        {
-            let _e = rec.span("epoch");
-            rec.annotate("recovered_from", "3");
-            let _s = rec.span("solve");
-            rec.annotate("method", "benders");
-        }
-        let r = rec.report();
-        assert_eq!(r.spans[0].annotation("recovered_from"), Some("3"));
-        assert_eq!(r.spans[0].children[0].annotation("method"), Some("benders"));
-        assert_eq!(r.spans[0].annotation("orphan"), None);
-        assert_eq!(r.validate_spans(), Ok(()));
     }
 
     #[test]

@@ -55,23 +55,6 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
-    /// Folds another histogram into this one (bucket-wise count sums,
-    /// min/max of extrema). Counts and extrema are order-independent;
-    /// the floating-point `sum` is deterministic for a fixed merge
-    /// order.
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += *b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Immutable snapshot with derived percentiles.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
@@ -258,25 +241,6 @@ mod tests {
         h.record(f64::INFINITY);
         h.record(1.0);
         assert_eq!(h.snapshot().count, 1);
-    }
-
-    #[test]
-    fn merge_folds_counts_and_extrema() {
-        let mut a = Histogram::default();
-        a.record(0.8);
-        a.record(0.9);
-        let mut b = Histogram::default();
-        b.record(400.0);
-        a.merge(&b);
-        let s = a.snapshot();
-        assert_eq!(s.count, 3);
-        assert_eq!(s.min, 0.8);
-        assert_eq!(s.max, 400.0);
-        assert!((s.sum - 401.7).abs() < 1e-9);
-        // Merging an empty histogram is a no-op, including extrema.
-        let before = a.snapshot();
-        a.merge(&Histogram::default());
-        assert_eq!(a.snapshot(), before);
     }
 
     #[test]

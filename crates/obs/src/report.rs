@@ -14,18 +14,8 @@ pub struct SpanNode {
     pub start_ms: f64,
     /// Duration (ms); 0 for spans still open at snapshot time.
     pub duration_ms: f64,
-    /// `key = value` annotations attached with [`crate::Recorder::annotate`]
-    /// while the span was open.
-    pub annotations: Vec<(String, String)>,
     /// Nested child spans, in start order.
     pub children: Vec<SpanNode>,
-}
-
-impl SpanNode {
-    /// Value of the first annotation with the given key, if any.
-    pub fn annotation(&self, key: &str) -> Option<&str> {
-        self.annotations.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
-    }
 }
 
 /// One structured event ("degradation-detected", "warm-start", …).
@@ -136,61 +126,6 @@ impl RunReport {
     pub fn events_of_kind(&self, kind: &str) -> Vec<&Event> {
         self.events.iter().filter(|e| e.kind == kind).collect()
     }
-
-    /// Checks span-tree well-formedness, returning the first violation:
-    /// every node must have finite, non-negative timestamps and
-    /// duration; children must start in order and lie inside their
-    /// parent's `[start, start + duration]` window. Spans with zero
-    /// duration and children are treated as open-at-snapshot and only
-    /// ordering is checked for their subtree.
-    pub fn validate_spans(&self) -> Result<(), String> {
-        fn check(node: &SpanNode, path: &str) -> Result<(), String> {
-            let path = if path.is_empty() {
-                node.name.clone()
-            } else {
-                format!("{path}/{}", node.name)
-            };
-            if !node.start_ms.is_finite() || node.start_ms < 0.0 {
-                return Err(format!("span {path}: bad start {}", node.start_ms));
-            }
-            if !node.duration_ms.is_finite() || node.duration_ms < 0.0 {
-                return Err(format!("span {path}: bad duration {}", node.duration_ms));
-            }
-            let closed = node.duration_ms > 0.0 || node.children.is_empty();
-            let end = node.start_ms + node.duration_ms;
-            let mut prev_start = node.start_ms;
-            for c in &node.children {
-                if c.start_ms < prev_start {
-                    return Err(format!(
-                        "span {path}: child {} starts at {} before {}",
-                        c.name, c.start_ms, prev_start
-                    ));
-                }
-                prev_start = c.start_ms;
-                if closed && c.start_ms + c.duration_ms > end + 1e-9 {
-                    return Err(format!(
-                        "span {path}: child {} ends at {} past parent end {end}",
-                        c.name,
-                        c.start_ms + c.duration_ms
-                    ));
-                }
-                check(c, &path)?;
-            }
-            Ok(())
-        }
-        let mut prev = f64::NEG_INFINITY;
-        for root in &self.spans {
-            if root.start_ms < prev {
-                return Err(format!(
-                    "root span {} starts at {} before previous root {prev}",
-                    root.name, root.start_ms
-                ));
-            }
-            prev = root.start_ms;
-            check(root, "")?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -198,13 +133,7 @@ mod tests {
     use super::*;
 
     fn node(name: &str, start: f64, dur: f64, children: Vec<SpanNode>) -> SpanNode {
-        SpanNode {
-            name: name.into(),
-            start_ms: start,
-            duration_ms: dur,
-            annotations: Vec::new(),
-            children,
-        }
+        SpanNode { name: name.into(), start_ms: start, duration_ms: dur, children }
     }
 
     fn two_epoch_report() -> RunReport {
@@ -242,56 +171,6 @@ mod tests {
     fn span_names_walks_depth_first() {
         let names = two_epoch_report().span_names();
         assert_eq!(names, vec!["epoch".to_string(), "detect".into(), "solve".into()]);
-    }
-
-    #[test]
-    fn validate_spans_accepts_well_formed_trees() {
-        assert_eq!(two_epoch_report().validate_spans(), Ok(()));
-        assert_eq!(RunReport::default().validate_spans(), Ok(()));
-    }
-
-    #[test]
-    fn validate_spans_rejects_malformed_trees() {
-        // Child escapes its parent's window.
-        let r = RunReport {
-            spans: vec![node("epoch", 0.0, 5.0, vec![node("solve", 2.0, 10.0, vec![])])],
-            ..RunReport::default()
-        };
-        assert!(r.validate_spans().unwrap_err().contains("past parent end"));
-        // Children out of start order.
-        let r = RunReport {
-            spans: vec![node(
-                "epoch",
-                0.0,
-                10.0,
-                vec![node("b", 5.0, 1.0, vec![]), node("a", 2.0, 1.0, vec![])],
-            )],
-            ..RunReport::default()
-        };
-        assert!(r.validate_spans().unwrap_err().contains("starts at"));
-        // Non-finite duration.
-        let r = RunReport {
-            spans: vec![node("epoch", 0.0, f64::NAN, vec![])],
-            ..RunReport::default()
-        };
-        assert!(r.validate_spans().unwrap_err().contains("bad duration"));
-        // Roots out of chronological order.
-        let r = RunReport {
-            spans: vec![node("epoch", 10.0, 1.0, vec![]), node("epoch", 0.0, 1.0, vec![])],
-            ..RunReport::default()
-        };
-        assert!(r.validate_spans().unwrap_err().contains("before previous root"));
-    }
-
-    #[test]
-    fn open_span_subtrees_skip_containment() {
-        // duration 0 + children = open at snapshot time; the child is
-        // ordered but not contained.
-        let r = RunReport {
-            spans: vec![node("epoch", 0.0, 0.0, vec![node("solve", 1.0, 3.0, vec![])])],
-            ..RunReport::default()
-        };
-        assert_eq!(r.validate_spans(), Ok(()));
     }
 
     #[test]

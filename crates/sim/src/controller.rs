@@ -264,14 +264,8 @@ impl<'a> Controller<'a> {
                 at_s: decision_at_s,
             });
             if new_tunnels > 0 {
-                // Every tunnel the plan asks for is established, so
-                // `requested` repeats `count`; it stays in the detail so
-                // run reports keep their bytes.
                 obs.event_with("tunnels-established", || {
-                    format!(
-                        "count={new_tunnels} requested={new_tunnels} \
-                         ready_at_s={ready_at_s:.3}"
-                    )
+                    format!("count={new_tunnels} ready_at_s={ready_at_s:.3}")
                 });
                 events.push(ControllerEvent::TunnelsEstablished {
                     count: new_tunnels,
