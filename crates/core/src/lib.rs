@@ -26,7 +26,7 @@
 //!   heuristic, Benders decomposition, or exact branch-and-bound;
 //! * [`schemes`] — ECMP, FFC-1/2, TeaVaR, ARROW, Flexile, PreTE,
 //!   PreTE-naive and the oracle, behind one [`schemes::TeScheme`]
-//!   trait (plus the native CVaR formulation in [`cvar`]);
+//!   trait;
 //! * [`eval`] — the availability evaluator behind Figures 13/15/16/17
 //!   and Table 4, including reaction-time outage accounting;
 //! * [`gain`] — demand-scale bisection for "satisfied demand at
@@ -58,7 +58,6 @@
 
 pub mod algorithm1;
 pub mod capacity;
-pub mod cvar;
 pub mod estimator;
 pub mod eval;
 pub mod examples;

@@ -18,10 +18,10 @@ use prete_stats::ContingencyTable;
 use prete_topology::{FiberId, Network};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Configuration for dataset generation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DatasetConfig {
     /// Number of 15-minute epochs to simulate. One year = 35 040.
     pub epochs: usize,
@@ -37,7 +37,7 @@ impl DatasetConfig {
 }
 
 /// A simulated event history.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Dataset {
     /// All degradation events, chronological.
     pub events: Vec<DegradationEvent>,

@@ -7,10 +7,10 @@
 //! consumes them directly.
 
 use prete_topology::FiberId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One fiber-degradation event as observed by the telemetry system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DegradationEvent {
     /// The degraded fiber.
     pub fiber: FiberId,
@@ -29,7 +29,7 @@ pub struct DegradationEvent {
 }
 
 /// One fiber-cut event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CutEvent {
     /// The cut fiber.
     pub fiber: FiberId,
@@ -43,7 +43,7 @@ pub struct CutEvent {
 }
 
 /// The §3.2 critical features plus intrinsic fiber features.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DegradationFeatures {
     /// Hour of day when the degradation appeared (0–23). Failure
     /// proportion peaks around midnight (~60 %) and bottoms out in the

@@ -24,7 +24,7 @@ use prete_stats::Weibull;
 use prete_topology::{FiberId, Network};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Fraction of fiber cuts preceded by a degradation within the
 /// predictable window (§3.1: ~25 %).
@@ -46,7 +46,7 @@ pub const PREDICTABLE_WINDOW_S: u64 = 300;
 pub const EPOCH_S: u64 = 900;
 
 /// Per-fiber failure parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FiberProfile {
     /// The fiber.
     pub fiber: FiberId,
@@ -60,7 +60,7 @@ pub struct FiberProfile {
 }
 
 /// The full failure model over a topology's fibers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FailureModel {
     profiles: Vec<FiberProfile>,
     /// Global intercept calibrating the marginal `P(cut | degradation)`

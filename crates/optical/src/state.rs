@@ -5,7 +5,7 @@
 //! *degradation* is an increase of 3–10 dB — enough to hurt SNR but
 //! still error-free decodable.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Loss increase (dB over healthy baseline) at which a fiber counts as
 /// degraded.
@@ -16,7 +16,7 @@ pub const DEGRADATION_THRESHOLD_DB: f64 = 3.0;
 pub const CUT_THRESHOLD_DB: f64 = 10.0;
 
 /// Observable state of a fiber at an instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum FiberState {
     /// Loss at (or near) the healthy baseline.
     Healthy,

@@ -21,10 +21,10 @@ use crate::state::{classify_excess, FiberState};
 use prete_topology::FiberId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Configuration for trace synthesis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TraceConfig {
     /// Healthy-state loss baseline (dB).
     pub baseline_db: f64,
@@ -56,7 +56,7 @@ pub struct ScriptedDegradation {
 }
 
 /// A per-second transmission-loss series for one fiber.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LossTrace {
     /// The fiber this trace belongs to.
     pub fiber: FiberId,

@@ -11,11 +11,11 @@
 //! TeaVaR/Flexile artifacts the paper builds on).
 
 use crate::ids::{FiberId, LinkId, SiteId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// A site: an edge router / point of presence (vertex of the graph).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Site {
     /// Identifier of this site.
     pub id: SiteId,
@@ -31,7 +31,7 @@ pub struct Site {
 ///
 /// Fibers sharing a conduit are modelled as a single fiber entity, as
 /// the paper does ("we consider these fibers as a single entity", §3.1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fiber {
     /// Identifier of this fiber.
     pub id: FiberId,
@@ -48,7 +48,7 @@ pub struct Fiber {
 }
 
 /// An IP-layer link.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct IpLink {
     /// Identifier of this link.
     pub id: LinkId,
@@ -83,7 +83,7 @@ impl IpLink {
 }
 
 /// The assembled two-layer network.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Network {
     /// Topology name ("B4", "IBM", "TWAN", …).
     pub name: String,

@@ -4,14 +4,12 @@
 //! newtypes prevent mixing, say, a fiber index into an IP-link table —
 //! the classic cross-layer bug in WAN tooling.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
         pub struct $name(pub usize);
 
         impl $name {

@@ -11,11 +11,11 @@ use crate::graph::Network;
 use crate::ids::{FlowId, SiteId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A flow: a source–destination site pair with a bandwidth demand
 /// (`d_f` of Table 2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Flow {
     /// Identifier of this flow.
     pub id: FlowId,
@@ -28,7 +28,7 @@ pub struct Flow {
 }
 
 /// A traffic matrix: a demand per flow, for one TE interval.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TrafficMatrix {
     /// Hour of day this matrix describes (0–23).
     pub hour: usize,

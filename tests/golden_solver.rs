@@ -15,6 +15,8 @@
 //!
 //! and commit the rewritten `tests/fixtures/golden_*.json`.
 
+pub mod oracle;
+
 use prete_core::estimator::ProbabilityEstimator;
 use prete_core::prelude::{FailureModel, SolveMethod, TeProblem, TeSolver};
 use prete_core::scenario::{ScenarioBudget, ScenarioSet};
@@ -49,6 +51,27 @@ fn fixture_path(name: &str) -> PathBuf {
         .join(format!("golden_{name}.json"))
 }
 
+/// The committed fixture `name`, or — under `GOLDEN_BLESS` — `None`
+/// after writing `got` in its place.
+fn fixture<T: Serialize + Deserialize>(name: &str, got: &T) -> Option<T> {
+    let path = fixture_path(name);
+    if std::env::var_os("GOLDEN_BLESS").is_some() {
+        let json = serde_json::to_string_pretty(got).expect("serialize fixture");
+        std::fs::create_dir_all(path.parent().unwrap()).expect("fixtures dir");
+        std::fs::write(&path, json).expect("write fixture");
+        eprintln!("blessed {}", path.display());
+        return None;
+    }
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing fixture {} ({e}); run GOLDEN_BLESS=1 cargo test -p prete-bench \
+             --test golden_solver to create it",
+            path.display()
+        )
+    });
+    Some(serde_json::from_str(&text).expect("parse fixture"))
+}
+
 /// The canonical instance: the figure pipeline's seed and load, one
 /// simultaneous failure, deterministic per-fiber probabilities.
 fn solve(net: &Network) -> GoldenOptimum {
@@ -68,36 +91,19 @@ fn solve(net: &Network) -> GoldenOptimum {
 
 fn check(name: &str, net: &Network) {
     let got = Golden { topology: name.to_string(), sparse: solve(net) };
-    let path = fixture_path(name);
-    if std::env::var_os("GOLDEN_BLESS").is_some() {
-        let json = serde_json::to_string_pretty(&got).expect("serialize fixture");
-        std::fs::create_dir_all(path.parent().unwrap()).expect("fixtures dir");
-        std::fs::write(&path, json).expect("write fixture");
-        eprintln!("blessed {}", path.display());
-        return;
-    }
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing fixture {} ({e}); run GOLDEN_BLESS=1 cargo test -p prete-bench \
-             --test golden_solver to create it",
-            path.display()
-        )
-    });
-    let want: Golden = serde_json::from_str(&text).expect("parse fixture");
+    let Some(want) = fixture(name, &got) else { return };
     let (w, g) = (&want.sparse, &got.sparse);
-    let scale = 1.0 + w.max_loss.abs();
-    assert!(
-        (g.max_loss - w.max_loss).abs() <= OBJ_TOL * scale,
-        "{name}: max_loss drifted: expected {}, got {}",
-        w.max_loss,
-        g.max_loss
-    );
-    assert_eq!(g.allocation.len(), w.allocation.len(), "{name}: allocation length changed");
-    for (t, (gv, wv)) in g.allocation.iter().zip(&w.allocation).enumerate() {
-        assert!(
-            (gv - wv).abs() <= ALLOC_TOL,
-            "{name}: allocation[{t}] drifted: expected {wv}, got {gv}"
-        );
+    let obj_tol = |w: f64| OBJ_TOL * (1.0 + w.abs());
+    assert_close(&format!("{name}: max_loss"), &[w.max_loss], &[g.max_loss], obj_tol);
+    assert_close(&format!("{name}: allocation"), &w.allocation, &g.allocation, |_| ALLOC_TOL);
+}
+
+/// `got` against the fixture's `want`, entry by entry, each within
+/// `tol(want)`.
+fn assert_close(what: &str, want: &[f64], got: &[f64], tol: impl Fn(f64) -> f64) {
+    assert_eq!(got.len(), want.len(), "{what}: length changed");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert!((g - w).abs() <= tol(*w), "{what}[{i}] drifted: expected {w}, got {g}");
     }
 }
 
@@ -140,7 +146,7 @@ fn golden_scaled_lp_matches_committed_fixture() {
     use prete_lp::{solve_oracle, solve_with, SimplexOptions, SolveStatus};
 
     const CASE: usize = 18;
-    let lp = prete_bench::torture::generate(prete_bench::torture::SUITE_SEED, CASE).build();
+    let lp = oracle::torture_lp(oracle::TORTURE_SEED, CASE).build();
     let dense = solve_oracle(&lp, SimplexOptions::default());
     let sparse = solve_with(&lp, SimplexOptions::default());
     // The fixture only makes sense while both engines *certify* this
@@ -156,44 +162,16 @@ fn golden_scaled_lp_matches_committed_fixture() {
         x_sparse: sparse.x,
     };
 
-    let path = fixture_path("scaled_lp");
-    if std::env::var_os("GOLDEN_BLESS").is_some() {
-        let json = serde_json::to_string_pretty(&got).expect("serialize fixture");
-        std::fs::create_dir_all(path.parent().unwrap()).expect("fixtures dir");
-        std::fs::write(&path, json).expect("write fixture");
-        eprintln!("blessed {}", path.display());
-        return;
-    }
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing fixture {} ({e}); run GOLDEN_BLESS=1 cargo test -p prete-bench \
-             --test golden_solver to create it",
-            path.display()
-        )
-    });
-    let want: GoldenScaledLp = serde_json::from_str(&text).expect("parse fixture");
+    let Some(want) = fixture("scaled_lp", &got) else { return };
     assert_eq!(want.case, CASE, "fixture pins a different torture case");
+    let tol = |w: f64| SCALED_OBJ_TOL * (1.0 + w.abs());
     for (label, w, g) in [
-        ("dense", want.dense_objective, got.dense_objective),
-        ("sparse", want.sparse_objective, got.sparse_objective),
+        ("dense objective", &[want.dense_objective][..], &[got.dense_objective][..]),
+        ("sparse objective", &[want.sparse_objective], &[got.sparse_objective]),
+        ("dense x", &want.x_dense, &got.x_dense),
+        ("sparse x", &want.x_sparse, &got.x_sparse),
     ] {
-        let scale = 1.0 + w.abs();
-        assert!(
-            (g - w).abs() <= SCALED_OBJ_TOL * scale,
-            "scaled-lp/{label}: objective drifted: expected {w}, got {g}"
-        );
-    }
-    for (label, w, g) in
-        [("dense", &want.x_dense, &got.x_dense), ("sparse", &want.x_sparse, &got.x_sparse)]
-    {
-        assert_eq!(g.len(), w.len(), "scaled-lp/{label}: solution length changed");
-        for (j, (gv, wv)) in g.iter().zip(w).enumerate() {
-            let scale = 1.0 + wv.abs();
-            assert!(
-                (gv - wv).abs() <= SCALED_OBJ_TOL * scale,
-                "scaled-lp/{label}: x[{j}] drifted: expected {wv}, got {gv}"
-            );
-        }
+        assert_close(&format!("scaled-lp/{label}"), w, g, tol);
     }
 }
 
@@ -235,22 +213,7 @@ fn check_gen(name: &str, spec_str: &str) {
         digest: digest(&net),
         total_capacity_gbps: net.links().iter().map(|l| l.capacity_gbps).sum(),
     };
-    let path = fixture_path(name);
-    if std::env::var_os("GOLDEN_BLESS").is_some() {
-        let json = serde_json::to_string_pretty(&got).expect("serialize fixture");
-        std::fs::create_dir_all(path.parent().unwrap()).expect("fixtures dir");
-        std::fs::write(&path, json).expect("write fixture");
-        eprintln!("blessed {}", path.display());
-        return;
-    }
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing fixture {} ({e}); run GOLDEN_BLESS=1 cargo test -p prete-bench \
-             --test golden_solver to create it",
-            path.display()
-        )
-    });
-    let want: GoldenGen = serde_json::from_str(&text).expect("parse fixture");
+    let Some(want) = fixture(name, &got) else { return };
     assert_eq!(want.spec, got.spec, "{name}: fixture pins a different spec");
     assert_eq!(want.sites, got.sites, "{name}: site count drifted");
     assert_eq!(want.fibers, got.fibers, "{name}: fiber count drifted");

@@ -1,7 +1,8 @@
 //! Differential oracle suite for the k-cut scenario enumerator and the
 //! Benders solves on its output.
 //!
-//! Two contracts, mirroring the `solver_differential` pattern:
+//! Two contracts, each run by the shared harness's sweep
+//! (`tests/oracle/mod.rs`) like the `solver_differential` suites:
 //!
 //! * **Powerset oracle** — on fiber counts small enough to brute-force,
 //!   the streaming enumerator must match a powerset-filtered
@@ -17,6 +18,9 @@
 //!   with *zero* objective disagreement whenever nothing was actually
 //!   pruned.
 
+pub mod oracle;
+
+use oracle::{ensure, shrink, Rng, Sweep};
 use prete_core::examples::{triangle, triangle_flows};
 use prete_core::prelude::*;
 use prete_topology::FiberId;
@@ -24,34 +28,6 @@ use prete_topology::FiberId;
 const SUITE_SEED: u64 = 0x9e37_79b9_2026_0810;
 const POWERSET_CASES: usize = 220;
 const SOLVE_CASES: usize = 200;
-
-// ---------------------------------------------------------------------------
-// Deterministic RNG (splitmix64): (seed, case) reproduces everything.
-// ---------------------------------------------------------------------------
-
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.wrapping_add(0x5851_f42d_4c95_7f2d))
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n.max(1) as u64) as usize
-    }
-
-    fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Powerset oracle
@@ -63,6 +39,13 @@ struct EnumCase {
     probs: Vec<f64>,
     k: usize,
     floor: f64,
+}
+
+impl EnumCase {
+    /// The case's budget: no buffer cap, no tail samples.
+    fn budget(&self) -> ScenarioBudget {
+        ScenarioBudget { max_cuts: self.k, mass_floor: self.floor, ..ScenarioBudget::default() }
+    }
 }
 
 /// Brute-force enumeration: every subset of the genuinely uncertain
@@ -104,20 +87,13 @@ fn rel_eq(a: f64, b: f64) -> bool {
     (a - b).abs() <= REL * (1.0 + a.abs().max(b.abs()))
 }
 
-/// Checks one case against the oracle; `Some(reason)` on disagreement.
-fn check_enum(case: &EnumCase) -> Option<String> {
-    let budget = ScenarioBudget {
-        max_cuts: case.k,
-        mass_floor: case.floor,
-        max_scenarios: usize::MAX,
-        tail_samples: 0,
-        seed: 0,
-    };
-    let (set, stats) = ScenarioSet::enumerate_with(&case.probs, &budget);
+/// Checks one case against the oracle; `Err(reason)` on disagreement.
+fn check_enum(case: &EnumCase) -> Result<(), String> {
+    let (set, stats) = ScenarioSet::enumerate_with(&case.probs, &case.budget());
     // The mass invariant, for every case (satellite: the accounting
     // fix must hold everywhere, not just where debug_assert fires).
     if stats.mass_gap() > 1e-9 {
-        return Some(format!(
+        return Err(format!(
             "mass invariant broken: enumerated {} + tail {} (gap {:e})",
             stats.enumerated_mass,
             stats.truncated_tail,
@@ -130,7 +106,7 @@ fn check_enum(case: &EnumCase) -> Option<String> {
         if w[0].prob < w[1].prob
             || (w[0].prob == w[1].prob && w[0].cut > w[1].cut)
         {
-            return Some(format!("ordering violated: {w:?}"));
+            return Err(format!("ordering violated: {w:?}"));
         }
     }
     let oracle = powerset_oracle(&case.probs, case.k);
@@ -140,10 +116,10 @@ fn check_enum(case: &EnumCase) -> Option<String> {
     // probability. Scenario 0 is the empty-uncertain-subset entry.
     for q in &set.scenarios {
         let Some(&p) = lookup.get(q.cut.as_slice()) else {
-            return Some(format!("scenario {:?} not in the ≤{}-cut powerset", q.cut, case.k));
+            return Err(format!("scenario {:?} not in the ≤{}-cut powerset", q.cut, case.k));
         };
         if !rel_eq(q.prob, p) {
-            return Some(format!(
+            return Err(format!(
                 "probability mismatch on {:?}: enum {} vs oracle {}",
                 q.cut, q.prob, p
             ));
@@ -155,7 +131,7 @@ fn check_enum(case: &EnumCase) -> Option<String> {
     // floor may be dropped and nothing clearly below kept.
     if case.floor == 0.0 {
         if set.scenarios.len() != oracle.len() {
-            return Some(format!(
+            return Err(format!(
                 "set cardinality: enum {} vs powerset {}",
                 set.scenarios.len(),
                 oracle.len()
@@ -169,10 +145,10 @@ fn check_enum(case: &EnumCase) -> Option<String> {
             let is_scenario0 =
                 *cut == set.scenarios[0].cut;
             if *p > case.floor * margin && !is_scenario0 && !kept.contains(cut.as_slice()) {
-                return Some(format!("{cut:?} (p={p}) above floor {} but dropped", case.floor));
+                return Err(format!("{cut:?} (p={p}) above floor {} but dropped", case.floor));
             }
             if *p < case.floor / margin && !is_scenario0 && kept.contains(cut.as_slice()) {
-                return Some(format!("{cut:?} (p={p}) below floor {} but kept", case.floor));
+                return Err(format!("{cut:?} (p={p}) below floor {} but kept", case.floor));
             }
         }
     }
@@ -185,50 +161,36 @@ fn check_enum(case: &EnumCase) -> Option<String> {
         .map(|(_, p)| p)
         .sum();
     if !rel_eq(enum_mass, oracle_mass) {
-        return Some(format!("mass mismatch: enum {enum_mass} vs oracle {oracle_mass}"));
+        return Err(format!("mass mismatch: enum {enum_mass} vs oracle {oracle_mass}"));
     }
-    None
+    Ok(())
 }
 
 /// Greedy shrink to a minimal `(seed, k, floor)` repro: drop fibers,
 /// lower `k`, zero the floor — keep each mutation only while the
 /// disagreement persists.
-fn shrink_enum(mut case: EnumCase) -> EnumCase {
-    loop {
-        let mut reduced = false;
-        let mut i = 0;
-        while i < case.probs.len() {
-            let mut candidate = case.clone();
-            candidate.probs.remove(i);
-            if check_enum(&candidate).is_some() {
-                case = candidate;
-                reduced = true;
-            } else {
-                i += 1;
-            }
-        }
+fn shrink_enum(case: &EnumCase) -> EnumCase {
+    let smaller = |case: &EnumCase| {
+        let mut out: Vec<EnumCase> = (0..case.probs.len())
+            .map(|i| {
+                let mut candidate = case.clone();
+                candidate.probs.remove(i);
+                candidate
+            })
+            .collect();
         if case.k > 1 {
-            let candidate = EnumCase { k: case.k - 1, ..case.clone() };
-            if check_enum(&candidate).is_some() {
-                case = candidate;
-                reduced = true;
-            }
+            out.push(EnumCase { k: case.k - 1, ..case.clone() });
         }
         if case.floor != 0.0 {
-            let candidate = EnumCase { floor: 0.0, ..case.clone() };
-            if check_enum(&candidate).is_some() {
-                case = candidate;
-                reduced = true;
-            }
+            out.push(EnumCase { floor: 0.0, ..case.clone() });
         }
-        if !reduced {
-            return case;
-        }
-    }
+        out
+    };
+    shrink(case.clone(), smaller, |c| check_enum(c).is_err())
 }
 
 fn enum_case(seed: u64, case: usize) -> EnumCase {
-    let mut rng = Rng::new(seed ^ (case as u64).wrapping_mul(0xd6e8_feb8_6659_fd93));
+    let mut rng = Rng::for_case(seed, case);
     let n = 2 + rng.below(9);
     let probs: Vec<f64> = (0..n)
         .map(|_| match rng.below(12) {
@@ -250,24 +212,24 @@ fn enum_case(seed: u64, case: usize) -> EnumCase {
 
 #[test]
 fn kcut_enumerator_matches_powerset_oracle() {
-    let mut failures = Vec::new();
     let mut exact_cases = 0usize;
-    for case_no in 0..POWERSET_CASES {
-        let case = enum_case(SUITE_SEED, case_no);
-        if case.floor == 0.0 {
-            exact_cases += 1;
-        }
-        if let Some(reason) = check_enum(&case) {
-            let small = shrink_enum(case.clone());
-            eprintln!(
-                "FAIL (seed={SUITE_SEED:#x}, case={case_no}, k={}, floor={:e}): {reason}\n  \
-                 shrunk to: (k={}, floor={:e}, probs={:?})\n  reproduce: \
-                 `enum_case({SUITE_SEED:#x}, {case_no})` in tests/scenario_differential.rs",
-                case.k, case.floor, small.k, small.floor, small.probs
-            );
-            failures.push((case_no, reason));
-        }
-    }
+    let sweep = Sweep {
+        generator: "`enum_case` in tests/scenario_differential.rs",
+        seed: SUITE_SEED,
+        cases: POWERSET_CASES,
+        configs: &[()],
+    };
+    let failures = sweep.run(
+        |seed, case_no| {
+            let case = enum_case(seed, case_no);
+            if case.floor == 0.0 {
+                exact_cases += 1;
+            }
+            case
+        },
+        |case, ()| check_enum(case),
+        |case, ()| shrink_enum(case),
+    );
     assert!(
         failures.is_empty(),
         "{} powerset disagreements over {POWERSET_CASES} cases (seed {SUITE_SEED:#x})",
@@ -281,13 +243,7 @@ fn kcut_enumerator_matches_powerset_oracle() {
 fn bounded_buffer_returns_the_unbounded_head() {
     for case_no in 0..60 {
         let case = enum_case(SUITE_SEED ^ 0xb0f, case_no);
-        let unbounded = ScenarioBudget {
-            max_cuts: case.k,
-            mass_floor: case.floor,
-            max_scenarios: usize::MAX,
-            tail_samples: 0,
-            seed: 0,
-        };
+        let unbounded = case.budget();
         let (full, _) = ScenarioSet::enumerate_with(&case.probs, &unbounded);
         for cap in [1usize, 2, 5] {
             let (capped, stats) = ScenarioSet::enumerate_with(
@@ -349,21 +305,34 @@ fn tail_samples_are_deterministic_and_conserve_mass() {
 // Solve differential: pruned vs exhaustive within the certified bound
 // ---------------------------------------------------------------------------
 
-/// Benders objective on the triangle with an explicit scenario set.
-fn solve_triangle(
-    net: &Network,
-    flows: &[Flow],
-    tunnels: &TunnelSet,
-    scenarios: &ScenarioSet,
+/// One solve-differential draw: fiber probabilities, β, the triangle's
+/// demands rescaled, and the pruning budget.
+#[derive(Debug, Clone)]
+struct SolveCase {
+    probs: Vec<f64>,
     beta: f64,
-) -> f64 {
-    let problem = TeProblem::new(net, flows, tunnels, scenarios);
-    TeSolver::new(&problem)
-        .beta(beta)
-        .method(SolveMethod::benders())
-        .solve()
-        .expect("benders solve")
-        .max_loss
+    flows: Vec<Flow>,
+    budget: ScenarioBudget,
+}
+
+fn solve_case(seed: u64, case: usize, fibers: usize, base_flows: &[Flow]) -> SolveCase {
+    let mut rng = Rng::new(seed ^ (case as u64).wrapping_mul(0x9e37));
+    SolveCase {
+        probs: (0..fibers).map(|_| 0.3 * rng.unit()).collect(),
+        beta: [0.9, 0.95, 0.99][rng.below(3)],
+        flows: base_flows
+            .iter()
+            .map(|f| Flow { demand_gbps: f.demand_gbps * (0.5 + rng.unit()), ..*f })
+            .collect(),
+        // Pruned: k-cut with a mass floor (and sometimes a buffer cap).
+        budget: ScenarioBudget {
+            max_cuts: 1 + rng.below(2),
+            mass_floor: [0.0, 1e-6, 1e-4, 1e-3][rng.below(4)],
+            max_scenarios: if rng.below(4) == 0 { 3 } else { usize::MAX },
+            tail_samples: 0,
+            seed: case as u64,
+        },
+    }
 }
 
 #[test]
@@ -371,63 +340,55 @@ fn pruned_solves_stay_inside_the_certified_sandwich() {
     let net = triangle();
     let base_flows = triangle_flows();
     let tunnels = TunnelSet::initialize(&net, &base_flows, 2);
-    let mut disagreements = Vec::new();
-    for case_no in 0..SOLVE_CASES {
-        let mut rng = Rng::new(SUITE_SEED ^ 0x501e ^ (case_no as u64).wrapping_mul(0x9e37));
-        let probs: Vec<f64> = (0..net.num_fibers()).map(|_| 0.3 * rng.unit()).collect();
-        let beta = [0.9, 0.95, 0.99][rng.below(3)];
-        let flows: Vec<Flow> = base_flows
-            .iter()
-            .map(|f| Flow { demand_gbps: f.demand_gbps * (0.5 + rng.unit()), ..*f })
-            .collect();
+    // Benders objective on the triangle with an explicit scenario set.
+    let solve = |case: &SolveCase, scenarios: &ScenarioSet, beta: f64| {
+        let problem = TeProblem::new(&net, &case.flows, &tunnels, scenarios);
+        let solver = TeSolver::new(&problem).beta(beta).method(SolveMethod::benders());
+        solver.solve().expect("benders solve").max_loss
+    };
+    let verdict = |case: &SolveCase, ()| {
+        let SolveCase { probs, beta, budget, .. } = case;
         // Exhaustive: every subset of the three fibers.
-        let exhaustive = ScenarioSet::enumerate(&probs, probs.len(), 0.0);
-        // Pruned: k-cut with a mass floor (and sometimes a buffer cap).
-        let budget = ScenarioBudget {
-            max_cuts: 1 + rng.below(2),
-            mass_floor: [0.0, 1e-6, 1e-4, 1e-3][rng.below(4)],
-            max_scenarios: if rng.below(4) == 0 { 3 } else { usize::MAX },
-            tail_samples: 0,
-            seed: case_no as u64,
-        };
-        let (pruned, stats) = ScenarioSet::enumerate_with(&probs, &budget);
-        assert!(stats.mass_gap() < 1e-9, "case {case_no}: gap {:e}", stats.mass_gap());
-        let phi = solve_triangle(&net, &flows, &tunnels, &pruned, beta);
+        let exhaustive = ScenarioSet::enumerate(probs, probs.len(), 0.0);
+        let (pruned, stats) = ScenarioSet::enumerate_with(probs, budget);
+        ensure(stats.mass_gap() < 1e-9, || format!("gap {:e}", stats.mass_gap()))?;
+        let phi = solve(case, &pruned, *beta);
         if pruned.scenarios == exhaustive.scenarios {
             // Nothing pruned: zero certified-objective disagreement
             // tolerance, bit for bit.
-            let phi_exact = solve_triangle(&net, &flows, &tunnels, &exhaustive, beta);
+            let phi_exact = solve(case, &exhaustive, *beta);
             if phi != phi_exact {
-                disagreements.push((case_no, phi, phi_exact, "identical-set".to_string()));
+                return Err(format!("identical-set: Φ {phi} vs exhaustive {phi_exact}"));
             }
-            continue;
+            return Ok(());
         }
         // The certified sandwich: pruning moves at most `truncated_tail`
         // probability mass, so the objective must sit between the
         // exhaustive solves at `β ± tail` (± the Benders gap ε).
         let tail = stats.truncated_tail;
-        let lo = solve_triangle(&net, &flows, &tunnels, &exhaustive, (beta - tail).max(0.5));
-        let hi = solve_triangle(
-            &net,
-            &flows,
-            &tunnels,
-            &exhaustive,
-            (beta + tail).min(1.0 - 1e-9),
-        );
+        let lo = solve(case, &exhaustive, (beta - tail).max(0.5));
+        let hi = solve(case, &exhaustive, (beta + tail).min(1.0 - 1e-9));
         const EPS: f64 = 2e-4; // 2× the Benders convergence gap
         if phi < lo - EPS || phi > hi + EPS {
-            disagreements.push((
-                case_no,
-                phi,
-                lo,
-                format!("outside [{lo} - ε, {hi} + ε] (tail {tail:e}, β {beta})"),
-            ));
+            return Err(format!("Φ {phi} outside [{lo} - ε, {hi} + ε] (tail {tail:e}, β {beta})"));
         }
-    }
+        Ok(())
+    };
+    let sweep = Sweep {
+        generator: "`solve_case` in tests/scenario_differential.rs",
+        seed: SUITE_SEED ^ 0x501e,
+        cases: SOLVE_CASES,
+        configs: &[()],
+    };
+    let failures = sweep.run(
+        |seed, case| solve_case(seed, case, net.num_fibers(), &base_flows),
+        verdict,
+        |case, ()| case.clone(),
+    );
     assert!(
-        disagreements.is_empty(),
+        failures.is_empty(),
         "{} certified-objective disagreements over {SOLVE_CASES} cases (seed \
-         {SUITE_SEED:#x}): {disagreements:?}",
-        disagreements.len()
+         {SUITE_SEED:#x}): {failures:?}",
+        failures.len()
     );
 }

@@ -1,5 +1,5 @@
 //! Differential oracle suite: the sparse revised simplex engine vs the
-//! dense tableau on seeded random LPs.
+//! dense tableau on seeded random and torture LPs.
 //!
 //! The dense two-phase tableau ([`prete_lp::solve_oracle`]) is the
 //! trusted oracle (simple enough to audit by hand, and on no solve
@@ -16,7 +16,16 @@
 //! failing case is *shrunk* — rows dropped, variables decoupled —
 //! while the disagreement persists, then printed together with its
 //! reproducible `(seed, case)` pair.
+//!
+//! The torture half holds the engine to the certification contract on
+//! ill-conditioned programs instead (see [`torture_check`]). Both
+//! generators, the case type, the shrinker and the sweep live in the
+//! shared harness, `tests/oracle/mod.rs`.
 
+pub mod oracle;
+
+use oracle::{random_lp, shrink_lp, torture_lp, LpCase, LpRow, LpVar, Sweep};
+use oracle::{RANDOM_LP_SEED, TORTURE_SEED};
 use prete_lp::{
     solve_oracle, solve_with, ColdStart, LinearProgram, SimplexOptions, Sense, SolveStatus,
 };
@@ -26,175 +35,23 @@ const CASES: usize = 520;
 /// The sparse-engine configuration matrix: both cold-start strategies
 /// (`Auto` exercises the dual-simplex cold path with bound flipping
 /// and cost perturbation wherever a program qualifies). Each must
-/// independently agree with the dense oracle on all 520 cases.
+/// independently agree with the dense oracle on every random and
+/// torture case.
 const MATRIX: [ColdStart; 2] = [ColdStart::TwoPhase, ColdStart::Auto];
-const SUITE_SEED: u64 = 0x9e37_79b9_2026_0807;
-
-// ---------------------------------------------------------------------------
-// Deterministic RNG (splitmix64) — no external dependency, and the
-// (seed, case) pair alone reproduces a failure.
-// ---------------------------------------------------------------------------
-
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.wrapping_add(0x5851_f42d_4c95_7f2d))
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n.max(1) as u64) as usize
-    }
-
-    fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Small integer in `[-range, range]` — integer data makes ties
-    /// (degeneracy) common, which is exactly what the anti-cycling
-    /// machinery needs to be exercised on.
-    fn small_int(&mut self, range: i64) -> f64 {
-        (self.next() % (2 * range as u64 + 1)) as i64 as f64 - range as f64
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Case specification — a plain-data LP the shrinker can mutate.
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-struct VarSpec {
-    lb: f64,
-    ub: f64,
-    cost: f64,
-}
-
-#[derive(Debug, Clone)]
-struct RowSpec {
-    terms: Vec<(usize, f64)>,
-    sense: Sense,
-    rhs: f64,
-}
-
-#[derive(Debug, Clone)]
-struct CaseSpec {
-    vars: Vec<VarSpec>,
-    rows: Vec<RowSpec>,
-}
-
-impl CaseSpec {
-    fn build(&self) -> LinearProgram {
-        let mut lp = LinearProgram::new();
-        let ids: Vec<_> =
-            self.vars.iter().map(|v| lp.add_var(v.lb, v.ub, v.cost)).collect();
-        for r in &self.rows {
-            let terms = r.terms.iter().map(|&(j, a)| (ids[j], a)).collect();
-            lp.add_constraint(terms, r.sense, r.rhs);
-        }
-        lp
-    }
-}
-
-/// Draws one random case. Sizes stay small (≤ 12 vars, ≤ 14 rows) so
-/// 500+ cases run in seconds; density, bound shapes, senses and the
-/// integer-valued data vary enough to hit every status and plenty of
-/// degeneracy.
-fn generate(seed: u64, case: usize) -> CaseSpec {
-    let mut rng = Rng::new(seed ^ (case as u64).wrapping_mul(0xd6e8_feb8_6659_fd93));
-    let n = 1 + rng.below(12);
-    let m = rng.below(15);
-    // Case-level density in [0.2, 1.0]: some programs nearly full,
-    // most sparse like real TE programs.
-    let density = 0.2 + 0.8 * rng.unit();
-    // Half the cases are "benign": non-negative costs (bounded below
-    // over the box) and rhs anchored at a random in-box point
-    // (feasible by construction), so optimal cases dominate the suite.
-    // The rest are unconstrained draws that cover infeasible and
-    // unbounded programs.
-    let benign = rng.below(2) == 0;
-    let vars: Vec<VarSpec> = (0..n)
-        .map(|_| {
-            let lb = if rng.below(3) == 0 { rng.small_int(5) } else { 0.0 };
-            let ub = match rng.below(4) {
-                // Occasionally fixed (lb == ub) — the presolve's
-                // substitution path.
-                0 => lb,
-                1 | 2 => lb + rng.below(10) as f64,
-                _ => f64::INFINITY,
-            };
-            let cost = if rng.below(5) == 0 {
-                0.0
-            } else if benign {
-                rng.small_int(5).abs()
-            } else {
-                rng.small_int(5)
-            };
-            VarSpec { lb, ub, cost }
-        })
-        .collect();
-    // Anchor point inside the box for benign rhs generation.
-    let anchor: Vec<f64> = vars
-        .iter()
-        .map(|v| {
-            let span = if v.ub.is_finite() { v.ub - v.lb } else { 4.0 };
-            v.lb + (rng.below(3) as f64 / 2.0) * span / 2.0
-        })
-        .collect();
-    let rows = (0..m)
-        .map(|_| {
-            let mut terms = Vec::new();
-            for j in 0..n {
-                if rng.unit() < density {
-                    let a = rng.small_int(4);
-                    if a != 0.0 {
-                        terms.push((j, a));
-                    }
-                }
-            }
-            let sense = match rng.below(4) {
-                0 => Sense::Ge,
-                1 => Sense::Eq,
-                _ => Sense::Le,
-            };
-            let rhs = if benign {
-                let activity: f64 = terms.iter().map(|&(j, a)| a * anchor[j]).sum();
-                match sense {
-                    Sense::Le => activity + rng.below(4) as f64,
-                    Sense::Ge => activity - rng.below(4) as f64,
-                    Sense::Eq => activity,
-                }
-            } else {
-                rng.small_int(8)
-            };
-            RowSpec { terms, sense, rhs }
-        })
-        .collect();
-    CaseSpec { vars, rows }
-}
 
 // ---------------------------------------------------------------------------
 // The differential check
 // ---------------------------------------------------------------------------
 
+/// Objective agreement (relative) and KKT tolerance, for the random
+/// cases and for two certified torture answers alike.
 const TOL: f64 = 1e-6;
-
-fn oracle(lp: &LinearProgram) -> prete_lp::Solution {
-    solve_oracle(lp, SimplexOptions::default())
-}
 
 /// KKT certification of an optimal primal/dual pair: primal
 /// feasibility, dual sign conventions, complementary slackness and
 /// reduced-cost signs against the active bounds. Any violation is a
 /// real bug in whichever engine produced the pair.
-fn kkt_violation(spec: &CaseSpec, lp: &LinearProgram, sol: &prete_lp::Solution) -> Option<String> {
+fn kkt_violation(spec: &LpCase, lp: &LinearProgram, sol: &prete_lp::Solution) -> Option<String> {
     if let Err(e) = lp.check_feasible(&sol.x, 10.0 * TOL) {
         return Some(format!("primal infeasible: {e}"));
     }
@@ -244,27 +101,27 @@ fn kkt_violation(spec: &CaseSpec, lp: &LinearProgram, sol: &prete_lp::Solution) 
 }
 
 /// Runs the dense oracle against the sparse engine under one cold
-/// start; `Some(reason)` when they disagree or either optimal answer
-/// fails certification.
-fn check_with(spec: &CaseSpec, cold_start: ColdStart) -> Option<String> {
+/// start; `Err(reason)` when they disagree or either optimal answer
+/// fails certification, else the status both reached.
+fn check_with(spec: &LpCase, cold_start: ColdStart) -> Result<SolveStatus, String> {
     let lp = spec.build();
-    let dense = oracle(&lp);
+    let dense = solve_oracle(&lp, SimplexOptions::default());
     let sparse = solve_with(&lp, SimplexOptions { cold_start, ..SimplexOptions::default() });
     if sparse.status == SolveStatus::NumericalFailure {
-        return Some("the sparse recovery ladder ran out".into());
+        return Err("the sparse recovery ladder ran out".into());
     }
     if dense.status != sparse.status {
-        return Some(format!(
+        return Err(format!(
             "status mismatch: dense {:?} vs sparse {:?}",
             dense.status, sparse.status
         ));
     }
     if dense.status != SolveStatus::Optimal {
-        return None;
+        return Ok(dense.status);
     }
     let scale = 1.0 + dense.objective.abs().max(sparse.objective.abs());
     if (dense.objective - sparse.objective).abs() > TOL * scale {
-        return Some(format!(
+        return Err(format!(
             "objective mismatch: dense {} vs sparse {} (rel {})",
             dense.objective,
             sparse.objective,
@@ -272,63 +129,16 @@ fn check_with(spec: &CaseSpec, cold_start: ColdStart) -> Option<String> {
         ));
     }
     if let Some(e) = kkt_violation(spec, &lp, &dense) {
-        return Some(format!("dense KKT: {e}"));
+        return Err(format!("dense KKT: {e}"));
     }
     if let Some(e) = kkt_violation(spec, &lp, &sparse) {
-        return Some(format!("sparse KKT: {e}"));
+        return Err(format!("sparse KKT: {e}"));
     }
-    None
+    Ok(SolveStatus::Optimal)
 }
 
 // ---------------------------------------------------------------------------
-// Shrinking
-// ---------------------------------------------------------------------------
-
-/// Greedy shrink to a local minimum: drop rows, then unbind variables
-/// (cost → 0, bounds → [0, ∞), terms removed), keeping each mutation
-/// only while the failure persists under the same sparse configuration
-/// that produced it.
-fn shrink(mut spec: CaseSpec, cold_start: ColdStart) -> CaseSpec {
-    loop {
-        let mut reduced = false;
-        let mut i = 0;
-        while i < spec.rows.len() {
-            let mut candidate = spec.clone();
-            candidate.rows.remove(i);
-            if check_with(&candidate, cold_start).is_some() {
-                spec = candidate;
-                reduced = true;
-            } else {
-                i += 1;
-            }
-        }
-        for j in 0..spec.vars.len() {
-            let trivial = VarSpec { lb: 0.0, ub: f64::INFINITY, cost: 0.0 };
-            let already = spec.vars[j].lb == 0.0
-                && spec.vars[j].ub.is_infinite()
-                && spec.vars[j].cost == 0.0
-                && spec.rows.iter().all(|r| r.terms.iter().all(|&(k, _)| k != j));
-            if already {
-                continue;
-            }
-            let mut candidate = spec.clone();
-            candidate.vars[j] = trivial;
-            for r in &mut candidate.rows {
-                r.terms.retain(|&(k, _)| k != j);
-            }
-            if check_with(&candidate, cold_start).is_some() {
-                spec = candidate;
-                reduced = true;
-            }
-        }
-        if !reduced {
-            return spec;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The suite
+// The random suite
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -336,38 +146,33 @@ fn sparse_engine_matches_dense_oracle_on_random_lps() {
     let mut optimal = 0usize;
     let mut infeasible = 0usize;
     let mut unbounded = 0usize;
-    let mut failures = Vec::new();
-    for case in 0..CASES {
-        let spec = generate(SUITE_SEED, case);
-        let mut failed = false;
-        for cold_start in MATRIX {
-            if let Some(reason) = check_with(&spec, cold_start) {
-                let small = shrink(spec.clone(), cold_start);
-                eprintln!(
-                    "FAIL (seed={SUITE_SEED:#x}, case={case}, {cold_start:?}): \
-                     {reason}\n  shrunk to: {small:?}\n  reproduce: \
-                     `generate({SUITE_SEED:#x}, {case})` in tests/solver_differential.rs"
-                );
-                failures.push((case, cold_start, reason));
-                failed = true;
+    let sweep = Sweep {
+        generator: "`random_lp` in tests/oracle/mod.rs",
+        seed: RANDOM_LP_SEED,
+        cases: CASES,
+        configs: &MATRIX,
+    };
+    let failures = sweep.run(
+        random_lp,
+        |spec, cold_start| {
+            let status = check_with(spec, cold_start)?;
+            // A case counts once, by the status its first config
+            // agreed on with the dense oracle.
+            if cold_start == MATRIX[0] {
+                match status {
+                    SolveStatus::Optimal => optimal += 1,
+                    SolveStatus::Infeasible => infeasible += 1,
+                    SolveStatus::Unbounded => unbounded += 1,
+                    _ => {}
+                }
             }
-        }
-        if failed {
-            continue;
-        }
-        let lp = spec.build();
-        match oracle(&lp).status {
-            SolveStatus::Optimal => optimal += 1,
-            SolveStatus::Infeasible => infeasible += 1,
-            SolveStatus::Unbounded => unbounded += 1,
-            SolveStatus::IterationLimit
-            | SolveStatus::NumericallySuspect
-            | SolveStatus::NumericalFailure => {}
-        }
-    }
+            Ok(())
+        },
+        |spec, cold_start| shrink_lp(spec.clone(), |c| check_with(c, cold_start).is_err()),
+    );
     assert!(
         failures.is_empty(),
-        "{} differential failures over {CASES} cases x {} configs (seed {SUITE_SEED:#x}): {:?}",
+        "{} differential failures over {CASES} cases x {} configs (seed {RANDOM_LP_SEED:#x}): {:?}",
         failures.len(),
         MATRIX.len(),
         failures.iter().map(|(c, cs, _)| (*c, *cs)).collect::<Vec<_>>()
@@ -379,33 +184,199 @@ fn sparse_engine_matches_dense_oracle_on_random_lps() {
     assert!(unbounded >= 20, "only {unbounded} unbounded cases");
 }
 
+/// A green sweep never shrinks anything, so the shrinker is driven
+/// here with a synthetic failure — "the sparse engine reports
+/// `Infeasible`" — on the first generated case with at least four rows
+/// that it holds for (case 1, nine variables). The shrunk case must
+/// still fail, be a local minimum (dropping any row makes the program
+/// feasible), and be the pinned repro: one row, `4·x8 = 0`, against
+/// `x8 ∈ [5, 12]`, with every other variable unbound.
+#[test]
+fn shrinker_reduces_a_failure_to_a_minimal_repro() {
+    let infeasible = |c: &LpCase| {
+        solve_with(&c.build(), SimplexOptions::default()).status == SolveStatus::Infeasible
+    };
+    let (case, spec) = (0..CASES)
+        .map(|case| (case, random_lp(RANDOM_LP_SEED, case)))
+        .find(|(_, spec)| spec.rows.len() >= 4 && infeasible(spec))
+        .expect("the random suite draws infeasible programs");
+    assert_eq!((case, spec.vars.len()), (1, 9));
+    let small = shrink_lp(spec, infeasible);
+    assert!(infeasible(&small), "the shrunk case {small:?} no longer fails");
+    for i in 0..small.rows.len() {
+        let mut fewer = small.clone();
+        fewer.rows.remove(i);
+        assert!(!infeasible(&fewer), "row {i} of {small:?} can go");
+    }
+    let unbound = |v: &LpVar| (v.lb, v.ub, v.cost) == (0.0, f64::INFINITY, 0.0);
+    assert!(small.vars.len() == 9 && small.vars[..8].iter().all(unbound), "{small:?}");
+    assert_eq!(
+        format!("{:?} {:?}", small.vars[8], small.rows),
+        "LpVar { lb: 5.0, ub: 12.0, cost: 2.0 } [LpRow { terms: [(8, 4.0)], sense: Eq, rhs: 0.0 }]"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// The torture suite
+// ---------------------------------------------------------------------------
+
+/// What one `(case, config)` torture run concluded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TortureOutcome {
+    /// Both engines certified `Optimal` and agreed.
+    CertifiedAgreement,
+    /// The sparse engine (or the oracle) declined to certify —
+    /// `NumericallySuspect`, so no agreement was required.
+    Suspect,
+    /// The dense oracle claimed infeasible/unbounded while the sparse
+    /// engine produced a *certified* Optimal. The certificate is a
+    /// constructive proof (feasible point + passing KKT residuals), so
+    /// the uncertified oracle claim is the wrong side — on torture
+    /// data the dense tableau's fixed absolute tolerances misjudge
+    /// badly scaled programs. Counted, not a violation.
+    OracleRefuted,
+    /// The mirror image: the sparse engine declined (infeasible /
+    /// unbounded) a program the dense oracle certifiably solved.
+    /// Near-degenerate right-hand sides sit exactly on the
+    /// feasible/infeasible knife edge, so this is counted rather than
+    /// gated — but a healthy engine keeps it rare.
+    SparseRefuted,
+    /// Statuses other than `Optimal` on both sides (infeasible,
+    /// unbounded, iteration limit) or a status pair with nothing to
+    /// compare.
+    NotComparable,
+}
+
+/// The certification contract on one torture case under one cold
+/// start. `Err(reason)` is a real violation; `Ok(outcome)` says what
+/// the comparison amounted to:
+///
+/// * every `Optimal` must carry a [`prete_lp::SolutionQuality`] that
+///   passes the configured tolerances — an uncertified `Optimal` is a
+///   violation by itself;
+/// * whenever *both* the sparse engine and the dense oracle return a
+///   certified `Optimal` on the same program, their objectives must
+///   agree (≤ [`TOL`] relative) — a certified disagreement is the bug
+///   class this suite exists to catch;
+/// * a sparse answer downgraded to `NumericallySuspect` is exempt from
+///   the objective comparison (that is the downgrade's entire point)
+///   but is counted, so a config that suspects everything is visible
+///   in the report.
+fn torture_check(spec: &LpCase, cfg: ColdStart) -> Result<TortureOutcome, String> {
+    let lp = spec.build();
+    let opts = SimplexOptions { cold_start: cfg, ..SimplexOptions::default() };
+    let sparse = solve_with(&lp, opts);
+    let dense = solve_oracle(&lp, SimplexOptions::default());
+
+    // Contract 1: an Optimal without a passing certificate must not
+    // exist — certification runs on every return path.
+    for (label, sol) in [("sparse", &sparse), ("dense", &dense)] {
+        if sol.status == SolveStatus::Optimal {
+            match sol.quality {
+                None => return Err(format!("{label}: Optimal without SolutionQuality")),
+                Some(q) if !q.passes() => {
+                    return Err(format!(
+                        "{label}: Optimal with failing certificate {q:?}"
+                    ))
+                }
+                Some(_) => {}
+            }
+        }
+    }
+
+    // Contract 2: two *certified* Optimal answers must agree.
+    if sparse.status == SolveStatus::Optimal && dense.status == SolveStatus::Optimal {
+        let scale = 1.0 + dense.objective.abs().max(sparse.objective.abs());
+        if (dense.objective - sparse.objective).abs() > TOL * scale {
+            return Err(format!(
+                "certified-Optimal disagreement: dense {} vs sparse {} (rel {:.3e})",
+                dense.objective,
+                sparse.objective,
+                (dense.objective - sparse.objective).abs() / scale
+            ));
+        }
+        return Ok(TortureOutcome::CertifiedAgreement);
+    }
+    if sparse.status == SolveStatus::NumericallySuspect
+        || dense.status == SolveStatus::NumericallySuspect
+    {
+        return Ok(TortureOutcome::Suspect);
+    }
+    // Status splits where exactly one side holds a certificate: the
+    // certified side wins (its certificate is a constructive proof),
+    // the uncertified claim is recorded but cannot "disagree" —
+    // infeasibility and unboundedness claims carry no certificate.
+    let declined =
+        |s: SolveStatus| matches!(s, SolveStatus::Infeasible | SolveStatus::Unbounded);
+    if sparse.status == SolveStatus::Optimal && declined(dense.status) {
+        return Ok(TortureOutcome::OracleRefuted);
+    }
+    if dense.status == SolveStatus::Optimal && declined(sparse.status) {
+        return Ok(TortureOutcome::SparseRefuted);
+    }
+    Ok(TortureOutcome::NotComparable)
+}
+
+/// What a torture sweep counted over its `(case, config)` runs.
+#[derive(Debug, Default)]
+struct TortureReport {
+    /// Both engines certified Optimal and agreed.
+    certified_agreements: usize,
+    /// At least one engine declined to certify.
+    suspect: usize,
+    /// The sparse certificate refuted an uncertified dense
+    /// infeasible/unbounded claim.
+    oracle_refuted: usize,
+    /// The sparse engine declined a program the dense oracle
+    /// certifiably solved.
+    sparse_refuted: usize,
+    /// Nothing to compare (infeasible/unbounded/limit).
+    not_comparable: usize,
+    /// Contract violations (must be empty for the gate to pass).
+    violations: Vec<(usize, ColdStart, String)>,
+}
+
+/// Runs torture cases `0..cases` under every [`MATRIX`] configuration.
+fn run(seed: u64, cases: usize) -> TortureReport {
+    let mut report = TortureReport::default();
+    let sweep =
+        Sweep { generator: "`torture_lp` in tests/oracle/mod.rs", seed, cases, configs: &MATRIX };
+    let violations = sweep.run(
+        torture_lp,
+        |spec, cfg| {
+            *match torture_check(spec, cfg)? {
+                TortureOutcome::CertifiedAgreement => &mut report.certified_agreements,
+                TortureOutcome::Suspect => &mut report.suspect,
+                TortureOutcome::OracleRefuted => &mut report.oracle_refuted,
+                TortureOutcome::SparseRefuted => &mut report.sparse_refuted,
+                TortureOutcome::NotComparable => &mut report.not_comparable,
+            } += 1;
+            Ok(())
+        },
+        |spec, cfg| shrink_lp(spec.clone(), |c| torture_check(c, cfg).is_err()),
+    );
+    report.violations = violations;
+    report
+}
+
 /// The torture half of the differential contract: seeded
-/// ill-conditioned programs (coefficients spanning `1e-8..1e8`,
-/// near-parallel columns, near-degenerate vertices) from
-/// [`prete_bench::torture`]. The random suite above checks *status*
-/// agreement on benign data; torture data is allowed to split an
-/// uncertified claim, but a certified `Optimal` must never disagree
-/// with another certified `Optimal`, and every `Optimal` must carry a
-/// passing [`prete_lp::SolutionQuality`]. Violations reproduce from
+/// ill-conditioned programs from [`torture_lp`] (coefficients spanning
+/// `1e-8..1e8`, near-parallel columns, near-degenerate vertices). The
+/// random suite above checks *status* agreement on benign data;
+/// torture data is allowed to split an uncertified claim, but a
+/// certified `Optimal` must never disagree with another certified
+/// `Optimal`, and every `Optimal` must carry a passing
+/// [`prete_lp::SolutionQuality`]. Violations reproduce from
 /// `(seed, case)` and arrive pre-shrunk.
 #[test]
 fn torture_lps_never_disagree_when_certified() {
-    use prete_bench::torture;
-
     const TORTURE_CASES: usize = 320;
-    let report = torture::run(torture::SUITE_SEED, TORTURE_CASES);
-    for v in &report.violations {
-        eprintln!(
-            "TORTURE FAIL (seed={:#x}, case={}, {}): {}\n  shrunk to: {}\n  \
-             reproduce: `torture::generate({:#x}, {})` in crates/bench/src/torture.rs",
-            v.seed, v.case, v.config, v.reason, v.shrunk, v.seed, v.case
-        );
-    }
+    let report = run(TORTURE_SEED, TORTURE_CASES);
     assert!(
         report.violations.is_empty(),
         "{} certification violations over {TORTURE_CASES} torture cases x {} configs",
         report.violations.len(),
-        report.configs
+        MATRIX.len()
     );
     // The sweep must exercise the certified path for real: a suite
     // where nothing certifies (or everything goes suspect) tests less
@@ -425,66 +396,108 @@ fn torture_lps_never_disagree_when_certified() {
     );
 }
 
+#[test]
+fn generator_is_deterministic_and_ill_conditioned() {
+    let a = torture_lp(TORTURE_SEED, 17);
+    let b = torture_lp(TORTURE_SEED, 17);
+    assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    // Over a sample of cases the coefficient range must actually
+    // span many decades — otherwise this is not a torture suite.
+    let (mut lo, mut hi) = (f64::INFINITY, 0.0f64);
+    for case in 0..50 {
+        let spec = torture_lp(TORTURE_SEED, case);
+        for r in &spec.rows {
+            for &(_, a) in &r.terms {
+                lo = lo.min(a.abs());
+                hi = hi.max(a.abs());
+            }
+        }
+    }
+    assert!(
+        hi / lo >= 1e10,
+        "coefficient dynamic range only {:.1e}",
+        hi / lo
+    );
+}
+
+#[test]
+fn small_sweep_has_zero_violations_and_real_coverage() {
+    let report = run(TORTURE_SEED, 60);
+    assert!(
+        report.violations.is_empty(),
+        "violations: {:#?}",
+        report.violations
+    );
+    assert!(
+        report.certified_agreements >= 20,
+        "only {} certified agreements in 60 cases",
+        report.certified_agreements
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Corner cases
+// ---------------------------------------------------------------------------
+
 /// The same differential contract on hand-written corner cases the
 /// random generator hits rarely: empty programs, empty rows, fixed
 /// variables, redundant rows, equalities pinning a box corner.
 #[test]
 fn sparse_engine_matches_dense_oracle_on_corner_cases() {
-    let corner_cases: Vec<CaseSpec> = vec![
+    let corner_cases: Vec<LpCase> = vec![
         // No constraints at all: bounded by the box.
-        CaseSpec {
+        LpCase {
             vars: vec![
-                VarSpec { lb: -2.0, ub: 3.0, cost: 1.0 },
-                VarSpec { lb: 0.0, ub: f64::INFINITY, cost: 2.0 },
+                LpVar { lb: -2.0, ub: 3.0, cost: 1.0 },
+                LpVar { lb: 0.0, ub: f64::INFINITY, cost: 2.0 },
             ],
             rows: vec![],
         },
         // An empty row that is trivially satisfiable and one that is not.
-        CaseSpec {
-            vars: vec![VarSpec { lb: 0.0, ub: 10.0, cost: 1.0 }],
-            rows: vec![RowSpec { terms: vec![], sense: Sense::Le, rhs: 1.0 }],
+        LpCase {
+            vars: vec![LpVar { lb: 0.0, ub: 10.0, cost: 1.0 }],
+            rows: vec![LpRow { terms: vec![], sense: Sense::Le, rhs: 1.0 }],
         },
-        CaseSpec {
-            vars: vec![VarSpec { lb: 0.0, ub: 10.0, cost: 1.0 }],
-            rows: vec![RowSpec { terms: vec![], sense: Sense::Ge, rhs: 1.0 }],
+        LpCase {
+            vars: vec![LpVar { lb: 0.0, ub: 10.0, cost: 1.0 }],
+            rows: vec![LpRow { terms: vec![], sense: Sense::Ge, rhs: 1.0 }],
         },
         // A fixed variable feeding an equality.
-        CaseSpec {
+        LpCase {
             vars: vec![
-                VarSpec { lb: 2.0, ub: 2.0, cost: 5.0 },
-                VarSpec { lb: 0.0, ub: f64::INFINITY, cost: 1.0 },
+                LpVar { lb: 2.0, ub: 2.0, cost: 5.0 },
+                LpVar { lb: 0.0, ub: f64::INFINITY, cost: 1.0 },
             ],
-            rows: vec![RowSpec {
+            rows: vec![LpRow {
                 terms: vec![(0, 1.0), (1, 1.0)],
                 sense: Sense::Eq,
                 rhs: 7.0,
             }],
         },
         // Redundant row dominated by the bounds.
-        CaseSpec {
-            vars: vec![VarSpec { lb: 0.0, ub: 1.0, cost: -1.0 }],
-            rows: vec![RowSpec { terms: vec![(0, 1.0)], sense: Sense::Le, rhs: 100.0 }],
+        LpCase {
+            vars: vec![LpVar { lb: 0.0, ub: 1.0, cost: -1.0 }],
+            rows: vec![LpRow { terms: vec![(0, 1.0)], sense: Sense::Le, rhs: 100.0 }],
         },
         // Degenerate: many ties at the same vertex.
-        CaseSpec {
+        LpCase {
             vars: vec![
-                VarSpec { lb: 0.0, ub: f64::INFINITY, cost: -1.0 },
-                VarSpec { lb: 0.0, ub: f64::INFINITY, cost: -1.0 },
+                LpVar { lb: 0.0, ub: f64::INFINITY, cost: -1.0 },
+                LpVar { lb: 0.0, ub: f64::INFINITY, cost: -1.0 },
             ],
             rows: vec![
-                RowSpec { terms: vec![(0, 1.0), (1, 1.0)], sense: Sense::Le, rhs: 1.0 },
-                RowSpec { terms: vec![(0, 1.0)], sense: Sense::Le, rhs: 1.0 },
-                RowSpec { terms: vec![(1, 1.0)], sense: Sense::Le, rhs: 1.0 },
-                RowSpec { terms: vec![(0, 2.0), (1, 2.0)], sense: Sense::Le, rhs: 2.0 },
+                LpRow { terms: vec![(0, 1.0), (1, 1.0)], sense: Sense::Le, rhs: 1.0 },
+                LpRow { terms: vec![(0, 1.0)], sense: Sense::Le, rhs: 1.0 },
+                LpRow { terms: vec![(1, 1.0)], sense: Sense::Le, rhs: 1.0 },
+                LpRow { terms: vec![(0, 2.0), (1, 2.0)], sense: Sense::Le, rhs: 2.0 },
             ],
         },
     ];
     for (i, spec) in corner_cases.iter().enumerate() {
         for cold_start in MATRIX {
-            if let Some(reason) = check_with(spec, cold_start) {
+            if let Err(reason) = check_with(spec, cold_start) {
                 panic!("corner case {i} failed under {cold_start:?}: {reason}\n  spec: {spec:?}");
             }
         }
     }
 }
-

@@ -4,6 +4,9 @@
 //! the path-finder against an enumeration oracle that shares no code
 //! with it, and size the survivability gap the scale workload sits on.
 
+pub mod oracle;
+
+use oracle::{ensure, Rng, Sweep};
 use prete_core::algorithm1::{update_tunnels, TunnelUpdateConfig};
 use prete_topology::generate::generate;
 use prete_topology::paths::{
@@ -118,27 +121,6 @@ fn waxman100_survivability_gap_is_mostly_the_greedy_restarts() {
     }
 }
 
-/// Splitmix64, the repo's seed-expansion step.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-
-    fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
 /// A connected multigraph on 4–8 sites: a random spanning tree, extra
 /// fibers (parallel spans allowed), one or two IP links per fiber and a
 /// few two-span express links. Lengths are continuous, so two distinct
@@ -228,27 +210,39 @@ fn all_routes(
     out
 }
 
+/// One path query: source, destination, banned fibers and `k`.
+type Query = (SiteId, SiteId, HashSet<FiberId>, usize);
+
 /// Each graph answers three queries on one finder — two towards the
 /// same destination under different bans, then another destination —
 /// so bans or bounds left over from one query would show in the next.
 #[test]
 fn yen_returns_exactly_the_k_lightest_simple_routes() {
-    let mut rng = Rng(0x5eed_0a11);
-    let mut checked = 0;
-    for case in 0..400 {
+    let seed = 0x5eed_0a11;
+    let mut rng = Rng(seed);
+    let generate = |_, _| {
         let net = random_multigraph(&mut rng);
         let n = net.num_sites();
-        let mut finder = PathFinder::new(&net);
         let mut dst = SiteId(rng.below(n));
-        for query in 0..3 {
-            if query == 2 {
-                dst = SiteId((dst.index() + 1 + rng.below(n - 1)) % n);
-            }
-            let src = SiteId((dst.index() + 1 + rng.below(n - 1)) % n);
-            let banned: HashSet<FiberId> =
-                (0..rng.below(4)).map(|_| FiberId(rng.below(net.num_fibers()))).collect();
-            let k = 1 + rng.below(8);
-            let want = all_routes(&net, src, dst, &banned);
+        let queries: Vec<Query> = (0..3)
+            .map(|query| {
+                if query == 2 {
+                    dst = SiteId((dst.index() + 1 + rng.below(n - 1)) % n);
+                }
+                let src = SiteId((dst.index() + 1 + rng.below(n - 1)) % n);
+                let banned: HashSet<FiberId> =
+                    (0..rng.below(4)).map(|_| FiberId(rng.below(net.num_fibers()))).collect();
+                let k = 1 + rng.below(8);
+                (src, dst, banned, k)
+            })
+            .collect();
+        (net, queries)
+    };
+    let mut checked = 0;
+    let verdict = |(net, queries): &(Network, Vec<Query>), ()| {
+        let mut finder = PathFinder::new(net);
+        for &(src, dst, ref banned, k) in queries {
+            let want = all_routes(net, src, dst, banned);
             // Two express links over a shared span can make two routes
             // weigh the same; which comes first is then Dijkstra's
             // settle order, which the oracle does not model.
@@ -257,60 +251,81 @@ fn yen_returns_exactly_the_k_lightest_simple_routes() {
                 continue;
             }
             checked += 1;
-            let got = finder.k_shortest_paths_avoiding(src, dst, k, &banned);
-            assert_eq!(got, k_shortest_paths_avoiding(&net, src, dst, k, &banned), "case {case}");
-            assert_eq!(got.len(), want.len().min(k), "case {case}: count");
+            let got = finder.k_shortest_paths_avoiding(src, dst, k, banned);
+            let free = k_shortest_paths_avoiding(net, src, dst, k, banned);
+            ensure(got == free, || "the finder and the free function differ".into())?;
+            ensure(got.len() == want.len().min(k), || format!("count {}", got.len()))?;
             for (p, (weight, sites)) in got.iter().zip(&want) {
-                assert_eq!(&p.sites, sites, "case {case}: route");
-                assert_eq!(p.weight.to_bits(), weight.to_bits(), "case {case}: weight");
-                assert_eq!(p.links.len() + 1, p.sites.len(), "case {case}: hops");
+                ensure(&p.sites == sites, || format!("route {:?}, want {sites:?}", p.sites))?;
+                ensure(p.weight.to_bits() == weight.to_bits(), || format!("weight {}", p.weight))?;
+                ensure(p.links.len() + 1 == p.sites.len(), || "hops".into())?;
                 for (hop, &l) in p.sites.windows(2).zip(&p.links) {
                     let link = net.link(l);
-                    assert!(
+                    ensure(
                         (link.a, link.b) == (hop[0], hop[1])
                             || (link.a, link.b) == (hop[1], hop[0]),
-                        "case {case}: link off the route"
-                    );
-                    assert!(link.fibers.iter().all(|f| !banned.contains(f)), "case {case}: ban");
-                    assert_eq!(
-                        Some(link_weight(&net, l)),
-                        hop_weight(&net, hop[0], hop[1], &banned),
-                        "case {case}: not the lightest parallel link"
-                    );
+                        || "link off the route".into(),
+                    )?;
+                    ensure(link.fibers.iter().all(|f| !banned.contains(f)), || "ban".into())?;
+                    ensure(
+                        Some(link_weight(net, l)) == hop_weight(net, hop[0], hop[1], banned),
+                        || "not the lightest parallel link".into(),
+                    )?;
                 }
             }
         }
-    }
+        Ok(())
+    };
+    let sweep = Sweep {
+        generator: "the `random_multigraph` stream in tests/tunnel_paths.rs",
+        seed,
+        cases: 400,
+        configs: &[()],
+    };
+    let failures = sweep.run(generate, verdict, |case, ()| case.clone());
+    assert!(failures.is_empty(), "{failures:?}");
     assert!(checked > 1100, "only {checked} of 1200 queries were free of ties");
 }
 
 #[test]
 fn disjoint_paths_are_disjoint_and_no_fewer_than_plain_greedy() {
-    let mut rng = Rng(0xd15_7017);
-    let none = HashSet::new();
-    for case in 0..400 {
+    let seed = 0xd15_7017;
+    let mut rng = Rng(seed);
+    let generate = |_, _| {
         let net = random_multigraph(&mut rng);
         let src = SiteId(rng.below(net.num_sites()));
         let dst = SiteId((src.index() + 1 + rng.below(net.num_sites() - 1)) % net.num_sites());
         let k = 1 + rng.below(4);
-        let got = fiber_disjoint_paths(&net, src, dst, k);
+        (net, src, dst, k)
+    };
+    let none = HashSet::new();
+    let verdict = |&(ref net, src, dst, k): &(Network, SiteId, SiteId, usize), ()| {
+        let got = fiber_disjoint_paths(net, src, dst, k);
         let mut used = HashSet::new();
         for p in &got {
-            assert_eq!((p.src(), p.dst()), (src, dst), "case {case}: endpoints");
-            for f in p.fibers(&net) {
-                assert!(used.insert(f), "case {case}: fiber {f} shared");
+            ensure((p.src(), p.dst()) == (src, dst), || "endpoints".into())?;
+            for f in p.fibers(net) {
+                ensure(used.insert(f), || format!("fiber {f} shared"))?;
             }
         }
         let mut banned = HashSet::new();
         let mut greedy = 0;
         while greedy < k {
-            let Some(p) = shortest_path_avoiding(&net, src, dst, &banned, &none, &HashSet::new())
+            let Some(p) = shortest_path_avoiding(net, src, dst, &banned, &none, &HashSet::new())
             else {
                 break;
             };
-            banned.extend(p.fibers(&net));
+            banned.extend(p.fibers(net));
             greedy += 1;
         }
-        assert!(got.len() >= greedy && got.len() <= k, "case {case}: {} < {greedy}", got.len());
-    }
+        ensure(got.len() >= greedy && got.len() <= k, || format!("{} < {greedy}", got.len()))
+    };
+    let sweep = Sweep {
+        generator: "the `random_multigraph` stream in tests/tunnel_paths.rs",
+        seed,
+        cases: 400,
+        configs: &[()],
+    };
+    let failures = sweep.run(generate, verdict, |case, ()| case.clone());
+    assert!(failures.is_empty(), "{failures:?}");
 }
