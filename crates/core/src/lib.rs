@@ -84,7 +84,7 @@ pub mod prelude {
         ArrowScheme, EcmpScheme, FfcScheme, FlexileScheme, PreTeScheme, TeScheme,
         TeaVarScheme,
     };
-    pub use prete_lp::{BasisCache, ColdStart, NumericsEvent, RecoveryAction, SolutionQuality};
+    pub use prete_lp::{BasisCache, ColdStart, SolutionQuality};
     pub use prete_obs::{Recorder, RunReport};
     pub use prete_optical::{Dataset, DatasetConfig, FailureModel};
     pub use prete_topology::{

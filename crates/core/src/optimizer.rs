@@ -324,26 +324,18 @@ pub struct SolverStats {
     /// Cumulative LU fill-in (factor nonzeros beyond basis nonzeros)
     /// in the sparse engine.
     pub fill_in: u64,
-    /// Dual-simplex pivot rollbacks: pivots undone and re-priced
-    /// because the post-pivot refactorization failed.
-    pub rollbacks: u64,
-    /// LP solves whose recovery ladder ran out
-    /// ([`prete_lp::SolveStatus::NumericalFailure`]) — the event that
+    /// LP solves that ended
+    /// [`prete_lp::SolveStatus::NumericalFailure`] — the event that
     /// once handed a solve to a dense fallback engine, kept under the
     /// name the repository benchmark reads. A subproblem that ends this
     /// way fails the TE solve ([`TeSolveError::LpFailed`]); the count
     /// still reaches the recorder, which is published before the error
     /// returns.
     pub dense_fallbacks: usize,
-    /// One-step iterative refinements of basic solutions (sparse
-    /// engine, `Refine` recovery rung).
+    /// Always 0: the engine no longer refines basic solutions. Kept
+    /// only because the repository benchmark reads it, and goes when
+    /// the benchmark's next revision stops reading it.
     pub refinements: u64,
-    /// `TightenTolerance` recovery rungs: factorizations retried with
-    /// a raised peel tolerance.
-    pub tightenings: u64,
-    /// `PatchSingularColumn` recovery rungs: basis columns replaced by
-    /// their initial slack/artificial column during a warm restore.
-    pub patched_columns: u64,
     /// LP solves whose KKT certificate failed and were downgraded to
     /// [`prete_lp::SolveStatus::NumericallySuspect`].
     pub suspect_solves: usize,
@@ -387,11 +379,8 @@ impl SolverStats {
         self.refactorizations += other.refactorizations;
         self.etas += other.etas;
         self.fill_in += other.fill_in;
-        self.rollbacks += other.rollbacks;
         self.dense_fallbacks += other.dense_fallbacks;
         self.refinements += other.refinements;
-        self.tightenings += other.tightenings;
-        self.patched_columns += other.patched_columns;
         self.suspect_solves += other.suspect_solves;
         self.scenarios_pruned += other.scenarios_pruned;
         self.tail_mass = self.tail_mass.max(other.tail_mass);
@@ -449,11 +438,8 @@ impl SolverStats {
         rec.add("solver.refactorizations", self.refactorizations);
         rec.add("solver.etas", self.etas);
         rec.add("solver.fill_in", self.fill_in);
-        rec.add("solver.rollbacks", self.rollbacks);
         rec.add("solver.dense_fallbacks", self.dense_fallbacks as u64);
         rec.add("solver.refinements", self.refinements);
-        rec.add("solver.tightenings", self.tightenings);
-        rec.add("solver.patched_columns", self.patched_columns);
         rec.add("solver.suspect_solves", self.suspect_solves as u64);
         rec.add("solver.scenarios_pruned", self.scenarios_pruned);
         if self.tail_mass > 0.0 {
@@ -501,11 +487,8 @@ impl PartialEq for SolverStats {
             && self.refactorizations == other.refactorizations
             && self.etas == other.etas
             && self.fill_in == other.fill_in
-            && self.rollbacks == other.rollbacks
             && self.dense_fallbacks == other.dense_fallbacks
             && self.refinements == other.refinements
-            && self.tightenings == other.tightenings
-            && self.patched_columns == other.patched_columns
             && self.suspect_solves == other.suspect_solves
             && self.scenarios_pruned == other.scenarios_pruned
     }
@@ -739,8 +722,8 @@ pub enum TeSolveError {
     /// exact MIP; the LP relaxation used by the heuristic always admits
     /// `Φ = 1`).
     Infeasible,
-    /// An LP the method needed ended without a usable point: its
-    /// recovery ladder ran out ([`SolveStatus::NumericalFailure`],
+    /// An LP the method needed ended without a usable point: it failed
+    /// numerically ([`SolveStatus::NumericalFailure`],
     /// counted in [`SolverStats::dense_fallbacks`]) or it hit the
     /// pivot cap.
     LpFailed {
@@ -828,8 +811,8 @@ impl SolveCtx<'_, '_, '_> {
     }
 
     /// Passes a usable LP solution; anything else becomes the typed
-    /// error the TE solve fails with, and a recovery ladder that ran
-    /// out is counted first.
+    /// error the TE solve fails with, and a numerical failure is
+    /// counted first.
     fn usable(&mut self, sol: &prete_lp::Solution) -> Result<(), TeSolveError> {
         if sol.is_usable() {
             return Ok(());
@@ -841,20 +824,11 @@ impl SolveCtx<'_, '_, '_> {
     }
 
     /// Folds engine counters (sparse refactorizations, etas, fill-in,
-    /// rollbacks, ladder rungs) into the stats.
+    /// condition estimate) into the stats.
     fn absorb_counters(&mut self, engine: &EngineStats) {
         self.stats.refactorizations += engine.refactorizations;
         self.stats.etas += engine.etas;
         self.stats.fill_in += engine.fill_in;
-        if engine.rollbacks > 0 {
-            self.stats.rollbacks += engine.rollbacks;
-            self.obs.event_with("solver.rollback", || {
-                format!("{} pivot(s) rolled back", engine.rollbacks)
-            });
-        }
-        self.stats.refinements += engine.refinements;
-        self.stats.tightenings += engine.tightenings;
-        self.stats.patched_columns += engine.patched_columns;
         self.stats.max_condition_estimate =
             self.stats.max_condition_estimate.max(engine.condition_estimate);
     }
@@ -1660,11 +1634,8 @@ mod tests {
             refactorizations: 11,
             etas: 57,
             fill_in: 204,
-            rollbacks: 2,
             dense_fallbacks: 1,
             refinements: 7,
-            tightenings: 3,
-            patched_columns: 2,
             suspect_solves: 1,
             scenarios_pruned: 1234,
             tail_mass: 0.125,
@@ -1689,11 +1660,8 @@ mod tests {
             r#""refactorizations":11"#,
             r#""etas":57"#,
             r#""fill_in":204"#,
-            r#""rollbacks":2"#,
             r#""dense_fallbacks":1"#,
             r#""refinements":7"#,
-            r#""tightenings":3"#,
-            r#""patched_columns":2"#,
             r#""suspect_solves":1"#,
             r#""scenarios_pruned":1234"#,
             r#""tail_mass":0.125"#,
@@ -2077,12 +2045,12 @@ mod tests {
             engine: Default::default(),
             quality: None,
         };
-        // A ladder that ran out fails the solve instead of panicking,
+        // A numerical failure fails the solve instead of panicking,
         // and counts under the name the benchmark reads.
         let failed = SolveStatus::NumericalFailure;
         assert_eq!(ctx.usable(&ended(failed)), Err(TeSolveError::LpFailed { status: failed }));
         assert_eq!(ctx.stats.dense_fallbacks, 1);
-        // The pivot cap fails it too, but is not a ladder run-out.
+        // The pivot cap fails it too, but is not a numerical failure.
         let capped = SolveStatus::IterationLimit;
         assert_eq!(ctx.usable(&ended(capped)), Err(TeSolveError::LpFailed { status: capped }));
         assert_eq!(ctx.stats.dense_fallbacks, 1);

@@ -13,13 +13,16 @@
 //!   Bland's-rule fallback, native variable bounds, and a cold start
 //!   chosen by [`simplex::ColdStart`]) for the large, extremely sparse
 //!   TE programs, with dual extraction (the duals drive the Benders
-//!   optimality cuts of Appendix A.4/A.5) and a recovery ladder that
-//!   ends in a typed [`SolveStatus::NumericalFailure`];
+//!   optimality cuts of Appendix A.4/A.5) and one rule for numerical
+//!   trouble: a small dual pivot element earns one refactorization,
+//!   and anything the factors still cannot carry ends in a typed
+//!   [`SolveStatus::NumericalFailure`];
 //! * [`solve_oracle`] — the two-phase dense-tableau primal simplex,
 //!   cold and serial, kept only as the reference the tests hold the
 //!   engine to;
 //! * [`mip`] — branch-and-bound over binary/integer variables on top of
-//!   the simplex relaxation, used for the Benders master problem and as
+//!   the simplex relaxation, each branch a variable bound rather than
+//!   a row, used for the Benders master problem and as
 //!   an exact (small-instance) reference solver for the full MIP
 //!   (2)–(8);
 //! * [`warm`] — a [`warm::BasisCache`] for reusing optimal bases across
@@ -49,8 +52,7 @@ pub use mip::{solve_mip, MipOptions, MipResult, MipStatus};
 pub use model::{Constraint, ConstraintId, LinearProgram, Sense, VarId};
 pub use oracle::solve_oracle;
 pub use simplex::{
-    solve, solve_with, Basis, ColdStart, EngineStats, EtaUpdate, NumericsEvent, Pricing,
-    RecoveryAction, SimplexOptions, Solution, SolutionQuality, SolveStatus, SolverBackend,
-    WarmSimplex,
+    solve, solve_with, Basis, ColdStart, EngineStats, EtaUpdate, Pricing, SimplexOptions,
+    Solution, SolutionQuality, SolveStatus, SolverBackend, WarmSimplex,
 };
 pub use warm::BasisCache;

@@ -12,9 +12,11 @@
 //! simple (DFS finds incumbents early, which matters more here than
 //! node ordering — the LP relaxations of the scenario-selection
 //! problems are near-integral). Nodes are popped in waves of `WAVE`
-//! and relaxed one after another on the calling thread.
+//! and relaxed one after another on the calling thread. A branch is a
+//! variable bound, never a row: every node relaxation has the root's
+//! rows.
 
-use crate::model::{LinearProgram, Sense, VarId};
+use crate::model::{LinearProgram, VarId};
 use crate::simplex::{solve_with, SimplexOptions, Solution, SolveStatus};
 
 /// Nodes popped (in DFS order) and relaxed together per wave.
@@ -96,7 +98,7 @@ pub fn solve_mip(lp: &LinearProgram, integers: &[VarId], opts: MipOptions) -> Mi
     let mut root_unbounded = false;
 
     // DFS stack of (bound overrides). Each node is a list of
-    // (var, lower, upper) tightenings applied to the base program.
+    // (var, lower, upper) branches applied to the base program.
     let mut stack: Vec<Vec<(VarId, f64, f64)>> = vec![Vec::new()];
     let mut node_limit_hit = false;
 
@@ -106,16 +108,20 @@ pub fn solve_mip(lp: &LinearProgram, integers: &[VarId], opts: MipOptions) -> Mi
         let wave: Vec<Vec<(VarId, f64, f64)>> =
             stack.drain(stack.len() - take..).rev().collect();
         let sols = relax_wave(lp, &wave, opts.simplex);
-        for (tightenings, sol) in wave.into_iter().zip(sols) {
+        for (branches, sol) in wave.into_iter().zip(sols) {
             if nodes >= opts.max_nodes {
                 node_limit_hit = true;
                 break 'outer;
             }
             nodes += 1;
+            // An empty box: the node is infeasible without an LP solve.
+            let Some(sol) = sol else {
+                continue;
+            };
             match sol.status {
                 SolveStatus::Infeasible => continue,
                 SolveStatus::Unbounded => {
-                    if tightenings.is_empty() {
+                    if branches.is_empty() {
                         root_unbounded = true;
                         break 'outer;
                     }
@@ -129,7 +135,7 @@ pub fn solve_mip(lp: &LinearProgram, integers: &[VarId], opts: MipOptions) -> Mi
                 // subtrees on ill-conditioned masters.
                 SolveStatus::Optimal | SolveStatus::NumericallySuspect => {}
             }
-            if tightenings.is_empty() {
+            if branches.is_empty() {
                 lower_bound = sol.objective;
             }
             // Prune by bound.
@@ -164,10 +170,10 @@ pub fn solve_mip(lp: &LinearProgram, integers: &[VarId], opts: MipOptions) -> Mi
                     // Push "up" branch first so DFS explores "down" first
                     // (stack order): down branches tend to reach integral
                     // scenario selections faster in the TE master problems.
-                    let mut up = tightenings.clone();
+                    let mut up = branches.clone();
                     up.push((v, floor + 1.0, f64::INFINITY));
                     stack.push(up);
-                    let mut down = tightenings.clone();
+                    let mut down = branches.clone();
                     down.push((v, f64::NEG_INFINITY, floor));
                     stack.push(down);
                 }
@@ -193,49 +199,38 @@ pub fn solve_mip(lp: &LinearProgram, integers: &[VarId], opts: MipOptions) -> Mi
     }
 }
 
-/// Solves the LP relaxations of a wave of nodes, in wave order.
+/// Solves the LP relaxations of a wave of nodes, in wave order;
+/// `None` for a node whose box is empty.
 fn relax_wave(
     lp: &LinearProgram,
     wave: &[Vec<(VarId, f64, f64)>],
     simplex: SimplexOptions,
-) -> Vec<Solution> {
+) -> Vec<Option<Solution>> {
     wave.iter()
-        .map(|tightenings| {
-            let mut child = lp.clone();
-            for &(v, lo, hi) in tightenings {
-                tighten(&mut child, v, lo, hi);
-            }
-            solve_with(&child, simplex)
-        })
+        .map(|branches| node_lp(lp, branches).map(|child| solve_with(&child, simplex)))
         .collect()
 }
 
-/// Intersects a variable's bounds with `[lo, hi]`. When the
-/// intersection is empty the variable is pinned to an infeasible box,
-/// which the LP solve then reports as infeasible.
-fn tighten(lp: &mut LinearProgram, v: VarId, lo: f64, hi: f64) {
-    let cur = lp.var(v).clone();
-    let new_lo = cur.lower.max(lo);
-    let new_hi = cur.upper.min(hi);
-    if new_lo > new_hi {
-        // Represent emptiness with a contradictory constraint: the
-        // bounds API requires lo <= hi.
-        lp.add_constraint(vec![(v, 1.0)], Sense::Ge, new_lo);
-        lp.add_constraint(vec![(v, 1.0)], Sense::Le, new_hi);
-        return;
+/// The relaxation of the node `branches` describes: `lp` with each
+/// branch intersected into its variable's bounds. `None` when a box
+/// comes out empty.
+fn node_lp(lp: &LinearProgram, branches: &[(VarId, f64, f64)]) -> Option<LinearProgram> {
+    let mut child = lp.clone();
+    for &(v, lo, hi) in branches {
+        let var = child.var(v);
+        let (lo, hi) = (var.lower.max(lo), var.upper.min(hi));
+        if lo > hi {
+            return None;
+        }
+        child.set_bounds(v, lo, hi);
     }
-    if new_lo > cur.lower {
-        lp.add_constraint(vec![(v, 1.0)], Sense::Ge, new_lo);
-    }
-    if new_hi < cur.upper {
-        lp.add_constraint(vec![(v, 1.0)], Sense::Le, new_hi);
-    }
+    Some(child)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::LinearProgram;
+    use crate::model::Sense;
 
     fn assert_close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() <= tol, "{a} vs {b}");
@@ -342,5 +337,37 @@ mod tests {
         let r = solve_mip(&lp, &d, MipOptions::default());
         assert_eq!(r.status, MipStatus::Optimal);
         assert_close(r.objective, 4.0, 1e-8);
+    }
+
+    #[test]
+    fn node_relaxation_keeps_the_root_rows_and_branches_on_bounds() {
+        let mut lp = LinearProgram::new();
+        let x = lp.add_var(0.0, 1.0, -1.0);
+        let y = lp.add_var(0.0, 3.0, -1.0);
+        lp.add_constraint(vec![(x, 2.0), (y, 2.0)], Sense::Le, 3.0);
+        let node = node_lp(&lp, &[(x, 1.0, f64::INFINITY), (y, f64::NEG_INFINITY, 2.0)])
+            .expect("nonempty boxes");
+        assert_eq!(node.num_constraints(), lp.num_constraints());
+        assert_eq!(node.constraints(), lp.constraints());
+        assert_eq!((node.var(x).lower, node.var(x).upper), (1.0, 1.0));
+        assert_eq!((node.var(y).lower, node.var(y).upper), (0.0, 2.0));
+    }
+
+    #[test]
+    fn empty_branch_box_is_an_infeasible_node_without_a_solve() {
+        // x ∈ [0.4, 1.6] at cost +1: the root relaxes to x = 0.4, whose
+        // down branch x <= 0 leaves an empty box.
+        let mut lp = LinearProgram::new();
+        let x = lp.add_var(0.4, 1.6, 1.0);
+        assert!(node_lp(&lp, &[(x, f64::NEG_INFINITY, 0.0)]).is_none());
+        let down = vec![(x, f64::NEG_INFINITY, 0.0)];
+        let up = vec![(x, 1.0, f64::INFINITY)];
+        let sols = relax_wave(&lp, &[down, up], SimplexOptions::default());
+        assert!(sols[0].is_none());
+        assert!(sols[1].as_ref().is_some_and(|s| s.is_optimal()));
+        let r = solve_mip(&lp, &[x], MipOptions::default());
+        assert_eq!(r.status, MipStatus::Optimal);
+        assert_close(r.objective, 1.0, 1e-9);
+        assert_eq!(r.nodes, 3, "root, the empty down branch, the up branch");
     }
 }

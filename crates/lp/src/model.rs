@@ -113,9 +113,7 @@ impl LinearProgram {
     /// sparse engine handles the bound natively in its ratio test (no
     /// extra row, the basis stays at the size of the genuine
     /// constraint set). Encoding the same bound as a singleton
-    /// `x <= u` row is deprecated — use this (or
-    /// [`LinearProgram::absorb_bound_rows`] for models built
-    /// elsewhere) instead.
+    /// `x <= u` row is deprecated — use this instead.
     ///
     /// # Panics
     /// Panics if either bound is non-finite or `upper < lower`.
@@ -124,57 +122,19 @@ impl LinearProgram {
         self.add_var(lower, upper, objective)
     }
 
-    /// Shim for externally built models that encode variable bounds as
-    /// singleton constraint rows (`a·x {<=,>=,=} b` with one term):
-    /// folds every such row into the variable's bounds and removes the
-    /// row, returning how many rows were absorbed and `Err` when an
-    /// absorbed bound pair is contradictory (empty box).
+    /// Replaces the bounds of an existing variable with
+    /// `[lower, upper]` (branch-and-bound states its branches this
+    /// way).
     ///
-    /// Remaining constraints are re-indexed, so previously held
-    /// [`ConstraintId`]s are invalidated and the dual vector of
-    /// subsequent solves shrinks accordingly. Call once, right after
-    /// building (or importing) the model.
-    pub fn absorb_bound_rows(&mut self) -> Result<usize, String> {
-        let mut absorbed = 0usize;
-        let mut kept = Vec::with_capacity(self.constraints.len());
-        for c in self.constraints.drain(..) {
-            match c.terms.as_slice() {
-                &[(v, a)] if a != 0.0 => {
-                    let var = &mut self.vars[v.index()];
-                    let bound = c.rhs / a;
-                    let tighten_upper = |var: &mut Variable, b: f64| {
-                        if b < var.upper {
-                            var.upper = b;
-                        }
-                    };
-                    let tighten_lower = |var: &mut Variable, b: f64| {
-                        if b > var.lower {
-                            var.lower = b;
-                        }
-                    };
-                    match (c.sense, a > 0.0) {
-                        (Sense::Le, true) | (Sense::Ge, false) => tighten_upper(var, bound),
-                        (Sense::Ge, true) | (Sense::Le, false) => tighten_lower(var, bound),
-                        (Sense::Eq, _) => {
-                            tighten_upper(var, bound);
-                            tighten_lower(var, bound);
-                        }
-                    }
-                    if var.upper < var.lower {
-                        return Err(format!(
-                            "bound row on {} leaves empty box [{}, {}]",
-                            var.name.clone().unwrap_or_else(|| format!("x{}", v.index())),
-                            var.lower,
-                            var.upper
-                        ));
-                    }
-                    absorbed += 1;
-                }
-                _ => kept.push(c),
-            }
-        }
-        self.constraints = kept;
-        Ok(absorbed)
+    /// # Panics
+    /// Panics if `lower` is not finite or `upper < lower`, like
+    /// [`LinearProgram::add_var`].
+    pub(crate) fn set_bounds(&mut self, v: VarId, lower: f64, upper: f64) {
+        assert!(lower.is_finite(), "lower bound must be finite");
+        assert!(upper >= lower, "upper < lower ({upper} < {lower})");
+        let var = &mut self.vars[v.index()];
+        var.lower = lower;
+        var.upper = upper;
     }
 
     /// Adds a named variable.
@@ -349,24 +309,21 @@ mod tests {
     }
 
     #[test]
-    fn absorb_bound_rows_folds_singletons_into_bounds() {
+    fn set_bounds_replaces_the_box() {
         let mut lp = LinearProgram::new();
-        let x = lp.add_var(0.0, f64::INFINITY, 1.0);
-        let y = lp.add_var(0.0, 10.0, -1.0);
-        lp.add_constraint(vec![(x, 1.0)], Sense::Le, 5.0); // x <= 5
-        lp.add_constraint(vec![(x, -2.0)], Sense::Le, -2.0); // x >= 1
-        lp.add_constraint(vec![(y, 1.0)], Sense::Le, 7.0); // y <= 7
-        lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Sense::Ge, 2.0); // kept
-        assert_eq!(lp.absorb_bound_rows().unwrap(), 3);
-        assert_eq!(lp.num_constraints(), 1);
-        assert_eq!((lp.var(x).lower, lp.var(x).upper), (1.0, 5.0));
-        assert_eq!((lp.var(y).lower, lp.var(y).upper), (0.0, 7.0));
+        let x = lp.var_unit(1.0);
+        lp.set_bounds(x, 1.0, 1.0);
+        assert_eq!((lp.var(x).lower, lp.var(x).upper), (1.0, 1.0));
+        lp.set_bounds(x, -2.0, f64::INFINITY);
+        assert_eq!((lp.var(x).lower, lp.var(x).upper), (-2.0, f64::INFINITY));
+        assert_eq!(lp.num_constraints(), 0);
+    }
 
-        // Contradictory bound rows are reported, not silently solved.
-        let mut bad = LinearProgram::new();
-        let z = bad.add_var(0.0, f64::INFINITY, 0.0);
-        bad.add_constraint(vec![(z, 1.0)], Sense::Le, 1.0);
-        bad.add_constraint(vec![(z, 1.0)], Sense::Ge, 2.0);
-        assert!(bad.absorb_bound_rows().is_err());
+    #[test]
+    #[should_panic(expected = "upper < lower")]
+    fn set_bounds_rejects_an_empty_box() {
+        let mut lp = LinearProgram::new();
+        let x = lp.var_unit(1.0);
+        lp.set_bounds(x, 1.0, 0.0);
     }
 }

@@ -1,5 +1,5 @@
-//! The solver front end: options, tolerances, statuses, certified
-//! solutions and the recovery ladder's vocabulary. [`solve_with`] and
+//! The solver front end: options, tolerances, statuses and certified
+//! solutions. [`solve_with`] and
 //! [`WarmSimplex`] run the sparse revised simplex (`sparse.rs`); the
 //! dense tableau survives only as the test oracle
 //! [`crate::solve_oracle`].
@@ -85,7 +85,7 @@ pub enum ColdStart {
 
 // The numerical tolerances of the simplex engine and its oracle, in
 // one place: every threshold the factorization, pricing, ratio-test,
-// certification and scaling code compares against. Every pivot
+// and certification code compares against. Every pivot
 // sequence and golden depends on these exact values. All
 // but the two limits are dimensionless thresholds in `(0, 1)`.
 
@@ -97,9 +97,8 @@ pub(crate) const EPS: f64 = 1e-9;
 /// (historically the scattered `1e-7` literals).
 pub(crate) const FEAS_TOL: f64 = 1e-7;
 
-/// Dual-simplex pivot admission threshold: entries smaller than
-/// this (relative to the row) are not eligible pivots
-/// (historically `DUAL_PIVOT_TOL = 1e-7`).
+/// Dual-simplex pivot admission threshold: pivot-row entries no
+/// larger than this in magnitude are not eligible pivots.
 pub(crate) const DUAL_PIVOT_TOL: f64 = 1e-7;
 
 /// Phase-1 objective residual above which the program is declared
@@ -113,18 +112,12 @@ pub(crate) const SINGULAR_TOL: f64 = 1e-11;
 
 /// Markowitz-style peel tolerance: triangular-peel pivots smaller
 /// than this are deferred into the partial-pivoted dense bump
-/// instead of being accepted. Raised adaptively (sticky, per
-/// core) by the `TightenTolerance` recovery rung.
+/// instead of being accepted.
 pub(crate) const PEEL_TOL: f64 = 1e-11;
 
 /// Objective improvement below which an iteration counts toward
 /// the anti-cycling stall detector (historically `1e-12`).
 pub(crate) const STALL_IMPROVEMENT: f64 = 1e-12;
-
-/// Relative residual `‖b − B x_B‖∞ / (1 + ‖b‖∞)` of the basic
-/// solution above which one step of iterative refinement runs
-/// after a (re)factorization.
-pub(crate) const RESIDUAL_TOL: f64 = 1e-9;
 
 /// Certification: relative primal residual (row violation and
 /// bound violation) admitted for an `Optimal` verdict.
@@ -148,13 +141,6 @@ pub(crate) const CERTIFY_VALUE: f64 = 1e-3;
 /// [`SolveStatus::NumericallySuspect`]. A *limit*, not a
 /// tolerance: must be finite and ≥ 1.
 pub(crate) const CONDITION_LIMIT: f64 = 1e14;
-
-/// Coefficient dynamic range `max|a| / min|a|` above which
-/// geometric-mean equilibration scaling is applied before the
-/// sparse factorization. A *limit*: must be finite and ≥ 1.
-/// Well-scaled programs below it keep their historical pivot
-/// sequences bit-for-bit.
-pub(crate) const SCALE_THRESHOLD: f64 = 1e6;
 
 /// What a caller may set on a solve; every tolerance is a constant
 /// of this module.
@@ -196,12 +182,12 @@ pub enum SolveStatus {
     /// [`Solution::quality`] reports the measured residuals, but the
     /// answer must not be trusted as exact.
     NumericallySuspect,
-    /// The recovery ladder ran out: a basis factorization stayed
-    /// singular after every rung of [`NumericsEvent::ladder`], or a
-    /// dual-simplex verdict rested only on pivots the factors could not
-    /// support. There is no point — `x`, `objective` and `duals` are
-    /// placeholders — so, unlike [`SolveStatus::NumericallySuspect`],
-    /// the solution is not [`Solution::is_usable`].
+    /// The engine could not carry on: a basis factorization came out
+    /// singular, or a dual-simplex pivot element stayed too small
+    /// after a fresh refactorization. There is no point — `x`,
+    /// `objective` and `duals` are placeholders — so, unlike
+    /// [`SolveStatus::NumericallySuspect`], the solution is not
+    /// [`Solution::is_usable`].
     NumericalFailure,
 }
 
@@ -217,20 +203,6 @@ pub struct EngineStats {
     /// Cumulative LU fill-in (factor nonzeros beyond the basis
     /// nonzeros) across all factorizations.
     pub fill_in: u64,
-    /// Dual-simplex pivot rollbacks: pivots undone because the
-    /// post-pivot refactorization failed, forcing the engine to
-    /// restore the previous basis and re-pivot.
-    pub rollbacks: u64,
-    /// Iterative-refinement steps applied to basic solutions whose
-    /// residual exceeded `RESIDUAL_TOL`.
-    pub refinements: u64,
-    /// `TightenTolerance` recovery rungs taken: refactorizations
-    /// retried with a raised peel tolerance after instability.
-    pub tightenings: u64,
-    /// `PatchSingularColumn` recovery rungs taken: basis columns
-    /// replaced by their initial slack/artificial column to escape a
-    /// singular factorization.
-    pub patched_columns: u64,
     /// Largest 1-norm condition estimate (LINPACK-style) observed
     /// across this solve's basis factorizations; `0` when no estimate
     /// was computed (the oracle, or `m == 0`). Deterministic: a pure
@@ -277,57 +249,6 @@ impl SolutionQuality {
     }
 }
 
-/// A numerical-trouble signal raised inside the sparse engine. Each
-/// event maps, deterministically, onto a ladder of
-/// [`RecoveryAction`]s, tried in order until one succeeds. A solve
-/// whose ladder runs out ends [`SolveStatus::NumericalFailure`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NumericsEvent {
-    /// `‖b − B·x_B‖∞` exceeded `RESIDUAL_TOL` after a
-    /// factorization.
-    ResidualExceeded,
-    /// The basis factorization came out singular (a peel or bump pivot
-    /// fell below `SINGULAR_TOL`).
-    SingularFactorization,
-    /// An eta update was rejected as unstable (its pivot element too
-    /// small to divide by).
-    UnstableUpdate,
-    /// The basis condition estimate exceeded
-    /// `CONDITION_LIMIT`.
-    ConditionExceeded,
-}
-
-/// One rung of the numerical recovery ladder. The mapping from event
-/// to rung sequence is a pure function ([`NumericsEvent::ladder`]), so
-/// replayed solves take bit-identical recovery paths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecoveryAction {
-    /// One-step iterative refinement of the basic solution.
-    Refine,
-    /// Rebuild the LU factors from scratch at the current basis.
-    Refactorize,
-    /// Raise the sticky Markowitz peel tolerance and refactorize
-    /// (defers near-singular singleton pivots into the partial-pivoted
-    /// bump).
-    TightenTolerance,
-    /// Replace the offending basis column with the slot's initial
-    /// slack/artificial column and refactorize.
-    PatchSingularColumn,
-}
-
-impl NumericsEvent {
-    /// The ordered recovery rungs tried for this event.
-    pub fn ladder(self) -> &'static [RecoveryAction] {
-        use RecoveryAction::*;
-        match self {
-            NumericsEvent::ResidualExceeded => &[Refine, Refactorize],
-            NumericsEvent::SingularFactorization => &[TightenTolerance, PatchSingularColumn],
-            NumericsEvent::UnstableUpdate => &[Refactorize, TightenTolerance],
-            NumericsEvent::ConditionExceeded => &[Refactorize],
-        }
-    }
-}
-
 /// A solved linear program.
 #[derive(Debug, Clone)]
 pub struct Solution {
@@ -343,7 +264,7 @@ pub struct Solution {
     pub duals: Vec<f64>,
     /// Total pivots performed.
     pub iterations: usize,
-    /// Engine counters (refactorizations, etas, fill-in, ladder rungs).
+    /// Engine counters (refactorizations, etas, fill-in, condition).
     pub engine: EngineStats,
     /// KKT certificate, present whenever the engine reached a formally
     /// optimal basis (`Optimal` and `NumericallySuspect` statuses).
@@ -503,15 +424,15 @@ pub fn solve(lp: &LinearProgram) -> Solution {
 }
 
 /// Solves with explicit options: full presolve, then the sparse revised
-/// simplex from scratch. A solve whose recovery ladder runs out ends
-/// [`SolveStatus::NumericalFailure`].
+/// simplex from scratch. A solve the engine cannot carry numerically
+/// ends [`SolveStatus::NumericalFailure`].
 pub fn solve_with(lp: &LinearProgram, opts: SimplexOptions) -> Solution {
     WarmSimplex::one_shot(opts).solve_from(lp, None).0
 }
 
 /// A saved simplex basis: the basic column of every row plus a
 /// signature of the program *structure* (row senses, sign
-/// normalization, bound pattern, presolve reduction, scaling) it was
+/// normalization, bound pattern, presolve reduction) it was
 /// extracted from.
 ///
 /// A basis can be restored onto a later program with the same structure

@@ -39,7 +39,7 @@ use crate::model::{LinearProgram, Sense};
 use crate::presolve::{presolve, PresolveMode, PresolveResult, Reduction};
 use crate::simplex::{
     Basis, ColdStart, EngineStats, SimplexOptions, Solution, SolveStatus, DUAL_PIVOT_TOL, EPS,
-    FEAS_TOL, PEEL_TOL, PHASE1_INFEAS_TOL, RESIDUAL_TOL, SCALE_THRESHOLD, STALL_IMPROVEMENT,
+    FEAS_TOL, PEEL_TOL, PHASE1_INFEAS_TOL, STALL_IMPROVEMENT,
 };
 
 /// Columns per pricing segment (at least this many; larger programs
@@ -49,7 +49,7 @@ const PRICE_SEGMENT: usize = 256;
 /// Salt folded into basis signatures so a basis saved by an older build
 /// (a dense-tableau one, or a pre-native-bounds one whose cores carried
 /// explicit bound rows) never restores onto a core; the presolve
-/// pattern and scaling hashes keep different reductions apart.
+/// pattern hash keeps different reductions apart.
 const SPARSE_SIG_SALT: u64 = 0x6e47_1b0d_5fee_d0a2;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,8 +78,6 @@ struct Workspace {
     rhs: Vec<f64>,
     /// Dense FTRAN output by slot.
     sol: Vec<f64>,
-    /// The effective rhs a refactorization solves and refines against.
-    b_eff: Vec<f64>,
     /// Reduced costs of one pricing segment.
     price: Vec<f64>,
     /// `c_B` by slot under the costs of the `iterate` call under way,
@@ -173,14 +171,6 @@ struct SparseCore {
     refactorizations: u64,
     etas_total: u64,
     fill_total: u64,
-    rollbacks: u64,
-    /// Sticky Markowitz peel tolerance, raised by the
-    /// `TightenTolerance` recovery rung (starts at
-    /// [`PEEL_TOL`]).
-    peel_tol: f64,
-    refinements: u64,
-    tightenings: u64,
-    patched_columns: u64,
     /// Largest 1-norm condition estimate observed across this core's
     /// factorizations.
     condition_max: f64,
@@ -193,19 +183,6 @@ struct SparseCore {
     #[cfg(test)]
     probe: Probe,
 }
-
-/// `TightenTolerance` rung: each retry multiplies the peel tolerance by
-/// this factor, deferring more near-singular peel pivots into the
-/// partial-pivoted bump.
-const PEEL_TIGHTEN: f64 = 100.0;
-
-/// Ceiling for the sticky peel tolerance — beyond this the basis is
-/// genuinely singular and the ladder moves to column patching, or runs
-/// out.
-const PEEL_TOL_CAP: f64 = 1e-5;
-
-/// Maximum `PatchSingularColumn` rungs per basis restore.
-const MAX_PATCHES: usize = 4;
 
 impl SparseCore {
     fn build(lp: &LinearProgram, opts: SimplexOptions, sig_salt: u64) -> Self {
@@ -382,7 +359,6 @@ impl SparseCore {
             acc: vec![0.0; m],
             rhs: vec![0.0; m],
             sol: vec![0.0; m],
-            b_eff: vec![0.0; m],
             cost_b: vec![0.0; m],
             ..Workspace::default()
         };
@@ -415,11 +391,6 @@ impl SparseCore {
             refactorizations: 0,
             etas_total: 0,
             fill_total: 0,
-            rollbacks: 0,
-            peel_tol: PEEL_TOL,
-            refinements: 0,
-            tightenings: 0,
-            patched_columns: 0,
             condition_max: 0.0,
             upper_cols,
             ws,
@@ -428,12 +399,12 @@ impl SparseCore {
         }
     }
 
-    /// Transformed rhs with the at-upper nonbasic contributions folded
-    /// in, into `ws.b_eff`: `b_eff = b − Σ_{j at upper} ub_j · A_j`, so
-    /// that `x_B = B⁻¹ b_eff` are the basic values at the current
-    /// bound assignment.
-    fn effective_rhs(&mut self) {
-        let b = &mut self.ws.b_eff;
+    /// Recomputes `x_B = B⁻¹ b_eff` from scratch, where the effective
+    /// rhs `b_eff = b − Σ_{j at upper} ub_j · A_j` folds in the
+    /// at-upper nonbasic columns, so that `x_B` are the basic values at
+    /// the current bound assignment.
+    fn recompute_basics(&mut self) {
+        let b = &mut self.ws.rhs;
         b.clone_from(&self.b);
         for (j, &flag) in self.at_upper.iter().enumerate() {
             if flag {
@@ -442,45 +413,24 @@ impl SparseCore {
                 }
             }
         }
-    }
-
-    /// Recomputes `x_B = B⁻¹ b_eff` from scratch, leaving `b_eff` in
-    /// the workspace.
-    fn recompute_basics(&mut self) {
-        self.effective_rhs();
-        self.ws.rhs.clone_from(&self.ws.b_eff);
         self.ftran();
         std::mem::swap(&mut self.x_b, &mut self.ws.sol);
     }
 
     /// Rebuilds the LU factors from the current basis, empties the eta
-    /// file and recomputes `x_B` from scratch.
-    ///
-    /// On a singular factorization the `TightenTolerance` recovery
-    /// rung fires in-place: the sticky peel tolerance is raised (more
-    /// near-singular singleton pivots defer into the partial-pivoted
-    /// bump) and the factorization retried, up to [`PEEL_TOL_CAP`].
-    /// After a successful factorization the condition of the basis is
-    /// estimated and the basic solution refined (`Refine` rung) when
-    /// its residual exceeds [`RESIDUAL_TOL`].
+    /// file, estimates the basis condition and recomputes `x_B` from
+    /// scratch. A singular basis is an error the caller passes on.
     fn refactorize(&mut self) -> Result<(), FactorError> {
         let (cols, basis, work) = (&self.cols, &self.basis, &mut self.ws.factor);
         let col = |s: usize| cols[basis[s]].as_slice();
         let basis_nnz: usize = (0..self.m).map(|s| col(s).len()).sum();
-        let mut lu = LuFactors::factorize_with(self.m, col, self.peel_tol, work);
-        while lu.is_err() && self.peel_tol < PEEL_TOL_CAP {
-            self.peel_tol = (self.peel_tol * PEEL_TIGHTEN).min(PEEL_TOL_CAP);
-            self.tightenings += 1;
-            lu = LuFactors::factorize_with(self.m, col, self.peel_tol, work);
-        }
-        let lu = lu?;
+        let lu = LuFactors::factorize_with(self.m, col, PEEL_TOL, work)?;
         self.fill_total += lu.fill_in(basis_nnz) as u64;
         self.refactorizations += 1;
         self.lu = Some(lu);
         self.etas.clear();
         self.observe_condition();
         self.recompute_basics();
-        self.refine_basics();
         Ok(())
     }
 
@@ -509,41 +459,6 @@ impl SparseCore {
         let cond = norm_b * w1.max(z_inf);
         if cond.is_finite() {
             self.condition_max = self.condition_max.max(cond);
-        }
-    }
-
-    /// One-step iterative refinement of the basic solution: when the
-    /// residual `b_eff − B·x_B` exceeds the relative residual
-    /// tolerance, solve once more against the residual and correct.
-    fn refine_basics(&mut self) {
-        if self.m == 0 {
-            return;
-        }
-        // `B·x_B` accumulates in the FTRAN input, then turns into the
-        // residual in place.
-        let r = &mut self.ws.rhs;
-        r.fill(0.0);
-        for (slot, &c) in self.basis.iter().enumerate() {
-            let xs = self.x_b[slot];
-            if xs != 0.0 {
-                for &(i, a) in &self.cols[c] {
-                    r[i] += a * xs;
-                }
-            }
-        }
-        let mut r_inf = 0.0f64;
-        let mut b_inf = 0.0f64;
-        for (ri, &bi) in r.iter_mut().zip(&self.ws.b_eff) {
-            *ri = bi - *ri;
-            r_inf = r_inf.max(ri.abs());
-            b_inf = b_inf.max(bi.abs());
-        }
-        if r_inf > RESIDUAL_TOL * (1.0 + b_inf) {
-            self.ftran();
-            for (x, d) in self.x_b.iter_mut().zip(&self.ws.sol) {
-                *x += d;
-            }
-            self.refinements += 1;
         }
     }
 
@@ -896,19 +811,10 @@ impl SparseCore {
         let mut alphas = vec![0.0f64; self.ncols];
         let mut mark = vec![false; self.ncols];
         let mut touched: Vec<usize> = Vec::new();
-        // Livelock guard for torture-grade bases: a candidate whose
-        // FTRAN pivot element stays unusable (or whose pivot stays
-        // singular) across a fresh refactorization would be
-        // re-selected forever — the basis and candidate order are
-        // deterministic, and refactorizing again cannot improve
-        // already-fresh factors. One refactorization attempt is
-        // granted per basis; every further stuck candidate is banned
-        // from the ratio test until the next successful basis change
-        // (monotone progress: each visit either pivots or shrinks the
-        // candidate set). If banning leaves no candidate,
-        // infeasibility can no longer be concluded and the ladder has
-        // run out.
-        let mut banned = vec![false; self.ncols];
+        // A small pivot element earns one refactorization per basis:
+        // the basis and candidate order are deterministic, so a
+        // candidate still unusable under fresh factors would be
+        // re-selected forever, and the solve ends instead.
         let mut refactored_since_pivot = false;
         // Ratio-test candidates `(ratio, |ᾱ|, column)` and the columns
         // the long step flips, refilled every iteration.
@@ -980,7 +886,6 @@ impl SparseCore {
             // a total order below, and the incremental dual update
             // touches each column once).
             cands.clear();
-            let mut banned_eligible = false;
             for &j in &touched {
                 if self.in_basis[j] || self.kind[j] == CKind::Artificial {
                     alphas[j] = 0.0;
@@ -993,19 +898,11 @@ impl SparseCore {
                 } else {
                     abar > DUAL_PIVOT_TOL
                 };
-                if eligible && banned[j] {
-                    banned_eligible = true;
-                } else if eligible {
+                if eligible {
                     cands.push(((d[j] / abar).max(0.0), abar.abs(), j));
                 }
             }
             if cands.is_empty() {
-                if banned_eligible {
-                    // Only unusable (banned) candidates remain: the
-                    // infeasibility verdict would rest on pivots the
-                    // factorization cannot support. Escalate.
-                    return Err(FactorError { slot: None });
-                }
                 return Ok(SolveStatus::Infeasible);
             }
             // Ascending ratio; ties prefer the largest pivot element
@@ -1041,11 +938,7 @@ impl SparseCore {
             let Some((q, abar_q)) = chosen else {
                 // Every candidate flipped away and the row is still
                 // violated: the dual is unbounded, the primal
-                // infeasible — unless usable candidates were banned
-                // away, in which case the verdict is unsupported.
-                if banned_eligible {
-                    return Err(FactorError { slot: None });
-                }
+                // infeasible.
                 return Ok(SolveStatus::Infeasible);
             };
             self.ftran_col(q);
@@ -1056,15 +949,12 @@ impl SparseCore {
                 // on without degrading the factors into singularity):
                 // force a clean factorization, after which the row scan
                 // and the FTRAN usually agree and a sound candidate is
-                // chosen. On near-singular bases the disagreement can
-                // survive fresh factors — ban the candidate instead of
-                // refactorizing again.
+                // chosen.
                 if refactored_since_pivot {
-                    banned[q] = true;
-                } else {
-                    self.refactorize()?;
-                    refactored_since_pivot = true;
+                    return Err(FactorError);
                 }
+                self.refactorize()?;
+                refactored_since_pivot = true;
                 d_valid = false;
                 continue;
             }
@@ -1097,50 +987,14 @@ impl SparseCore {
             // the maintained vector cannot drift cumulatively.
             let exact_dq: f64 = costs[q] - self.basic_cost_dot_image(&costs);
             let theta_d = exact_dq / abar_q;
-            let q_was_upper = self.at_upper[q];
             self.apply_entering(slot, q, t);
             if above {
                 self.at_upper[leaving] = true;
             }
-            match self.pivot(slot, q) {
-                Ok(refactored) => {
-                    if refactored {
-                        d_valid = false;
-                    }
-                    refactored_since_pivot = false;
-                    banned.iter_mut().for_each(|b| *b = false);
-                }
-                Err(_) => {
-                    // The new basis failed to factorize: after a long
-                    // update chain the factors can drift far enough to
-                    // endorse a pivot that is singular in exact
-                    // arithmetic. Roll the basis change back (the
-                    // pre-pivot basis factorized fine), rebuild clean
-                    // factors and redo the iteration — the offending
-                    // candidate then prices with honest numbers and is
-                    // usually screened out by the pivot tolerance. A
-                    // genuinely singular swap (near-parallel columns)
-                    // survives honest pricing, though, and the
-                    // unchanged state would re-select and re-roll it
-                    // forever — ban the repeat offender.
-                    self.in_basis[q] = false;
-                    self.in_basis[leaving] = true;
-                    self.basis[slot] = leaving;
-                    self.at_upper[q] = q_was_upper;
-                    if above {
-                        self.at_upper[leaving] = false;
-                    }
-                    self.rollbacks += 1;
-                    self.refactorize()?;
-                    if refactored_since_pivot {
-                        banned[q] = true;
-                    } else {
-                        refactored_since_pivot = true;
-                    }
-                    d_valid = false;
-                    continue;
-                }
+            if self.pivot(slot, q)? {
+                d_valid = false;
             }
+            refactored_since_pivot = false;
             for &j in &touched {
                 if !self.in_basis[j] && alphas[j] != 0.0 {
                     d[j] -= theta_d * alphas[j];
@@ -1270,7 +1124,8 @@ impl SparseCore {
     /// Installs a saved basis + bound assignment (artificial entries
     /// fall back to the slot's initial basic column) and
     /// refactorizes. `false` leaves the core on its initial basis,
-    /// ready for a cold solve.
+    /// ready for a cold solve — also when the saved basis is singular
+    /// on this program.
     fn restore_basis(&mut self, saved: &Basis) -> Result<bool, FactorError> {
         let cols = saved.cols();
         if cols.len() != self.m {
@@ -1304,49 +1159,15 @@ impl SparseCore {
             }
         }
         if ok {
-            let prev = std::mem::replace(&mut self.basis, cand);
+            self.basis = cand;
             // A basic column can't rest at a bound; clear before the
             // refactorization computes x_B against the bounds.
             for &c in &self.basis {
                 self.at_upper[c] = false;
             }
-            match self.refactorize() {
-                Ok(()) => {
-                    self.mark_basis();
-                    return Ok(true);
-                }
-                Err(err) => {
-                    // `PatchSingularColumn` rungs: the factorization
-                    // names the offending basis slot, so swap just
-                    // that slot back to its initial slack/artificial
-                    // column and retry — the rest of the restored
-                    // basis stays warm. Bounded attempts keep the
-                    // ladder deterministic.
-                    let mut err = err;
-                    let mut patched = 0usize;
-                    while let Some(slot) = err.slot {
-                        if patched >= MAX_PATCHES || slot >= self.m {
-                            break;
-                        }
-                        let init = self.init_basic[slot];
-                        if self.basis[slot] == init || self.basis.contains(&init) {
-                            break;
-                        }
-                        self.basis[slot] = init;
-                        self.at_upper[init] = false;
-                        self.patched_columns += 1;
-                        patched += 1;
-                        match self.refactorize() {
-                            Ok(()) => {
-                                self.mark_basis();
-                                return Ok(true);
-                            }
-                            Err(next) => err = next,
-                        }
-                    }
-                    // Still singular: fall back cleanly.
-                    self.basis = prev;
-                }
+            if self.refactorize().is_ok() {
+                self.mark_basis();
+                return Ok(true);
             }
         }
         self.basis.clone_from(&self.init_basic);
@@ -1428,10 +1249,6 @@ impl SparseCore {
             refactorizations: self.refactorizations,
             etas: self.etas_total,
             fill_in: self.fill_total,
-            rollbacks: self.rollbacks,
-            refinements: self.refinements,
-            tightenings: self.tightenings,
-            patched_columns: self.patched_columns,
             condition_estimate: self.condition_max,
         }
     }
@@ -1491,130 +1308,6 @@ impl SparseCore {
     }
 }
 
-/// Geometric-mean row/column equilibration of a reduced program.
-///
-/// Factors are rounded to powers of two, so applying and undoing the
-/// scaling is *exact* in floating point: `A' = R·A·C`, `c' = C·c`,
-/// `b' = R·b`, bounds `l' = l/C`, `u' = u/C`; the solved point maps
-/// back as `x = C·x'`, `y = R·y'` and the objective value carries over
-/// unchanged. Activated only when the reduced matrix's dynamic range
-/// exceeds [`SCALE_THRESHOLD`], so well-conditioned
-/// TE programs keep their historical bit-exact pivot sequences.
-#[derive(Debug)]
-struct Scaling {
-    row: Vec<f64>,
-    col: Vec<f64>,
-    /// Mixed into the basis signature salt: a saved basis only
-    /// restores onto a core built with identical scale factors.
-    hash: u64,
-}
-
-/// Nearest power of two to `1/g`, clamped to `2^±60` so scaled
-/// coefficients stay comfortably finite.
-fn pow2_recip(g: f64) -> f64 {
-    if !g.is_finite() || g <= 0.0 {
-        return 1.0;
-    }
-    f64::exp2((-g.log2()).round().clamp(-60.0, 60.0))
-}
-
-/// Two sweeps of geometric-mean equilibration over the constraint
-/// matrix, or `None` when the dynamic range of the nonzeros is within
-/// `threshold` (scaling disabled — the common, well-scaled case).
-fn compute_scaling(lp: &LinearProgram, threshold: f64) -> Option<Scaling> {
-    let m = lp.num_constraints();
-    let n = lp.num_vars();
-    if m == 0 {
-        return None;
-    }
-    let mut lo = f64::INFINITY;
-    let mut hi = 0.0f64;
-    for con in lp.constraints() {
-        for &(_, a) in &con.terms {
-            if a != 0.0 {
-                lo = lo.min(a.abs());
-                hi = hi.max(a.abs());
-            }
-        }
-    }
-    if hi == 0.0 || hi / lo <= threshold {
-        return None;
-    }
-    let mut row = vec![1.0f64; m];
-    let mut col = vec![1.0f64; n];
-    for _ in 0..2 {
-        for (i, con) in lp.constraints().iter().enumerate() {
-            let mut lo = f64::INFINITY;
-            let mut hi = 0.0f64;
-            for &(v, a) in &con.terms {
-                if a != 0.0 {
-                    let s = (a * row[i] * col[v.index()]).abs();
-                    lo = lo.min(s);
-                    hi = hi.max(s);
-                }
-            }
-            if hi > 0.0 {
-                row[i] *= pow2_recip((lo * hi).sqrt());
-            }
-        }
-        let mut clo = vec![f64::INFINITY; n];
-        let mut chi = vec![0.0f64; n];
-        for (i, con) in lp.constraints().iter().enumerate() {
-            for &(v, a) in &con.terms {
-                if a != 0.0 {
-                    let j = v.index();
-                    let s = (a * row[i] * col[j]).abs();
-                    clo[j] = clo[j].min(s);
-                    chi[j] = chi[j].max(s);
-                }
-            }
-        }
-        for j in 0..n {
-            if chi[j] > 0.0 {
-                col[j] *= pow2_recip((clo[j] * chi[j]).sqrt());
-            }
-        }
-    }
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for f in row.iter().chain(col.iter()) {
-        hash ^= f.to_bits();
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    Some(Scaling { row, col, hash })
-}
-
-impl Scaling {
-    /// The scaled copy of the reduced program the core factorizes.
-    fn apply(&self, lp: &LinearProgram) -> LinearProgram {
-        let mut out = LinearProgram::new();
-        for (j, v) in lp.vars().iter().enumerate() {
-            let c = self.col[j];
-            out.add_var(v.lower / c, v.upper / c, v.objective * c);
-        }
-        for (i, con) in lp.constraints().iter().enumerate() {
-            let r = self.row[i];
-            let terms: Vec<_> = con
-                .terms
-                .iter()
-                .map(|&(v, a)| (v, a * r * self.col[v.index()]))
-                .collect();
-            out.add_constraint(terms, con.sense, con.rhs * r);
-        }
-        out
-    }
-
-    /// Maps a scaled-space reduced solution back to reduced space
-    /// (exact: every factor is a power of two).
-    fn unscale(&self, sol: &mut Solution) {
-        for (x, &c) in sol.x.iter_mut().zip(&self.col) {
-            *x *= c;
-        }
-        for (y, &r) in sol.duals.iter_mut().zip(&self.row) {
-            *y *= r;
-        }
-    }
-}
-
 /// A persistent solver instance: presolve + sparse core + postsolve,
 /// kept alive between solves so follow-up solves can be warm-started.
 ///
@@ -1637,7 +1330,7 @@ impl Scaling {
 ///
 /// Every warm path falls back to a cold solve on any mismatch, so the
 /// result status is never worse than [`crate::solve_with`]'s. A solve
-/// whose recovery ladder runs out ends
+/// the engine cannot carry numerically ends
 /// [`SolveStatus::NumericalFailure`]; the instance then holds no
 /// reusable basis.
 #[derive(Debug)]
@@ -1651,12 +1344,11 @@ pub struct WarmSimplex {
 struct SpState {
     red: Box<Reduction>,
     core: SparseCore,
-    scale: Option<Scaling>,
     optimal: bool,
 }
 
 /// A cold or basis-seeded solve on a freshly built `core` over `lp`
-/// (the presolved, possibly scaled program). Returns the reduced-space
+/// (the presolved program). Returns the reduced-space
 /// solution and whether the saved basis was used.
 fn solve_core(
     core: &mut SparseCore,
@@ -1667,7 +1359,7 @@ fn solve_core(
     if let Some(b) = warm {
         if b.signature() == core.signature && core.restore_basis(b)? {
             // A restored point that is neither primal nor dual
-            // feasible, or whose pivots the ladder cannot carry, is
+            // feasible, or whose pivots the engine cannot carry, is
             // dropped for a cold solve on a rebuilt core.
             if let Ok(Some(sol)) = core.solve_restored() {
                 return Ok((sol, true));
@@ -1762,23 +1454,13 @@ impl WarmSimplex {
             }
             PresolveResult::Ready(r) => r,
         };
-        let scale = compute_scaling(&red.reduced, SCALE_THRESHOLD);
-        let (core_lp, salt) = match &scale {
-            Some(sc) => (
-                std::borrow::Cow::Owned(sc.apply(&red.reduced)),
-                red.pattern_hash ^ sc.hash,
-            ),
-            None => (std::borrow::Cow::Borrowed(&red.reduced), red.pattern_hash),
-        };
-        let mut core = SparseCore::build(&core_lp, self.opts, salt);
-        let (mut red_sol, warm_used) = solve_core(&mut core, &core_lp, salt, warm)
+        let salt = red.pattern_hash;
+        let mut core = SparseCore::build(&red.reduced, self.opts, salt);
+        let (red_sol, warm_used) = solve_core(&mut core, &red.reduced, salt, warm)
             .unwrap_or_else(|_| (core.failed(SolveStatus::NumericalFailure), false));
-        if let Some(sc) = &scale {
-            sc.unscale(&mut red_sol);
-        }
         let sol = self.finish(lp, &red, red_sol);
         let optimal = sol.is_usable();
-        self.state = Some(SpState { red, core, scale, optimal });
+        self.state = Some(SpState { red, core, optimal });
         (sol, warm_used)
     }
 
@@ -1801,19 +1483,9 @@ impl WarmSimplex {
             return (self.solve_from(lp, None).0, false);
         }
         let s = self.state.as_mut().expect("checked");
-        let mut deltas = s.red.reduced_rhs_deltas(lp);
-        if let Some(sc) = &s.scale {
-            // The core holds the scaled rows, so rhs deltas scale by
-            // the (exact power-of-two) row factors.
-            for (k, d) in deltas.iter_mut() {
-                *d *= sc.row[*k];
-            }
-        }
+        let deltas = s.red.reduced_rhs_deltas(lp);
         if let Ok(SolveStatus::Optimal) = s.core.resolve_rhs(&deltas) {
-            let mut red_sol = s.core.extract();
-            if let Some(sc) = &s.scale {
-                sc.unscale(&mut red_sol);
-            }
+            let red_sol = s.core.extract();
             let s = self.state.as_ref().expect("checked");
             let sol = self.finish(lp, &s.red, red_sol);
             if sol.is_usable() {
@@ -1824,7 +1496,7 @@ impl WarmSimplex {
             // for a consistent state.
         }
         // Dual-unbounded (the new rhs is infeasible), the pivot cap, or
-        // a ladder that ran out on the live core: a cold solve gives
+        // numerical failure on the live core: a cold solve gives
         // the authoritative status.
         (self.solve_from(lp, None).0, false)
     }
@@ -1842,7 +1514,7 @@ impl WarmSimplex {
     }
 
     /// Cumulative engine counters (refactorizations, eta columns,
-    /// fill-in, ladder rungs) of the live core.
+    /// fill-in, condition estimate) of the live core.
     pub fn engine_stats(&self) -> EngineStats {
         self.state.as_ref().map_or_else(EngineStats::default, |s| s.core.engine_stats())
     }
@@ -2241,17 +1913,11 @@ mod tests {
     }
 
     #[test]
-    fn restore_onto_parallel_columns_patches_the_singular_slot() {
+    fn singular_restore_falls_back_cold() {
         // Both structurals are basic at the optimum of the first
         // program. The second has the same pattern with the columns
         // made parallel, so the saved basis is singular there: the
-        // sticky peel tolerance climbs to its cap (`TightenTolerance`,
-        // which cannot cure an exact dependency), then the slot the
-        // factorization names gets its slack back
-        // (`PatchSingularColumn`) and the solve finishes warm.
-        // The second row of the parallel program is the first one
-        // tripled, so either slot the patch may pick leaves a primal
-        // feasible point.
+        // restore is dropped and the solve runs cold.
         let build = |a11: f64, b1: f64| {
             let mut lp = LinearProgram::new();
             let x = lp.add_var(0.0, f64::INFINITY, -1.0);
@@ -2268,11 +1934,7 @@ mod tests {
         let parallel = build(6.0, 12.0);
         let mut ws = WarmSimplex::new(opts());
         let (warm, used) = ws.solve_from(&parallel, Some(&basis));
-        assert!(used, "the patched basis must still seed the solve");
-        let st = ws.engine_stats();
-        assert!(st.tightenings >= 1, "{st:?}");
-        assert!(st.patched_columns >= 1, "{st:?}");
-        assert_eq!(warm.engine, st, "the solution reports the rungs it took");
+        assert!(!used, "a singular basis must not seed the solve");
         let oracle = solve_oracle(&parallel, opts());
         assert!(warm.is_optimal() && oracle.is_optimal());
         assert_close(warm.objective, oracle.objective, 1e-9);

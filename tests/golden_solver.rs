@@ -125,8 +125,8 @@ fn golden_ibm_matches_committed_fixture() {
 /// case 18: coefficients spanning many decades, nontrivial pivot
 /// paths in the engine and the oracle). Pins the certified objective
 /// and primal point of both so the numerical-robustness layer —
-/// equilibration scaling, refinement, certification — cannot drift
-/// silently under later solver changes.
+/// presolve, factorization, certification — cannot drift silently
+/// under later solver changes.
 #[derive(Debug, Serialize, Deserialize)]
 struct GoldenScaledLp {
     case: usize,

@@ -304,8 +304,8 @@ pub fn torture_lp(seed: u64, case: usize) -> LpCase {
         .collect();
     // Column templates: coefficient of var j in row i. Near-parallel
     // columns come from copying an earlier column's template with a
-    // tiny relative perturbation — inside a basis they produce the
-    // near-singular factorizations the recovery ladder exists for.
+    // tiny relative perturbation — inside a basis they produce
+    // near-singular factorizations.
     let mut templates: Vec<Vec<f64>> = Vec::with_capacity(n);
     for j in 0..n {
         let tmpl: Vec<f64> = if j > 0 && rng.below(3) == 0 {

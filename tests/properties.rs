@@ -656,14 +656,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Scaling + postsolve round-trip: multiplying row `i` of a
+    /// Scaled-program + postsolve round-trip: multiplying row `i` of a
     /// benign base program by `10^r_i` and column `j` (matrix entries
     /// *and* cost) by `10^c_j` produces an equivalent program whose
     /// optimal objective is unchanged and whose duals satisfy strong
     /// duality against the *scaled* rhs. The transformed programs span
-    /// ten-plus decades of coefficient dynamic range, so they cross
-    /// the equilibration threshold and exercise the full
-    /// presolve → scale → solve → unscale → certify pipeline, and the
+    /// ten-plus decades of coefficient dynamic range and exercise the
+    /// full presolve → solve → postsolve → certify pipeline, and the
     /// oracle's solve → certify. A certified `Optimal` must round-trip
     /// the objective; an ill-conditioned draw may downgrade to
     /// `NumericallySuspect` instead, but may never flip to
@@ -718,9 +717,9 @@ proptest! {
                     "{}: objective did not round-trip: base {} vs scaled {}",
                     engine, base.objective, scaled.objective
                 );
-                // Strong duality in the scaled space: the unscaled-
-                // then-returned duals must price the scaled rhs back
-                // to the certified objective.
+                // Strong duality in the scaled space: the returned
+                // duals must price the scaled rhs back to the
+                // certified objective.
                 let dual_obj: f64 =
                     scaled.duals.iter().zip(&rs).zip(&slacks).map(|((&y, &r), &b)| y * r * b).sum();
                 prop_assert!(
@@ -736,8 +735,8 @@ proptest! {
 /// Satellite of the numerical-robustness layer: a *pathologically
 /// scaled* TE instance — link capacities spanning nine decades — must
 /// still produce a certified, KKT-checked polish, and a repeated solve
-/// must give it bit for bit (the robustness machinery — equilibration,
-/// refinement, recovery ladder — is all deterministic).
+/// must give it bit for bit (presolve, factorization and
+/// certification are all deterministic).
 #[test]
 fn scaled_te_instance_is_certified_and_thread_invariant() {
     use prete_core::prelude::{SolveMethod, TeProblem, TeSolver};
