@@ -48,9 +48,9 @@ pub struct ControllerRun {
 /// controller (shared warm-start cache, shared recorder) and returns
 /// how many preparations beat the cut. The trace script is the §5
 /// testbed shape — degraded at 65 s, cut at 110 s — alternating
-/// between two fibers so the first visits are cache misses and the
-/// revisits exercise the warm-start path (the controller's steady
-/// state).
+/// between two fibers so the first visits miss the warm-start cache and
+/// the revisits, identical inputs, restore their min-Φ LP's basis (the
+/// polish LP always solves cold).
 fn replay_epochs(net: &Network, flow_frac: f64, epochs: usize, obs: &Recorder) -> usize {
     let model = FailureModel::new(net, SEED);
     let flows = topologies::flows_for(net, flow_frac, SEED);

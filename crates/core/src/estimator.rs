@@ -19,6 +19,7 @@
 use crate::scenario::DegradationState;
 use prete_nn::Predictor;
 use prete_optical::{FailureModel, ALPHA_PREDICTABLE};
+use prete_stats::dist::failure_prob_without_degradation;
 use prete_topology::{FiberId, Network};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -145,7 +146,7 @@ impl ProbabilityEstimator {
                     if state.is_degraded(FiberId(n)) {
                         conditional[n]
                     } else {
-                        (1.0 - alpha) * p_i
+                        failure_prob_without_degradation(p_i, *alpha)
                     }
                 })
                 .collect(),

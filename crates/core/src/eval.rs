@@ -31,11 +31,25 @@
 use crate::capacity::{tunnel_sum, CapacityGroups};
 use crate::estimator::TrueConditionals;
 use crate::scenario::{DegradationState, ScenarioSet};
-use crate::schemes::{Plan, ReactionModel, TeContext, TeScheme};
+use crate::schemes::{
+    Plan, ReactionModel, TeContext, TeScheme, ARROW_LATENCY_S, ARROW_RESTORE_FRACTION,
+    FLEXILE_CONVERGENCE_S,
+};
 use prete_lp::{solve, LinearProgram, Sense, SolveStatus, VarId};
 use prete_optical::{FailureModel, ALPHA_PREDICTABLE};
+use prete_stats::dist::failure_prob_without_degradation;
 use prete_topology::{FiberId, Flow, Network, TunnelSet};
 use serde::Serialize;
+
+/// Relative loss below which a flow counts as unaffected.
+const LOSS_TOL: f64 = 1e-6;
+
+/// SLA outage threshold in seconds: a loss burst at least this long
+/// marks the epoch unavailable for the flow. Millisecond-scale local
+/// rate adaptation stays below it; ARROW's 8 s restoration and
+/// Flexile's convergence exceed it (the paper's Table 9 reaction-speed
+/// taxonomy: "ms" vs "Seconds").
+const SLA_OUTAGE_THRESHOLD_S: f64 = 1.0;
 
 /// Evaluator configuration.
 #[derive(Debug, Clone, Copy)]
@@ -43,16 +57,6 @@ pub struct EvalConfig {
     /// Number of single-degradation states to evaluate explicitly
     /// (most-probable first); the rest are represented by mass scaling.
     pub top_k_degraded: usize,
-    /// Epoch length in seconds (15 min).
-    pub epoch_s: f64,
-    /// Relative loss below which a flow counts as unaffected.
-    pub loss_tol: f64,
-    /// SLA outage threshold in seconds: a loss burst at least this long
-    /// marks the epoch unavailable for the flow. Millisecond-scale
-    /// local rate adaptation stays below it; ARROW's 8 s restoration
-    /// and Flexile's convergence exceed it (the paper's Table 9
-    /// reaction-speed taxonomy: "ms" vs "Seconds").
-    pub sla_outage_threshold_s: f64,
     /// The predictable-cut fraction `α` of the world under evaluation
     /// (Theorem 4.1's off-signal discount); defaults to the paper's
     /// 25 %, overridden by the Figure 20(b) α sweep.
@@ -68,9 +72,6 @@ impl Default for EvalConfig {
     fn default() -> Self {
         Self {
             top_k_degraded: 8,
-            epoch_s: 900.0,
-            loss_tol: 1e-6,
-            sla_outage_threshold_s: 1.0,
             alpha: ALPHA_PREDICTABLE,
             oracle_outcome_split: false,
         }
@@ -147,7 +148,7 @@ impl<'a> AvailabilityEvaluator<'a> {
                         None => self.truth.per_fiber[n],
                     }
                 } else {
-                    (1.0 - self.cfg.alpha) * p.p_cut
+                    failure_prob_without_degradation(p.p_cut, self.cfg.alpha)
                 }
             })
             .collect()
@@ -289,7 +290,7 @@ impl<'a> AvailabilityEvaluator<'a> {
         if d <= 0.0 {
             return 0.0;
         }
-        let tol = self.cfg.loss_tol * d;
+        let tol = LOSS_TOL * d;
         let delivered = plan.delivered(self.net, &self.groups, f, &self.flows, cut);
         // Availability is binary per (flow, scenario): any loss beyond
         // tolerance marks the flow unavailable for the whole epoch, so
@@ -302,7 +303,7 @@ impl<'a> AvailabilityEvaluator<'a> {
             // Nothing failed, or nothing reacts: the plan's delivery decides.
             _ if cut.is_empty() => outage,
             ReactionModel::None | ReactionModel::LocalRateAdaptation => outage,
-            ReactionModel::CentralizedRecompute { convergence_s } => {
+            ReactionModel::CentralizedRecompute => {
                 // Was the flow touched by the failure at all? A reactive
                 // scheme loses the traffic of killed tunnels until the
                 // centralized recompute converges.
@@ -315,15 +316,15 @@ impl<'a> AvailabilityEvaluator<'a> {
                 let post = recompute_cache[qi]
                     .get_or_insert_with(|| self.recompute_optimum(plan, cut));
                 let post_ok = post[f] + tol >= d;
-                if !post_ok || convergence_s >= self.cfg.sla_outage_threshold_s {
+                if !post_ok || FLEXILE_CONVERGENCE_S >= SLA_OUTAGE_THRESHOLD_S {
                     1.0
                 } else {
                     0.0
                 }
             }
-            ReactionModel::OpticalRestoration { latency_s, restore_fraction } => {
+            ReactionModel::OpticalRestoration => {
                 let restored = (delivered
-                    + restore_fraction
+                    + ARROW_RESTORE_FRACTION
                         * plan.killed_allocation(self.net, f, &self.flows, cut))
                 .min(plan.admitted[f]);
                 let restored_ok = restored + tol >= d;
@@ -334,7 +335,7 @@ impl<'a> AvailabilityEvaluator<'a> {
                     // for the restoration latency (8 s), which breaches
                     // the SLA burst threshold — the reason ARROW cannot
                     // reach 99.95 % in Figure 13.
-                    if latency_s >= self.cfg.sla_outage_threshold_s {
+                    if ARROW_LATENCY_S >= SLA_OUTAGE_THRESHOLD_S {
                         1.0
                     } else {
                         0.0

@@ -48,7 +48,7 @@
 //!     .beta(0.99)
 //!     .method(SolveMethod::BranchAndBound)
 //!     .solve()
-//!     .expect("small instance solves within the default budget");
+//!     .expect("a small instance solves within the node limit");
 //! // TeaVaR's conservative optimum admits 10 units (Figure 2(b)).
 //! assert!(sol.max_loss < 1e-6);
 //! ```
@@ -75,7 +75,7 @@ pub mod prelude {
     pub use crate::eval::{AvailabilityEvaluator, AvailabilityReport, EvalConfig};
     pub use crate::gain::max_supported_scale;
     pub use crate::optimizer::{
-        SolveBudget, SolveMethod, SolverStats, TeProblem, TeSolution, TeSolveError, TeSolver,
+        SolveMethod, SolverStats, TeProblem, TeSolution, TeSolveError, TeSolver,
     };
     pub use crate::scenario::{
         DegradationState, EnumerationStats, FailureScenario, ScenarioBudget, ScenarioSet,

@@ -251,10 +251,6 @@ pub struct TeSolution {
     /// Scenario selection: `delta[f]` lists the *selected* scenario
     /// indices for flow `f` (implicitly includes unaffecting ones).
     pub delta: Vec<Vec<usize>>,
-    /// Number of LP solves performed.
-    pub lp_solves: usize,
-    /// Benders iterations (0 for the other methods).
-    pub benders_iters: usize,
     /// KKT certificate of the allocation LP this policy came from
     /// (`None` for the exact-MIP path, whose allocation is certified
     /// per node relaxation instead).
@@ -309,13 +305,15 @@ pub struct SolverStats {
     pub cuts_added: usize,
     /// Branch-and-bound nodes explored (master + exact MIP).
     pub mip_nodes: usize,
-    /// Warm starts that restored a cached or live basis.
+    /// Min-Φ solves that restored and used the cached basis (a
+    /// heuristic solve with a cache attached makes one lookup).
     pub warm_hits: usize,
-    /// Solves that wanted a warm start but fell back cold.
+    /// Min-Φ lookups that found no usable basis and solved cold.
     pub warm_misses: usize,
     /// Rhs-only dual-simplex re-solves inside the Benders loop.
     pub rhs_resolves: usize,
-    /// Warm-basis cache entries evicted (LRU) during this solve.
+    /// Always 0: the warm-start cache is unbounded. Kept, like
+    /// `refinements`, only because the repository benchmark reads it.
     pub cache_evictions: usize,
     /// Basis LU (re)factorizations in the sparse engine.
     pub refactorizations: u64,
@@ -494,10 +492,9 @@ impl PartialEq for SolverStats {
     }
 }
 
-/// Builder for TE solves: owns `beta`, the [`SolveMethod`], the
-/// [`SolveBudget`], the cold start and an optional warm-start
-/// [`BasisCache`], replacing the positional-argument
-/// `solve_te(problem, beta, method)` family.
+/// Builder for TE solves: owns `beta`, the [`SolveMethod`], the cold
+/// start and an optional warm-start [`BasisCache`], replacing the
+/// positional-argument `solve_te(problem, beta, method)` family.
 ///
 /// ```
 /// use prete_core::prelude::*;
@@ -511,7 +508,7 @@ impl PartialEq for SolverStats {
 ///     .beta(0.99)
 ///     .method(SolveMethod::benders())
 ///     .solve()
-///     .expect("within budget");
+///     .expect("the triangle solves");
 /// assert!(sol.max_loss < 1e-6);
 /// ```
 #[must_use]
@@ -520,7 +517,6 @@ pub struct TeSolver<'p, 'a, 'c> {
     problem: &'p TeProblem<'a>,
     beta: f64,
     method: SolveMethod,
-    budget: SolveBudget,
     cold_start: ColdStart,
     cache: Option<&'c mut BasisCache>,
     recorder: Recorder,
@@ -529,15 +525,13 @@ pub struct TeSolver<'p, 'a, 'c> {
 
 impl<'p, 'a, 'c> TeSolver<'p, 'a, 'c> {
     /// Creates a solver for `problem` with defaults: `beta =`
-    /// [`DEFAULT_BETA`], [`SolveMethod::Heuristic`], the default
-    /// [`SolveBudget`], the default cold start, no
-    /// warm-start cache, no recorder.
+    /// [`DEFAULT_BETA`], [`SolveMethod::Heuristic`], the default cold
+    /// start, no warm-start cache, no recorder.
     pub fn new(problem: &'p TeProblem<'a>) -> Self {
         Self {
             problem,
             beta: DEFAULT_BETA,
             method: SolveMethod::Heuristic,
-            budget: SolveBudget::default(),
             cold_start: ColdStart::default(),
             cache: None,
             recorder: Recorder::disabled(),
@@ -559,24 +553,6 @@ impl<'p, 'a, 'c> TeSolver<'p, 'a, 'c> {
     /// Solve method (heuristic, Benders, exact branch-and-bound).
     pub fn method(mut self, method: SolveMethod) -> Self {
         self.method = method;
-        self
-    }
-
-    /// Deterministic work budget, surfacing exhaustion as
-    /// [`TeSolveError::BudgetExceeded`] instead of panicking.
-    ///
-    /// Semantics per method:
-    /// * `Heuristic` — two LP solves, always feasible (`Φ = 1` is a
-    ///   valid point), so it only fails on a fully spent budget
-    ///   (`max_benders_iters == 0`, "no solver work allowed").
-    /// * `Benders` — the iteration cap is the tighter of the method's
-    ///   own `max_iters` and the budget's; a zero cap fails
-    ///   immediately, otherwise the incumbent after the capped loop is
-    ///   returned.
-    /// * `BranchAndBound` — the exact MIP honours `max_mip_nodes` and
-    ///   reports `BudgetExceeded` / `Infeasible` instead of asserting.
-    pub fn budget(mut self, budget: SolveBudget) -> Self {
-        self.budget = budget;
         self
     }
 
@@ -608,9 +584,11 @@ impl<'p, 'a, 'c> TeSolver<'p, 'a, 'c> {
         self
     }
 
-    /// Warm-starts LP solves from `cache` (keyed by
-    /// [`TeProblem::structure_key`]) and saves the optimal bases back,
-    /// so successive epochs skip simplex phase 1.
+    /// Warm-starts the min-Φ LP from the basis `cache` holds for this
+    /// problem structure and selection (keyed by
+    /// [`TeProblem::structure_key`] and δ) and saves its optimal basis
+    /// back, so successive epochs skip simplex phase 1. The polish LP
+    /// and the Benders subproblem always solve cold.
     pub fn warm_cache(mut self, cache: &'c mut BasisCache) -> Self {
         self.cache = Some(cache);
         self
@@ -636,7 +614,6 @@ impl<'p, 'a, 'c> TeSolver<'p, 'a, 'c> {
         let recorder = self.recorder;
         let span = recorder.span("solve");
         recorder.event_with("solver.cold-start", || format!("{:?}", self.cold_start));
-        let evictions_before = self.cache.as_ref().map_or(0, |c| c.evictions());
         let mut ctx = SolveCtx {
             problem: self.problem,
             cold_start: self.cold_start,
@@ -649,37 +626,12 @@ impl<'p, 'a, 'c> TeSolver<'p, 'a, 'c> {
             },
             obs: recorder.clone(),
         };
-        let budget = self.budget;
         let result = match self.method {
-            SolveMethod::Heuristic => {
-                if budget.max_benders_iters == 0 && budget.max_mip_nodes == 0 {
-                    Err(TeSolveError::BudgetExceeded { nodes: 0 })
-                } else {
-                    ctx.heuristic(self.beta)
-                }
-            }
-            SolveMethod::Benders { eps, max_iters } => {
-                let cap = max_iters.min(budget.max_benders_iters);
-                if cap == 0 {
-                    Err(TeSolveError::BudgetExceeded { nodes: 0 })
-                } else {
-                    ctx.benders(self.beta, eps, cap)
-                }
-            }
-            SolveMethod::BranchAndBound => {
-                if budget.max_mip_nodes == 0 {
-                    Err(TeSolveError::BudgetExceeded { nodes: 0 })
-                } else {
-                    let opts =
-                        MipOptions { max_nodes: budget.max_mip_nodes, simplex: ctx.simplex_opts() };
-                    ctx.bnb(self.beta, opts)
-                }
-            }
+            SolveMethod::Heuristic => ctx.heuristic(self.beta),
+            SolveMethod::Benders { eps, max_iters } => ctx.benders(self.beta, eps, max_iters),
+            SolveMethod::BranchAndBound => ctx.bnb(self.beta),
         };
         ctx.stats.total_ms = t0.elapsed().as_secs_f64() * 1e3;
-        if let Some(cache) = ctx.cache.as_ref() {
-            ctx.stats.cache_evictions = cache.evictions() - evictions_before;
-        }
         drop(span);
         ctx.stats.publish(&recorder);
         if let Err(e) = &result {
@@ -689,33 +641,13 @@ impl<'p, 'a, 'c> TeSolver<'p, 'a, 'c> {
     }
 }
 
-/// Deterministic work budget for a fallible TE solve.
-///
-/// Budgets are expressed in solver work units — branch-and-bound nodes
-/// and Benders iterations — rather than wall-clock time, so a budgeted
-/// solve produces bit-identical results on any machine.
-#[must_use]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct SolveBudget {
-    /// Maximum branch-and-bound nodes for a MIP solve.
-    pub max_mip_nodes: usize,
-    /// Maximum Benders master/subproblem iterations.
-    pub max_benders_iters: usize,
-}
-
-impl Default for SolveBudget {
-    fn default() -> Self {
-        Self { max_mip_nodes: 100_000, max_benders_iters: 50 }
-    }
-}
-
-/// Why a budgeted TE solve produced no usable policy.
+/// Why a TE solve produced no usable policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TeSolveError {
-    /// The solver ran out of its work budget before proving optimality.
+    /// The exact MIP hit [`MipOptions::default`]'s node limit before
+    /// proving optimality, or Benders was allowed no iteration.
     BudgetExceeded {
-        /// Work units consumed when the budget tripped (B&B nodes, or
-        /// Benders iterations for the decomposition path).
+        /// Branch-and-bound nodes explored (0 for Benders).
         nodes: usize,
     },
     /// The program admits no feasible point (only possible for the
@@ -736,7 +668,7 @@ impl std::fmt::Display for TeSolveError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TeSolveError::BudgetExceeded { nodes } => {
-                write!(f, "TE solve exceeded its work budget after {nodes} nodes")
+                write!(f, "TE solve stopped at its node or iteration limit after {nodes} nodes")
             }
             TeSolveError::Infeasible => f.write_str("TE program is infeasible"),
             TeSolveError::LpFailed { status } => {
@@ -776,14 +708,6 @@ fn greedy_delta(problem: &TeProblem<'_>, beta: f64) -> Vec<Vec<usize>> {
         })
         .collect()
 }
-
-/// Cache-key salts separating the LP families that share one problem
-/// structure (a basis from one family must not seed another; the
-/// structural signature would reject it anyway, but separate keys keep
-/// the hit-rate numbers honest).
-const CACHE_SALT_HEURISTIC: u64 = 0x5eed_0001;
-const CACHE_SALT_BENDERS: u64 = 0x5eed_0002;
-const CACHE_SALT_POLISH: u64 = 0x5eed_0003;
 
 fn hash_delta(delta: &[Vec<usize>]) -> u64 {
     use std::hash::{Hash, Hasher};
@@ -833,9 +757,11 @@ impl SolveCtx<'_, '_, '_> {
             self.stats.max_condition_estimate.max(engine.condition_estimate);
     }
 
-    /// Folds a solve's engine counters and its suspect verdict into the
-    /// stats.
-    fn absorb_engine(&mut self, sol: &prete_lp::Solution) {
+    /// Counts one LP solve: its pivots, engine counters and suspect
+    /// verdict.
+    fn absorb_solve(&mut self, sol: &prete_lp::Solution) {
+        self.stats.lp_solves += 1;
+        self.stats.pivots += sol.iterations;
         self.absorb_counters(&sol.engine);
         if sol.status == SolveStatus::NumericallySuspect {
             self.stats.suspect_solves += 1;
@@ -849,17 +775,20 @@ impl SolveCtx<'_, '_, '_> {
         }
     }
 
-    /// Solves `lp` on `ws`, seeding from the basis cached under `key`
-    /// when a cache is attached, and counts the hit or miss.
-    fn cached_solve(
-        &mut self,
-        ws: &mut WarmSimplex,
-        lp: &LinearProgram,
-        key: u64,
-    ) -> prete_lp::Solution {
-        let warm = self.cache.as_mut().and_then(|c| c.get(key)).cloned();
-        let (sol, used) = ws.solve_from(lp, warm.as_ref());
-        if self.cache.is_some() {
+    /// Solves the min-Φ LP for a fixed selection (heuristic path: one
+    /// LP per solve), returning `(allocation, Φ)`. With a cache
+    /// attached it is seeded from the basis saved under this structure
+    /// and selection, counts the hit or miss, and saves its optimal
+    /// basis back.
+    fn subproblem(&mut self, delta: &[Vec<usize>]) -> Result<(Vec<f64>, f64), TeSolveError> {
+        let t0 = Instant::now();
+        let problem = self.problem;
+        let (lp, a_vars, phi) = problem.min_phi_lp(delta);
+        let key = problem.structure_key() ^ hash_delta(delta);
+        let warm = self.cache.as_deref().and_then(|c| c.get(key));
+        let mut ws = WarmSimplex::new(self.simplex_opts());
+        let (sol, used) = ws.solve_from(&lp, warm);
+        if let Some(cache) = self.cache.as_mut() {
             let (count, verdict) = if used {
                 (&mut self.stats.warm_hits, "hit")
             } else {
@@ -867,42 +796,15 @@ impl SolveCtx<'_, '_, '_> {
             };
             *count += 1;
             self.obs.event_with("solver.warm-start", || format!("{verdict} key={key:#x}"));
+            if let Some(b) = ws.basis() {
+                cache.put(key, b);
+            }
         }
-        sol
-    }
-
-    /// Saves `ws`'s optimal basis under `key` when a cache is attached.
-    fn save_basis(&mut self, ws: &WarmSimplex, key: u64) {
-        if let (Some(b), Some(c)) = (ws.basis(), self.cache.as_mut()) {
-            c.put(key, b);
-        }
-    }
-
-    /// Solves `lp` from the basis cached under `key` (if any) and saves
-    /// the optimal basis back.
-    fn warm_solve(&mut self, lp: &LinearProgram, key: u64) -> prete_lp::Solution {
-        let mut ws = WarmSimplex::new(self.simplex_opts());
-        let sol = self.cached_solve(&mut ws, lp, key);
-        self.absorb_engine(&sol);
-        self.stats.lp_solves += 1;
-        self.stats.pivots += sol.iterations;
-        self.save_basis(&ws, key);
-        sol
-    }
-
-    /// Solves the min-Φ LP for a fixed selection (heuristic path: one
-    /// LP per solve, warm-started across epochs), returning
-    /// `(allocation, Φ)`.
-    fn subproblem(&mut self, delta: &[Vec<usize>]) -> Result<(Vec<f64>, f64), TeSolveError> {
-        let t0 = Instant::now();
-        let problem = self.problem;
-        let (lp, a_vars, phi) = problem.min_phi_lp(delta);
-        let key = problem.structure_key() ^ CACHE_SALT_HEURISTIC ^ hash_delta(delta);
-        let sol = self.warm_solve(&lp, key);
+        self.absorb_solve(&sol);
         self.stats.subproblem_ms += ms_since(t0);
         // Φ = 1 is always feasible. A suspect verdict still carries the
         // optimal-basis point (plus its failing certificate, already
-        // counted by `absorb_engine`).
+        // counted by `absorb_solve`).
         self.usable(&sol)?;
         Ok((a_vars.iter().map(|&v| sol.value(v).max(0.0)).collect(), sol.value(phi).max(0.0)))
     }
@@ -911,18 +813,11 @@ impl SolveCtx<'_, '_, '_> {
         let delta = greedy_delta(self.problem, beta);
         let (_, phi) = self.subproblem(&delta)?;
         let (allocation, quality) = self.polish(&delta, phi)?;
-        Ok(TeSolution {
-            allocation,
-            max_loss: phi,
-            delta,
-            lp_solves: 2,
-            benders_iters: 0,
-            quality,
-        })
+        Ok(TeSolution { allocation, max_loss: phi, delta, quality })
     }
 
     /// Solves the polish LP ([`TeProblem::polish_lp`]) for `delta` with
-    /// `Φ` frozen at `phi`, returning the allocation and its
+    /// `Φ` frozen at `phi`, cold, returning the allocation and its
     /// certificate.
     fn polish(
         &mut self,
@@ -930,10 +825,9 @@ impl SolveCtx<'_, '_, '_> {
         phi: f64,
     ) -> Result<(Vec<f64>, Option<prete_lp::SolutionQuality>), TeSolveError> {
         let t0 = Instant::now();
-        let problem = self.problem;
-        let (lp, a_vars) = problem.polish_lp(delta, phi);
-        let key = problem.structure_key() ^ CACHE_SALT_POLISH ^ hash_delta(delta);
-        let sol = self.warm_solve(&lp, key);
+        let (lp, a_vars) = self.problem.polish_lp(delta, phi);
+        let sol = WarmSimplex::new(self.simplex_opts()).solve(&lp);
+        self.absorb_solve(&sol);
         self.stats.polish_ms += ms_since(t0);
         if self.usable(&sol).is_err() {
             // Extremely defensive: fall back to the primary solution
@@ -1242,7 +1136,6 @@ impl SolveCtx<'_, '_, '_> {
         // materialize (scenario 0 + affecting), UB = 1, LB = 0, C = ∅.
         let mut b = BendersLp::new(problem);
         let mut master = Master::new(problem, beta);
-        let key = problem.structure_key() ^ CACHE_SALT_BENDERS;
         let mut ws = WarmSimplex::new(self.simplex_opts());
 
         let mut delta: Vec<Vec<usize>> =
@@ -1250,18 +1143,17 @@ impl SolveCtx<'_, '_, '_> {
         let mut ub = f64::INFINITY;
         let mut lb: f64 = 0.0;
         let mut best: Option<(f64, Vec<Vec<usize>>)> = None;
-        let mut lp_solves = 0usize;
         let mut iters = 0usize;
 
         while iters < max_iters {
             iters += 1;
             // Step 1: subproblem with fixed δ. The first iteration is a
-            // (possibly cache-seeded) full solve; later ones are
-            // rhs-only dual-simplex moves on the live tableau.
+            // cold solve; later ones are rhs-only dual-simplex moves on
+            // the live tableau.
             let t0 = Instant::now();
             b.select(&delta);
             let sol = if iters == 1 {
-                self.cached_solve(&mut ws, &b.lp, key)
+                ws.solve(&b.lp)
             } else {
                 let (sol, live) = ws.resolve_rhs(&b.lp);
                 if live {
@@ -1279,7 +1171,6 @@ impl SolveCtx<'_, '_, '_> {
             }
             self.usable(&sol)?;
             let phi = sol.value(b.phi).max(0.0);
-            lp_solves += 1;
             if phi < ub {
                 ub = phi;
                 best = Some((phi, delta.clone()));
@@ -1299,7 +1190,6 @@ impl SolveCtx<'_, '_, '_> {
             self.stats.master_ms += ms_since(t1);
             self.stats.mip_nodes += nodes;
             self.stats.lp_solves += 1;
-            lp_solves += 1;
             lb = lb.max(master_obj);
             if ub - lb <= eps {
                 break;
@@ -1309,26 +1199,19 @@ impl SolveCtx<'_, '_, '_> {
         self.stats.pivots += ws.pivots();
         self.absorb_counters(&ws.engine_stats());
         self.stats.benders_iters = iters;
-        self.save_basis(&ws, key);
-        let (phi, delta) = best.expect("at least one subproblem solved");
+        let (phi, delta) = best.ok_or(TeSolveError::BudgetExceeded { nodes: 0 })?;
         let (allocation, quality) = self.polish(&delta, phi)?;
-        Ok(TeSolution {
-            allocation,
-            max_loss: phi,
-            delta,
-            lp_solves: lp_solves + 1,
-            benders_iters: iters,
-            quality,
-        })
+        Ok(TeSolution { allocation, max_loss: phi, delta, quality })
     }
 
     /// Full MIP (2)–(8) via branch-and-bound: exact reference for small
-    /// instances, surfacing budget exhaustion and infeasibility instead
-    /// of panicking.
-    fn bnb(&mut self, beta: f64, opts: MipOptions) -> Result<TeSolution, TeSolveError> {
+    /// instances, surfacing the node limit and infeasibility instead of
+    /// panicking.
+    fn bnb(&mut self, beta: f64) -> Result<TeSolution, TeSolveError> {
         let t0 = Instant::now();
         let (lp, phi, dvars) = self.problem.mip_lp(beta);
         let binaries: Vec<VarId> = dvars.iter().flatten().map(|&(_, v)| v).collect();
+        let opts = MipOptions { simplex: self.simplex_opts(), ..MipOptions::default() };
         let r = solve_mip(&lp, &binaries, opts);
         self.stats.master_ms += ms_since(t0);
         self.stats.mip_nodes += r.nodes;
@@ -1344,14 +1227,7 @@ impl SolveCtx<'_, '_, '_> {
         let delta = selection(&dvars, &r.x);
         let max_loss = r.x[phi.index()].max(0.0);
         let (allocation, quality) = self.polish(&delta, max_loss)?;
-        Ok(TeSolution {
-            allocation,
-            max_loss,
-            delta,
-            lp_solves: r.nodes + 1,
-            benders_iters: 0,
-            quality,
-        })
+        Ok(TeSolution { allocation, max_loss, delta, quality })
     }
 }
 
@@ -1373,7 +1249,7 @@ mod tests {
     }
 
     fn run(p: &TeProblem<'_>, beta: f64, method: SolveMethod) -> TeSolution {
-        TeSolver::new(p).beta(beta).method(method).solve().expect("solvable within budget")
+        TeSolver::new(p).beta(beta).method(method).solve().expect("the triangle solves")
     }
 
     #[test]
@@ -1514,7 +1390,6 @@ mod tests {
             .unwrap();
         let (_, s2) = TeSolver::new(&p)
             .beta(0.99)
-            .method(SolveMethod::benders())
             .warm_cache(&mut cache)
             .recorder(&rec)
             .solve_with_stats()
@@ -1533,13 +1408,13 @@ mod tests {
             (stats.benders_iters + s2.benders_iters) as u64
         );
         assert_eq!(r.counters["solver.warm_hits"], (stats.warm_hits + s2.warm_hits) as u64);
-        // Events fired for Benders iterations, and warm starts once the
-        // cache was primed.
+        // Events fired for Benders iterations, and one warm-start event
+        // for the heuristic's one lookup: Benders never consults the
+        // cache.
         assert!(!r.events_of_kind("solver.benders-iteration").is_empty());
-        assert_eq!(
-            r.events_of_kind("solver.warm-start").len(),
-            (stats.warm_hits + stats.warm_misses + s2.warm_hits + s2.warm_misses),
-        );
+        assert_eq!(stats.warm_hits + stats.warm_misses, 0);
+        assert_eq!(s2.warm_hits + s2.warm_misses, 1);
+        assert_eq!(r.events_of_kind("solver.warm-start").len(), 1);
         // Deterministic reports carry no machine wall times.
         assert!(!r.histograms.contains_key("solver.total_ms"));
     }
@@ -1706,37 +1581,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_cache_evictions_surface_in_stats() {
-        let (net, flows, tunnels, scenarios) = triangle_problem(&TRIANGLE_PROBS);
-        let p = TeProblem::new(&net, &flows, &tunnels, &scenarios);
-        let solve = |cache: &mut BasisCache| {
-            TeSolver::new(&p)
-                .beta(0.99)
-                .method(SolveMethod::benders())
-                .warm_cache(cache)
-                .solve_with_stats()
-                .unwrap()
-                .1
-        };
-        // Unbounded baseline: no evictions, and the solve wants more
-        // than one cached basis (one per Benders subproblem family).
-        let mut unbounded = BasisCache::new();
-        let base = solve(&mut unbounded);
-        assert_eq!(base.cache_evictions, 0);
-        let keys = unbounded.len();
-        assert!(keys > 1, "expected multiple cached bases, got {keys}");
-        // Capacity 1 forces LRU churn; the delta lands in the stats.
-        let mut bounded = BasisCache::with_capacity(1);
-        let stats = solve(&mut bounded);
-        assert_eq!(stats.cache_evictions, bounded.evictions());
-        assert!(stats.cache_evictions >= keys - 1);
-        assert!(bounded.len() <= 1);
-        // Eviction counts are work units: bit-identical across runs.
-        let mut again = BasisCache::with_capacity(1);
-        assert_eq!(solve(&mut again), stats);
-    }
-
-    #[test]
     fn stats_accumulate_across_warm_epochs() {
         let (net, flows, tunnels, scenarios) = triangle_problem(&TRIANGLE_PROBS);
         let p = TeProblem::new(&net, &flows, &tunnels, &scenarios);
@@ -1772,6 +1616,32 @@ mod tests {
         // the same work-unit totals.
         let (acc2, _) = run_epochs();
         assert_eq!(acc, acc2);
+    }
+
+    #[test]
+    fn demand_change_makes_one_cache_lookup() {
+        // `steady-twan`'s re-solve: TWAN at two hourly matrices over one
+        // structure. Only the min-Φ LP looks a basis up, so the re-solve
+        // hits once and misses never; the polish solves cold.
+        let twan = Instance::new(prete_topology::topologies::twan(), 0.08, 1.0, None, None);
+        let hours = prete_topology::traffic::hourly_matrices(&twan.flows, 42);
+        let solve = |h: usize, cache: Option<&mut BasisCache>| {
+            let p = TeProblem::new(&twan.net, &hours[h].flows, &twan.tunnels, &twan.scenarios);
+            let solver = TeSolver::new(&p).beta(0.999);
+            match cache {
+                Some(c) => solver.warm_cache(c).solve_with_stats(),
+                None => solver.solve_with_stats(),
+            }
+            .expect("the heuristic solves")
+        };
+        let mut cache = BasisCache::new();
+        let (_, primed) = solve(0, Some(&mut cache));
+        assert_eq!((primed.warm_hits, primed.warm_misses), (0, 1));
+        let (warm, stats) = solve(3, Some(&mut cache));
+        assert_eq!((stats.warm_hits, stats.warm_misses), (1, 0));
+        let (cold, _) = solve(3, None);
+        let gap = (warm.max_loss - cold.max_loss).abs();
+        assert!(gap <= 1e-9, "warm Φ {} vs cold Φ {}", warm.max_loss, cold.max_loss);
     }
 
     /// A workload-shaped instance: `flows_for(load)` demands scaled by

@@ -18,7 +18,7 @@
 use crate::algorithm1::{update_tunnels, TunnelUpdateConfig};
 use crate::capacity::{tunnel_sum, CapacityGroups};
 use crate::estimator::ProbabilityEstimator;
-use crate::optimizer::{SolveMethod, TeProblem, TeSolver, DEFAULT_BETA};
+use crate::optimizer::{TeProblem, TeSolver, DEFAULT_BETA};
 use crate::scenario::{DegradationState, ScenarioSet};
 use prete_lp::{solve, LinearProgram, Sense, SolveStatus, VarId};
 use prete_optical::FailureModel;
@@ -46,23 +46,25 @@ pub enum ReactionModel {
     /// measurable outage when residual capacity suffices.
     LocalRateAdaptation,
     /// Centralized recomputation (Flexile): affected flows lose traffic
-    /// for the convergence time even when the recomputed policy is
+    /// for [`FLEXILE_CONVERGENCE_S`] even when the recomputed policy is
     /// perfect.
-    CentralizedRecompute {
-        /// End-to-end convergence time in seconds (§2.1: minutes of
-        /// partial loss; default 120 s including tunnel setup).
-        convergence_s: f64,
-    },
-    /// Optical restoration (ARROW): lost wavelengths are rebuilt after
-    /// a fixed latency; flows relying on restored capacity lose traffic
-    /// in the meantime.
-    OpticalRestoration {
-        /// Restoration latency (paper: 8 s).
-        latency_s: f64,
-        /// Fraction of lost tunnel bandwidth that restoration recovers.
-        restore_fraction: f64,
-    },
+    CentralizedRecompute,
+    /// Optical restoration (ARROW): [`ARROW_RESTORE_FRACTION`] of the
+    /// lost tunnel bandwidth is rebuilt after [`ARROW_LATENCY_S`]; flows
+    /// relying on restored capacity lose traffic in the meantime.
+    OpticalRestoration,
 }
+
+/// Flexile's end-to-end convergence time in seconds, charged per
+/// affecting failure, tunnel setup included (§2.1: reactive schemes
+/// "fail to satisfy bandwidth requirements … for minutes").
+pub const FLEXILE_CONVERGENCE_S: f64 = 120.0;
+
+/// ARROW's optical restoration latency in seconds (paper: 8 s).
+pub const ARROW_LATENCY_S: f64 = 8.0;
+
+/// Fraction of killed tunnel bandwidth ARROW's restoration recovers.
+pub const ARROW_RESTORE_FRACTION: f64 = 0.7;
 
 /// A computed TE policy.
 #[derive(Debug, Clone)]
@@ -493,31 +495,22 @@ impl TeScheme for TeaVarScheme {
 // --------------------------------------------------------------- ARROW
 
 /// ARROW (Zhong et al. \[41\]): TeaVaR-style planning, but failure
-/// scenarios may count on optical restoration rebuilding a fraction of
-/// the lost wavelengths after a fixed latency. Flows that rely on
-/// restored capacity suffer the restoration latency as outage.
+/// scenarios may count on optical restoration rebuilding
+/// [`ARROW_RESTORE_FRACTION`] of the lost wavelengths after
+/// [`ARROW_LATENCY_S`]. Flows that rely on restored capacity suffer the
+/// restoration latency as outage.
 #[derive(Debug, Clone)]
 pub struct ArrowScheme {
     /// Availability bound β.
     pub beta: f64,
-    /// Restoration latency in seconds (paper: 8 s).
-    pub latency_s: f64,
-    /// Fraction of killed tunnel bandwidth restoration recovers.
-    pub restore_fraction: f64,
     /// Static probabilities.
     pub estimator: ProbabilityEstimator,
 }
 
 impl ArrowScheme {
-    /// Builds ARROW with the paper's 8 s restoration latency and a 70 %
-    /// wavelength-restoration capability.
+    /// Builds ARROW over the static probabilities.
     pub fn new(model: &FailureModel, beta: f64) -> Self {
-        Self {
-            beta,
-            latency_s: 8.0,
-            restore_fraction: 0.7,
-            estimator: ProbabilityEstimator::static_model(model),
-        }
+        Self { beta, estimator: ProbabilityEstimator::static_model(model) }
     }
 }
 
@@ -527,10 +520,7 @@ impl TeScheme for ArrowScheme {
     }
 
     fn reaction(&self) -> ReactionModel {
-        ReactionModel::OpticalRestoration {
-            latency_s: self.latency_s,
-            restore_fraction: self.restore_fraction,
-        }
+        ReactionModel::OpticalRestoration
     }
 
     fn beta(&self) -> f64 {
@@ -562,7 +552,7 @@ impl TeScheme for ArrowScheme {
                         let coeff = if tunnels.tunnel(t).survives(ctx.net, &q.cut) {
                             1.0
                         } else {
-                            self.restore_fraction
+                            ARROW_RESTORE_FRACTION
                         };
                         terms.push((builder.a_vars[t.index()], coeff));
                     }
@@ -580,29 +570,20 @@ impl TeScheme for ArrowScheme {
 
 /// Flexile (Jiang et al. \[21\]): the per-flow β-loss MIP (the same
 /// optimization PreTE builds on), but with static probabilities, no
-/// tunnel updates, and *reactive* centralized recomputation on failure.
+/// tunnel updates, and *reactive* centralized recomputation on failure
+/// that converges after [`FLEXILE_CONVERGENCE_S`].
 #[derive(Debug, Clone)]
 pub struct FlexileScheme {
     /// Per-flow availability target β.
     pub beta: f64,
-    /// Convergence time charged per affecting failure (seconds).
-    pub convergence_s: f64,
     /// Static probabilities.
     pub estimator: ProbabilityEstimator,
-    /// Inner solver.
-    pub method: SolveMethod,
 }
 
 impl FlexileScheme {
-    /// Builds Flexile with a 120 s convergence time (§2.1: reactive
-    /// schemes "fail to satisfy bandwidth requirements … for minutes").
+    /// Builds Flexile over the static probabilities.
     pub fn new(model: &FailureModel, beta: f64) -> Self {
-        Self {
-            beta,
-            convergence_s: 120.0,
-            estimator: ProbabilityEstimator::static_model(model),
-            method: SolveMethod::Heuristic,
-        }
+        Self { beta, estimator: ProbabilityEstimator::static_model(model) }
     }
 }
 
@@ -612,7 +593,7 @@ impl TeScheme for FlexileScheme {
     }
 
     fn reaction(&self) -> ReactionModel {
-        ReactionModel::CentralizedRecompute { convergence_s: self.convergence_s }
+        ReactionModel::CentralizedRecompute
     }
 
     fn beta(&self) -> f64 {
@@ -625,22 +606,16 @@ impl TeScheme for FlexileScheme {
 
     fn plan(&self, ctx: &TeContext<'_>, state: &DegradationState, probs_override: Option<&[f64]>) -> Plan {
         let probs = beliefs(&self.estimator, state, probs_override);
-        optimized_plan(ctx, self.tunnels(ctx, state), &probs, self.beta, self.method)
+        optimized_plan(ctx, self.tunnels(ctx, state), &probs, self.beta)
     }
 }
 
-/// A plan from the (2)–(8) optimization over `tunnels` and the single
+/// A plan from the heuristic (2)–(8) solve over `tunnels` and the single
 /// cuts of `probs`, admitting every demand in full (Flexile, PreTE).
-fn optimized_plan(
-    ctx: &TeContext<'_>,
-    tunnels: TunnelSet,
-    probs: &[f64],
-    beta: f64,
-    method: SolveMethod,
-) -> Plan {
+fn optimized_plan(ctx: &TeContext<'_>, tunnels: TunnelSet, probs: &[f64], beta: f64) -> Plan {
     let scenarios = ScenarioSet::enumerate(probs, 1, 0.0);
     let problem = TeProblem::new(ctx.net, ctx.flows, &tunnels, &scenarios);
-    let sol = TeSolver::new(&problem).beta(beta).method(method).solve().expect("unbudgeted solve");
+    let sol = TeSolver::new(&problem).beta(beta).solve().expect("the heuristic solves");
     let admitted = ctx.flows.iter().map(|f| f.demand_gbps).collect();
     Plan { tunnels, allocation: sol.allocation, admitted }
 }
@@ -659,8 +634,6 @@ pub struct PreTeScheme {
     /// Algorithm 1 configuration (`ratio = 0` → PreTE-naive,
     /// Figure 16's knob).
     pub tunnel_update: TunnelUpdateConfig,
-    /// Inner solver.
-    pub method: SolveMethod,
     /// Display name.
     pub label: String,
 }
@@ -672,7 +645,6 @@ impl PreTeScheme {
             beta,
             estimator,
             tunnel_update: TunnelUpdateConfig::default(),
-            method: SolveMethod::Heuristic,
             label: "PreTE".into(),
         }
     }
@@ -684,7 +656,6 @@ impl PreTeScheme {
             beta,
             estimator,
             tunnel_update: TunnelUpdateConfig { ratio: 0.0, ..Default::default() },
-            method: SolveMethod::Heuristic,
             label: "PreTE-naive".into(),
         }
     }
@@ -719,7 +690,7 @@ impl TeScheme for PreTeScheme {
     fn plan(&self, ctx: &TeContext<'_>, state: &DegradationState, probs_override: Option<&[f64]>) -> Plan {
         let probs = beliefs(&self.estimator, state, probs_override);
         // Proactive step: optimize over the enlarged tunnel set.
-        optimized_plan(ctx, self.tunnels(ctx, state), &probs, self.beta, self.method)
+        optimized_plan(ctx, self.tunnels(ctx, state), &probs, self.beta)
     }
 }
 

@@ -20,6 +20,7 @@
 //! TE variant reads the same function.
 
 use crate::events::DegradationFeatures;
+use prete_stats::dist::failure_prob_without_degradation;
 use prete_stats::Weibull;
 use prete_topology::{FiberId, Network};
 use rand::rngs::StdRng;
@@ -145,7 +146,7 @@ impl FailureModel {
     /// Theorem 4.1: cut probability in an epoch with *no* degradation
     /// signal, `(1 − α) p_i`.
     pub fn p_cut_without_degradation(&self, f: FiberId) -> f64 {
-        (1.0 - ALPHA_PREDICTABLE) * self.p_cut(f)
+        failure_prob_without_degradation(self.p_cut(f), ALPHA_PREDICTABLE)
     }
 
     /// Ground-truth probability that a degradation with the given

@@ -103,8 +103,9 @@ pub struct Controller<'a> {
     /// (`scenarios_pruned`, `tail_mass`) into [`SolverStats`].
     pub scenario_budget: Option<ScenarioBudget>,
     /// Warm-start basis cache shared across replays (epochs): each TE
-    /// recompute saves its optimal bases and the next one on the same
-    /// problem structure restores them, skipping simplex phase 1.
+    /// recompute saves its min-Φ LP's optimal basis and the next one on
+    /// the same problem structure and selection restores it, skipping
+    /// simplex phase 1.
     pub cache: std::cell::RefCell<BasisCache>,
     /// Telemetry sink: each replay runs under an `"epoch"` span with
     /// `"detect"`, `"predict"`, `"tunnel"` and `"solve"` children plus
@@ -155,9 +156,9 @@ impl<'a> Controller<'a> {
     /// outside `[0, 1]` is replaced by the fiber's static prior
     /// `(1 − α)·p_cut` (one `degraded-mode` event; a deterministic model
     /// would return the same error again, so there is no retry). The TE
-    /// recompute is one heuristic solve under the default budget; there
-    /// is no standing policy to fall back on, so a solve error is a bug
-    /// and panics naming the [`TeSolveError`].
+    /// recompute is one heuristic solve, which errs only when an LP
+    /// fails; there is no standing policy to fall back on, so a solve
+    /// error is a bug and panics naming the [`TeSolveError`].
     pub fn replay_trace(&self, trace: &LossTrace) -> ControllerReport {
         let obs = &self.obs;
         let _epoch = obs.span("epoch");
@@ -306,7 +307,10 @@ impl<'a> Controller<'a> {
 /// The static prior of one fiber, Eqn 1's off-signal term `(1 − α)·p_cut`:
 /// the probability PreTE assumes for it with no usable prediction.
 fn static_prior(model: &FailureModel, fiber: FiberId) -> f64 {
-    (1.0 - prete_optical::ALPHA_PREDICTABLE) * model.profile(fiber).p_cut
+    prete_stats::dist::failure_prob_without_degradation(
+        model.profile(fiber).p_cut,
+        prete_optical::ALPHA_PREDICTABLE,
+    )
 }
 
 /// Eqn 1 cut probabilities: the live NN prediction for degraded fibers,

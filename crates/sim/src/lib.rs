@@ -47,7 +47,7 @@ pub mod prelude {
     pub use crate::controller::{Controller, ControllerEvent, ControllerReport};
     pub use crate::latency::{LatencyModel, PipelineTiming};
     pub use prete_core::prelude::{
-        BasisCache, Recorder, RunReport, SolveBudget, SolveMethod, SolverStats, TeProblem,
-        TeSolution, TeSolveError, TeSolver,
+        BasisCache, Recorder, RunReport, SolveMethod, SolverStats, TeProblem, TeSolution,
+        TeSolveError, TeSolver,
     };
 }

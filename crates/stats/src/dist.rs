@@ -139,14 +139,6 @@ pub fn failure_prob_without_degradation(p_i: f64, alpha: f64) -> f64 {
     (1.0 - alpha) * p_i
 }
 
-/// Exact form of Theorem 4.1 including the `1/(1 - p_d)` normalization
-/// over non-degraded epochs, for callers that want the unapproximated
-/// value.
-pub fn failure_prob_without_degradation_exact(p_i: f64, alpha: f64, p_d: f64) -> f64 {
-    assert!((0.0..1.0).contains(&p_d), "p_d must be in [0,1)");
-    ((1.0 - alpha) * p_i / (1.0 - p_d)).min(1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,9 +211,5 @@ mod tests {
         assert_eq!(failure_prob_without_degradation(0.01, 0.0), 0.01);
         // alpha = 1: all cuts predictable → probability 0 without signal.
         assert_eq!(failure_prob_without_degradation(0.01, 1.0), 0.0);
-        // exact form approaches the approximation as p_d → 0.
-        let approx = failure_prob_without_degradation(0.01, 0.25);
-        let exact = failure_prob_without_degradation_exact(0.01, 0.25, 1e-4);
-        assert!((approx - exact).abs() < 1e-5);
     }
 }
