@@ -45,7 +45,13 @@ impl Env {
         let truth = TrueConditionals::ground_truth(&net, &model, 200, SEED);
         let flows = topologies::flows_for(&net, BASE_LOAD, SEED);
         let tunnels = TunnelSet::initialize(&net, &flows, 4);
-        Env { net, model, truth, flows, tunnels }
+        Env {
+            net,
+            model,
+            truth,
+            flows,
+            tunnels,
+        }
     }
 
     /// Availability of `scheme` at a demand scale.
@@ -53,9 +59,19 @@ impl Env {
         let flows: Vec<Flow> = self
             .flows
             .iter()
-            .map(|f| Flow { demand_gbps: f.demand_gbps * scale, ..*f })
+            .map(|f| Flow {
+                demand_gbps: f.demand_gbps * scale,
+                ..*f
+            })
             .collect();
-        let ev = AvailabilityEvaluator::new(&self.net, &self.model, flows, &self.tunnels, &self.truth, cfg);
+        let ev = AvailabilityEvaluator::new(
+            &self.net,
+            &self.model,
+            flows,
+            &self.tunnels,
+            &self.truth,
+            cfg,
+        );
         ev.evaluate(scheme).mean
     }
 }
@@ -137,7 +153,11 @@ pub struct Table4Row {
 
 /// Table 4: satisfied-demand gains at 99 / 99.5 / 99.9 / 99.95 %.
 pub fn table4(scope: Scope) -> Vec<Table4Row> {
-    let net = if scope == Scope::Full { topologies::ibm() } else { topologies::b4() };
+    let net = if scope == Scope::Full {
+        topologies::ibm()
+    } else {
+        topologies::b4()
+    };
     let env = Env::new(net);
     let cfg = eval_cfg(scope);
     let iters = if scope == Scope::Full { 6 } else { 4 };
@@ -170,13 +190,20 @@ pub fn table4(scope: Scope) -> Vec<Table4Row> {
                 .iter()
                 .filter(|(n, _)| n != "PreTE")
                 .map(|(n, m)| {
-                    (n.clone(), match (prete, m) {
-                        (Some(p), Some(m)) if *m > 0.0 => Some(p / m),
-                        _ => None,
-                    })
+                    (
+                        n.clone(),
+                        match (prete, m) {
+                            (Some(p), Some(m)) if *m > 0.0 => Some(p / m),
+                            _ => None,
+                        },
+                    )
                 })
                 .collect();
-            Table4Row { availability: level, max_scale, gain }
+            Table4Row {
+                availability: level,
+                max_scale,
+                gain,
+            }
         })
         .collect()
 }
@@ -185,17 +212,18 @@ pub fn table4(scope: Scope) -> Vec<Table4Row> {
 /// prediction approaches (TeaVar-static, Statistic, NN-grade truth,
 /// Oracle).
 pub fn fig15(scope: Scope) -> Vec<SchemeCurve> {
-    let env = Env::new(if scope == Scope::Full { topologies::ibm() } else { topologies::b4() });
+    let env = Env::new(if scope == Scope::Full {
+        topologies::ibm()
+    } else {
+        topologies::b4()
+    });
     let scales: Vec<f64> = match scope {
         Scope::Quick => vec![1.0, 2.0, 3.0, 4.0],
         Scope::Full => vec![1.0, 1.7, 2.3, 3.0, 3.3, 3.7, 4.5],
     };
     let cfg = eval_cfg(scope);
     let statistic_truth = TrueConditionals {
-        per_fiber: vec![
-            prete_optical::MEAN_CUT_GIVEN_DEGRADATION;
-            env.net.num_fibers()
-        ],
+        per_fiber: vec![prete_optical::MEAN_CUT_GIVEN_DEGRADATION; env.net.num_fibers()],
     };
     let mut curves = Vec::new();
     // TeaVar prediction (no degradation signal).
@@ -206,22 +234,34 @@ pub fn fig15(scope: Scope) -> Vec<SchemeCurve> {
     // Statistic prediction (flat 40 %).
     let statistic_pred = PreTeScheme {
         label: "Statistic".into(),
-        ..PreTeScheme::new(PLAN_BETA, ProbabilityEstimator::prete(&env.model, &statistic_truth))
+        ..PreTeScheme::new(
+            PLAN_BETA,
+            ProbabilityEstimator::prete(&env.model, &statistic_truth),
+        )
     };
     // NN-grade prediction: the ground-truth conditionals stand in for a
     // well-trained model (Table 5 shows the NN tracks them closely).
     let nn_pred = PreTeScheme {
         label: "PreTE (NN)".into(),
-        ..PreTeScheme::new(PLAN_BETA, ProbabilityEstimator::prete(&env.model, &env.truth))
+        ..PreTeScheme::new(
+            PLAN_BETA,
+            ProbabilityEstimator::prete(&env.model, &env.truth),
+        )
     };
     for scheme in [&teavar_pred, &statistic_pred, &nn_pred] {
         curves.push(SchemeCurve {
             scheme: scheme.name(),
-            points: scales.iter().map(|&s| (s, env.availability(scheme, s, cfg))).collect(),
+            points: scales
+                .iter()
+                .map(|&s| (s, env.availability(scheme, s, cfg)))
+                .collect(),
         });
     }
     // Oracle: exact outcome knowledge via the evaluator's branch split.
-    let oracle_cfg = EvalConfig { oracle_outcome_split: true, ..cfg };
+    let oracle_cfg = EvalConfig {
+        oracle_outcome_split: true,
+        ..cfg
+    };
     curves.push(SchemeCurve {
         scheme: "Oracle".into(),
         points: scales
@@ -245,9 +285,19 @@ pub fn fig16a(scope: Scope) -> Vec<(f64, f64)> {
         .into_iter()
         .map(|ratio| {
             let scheme = PreTeScheme {
-                tunnel_update: TunnelUpdateConfig { ratio, max_new_per_flow: 24 },
-                label: if ratio == 0.0 { "PreTE-naive".into() } else { format!("PreTE r={ratio}") },
-                ..PreTeScheme::new(PLAN_BETA, ProbabilityEstimator::prete(&env.model, &env.truth))
+                tunnel_update: TunnelUpdateConfig {
+                    ratio,
+                    max_new_per_flow: 24,
+                },
+                label: if ratio == 0.0 {
+                    "PreTE-naive".into()
+                } else {
+                    format!("PreTE r={ratio}")
+                },
+                ..PreTeScheme::new(
+                    PLAN_BETA,
+                    ProbabilityEstimator::prete(&env.model, &env.truth),
+                )
             };
             (ratio, env.availability(&scheme, scale, cfg))
         })
@@ -285,9 +335,13 @@ pub fn fig20b(scope: Scope) -> Vec<(f64, Vec<(f64, f64)>)> {
                 .map(|&s| {
                     let scaled: Vec<Flow> = flows
                         .iter()
-                        .map(|f| Flow { demand_gbps: f.demand_gbps * s, ..*f })
+                        .map(|f| Flow {
+                            demand_gbps: f.demand_gbps * s,
+                            ..*f
+                        })
                         .collect();
-                    let ev = AvailabilityEvaluator::new(&net, &model, scaled, &tunnels, &truth, cfg);
+                    let ev =
+                        AvailabilityEvaluator::new(&net, &model, scaled, &tunnels, &truth, cfg);
                     (s, ev.evaluate(&scheme).mean)
                 })
                 .collect();
@@ -310,8 +364,10 @@ mod tests {
         let env = Env::new(topologies::b4());
         let cfg = eval_cfg(Scope::Quick);
         let teavar = TeaVarScheme::new(&env.model, PLAN_BETA);
-        let prete =
-            PreTeScheme::new(PLAN_BETA, ProbabilityEstimator::prete(&env.model, &env.truth));
+        let prete = PreTeScheme::new(
+            PLAN_BETA,
+            ProbabilityEstimator::prete(&env.model, &env.truth),
+        );
         let scale = 2.0;
         let a_tv = env.availability(&teavar, scale, cfg);
         let a_pt = env.availability(&prete, scale, cfg);
@@ -325,8 +381,10 @@ mod tests {
     fn availability_decreases_with_scale() {
         let env = Env::new(topologies::b4());
         let cfg = eval_cfg(Scope::Quick);
-        let prete =
-            PreTeScheme::new(PLAN_BETA, ProbabilityEstimator::prete(&env.model, &env.truth));
+        let prete = PreTeScheme::new(
+            PLAN_BETA,
+            ProbabilityEstimator::prete(&env.model, &env.truth),
+        );
         let a1 = env.availability(&prete, 1.0, cfg);
         let a6 = env.availability(&prete, 8.0, cfg);
         assert!(a1 >= a6, "a(1) = {a1} < a(8) = {a6}");

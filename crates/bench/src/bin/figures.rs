@@ -13,7 +13,9 @@
 //! scope finishes in seconds per experiment. `--json DIR` additionally
 //! dumps machine-readable results.
 
-use prete_bench::{availability, example3node, granularity, measurement, prediction, runtime, Scope};
+use prete_bench::{
+    availability, example3node, granularity, measurement, prediction, runtime, Scope,
+};
 use prete_core::estimator::TrueConditionals;
 use prete_core::prelude::*;
 use prete_sim::production::{replay_production_case, ProductionScenario};
@@ -58,7 +60,11 @@ fn run(name: &str, scope: Scope, json: Option<&str>) {
             let cdfs = measurement::fig1b_lost_capacity_cdf();
             println!("Figure 1(b): CDF of lost IP capacity per cut (Tbps)");
             for (region, curve) in &cdfs {
-                let median = curve.iter().find(|p| p.1 >= 0.5).map(|p| p.0).unwrap_or(0.0);
+                let median = curve
+                    .iter()
+                    .find(|p| p.1 >= 0.5)
+                    .map(|p| p.0)
+                    .unwrap_or(0.0);
                 let max = curve.last().map(|p| p.0).unwrap_or(0.0);
                 println!("  {region}: median {median:.1} Tbps, max {max:.1} Tbps");
             }
@@ -146,7 +152,11 @@ fn run(name: &str, scope: Scope, json: Option<&str>) {
                             "  {:<12} proportion {lo:.2}–{hi:.2}   ln p = {:.1} ({})",
                             p.feature,
                             p.chi2_ln_p,
-                            if p.chi2_ln_p < (0.01f64).ln() { "rejected" } else { "not rejected" }
+                            if p.chi2_ln_p < (0.01f64).ln() {
+                                "rejected"
+                            } else {
+                                "not rejected"
+                            }
                         );
                     }
                     emit("fig6_table1", json, &panels);
@@ -183,9 +193,15 @@ fn run(name: &str, scope: Scope, json: Option<&str>) {
             let f = runtime::fig11();
             println!("Figure 11(a): pipeline stages (ms)");
             for s in &f.pipeline.stages {
-                println!("  {:<15} start {:>8.1}  dur {:>8.1}", s.name, s.start_ms, s.duration_ms);
+                println!(
+                    "  {:<15} start {:>8.1}  dur {:>8.1}",
+                    s.name, s.start_ms, s.duration_ms
+                );
             }
-            println!("  decision latency {:.0} ms (paper: < 300 ms)", f.pipeline.decision_ms());
+            println!(
+                "  decision latency {:.0} ms (paper: < 300 ms)",
+                f.pipeline.decision_ms()
+            );
             println!("Figure 11(b): update curve {:?}", f.update_curve);
             emit("fig11", json, &f);
         }
@@ -281,7 +297,14 @@ fn run(name: &str, scope: Scope, json: Option<&str>) {
             let scales: Vec<f64> = vec![1.0, 2.7];
             for scale in scales {
                 let r = uncertainty_experiment(
-                    &net, &model, &truth, &flows, &tunnels, scale, 0.05, prete_bench::SEED,
+                    &net,
+                    &model,
+                    &truth,
+                    &flows,
+                    &tunnels,
+                    scale,
+                    0.05,
+                    prete_bench::SEED,
                 );
                 println!("Figure 17 @ scale {scale}:");
                 for s in &r.availability {
@@ -304,7 +327,11 @@ fn run(name: &str, scope: Scope, json: Option<&str>) {
                 println!(
                     "  {:<12} backup {:?}  sustained loss {:>5.0} Gbps  \
                      loss duration {:>7.2} s  total lost {:>9.1} Gb",
-                    s.system, s.backup_path, s.sustained_loss_gbps, s.loss_duration_s, s.total_lost_gb
+                    s.system,
+                    s.backup_path,
+                    s.sustained_loss_gbps,
+                    s.loss_duration_s,
+                    s.total_lost_gb
                 );
             }
             emit("fig18", json, &out);
@@ -335,9 +362,9 @@ fn run(name: &str, scope: Scope, json: Option<&str>) {
 }
 
 const ALL: &[&str] = &[
-    "fig1a", "fig1b", "fig1c", "fig237", "fig4a", "fig4b", "fig5a", "fig5b", "fig6",
-    "table1", "fig11", "fig12", "fig13", "table4", "table5", "fig14", "fig15", "fig16",
-    "fig17", "fig18", "fig19", "fig20", "table67", "table8",
+    "fig1a", "fig1b", "fig1c", "fig237", "fig4a", "fig4b", "fig5a", "fig5b", "fig6", "table1",
+    "fig11", "fig12", "fig13", "table4", "table5", "fig14", "fig15", "fig16", "fig17", "fig18",
+    "fig19", "fig20", "table67", "table8",
 ];
 
 fn main() {

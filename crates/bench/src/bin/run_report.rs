@@ -57,7 +57,10 @@ fn main() {
             o.instrumented_ms, o.baseline_ms, o.overhead_pct
         );
         if o.overhead_pct > max {
-            eprintln!("instrumentation overhead {:.2} % above allowed {max} %", o.overhead_pct);
+            eprintln!(
+                "instrumentation overhead {:.2} % above allowed {max} %",
+                o.overhead_pct
+            );
             std::process::exit(1);
         }
     }

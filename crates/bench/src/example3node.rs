@@ -30,7 +30,12 @@ pub fn run() -> Vec<ThreeNodeRow> {
     let model = FailureModel::new(&net, crate::SEED);
     let flows = triangle_flows();
     let tunnels = TunnelSet::initialize(&net, &flows, 2);
-    let ctx = TeContext { net: &net, model: &model, flows: &flows, base_tunnels: &tunnels };
+    let ctx = TeContext {
+        net: &net,
+        model: &model,
+        flows: &flows,
+        base_tunnels: &tunnels,
+    };
     let mut rows = Vec::new();
 
     // TeaVaR (Figure 2(b)).
@@ -42,14 +47,22 @@ pub fn run() -> Vec<ThreeNodeRow> {
     });
 
     // Oracle: s1s2 certain to survive (Figure 3(b)).
-    let plan = teavar.plan(&ctx, &DegradationState::healthy(), Some(&[0.0, 0.009, 0.001]));
+    let plan = teavar.plan(
+        &ctx,
+        &DegradationState::healthy(),
+        Some(&[0.0, 0.009, 0.001]),
+    );
     rows.push(ThreeNodeRow {
         setting: "Oracle, s1s2 survives".into(),
         total_units: plan.admitted.iter().sum(),
     });
 
     // Oracle: s1s2 certain to fail (Figure 3(c)).
-    let plan = teavar.plan(&ctx, &DegradationState::healthy(), Some(&[1.0, 0.009, 0.001]));
+    let plan = teavar.plan(
+        &ctx,
+        &DegradationState::healthy(),
+        Some(&[1.0, 0.009, 0.001]),
+    );
     rows.push(ThreeNodeRow {
         setting: "Oracle, s1s2 fails".into(),
         total_units: plan.admitted.iter().sum(),
@@ -60,7 +73,12 @@ pub fn run() -> Vec<ThreeNodeRow> {
     // Start from thin tunnels so the reactive tunnel matters, as in the
     // figure (flow s1s2 has only the direct tunnel initially).
     let mut updated = TunnelSet::initialize(&net, &flows, 1);
-    let created = update_tunnels(&net, &mut updated, FiberId(0), TunnelUpdateConfig::default());
+    let created = update_tunnels(
+        &net,
+        &mut updated,
+        FiberId(0),
+        TunnelUpdateConfig::default(),
+    );
     let scenarios = ScenarioSet::enumerate(&[1.0, 0.009, 0.001], 1, 0.0);
     let problem = TeProblem::new(&net, &flows, &updated, &scenarios);
     let sol = TeSolver::new(&problem)
@@ -68,9 +86,14 @@ pub fn run() -> Vec<ThreeNodeRow> {
         .method(SolveMethod::Heuristic)
         .solve()
         .expect("heuristic solve");
-    let delivered: f64 = (0..flows.len()).map(|f| sol.delivered(&problem, f, 0)).sum();
+    let delivered: f64 = (0..flows.len())
+        .map(|f| sol.delivered(&problem, f, 0))
+        .sum();
     rows.push(ThreeNodeRow {
-        setting: format!("PreTE after degradation ({} new tunnels), s1s2 cut", created.len()),
+        setting: format!(
+            "PreTE after degradation ({} new tunnels), s1s2 cut",
+            created.len()
+        ),
         total_units: delivered,
     });
     rows
@@ -83,11 +106,27 @@ mod tests {
     #[test]
     fn matches_paper_numbers() {
         let rows = run();
-        assert!((rows[0].total_units - 10.0).abs() < 1e-3, "TeaVaR: {}", rows[0].total_units);
-        assert!((rows[1].total_units - 20.0).abs() < 1e-3, "oracle-up: {}", rows[1].total_units);
-        assert!((rows[2].total_units - 10.0).abs() < 1e-3, "oracle-down: {}", rows[2].total_units);
+        assert!(
+            (rows[0].total_units - 10.0).abs() < 1e-3,
+            "TeaVaR: {}",
+            rows[0].total_units
+        );
+        assert!(
+            (rows[1].total_units - 20.0).abs() < 1e-3,
+            "oracle-up: {}",
+            rows[1].total_units
+        );
+        assert!(
+            (rows[2].total_units - 10.0).abs() < 1e-3,
+            "oracle-down: {}",
+            rows[2].total_units
+        );
         // Figure 7: PreTE still delivers 10 units after the cut thanks
         // to the reactive tunnel.
-        assert!(rows[3].total_units >= 10.0 - 1e-3, "PreTE: {}", rows[3].total_units);
+        assert!(
+            rows[3].total_units >= 10.0 - 1e-3,
+            "PreTE: {}",
+            rows[3].total_units
+        );
     }
 }

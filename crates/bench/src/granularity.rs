@@ -49,7 +49,12 @@ pub fn fig20a(granularities: &[u64]) -> Vec<GranularityRow> {
             let mut captured_predictable = 0usize;
             for e in &ds.events {
                 let deadline = e.cut_delay_s.map(|d| e.start_s + d);
-                if captured(e.start_s, e.duration_s.max(1), g, deadline.map(|d| d.max(e.start_s))) {
+                if captured(
+                    e.start_s,
+                    e.duration_s.max(1),
+                    g,
+                    deadline.map(|d| d.max(e.start_s)),
+                ) {
                     captured_degs += 1;
                     if e.led_to_cut {
                         captured_predictable += 1;
@@ -95,7 +100,11 @@ mod tests {
             rows[0].coverage
         );
         // At 5 min it collapses towards the paper's 2 %.
-        assert!(rows[2].coverage < 0.10, "300s coverage {}", rows[2].coverage);
+        assert!(
+            rows[2].coverage < 0.10,
+            "300s coverage {}",
+            rows[2].coverage
+        );
     }
 
     #[test]

@@ -23,18 +23,33 @@ pub fn fig1a_weekly_traces() -> Vec<(String, Vec<(f64, f64)>)> {
     let scripts: [(&str, Vec<ScriptedDegradation>, Option<u64>); 4] = [
         (
             "fiber1",
-            vec![ScriptedDegradation { start_s: 200_000, duration_s: 45, degree_db: 6.0, wobble_db: 0.2 }],
+            vec![ScriptedDegradation {
+                start_s: 200_000,
+                duration_s: 45,
+                degree_db: 6.0,
+                wobble_db: 0.2,
+            }],
             Some(200_045),
         ),
         ("fiber2", vec![], Some(420_000)),
         (
             "fiber3",
-            vec![ScriptedDegradation { start_s: 80_000, duration_s: 30, degree_db: 4.0, wobble_db: 0.05 }],
+            vec![ScriptedDegradation {
+                start_s: 80_000,
+                duration_s: 30,
+                degree_db: 4.0,
+                wobble_db: 0.05,
+            }],
             Some(500_000),
         ),
         (
             "fiber4",
-            vec![ScriptedDegradation { start_s: 350_000, duration_s: 8, degree_db: 7.5, wobble_db: 0.4 }],
+            vec![ScriptedDegradation {
+                start_s: 350_000,
+                duration_s: 8,
+                degree_db: 7.5,
+                wobble_db: 0.4,
+            }],
             Some(350_010),
         ),
     ];
@@ -95,10 +110,9 @@ pub fn fig1c_blast_radius() -> Vec<BlastRadius> {
             let mut f_acc = 0.0;
             let mut t_acc = 0.0;
             for fiber in net.fibers() {
-                f_acc += tunnels.flows_affected_by(&net, fiber.id).len() as f64
-                    / flows.len() as f64;
-                t_acc += tunnels.tunnels_on_fiber(&net, fiber.id) as f64
-                    / tunnels.len() as f64;
+                f_acc +=
+                    tunnels.flows_affected_by(&net, fiber.id).len() as f64 / flows.len() as f64;
+                t_acc += tunnels.tunnels_on_fiber(&net, fiber.id) as f64 / tunnels.len() as f64;
             }
             let n = net.num_fibers() as f64;
             BlastRadius {
@@ -127,8 +141,21 @@ pub fn fig4a_degradation_lengths(ds: &Dataset) -> EmpiricalCdf {
 /// Figure 4(b): the healthy→degraded→cut trace, at 1 s and 180 s
 /// granularity. Returns (fine trace, coarse trace).
 pub fn fig4b_transition_trace() -> (LossTrace, LossTrace) {
-    let deg = ScriptedDegradation { start_s: 65, duration_s: 45, degree_db: 6.0, wobble_db: 0.2 };
-    let fine = synthesize(FiberId(0), 0, 400, &[deg], Some(110), TraceConfig::default(), SEED);
+    let deg = ScriptedDegradation {
+        start_s: 65,
+        duration_s: 45,
+        degree_db: 6.0,
+        wobble_db: 0.2,
+    };
+    let fine = synthesize(
+        FiberId(0),
+        0,
+        400,
+        &[deg],
+        Some(110),
+        TraceConfig::default(),
+        SEED,
+    );
     let coarse = fine.downsample(180);
     (fine, coarse)
 }
@@ -180,10 +207,25 @@ pub struct FeaturePanel {
 pub fn fig6_table1_features(ds: &Dataset) -> Vec<FeaturePanel> {
     let labels: Vec<bool> = ds.events.iter().map(|e| e.led_to_cut).collect();
     let features: [(&str, Vec<f64>); 4] = [
-        ("time", ds.events.iter().map(|e| e.features.hour as f64).collect()),
-        ("degree", ds.events.iter().map(|e| e.features.degree_db).collect()),
-        ("gradient", ds.events.iter().map(|e| e.features.gradient_db).collect()),
-        ("fluctuation", ds.events.iter().map(|e| e.features.fluctuation as f64).collect()),
+        (
+            "time",
+            ds.events.iter().map(|e| e.features.hour as f64).collect(),
+        ),
+        (
+            "degree",
+            ds.events.iter().map(|e| e.features.degree_db).collect(),
+        ),
+        (
+            "gradient",
+            ds.events.iter().map(|e| e.features.gradient_db).collect(),
+        ),
+        (
+            "fluctuation",
+            ds.events
+                .iter()
+                .map(|e| e.features.fluctuation as f64)
+                .collect(),
+        ),
     ];
     features
         .into_iter()
@@ -196,9 +238,7 @@ pub fn fig6_table1_features(ds: &Dataset) -> Vec<FeaturePanel> {
                 .filter_map(|(i, p)| p.map(|p| (binned.center(i), p)))
                 .collect();
             // Chi-square on bins × {cut, no-cut} (drop empty bins).
-            let mut used: Vec<usize> = (0..binned.bins)
-                .filter(|&i| binned.counts[i] > 0)
-                .collect();
+            let mut used: Vec<usize> = (0..binned.bins).filter(|&i| binned.counts[i] > 0).collect();
             used.retain(|&i| binned.counts[i] > 0);
             let mut t = ContingencyTable::new(used.len().max(2), 2);
             for (row, &b) in used.iter().enumerate() {
@@ -208,7 +248,11 @@ pub fn fig6_table1_features(ds: &Dataset) -> Vec<FeaturePanel> {
                 t.set(row, 1, n - pos);
             }
             let r: ChiSquareResult = chi2_independence(&t);
-            FeaturePanel { feature: name.into(), points, chi2_ln_p: r.ln_p_value }
+            FeaturePanel {
+                feature: name.into(),
+                points,
+                chi2_ln_p: r.ln_p_value,
+            }
         })
         .collect()
 }
@@ -255,11 +299,9 @@ pub struct Fig12 {
 /// Builds the Figure 12 data.
 pub fn fig12_rates(model: &FailureModel, ds: &Dataset) -> Fig12 {
     let counts = ds.per_fiber_counts();
-    let (sx, sxy): (f64, f64) = counts
-        .iter()
-        .fold((0.0, 0.0), |(sx, sxy), &(d, c)| {
-            (sx + (d * d) as f64, sxy + (d * c) as f64)
-        });
+    let (sx, sxy): (f64, f64) = counts.iter().fold((0.0, 0.0), |(sx, sxy), &(d, c)| {
+        (sx + (d * d) as f64, sxy + (d * c) as f64)
+    });
     let fitted_slope = if sx > 0.0 { sxy / sx } else { 0.0 };
     let pds: Vec<f64> = model.profiles().iter().map(|p| p.p_degradation).collect();
     Fig12 {

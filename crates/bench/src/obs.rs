@@ -71,7 +71,11 @@ fn replay_epochs(net: &Network, flow_frac: f64, epochs: usize, obs: &Recorder) -
             degree_db: 6.0 + 0.1 * (epoch % 5) as f64,
             wobble_db: 0.2,
         };
-        let fiber = if epoch % 2 == 0 { FiberId(0) } else { FiberId(n_fibers / 2) };
+        let fiber = if epoch % 2 == 0 {
+            FiberId(0)
+        } else {
+            FiberId(n_fibers / 2)
+        };
         let trace = synthesize(
             fiber,
             0,
@@ -119,7 +123,11 @@ pub fn render_report(run: &ControllerRun) -> String {
         run.epochs, run.topology, run.prepared_before_cut, r.deterministic
     );
     let _ = writeln!(s, "  spans: {}", r.span_names().join(" "));
-    let _ = writeln!(s, "  {:<12} {:>6} {:>12} {:>8}", "stage", "calls", "total ms", "share %");
+    let _ = writeln!(
+        s,
+        "  {:<12} {:>6} {:>12} {:>8}",
+        "stage", "calls", "total ms", "share %"
+    );
     for row in r.stage_attribution("epoch") {
         let _ = writeln!(
             s,
@@ -149,7 +157,11 @@ pub fn render_report(run: &ControllerRun) -> String {
     let _ = writeln!(
         s,
         "  events: {} ({} dropped)",
-        kinds.iter().map(|(k, n)| format!("{k}×{n}")).collect::<Vec<_>>().join(" "),
+        kinds
+            .iter()
+            .map(|(k, n)| format!("{k}×{n}"))
+            .collect::<Vec<_>>()
+            .join(" "),
         r.dropped_events
     );
     s
@@ -214,7 +226,10 @@ mod tests {
         let a = run_report_on(&topologies::b4(), 0.08, 2);
         let names = a.report.span_names();
         for stage in ["epoch", "detect", "predict", "tunnel", "solve"] {
-            assert!(names.iter().any(|n| n == stage), "missing span {stage}: {names:?}");
+            assert!(
+                names.iter().any(|n| n == stage),
+                "missing span {stage}: {names:?}"
+            );
         }
         assert_eq!(a.report.histograms["span.epoch"].count, 2);
         assert_eq!(a.report.counters["controller.epochs"], 2);

@@ -2,7 +2,10 @@
 
 use crate::measurement::year_dataset;
 use prete_nn::encoder::FeatureMask;
-use prete_nn::{evaluate, per_link_error, DecisionTree, EvalReport, Mlp, StatisticModel, TeaVarModel, TrainConfig};
+use prete_nn::{
+    evaluate, per_link_error, DecisionTree, EvalReport, Mlp, StatisticModel, TeaVarModel,
+    TrainConfig,
+};
 use serde::Serialize;
 
 /// Table 5 rows plus the Figure 14 error CDFs.
@@ -21,13 +24,20 @@ pub struct PredictionResults {
 pub fn table5_fig14(epochs: usize) -> PredictionResults {
     let (_net, model, ds) = year_dataset();
     let (train, test) = ds.train_test_split(0.8);
-    let p_static = model.profiles().iter().map(|p| p.p_cut).sum::<f64>()
-        / model.profiles().len() as f64;
+    let p_static =
+        model.profiles().iter().map(|p| p.p_cut).sum::<f64>() / model.profiles().len() as f64;
 
     let teavar = TeaVarModel::new(p_static);
     let statistic = StatisticModel::fit(&train);
     let tree = DecisionTree::fit(&train, 5, 8);
-    let nn = Mlp::train(&train, TrainConfig { epochs, seed: crate::SEED, ..Default::default() });
+    let nn = Mlp::train(
+        &train,
+        TrainConfig {
+            epochs,
+            seed: crate::SEED,
+            ..Default::default()
+        },
+    );
 
     let table5 = vec![
         evaluate("TeaVar", &teavar, &test),
@@ -62,15 +72,28 @@ pub fn table8_ablation(epochs: usize) -> Vec<AblationRow> {
     let (_net, _model, ds) = year_dataset();
     let (train, test) = ds.train_test_split(0.8);
     let mut rows = Vec::new();
-    let variants: Vec<(String, FeatureMask)> = ["time", "gradient", "degree", "fluctuation", "region", "fiber_id", "vendor"]
-        .iter()
-        .map(|f| (format!("NN w/o {f}"), FeatureMask::without(f)))
-        .chain(std::iter::once(("NN-all".to_string(), FeatureMask::ALL)))
-        .collect();
+    let variants: Vec<(String, FeatureMask)> = [
+        "time",
+        "gradient",
+        "degree",
+        "fluctuation",
+        "region",
+        "fiber_id",
+        "vendor",
+    ]
+    .iter()
+    .map(|f| (format!("NN w/o {f}"), FeatureMask::without(f)))
+    .chain(std::iter::once(("NN-all".to_string(), FeatureMask::ALL)))
+    .collect();
     for (label, mask) in variants {
         let nn = Mlp::train(
             &train,
-            TrainConfig { epochs, mask, seed: crate::SEED, ..Default::default() },
+            TrainConfig {
+                epochs,
+                mask,
+                seed: crate::SEED,
+                ..Default::default()
+            },
         );
         let r = evaluate(&label, &nn, &test);
         rows.push(AblationRow {

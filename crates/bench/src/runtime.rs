@@ -49,7 +49,10 @@ pub fn fig11() -> Fig11 {
     Fig11 {
         pipeline: lat.pipeline(2),
         measured_te_ms,
-        update_curve: (0..=20).step_by(4).map(|n| (n, lat.update_time_s(n))).collect(),
+        update_curve: (0..=20)
+            .step_by(4)
+            .map(|n| (n, lat.update_time_s(n)))
+            .collect(),
     }
 }
 
@@ -95,7 +98,10 @@ pub fn fig16b(ratios: &[f64]) -> Vec<RuntimeRow> {
                 &net,
                 &mut ts,
                 fiber,
-                TunnelUpdateConfig { ratio, max_new_per_flow: 40 },
+                TunnelUpdateConfig {
+                    ratio,
+                    max_new_per_flow: 40,
+                },
             );
             let probs = est.probabilities(&DegradationState::single(fiber));
             let scenarios = ScenarioSet::enumerate(&probs, 1, 0.0);
@@ -141,7 +147,11 @@ mod tests {
     #[test]
     fn fig11_breakdown_sane() {
         let f = fig11();
-        assert!(f.measured_te_ms < 5_000.0, "TE solve took {} ms", f.measured_te_ms);
+        assert!(
+            f.measured_te_ms < 5_000.0,
+            "TE solve took {} ms",
+            f.measured_te_ms
+        );
         assert_eq!(f.update_curve.first(), Some(&(0, 0.0)));
         let (_, t20) = *f.update_curve.last().unwrap();
         assert!((4.0..=6.0).contains(&t20));

@@ -24,7 +24,10 @@ pub struct TunnelUpdateConfig {
 
 impl Default for TunnelUpdateConfig {
     fn default() -> Self {
-        Self { ratio: 1.0, max_new_per_flow: 8 }
+        Self {
+            ratio: 1.0,
+            max_new_per_flow: 8,
+        }
     }
 }
 
@@ -91,7 +94,12 @@ mod tests {
         let mut tunnels = TunnelSet::initialize(&net, &flows, 1);
         let before = tunnels.len();
         // Degrade fiber 0 = s1—s2: flow s1→s2's only tunnel crosses it.
-        let created = update_tunnels(&net, &mut tunnels, FiberId(0), TunnelUpdateConfig::default());
+        let created = update_tunnels(
+            &net,
+            &mut tunnels,
+            FiberId(0),
+            TunnelUpdateConfig::default(),
+        );
         assert!(!created.is_empty());
         assert!(tunnels.len() > before);
         for id in created {
@@ -104,7 +112,10 @@ mod tests {
         let net = triangle();
         let flows = triangle_flows();
         let mut tunnels = TunnelSet::initialize(&net, &flows, 2);
-        let cfg = TunnelUpdateConfig { ratio: 0.0, ..Default::default() };
+        let cfg = TunnelUpdateConfig {
+            ratio: 0.0,
+            ..Default::default()
+        };
         let created = update_tunnels(&net, &mut tunnels, FiberId(0), cfg);
         assert!(created.is_empty());
     }
@@ -116,7 +127,12 @@ mod tests {
         let mut tunnels = TunnelSet::initialize(&net, &flows, 1);
         // Degrade fiber 2 = s2—s3: neither direct tunnel (s1s2, s1s3)
         // crosses it with 1 tunnel per flow.
-        let created = update_tunnels(&net, &mut tunnels, FiberId(2), TunnelUpdateConfig::default());
+        let created = update_tunnels(
+            &net,
+            &mut tunnels,
+            FiberId(2),
+            TunnelUpdateConfig::default(),
+        );
         assert!(created.is_empty());
     }
 
@@ -128,7 +144,10 @@ mod tests {
         let mut counts = Vec::new();
         for ratio in [0.5, 1.0, 2.0] {
             let mut ts = base.clone();
-            let cfg = TunnelUpdateConfig { ratio, max_new_per_flow: 32 };
+            let cfg = TunnelUpdateConfig {
+                ratio,
+                max_new_per_flow: 32,
+            };
             let created = update_tunnels(&net, &mut ts, FiberId(0), cfg);
             counts.push(created.len());
         }
@@ -142,7 +161,12 @@ mod tests {
         let flows = triangle_flows();
         // Initialize with 2 tunnels per flow (direct + detour).
         let mut tunnels = TunnelSet::initialize(&net, &flows, 2);
-        let created = update_tunnels(&net, &mut tunnels, FiberId(0), TunnelUpdateConfig::default());
+        let created = update_tunnels(
+            &net,
+            &mut tunnels,
+            FiberId(0),
+            TunnelUpdateConfig::default(),
+        );
         // Triangle has only 2 simple paths per pair; both already exist
         // → nothing new can be created.
         assert!(created.is_empty());
@@ -154,7 +178,12 @@ mod tests {
         let flows = triangle_flows();
         let mut tunnels = TunnelSet::initialize(&net, &flows, 1);
         let before = tunnels.of_flow(FlowId(0)).len();
-        update_tunnels(&net, &mut tunnels, FiberId(0), TunnelUpdateConfig::default());
+        update_tunnels(
+            &net,
+            &mut tunnels,
+            FiberId(0),
+            TunnelUpdateConfig::default(),
+        );
         tunnels.clear_reactive();
         assert_eq!(tunnels.of_flow(FlowId(0)).len(), before);
     }

@@ -33,7 +33,11 @@ impl CapacityGroups {
         let mut capacity: Vec<f64> = Vec::new();
         let mut representative: Vec<LinkId> = Vec::new();
         for link in net.links() {
-            let (a, b) = if link.a <= link.b { (link.a, link.b) } else { (link.b, link.a) };
+            let (a, b) = if link.a <= link.b {
+                (link.a, link.b)
+            } else {
+                (link.b, link.a)
+            };
             let mut fibers = link.fibers.clone();
             fibers.sort();
             let key = (a, b, fibers);
@@ -49,7 +53,11 @@ impl CapacityGroups {
             group_of[link.id.index()] = gid;
             capacity[gid] += link.capacity_gbps;
         }
-        CapacityGroups { group_of, capacity, representative }
+        CapacityGroups {
+            group_of,
+            capacity,
+            representative,
+        }
     }
 
     /// Number of trunk groups.
@@ -197,7 +205,12 @@ mod tests {
         let l1 = b.link_on(f1, 40.0);
         let net = b.build();
         let g = CapacityGroups::build(&net);
-        let flows = [Flow { id: FlowId(0), src: s1, dst: s2, demand_gbps: 1.0 }];
+        let flows = [Flow {
+            id: FlowId(0),
+            src: s1,
+            dst: s2,
+            demand_gbps: 1.0,
+        }];
         let tunnels = TunnelSet::initialize(&net, &flows, 1);
         assert_eq!(tunnels.tunnels()[0].path.links, vec![l1]);
         let mut lp = LinearProgram::new();

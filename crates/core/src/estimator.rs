@@ -37,7 +37,9 @@ impl TrueConditionals {
     /// `samples` feature draws per fiber, averaged through
     /// [`FailureModel::true_cut_probability`].
     pub fn ground_truth(net: &Network, model: &FailureModel, samples: usize, seed: u64) -> Self {
-        Self::estimate(net, model, samples, seed, |feats| model.true_cut_probability(feats))
+        Self::estimate(net, model, samples, seed, |feats| {
+            model.true_cut_probability(feats)
+        })
     }
 
     /// Same Monte-Carlo, but through a trained predictor — what the
@@ -95,10 +97,7 @@ enum Mode {
     /// Constant `p_i` (the TeaVaR worldview).
     Static,
     /// Eqn 1: conditional when degraded, `(1 − α) p_i` otherwise.
-    Dynamic {
-        conditional: Vec<f64>,
-        alpha: f64,
-    },
+    Dynamic { conditional: Vec<f64>, alpha: f64 },
 }
 
 /// A calibrated probability estimator (one per scheme instance).
@@ -125,7 +124,10 @@ impl ProbabilityEstimator {
         assert!((0.0..=1.0).contains(&alpha));
         Self {
             static_p: model.profiles().iter().map(|p| p.p_cut).collect(),
-            mode: Mode::Dynamic { conditional: conditional.per_fiber.clone(), alpha },
+            mode: Mode::Dynamic {
+                conditional: conditional.per_fiber.clone(),
+                alpha,
+            },
         }
     }
 

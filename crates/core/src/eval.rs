@@ -130,7 +130,15 @@ impl<'a> AvailabilityEvaluator<'a> {
         cfg: EvalConfig,
     ) -> Self {
         let groups = CapacityGroups::build(net);
-        Self { net, model, flows, base_tunnels, truth, cfg, groups }
+        Self {
+            net,
+            model,
+            flows,
+            base_tunnels,
+            truth,
+            cfg,
+            groups,
+        }
     }
 
     /// The true per-fiber cut probabilities for a degradation state,
@@ -167,7 +175,12 @@ impl<'a> AvailabilityEvaluator<'a> {
         let mut mass_seen = 0.0f64;
 
         // --- Healthy state.
-        let p_d: Vec<f64> = self.model.profiles().iter().map(|p| p.p_degradation).collect();
+        let p_d: Vec<f64> = self
+            .model
+            .profiles()
+            .iter()
+            .map(|p| p.p_degradation)
+            .collect();
         let p_healthy: f64 = p_d.iter().map(|p| 1.0 - p).product();
         let healthy_plan = scheme.plan(&ctx, &DegradationState::healthy(), None);
         let admitted_gbps: f64 = healthy_plan.admitted.iter().sum();
@@ -193,7 +206,11 @@ impl<'a> AvailabilityEvaluator<'a> {
             .take(self.cfg.top_k_degraded)
             .map(|&n| p_d[n] / (1.0 - p_d[n]) * p_healthy)
             .sum();
-        let scale = if covered > 0.0 { single_mass / covered } else { 1.0 };
+        let scale = if covered > 0.0 {
+            single_mass / covered
+        } else {
+            1.0
+        };
         for &n in order.iter().take(self.cfg.top_k_degraded) {
             let state = DegradationState::single(FiberId(n));
             let p_state = p_d[n] / (1.0 - p_d[n]) * p_healthy * scale;
@@ -240,7 +257,13 @@ impl<'a> AvailabilityEvaluator<'a> {
             .sum::<f64>()
             / total_demand;
         let min = per_flow.iter().cloned().fold(1.0, f64::min);
-        AvailabilityReport { scheme: scheme.name(), per_flow, mean, min, admitted_gbps }
+        AvailabilityReport {
+            scheme: scheme.name(),
+            per_flow,
+            mean,
+            min,
+            admitted_gbps,
+        }
     }
 
     /// Adds `weight × p_q × outage(q)` for every failure scenario under
@@ -261,14 +284,7 @@ impl<'a> AvailabilityEvaluator<'a> {
                 continue;
             }
             for (f, acc) in unavail.iter_mut().enumerate().take(self.flows.len()) {
-                let u = self.outage_fraction(
-                    scheme,
-                    plan,
-                    f,
-                    &q.cut,
-                    qi,
-                    &mut recompute_cache,
-                );
+                let u = self.outage_fraction(scheme, plan, f, &q.cut, qi, &mut recompute_cache);
                 if u > 0.0 {
                     *acc += weight * q.prob * u;
                 }
@@ -307,14 +323,14 @@ impl<'a> AvailabilityEvaluator<'a> {
                 // Was the flow touched by the failure at all? A reactive
                 // scheme loses the traffic of killed tunnels until the
                 // centralized recompute converges.
-                let touched = plan.killed_allocation(self.net, f, &self.flows, cut) > tol
-                    || !healthy_ok;
+                let touched =
+                    plan.killed_allocation(self.net, f, &self.flows, cut) > tol || !healthy_ok;
                 if !touched {
                     return 0.0;
                 }
                 // Post-convergence optimum for this scenario.
-                let post = recompute_cache[qi]
-                    .get_or_insert_with(|| self.recompute_optimum(plan, cut));
+                let post =
+                    recompute_cache[qi].get_or_insert_with(|| self.recompute_optimum(plan, cut));
                 let post_ok = post[f] + tol >= d;
                 if !post_ok || FLEXILE_CONVERGENCE_S >= SLA_OUTAGE_THRESHOLD_S {
                     1.0
@@ -361,13 +377,19 @@ impl<'a> AvailabilityEvaluator<'a> {
     /// `Σ surviving a ≥ b_f`. Returns the program and the `b` columns.
     pub(crate) fn recompute_lp(&self, plan: &Plan, cut: &[FiberId]) -> (LinearProgram, Vec<VarId>) {
         let mut lp = LinearProgram::new();
-        let a_vars: Vec<VarId> = (0..plan.tunnels.len()).map(|_| lp.var_nonneg(0.0)).collect();
+        let a_vars: Vec<VarId> = (0..plan.tunnels.len())
+            .map(|_| lp.var_nonneg(0.0))
+            .collect();
         let b_vars: Vec<VarId> = self
             .flows
             .iter()
             .map(|fl| lp.var_bounded(0.0, fl.demand_gbps, -1.0))
             .collect();
-        let surviving = plan.tunnels.tunnels().iter().filter(|t| t.survives(self.net, cut));
+        let surviving = plan
+            .tunnels
+            .tunnels()
+            .iter()
+            .filter(|t| t.survives(self.net, cut));
         self.groups.add_rows(&mut lp, &a_vars, surviving);
         for (f, fl) in self.flows.iter().enumerate() {
             let mut terms = tunnel_sum(&a_vars, &plan.tunnels.surviving(self.net, fl.id, cut));
@@ -403,11 +425,20 @@ mod tests {
         let model = FailureModel::new(&net, 42);
         let flows: Vec<Flow> = triangle_flows()
             .into_iter()
-            .map(|f| Flow { demand_gbps: 4.0, ..f })
+            .map(|f| Flow {
+                demand_gbps: 4.0,
+                ..f
+            })
             .collect();
         let tunnels = TunnelSet::initialize(&net, &flows, 2);
         let truth = TrueConditionals::ground_truth(&net, &model, 100, 7);
-        Fixture { net, model, flows, tunnels, truth }
+        Fixture {
+            net,
+            model,
+            flows,
+            tunnels,
+            truth,
+        }
     }
 
     fn evaluator(fx: &Fixture) -> AvailabilityEvaluator<'_> {
@@ -417,7 +448,10 @@ mod tests {
             fx.flows.clone(),
             &fx.tunnels,
             &fx.truth,
-            EvalConfig { top_k_degraded: 3, ..Default::default() },
+            EvalConfig {
+                top_k_degraded: 3,
+                ..Default::default()
+            },
         )
     }
 
@@ -430,7 +464,12 @@ mod tests {
         for &a in &r.per_flow {
             assert!((0.0..=1.0).contains(&a));
         }
-        assert!(r.min <= r.mean + 1e-12 && r.mean <= 1.0, "min {} mean {}", r.min, r.mean);
+        assert!(
+            r.min <= r.mean + 1e-12 && r.mean <= 1.0,
+            "min {} mean {}",
+            r.min,
+            r.mean
+        );
     }
 
     #[test]
@@ -462,12 +501,19 @@ mod tests {
             ));
             // What PreTE promises at any β, and a scheme blind to
             // degradations cannot: every flow meets the target.
-            assert!(prete.min >= beta, "β = {beta}: PreTE's worst flow at {}", prete.min);
+            assert!(
+                prete.min >= beta,
+                "β = {beta}: PreTE's worst flow at {}",
+                prete.min
+            );
             (prete.mean, teavar.mean)
         };
         for beta in [0.995, 0.999] {
             let (prete, teavar) = run(beta);
-            assert!(prete + 1e-9 >= teavar, "β = {beta}: PreTE {prete} < TeaVaR {teavar}");
+            assert!(
+                prete + 1e-9 >= teavar,
+                "β = {beta}: PreTE {prete} < TeaVaR {teavar}"
+            );
         }
         // β = 0.99 is no such target for PreTE: the healthy no-failure
         // mass under its (1 − α)-discounted probabilities is 0.9922, so
@@ -484,7 +530,10 @@ mod tests {
     #[test]
     fn oracle_split_at_least_as_good_as_plain() {
         let fx = fixture();
-        let mut cfg = EvalConfig { top_k_degraded: 3, ..Default::default() };
+        let mut cfg = EvalConfig {
+            top_k_degraded: 3,
+            ..Default::default()
+        };
         let plain = AvailabilityEvaluator::new(
             &fx.net,
             &fx.model,
@@ -493,8 +542,7 @@ mod tests {
             &fx.truth,
             cfg,
         );
-        let scheme =
-            PreTeScheme::new(0.99, ProbabilityEstimator::prete(&fx.model, &fx.truth));
+        let scheme = PreTeScheme::new(0.99, ProbabilityEstimator::prete(&fx.model, &fx.truth));
         let base = plain.evaluate(&scheme);
         cfg.oracle_outcome_split = true;
         let oracle_ev = AvailabilityEvaluator::new(
@@ -538,7 +586,10 @@ mod tests {
         let scaled: Vec<Flow> = fx
             .flows
             .iter()
-            .map(|f| Flow { demand_gbps: f.demand_gbps * 5.0, ..*f })
+            .map(|f| Flow {
+                demand_gbps: f.demand_gbps * 5.0,
+                ..*f
+            })
             .collect();
         let ev = AvailabilityEvaluator::new(
             &fx.net,

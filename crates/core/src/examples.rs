@@ -22,8 +22,18 @@ pub fn triangle() -> Network {
 /// The Figure 2 flows: s1→s2 and s1→s3, 10 units of demand each.
 pub fn triangle_flows() -> Vec<Flow> {
     vec![
-        Flow { id: FlowId(0), src: SiteId(0), dst: SiteId(1), demand_gbps: 10.0 },
-        Flow { id: FlowId(1), src: SiteId(0), dst: SiteId(2), demand_gbps: 10.0 },
+        Flow {
+            id: FlowId(0),
+            src: SiteId(0),
+            dst: SiteId(1),
+            demand_gbps: 10.0,
+        },
+        Flow {
+            id: FlowId(1),
+            src: SiteId(0),
+            dst: SiteId(2),
+            demand_gbps: 10.0,
+        },
     ]
 }
 
@@ -49,9 +59,24 @@ pub fn production_four_site() -> Network {
 /// and 300 Gbps respectively.
 pub fn production_flows() -> Vec<Flow> {
     vec![
-        Flow { id: FlowId(0), src: SiteId(0), dst: SiteId(1), demand_gbps: 700.0 },
-        Flow { id: FlowId(1), src: SiteId(0), dst: SiteId(2), demand_gbps: 600.0 },
-        Flow { id: FlowId(2), src: SiteId(3), dst: SiteId(2), demand_gbps: 300.0 },
+        Flow {
+            id: FlowId(0),
+            src: SiteId(0),
+            dst: SiteId(1),
+            demand_gbps: 700.0,
+        },
+        Flow {
+            id: FlowId(1),
+            src: SiteId(0),
+            dst: SiteId(2),
+            demand_gbps: 600.0,
+        },
+        Flow {
+            id: FlowId(2),
+            src: SiteId(3),
+            dst: SiteId(2),
+            demand_gbps: 300.0,
+        },
     ]
 }
 

@@ -81,8 +81,7 @@ pub mod prelude {
         DegradationState, EnumerationStats, FailureScenario, ScenarioBudget, ScenarioSet,
     };
     pub use crate::schemes::{
-        ArrowScheme, EcmpScheme, FfcScheme, FlexileScheme, PreTeScheme, TeScheme,
-        TeaVarScheme,
+        ArrowScheme, EcmpScheme, FfcScheme, FlexileScheme, PreTeScheme, TeScheme, TeaVarScheme,
     };
     pub use prete_lp::{BasisCache, ColdStart, SolutionQuality};
     pub use prete_obs::{Recorder, RunReport};

@@ -215,15 +215,23 @@ struct Enumerator<'a> {
 
 impl<'a> Enumerator<'a> {
     fn new(probs: &'a [f64], max_cuts: usize, floor: f64, cap: usize) -> Self {
-        assert!(probs.iter().all(|p| (0.0..=1.0).contains(p)), "invalid probability");
+        assert!(
+            probs.iter().all(|p| (0.0..=1.0).contains(p)),
+            "invalid probability"
+        );
         let n = probs.len();
-        let certain: Vec<FiberId> =
-            (0..n).filter(|&i| probs[i] >= 1.0 - 1e-12).map(FiberId).collect();
-        let uncertain: Vec<usize> =
-            (0..n).filter(|&i| probs[i] > 1e-15 && probs[i] < 1.0 - 1e-12).collect();
+        let certain: Vec<FiberId> = (0..n)
+            .filter(|&i| probs[i] >= 1.0 - 1e-12)
+            .map(FiberId)
+            .collect();
+        let uncertain: Vec<usize> = (0..n)
+            .filter(|&i| probs[i] > 1e-15 && probs[i] < 1.0 - 1e-12)
+            .collect();
         let base_prob: f64 = uncertain.iter().map(|&i| 1.0 - probs[i]).product();
-        let ratio: Vec<f64> =
-            uncertain.iter().map(|&i| probs[i] / (1.0 - probs[i])).collect();
+        let ratio: Vec<f64> = uncertain
+            .iter()
+            .map(|&i| probs[i] / (1.0 - probs[i]))
+            .collect();
         let m = uncertain.len();
         let depth = max_cuts.min(m);
         // Suffix DP tables over subset order ≤ depth.
@@ -345,7 +353,11 @@ impl<'a> Enumerator<'a> {
         let p_none: f64 = self.probs.iter().map(|p| 1.0 - p).product();
         let scenario0 = FailureScenario {
             cut: self.certain.clone(),
-            prob: if self.certain.is_empty() { p_none } else { self.base_prob },
+            prob: if self.certain.is_empty() {
+                p_none
+            } else {
+                self.base_prob
+            },
         };
         self.stats.peak_buffered = 1;
         if self.max_cuts >= 1 && !self.uncertain.is_empty() {
@@ -371,7 +383,10 @@ impl<'a> Enumerator<'a> {
         scenarios.append(&mut self.kept);
         // No-failure first, then by decreasing probability.
         scenarios[1..].sort_by(|x, y| {
-            y.prob.partial_cmp(&x.prob).expect("finite").then_with(|| x.cut.cmp(&y.cut))
+            y.prob
+                .partial_cmp(&x.prob)
+                .expect("finite")
+                .then_with(|| x.cut.cmp(&y.cut))
         });
         (scenarios, self.stats)
     }
@@ -390,8 +405,7 @@ impl ScenarioSet {
     /// [`ScenarioSet::enumerate_with`] for the budgeted streaming
     /// path on large instances).
     pub fn enumerate(probs: &[f64], max_cuts: usize, cutoff: f64) -> ScenarioSet {
-        let (scenarios, _) =
-            Enumerator::new(probs, max_cuts, cutoff, usize::MAX).run();
+        let (scenarios, _) = Enumerator::new(probs, max_cuts, cutoff, usize::MAX).run();
         ScenarioSet { scenarios }
     }
 
@@ -406,10 +420,17 @@ impl ScenarioSet {
         probs: &[f64],
         budget: &ScenarioBudget,
     ) -> (ScenarioSet, EnumerationStats) {
-        assert!(budget.max_scenarios >= 1, "budget must allow at least one scenario");
-        let (mut scenarios, mut stats) =
-            Enumerator::new(probs, budget.max_cuts, budget.mass_floor, budget.max_scenarios)
-                .run();
+        assert!(
+            budget.max_scenarios >= 1,
+            "budget must allow at least one scenario"
+        );
+        let (mut scenarios, mut stats) = Enumerator::new(
+            probs,
+            budget.max_cuts,
+            budget.mass_floor,
+            budget.max_scenarios,
+        )
+        .run();
         if budget.tail_samples > 0 && stats.truncated_tail > 1e-15 {
             let sampled = sample_tail(probs, budget, stats.truncated_tail);
             if !sampled.is_empty() {
@@ -426,7 +447,10 @@ impl ScenarioSet {
                 });
             }
         }
-        debug_assert!(stats.mass_gap() < 1e-9, "tail sampling broke mass accounting");
+        debug_assert!(
+            stats.mass_gap() < 1e-9,
+            "tail sampling broke mass accounting"
+        );
         (ScenarioSet { scenarios }, stats)
     }
 
@@ -458,11 +482,7 @@ impl ScenarioSet {
 /// budget: when the tail is so thin that no draw lands (the common
 /// case at paper failure rates), the tail stays un-sampled and merely
 /// tracked.
-fn sample_tail(
-    probs: &[f64],
-    budget: &ScenarioBudget,
-    tail_mass: f64,
-) -> Vec<FailureScenario> {
+fn sample_tail(probs: &[f64], budget: &ScenarioBudget, tail_mass: f64) -> Vec<FailureScenario> {
     let mut state = budget.seed ^ 0x7a11_5eed_c0ff_ee00;
     let mut draws: Vec<Vec<FiberId>> = Vec::new();
     let attempts = budget.tail_samples.saturating_mul(64);
@@ -495,7 +515,10 @@ fn sample_tail(
     for cut in draws {
         match out.last_mut() {
             Some(last) if last.cut == cut => last.prob += per_draw,
-            _ => out.push(FailureScenario { cut, prob: per_draw }),
+            _ => out.push(FailureScenario {
+                cut,
+                prob: per_draw,
+            }),
         }
     }
     out
@@ -600,7 +623,11 @@ mod tests {
         let legacy = ScenarioSet::enumerate(&probs, 2, 1e-6);
         let (budgeted, stats) = ScenarioSet::enumerate_with(
             &probs,
-            &ScenarioBudget { max_cuts: 2, mass_floor: 1e-6, ..Default::default() },
+            &ScenarioBudget {
+                max_cuts: 2,
+                mass_floor: 1e-6,
+                ..Default::default()
+            },
         );
         assert_eq!(legacy, budgeted);
         assert!(stats.mass_gap() < 1e-12, "gap {}", stats.mass_gap());
@@ -613,7 +640,11 @@ mod tests {
         let unbounded = ScenarioSet::enumerate(&probs, 2, 0.0);
         let (bounded, stats) = ScenarioSet::enumerate_with(
             &probs,
-            &ScenarioBudget { max_cuts: 2, max_scenarios: 5, ..Default::default() },
+            &ScenarioBudget {
+                max_cuts: 2,
+                max_scenarios: 5,
+                ..Default::default()
+            },
         );
         // Scenario 0 + the 5 best survivors.
         assert_eq!(bounded.len(), 6);
@@ -641,8 +672,7 @@ mod tests {
         assert!(stats.tail_samples_added > 0, "tail never sampled");
         assert!(stats.mass_gap() < 1e-9, "gap {}", stats.mass_gap());
         // Sampled scenarios all exceed the cut order.
-        let deep: Vec<_> =
-            s.scenarios.iter().filter(|q| q.cut.len() > 1).collect();
+        let deep: Vec<_> = s.scenarios.iter().filter(|q| q.cut.len() > 1).collect();
         assert_eq!(deep.len(), stats.tail_samples_added);
         // Total mass back to ≈ 1.
         assert!((s.covered_mass() - 1.0).abs() < 1e-9);
@@ -658,7 +688,11 @@ mod tests {
         let probs = [0.05, 0.04, 0.03, 0.02, 0.01];
         let (_, stats) = ScenarioSet::enumerate_with(
             &probs,
-            &ScenarioBudget { max_cuts: 3, mass_floor: 1e-4, ..Default::default() },
+            &ScenarioBudget {
+                max_cuts: 3,
+                mass_floor: 1e-4,
+                ..Default::default()
+            },
         );
         assert!(stats.mass_gap() < 1e-12, "gap {}", stats.mass_gap());
         assert!(stats.scenarios_pruned > 0);

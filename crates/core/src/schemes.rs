@@ -92,8 +92,11 @@ impl Plan {
         cut: &[FiberId],
     ) -> f64 {
         // Surviving per-group load.
-        let carrying =
-            self.tunnels.tunnels().iter().filter(|t| self.allocation[t.id.index()] > 0.0);
+        let carrying = self
+            .tunnels
+            .tunnels()
+            .iter()
+            .filter(|t| self.allocation[t.id.index()] > 0.0);
         let load = groups.load(carrying.filter(|t| t.survives(net, cut)), &self.allocation);
         let flow_id = flows[f].id;
         let mut total = 0.0;
@@ -116,7 +119,13 @@ impl Plan {
 
     /// Allocation lost by flow `f` under `cut` (used by the ARROW
     /// restoration model).
-    pub fn killed_allocation(&self, net: &Network, f: usize, flows: &[Flow], cut: &[FiberId]) -> f64 {
+    pub fn killed_allocation(
+        &self,
+        net: &Network,
+        f: usize,
+        flows: &[Flow],
+        cut: &[FiberId],
+    ) -> f64 {
         killed(net, &self.tunnels, &self.allocation, flows[f].id, cut)
     }
 }
@@ -213,7 +222,11 @@ impl TeScheme for EcmpScheme {
             }
         }
         let admitted = ctx.flows.iter().map(|f| f.demand_gbps).collect();
-        Plan { tunnels, allocation, admitted }
+        Plan {
+            tunnels,
+            allocation,
+            admitted,
+        }
     }
 }
 
@@ -282,12 +295,20 @@ impl<'p> ThroughputLp<'p> {
             }
         }
         groups.add_rows(&mut lp, &a_vars, tunnels.tunnels());
-        Self { lp, a_vars, b_vars, ctx, tunnels }
+        Self {
+            lp,
+            a_vars,
+            b_vars,
+            ctx,
+            tunnels,
+        }
     }
 
     /// Adds `Σ_{t surviving cut} a_t ≥ b_f`.
     fn add_survival_row(&mut self, f: usize, cut: &[FiberId]) {
-        let surviving = self.tunnels.surviving(self.ctx.net, self.ctx.flows[f].id, cut);
+        let surviving = self
+            .tunnels
+            .surviving(self.ctx.net, self.ctx.flows[f].id, cut);
         let mut terms = tunnel_sum(&self.a_vars, &surviving);
         terms.push((self.b_vars[f], -1.0));
         self.lp.add_constraint(terms, Sense::Ge, 0.0);
@@ -372,7 +393,11 @@ impl TeScheme for FfcScheme {
                 break;
             }
         }
-        Plan { tunnels, allocation, admitted }
+        Plan {
+            tunnels,
+            allocation,
+            admitted,
+        }
     }
 }
 
@@ -424,7 +449,10 @@ pub struct TeaVarScheme {
 impl TeaVarScheme {
     /// Builds TeaVaR with the static estimator of `model`.
     pub fn new(model: &FailureModel, beta: f64) -> Self {
-        Self { beta, estimator: ProbabilityEstimator::static_model(model) }
+        Self {
+            beta,
+            estimator: ProbabilityEstimator::static_model(model),
+        }
     }
 
     fn selected_scenarios(probs: &[f64], beta: f64) -> ScenarioSet {
@@ -484,11 +512,20 @@ impl TeScheme for TeaVarScheme {
         ctx.base_tunnels.clone()
     }
 
-    fn plan(&self, ctx: &TeContext<'_>, state: &DegradationState, probs_override: Option<&[f64]>) -> Plan {
+    fn plan(
+        &self,
+        ctx: &TeContext<'_>,
+        state: &DegradationState,
+        probs_override: Option<&[f64]>,
+    ) -> Plan {
         let probs = beliefs(&self.estimator, state, probs_override);
         let tunnels = self.tunnels(ctx, state);
         let (allocation, admitted) = self.throughput_lp(ctx, &tunnels, &probs).solve();
-        Plan { tunnels, allocation, admitted }
+        Plan {
+            tunnels,
+            allocation,
+            admitted,
+        }
     }
 }
 
@@ -510,7 +547,10 @@ pub struct ArrowScheme {
 impl ArrowScheme {
     /// Builds ARROW over the static probabilities.
     pub fn new(model: &FailureModel, beta: f64) -> Self {
-        Self { beta, estimator: ProbabilityEstimator::static_model(model) }
+        Self {
+            beta,
+            estimator: ProbabilityEstimator::static_model(model),
+        }
     }
 }
 
@@ -531,7 +571,12 @@ impl TeScheme for ArrowScheme {
         ctx.base_tunnels.clone()
     }
 
-    fn plan(&self, ctx: &TeContext<'_>, state: &DegradationState, probs_override: Option<&[f64]>) -> Plan {
+    fn plan(
+        &self,
+        ctx: &TeContext<'_>,
+        state: &DegradationState,
+        probs_override: Option<&[f64]>,
+    ) -> Plan {
         let probs = beliefs(&self.estimator, state, probs_override);
         // TeaVaR-like selection.
         let selected = TeaVarScheme::selected_scenarios(&probs, self.beta);
@@ -562,7 +607,11 @@ impl TeScheme for ArrowScheme {
             }
         }
         let (allocation, admitted) = builder.solve();
-        Plan { tunnels, allocation, admitted }
+        Plan {
+            tunnels,
+            allocation,
+            admitted,
+        }
     }
 }
 
@@ -583,7 +632,10 @@ pub struct FlexileScheme {
 impl FlexileScheme {
     /// Builds Flexile over the static probabilities.
     pub fn new(model: &FailureModel, beta: f64) -> Self {
-        Self { beta, estimator: ProbabilityEstimator::static_model(model) }
+        Self {
+            beta,
+            estimator: ProbabilityEstimator::static_model(model),
+        }
     }
 }
 
@@ -604,7 +656,12 @@ impl TeScheme for FlexileScheme {
         ctx.base_tunnels.clone()
     }
 
-    fn plan(&self, ctx: &TeContext<'_>, state: &DegradationState, probs_override: Option<&[f64]>) -> Plan {
+    fn plan(
+        &self,
+        ctx: &TeContext<'_>,
+        state: &DegradationState,
+        probs_override: Option<&[f64]>,
+    ) -> Plan {
         let probs = beliefs(&self.estimator, state, probs_override);
         optimized_plan(ctx, self.tunnels(ctx, state), &probs, self.beta)
     }
@@ -615,9 +672,16 @@ impl TeScheme for FlexileScheme {
 fn optimized_plan(ctx: &TeContext<'_>, tunnels: TunnelSet, probs: &[f64], beta: f64) -> Plan {
     let scenarios = ScenarioSet::enumerate(probs, 1, 0.0);
     let problem = TeProblem::new(ctx.net, ctx.flows, &tunnels, &scenarios);
-    let sol = TeSolver::new(&problem).beta(beta).solve().expect("the heuristic solves");
+    let sol = TeSolver::new(&problem)
+        .beta(beta)
+        .solve()
+        .expect("the heuristic solves");
     let admitted = ctx.flows.iter().map(|f| f.demand_gbps).collect();
-    Plan { tunnels, allocation: sol.allocation, admitted }
+    Plan {
+        tunnels,
+        allocation: sol.allocation,
+        admitted,
+    }
 }
 
 // --------------------------------------------------------------- PreTE
@@ -655,7 +719,10 @@ impl PreTeScheme {
         Self {
             beta,
             estimator,
-            tunnel_update: TunnelUpdateConfig { ratio: 0.0, ..Default::default() },
+            tunnel_update: TunnelUpdateConfig {
+                ratio: 0.0,
+                ..Default::default()
+            },
             label: "PreTE-naive".into(),
         }
     }
@@ -687,7 +754,12 @@ impl TeScheme for PreTeScheme {
         tunnels
     }
 
-    fn plan(&self, ctx: &TeContext<'_>, state: &DegradationState, probs_override: Option<&[f64]>) -> Plan {
+    fn plan(
+        &self,
+        ctx: &TeContext<'_>,
+        state: &DegradationState,
+        probs_override: Option<&[f64]>,
+    ) -> Plan {
         let probs = beliefs(&self.estimator, state, probs_override);
         // Proactive step: optimize over the enlarged tunnel set.
         optimized_plan(ctx, self.tunnels(ctx, state), &probs, self.beta)
@@ -712,14 +784,18 @@ mod tests {
     #[test]
     fn ecmp_splits_evenly() {
         let (net, model, flows, tunnels) = ctx_fixture();
-        let ctx = TeContext { net: &net, model: &model, flows: &flows, base_tunnels: &tunnels };
+        let ctx = TeContext {
+            net: &net,
+            model: &model,
+            flows: &flows,
+            base_tunnels: &tunnels,
+        };
         let plan = EcmpScheme.plan(&ctx, &DegradationState::healthy(), None);
         for flow in &flows {
             let ts = plan.tunnels.of_flow(flow.id);
             for &t in ts {
                 assert!(
-                    (plan.allocation[t.index()] - flow.demand_gbps / ts.len() as f64).abs()
-                        < 1e-9
+                    (plan.allocation[t.index()] - flow.demand_gbps / ts.len() as f64).abs() < 1e-9
                 );
             }
         }
@@ -733,7 +809,12 @@ mod tests {
         for f in &mut flows {
             f.demand_gbps = 30.0;
         }
-        let ctx = TeContext { net: &net, model: &model, flows: &flows, base_tunnels: &tunnels };
+        let ctx = TeContext {
+            net: &net,
+            model: &model,
+            flows: &flows,
+            base_tunnels: &tunnels,
+        };
         let plan = EcmpScheme.plan(&ctx, &DegradationState::healthy(), None);
         let groups = CapacityGroups::build(&net);
         let d0 = plan.delivered(&net, &groups, 0, &flows, &[]);
@@ -743,7 +824,12 @@ mod tests {
     #[test]
     fn ffc1_survives_any_single_cut() {
         let (net, model, flows, tunnels) = ctx_fixture();
-        let ctx = TeContext { net: &net, model: &model, flows: &flows, base_tunnels: &tunnels };
+        let ctx = TeContext {
+            net: &net,
+            model: &model,
+            flows: &flows,
+            base_tunnels: &tunnels,
+        };
         let plan = FfcScheme::one().plan(&ctx, &DegradationState::healthy(), None);
         let groups = CapacityGroups::build(&net);
         for f in 0..flows.len() {
@@ -763,7 +849,12 @@ mod tests {
     #[test]
     fn ffc2_more_conservative_than_ffc1() {
         let (net, model, flows, tunnels) = ctx_fixture();
-        let ctx = TeContext { net: &net, model: &model, flows: &flows, base_tunnels: &tunnels };
+        let ctx = TeContext {
+            net: &net,
+            model: &model,
+            flows: &flows,
+            base_tunnels: &tunnels,
+        };
         let p1 = FfcScheme::one().plan(&ctx, &DegradationState::healthy(), None);
         let p2 = FfcScheme::two().plan(&ctx, &DegradationState::healthy(), None);
         let t1: f64 = p1.admitted.iter().sum();
@@ -771,7 +862,10 @@ mod tests {
         assert!(t2 <= t1 + 1e-6, "FFC-2 {t2} > FFC-1 {t1}");
         // In the triangle, any 2 cuts disconnect a flow entirely → FFC-2
         // admits nothing.
-        assert!(t2 < 1e-6, "triangle cannot guarantee 2-cut survival, got {t2}");
+        assert!(
+            t2 < 1e-6,
+            "triangle cannot guarantee 2-cut survival, got {t2}"
+        );
     }
 
     #[test]
@@ -779,7 +873,12 @@ mod tests {
         // β = 99 %, p = (0.005, 0.009, 0.001), flows s1→s2 (1 tunnel
         // pinned by capacity) and s1→s3: total admitted = 10 units.
         let (net, model, flows, tunnels) = ctx_fixture();
-        let ctx = TeContext { net: &net, model: &model, flows: &flows, base_tunnels: &tunnels };
+        let ctx = TeContext {
+            net: &net,
+            model: &model,
+            flows: &flows,
+            base_tunnels: &tunnels,
+        };
         let mut scheme = TeaVarScheme::new(&model, 0.99);
         // Pin the example's probabilities (the FailureModel samples its
         // own): enumerate with explicit override.
@@ -809,12 +908,17 @@ mod tests {
         // Restoration gives ARROW extra effective capacity in failure
         // scenarios → admitted ≥ TeaVaR's.
         let (net, model, flows, tunnels) = ctx_fixture();
-        let ctx = TeContext { net: &net, model: &model, flows: &flows, base_tunnels: &tunnels };
+        let ctx = TeContext {
+            net: &net,
+            model: &model,
+            flows: &flows,
+            base_tunnels: &tunnels,
+        };
         let probs = [0.02, 0.02, 0.02];
-        let tv = TeaVarScheme::new(&model, 0.995)
-            .plan(&ctx, &DegradationState::healthy(), Some(&probs));
-        let ar = ArrowScheme::new(&model, 0.995)
-            .plan(&ctx, &DegradationState::healthy(), Some(&probs));
+        let tv =
+            TeaVarScheme::new(&model, 0.995).plan(&ctx, &DegradationState::healthy(), Some(&probs));
+        let ar =
+            ArrowScheme::new(&model, 0.995).plan(&ctx, &DegradationState::healthy(), Some(&probs));
         let t_tv: f64 = tv.admitted.iter().sum();
         let t_ar: f64 = ar.admitted.iter().sum();
         assert!(t_ar >= t_tv - 1e-6, "ARROW {t_ar} < TeaVaR {t_tv}");
@@ -826,7 +930,12 @@ mod tests {
         // Base tunnels: only the direct one per flow, so degradation
         // must produce reactive tunnels.
         let thin = TunnelSet::initialize(&net, &flows, 1);
-        let ctx = TeContext { net: &net, model: &model, flows: &flows, base_tunnels: &thin };
+        let ctx = TeContext {
+            net: &net,
+            model: &model,
+            flows: &flows,
+            base_tunnels: &thin,
+        };
         let tc = TrueConditionals::ground_truth(&net, &model, 50, 1);
         let scheme = PreTeScheme::new(0.99, ProbabilityEstimator::prete(&model, &tc));
         assert!(scheme.state_aware());
@@ -840,7 +949,12 @@ mod tests {
     fn prete_naive_adds_no_tunnels() {
         let (net, model, flows, _) = ctx_fixture();
         let thin = TunnelSet::initialize(&net, &flows, 1);
-        let ctx = TeContext { net: &net, model: &model, flows: &flows, base_tunnels: &thin };
+        let ctx = TeContext {
+            net: &net,
+            model: &model,
+            flows: &flows,
+            base_tunnels: &thin,
+        };
         let tc = TrueConditionals::ground_truth(&net, &model, 50, 1);
         let scheme = PreTeScheme::naive(0.99, ProbabilityEstimator::prete(&model, &tc));
         let degraded = scheme.plan(&ctx, &DegradationState::single(FiberId(0)), None);
@@ -853,7 +967,12 @@ mod tests {
         let (net, model, flows, _) = ctx_fixture();
         // One tunnel per flow, so Algorithm 1 has something to add.
         let thin = TunnelSet::initialize(&net, &flows, 1);
-        let ctx = TeContext { net: &net, model: &model, flows: &flows, base_tunnels: &thin };
+        let ctx = TeContext {
+            net: &net,
+            model: &model,
+            flows: &flows,
+            base_tunnels: &thin,
+        };
         let tc = TrueConditionals::ground_truth(&net, &model, 50, 1);
         let estimator = ProbabilityEstimator::prete(&model, &tc);
         let schemes: [&dyn TeScheme; 8] = [
@@ -868,15 +987,37 @@ mod tests {
         ];
         assert_eq!(
             schemes.map(|s| s.beta()),
-            [DEFAULT_BETA, DEFAULT_BETA, 0.9, 0.95, 0.995, 0.999, 0.999, DEFAULT_BETA]
+            [
+                DEFAULT_BETA,
+                DEFAULT_BETA,
+                0.9,
+                0.95,
+                0.995,
+                0.999,
+                0.999,
+                DEFAULT_BETA
+            ]
         );
         for scheme in schemes {
-            for state in [DegradationState::healthy(), DegradationState::single(FiberId(0))] {
+            for state in [
+                DegradationState::healthy(),
+                DegradationState::single(FiberId(0)),
+            ] {
                 let alone = scheme.tunnels(&ctx, &state);
                 let planned = scheme.plan(&ctx, &state, None).tunnels;
-                assert_eq!(alone.tunnels(), planned.tunnels(), "{} in {state:?}", scheme.name());
+                assert_eq!(
+                    alone.tunnels(),
+                    planned.tunnels(),
+                    "{} in {state:?}",
+                    scheme.name()
+                );
                 let grows = scheme.name() == "PreTE" && !state.is_healthy();
-                assert_eq!(alone.len() > thin.len(), grows, "{} in {state:?}", scheme.name());
+                assert_eq!(
+                    alone.len() > thin.len(),
+                    grows,
+                    "{} in {state:?}",
+                    scheme.name()
+                );
             }
         }
     }
@@ -884,7 +1025,12 @@ mod tests {
     #[test]
     fn flexile_plans_within_capacity() {
         let (net, model, flows, tunnels) = ctx_fixture();
-        let ctx = TeContext { net: &net, model: &model, flows: &flows, base_tunnels: &tunnels };
+        let ctx = TeContext {
+            net: &net,
+            model: &model,
+            flows: &flows,
+            base_tunnels: &tunnels,
+        };
         let plan = FlexileScheme::new(&model, 0.99).plan(&ctx, &DegradationState::healthy(), None);
         let groups = CapacityGroups::build(&net);
         let load = groups.load(plan.tunnels.tunnels(), &plan.allocation);

@@ -169,7 +169,13 @@ impl BumpCells {
 
     fn link(&mut self, i: usize, j: usize, v: f64) {
         let (k, n) = (self.head.len() / 2, self.cells.len());
-        self.cells.push(Cell { i, j, v, next_in_row: self.head[i], next_in_col: self.head[k + j] });
+        self.cells.push(Cell {
+            i,
+            j,
+            v,
+            next_in_row: self.head[i],
+            next_in_col: self.head[k + j],
+        });
         (self.head[i], self.head[k + j]) = (n, n);
     }
 }
@@ -234,7 +240,16 @@ impl LuFactors {
         peel_tol: f64,
         work: &mut FactorWork,
     ) -> Result<Self, FactorError> {
-        let FactorWork { ent, col_ptr, row_ent, row_ptr, count, done, queue, .. } = &mut *work;
+        let FactorWork {
+            ent,
+            col_ptr,
+            row_ent,
+            row_ptr,
+            count,
+            done,
+            queue,
+            ..
+        } = &mut *work;
         ent.clear();
         col_ptr.clear();
         col_ptr.push(0);
@@ -271,7 +286,9 @@ impl LuFactors {
         done.clear();
         done.resize(2 * m, false);
         queue.reset(2 * m);
-        (0..2 * m).filter(|&code| count[code] == 1).for_each(|code| queue.push(code));
+        (0..2 * m)
+            .filter(|&code| count[code] == 1)
+            .for_each(|code| queue.push(code));
 
         // Without fill-in every live entry ends up a diagonal, a `U`
         // entry or a multiplier, so each array is sized once.
@@ -421,8 +438,20 @@ impl LuFactors {
     /// short of an infinite `f`, which meets no `0` to make a NaN of.
     fn bump(&mut self, work: &mut FactorWork) -> Result<(), FactorError> {
         let m = self.m;
-        let FactorWork { ent, col_ptr, done, brows, bcols, rpos, rperm, bump, at, targets, prow, .. } =
-            work;
+        let FactorWork {
+            ent,
+            col_ptr,
+            done,
+            brows,
+            bcols,
+            rpos,
+            rperm,
+            bump,
+            at,
+            targets,
+            prow,
+            ..
+        } = work;
         brows.clear();
         brows.extend((0..m).filter(|&r| !done[2 * r + 1]));
         bcols.clear();
@@ -450,7 +479,10 @@ impl LuFactors {
             let (mut best, mut best_v) = (usize::MAX, 0.0);
             targets.clear();
             let mut n = bump.head[k + step];
-            while let Some(&Cell { i, v, next_in_col, .. }) = bump.cells.get(n) {
+            while let Some(&Cell {
+                i, v, next_in_col, ..
+            }) = bump.cells.get(n)
+            {
                 if rpos[i] >= step && v != 0.0 {
                     targets.push(n);
                     let lower = || rpos[i] < rpos[bump.cells[best].i];
@@ -465,13 +497,20 @@ impl LuFactors {
                 // this column.
                 return Err(FactorError);
             }
-            let Cell { i: pivot_row, v: diag, .. } = bump.cells[best];
+            let Cell {
+                i: pivot_row,
+                v: diag,
+                ..
+            } = bump.cells[best];
             let swapped = rpos[pivot_row];
             rperm.swap(step, swapped);
             (rpos[rperm[step]], rpos[rperm[swapped]]) = (step, swapped);
             prow.clear();
             let mut n = bump.head[pivot_row];
-            while let Some(&Cell { j, v, next_in_row, .. }) = bump.cells.get(n) {
+            while let Some(&Cell {
+                j, v, next_in_row, ..
+            }) = bump.cells.get(n)
+            {
                 if j > step && v != 0.0 {
                     prow.push((j, v));
                 }
@@ -515,7 +554,10 @@ impl LuFactors {
 
     /// Pivot row and multipliers of the `i`-th pivot that has any.
     fn lcol(&self, i: usize) -> (usize, &[(usize, f64)]) {
-        (self.row[self.l_pos[i]], &self.l[self.l_ptr[i]..self.l_ptr[i + 1]])
+        (
+            self.row[self.l_pos[i]],
+            &self.l[self.l_ptr[i]..self.l_ptr[i + 1]],
+        )
     }
 
     /// Solves `B x = b` for a dense right-hand side. `b` is indexed by
@@ -689,7 +731,8 @@ impl FtranImage {
     /// Collects the nonzero slots of the visited ones, ascending.
     fn finish(&mut self) {
         let w = &self.w;
-        self.nz.extend(self.visited.iter().copied().filter(|&s| w[s] != 0.0));
+        self.nz
+            .extend(self.visited.iter().copied().filter(|&s| w[s] != 0.0));
         self.nz.sort_unstable();
     }
 }
@@ -740,7 +783,8 @@ impl EtaFile {
         if diag.abs() < 1e-9 {
             return false;
         }
-        self.off.extend(nz.iter().filter(|&&i| i != slot).map(|&i| (i, w[i])));
+        self.off
+            .extend(nz.iter().filter(|&&i| i != slot).map(|&i| (i, w[i])));
         self.slot.push(slot);
         self.diag.push(diag);
         self.end.push(self.off.len());
@@ -831,11 +875,15 @@ mod tests {
     }
 
     fn mat_vec(m: usize, a: &[f64], x: &[f64]) -> Vec<f64> {
-        (0..m).map(|r| (0..m).map(|s| a[r * m + s] * x[s]).sum()).collect()
+        (0..m)
+            .map(|r| (0..m).map(|s| a[r * m + s] * x[s]).sum())
+            .collect()
     }
 
     fn mat_t_vec(m: usize, a: &[f64], y: &[f64]) -> Vec<f64> {
-        (0..m).map(|s| (0..m).map(|r| a[r * m + s] * y[r]).sum()).collect()
+        (0..m)
+            .map(|s| (0..m).map(|r| a[r * m + s] * y[r]).sum())
+            .collect()
     }
 
     fn nonzeros(w: &[f64]) -> Vec<usize> {
@@ -860,8 +908,9 @@ mod tests {
     #[test]
     fn identity_factorizes() {
         let m = 4;
-        let a: Vec<f64> =
-            (0..m * m).map(|i| if i % (m + 1) == 0 { 1.0 } else { 0.0 }).collect();
+        let a: Vec<f64> = (0..m * m)
+            .map(|i| if i % (m + 1) == 0 { 1.0 } else { 0.0 })
+            .collect();
         let f = LuFactors::factorize(m, &dense_to_cols(m, &a)).unwrap();
         let b = vec![3.0, -1.0, 0.5, 2.0];
         assert_eq!(f.ftran_vec(&b), b);
@@ -920,11 +969,7 @@ mod tests {
             a[i * m + i] = 1.0;
             a[i * m + 4] = 0.5 * (i as f64 + 1.0); // couples into peel rows
         }
-        let dense = [
-            [4.0, 1.0, -1.0],
-            [2.0, 5.0, 1.0],
-            [-1.0, 1.0, 6.0],
-        ];
+        let dense = [[4.0, 1.0, -1.0], [2.0, 5.0, 1.0], [-1.0, 1.0, 6.0]];
         for (bi, row) in dense.iter().enumerate() {
             for (bj, &v) in row.iter().enumerate() {
                 a[(3 + bi) * m + (3 + bj)] = v;
@@ -956,8 +1001,9 @@ mod tests {
     fn eta_updates_track_column_replacement() {
         // B = I, replace slot 1 with column a = [1, 2, 1]^T: w = B^-1 a = a.
         let m = 3;
-        let a: Vec<f64> =
-            (0..m * m).map(|i| if i % (m + 1) == 0 { 1.0 } else { 0.0 }).collect();
+        let a: Vec<f64> = (0..m * m)
+            .map(|i| if i % (m + 1) == 0 { 1.0 } else { 0.0 })
+            .collect();
         let f = LuFactors::factorize(m, &dense_to_cols(m, &a)).unwrap();
         let newcol = vec![1.0, 2.0, 1.0];
         let mut etas = EtaFile::default();
@@ -1098,7 +1144,13 @@ mod tests {
                     .map(|j| (bcols[j], a[prow * k + j]))
                     .collect();
                 *nnz += 1 + lcol.len() + urow.len();
-                pivots.push(Pivot { row: brows[prow], slot: bcols[step], diag, lcol, urow });
+                pivots.push(Pivot {
+                    row: brows[prow],
+                    slot: bcols[step],
+                    diag,
+                    lcol,
+                    urow,
+                });
             }
             Ok(())
         }
@@ -1211,8 +1263,10 @@ mod tests {
         singular_tol: f64,
         peel_tol: f64,
     ) -> Result<RefLu, FactorError> {
-        let mut ce: Vec<Vec<(usize, f64, bool)>> =
-            cols.iter().map(|c| c.iter().map(|&(r, v)| (r, v, v != 0.0)).collect()).collect();
+        let mut ce: Vec<Vec<(usize, f64, bool)>> = cols
+            .iter()
+            .map(|c| c.iter().map(|&(r, v)| (r, v, v != 0.0)).collect())
+            .collect();
         let mut rows: Vec<Vec<(usize, usize)>> = vec![Vec::new(); m];
         let mut count = vec![0usize; 2 * m];
         for (s, col) in ce.iter().enumerate() {
@@ -1232,10 +1286,16 @@ mod tests {
             }
             let column = code.is_multiple_of(2);
             let found = if column {
-                ce[code / 2].iter().find(|e| e.2).map(|&(r, v, _)| (r, code / 2, v))
+                ce[code / 2]
+                    .iter()
+                    .find(|e| e.2)
+                    .map(|&(r, v, _)| (r, code / 2, v))
             } else {
                 let live = |&&(s, p): &&(usize, usize)| !done[2 * s] && ce[s][p].2;
-                rows[code / 2].iter().find(live).map(|&(s, p)| (code / 2, s, ce[s][p].1))
+                rows[code / 2]
+                    .iter()
+                    .find(live)
+                    .map(|&(s, p)| (code / 2, s, ce[s][p].1))
             };
             let Some((r, s, v)) = found else {
                 return Err(FactorError);
@@ -1267,18 +1327,35 @@ mod tests {
                 }
             }
             nnz += 1 + lcol.len() + urow.len();
-            pivots.push(Pivot { row: r, slot: s, diag: v, lcol, urow });
+            pivots.push(Pivot {
+                row: r,
+                slot: s,
+                diag: v,
+                lcol,
+                urow,
+            });
             (done[2 * s], done[2 * r + 1], count[2 * s], count[2 * r + 1]) = (true, true, 0, 0);
             stack.sort_unstable();
             // Counts only fall, so a code reaches 1 — and the queue —
             // at most once: the old loop's `dedup` never removed
             // anything.
-            assert!(stack.windows(2).all(|w| w[0] != w[1]), "code queued twice: {stack:?}");
+            assert!(
+                stack.windows(2).all(|w| w[0] != w[1]),
+                "code queued twice: {stack:?}"
+            );
         }
         if pivots.len() != m {
             let col_done: Vec<bool> = done.iter().copied().step_by(2).collect();
             let row_done: Vec<bool> = done.iter().copied().skip(1).step_by(2).collect();
-            RefLu::bump(m, &ce, &row_done, &col_done, &mut pivots, &mut nnz, singular_tol)?;
+            RefLu::bump(
+                m,
+                &ce,
+                &row_done,
+                &col_done,
+                &mut pivots,
+                &mut nnz,
+                singular_tol,
+            )?;
         }
         Ok(RefLu { m, pivots, nnz })
     }
@@ -1317,8 +1394,17 @@ mod tests {
 
     /// Pivot `k` of the flat factors in the oracle's form.
     fn pivot_of(f: &LuFactors, k: usize) -> Pivot {
-        let lcol = f.l_pos.binary_search(&k).map_or(Vec::new(), |i| f.lcol(i).1.to_vec());
-        Pivot { row: f.row[k], slot: f.slot[k], diag: f.diag[k], lcol, urow: f.urow(k).to_vec() }
+        let lcol = f
+            .l_pos
+            .binary_search(&k)
+            .map_or(Vec::new(), |i| f.lcol(i).1.to_vec());
+        Pivot {
+            row: f.row[k],
+            slot: f.slot[k],
+            diag: f.diag[k],
+            lcol,
+            urow: f.urow(k).to_vec(),
+        }
     }
 
     /// Factorizes with both queues and demands the same answer bit for
@@ -1340,8 +1426,20 @@ mod tests {
                 for (k, q) in w.pivots.iter().enumerate() {
                     let p = pivot_of(&g, k);
                     assert_eq!(
-                        (p.row, p.slot, p.diag.to_bits(), bits(&p.lcol), bits(&p.urow)),
-                        (q.row, q.slot, q.diag.to_bits(), bits(&q.lcol), bits(&q.urow)),
+                        (
+                            p.row,
+                            p.slot,
+                            p.diag.to_bits(),
+                            bits(&p.lcol),
+                            bits(&p.urow)
+                        ),
+                        (
+                            q.row,
+                            q.slot,
+                            q.diag.to_bits(),
+                            bits(&q.lcol),
+                            bits(&q.urow)
+                        ),
                         "pivot {k} of {m}"
                     );
                 }
@@ -1390,7 +1488,10 @@ mod tests {
             solved += 1;
             // A pivot with both an L column and a U row can only come
             // from the bump.
-            let bump = reference.pivots.iter().any(|p| !p.lcol.is_empty() && !p.urow.is_empty());
+            let bump = reference
+                .pivots
+                .iter()
+                .any(|p| !p.lcol.is_empty() && !p.urow.is_empty());
             bumped += usize::from(bump);
             peeled += usize::from(f.fill_in(cols.iter().map(Vec::len).sum()) == 0);
             deferred += usize::from(peel_tol > 1.0 && bump);
@@ -1400,7 +1501,10 @@ mod tests {
         // covers those — 226 through the bump, 137 with no fill-in, 113
         // through a bump the raised tolerance forced.)
         assert!(solved >= 300, "{solved} solved, {singular} singular");
-        assert!(bumped >= 150 && peeled >= 100 && deferred >= 80, "{bumped} {peeled} {deferred}");
+        assert!(
+            bumped >= 150 && peeled >= 100 && deferred >= 80,
+            "{bumped} {peeled} {deferred}"
+        );
     }
 
     #[test]
@@ -1446,14 +1550,20 @@ mod tests {
                 return;
             };
             solved += 1;
-            let bump =
-                reference.pivots.iter().filter(|p| !p.lcol.is_empty() && !p.urow.is_empty()).count();
+            let bump = reference
+                .pivots
+                .iter()
+                .filter(|p| !p.lcol.is_empty() && !p.urow.is_empty())
+                .count();
             bumped += usize::from(bump > 0);
             largest = largest.max(bump);
         });
         // (340 solved, 329 through a bump; the largest has 132 pivots
         // with both an L column and a U row.)
-        assert!(solved >= 300 && bumped >= 250 && largest >= 100, "{solved} {bumped} {largest}");
+        assert!(
+            solved >= 300 && bumped >= 250 && largest >= 100,
+            "{solved} {bumped} {largest}"
+        );
     }
 
     /// Entry by entry: the oracle's bits wherever it is nonzero, a zero
@@ -1461,7 +1571,11 @@ mod tests {
     fn assert_same_entries(got: &[f64], want: &[f64], what: &str) {
         assert_eq!(got.len(), want.len(), "{what}");
         for (i, (g, w)) in got.iter().zip(want).enumerate() {
-            let same = if *w != 0.0 { g.to_bits() == w.to_bits() } else { *g == 0.0 };
+            let same = if *w != 0.0 {
+                g.to_bits() == w.to_bits()
+            } else {
+                *g == 0.0
+            };
             assert!(same, "{what}[{i}] of {}: {g:e} vs {w:e}", want.len());
         }
     }
@@ -1500,7 +1614,10 @@ mod tests {
             self.etas.apply_ftran_sparse(&mut self.img);
             assert_same_entries(&self.img.w, &want, "sparse ftran");
             assert_eq!(self.img.nz, nonzeros(&want), "nonzero list of {a:?}");
-            assert!(self.img.rows.iter().all(|v| v.to_bits() == 0), "row scratch left dirty");
+            assert!(
+                self.img.rows.iter().all(|v| v.to_bits() == 0),
+                "row scratch left dirty"
+            );
             want
         }
 
@@ -1514,7 +1631,11 @@ mod tests {
             self.etas.apply_btran(&mut c);
             self.oracle_etas.apply_btran(&mut want_c);
             assert_same_entries(&c, &want_c, "eta btran");
-            assert_same_entries(&self.flat.btran_vec(&c), &self.oracle.btran(&want_c), "btran");
+            assert_same_entries(
+                &self.flat.btran_vec(&c),
+                &self.oracle.btran(&want_c),
+                "btran",
+            );
         }
     }
 
@@ -1535,8 +1656,15 @@ mod tests {
             let mut k = Kernels::new(flat, oracle);
             for _ in 0..=rounds {
                 // A dense right-hand side with a third of it exact zeros.
-                let b: Vec<f64> =
-                    (0..m).map(|_| if next().is_multiple_of(3) { 0.0 } else { value() }).collect();
+                let b: Vec<f64> = (0..m)
+                    .map(|_| {
+                        if next().is_multiple_of(3) {
+                            0.0
+                        } else {
+                            value()
+                        }
+                    })
+                    .collect();
                 k.check_dense(&b);
                 // The empty column, a basis column (its image cancels
                 // to a unit vector until updates replace it) and a
@@ -1569,18 +1697,37 @@ mod tests {
         // cancel in the second-to-last row stops there.
         let m = 40;
         let chain: Vec<Vec<(usize, f64)>> = (0..m)
-            .map(|s| if s == 0 { vec![(0, 1.0)] } else { vec![(s - 1, 0.5), (s, 1.0)] })
+            .map(|s| {
+                if s == 0 {
+                    vec![(0, 1.0)]
+                } else {
+                    vec![(s - 1, 0.5), (s, 1.0)]
+                }
+            })
             .collect();
         let (flat, oracle) = assert_matches_reference(m, &chain, SINGULAR_TOL).unwrap();
         let mut k = Kernels::new(flat, oracle);
         assert_eq!(nonzeros(&k.check_sparse(&[(m - 1, 1.0)])).len(), m);
-        assert_eq!(nonzeros(&k.check_sparse(&[(m - 2, 0.5), (m - 1, 1.0)])), [m - 1]);
-        assert_eq!(k.img.visited.len(), 2, "a row that cancels to zero reaches no further");
+        assert_eq!(
+            nonzeros(&k.check_sparse(&[(m - 2, 0.5), (m - 1, 1.0)])),
+            [m - 1]
+        );
+        assert_eq!(
+            k.img.visited.len(),
+            2,
+            "a row that cancels to zero reaches no further"
+        );
         // (340 bases, 11 530 updates; 8 631 basis columns whose image
         // is still a unit vector, 11 530 empty images, 1 357 random
         // columns that fill a whole — small, bump-heavy — basis.)
-        assert!(bases >= 300 && updates >= 10_000, "{bases} bases, {updates} updates");
-        assert!(cancelled >= 5_000 && emptied >= 10_000, "{cancelled} unit, {emptied} empty");
+        assert!(
+            bases >= 300 && updates >= 10_000,
+            "{bases} bases, {updates} updates"
+        );
+        assert!(
+            cancelled >= 5_000 && emptied >= 10_000,
+            "{cancelled} unit, {emptied} empty"
+        );
         assert!(filled >= 500, "{filled} images filled their basis");
     }
 
@@ -1591,7 +1738,13 @@ mod tests {
         // leaves it, whatever `m` is.
         let basis = |m: usize| -> Vec<Vec<(usize, f64)>> {
             (0..m)
-                .map(|s| if s % 40 == 0 { vec![(s, 1.0)] } else { vec![(s - 1, 0.5), (s, 1.0)] })
+                .map(|s| {
+                    if s % 40 == 0 {
+                        vec![(s, 1.0)]
+                    } else {
+                        vec![(s - 1, 0.5), (s, 1.0)]
+                    }
+                })
                 .collect()
         };
         let a = [(12, 1.0), (25, -2.0), (39, 3.0)];
@@ -1600,7 +1753,11 @@ mod tests {
             let mut img = FtranImage::default();
             f.ftran_sparse(&a, &mut img);
             EtaFile::default().apply_ftran_sparse(&mut img);
-            assert_eq!(img.nz, (0..40).collect::<Vec<_>>(), "the image is the first block");
+            assert_eq!(
+                img.nz,
+                (0..40).collect::<Vec<_>>(),
+                "the image is the first block"
+            );
             (f, img)
         };
         let (mut small, mut large) = (factors(4_000), factors(32_000));
@@ -1626,7 +1783,10 @@ mod tests {
             t_large = t_large.min(time(&mut large));
         }
         let ratio = t_large / t_small;
-        assert!(ratio < 3.0, "8× the rows cost {ratio:.2}× the time for the same 40-slot image");
+        assert!(
+            ratio < 3.0,
+            "8× the rows cost {ratio:.2}× the time for the same 40-slot image"
+        );
     }
 
     #[test]
@@ -1684,7 +1844,13 @@ mod tests {
         // peels, so the time is the queue's and the working set's.
         let basis = |m: usize| -> Vec<Vec<(usize, f64)>> {
             (0..m)
-                .map(|s| if s % 2 == 0 { vec![(s, 1.0)] } else { vec![(s - 1, 1.0), (s, 2.0)] })
+                .map(|s| {
+                    if s % 2 == 0 {
+                        vec![(s, 1.0)]
+                    } else {
+                        vec![(s - 1, 1.0), (s, 2.0)]
+                    }
+                })
                 .collect()
         };
         // Linear is 8. Measured 7.9–12.0 with the bitset queue and

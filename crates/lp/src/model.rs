@@ -92,7 +92,12 @@ impl LinearProgram {
         assert!(upper >= lower, "upper < lower ({upper} < {lower})");
         assert!(objective.is_finite(), "objective must be finite");
         let id = VarId(self.vars.len());
-        self.vars.push(Variable { lower, upper, objective, name: None });
+        self.vars.push(Variable {
+            lower,
+            upper,
+            objective,
+            name: None,
+        });
         id
     }
 
@@ -118,7 +123,10 @@ impl LinearProgram {
     /// # Panics
     /// Panics if either bound is non-finite or `upper < lower`.
     pub fn var_bounded(&mut self, lower: f64, upper: f64, objective: f64) -> VarId {
-        assert!(upper.is_finite(), "var_bounded requires a finite upper bound");
+        assert!(
+            upper.is_finite(),
+            "var_bounded requires a finite upper bound"
+        );
         self.add_var(lower, upper, objective)
     }
 
@@ -166,7 +174,12 @@ impl LinearProgram {
             assert!(c.is_finite(), "coefficient must be finite");
         }
         let id = ConstraintId(self.constraints.len());
-        self.constraints.push(Constraint { terms, sense, rhs, name: None });
+        self.constraints.push(Constraint {
+            terms,
+            sense,
+            rhs,
+            name: None,
+        });
         id
     }
 
@@ -210,7 +223,11 @@ impl LinearProgram {
     /// Evaluates the objective at a point.
     pub fn objective_value(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.vars.len());
-        self.vars.iter().zip(x).map(|(v, &xi)| v.objective * xi).sum()
+        self.vars
+            .iter()
+            .zip(x)
+            .map(|(v, &xi)| v.objective * xi)
+            .sum()
     }
 
     /// Checks primal feasibility of `x` within tolerance `tol`,

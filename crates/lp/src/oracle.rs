@@ -77,8 +77,7 @@ impl Tableau {
     fn build(lp: &LinearProgram, opts: SimplexOptions) -> Self {
         let n = lp.num_vars();
         let shift: Vec<f64> = lp.vars().iter().map(|v| v.lower).collect();
-        let obj_const: f64 =
-            lp.vars().iter().map(|v| v.objective * v.lower).sum();
+        let obj_const: f64 = lp.vars().iter().map(|v| v.objective * v.lower).sum();
 
         // Assemble rows: user constraints then upper-bound rows.
         // Each row: (dense coeffs over structural vars, sense, rhs).
@@ -104,7 +103,11 @@ impl Tableau {
                 .filter(|&(_, &a)| a != 0.0)
                 .map(|(j, &a)| (j, a))
                 .collect();
-            rows.push(Row { coeffs, sense: c.sense, rhs });
+            rows.push(Row {
+                coeffs,
+                sense: c.sense,
+                rhs,
+            });
         }
         let n_user = rows.len();
         for (j, v) in lp.vars().iter().enumerate() {

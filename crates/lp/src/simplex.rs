@@ -287,7 +287,10 @@ impl Solution {
     /// tolerate approximate answers (and surface the suspicion) should
     /// branch on this instead of [`Solution::is_optimal`].
     pub fn is_usable(&self) -> bool {
-        matches!(self.status, SolveStatus::Optimal | SolveStatus::NumericallySuspect)
+        matches!(
+            self.status,
+            SolveStatus::Optimal | SolveStatus::NumericallySuspect
+        )
     }
 }
 
@@ -374,8 +377,7 @@ pub(crate) fn certify(lp: &LinearProgram, sol: &mut Solution) {
     let mut dual = dual_sign / (1.0 + sol.objective.abs());
     for (j, v) in lp.vars().iter().enumerate() {
         let xs = 1.0 + x[j].abs();
-        let bound_viol =
-            (v.lower - x[j]).max(0.0).max((x[j] - v.upper).max(0.0));
+        let bound_viol = (v.lower - x[j]).max(0.0).max((x[j] - v.upper).max(0.0));
         primal = primal.max(bound_viol / xs);
         // μ must be ≥ 0 at the lower bound, ≤ 0 at the upper bound and
         // ≈ 0 strictly between; the bound-activity test uses `FEAS_TOL`.
@@ -397,7 +399,11 @@ pub(crate) fn certify(lp: &LinearProgram, sol: &mut Solution) {
         // coefficient ratio of its rows) and the violation is weighed
         // against the objective magnitude at that reach.
         if viol > 0.0 {
-            let mut reach = if a_max[j] > 0.0 { b_max[j] / a_max[j] } else { 1.0 };
+            let mut reach = if a_max[j] > 0.0 {
+                b_max[j] / a_max[j]
+            } else {
+                1.0
+            };
             if v.upper.is_finite() {
                 reach = reach.min(v.upper - v.lower);
             }
@@ -467,7 +473,11 @@ impl Basis {
 
     /// Assembles a basis from raw parts (sparse engine use).
     pub(crate) fn from_parts(cols: Vec<usize>, signature: u64, at_upper: Vec<bool>) -> Self {
-        Self { cols, signature, at_upper }
+        Self {
+            cols,
+            signature,
+            at_upper,
+        }
     }
 
     /// The basic column per row.
@@ -659,7 +669,9 @@ mod tests {
             (state >> 11) as f64 / (1u64 << 53) as f64
         };
         let mut lp = LinearProgram::new();
-        let xs: Vec<_> = (0..n).map(|_| lp.add_var(0.0, f64::INFINITY, 0.5 + next())).collect();
+        let xs: Vec<_> = (0..n)
+            .map(|_| lp.add_var(0.0, f64::INFINITY, 0.5 + next()))
+            .collect();
         for i in 0..m {
             let terms: Vec<_> = xs
                 .iter()
@@ -796,7 +808,11 @@ mod tests {
         }
         let demands = [10.0, 25.0, 15.0];
         for m in 0..3 {
-            lp.add_constraint((0..2).map(|p| (v[p][m], 1.0)).collect(), Sense::Ge, demands[m]);
+            lp.add_constraint(
+                (0..2).map(|p| (v[p][m], 1.0)).collect(),
+                Sense::Ge,
+                demands[m],
+            );
         }
         let s = solve(&lp);
         assert!(s.is_optimal());
@@ -813,9 +829,14 @@ mod tests {
     fn every_optimal_solution_is_certified() {
         let lp = random_lp(24, 18, 11);
         let opts = SimplexOptions::default();
-        for (label, s) in [("sparse", solve_with(&lp, opts)), ("oracle", solve_oracle(&lp, opts))] {
+        for (label, s) in [
+            ("sparse", solve_with(&lp, opts)),
+            ("oracle", solve_oracle(&lp, opts)),
+        ] {
             assert!(s.is_optimal(), "{label}");
-            let q = s.quality.unwrap_or_else(|| panic!("{label}: Optimal without quality"));
+            let q = s
+                .quality
+                .unwrap_or_else(|| panic!("{label}: Optimal without quality"));
             assert!(q.passes(), "{label}: {q:?}");
         }
     }

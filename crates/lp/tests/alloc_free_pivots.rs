@@ -17,11 +17,17 @@ fn a_pivot_allocates_nothing() {
     // (refactorizations, allocations) of the solve cut off after
     // `max_iterations` pivots and bound flips.
     let truncated = |max_iterations: usize| {
-        let opts = SimplexOptions { max_iterations, ..Default::default() };
+        let opts = SimplexOptions {
+            max_iterations,
+            ..Default::default()
+        };
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         let sol = solve_with(&lp, opts);
         let spent = ALLOCATIONS.load(Ordering::Relaxed) - before;
-        assert_eq!((sol.status, sol.iterations), (SolveStatus::IterationLimit, max_iterations));
+        assert_eq!(
+            (sol.status, sol.iterations),
+            (SolveStatus::IterationLimit, max_iterations)
+        );
         (sol.engine.refactorizations, spent)
     };
     let full = solve_with(&lp, SimplexOptions::default());
@@ -43,5 +49,8 @@ fn a_pivot_allocates_nothing() {
         cap += 8;
         assert!(cap < 400, "no 24 iterations without a refactorization");
     };
-    assert!(longer - shorter <= 4, "24 iterations allocated {shorter} → {longer}");
+    assert!(
+        longer - shorter <= 4,
+        "24 iterations allocated {shorter} → {longer}"
+    );
 }

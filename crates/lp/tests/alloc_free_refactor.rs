@@ -23,27 +23,47 @@ use prete_lp::{solve_with, LinearProgram, SimplexOptions, SolveStatus};
 /// allocates on top is what its extra refactorizations allocate.
 fn allocations_per_refactorization(lp: &LinearProgram) -> f64 {
     let truncated = |max_iterations: usize| {
-        let opts = SimplexOptions { max_iterations, ..Default::default() };
+        let opts = SimplexOptions {
+            max_iterations,
+            ..Default::default()
+        };
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         let sol = solve_with(lp, opts);
         let spent = ALLOCATIONS.load(Ordering::Relaxed) - before;
-        assert_eq!((sol.status, sol.iterations), (SolveStatus::IterationLimit, max_iterations));
+        assert_eq!(
+            (sol.status, sol.iterations),
+            (SolveStatus::IterationLimit, max_iterations)
+        );
         (sol.engine.refactorizations, spent)
     };
     let (short, long) = (truncated(400), truncated(400 + 5 * 64));
     let refactorizations = long.0 - short.0;
-    assert!(refactorizations >= 4, "{} → {} refactorizations", short.0, long.0);
+    assert!(
+        refactorizations >= 4,
+        "{} → {} refactorizations",
+        short.0,
+        long.0
+    );
     (long.1 - short.1) as f64 / refactorizations as f64
 }
 
 #[test]
 fn a_refactorization_allocates_its_factors_and_nothing_else() {
     let (small, large) = (long_lp(1), long_lp(4));
-    assert_eq!((small.num_constraints(), large.num_constraints()), (200, 800));
+    assert_eq!(
+        (small.num_constraints(), large.num_constraints()),
+        (200, 800)
+    );
     let per_small = allocations_per_refactorization(&small);
     let per_large = allocations_per_refactorization(&large);
     // Thirteen factor arrays, plus the odd growth of a workspace
     // vector or of the eta file.
-    assert!(per_small <= 24.0, "m = 200: {per_small:.1} allocations per refactorization");
-    assert!(per_large <= 24.0, "m = 800: {per_large:.1} allocations per refactorization");
+    assert!(
+        per_small <= 24.0,
+        "m = 200: {per_small:.1} allocations per refactorization"
+    );
+    assert!(
+        per_large <= 24.0,
+        "m = 800: {per_large:.1} allocations per refactorization"
+    );
 }

@@ -132,8 +132,10 @@ impl DecisionTree {
     /// `min_leaf` samples per leaf.
     pub fn fit(train: &[&DegradationEvent], max_depth: usize, min_leaf: usize) -> Self {
         assert!(!train.is_empty());
-        let rows: Vec<([f64; 8], bool)> =
-            train.iter().map(|e| (tree_features(e), e.led_to_cut)).collect();
+        let rows: Vec<([f64; 8], bool)> = train
+            .iter()
+            .map(|e| (tree_features(e), e.led_to_cut))
+            .collect();
         let idx: Vec<usize> = (0..rows.len()).collect();
         let root = Self::build(&rows, &idx, max_depth, min_leaf.max(1));
         Self { root, max_depth }
@@ -174,8 +176,8 @@ impl DecisionTree {
                     continue;
                 }
                 let rp = pos - lp;
-                let w_gini = (lt as f64 * gini(lp, lt) + rt as f64 * gini(rp, rt))
-                    / idx.len() as f64;
+                let w_gini =
+                    (lt as f64 * gini(lp, lt) + rt as f64 * gini(rp, rt)) / idx.len() as f64;
                 let gain = parent_gini - w_gini;
                 if gain > best.map_or(1e-12, |(_, _, g)| g) {
                     best = Some((feat, thr, gain));
@@ -202,8 +204,17 @@ impl DecisionTree {
         loop {
             match node {
                 Node::Leaf { proba } => return *proba,
-                Node::Split { feature, threshold, left, right } => {
-                    node = if x[*feature] <= *threshold { left } else { right };
+                Node::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => {
+                    node = if x[*feature] <= *threshold {
+                        left
+                    } else {
+                        right
+                    };
                 }
             }
         }
@@ -253,9 +264,7 @@ mod tests {
     #[test]
     fn statistic_learns_per_fiber_rates() {
         // fiber 0: 4/4 cut; fiber 1: 0/4 cut.
-        let evs: Vec<DegradationEvent> = (0..8)
-            .map(|i| event(i / 4, 5.0, i / 4 == 0))
-            .collect();
+        let evs: Vec<DegradationEvent> = (0..8).map(|i| event(i / 4, 5.0, i / 4 == 0)).collect();
         let refs: Vec<&DegradationEvent> = evs.iter().collect();
         let m = StatisticModel::fit(&refs);
         assert!(m.predict(&evs[0]));
@@ -285,7 +294,10 @@ mod tests {
             .collect();
         let refs: Vec<&DegradationEvent> = evs.iter().collect();
         let tree = DecisionTree::fit(&refs, 4, 5);
-        let correct = evs.iter().filter(|e| tree.predict(e) == e.led_to_cut).count();
+        let correct = evs
+            .iter()
+            .filter(|e| tree.predict(e) == e.led_to_cut)
+            .count();
         assert!(correct as f64 / evs.len() as f64 > 0.95);
     }
 
@@ -300,8 +312,9 @@ mod tests {
     #[test]
     fn tree_respects_min_leaf() {
         // With min_leaf = huge, the tree must be a single leaf.
-        let evs: Vec<DegradationEvent> =
-            (0..20).map(|i| event(i % 3, 3.0 + i as f64 * 0.3, i % 2 == 0)).collect();
+        let evs: Vec<DegradationEvent> = (0..20)
+            .map(|i| event(i % 3, 3.0 + i as f64 * 0.3, i % 2 == 0))
+            .collect();
         let refs: Vec<&DegradationEvent> = evs.iter().collect();
         let tree = DecisionTree::fit(&refs, 5, 100);
         let p = tree.predict_proba(&evs[0]);

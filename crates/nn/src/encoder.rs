@@ -146,7 +146,10 @@ impl FeatureEncoder {
         mask: FeatureMask,
         obs: &prete_obs::Recorder,
     ) -> FeatureEncoder {
-        assert!(!train.is_empty(), "cannot fit encoder on empty training set");
+        assert!(
+            !train.is_empty(),
+            "cannot fit encoder on empty training set"
+        );
         let enc = Self::fit_inner(train, mask);
         obs.gauge("encoder.n_regions", enc.n_regions as f64);
         obs.gauge("encoder.n_fibers", enc.n_fibers as f64);
@@ -183,15 +186,39 @@ impl FeatureEncoder {
         let m = self.mask;
         Encoded {
             cont: [
-                if m.degree { self.degree.scale(f.degree_db) } else { 0.0 },
-                if m.gradient { self.gradient.scale(f.gradient_db) } else { 0.0 },
-                if m.fluctuation { self.fluctuation.scale(f.fluctuation as f64) } else { 0.0 },
+                if m.degree {
+                    self.degree.scale(f.degree_db)
+                } else {
+                    0.0
+                },
+                if m.gradient {
+                    self.gradient.scale(f.gradient_db)
+                } else {
+                    0.0
+                },
+                if m.fluctuation {
+                    self.fluctuation.scale(f.fluctuation as f64)
+                } else {
+                    0.0
+                },
                 self.length.scale(f.length_km),
             ],
             hour: if m.time { f.hour as usize } else { 0 },
-            region: if m.region { f.region.min(self.n_regions - 1) } else { 0 },
-            fiber: if m.fiber_id { f.fiber_id.min(self.n_fibers - 1) } else { 0 },
-            vendor: if m.vendor { f.vendor.min(self.n_vendors - 1) } else { 0 },
+            region: if m.region {
+                f.region.min(self.n_regions - 1)
+            } else {
+                0
+            },
+            fiber: if m.fiber_id {
+                f.fiber_id.min(self.n_fibers - 1)
+            } else {
+                0
+            },
+            vendor: if m.vendor {
+                f.vendor.min(self.n_vendors - 1)
+            } else {
+                0
+            },
         }
     }
 }

@@ -16,7 +16,11 @@ pub struct Matrix {
 impl Matrix {
     /// Zero matrix.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Self { rows, cols, data: vec![0.0; rows * cols] }
+        Self {
+            rows,
+            cols,
+            data: vec![0.0; rows * cols],
+        }
     }
 
     /// Builds from a closure over (row, col).

@@ -116,11 +116,7 @@ impl Mlp {
     ///
     /// # Panics
     /// Panics if `train` is empty or contains a single class only.
-    pub fn train_recorded(
-        train: &[&DegradationEvent],
-        cfg: TrainConfig,
-        obs: &Recorder,
-    ) -> Mlp {
+    pub fn train_recorded(train: &[&DegradationEvent], cfg: TrainConfig, obs: &Recorder) -> Mlp {
         let _span = obs.span("nn.train");
         assert!(!train.is_empty(), "empty training set");
         let pos = train.iter().filter(|e| e.led_to_cut).count();
@@ -147,10 +143,8 @@ impl Mlp {
         // Oversample the minority class to equilibrium (Appendix A.2).
         let mut indices: Vec<usize> = (0..train.len()).collect();
         let (minority, majority): (Vec<usize>, Vec<usize>) = {
-            let pos_idx: Vec<usize> =
-                (0..train.len()).filter(|&i| train[i].led_to_cut).collect();
-            let neg_idx: Vec<usize> =
-                (0..train.len()).filter(|&i| !train[i].led_to_cut).collect();
+            let pos_idx: Vec<usize> = (0..train.len()).filter(|&i| train[i].led_to_cut).collect();
+            let neg_idx: Vec<usize> = (0..train.len()).filter(|&i| !train[i].led_to_cut).collect();
             if pos_idx.len() < neg_idx.len() {
                 (pos_idx, neg_idx)
             } else {
@@ -161,7 +155,9 @@ impl Mlp {
             indices.push(*minority.choose(&mut rng).expect("non-empty minority"));
         }
 
-        let mut opts = model.params_mut().map(|p| Adam::new(p.len(), cfg.lr, cfg.l2));
+        let mut opts = model
+            .params_mut()
+            .map(|p| Adam::new(p.len(), cfg.lr, cfg.l2));
         let mut grads: Grads = model.params_mut().map(|p| vec![0.0; p.len()]);
         let (mut h, mut dz1) = (vec![0.0; cfg.hidden], vec![0.0; cfg.hidden]);
         let encoded: Vec<(Encoded, bool)> = train
@@ -220,7 +216,10 @@ impl Mlp {
     fn inputs(&self, e: &Encoded) -> Inputs {
         let mask = self.encoder.mask;
         let (r0, f0) = self.embedding_columns();
-        let mut x = Inputs { len: 0, at: [(0, 0.0); MAX_NONZEROS] };
+        let mut x = Inputs {
+            len: 0,
+            at: [(0, 0.0); MAX_NONZEROS],
+        };
         for (c, &v) in e.cont.iter().enumerate() {
             x.push(c, v);
         }
@@ -264,7 +263,13 @@ impl Mlp {
             *z = (*z + b).max(0.0);
         }
         let z2 = [0, 1].map(|k| {
-            self.w2.row(k).iter().zip(&*h).map(|(&w, &a)| w * a).sum::<f64>() + self.b2[k]
+            self.w2
+                .row(k)
+                .iter()
+                .zip(&*h)
+                .map(|(&w, &a)| w * a)
+                .sum::<f64>()
+                + self.b2[k]
         });
         softmax(z2)
     }
@@ -320,7 +325,13 @@ impl Mlp {
             }
         }
         // dL/dx = W1ᵀ dz1, needed only at the embedding columns.
-        let dx = |c: usize| self.w1.row(c).iter().zip(&*dz1).fold(0.0, |s, (&w, &d)| s + w * d);
+        let dx = |c: usize| {
+            self.w1
+                .row(c)
+                .iter()
+                .zip(&*dz1)
+                .fold(0.0, |s, (&w, &d)| s + w * d)
+        };
         let (r0, f0) = self.embedding_columns();
         if self.encoder.mask.region {
             for k in 0..REGION_EMB {
@@ -389,7 +400,11 @@ mod tests {
     fn learns_separable_rule() {
         let events = toy_events(400, 1);
         let refs: Vec<&DegradationEvent> = events.iter().collect();
-        let cfg = TrainConfig { epochs: 60, seed: 2, ..Default::default() };
+        let cfg = TrainConfig {
+            epochs: 60,
+            seed: 2,
+            ..Default::default()
+        };
         let model = Mlp::train(&refs[..300], cfg);
         let correct = refs[300..]
             .iter()
@@ -414,7 +429,13 @@ mod tests {
     fn proba_in_unit_interval() {
         let events = toy_events(100, 3);
         let refs: Vec<&DegradationEvent> = events.iter().collect();
-        let model = Mlp::train(&refs, TrainConfig { epochs: 5, ..Default::default() });
+        let model = Mlp::train(
+            &refs,
+            TrainConfig {
+                epochs: 5,
+                ..Default::default()
+            },
+        );
         for e in &events {
             let p = model.predict_proba(e);
             assert!((0.0..=1.0).contains(&p), "p = {p}");
@@ -425,7 +446,11 @@ mod tests {
     fn deterministic_given_seed() {
         let events = toy_events(120, 4);
         let refs: Vec<&DegradationEvent> = events.iter().collect();
-        let cfg = TrainConfig { epochs: 3, seed: 11, ..Default::default() };
+        let cfg = TrainConfig {
+            epochs: 3,
+            seed: 11,
+            ..Default::default()
+        };
         let a = Mlp::train(&refs, cfg);
         let b = Mlp::train(&refs, cfg);
         for e in &events[..10] {
@@ -457,7 +482,9 @@ mod tests {
         events
             .iter()
             .flat_map(|e| model.predict_proba(e).to_bits().to_le_bytes())
-            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
     }
 
     #[test]
@@ -472,15 +499,34 @@ mod tests {
             prete_optical::DatasetConfig::one_year(7),
         );
         let (train, _held_out) = year.train_test_split(0.8);
-        let model = Mlp::train(&train, TrainConfig { seed: 1, ..Default::default() });
+        let model = Mlp::train(
+            &train,
+            TrainConfig {
+                seed: 1,
+                ..Default::default()
+            },
+        );
         let mut digests = vec![("twan", proba_digest(&model, &year.events))];
         // Every Table 8 mask on the toy task.
         let events = toy_events(160, 7);
         let refs: Vec<&DegradationEvent> = events.iter().collect();
-        let masks = ["time", "degree", "gradient", "fluctuation", "region", "fiber_id", "vendor"]
-            .map(|f| (f, FeatureMask::without(f)));
+        let masks = [
+            "time",
+            "degree",
+            "gradient",
+            "fluctuation",
+            "region",
+            "fiber_id",
+            "vendor",
+        ]
+        .map(|f| (f, FeatureMask::without(f)));
         for (name, mask) in std::iter::once(("all", FeatureMask::ALL)).chain(masks) {
-            let cfg = TrainConfig { epochs: 4, seed: 3, mask, ..Default::default() };
+            let cfg = TrainConfig {
+                epochs: 4,
+                seed: 3,
+                mask,
+                ..Default::default()
+            };
             digests.push((name, proba_digest(&Mlp::train(&refs, cfg), &events)));
         }
         // Captured on the dense layout this kernel replaced.

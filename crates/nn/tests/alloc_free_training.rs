@@ -84,7 +84,12 @@ fn training_and_prediction_allocate_nothing_per_sample() {
     let refs: Vec<&DegradationEvent> = events.iter().collect();
     for mask in [FeatureMask::ALL, FeatureMask::without("fiber_id")] {
         let train = |epochs| {
-            let cfg = TrainConfig { epochs, seed: 5, mask, ..Default::default() };
+            let cfg = TrainConfig {
+                epochs,
+                seed: 5,
+                mask,
+                ..Default::default()
+            };
             allocations(|| Mlp::train(&refs, cfg))
         };
         // The first call also pays one-time allocations of the process.

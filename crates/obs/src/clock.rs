@@ -36,7 +36,9 @@ pub struct MonotonicClock {
 impl MonotonicClock {
     /// A clock anchored at "now".
     pub fn new() -> Self {
-        Self { origin: Instant::now() }
+        Self {
+            origin: Instant::now(),
+        }
     }
 }
 
@@ -66,8 +68,14 @@ pub struct LogicalClock {
 impl LogicalClock {
     /// A logical clock advancing `tick_ms` per read.
     pub fn new(tick_ms: f64) -> Self {
-        assert!(tick_ms > 0.0 && tick_ms.is_finite(), "tick must be positive");
-        Self { ticks: AtomicU64::new(0), tick_ms }
+        assert!(
+            tick_ms > 0.0 && tick_ms.is_finite(),
+            "tick must be positive"
+        );
+        Self {
+            ticks: AtomicU64::new(0),
+            tick_ms,
+        }
     }
 }
 

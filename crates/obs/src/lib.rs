@@ -102,7 +102,9 @@ pub struct Recorder {
 
 impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Recorder").field("enabled", &self.enabled()).finish()
+        f.debug_struct("Recorder")
+            .field("enabled", &self.enabled())
+            .finish()
     }
 }
 
@@ -125,7 +127,12 @@ impl Recorder {
 
     /// A recorder over an arbitrary [`Clock`].
     pub fn with_clock(clock: Box<dyn Clock>) -> Self {
-        Self { inner: Some(Arc::new(Inner { clock, state: Mutex::new(State::default()) })) }
+        Self {
+            inner: Some(Arc::new(Inner {
+                clock,
+                state: Mutex::new(State::default()),
+            })),
+        }
     }
 
     /// Whether this handle records anything.
@@ -137,7 +144,9 @@ impl Recorder {
     /// for disabled recorders. Call sites use this to withhold
     /// machine-dependent wall times from replay-identical reports.
     pub fn is_deterministic(&self) -> bool {
-        self.inner.as_ref().is_some_and(|i| i.clock.is_deterministic())
+        self.inner
+            .as_ref()
+            .is_some_and(|i| i.clock.is_deterministic())
     }
 
     /// Opens a span; it closes (and records its duration into the
@@ -161,7 +170,9 @@ impl Recorder {
             st.spans[p].children.push(idx);
         }
         st.stack.push(idx);
-        SpanGuard { handle: Some((Arc::clone(inner), idx)) }
+        SpanGuard {
+            handle: Some((Arc::clone(inner), idx)),
+        }
     }
 
     /// Adds `delta` to a monotone counter.
@@ -184,7 +195,10 @@ impl Recorder {
     pub fn observe(&self, histogram: &str, value_ms: f64) {
         if let Some(inner) = &self.inner {
             let mut st = inner.state.lock().expect("recorder lock");
-            st.histograms.entry(histogram.to_string()).or_default().record(value_ms);
+            st.histograms
+                .entry(histogram.to_string())
+                .or_default()
+                .record(value_ms);
         }
     }
 
@@ -202,7 +216,11 @@ impl Recorder {
             if st.events.len() >= MAX_EVENTS {
                 st.dropped_events += 1;
             } else {
-                st.events.push(Event { at_ms, kind: kind.to_string(), detail: detail() });
+                st.events.push(Event {
+                    at_ms,
+                    kind: kind.to_string(),
+                    detail: detail(),
+                });
             }
         }
     }
@@ -231,7 +249,11 @@ impl Recorder {
                 .collect(),
             counters: st.counters.clone(),
             gauges: st.gauges.clone(),
-            histograms: st.histograms.iter().map(|(k, h)| (k.clone(), h.snapshot())).collect(),
+            histograms: st
+                .histograms
+                .iter()
+                .map(|(k, h)| (k.clone(), h.snapshot()))
+                .collect(),
             events: st.events.clone(),
             dropped_events: st.dropped_events,
         }

@@ -12,8 +12,8 @@ use serde::Serialize;
 /// Upper bounds (ms) of the histogram buckets; one overflow bucket
 /// follows the last bound.
 pub const BUCKET_BOUNDS_MS: [f64; 16] = [
-    0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0,
-    2500.0, 5000.0,
+    0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0,
+    5000.0,
 ];
 
 /// A fixed-bucket latency histogram.
@@ -87,8 +87,7 @@ impl Histogram {
         for (i, &c) in self.counts.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                let bound =
-                    BUCKET_BOUNDS_MS.get(i).copied().unwrap_or(self.max);
+                let bound = BUCKET_BOUNDS_MS.get(i).copied().unwrap_or(self.max);
                 return bound.min(self.max);
             }
         }

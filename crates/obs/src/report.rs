@@ -100,7 +100,11 @@ impl RunReport {
                     stage,
                     calls,
                     total_ms,
-                    share_pct: if root_total > 0.0 { 100.0 * total_ms / root_total } else { 0.0 },
+                    share_pct: if root_total > 0.0 {
+                        100.0 * total_ms / root_total
+                    } else {
+                        0.0
+                    },
                 }
             })
             .collect()
@@ -133,7 +137,12 @@ mod tests {
     use super::*;
 
     fn node(name: &str, start: f64, dur: f64, children: Vec<SpanNode>) -> SpanNode {
-        SpanNode { name: name.into(), start_ms: start, duration_ms: dur, children }
+        SpanNode {
+            name: name.into(),
+            start_ms: start,
+            duration_ms: dur,
+            children,
+        }
     }
 
     fn two_epoch_report() -> RunReport {
@@ -143,13 +152,19 @@ mod tests {
                     "epoch",
                     0.0,
                     10.0,
-                    vec![node("detect", 0.0, 4.0, vec![]), node("solve", 4.0, 6.0, vec![])],
+                    vec![
+                        node("detect", 0.0, 4.0, vec![]),
+                        node("solve", 4.0, 6.0, vec![]),
+                    ],
                 ),
                 node(
                     "epoch",
                     10.0,
                     10.0,
-                    vec![node("detect", 10.0, 2.0, vec![]), node("solve", 12.0, 8.0, vec![])],
+                    vec![
+                        node("detect", 10.0, 2.0, vec![]),
+                        node("solve", 12.0, 8.0, vec![]),
+                    ],
                 ),
             ],
             ..RunReport::default()
@@ -170,7 +185,10 @@ mod tests {
     #[test]
     fn span_names_walks_depth_first() {
         let names = two_epoch_report().span_names();
-        assert_eq!(names, vec!["epoch".to_string(), "detect".into(), "solve".into()]);
+        assert_eq!(
+            names,
+            vec!["epoch".to_string(), "detect".into(), "solve".into()]
+        );
     }
 
     #[test]

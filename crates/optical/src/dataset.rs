@@ -32,7 +32,10 @@ pub struct DatasetConfig {
 impl DatasetConfig {
     /// One simulated year (the paper's measurement window).
     pub fn one_year(seed: u64) -> Self {
-        Self { epochs: 365 * 24 * 4, seed }
+        Self {
+            epochs: 365 * 24 * 4,
+            seed,
+        }
     }
 }
 
@@ -80,7 +83,12 @@ impl Dataset {
                         let at_s = start_s + delay;
                         let repair_s = model.sample_repair_duration(&mut rng);
                         down_until[f.index()] = at_s + repair_s;
-                        cuts.push(CutEvent { fiber: f, at_s, predictable: true, repair_s });
+                        cuts.push(CutEvent {
+                            fiber: f,
+                            at_s,
+                            predictable: true,
+                            repair_s,
+                        });
                     }
                     events.push(DegradationEvent {
                         fiber: f,
@@ -95,11 +103,21 @@ impl Dataset {
                     let at_s = epoch_start + rng.gen_range(0..EPOCH_S);
                     let repair_s = model.sample_repair_duration(&mut rng);
                     down_until[f.index()] = at_s + repair_s;
-                    cuts.push(CutEvent { fiber: f, at_s, predictable: false, repair_s });
+                    cuts.push(CutEvent {
+                        fiber: f,
+                        at_s,
+                        predictable: false,
+                        repair_s,
+                    });
                 }
             }
         }
-        Dataset { events, cuts, epochs: cfg.epochs, fibers: net.num_fibers() }
+        Dataset {
+            events,
+            cuts,
+            epochs: cfg.epochs,
+            fibers: net.num_fibers(),
+        }
     }
 
     /// Fraction of degradation events that led to a cut (the paper's
@@ -121,7 +139,10 @@ impl Dataset {
 
     /// Per-fiber chronological 80/20 split (Appendix A.2: "the first
     /// 80 % of each fiber's degradation signals as training data").
-    pub fn train_test_split(&self, train_frac: f64) -> (Vec<&DegradationEvent>, Vec<&DegradationEvent>) {
+    pub fn train_test_split(
+        &self,
+        train_frac: f64,
+    ) -> (Vec<&DegradationEvent>, Vec<&DegradationEvent>) {
         assert!((0.0..1.0).contains(&train_frac));
         let mut train = Vec::new();
         let mut test = Vec::new();
@@ -321,7 +342,10 @@ mod tests {
     fn determinism() {
         let net = topologies::b4();
         let model = FailureModel::new(&net, 42);
-        let cfg = DatasetConfig { epochs: 2000, seed: 5 };
+        let cfg = DatasetConfig {
+            epochs: 2000,
+            seed: 5,
+        };
         let a = Dataset::generate(&net, &model, cfg);
         let b = Dataset::generate(&net, &model, cfg);
         assert_eq!(a.events.len(), b.events.len());

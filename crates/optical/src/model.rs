@@ -35,8 +35,7 @@ pub const ALPHA_PREDICTABLE: f64 = 0.25;
 pub const MEAN_CUT_GIVEN_DEGRADATION: f64 = 0.40;
 
 /// The linear slope of Figure 12(a): `p_i = SLOPE · p_d`.
-pub const CUT_PER_DEGRADATION_SLOPE: f64 =
-    MEAN_CUT_GIVEN_DEGRADATION / ALPHA_PREDICTABLE;
+pub const CUT_PER_DEGRADATION_SLOPE: f64 = MEAN_CUT_GIVEN_DEGRADATION / ALPHA_PREDICTABLE;
 
 /// The predictable window: a cut within this many seconds of a
 /// degradation counts as predictable (§3.1 uses one TE period, 5 min).
@@ -105,7 +104,10 @@ impl FailureModel {
                 }
             })
             .collect();
-        Self { profiles, intercept: -0.45 }
+        Self {
+            profiles,
+            intercept: -0.45,
+        }
     }
 
     /// Per-fiber profiles.
@@ -121,8 +123,7 @@ impl FailureModel {
         assert!((0.0..=1.0).contains(&alpha));
         let mut m = self.clone();
         for p in &mut m.profiles {
-            p.p_degradation =
-                (alpha * p.p_cut / MEAN_CUT_GIVEN_DEGRADATION).clamp(0.0, 0.2);
+            p.p_degradation = (alpha * p.p_cut / MEAN_CUT_GIVEN_DEGRADATION).clamp(0.0, 0.2);
         }
         m
     }
@@ -160,7 +161,9 @@ impl FailureModel {
         let gradient_effect = 0.7 * ((feats.gradient_db / 0.8).min(1.0) * 2.0 - 1.0);
         let fluct_effect = 0.7 * ((feats.fluctuation.min(40) as f64 / 40.0) * 2.0 - 1.0);
         let bias = self.profiles[feats.fiber_id].bias;
-        sigmoid(self.intercept + bias + time_effect + degree_effect + gradient_effect + fluct_effect)
+        sigmoid(
+            self.intercept + bias + time_effect + degree_effect + gradient_effect + fluct_effect,
+        )
     }
 
     /// Samples the feature vector of a fresh degradation event on fiber
@@ -179,11 +182,10 @@ impl FailureModel {
         // Gradient: exponential-ish in [0, ~1.2] dB/s; sharp events
         // have larger degree AND gradient (correlated, like real cuts
         // in progress).
-        let gradient_db =
-            (0.05 + 0.1 * (degree_db - 3.0) + 0.3 * rng.gen::<f64>()) * sample_lognormal(rng, 0.0, 0.5);
+        let gradient_db = (0.05 + 0.1 * (degree_db - 3.0) + 0.3 * rng.gen::<f64>())
+            * sample_lognormal(rng, 0.0, 0.5);
         // Fluctuation count grows with gradient plus noise.
-        let fluctuation =
-            ((gradient_db * 25.0 + 8.0 * rng.gen::<f64>()).round() as u32).min(60);
+        let fluctuation = ((gradient_db * 25.0 + 8.0 * rng.gen::<f64>()).round() as u32).min(60);
         DegradationFeatures {
             hour,
             degree_db,
@@ -198,11 +200,7 @@ impl FailureModel {
 
     /// Samples whether a degradation with features `feats` leads to a
     /// cut (Bernoulli draw from the ground-truth probability).
-    pub fn sample_label<R: Rng + ?Sized>(
-        &self,
-        feats: &DegradationFeatures,
-        rng: &mut R,
-    ) -> bool {
+    pub fn sample_label<R: Rng + ?Sized>(&self, feats: &DegradationFeatures, rng: &mut R) -> bool {
         rng.gen::<f64>() < self.true_cut_probability(feats)
     }
 
@@ -218,14 +216,15 @@ impl FailureModel {
     /// predictable window (most intervals exceed 5 s, §6.4, giving the
     /// controller time to establish tunnels).
     pub fn sample_cut_delay<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        (sample_lognormal(rng, (60.0f64).ln(), 0.9).round() as u64)
-            .clamp(3, PREDICTABLE_WINDOW_S)
+        (sample_lognormal(rng, (60.0f64).ln(), 0.9).round() as u64).clamp(3, PREDICTABLE_WINDOW_S)
     }
 
     /// Samples a repair duration in seconds: log-normal, median 8 h
     /// with a heavy tail into days (submarine repairs, §1).
     pub fn sample_repair_duration<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        sample_lognormal(rng, (8.0 * 3600.0f64).ln(), 1.0).round().max(600.0) as u64
+        sample_lognormal(rng, (8.0 * 3600.0f64).ln(), 1.0)
+            .round()
+            .max(600.0) as u64
     }
 }
 
@@ -256,9 +255,7 @@ mod tests {
         let (_, m) = model();
         for p in m.profiles() {
             if p.p_cut < 0.08 {
-                assert!(
-                    (p.p_cut - CUT_PER_DEGRADATION_SLOPE * p.p_degradation).abs() < 1e-12
-                );
+                assert!((p.p_cut - CUT_PER_DEGRADATION_SLOPE * p.p_degradation).abs() < 1e-12);
             }
         }
     }
@@ -268,8 +265,16 @@ mod tests {
         // Figure 12(b): probabilities differ by orders of magnitude.
         let net = topologies::twan();
         let m = FailureModel::new(&net, 7);
-        let min = m.profiles().iter().map(|p| p.p_degradation).fold(f64::INFINITY, f64::min);
-        let max = m.profiles().iter().map(|p| p.p_degradation).fold(0.0, f64::max);
+        let min = m
+            .profiles()
+            .iter()
+            .map(|p| p.p_degradation)
+            .fold(f64::INFINITY, f64::min);
+        let max = m
+            .profiles()
+            .iter()
+            .map(|p| p.p_degradation)
+            .fold(0.0, f64::max);
         assert!(max / min > 50.0, "spread {min}..{max}");
     }
 
@@ -331,11 +336,20 @@ mod tests {
         };
         let _ = net;
         let low = m.true_cut_probability(&base);
-        let high_degree = m.true_cut_probability(&DegradationFeatures { degree_db: 9.5, ..base });
+        let high_degree = m.true_cut_probability(&DegradationFeatures {
+            degree_db: 9.5,
+            ..base
+        });
         assert!(high_degree > low);
-        let high_fluct = m.true_cut_probability(&DegradationFeatures { fluctuation: 40, ..base });
+        let high_fluct = m.true_cut_probability(&DegradationFeatures {
+            fluctuation: 40,
+            ..base
+        });
         assert!(high_fluct > low);
-        let low_gradient = m.true_cut_probability(&DegradationFeatures { gradient_db: 0.02, ..base });
+        let low_gradient = m.true_cut_probability(&DegradationFeatures {
+            gradient_db: 0.02,
+            ..base
+        });
         assert!(low_gradient < low);
     }
 
@@ -350,15 +364,19 @@ mod tests {
             .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), p| {
                 (lo.min(p.bias), hi.max(p.bias))
             });
-        assert!(hi - lo > 2.0, "bias spread {lo}..{hi} too small for the A.6 ablation");
+        assert!(
+            hi - lo > 2.0,
+            "bias spread {lo}..{hi} too small for the A.6 ablation"
+        );
     }
 
     #[test]
     fn durations_ephemeral() {
         let (_, m) = model();
         let mut rng = StdRng::seed_from_u64(3);
-        let durations: Vec<u64> =
-            (0..10_000).map(|_| m.sample_degradation_duration(&mut rng)).collect();
+        let durations: Vec<u64> = (0..10_000)
+            .map(|_| m.sample_degradation_duration(&mut rng))
+            .collect();
         let under_10 = durations.iter().filter(|&&d| d < 10).count() as f64 / 10_000.0;
         // Figure 4(a): ~50% under 10 s.
         assert!((0.35..=0.6).contains(&under_10), "P(<10s) = {under_10}");

@@ -38,7 +38,12 @@ pub struct TraceConfig {
 
 impl Default for TraceConfig {
     fn default() -> Self {
-        Self { baseline_db: 8.0, noise_db: 0.02, cut_excess_db: 30.0, missing_prob: 0.0 }
+        Self {
+            baseline_db: 8.0,
+            noise_db: 0.02,
+            cut_excess_db: 30.0,
+            missing_prob: 0.0,
+        }
     }
 }
 
@@ -104,7 +109,11 @@ impl LossTrace {
             }
             let gap_end = i; // first valid after gap, or n
             let left = gap_start.checked_sub(1).map(|j| self.samples[j]);
-            let right = if gap_end < n { Some(self.samples[gap_end]) } else { None };
+            let right = if gap_end < n {
+                Some(self.samples[gap_end])
+            } else {
+                None
+            };
             match (left, right) {
                 (Some(l), Some(r)) => {
                     let span = (gap_end - gap_start + 1) as f64;
@@ -141,8 +150,12 @@ impl LossTrace {
     /// excluded; a trace with no finite sample at all gets a baseline
     /// of 0 — its states are all treated as missing anyway.
     pub fn estimate_baseline(&self) -> f64 {
-        let mut vals: Vec<f64> =
-            self.samples.iter().copied().filter(|s| s.is_finite()).collect();
+        let mut vals: Vec<f64> = self
+            .samples
+            .iter()
+            .copied()
+            .filter(|s| s.is_finite())
+            .collect();
         if vals.is_empty() {
             return 0.0;
         }
@@ -201,7 +214,12 @@ pub fn synthesize(
         }
         samples.push(loss);
     }
-    LossTrace { fiber, start_s, dt_s: 1, samples }
+    LossTrace {
+        fiber,
+        start_s,
+        dt_s: 1,
+        samples,
+    }
 }
 
 fn normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
@@ -295,8 +313,7 @@ pub fn detect(trace: &LossTrace) -> Detection {
                     continue;
                 }
                 let degree_db = window.iter().copied().sum::<f64>() / window.len() as f64 - base;
-                let (gradient_db, fluctuation) =
-                    DegradationFeatures::series_features(&window);
+                let (gradient_db, fluctuation) = DegradationFeatures::series_features(&window);
                 degradations.push(DetectedDegradation {
                     start_idx: start,
                     len: i - start,
@@ -308,7 +325,10 @@ pub fn detect(trace: &LossTrace) -> Detection {
             FiberState::Healthy => i += 1,
         }
     }
-    Detection { degradations, cut_at_idx }
+    Detection {
+        degradations,
+        cut_at_idx,
+    }
 }
 
 #[cfg(test)]
@@ -343,7 +363,11 @@ mod tests {
         let ev = &d.degradations[0];
         assert!((60..=70).contains(&ev.start_idx), "start {}", ev.start_idx);
         assert!((40..=50).contains(&ev.len), "len {}", ev.len);
-        assert!((5.0..=7.0).contains(&ev.degree_db), "degree {}", ev.degree_db);
+        assert!(
+            (5.0..=7.0).contains(&ev.degree_db),
+            "degree {}",
+            ev.degree_db
+        );
         assert!(ev.fluctuation > 10, "wobble produces fluctuations");
         let cut = d.cut_at_idx.unwrap();
         assert!((108..=112).contains(&cut));
@@ -432,7 +456,12 @@ mod tests {
 
     #[test]
     fn empty_trace_does_not_panic() {
-        let t = LossTrace { fiber: FiberId(0), start_s: 0, dt_s: 1, samples: vec![] };
+        let t = LossTrace {
+            fiber: FiberId(0),
+            start_s: 0,
+            dt_s: 1,
+            samples: vec![],
+        };
         assert_eq!(t.estimate_baseline(), 0.0);
         assert!(t.states().is_empty());
         let d = detect(&t);

@@ -204,12 +204,14 @@ impl<'a> Controller<'a> {
 
             let p = {
                 let _predict = obs.span("predict");
-                self.predictor.try_predict_proba(&event).unwrap_or_else(|e| {
-                    obs.event_with("degraded-mode", || {
-                        format!("stage=Prediction mode=prior-probability fault={e}")
-                    });
-                    static_prior(self.model, fiber)
-                })
+                self.predictor
+                    .try_predict_proba(&event)
+                    .unwrap_or_else(|e| {
+                        obs.event_with("degraded-mode", || {
+                            format!("stage=Prediction mode=prior-probability fault={e}")
+                        });
+                        static_prior(self.model, fiber)
+                    })
             };
             obs.event_with("prediction-fired", || {
                 format!("fiber={} p_cut={p:.4}", fiber.index())
@@ -250,7 +252,8 @@ impl<'a> Controller<'a> {
                 if let Some(st) = enum_stats.as_ref() {
                     te = te.scenario_stats(st);
                 }
-                te.solve_with_stats().unwrap_or_else(|e| panic!("TE recompute failed: {e}"))
+                te.solve_with_stats()
+                    .unwrap_or_else(|e| panic!("TE recompute failed: {e}"))
             };
             solver = Some(stats);
 
@@ -281,13 +284,28 @@ impl<'a> Controller<'a> {
             obs.event_with("cut-observed", || {
                 format!("fiber={} at_s={at:.1}", trace.fiber.index())
             });
-            events.push(ControllerEvent::CutObserved { fiber: trace.fiber, at_s: at });
+            events.push(ControllerEvent::CutObserved {
+                fiber: trace.fiber,
+                at_s: at,
+            });
         }
         if let Some(ok) = prepared_before_cut {
-            obs.add(if ok { "controller.prepared_before_cut" } else { "controller.missed_cut" }, 1);
+            obs.add(
+                if ok {
+                    "controller.prepared_before_cut"
+                } else {
+                    "controller.missed_cut"
+                },
+                1,
+            );
         }
 
-        ControllerReport { events, pipeline, prepared_before_cut, solver }
+        ControllerReport {
+            events,
+            pipeline,
+            prepared_before_cut,
+            solver,
+        }
     }
 
     /// The epoch's scenario set under [`Controller::scenario_budget`],
@@ -354,7 +372,15 @@ mod tests {
             degree_db: 6.0,
             wobble_db: 0.15,
         };
-        synthesize(FiberId(0), 0, 400, &[deg], Some(110), TraceConfig::default(), 9)
+        synthesize(
+            FiberId(0),
+            0,
+            400,
+            &[deg],
+            Some(110),
+            TraceConfig::default(),
+            9,
+        )
     }
 
     #[test]
@@ -363,7 +389,10 @@ mod tests {
         let model = FailureModel::new(&net, 42);
         let flows: Vec<Flow> = triangle_flows()
             .into_iter()
-            .map(|f| Flow { demand_gbps: 4.0, ..f })
+            .map(|f| Flow {
+                demand_gbps: 4.0,
+                ..f
+            })
             .collect();
         // Thin tunnel set so the degradation actually triggers
         // Algorithm 1.
@@ -374,7 +403,10 @@ mod tests {
         let controller = Controller::new(&net, &model, &flows, &base, &predictor, &scheme);
         let report = controller.replay_trace(&fig4b_trace());
         // Degradation detected, tunnels built, policy recomputed, cut seen.
-        assert!(matches!(report.events[0], ControllerEvent::DegradationDetected { .. }));
+        assert!(matches!(
+            report.events[0],
+            ControllerEvent::DegradationDetected { .. }
+        ));
         assert!(report
             .events
             .iter()
@@ -401,8 +433,16 @@ mod tests {
         for epoch in &run.spans {
             assert_eq!(epoch.name, "epoch");
             assert_eq!(count(epoch, "solve"), 1, "TE solves in the epoch");
-            let tunnel = epoch.children.iter().find(|c| c.name == "tunnel").expect("tunnel span");
-            assert_eq!(count(tunnel, "solve"), 0, "the tunnel span only runs Algorithm 1");
+            let tunnel = epoch
+                .children
+                .iter()
+                .find(|c| c.name == "tunnel")
+                .expect("tunnel span");
+            assert_eq!(
+                count(tunnel, "solve"),
+                0,
+                "the tunnel span only runs Algorithm 1"
+            );
         }
     }
 
@@ -423,14 +463,20 @@ mod tests {
         let model = FailureModel::new(&net, 42);
         let flows: Vec<Flow> = triangle_flows()
             .into_iter()
-            .map(|f| Flow { demand_gbps: 4.0, ..f })
+            .map(|f| Flow {
+                demand_gbps: 4.0,
+                ..f
+            })
             .collect();
         let base = TunnelSet::initialize(&net, &flows, 1);
         let truth = TrueConditionals::ground_truth(&net, &model, 50, 1);
         // A 2-cut budget capped below the 7 candidate scenarios, so the
         // enumerator prunes and leaves a tail the solve must account for.
-        let budgeted =
-            ScenarioBudget { max_cuts: 2, max_scenarios: 5, ..ScenarioBudget::default() };
+        let budgeted = ScenarioBudget {
+            max_cuts: 2,
+            max_scenarios: 5,
+            ..ScenarioBudget::default()
+        };
         // One tunnel per flow: flow 1 dies with its fiber (p ≈ 0.003),
         // which β = 0.99 can leave unprotected and β = 0.999 cannot —
         // so Φ tells which target the one solve ran at.
@@ -444,7 +490,10 @@ mod tests {
             };
             for _ in 0..2 {
                 let report = controller.replay_trace(&fig4b_trace());
-                let stats = report.solver.as_ref().expect("the degradation triggers a recompute");
+                let stats = report
+                    .solver
+                    .as_ref()
+                    .expect("the degradation triggers a recompute");
                 assert_eq!(stats.lp_solves, 2, "subproblem + polish");
                 assert_eq!(stats.scenarios_pruned > 0, scenario_budget.is_some());
                 assert_eq!(stats.tail_mass > 0.0, scenario_budget.is_some());
@@ -481,15 +530,25 @@ mod tests {
         };
         let report = controller.replay_trace(&fig4b_trace());
         let p = match report.events[0] {
-            ControllerEvent::DegradationDetected { predicted_cut_prob, .. } => predicted_cut_prob,
+            ControllerEvent::DegradationDetected {
+                predicted_cut_prob, ..
+            } => predicted_cut_prob,
             ref e => panic!("first event {e:?}"),
         };
         let prior = (1.0 - prete_optical::ALPHA_PREDICTABLE) * model.profile(FiberId(0)).p_cut;
-        assert_eq!(p.to_bits(), prior.to_bits(), "p = {p}, static prior = {prior}");
+        assert_eq!(
+            p.to_bits(),
+            prior.to_bits(),
+            "p = {p}, static prior = {prior}"
+        );
         let run = controller.obs.report();
         let degraded = run.events_of_kind("degraded-mode");
         assert_eq!(degraded.len(), 1);
-        assert!(degraded[0].detail.contains("non-finite"), "{}", degraded[0].detail);
+        assert!(
+            degraded[0].detail.contains("non-finite"),
+            "{}",
+            degraded[0].detail
+        );
         assert!(policy_phi(&report).is_finite());
         assert!(report.solver.is_some());
     }
@@ -533,17 +592,32 @@ mod tests {
         };
         // Starting 10 s before 01:00, the degradation starts in hour 1,
         // and the training set stamps `hour` at the event's own start.
-        let late = synthesize(FiberId(0), 3_590, 400, &[deg], Some(110), TraceConfig::default(), 9);
+        let late = synthesize(
+            FiberId(0),
+            3_590,
+            400,
+            &[deg],
+            Some(110),
+            TraceConfig::default(),
+            9,
+        );
         let coarse = fig4b_trace().downsample(3);
         for (trace, hour) in [(late, 1), (coarse, 0)] {
             let event = predicted_event(&trace);
             let detected = prete_optical::trace::detect(&trace);
             let d = &detected.degradations[0];
-            assert_eq!(event.start_s, trace.start_s + trace.dt_s * d.start_idx as u64);
+            assert_eq!(
+                event.start_s,
+                trace.start_s + trace.dt_s * d.start_idx as u64
+            );
             assert_eq!(event.duration_s, trace.dt_s * d.len as u64);
             let offset = event.start_s - trace.start_s;
             assert!(offset.abs_diff(65) <= 6, "start +{offset} s");
-            assert!(event.duration_s.abs_diff(45) <= 9, "duration {} s", event.duration_s);
+            assert!(
+                event.duration_s.abs_diff(45) <= 9,
+                "duration {} s",
+                event.duration_s
+            );
             assert_eq!(event.features.hour, hour, "start {} s", event.start_s);
         }
     }
@@ -594,7 +668,10 @@ mod tests {
             .events
             .iter()
             .any(|e| matches!(e, ControllerEvent::TunnelsEstablished { .. })));
-        assert!(matches!(report.events[0], ControllerEvent::DegradationDetected { .. }));
+        assert!(matches!(
+            report.events[0],
+            ControllerEvent::DegradationDetected { .. }
+        ));
         assert_eq!(report.prepared_before_cut, Some(true));
     }
 

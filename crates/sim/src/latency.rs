@@ -87,7 +87,11 @@ impl LatencyModel {
         let mut stages = Vec::new();
         let mut t = 0.0;
         let mut push = |name: &str, dur: f64, t: &mut f64| {
-            stages.push(Stage { name: name.into(), start_ms: *t, duration_ms: dur });
+            stages.push(Stage {
+                name: name.into(),
+                start_ms: *t,
+                duration_ms: dur,
+            });
             *t += dur;
         };
         push("detection", self.detection_ms, &mut t);

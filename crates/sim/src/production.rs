@@ -102,8 +102,15 @@ pub fn replay_production_case(scenario: ProductionScenario) -> ProductionOutcome
 
     // Standing loads of the unaffected tunnels: s1→s2 700, s4→s3 300.
     let direct = |src, dst| {
-        shortest_path_avoiding(&net, src, dst, &HashSet::new(), &HashSet::new(), &HashSet::new())
-            .expect("connected")
+        shortest_path_avoiding(
+            &net,
+            src,
+            dst,
+            &HashSet::new(),
+            &HashSet::new(),
+            &HashSet::new(),
+        )
+        .expect("connected")
     };
     let t_s1s2 = direct(flows[0].src, flows[0].dst);
     let t_s4s3 = direct(flows[2].src, flows[2].dst);
@@ -117,8 +124,15 @@ pub fn replay_production_case(scenario: ProductionScenario) -> ProductionOutcome
     let via_s2 = {
         // Force the s1-s2-s3 route by banning s4 as an intermediate.
         let ban_sites: HashSet<_> = [net.sites()[3].id].into_iter().collect();
-        shortest_path_avoiding(&net, affected.src, affected.dst, &banned, &HashSet::new(), &ban_sites)
-            .expect("backup via s2 exists")
+        shortest_path_avoiding(
+            &net,
+            affected.src,
+            affected.dst,
+            &banned,
+            &HashSet::new(),
+            &ban_sites,
+        )
+        .expect("backup via s2 exists")
     };
     let spare_trad = headroom(&net, &groups, &loads, &via_s2).max(0.0);
     let sustained_trad = (affected.demand_gbps - spare_trad).max(0.0);
@@ -142,8 +156,14 @@ pub fn replay_production_case(scenario: ProductionScenario) -> ProductionOutcome
     // backup among fiber-disjoint candidates (s1→s4→s3 wins).
     let mut candidates = vec![via_s2.clone()];
     let ban_s2: HashSet<_> = [net.sites()[1].id].into_iter().collect();
-    if let Some(p) = shortest_path_avoiding(&net, affected.src, affected.dst, &banned, &HashSet::new(), &ban_s2)
-    {
+    if let Some(p) = shortest_path_avoiding(
+        &net,
+        affected.src,
+        affected.dst,
+        &banned,
+        &HashSet::new(),
+        &ban_s2,
+    ) {
         candidates.push(p);
     }
     let best = candidates

@@ -133,15 +133,28 @@ pub fn uncertainty_experiment(
 ) -> UncertaintyReport {
     let stale: Vec<Flow> = base_flows
         .iter()
-        .map(|f| Flow { demand_gbps: f.demand_gbps * scale, ..*f })
+        .map(|f| Flow {
+            demand_gbps: f.demand_gbps * scale,
+            ..*f
+        })
         .collect();
     let realized = jittered(&stale, demand_jitter, seed);
     let groups = CapacityGroups::build(net);
 
     // ---- Figure 19: per-tunnel variation.
     let teavar = TeaVarScheme::new(model, 0.999);
-    let ctx_stale = TeContext { net, model, flows: &stale, base_tunnels: tunnels };
-    let ctx_real = TeContext { net, model, flows: &realized, base_tunnels: tunnels };
+    let ctx_stale = TeContext {
+        net,
+        model,
+        flows: &stale,
+        base_tunnels: tunnels,
+    };
+    let ctx_real = TeContext {
+        net,
+        model,
+        flows: &realized,
+        base_tunnels: tunnels,
+    };
     let plan_old = teavar.plan(&ctx_stale, &DegradationState::healthy(), None);
     let plan_new = teavar.plan(&ctx_real, &DegradationState::healthy(), None);
     // The failure used to split flows into affected/unaffected: the
@@ -154,7 +167,9 @@ pub fn uncertainty_experiment(
         .unwrap_or(FiberId(0));
     let affected_flows: Vec<bool> = {
         let hit = tunnels.flows_affected_by(net, worst_fiber);
-        (0..stale.len()).map(|i| hit.contains(&stale[i].id)).collect()
+        (0..stale.len())
+            .map(|i| hit.contains(&stale[i].id))
+            .collect()
     };
     let mut rows = Vec::new();
     for affected in [true, false] {
@@ -163,8 +178,8 @@ pub fn uncertainty_experiment(
         let mut n = 0usize;
         for t in tunnels.tunnels() {
             if affected_flows[t.flow.index()] == affected {
-                acc += (plan_new.allocation[t.id.index()] - plan_old.allocation[t.id.index()])
-                    .abs();
+                acc +=
+                    (plan_new.allocation[t.id.index()] - plan_old.allocation[t.id.index()]).abs();
                 n += 1;
             }
         }
@@ -184,7 +199,11 @@ pub fn uncertainty_experiment(
             for &tid in tunnels.of_flow(flow.id) {
                 let t = tunnels.tunnel(tid);
                 let before = plan_old.allocation[tid.index()];
-                let after = if t.survives(net, &[worst_fiber]) { before } else { 0.0 };
+                let after = if t.survives(net, &[worst_fiber]) {
+                    before
+                } else {
+                    0.0
+                };
                 acc += (after - before).abs();
                 n += 1;
             }
@@ -198,9 +217,11 @@ pub fn uncertainty_experiment(
     }
 
     // ---- Figure 17: availability of TeaVaR / TeaVaR* / PreTE / PreTE*.
-    let cfg = EvalConfig { top_k_degraded: 6, ..Default::default() };
-    let evaluator =
-        AvailabilityEvaluator::new(net, model, realized.clone(), tunnels, truth, cfg);
+    let cfg = EvalConfig {
+        top_k_degraded: 6,
+        ..Default::default()
+    };
+    let evaluator = AvailabilityEvaluator::new(net, model, realized.clone(), tunnels, truth, cfg);
     let prete_inner = PreTeScheme::new(0.999, ProbabilityEstimator::prete(model, truth));
     let mut availability = Vec::new();
     let schemes: Vec<(&dyn TeScheme, &str, bool)> = vec![
@@ -220,7 +241,10 @@ pub fn uncertainty_experiment(
         } else {
             stale
                 .iter()
-                .map(|f| Flow { demand_gbps: f.demand_gbps * (1.0 + demand_jitter), ..*f })
+                .map(|f| Flow {
+                    demand_gbps: f.demand_gbps * (1.0 + demand_jitter),
+                    ..*f
+                })
                 .collect()
         };
         let wrapped = DemandShiftScheme {
@@ -229,10 +253,17 @@ pub fn uncertainty_experiment(
             label: String::new(),
         };
         let r = evaluator.evaluate(&wrapped);
-        availability.push(SchemeAvailability { scheme: label.into(), availability: r.mean });
+        availability.push(SchemeAvailability {
+            scheme: label.into(),
+            availability: r.mean,
+        });
     }
 
-    UncertaintyReport { variation: rows, availability, scale }
+    UncertaintyReport {
+        variation: rows,
+        availability,
+        scale,
+    }
 }
 
 #[cfg(test)]
@@ -240,13 +271,22 @@ mod tests {
     use super::*;
     use prete_core::examples::{triangle, triangle_flows};
 
-    fn fixture() -> (Network, FailureModel, TrueConditionals, Vec<Flow>, TunnelSet) {
+    fn fixture() -> (
+        Network,
+        FailureModel,
+        TrueConditionals,
+        Vec<Flow>,
+        TunnelSet,
+    ) {
         let net = triangle();
         let model = FailureModel::new(&net, 42);
         let truth = TrueConditionals::ground_truth(&net, &model, 60, 3);
         let flows: Vec<Flow> = triangle_flows()
             .into_iter()
-            .map(|f| Flow { demand_gbps: 4.0, ..f })
+            .map(|f| Flow {
+                demand_gbps: 4.0,
+                ..f
+            })
             .collect();
         let tunnels = TunnelSet::initialize(&net, &flows, 2);
         (net, model, truth, flows, tunnels)
@@ -256,15 +296,26 @@ mod tests {
     fn demand_shift_delegates_tunnels_and_beta() {
         let (net, model, truth, flows, _) = fixture();
         let thin = TunnelSet::initialize(&net, &flows, 1);
-        let ctx = TeContext { net: &net, model: &model, flows: &flows, base_tunnels: &thin };
+        let ctx = TeContext {
+            net: &net,
+            model: &model,
+            flows: &flows,
+            base_tunnels: &thin,
+        };
         let inner = PreTeScheme::new(0.995, ProbabilityEstimator::prete(&model, &truth));
-        let shifted =
-            DemandShiftScheme { inner: &inner, planning_flows: flows.clone(), label: "*".into() };
+        let shifted = DemandShiftScheme {
+            inner: &inner,
+            planning_flows: flows.clone(),
+            label: "*".into(),
+        };
         assert_eq!(shifted.beta(), 0.995);
         let state = DegradationState::single(FiberId(0));
         let alone = shifted.tunnels(&ctx, &state);
         assert!(alone.len() > thin.len());
-        assert_eq!(alone.tunnels(), shifted.plan(&ctx, &state, None).tunnels.tunnels());
+        assert_eq!(
+            alone.tunnels(),
+            shifted.plan(&ctx, &state, None).tunnels.tunnels()
+        );
     }
 
     #[test]
@@ -297,7 +348,12 @@ mod tests {
         let names: Vec<&str> = r.availability.iter().map(|s| s.scheme.as_str()).collect();
         assert_eq!(names, vec!["TeaVaR", "TeaVaR*", "PreTE", "PreTE*"]);
         for s in &r.availability {
-            assert!((0.0..=1.0).contains(&s.availability), "{}: {}", s.scheme, s.availability);
+            assert!(
+                (0.0..=1.0).contains(&s.availability),
+                "{}: {}",
+                s.scheme,
+                s.availability
+            );
         }
     }
 
@@ -309,8 +365,8 @@ mod tests {
         let r = uncertainty_experiment(&net, &model, &truth, &flows, &tunnels, 0.5, 0.05, 3);
         let a: Vec<f64> = r.availability.iter().map(|s| s.availability).collect();
         // All four within a point of each other.
-        let spread = a.iter().cloned().fold(0.0f64, f64::max)
-            - a.iter().cloned().fold(1.0f64, f64::min);
+        let spread =
+            a.iter().cloned().fold(0.0f64, f64::max) - a.iter().cloned().fold(1.0f64, f64::min);
         assert!(spread < 0.02, "spread {spread} (availabilities {a:?})");
     }
 }

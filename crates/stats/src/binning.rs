@@ -72,7 +72,13 @@ pub fn equal_width_bins(values: &[f64], bins: usize) -> Binned {
         counts[b] += 1;
         assignment.push(b);
     }
-    Binned { lo, hi, bins, counts, assignment }
+    Binned {
+        lo,
+        hi,
+        bins,
+        counts,
+        assignment,
+    }
 }
 
 /// Computes, per bin, the fraction of observations whose boolean label
@@ -81,7 +87,11 @@ pub fn equal_width_bins(values: &[f64], bins: usize) -> Binned {
 ///
 /// Bins with no observations yield `None`.
 pub fn proportion_per_bin(binned: &Binned, labels: &[bool]) -> Vec<Option<f64>> {
-    assert_eq!(binned.assignment.len(), labels.len(), "label/value length mismatch");
+    assert_eq!(
+        binned.assignment.len(),
+        labels.len(),
+        "label/value length mismatch"
+    );
     let mut pos = vec![0usize; binned.bins];
     for (&b, &l) in binned.assignment.iter().zip(labels) {
         if l {
@@ -92,7 +102,13 @@ pub fn proportion_per_bin(binned: &Binned, labels: &[bool]) -> Vec<Option<f64>> 
         .counts
         .iter()
         .zip(&pos)
-        .map(|(&n, &p)| if n == 0 { None } else { Some(p as f64 / n as f64) })
+        .map(|(&n, &p)| {
+            if n == 0 {
+                None
+            } else {
+                Some(p as f64 / n as f64)
+            }
+        })
         .collect()
 }
 
@@ -149,8 +165,8 @@ mod tests {
         let labels = [true, false, true, true, false, false];
         let p = proportion_per_bin(&b, &labels);
         assert!((p[0].unwrap() - 0.5).abs() < 1e-12); // 0.0,0.1,5.0(?),...
-        // values < 5.0 go to bin 0: 0.0, 0.1 → 1 positive of 2;
-        // wait: width = 5, so 5.0 and 5.1 land in bin 1.
+                                                      // values < 5.0 go to bin 0: 0.0, 0.1 → 1 positive of 2;
+                                                      // wait: width = 5, so 5.0 and 5.1 land in bin 1.
         assert!((p[1].unwrap() - 0.5).abs() < 1e-12);
     }
 

@@ -29,7 +29,11 @@ impl ContingencyTable {
     /// needs at least two categories on each axis).
     pub fn new(rows: usize, cols: usize) -> Self {
         assert!(rows >= 2 && cols >= 2, "need at least a 2x2 table");
-        Self { rows, cols, counts: vec![0.0; rows * cols] }
+        Self {
+            rows,
+            cols,
+            counts: vec![0.0; rows * cols],
+        }
     }
 
     /// Builds a table from nested slices; each inner slice is a row.
@@ -134,7 +138,10 @@ pub fn chi2_independence(table: &ContingencyTable) -> ChiSquareResult {
     for r in 0..table.rows() {
         for c in 0..table.cols() {
             let e = table.expected(r, c);
-            assert!(e > 0.0, "expected count is zero at ({r},{c}); drop empty categories");
+            assert!(
+                e > 0.0,
+                "expected count is zero at ({r},{c}); drop empty categories"
+            );
             let o = table.get(r, c);
             stat += (o - e) * (o - e) / e;
         }
@@ -142,7 +149,12 @@ pub fn chi2_independence(table: &ContingencyTable) -> ChiSquareResult {
     let df = (table.rows() - 1) * (table.cols() - 1);
     let p = chi2_sf(stat, df as f64).max(f64::MIN_POSITIVE);
     let ln_p = chi2_ln_sf(stat, df as f64);
-    ChiSquareResult { statistic: stat, df, p_value: p, ln_p_value: ln_p }
+    ChiSquareResult {
+        statistic: stat,
+        df,
+        p_value: p,
+        ln_p_value: ln_p,
+    }
 }
 
 #[cfg(test)]
@@ -195,17 +207,18 @@ mod tests {
         ]);
         let r = chi2_independence(&t);
         assert!(r.rejects_null_at(0.01));
-        assert!(r.ln_p_value < -50.0f64 * std::f64::consts::LN_10, "p ≥ 1e-50: ln p = {}", r.ln_p_value);
+        assert!(
+            r.ln_p_value < -50.0f64 * std::f64::consts::LN_10,
+            "p ≥ 1e-50: ln p = {}",
+            r.ln_p_value
+        );
     }
 
     #[test]
     fn paper_table7_fails_to_reject() {
         // Appendix A.1 Table 7: the counterfactual table where the null
         // hypothesis *cannot* be rejected (co-occurrence 1.2 epochs).
-        let t = ContingencyTable::from_rows(&[
-            &[1.2, 3151.8],
-            &[2144.8, 5_655_630.2],
-        ]);
+        let t = ContingencyTable::from_rows(&[&[1.2, 3151.8], &[2144.8, 5_655_630.2]]);
         let r = chi2_independence(&t);
         assert!(!r.rejects_null_at(0.01), "p = {}", r.p_value);
     }

@@ -20,7 +20,10 @@ pub struct Weibull {
 
 impl Weibull {
     /// The paper's degradation-probability generator (§6.1).
-    pub const PAPER_DEGRADATION: Weibull = Weibull { shape: 0.8, scale: 0.002 };
+    pub const PAPER_DEGRADATION: Weibull = Weibull {
+        shape: 0.8,
+        scale: 0.002,
+    };
 
     /// Creates a Weibull distribution with the given shape `k` and
     /// scale `λ`.
@@ -73,7 +76,10 @@ impl Weibull {
     /// to argue failure probabilities stay Weibull (§6.1).
     pub fn scaled(&self, c: f64) -> Self {
         assert!(c > 0.0 && c.is_finite());
-        Self { shape: self.shape, scale: self.scale * c }
+        Self {
+            shape: self.shape,
+            scale: self.scale * c,
+        }
     }
 }
 

@@ -114,7 +114,12 @@ mod tests {
     #[test]
     fn never_positive_classifier_is_zero_not_nan() {
         // The paper's "TeaVar" baseline never predicts failure → P≈0, R≈0.
-        let m = ConfusionMatrix::from_predictions(&[false; 10], &[true, true, false, false, false, false, false, false, false, false]);
+        let m = ConfusionMatrix::from_predictions(
+            &[false; 10],
+            &[
+                true, true, false, false, false, false, false, false, false, false,
+            ],
+        );
         assert_eq!(m.precision(), 0.0);
         assert_eq!(m.recall(), 0.0);
         assert_eq!(m.f1(), 0.0);

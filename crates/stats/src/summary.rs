@@ -17,7 +17,13 @@ pub struct Summary {
 impl Summary {
     /// Creates an empty summary.
     pub fn new() -> Self {
-        Self { n: 0, mean: 0.0, m2: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
+        Self {
+            n: 0,
+            mean: 0.0,
+            m2: 0.0,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
+        }
     }
 
     /// Builds a summary from a slice.
@@ -98,9 +104,7 @@ impl Summary {
         let n = self.n + other.n;
         let delta = other.mean - self.mean;
         let mean = self.mean + delta * other.n as f64 / n as f64;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * self.n as f64 * other.n as f64 / n as f64;
+        let m2 = self.m2 + other.m2 + delta * delta * self.n as f64 * other.n as f64 / n as f64;
         self.n = n;
         self.mean = mean;
         self.m2 = m2;

@@ -76,7 +76,11 @@ impl GenSpec {
         if parts.next().is_some() || !(4..=1000).contains(&nodes) {
             return None;
         }
-        Some(GenSpec { family, nodes, seed })
+        Some(GenSpec {
+            family,
+            nodes,
+            seed,
+        })
     }
 
     /// Canonical topology name (`gen-waxman-200-s42`).
@@ -182,9 +186,9 @@ pub fn generate(spec: &GenSpec) -> Network {
     // Site placement. Waxman scatters over the plane; the ring places
     // sites around a circle so ring fibers have honest geometry.
     let pos: Vec<(f64, f64)> = match spec.family {
-        GenFamily::Waxman => {
-            (0..n).map(|_| (rng.unit() * PLANE_KM, rng.unit() * PLANE_KM)).collect()
-        }
+        GenFamily::Waxman => (0..n)
+            .map(|_| (rng.unit() * PLANE_KM, rng.unit() * PLANE_KM))
+            .collect(),
         GenFamily::RingChords => {
             // Perimeter spacing ~150 km between ring neighbors.
             let r = n as f64 * 150.0 / (2.0 * std::f64::consts::PI);
@@ -214,10 +218,10 @@ pub fn generate(spec: &GenSpec) -> Network {
     let mut fibers: Vec<FiberId> = Vec::new();
     let mut have: std::collections::HashSet<(usize, usize)> = std::collections::HashSet::new();
     let add_fiber = |b: &mut NetworkBuilder,
-                         rng: &mut Rng,
-                         have: &mut std::collections::HashSet<(usize, usize)>,
-                         i: usize,
-                         j: usize|
+                     rng: &mut Rng,
+                     have: &mut std::collections::HashSet<(usize, usize)>,
+                     i: usize,
+                     j: usize|
      -> Option<FiberId> {
         let key = (i.min(j), i.max(j));
         if i == j || !have.insert(key) {
@@ -376,9 +380,23 @@ mod tests {
     #[test]
     fn parse_specs() {
         let s = GenSpec::parse("gen:waxman:200").expect("valid");
-        assert_eq!(s, GenSpec { family: GenFamily::Waxman, nodes: 200, seed: 42 });
+        assert_eq!(
+            s,
+            GenSpec {
+                family: GenFamily::Waxman,
+                nodes: 200,
+                seed: 42
+            }
+        );
         let s = GenSpec::parse("gen:ring:400:7").expect("valid");
-        assert_eq!(s, GenSpec { family: GenFamily::RingChords, nodes: 400, seed: 7 });
+        assert_eq!(
+            s,
+            GenSpec {
+                family: GenFamily::RingChords,
+                nodes: 400,
+                seed: 7
+            }
+        );
         assert!(GenSpec::parse("twan").is_none());
         assert!(GenSpec::parse("gen:waxman:2").is_none());
         assert!(GenSpec::parse("gen:waxman:2000").is_none());
@@ -388,7 +406,11 @@ mod tests {
 
     #[test]
     fn waxman_is_calibrated() {
-        let net = generate(&GenSpec { family: GenFamily::Waxman, nodes: 200, seed: 42 });
+        let net = generate(&GenSpec {
+            family: GenFamily::Waxman,
+            nodes: 200,
+            seed: 42,
+        });
         assert_eq!(net.num_sites(), 200);
         // Mean fiber degree in the Table 3 band (B4 3.2 / IBM 2.6 /
         // TWAN 4.0).
@@ -407,7 +429,11 @@ mod tests {
 
     #[test]
     fn ring_is_connected_and_chorded() {
-        let net = generate(&GenSpec { family: GenFamily::RingChords, nodes: 100, seed: 1 });
+        let net = generate(&GenSpec {
+            family: GenFamily::RingChords,
+            nodes: 100,
+            seed: 1,
+        });
         assert_eq!(net.num_sites(), 100);
         // Ring (100) + ~35 chords, minus occasional duplicates.
         assert!(net.num_fibers() > 100, "no chords landed");
@@ -417,13 +443,24 @@ mod tests {
     #[test]
     fn same_spec_same_digest() {
         for spec in [
-            GenSpec { family: GenFamily::Waxman, nodes: 120, seed: 9 },
-            GenSpec { family: GenFamily::RingChords, nodes: 150, seed: 9 },
+            GenSpec {
+                family: GenFamily::Waxman,
+                nodes: 120,
+                seed: 9,
+            },
+            GenSpec {
+                family: GenFamily::RingChords,
+                nodes: 150,
+                seed: 9,
+            },
         ] {
             let a = digest(&generate(&spec));
             let b = digest(&generate(&spec));
             assert_eq!(a, b, "{spec:?} not deterministic");
-            let other = digest(&generate(&GenSpec { seed: spec.seed + 1, ..spec }));
+            let other = digest(&generate(&GenSpec {
+                seed: spec.seed + 1,
+                ..spec
+            }));
             assert_ne!(a, other, "{spec:?} ignores the seed");
         }
     }

@@ -207,7 +207,10 @@ pub struct NetworkBuilder {
 impl NetworkBuilder {
     /// Starts a builder for a topology called `name`.
     pub fn new(name: impl Into<String>) -> Self {
-        Self { name: name.into(), ..Default::default() }
+        Self {
+            name: name.into(),
+            ..Default::default()
+        }
     }
 
     /// Adds a site; names must be unique.
@@ -230,7 +233,14 @@ impl NetworkBuilder {
         assert!(length_km > 0.0, "fiber length must be positive");
         let id = FiberId(self.fibers.len());
         let region = self.sites[a.index()].region;
-        self.fibers.push(Fiber { id, a, b, length_km, region, vendor });
+        self.fibers.push(Fiber {
+            id,
+            a,
+            b,
+            length_km,
+            region,
+            vendor,
+        });
         id
     }
 
@@ -253,7 +263,13 @@ impl NetworkBuilder {
         }
         assert_ne!(a, b, "self-loop link");
         let id = LinkId(self.links.len());
-        self.links.push(IpLink { id, a, b, capacity_gbps, fibers });
+        self.links.push(IpLink {
+            id,
+            a,
+            b,
+            capacity_gbps,
+            fibers,
+        });
         id
     }
 

@@ -135,7 +135,11 @@ impl<'a> PathFinder<'a> {
             first.push(edges.len());
             for &(next, link) in net.neighbors(site.id) {
                 edges_of[link.index()][usize::from(site.id != net.link(link).a)] = edges.len();
-                edges.push(Edge { next, link, weight: weight[link.index()] });
+                edges.push(Edge {
+                    next,
+                    link,
+                    weight: weight[link.index()],
+                });
             }
         }
         first.push(edges.len());
@@ -227,10 +231,17 @@ impl<'a> PathFinder<'a> {
         bound: f64,
         goal_directed: bool,
     ) -> Option<f64> {
-        let lift = |toward: &[f64], s: SiteId| if goal_directed { toward[s.index()] } else { 0.0 };
+        let lift = |toward: &[f64], s: SiteId| {
+            if goal_directed {
+                toward[s.index()]
+            } else {
+                0.0
+            }
+        };
         self.dist[src.index()] = 0.0;
         self.touched.push(src);
-        self.heap.push(Reverse((lift(&self.toward, src).to_bits(), src)));
+        self.heap
+            .push(Reverse((lift(&self.toward, src).to_bits(), src)));
         while let Some(Reverse((key, site))) = self.heap.pop() {
             let d = self.dist[site.index()];
             if f64::from_bits(key) > d + lift(&self.toward, site) {
@@ -252,7 +263,10 @@ impl<'a> PathFinder<'a> {
                     }
                     *seen = nd;
                     self.prev[e.next.index()] = (site, e.link);
-                    self.heap.push(Reverse(((nd + lift(&self.toward, e.next)).to_bits(), e.next)));
+                    self.heap.push(Reverse((
+                        (nd + lift(&self.toward, e.next)).to_bits(),
+                        e.next,
+                    )));
                 }
             }
         }
@@ -293,14 +307,22 @@ impl<'a> PathFinder<'a> {
         let mut sites = vec![src];
         let mut links = Vec::new();
         self.append_route(src, dst, &mut sites, &mut links);
-        Path { sites, links, weight }
+        Path {
+            sites,
+            links,
+            weight,
+        }
     }
 
     /// Bans (or frees) every link riding on one of `fibers`.
     fn set_fibers_banned(&mut self, fibers: impl IntoIterator<Item = FiberId>, banned: bool) {
         for f in fibers {
             for l in self.net.links_on_fiber(f) {
-                let weight = if banned { f64::INFINITY } else { self.weight[l.index()] };
+                let weight = if banned {
+                    f64::INFINITY
+                } else {
+                    self.weight[l.index()]
+                };
                 for e in self.edges_of[l.index()] {
                     self.edges[e].weight = weight;
                 }
@@ -310,12 +332,19 @@ impl<'a> PathFinder<'a> {
 
     fn set_path_banned(&mut self, path: &Path, banned: bool) {
         let net = self.net;
-        let fibers = path.links.iter().flat_map(|&l| net.link(l).fibers.iter().copied());
+        let fibers = path
+            .links
+            .iter()
+            .flat_map(|&l| net.link(l).fibers.iter().copied());
         self.set_fibers_banned(fibers, banned);
     }
 
     fn set_site_banned(&mut self, site: SiteId, banned: bool) {
-        self.dist[site.index()] = if banned { f64::NEG_INFINITY } else { f64::INFINITY };
+        self.dist[site.index()] = if banned {
+            f64::NEG_INFINITY
+        } else {
+            f64::INFINITY
+        };
     }
 
     /// One search under the caller's bans, which are lifted again.
@@ -329,9 +358,13 @@ impl<'a> PathFinder<'a> {
     ) -> Option<Path> {
         let moves: Vec<_> = banned_moves.iter().copied().collect();
         self.set_fibers_banned(banned_fibers.iter().copied(), true);
-        banned_sites.iter().for_each(|&s| self.set_site_banned(s, true));
+        banned_sites
+            .iter()
+            .for_each(|&s| self.set_site_banned(s, true));
         let weight = self.search(src, dst, &moves);
-        banned_sites.iter().for_each(|&s| self.set_site_banned(s, false));
+        banned_sites
+            .iter()
+            .for_each(|&s| self.set_site_banned(s, false));
         self.set_fibers_banned(banned_fibers.iter().copied(), false);
         weight.map(|w| self.found(src, dst, w))
     }
@@ -385,8 +418,9 @@ impl<'a> PathFinder<'a> {
             for &s in &last.sites[..deviation] {
                 self.set_site_banned(s, true);
             }
-            let mut root_weight =
-                last.links[..deviation].iter().fold(0.0, |w, l| w + self.weight[l.index()]);
+            let mut root_weight = last.links[..deviation]
+                .iter()
+                .fold(0.0, |w, l| w + self.weight[l.index()]);
             for i in deviation..last.links.len() {
                 let spur = last.sites[i];
                 banned_moves.clear();
@@ -401,10 +435,13 @@ impl<'a> PathFinder<'a> {
                     self.append_route(spur, dst, &mut sites, &mut links);
                     // Summed link by link from the source, as a search
                     // from the source would.
-                    let weight =
-                        links[i..].iter().fold(root_weight, |w, l| w + self.weight[l.index()]);
+                    let weight = links[i..]
+                        .iter()
+                        .fold(root_weight, |w, l| w + self.weight[l.index()]);
                     if result.iter().all(|p| p.sites != sites) {
-                        candidates.entry((weight.to_bits(), sites)).or_insert((links, i));
+                        candidates
+                            .entry((weight.to_bits(), sites))
+                            .or_insert((links, i));
                     }
                 }
                 self.set_site_banned(spur, true);
@@ -416,7 +453,11 @@ impl<'a> PathFinder<'a> {
             let Some(((bits, sites), (links, spur_index))) = candidates.pop_first() else {
                 break;
             };
-            result.push(Path { sites, links, weight: f64::from_bits(bits) });
+            result.push(Path {
+                sites,
+                links,
+                weight: f64::from_bits(bits),
+            });
             deviation = spur_index;
         }
         result
@@ -473,7 +514,14 @@ pub fn shortest_path_avoiding(
 
 /// Plain shortest path (no bans).
 pub fn shortest_path(net: &Network, src: SiteId, dst: SiteId) -> Option<Path> {
-    shortest_path_avoiding(net, src, dst, &HashSet::new(), &HashSet::new(), &HashSet::new())
+    shortest_path_avoiding(
+        net,
+        src,
+        dst,
+        &HashSet::new(),
+        &HashSet::new(),
+        &HashSet::new(),
+    )
 }
 
 /// [`PathFinder::k_shortest_paths_avoiding`] on a finder of its own.
@@ -559,7 +607,11 @@ mod tests {
         assert_eq!(ps.len(), 3, "diamond has exactly 3 simple s0→s3 paths");
         for p in &ps {
             let mut seen = HashSet::new();
-            assert!(p.sites.iter().all(|s| seen.insert(*s)), "loop in {:?}", p.sites);
+            assert!(
+                p.sites.iter().all(|s| seen.insert(*s)),
+                "loop in {:?}",
+                p.sites
+            );
         }
     }
 
@@ -602,14 +654,8 @@ mod tests {
         b.link_on(f, 10.0);
         let n = b.build();
         let banned: HashSet<FiberId> = [f].into_iter().collect();
-        assert!(shortest_path_avoiding(
-            &n,
-            s0,
-            s1,
-            &banned,
-            &HashSet::new(),
-            &HashSet::new()
-        )
-        .is_none());
+        assert!(
+            shortest_path_avoiding(&n, s0, s1, &banned, &HashSet::new(), &HashSet::new()).is_none()
+        );
     }
 }

@@ -32,7 +32,9 @@ pub const LINK_CAPACITY_GBPS: f64 = 1600.0;
 /// Deterministic pseudo-random span length in km, in [80, 2500).
 fn span_length(i: usize) -> f64 {
     // xorshift-style hash for stable, seed-free lengths.
-    let mut x = (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
+    let mut x = (i as u64)
+        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        .wrapping_add(1);
     x ^= x >> 33;
     x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
     x ^= x >> 33;
@@ -42,9 +44,7 @@ fn span_length(i: usize) -> f64 {
 /// Builds Google's B4-like topology: 12 sites, 19 fibers, 52 IP links.
 pub fn b4() -> Network {
     let mut b = NetworkBuilder::new("B4");
-    let sites: Vec<SiteId> = (0..12)
-        .map(|i| b.site(format!("b4-{i}"), i / 4))
-        .collect();
+    let sites: Vec<SiteId> = (0..12).map(|i| b.site(format!("b4-{i}"), i / 4)).collect();
     const EDGES: [(usize, usize); 19] = [
         (0, 1),
         (0, 2),
@@ -85,9 +85,7 @@ pub fn b4() -> Network {
 /// Builds the IBM topology: 18 sites, 23 fibers, 85 IP links.
 pub fn ibm() -> Network {
     let mut b = NetworkBuilder::new("IBM");
-    let sites: Vec<SiteId> = (0..18)
-        .map(|i| b.site(format!("ibm-{i}"), i / 6))
-        .collect();
+    let sites: Vec<SiteId> = (0..18).map(|i| b.site(format!("ibm-{i}"), i / 6)).collect();
     // An 18-site ring plus five chords: 23 fibers, every site at least
     // two-connected so all flows get four distinct tunnel routes.
     const EDGES: [(usize, usize); 23] = [
@@ -199,7 +197,12 @@ fn b_fiber_endpoints(b: &NetworkBuilder, f: crate::ids::FiberId) -> (SiteId, Sit
 /// IP link (Table 3's tunnel counts are `4 × #links`), gravity-model
 /// demands summing to `load_fraction` of capacity at demand scale 1.
 pub fn flows_for(net: &Network, load_fraction: f64, seed: u64) -> Vec<Flow> {
-    gravity_flows(net, net.num_links().min(net.num_sites() * (net.num_sites() - 1)), load_fraction, seed)
+    gravity_flows(
+        net,
+        net.num_links().min(net.num_sites() * (net.num_sites() - 1)),
+        load_fraction,
+        seed,
+    )
 }
 
 #[cfg(test)]
@@ -227,7 +230,11 @@ mod tests {
     fn twan_order_of_magnitude() {
         let n = twan();
         assert_eq!(n.num_fibers(), 50);
-        assert!(n.num_links() >= 100 && n.num_links() <= 120, "{}", n.num_links());
+        assert!(
+            n.num_links() >= 100 && n.num_links() <= 120,
+            "{}",
+            n.num_links()
+        );
     }
 
     #[test]

@@ -51,7 +51,10 @@ impl TrafficMatrix {
             flows: self
                 .flows
                 .iter()
-                .map(|f| Flow { demand_gbps: f.demand_gbps * scale, ..*f })
+                .map(|f| Flow {
+                    demand_gbps: f.demand_gbps * scale,
+                    ..*f
+                })
                 .collect(),
         }
     }
@@ -77,12 +80,7 @@ pub fn diurnal_factor(hour: usize) -> f64 {
 ///
 /// Site weights are random but deterministic in `seed`, modelling the
 /// heterogeneous popularity of PoPs.
-pub fn gravity_flows(
-    net: &Network,
-    n_flows: usize,
-    load_fraction: f64,
-    seed: u64,
-) -> Vec<Flow> {
+pub fn gravity_flows(net: &Network, n_flows: usize, load_fraction: f64, seed: u64) -> Vec<Flow> {
     assert!(n_flows >= 1);
     assert!(load_fraction > 0.0 && load_fraction < 1.0);
     let n = net.num_sites();

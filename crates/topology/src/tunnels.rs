@@ -59,7 +59,10 @@ pub struct TunnelSet {
 impl TunnelSet {
     /// Creates an empty set sized for `num_flows` flows.
     pub fn new(num_flows: usize) -> Self {
-        Self { tunnels: Vec::new(), by_flow: vec![Vec::new(); num_flows] }
+        Self {
+            tunnels: Vec::new(),
+            by_flow: vec![Vec::new(); num_flows],
+        }
     }
 
     /// §4.2 tunnel initialization: for every flow, take the union of
@@ -94,8 +97,7 @@ impl TunnelSet {
             // Tunnels are distinct iff their *site routes* differ:
             // parallel wavelength links between the same site pair do
             // not add path diversity.
-            let distinct =
-                |chosen: &[Path], p: &Path| chosen.iter().all(|c| c.sites != p.sites);
+            let distinct = |chosen: &[Path], p: &Path| chosen.iter().all(|c| c.sites != p.sites);
             // Fiber-disjoint paths first: they provide the residual
             // tunnel under any single-fiber cut (and, where the
             // topology permits three disjoint routes, under double
@@ -131,7 +133,12 @@ impl TunnelSet {
 
     fn push(&mut self, flow: FlowId, path: Path, origin: TunnelOrigin) -> TunnelId {
         let id = TunnelId(self.tunnels.len());
-        self.tunnels.push(Tunnel { id, flow, path, origin });
+        self.tunnels.push(Tunnel {
+            id,
+            flow,
+            path,
+            origin,
+        });
         self.by_flow[flow.index()].push(id);
         id
     }
@@ -145,7 +152,8 @@ impl TunnelSet {
     /// ("once the failure is repaired … the tunnel is then updated to
     /// its original state", §4.2).
     pub fn clear_reactive(&mut self) {
-        self.tunnels.retain(|t| t.origin == TunnelOrigin::PreEstablished);
+        self.tunnels
+            .retain(|t| t.origin == TunnelOrigin::PreEstablished);
         for (i, t) in self.tunnels.iter_mut().enumerate() {
             t.id = TunnelId(i);
         }
@@ -222,7 +230,10 @@ impl TunnelSet {
 
     /// Total tunnels on `fiber`.
     pub fn tunnels_on_fiber(&self, net: &Network, fiber: FiberId) -> usize {
-        self.tunnels.iter().filter(|t| t.uses_fiber(net, fiber)).count()
+        self.tunnels
+            .iter()
+            .filter(|t| t.uses_fiber(net, fiber))
+            .count()
     }
 
     /// Verifies the §4.2 survivability guarantee: every flow keeps at
@@ -265,8 +276,18 @@ mod tests {
 
     fn flows() -> Vec<Flow> {
         vec![
-            Flow { id: FlowId(0), src: SiteId(0), dst: SiteId(1), demand_gbps: 10.0 },
-            Flow { id: FlowId(1), src: SiteId(0), dst: SiteId(2), demand_gbps: 10.0 },
+            Flow {
+                id: FlowId(0),
+                src: SiteId(0),
+                dst: SiteId(1),
+                demand_gbps: 10.0,
+            },
+            Flow {
+                id: FlowId(1),
+                src: SiteId(0),
+                dst: SiteId(2),
+                demand_gbps: 10.0,
+            },
         ]
     }
 
@@ -318,7 +339,10 @@ mod tests {
         assert_eq!(ts.of_flow(FlowId(0)).len(), 3);
         ts.clear_reactive();
         assert_eq!(ts.len(), before);
-        assert!(ts.tunnels().iter().all(|t| t.origin == TunnelOrigin::PreEstablished));
+        assert!(ts
+            .tunnels()
+            .iter()
+            .all(|t| t.origin == TunnelOrigin::PreEstablished));
         // IDs must stay dense and consistent after compaction.
         for (i, t) in ts.tunnels().iter().enumerate() {
             assert_eq!(t.id, TunnelId(i));

@@ -37,7 +37,11 @@ fn main() {
     let (train, test) = dataset.train_test_split(0.8);
     let nn = Mlp::train_recorded(
         &train,
-        TrainConfig { epochs: 80, seed: 1, ..Default::default() },
+        TrainConfig {
+            epochs: 80,
+            seed: 1,
+            ..Default::default()
+        },
         &obs,
     );
     let report = evaluate("NN", &nn, &test);
@@ -58,8 +62,21 @@ fn main() {
         obs: obs.clone(),
         ..Controller::new(&net, &model, &flows, &tunnels, &nn, &scheme)
     };
-    let deg = ScriptedDegradation { start_s: 65, duration_s: 45, degree_db: 6.5, wobble_db: 0.3 };
-    let trace = synthesize(FiberId(0), 0, 400, &[deg], Some(110), TraceConfig::default(), 5);
+    let deg = ScriptedDegradation {
+        start_s: 65,
+        duration_s: 45,
+        degree_db: 6.5,
+        wobble_db: 0.3,
+    };
+    let trace = synthesize(
+        FiberId(0),
+        0,
+        400,
+        &[deg],
+        Some(110),
+        TraceConfig::default(),
+        5,
+    );
     println!("\nReplaying the §5 testbed trace (degraded at 65 s, cut at 110 s):");
     let result = controller.replay_trace(&trace);
     for e in &result.events {

@@ -21,7 +21,12 @@ fn main() {
     let net = triangle();
     let model = FailureModel::new(&net, 42);
     let flows = triangle_flows();
-    println!("Network: {} — {} sites, {} links of 10 units", net.name, net.num_sites(), net.num_links());
+    println!(
+        "Network: {} — {} sites, {} links of 10 units",
+        net.name,
+        net.num_sites(),
+        net.num_links()
+    );
     println!(
         "Flows: s1→s2 ({} u) and s1→s3 ({} u); failure probabilities {:?}\n",
         flows[0].demand_gbps, flows[1].demand_gbps, TRIANGLE_PROBS
@@ -29,7 +34,12 @@ fn main() {
 
     // --- 1. TeaVaR (Figure 2(b)).
     let tunnels = TunnelSet::initialize(&net, &flows, 2);
-    let ctx = TeContext { net: &net, model: &model, flows: &flows, base_tunnels: &tunnels };
+    let ctx = TeContext {
+        net: &net,
+        model: &model,
+        flows: &flows,
+        base_tunnels: &tunnels,
+    };
     let teavar = TeaVarScheme::new(&model, 0.99);
     let plan = teavar.plan(&ctx, &DegradationState::healthy(), Some(&TRIANGLE_PROBS));
     println!(
@@ -38,7 +48,11 @@ fn main() {
     );
 
     // --- 2. Oracle knowing s1s2 stays up (Figure 3(b)).
-    let plan = teavar.plan(&ctx, &DegradationState::healthy(), Some(&[0.0, 0.009, 0.001]));
+    let plan = teavar.plan(
+        &ctx,
+        &DegradationState::healthy(),
+        Some(&[0.0, 0.009, 0.001]),
+    );
     println!(
         "Oracle (s1s2 up): admitted {:>5.1} units total (paper Figure 3(b): 20)",
         plan.admitted.iter().sum::<f64>()
@@ -46,11 +60,24 @@ fn main() {
 
     // --- 3. PreTE reacting to a degradation on s1s2 (Figure 7).
     let mut updated = TunnelSet::initialize(&net, &flows, 1); // direct tunnels only
-    let created = update_tunnels(&net, &mut updated, FiberId(0), TunnelUpdateConfig::default());
-    println!("\nDegradation on s1s2 → Algorithm 1 established {} new tunnel(s):", created.len());
+    let created = update_tunnels(
+        &net,
+        &mut updated,
+        FiberId(0),
+        TunnelUpdateConfig::default(),
+    );
+    println!(
+        "\nDegradation on s1s2 → Algorithm 1 established {} new tunnel(s):",
+        created.len()
+    );
     for id in &created {
         let t = updated.tunnel(*id);
-        let names: Vec<&str> = t.path.sites.iter().map(|&s| net.site(s).name.as_str()).collect();
+        let names: Vec<&str> = t
+            .path
+            .sites
+            .iter()
+            .map(|&s| net.site(s).name.as_str())
+            .collect();
         println!("  reactive tunnel {}", names.join("→"));
     }
     // Cut happens: optimize with the oracle-grade certainty and check
@@ -62,7 +89,9 @@ fn main() {
         .method(SolveMethod::Heuristic)
         .solve()
         .expect("heuristic solve");
-    let delivered: f64 = (0..flows.len()).map(|f| sol.delivered(&problem, f, 0)).sum();
+    let delivered: f64 = (0..flows.len())
+        .map(|f| sol.delivered(&problem, f, 0))
+        .sum();
     println!(
         "After the s1s2 cut, PreTE still delivers {:>5.1} units (paper Figure 7(b): 10)",
         delivered

@@ -21,7 +21,10 @@ fn main() {
         env.flows.len(),
         100.0 * BASE_LOAD
     );
-    let cfg = EvalConfig { top_k_degraded: 5, ..Default::default() };
+    let cfg = EvalConfig {
+        top_k_degraded: 5,
+        ..Default::default()
+    };
     let scales = [1.0, 2.0, 3.0, 4.0, 6.0];
     let schemes = benchmark_schemes(&env);
 

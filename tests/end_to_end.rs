@@ -34,12 +34,32 @@ fn controller_prepares_before_cut_on_b4() {
     let controller = Controller::new(&net, &model, &flows, &tunnels, &predictor, &scheme);
     // Degradation 60 s before the cut — the typical lead time of
     // Figure 5(a).
-    let deg = ScriptedDegradation { start_s: 30, duration_s: 60, degree_db: 7.0, wobble_db: 0.25 };
-    let trace = synthesize(FiberId(3), 0, 300, &[deg], Some(90), TraceConfig::default(), 11);
+    let deg = ScriptedDegradation {
+        start_s: 30,
+        duration_s: 60,
+        degree_db: 7.0,
+        wobble_db: 0.25,
+    };
+    let trace = synthesize(
+        FiberId(3),
+        0,
+        300,
+        &[deg],
+        Some(90),
+        TraceConfig::default(),
+        11,
+    );
     let report = controller.replay_trace(&trace);
-    assert!(matches!(report.events.first(), Some(ControllerEvent::DegradationDetected { .. })));
+    assert!(matches!(
+        report.events.first(),
+        Some(ControllerEvent::DegradationDetected { .. })
+    ));
     let timing = report.pipeline.expect("pipeline ran");
-    assert!(timing.decision_ms() < 300.0, "decision {} ms", timing.decision_ms());
+    assert!(
+        timing.decision_ms() < 300.0,
+        "decision {} ms",
+        timing.decision_ms()
+    );
     assert_eq!(report.prepared_before_cut, Some(true));
 }
 
@@ -55,7 +75,10 @@ fn wan_run_report_covers_pipeline() {
     assert!(r.deterministic, "acceptance path uses the logical clock");
     let names = r.span_names();
     for stage in ["epoch", "detect", "predict", "tunnel", "solve"] {
-        assert!(names.iter().any(|n| n == stage), "missing span {stage}: {names:?}");
+        assert!(
+            names.iter().any(|n| n == stage),
+            "missing span {stage}: {names:?}"
+        );
     }
     // Per-stage spans nest under each epoch root.
     for root in r.spans.iter().filter(|s| s.name == "epoch") {

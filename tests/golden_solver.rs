@@ -77,8 +77,9 @@ fn fixture<T: Serialize + Deserialize>(name: &str, got: &T) -> Option<T> {
 fn solve(net: &Network) -> GoldenOptimum {
     let flows = topologies::flows_for(net, 0.08, 42);
     let tunnels = TunnelSet::initialize(net, &flows, 4);
-    let probs: Vec<f64> =
-        (0..net.fibers().len()).map(|i| 0.005 * (1.0 + (i % 5) as f64)).collect();
+    let probs: Vec<f64> = (0..net.fibers().len())
+        .map(|i| 0.005 * (1.0 + (i % 5) as f64))
+        .collect();
     let scenarios = ScenarioSet::enumerate(&probs, 1, 0.0);
     let problem = TeProblem::new(net, &flows, &tunnels, &scenarios);
     let sol = TeSolver::new(&problem)
@@ -86,16 +87,34 @@ fn solve(net: &Network) -> GoldenOptimum {
         .method(SolveMethod::Heuristic)
         .solve()
         .expect("canonical instance is solvable");
-    GoldenOptimum { max_loss: sol.max_loss, allocation: sol.allocation }
+    GoldenOptimum {
+        max_loss: sol.max_loss,
+        allocation: sol.allocation,
+    }
 }
 
 fn check(name: &str, net: &Network) {
-    let got = Golden { topology: name.to_string(), sparse: solve(net) };
-    let Some(want) = fixture(name, &got) else { return };
+    let got = Golden {
+        topology: name.to_string(),
+        sparse: solve(net),
+    };
+    let Some(want) = fixture(name, &got) else {
+        return;
+    };
     let (w, g) = (&want.sparse, &got.sparse);
     let obj_tol = |w: f64| OBJ_TOL * (1.0 + w.abs());
-    assert_close(&format!("{name}: max_loss"), &[w.max_loss], &[g.max_loss], obj_tol);
-    assert_close(&format!("{name}: allocation"), &w.allocation, &g.allocation, |_| ALLOC_TOL);
+    assert_close(
+        &format!("{name}: max_loss"),
+        &[w.max_loss],
+        &[g.max_loss],
+        obj_tol,
+    );
+    assert_close(
+        &format!("{name}: allocation"),
+        &w.allocation,
+        &g.allocation,
+        |_| ALLOC_TOL,
+    );
 }
 
 /// `got` against the fixture's `want`, entry by entry, each within
@@ -103,7 +122,10 @@ fn check(name: &str, net: &Network) {
 fn assert_close(what: &str, want: &[f64], got: &[f64], tol: impl Fn(f64) -> f64) {
     assert_eq!(got.len(), want.len(), "{what}: length changed");
     for (i, (g, w)) in got.iter().zip(want).enumerate() {
-        assert!((g - w).abs() <= tol(*w), "{what}[{i}] drifted: expected {w}, got {g}");
+        assert!(
+            (g - w).abs() <= tol(*w),
+            "{what}[{i}] drifted: expected {w}, got {g}"
+        );
     }
 }
 
@@ -152,8 +174,16 @@ fn golden_scaled_lp_matches_committed_fixture() {
     // The fixture only makes sense while both engines *certify* this
     // program — a tolerance change that downgrades it should fail
     // loudly here, not silently weaken the pin.
-    assert_eq!(dense.status, SolveStatus::Optimal, "dense no longer certifies case {CASE}");
-    assert_eq!(sparse.status, SolveStatus::Optimal, "sparse no longer certifies case {CASE}");
+    assert_eq!(
+        dense.status,
+        SolveStatus::Optimal,
+        "dense no longer certifies case {CASE}"
+    );
+    assert_eq!(
+        sparse.status,
+        SolveStatus::Optimal,
+        "sparse no longer certifies case {CASE}"
+    );
     let got = GoldenScaledLp {
         case: CASE,
         dense_objective: dense.objective,
@@ -162,12 +192,22 @@ fn golden_scaled_lp_matches_committed_fixture() {
         x_sparse: sparse.x,
     };
 
-    let Some(want) = fixture("scaled_lp", &got) else { return };
+    let Some(want) = fixture("scaled_lp", &got) else {
+        return;
+    };
     assert_eq!(want.case, CASE, "fixture pins a different torture case");
     let tol = |w: f64| SCALED_OBJ_TOL * (1.0 + w.abs());
     for (label, w, g) in [
-        ("dense objective", &[want.dense_objective][..], &[got.dense_objective][..]),
-        ("sparse objective", &[want.sparse_objective], &[got.sparse_objective]),
+        (
+            "dense objective",
+            &[want.dense_objective][..],
+            &[got.dense_objective][..],
+        ),
+        (
+            "sparse objective",
+            &[want.sparse_objective],
+            &[got.sparse_objective],
+        ),
         ("dense x", &want.x_dense, &got.x_dense),
         ("sparse x", &want.x_sparse, &got.x_sparse),
     ] {
@@ -213,7 +253,9 @@ fn check_gen(name: &str, spec_str: &str) {
         digest: digest(&net),
         total_capacity_gbps: net.links().iter().map(|l| l.capacity_gbps).sum(),
     };
-    let Some(want) = fixture(name, &got) else { return };
+    let Some(want) = fixture(name, &got) else {
+        return;
+    };
     assert_eq!(want.spec, got.spec, "{name}: fixture pins a different spec");
     assert_eq!(want.sites, got.sites, "{name}: site count drifted");
     assert_eq!(want.fibers, got.fibers, "{name}: fiber count drifted");
@@ -242,8 +284,16 @@ fn check_gen(name: &str, spec_str: &str) {
         ..ScenarioBudget::default()
     };
     let (_, stats) = ScenarioSet::enumerate_with(estimator.static_probabilities(), &budget);
-    assert!(stats.peak_buffered <= 65, "{name}: peak buffer {}", stats.peak_buffered);
-    assert!(stats.mass_gap() < 1e-6, "{name}: mass gap {:e}", stats.mass_gap());
+    assert!(
+        stats.peak_buffered <= 65,
+        "{name}: peak buffer {}",
+        stats.peak_buffered
+    );
+    assert!(
+        stats.mass_gap() < 1e-6,
+        "{name}: mass gap {:e}",
+        stats.mass_gap()
+    );
 }
 
 #[test]

@@ -13,9 +13,10 @@ use prete_topology::topologies;
 /// The full Table 3 inventory is reproduced exactly for B4 and IBM.
 #[test]
 fn table3_inventory() {
-    for (net, fibers, links, tunnels) in
-        [(topologies::b4(), 19, 52, 208), (topologies::ibm(), 23, 85, 340)]
-    {
+    for (net, fibers, links, tunnels) in [
+        (topologies::b4(), 19, 52, 208),
+        (topologies::ibm(), 23, 85, 340),
+    ] {
         assert_eq!(net.num_fibers(), fibers, "{}", net.name);
         assert_eq!(net.num_links(), links, "{}", net.name);
         let flows = topologies::flows_for(&net, 0.1, 1);
@@ -40,7 +41,14 @@ fn nn_conditionals_track_ground_truth() {
     let model = FailureModel::new(&net, 42);
     let ds = Dataset::generate(&net, &model, DatasetConfig::one_year(7));
     let (train, test) = ds.train_test_split(0.8);
-    let nn = Mlp::train(&train, TrainConfig { epochs: 50, seed: 2, ..Default::default() });
+    let nn = Mlp::train(
+        &train,
+        TrainConfig {
+            epochs: 50,
+            seed: 2,
+            ..Default::default()
+        },
+    );
     let r = evaluate("NN", &nn, &test);
     assert!(r.f1 > 0.6, "NN F1 {}", r.f1);
 
@@ -61,7 +69,10 @@ fn nn_conditionals_track_ground_truth() {
         .map(|(t, p)| (t - p.p_cut).abs())
         .sum::<f64>()
         / truth.per_fiber.len() as f64;
-    assert!(mae < static_mae / 2.0, "NN MAE {mae} vs static {static_mae}");
+    assert!(
+        mae < static_mae / 2.0,
+        "NN MAE {mae} vs static {static_mae}"
+    );
 }
 
 /// The worked 3-node example reproduces all four paper numbers.
@@ -85,13 +96,22 @@ fn figure13_ordering_on_b4() {
     let base = topologies::flows_for(&net, 0.05, 42);
     let flows: Vec<Flow> = base
         .iter()
-        .map(|f| Flow { demand_gbps: f.demand_gbps * 2.5, ..*f })
+        .map(|f| Flow {
+            demand_gbps: f.demand_gbps * 2.5,
+            ..*f
+        })
         .collect();
     let tunnels = TunnelSet::initialize(&net, &base, 4);
-    let cfg = EvalConfig { top_k_degraded: 5, ..Default::default() };
+    let cfg = EvalConfig {
+        top_k_degraded: 5,
+        ..Default::default()
+    };
     let ev = AvailabilityEvaluator::new(&net, &model, flows, &tunnels, &truth, cfg);
 
-    let prete = ev.evaluate(&PreTeScheme::new(0.999, ProbabilityEstimator::prete(&model, &truth)));
+    let prete = ev.evaluate(&PreTeScheme::new(
+        0.999,
+        ProbabilityEstimator::prete(&model, &truth),
+    ));
     let teavar = ev.evaluate(&TeaVarScheme::new(&model, 0.999));
     let ecmp = ev.evaluate(&EcmpScheme);
     assert!(

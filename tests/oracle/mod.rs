@@ -111,8 +111,11 @@ impl LpCase {
     /// Materializes the case as a solver-ready program.
     pub fn build(&self) -> LinearProgram {
         let mut lp = LinearProgram::new();
-        let ids: Vec<_> =
-            self.vars.iter().map(|v| lp.add_var(v.lb, v.ub, v.cost)).collect();
+        let ids: Vec<_> = self
+            .vars
+            .iter()
+            .map(|v| lp.add_var(v.lb, v.ub, v.cost))
+            .collect();
         for r in &self.rows {
             let terms = r.terms.iter().map(|&(j, a)| (ids[j], a)).collect();
             lp.add_constraint(terms, r.sense, r.rhs);
@@ -145,11 +148,18 @@ pub fn shrink_lp(case: LpCase, fails: impl Fn(&LpCase) -> bool) -> LpCase {
                 case.vars[j].lb != 0.0
                     || case.vars[j].ub.is_finite()
                     || case.vars[j].cost != 0.0
-                    || case.rows.iter().any(|r| r.terms.iter().any(|&(k, _)| k == j))
+                    || case
+                        .rows
+                        .iter()
+                        .any(|r| r.terms.iter().any(|&(k, _)| k == j))
             })
             .map(|j| {
                 let mut candidate = case.clone();
-                candidate.vars[j] = LpVar { lb: 0.0, ub: f64::INFINITY, cost: 0.0 };
+                candidate.vars[j] = LpVar {
+                    lb: 0.0,
+                    ub: f64::INFINITY,
+                    cost: 0.0,
+                };
                 for r in &mut candidate.rows {
                     r.terms.retain(|&(k, _)| k != j);
                 }
@@ -191,7 +201,11 @@ pub fn random_lp(seed: u64, case: usize) -> LpCase {
     let benign = rng.below(2) == 0;
     let vars: Vec<LpVar> = (0..n)
         .map(|_| {
-            let lb = if rng.below(3) == 0 { rng.small_int(5) } else { 0.0 };
+            let lb = if rng.below(3) == 0 {
+                rng.small_int(5)
+            } else {
+                0.0
+            };
             let ub = match rng.below(4) {
                 // Occasionally fixed (lb == ub) — the presolve's
                 // substitution path.
@@ -265,8 +279,7 @@ pub fn torture_lp(seed: u64, case: usize) -> LpCase {
     // Per-column magnitude: each variable lives at its own decimal
     // scale, so basis columns mix 1e-8-ish and 1e8-ish entries — the
     // equilibration scaler's target regime.
-    let col_exp: Vec<i32> =
-        (0..n).map(|_| rng.below(17) as i32 - 8).collect();
+    let col_exp: Vec<i32> = (0..n).map(|_| rng.below(17) as i32 - 8).collect();
     // Most cases are bounded-feasible by construction (non-negative
     // costs over lb = 0 boxes, anchored rhs); a quarter are
     // unconstrained draws covering infeasible/unbounded programs.

@@ -41,8 +41,8 @@ fn check_system(out: &SystemOutcome, switch_s: f64, period_s: f64) {
 
     // The loss timeline is exactly "full demand during the switchover,
     // the sustained shortfall afterwards".
-    let expected = AFFECTED_GBPS * switch_s
-        + out.sustained_loss_gbps * (period_s - switch_s).max(0.0);
+    let expected =
+        AFFECTED_GBPS * switch_s + out.sustained_loss_gbps * (period_s - switch_s).max(0.0);
     assert!(
         (out.total_lost_gb - expected).abs() < 1e-6,
         "{}: total {} != timeline {}",
@@ -64,8 +64,16 @@ fn outcome_invariants_hold_across_a_seeded_scenario_grid() {
         };
         let out = replay_production_case(scenario);
 
-        check_system(&out.traditional, scenario.router_switch_s, scenario.next_te_period_s);
-        check_system(&out.prete, scenario.prete_switch_s, scenario.next_te_period_s);
+        check_system(
+            &out.traditional,
+            scenario.router_switch_s,
+            scenario.next_te_period_s,
+        );
+        check_system(
+            &out.prete,
+            scenario.prete_switch_s,
+            scenario.next_te_period_s,
+        );
 
         // PreTE picks the max-headroom backup, so it never sustains
         // more loss than the traditional static backup...
@@ -106,12 +114,12 @@ fn replay_is_deterministic() {
 fn default_scenario_matches_the_regression_fixture() {
     let out = replay_production_case(ProductionScenario::default());
     let got = serde_json::to_value(&out).unwrap();
-    let fixture: serde_json::Value = serde_json::from_str(include_str!(
-        "fixtures/production_case.json"
-    ))
-    .expect("fixture parses");
+    let fixture: serde_json::Value =
+        serde_json::from_str(include_str!("fixtures/production_case.json"))
+            .expect("fixture parses");
     assert_eq!(
-        got, fixture,
+        got,
+        fixture,
         "production replay drifted from tests/fixtures/production_case.json; \
          if the change is intentional, regenerate the fixture from this value: {}",
         serde_json::to_string_pretty(&got).unwrap()

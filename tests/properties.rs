@@ -431,7 +431,9 @@ fn degenerate_lp(n: usize, m: usize, dup: usize, seed: u64) -> prete_lp::LinearP
         state & 1 == 0
     };
     let mut lp = LinearProgram::new();
-    let xs: Vec<_> = (0..n).map(|j| lp.add_var(0.0, f64::INFINITY, 1.0 + (j % 2) as f64)).collect();
+    let xs: Vec<_> = (0..n)
+        .map(|j| lp.add_var(0.0, f64::INFINITY, 1.0 + (j % 2) as f64))
+        .collect();
     for i in 0..m {
         let mut terms: Vec<_> = xs
             .iter()
@@ -759,8 +761,9 @@ fn scaled_te_instance_is_certified_and_thread_invariant() {
     let net = b.build();
     let flows = topologies::flows_for(&net, 0.05, 7);
     let tunnels = TunnelSet::initialize(&net, &flows, 4);
-    let probs: Vec<f64> =
-        (0..net.fibers().len()).map(|i| 0.004 * (1.0 + (i % 3) as f64)).collect();
+    let probs: Vec<f64> = (0..net.fibers().len())
+        .map(|i| 0.004 * (1.0 + (i % 3) as f64))
+        .collect();
     let scenarios = ScenarioSet::enumerate(&probs, 1, 0.0);
     let problem = TeProblem::new(&net, &flows, &tunnels, &scenarios);
 
@@ -772,16 +775,25 @@ fn scaled_te_instance_is_certified_and_thread_invariant() {
             .expect("heuristic solve")
     };
     let first = solve();
-    assert!(first.quality.is_some(), "scaled polish returned no certificate");
+    assert!(
+        first.quality.is_some(),
+        "scaled polish returned no certificate"
+    );
     assert!(first.max_loss.is_finite());
     let again = solve();
-    assert_eq!(first.allocation, again.allocation, "allocations diverge on a repeat");
+    assert_eq!(
+        first.allocation, again.allocation,
+        "allocations diverge on a repeat"
+    );
     assert_eq!(
         first.max_loss.to_bits(),
         again.max_loss.to_bits(),
         "max_loss diverges on a repeat"
     );
-    assert_eq!(first.quality, again.quality, "certificate diverges on a repeat");
+    assert_eq!(
+        first.quality, again.quality,
+        "certificate diverges on a repeat"
+    );
 }
 
 proptest! {

@@ -44,7 +44,11 @@ struct EnumCase {
 impl EnumCase {
     /// The case's budget: no buffer cap, no tail samples.
     fn budget(&self) -> ScenarioBudget {
-        ScenarioBudget { max_cuts: self.k, mass_floor: self.floor, ..ScenarioBudget::default() }
+        ScenarioBudget {
+            max_cuts: self.k,
+            mass_floor: self.floor,
+            ..ScenarioBudget::default()
+        }
     }
 }
 
@@ -56,8 +60,9 @@ impl EnumCase {
 fn powerset_oracle(probs: &[f64], k: usize) -> Vec<(Vec<FiberId>, f64)> {
     let n = probs.len();
     let certain: Vec<usize> = (0..n).filter(|&i| probs[i] >= 1.0 - 1e-12).collect();
-    let uncertain: Vec<usize> =
-        (0..n).filter(|&i| probs[i] > 1e-15 && probs[i] < 1.0 - 1e-12).collect();
+    let uncertain: Vec<usize> = (0..n)
+        .filter(|&i| probs[i] > 1e-15 && probs[i] < 1.0 - 1e-12)
+        .collect();
     let m = uncertain.len();
     assert!(m <= 16, "oracle is exponential; keep cases small");
     let mut out = Vec::new();
@@ -103,9 +108,7 @@ fn check_enum(case: &EnumCase) -> Result<(), String> {
     // Ordering: no-failure first, then descending probability with the
     // cut vector as the deterministic tiebreak.
     for w in set.scenarios[1..].windows(2) {
-        if w[0].prob < w[1].prob
-            || (w[0].prob == w[1].prob && w[0].cut > w[1].cut)
-        {
+        if w[0].prob < w[1].prob || (w[0].prob == w[1].prob && w[0].cut > w[1].cut) {
             return Err(format!("ordering violated: {w:?}"));
         }
     }
@@ -116,7 +119,10 @@ fn check_enum(case: &EnumCase) -> Result<(), String> {
     // probability. Scenario 0 is the empty-uncertain-subset entry.
     for q in &set.scenarios {
         let Some(&p) = lookup.get(q.cut.as_slice()) else {
-            return Err(format!("scenario {:?} not in the ≤{}-cut powerset", q.cut, case.k));
+            return Err(format!(
+                "scenario {:?} not in the ≤{}-cut powerset",
+                q.cut, case.k
+            ));
         };
         if !rel_eq(q.prob, p) {
             return Err(format!(
@@ -142,13 +148,18 @@ fn check_enum(case: &EnumCase) -> Result<(), String> {
             set.scenarios.iter().map(|q| q.cut.as_slice()).collect();
         let margin = 1.0 + 1e-6;
         for (cut, p) in &oracle {
-            let is_scenario0 =
-                *cut == set.scenarios[0].cut;
+            let is_scenario0 = *cut == set.scenarios[0].cut;
             if *p > case.floor * margin && !is_scenario0 && !kept.contains(cut.as_slice()) {
-                return Err(format!("{cut:?} (p={p}) above floor {} but dropped", case.floor));
+                return Err(format!(
+                    "{cut:?} (p={p}) above floor {} but dropped",
+                    case.floor
+                ));
             }
             if *p < case.floor / margin && !is_scenario0 && kept.contains(cut.as_slice()) {
-                return Err(format!("{cut:?} (p={p}) below floor {} but kept", case.floor));
+                return Err(format!(
+                    "{cut:?} (p={p}) below floor {} but kept",
+                    case.floor
+                ));
             }
         }
     }
@@ -161,7 +172,9 @@ fn check_enum(case: &EnumCase) -> Result<(), String> {
         .map(|(_, p)| p)
         .sum();
     if !rel_eq(enum_mass, oracle_mass) {
-        return Err(format!("mass mismatch: enum {enum_mass} vs oracle {oracle_mass}"));
+        return Err(format!(
+            "mass mismatch: enum {enum_mass} vs oracle {oracle_mass}"
+        ));
     }
     Ok(())
 }
@@ -179,10 +192,16 @@ fn shrink_enum(case: &EnumCase) -> EnumCase {
             })
             .collect();
         if case.k > 1 {
-            out.push(EnumCase { k: case.k - 1, ..case.clone() });
+            out.push(EnumCase {
+                k: case.k - 1,
+                ..case.clone()
+            });
         }
         if case.floor != 0.0 {
-            out.push(EnumCase { floor: 0.0, ..case.clone() });
+            out.push(EnumCase {
+                floor: 0.0,
+                ..case.clone()
+            });
         }
         out
     };
@@ -194,13 +213,16 @@ fn enum_case(seed: u64, case: usize) -> EnumCase {
     let n = 2 + rng.below(9);
     let probs: Vec<f64> = (0..n)
         .map(|_| match rng.below(12) {
-            0 => 0.0,                       // never cut
-            1 => 1.0,                       // certain (oracle case)
-            2 => 1e-16,                     // below the uncertainty floor
+            0 => 0.0,   // never cut
+            1 => 1.0,   // certain (oracle case)
+            2 => 1e-16, // below the uncertainty floor
             _ => 0.6 * rng.unit(),
         })
         .collect();
-    let m = probs.iter().filter(|&&p| p > 1e-15 && p < 1.0 - 1e-12).count();
+    let m = probs
+        .iter()
+        .filter(|&&p| p > 1e-15 && p < 1.0 - 1e-12)
+        .count();
     let k = 1 + rng.below(m.max(1) + 1); // occasionally k > m: full powerset
     let floor = match rng.below(3) {
         0 => 0.0,
@@ -248,7 +270,10 @@ fn bounded_buffer_returns_the_unbounded_head() {
         for cap in [1usize, 2, 5] {
             let (capped, stats) = ScenarioSet::enumerate_with(
                 &case.probs,
-                &ScenarioBudget { max_scenarios: cap, ..unbounded },
+                &ScenarioBudget {
+                    max_scenarios: cap,
+                    ..unbounded
+                },
             );
             // The streaming guarantee …
             assert!(
@@ -256,7 +281,11 @@ fn bounded_buffer_returns_the_unbounded_head() {
                 "case {case_no}: peak {} over cap {cap}",
                 stats.peak_buffered
             );
-            assert!(stats.mass_gap() < 1e-9, "case {case_no}: gap {:e}", stats.mass_gap());
+            assert!(
+                stats.mass_gap() < 1e-9,
+                "case {case_no}: gap {:e}",
+                stats.mass_gap()
+            );
             // … and eviction keeps exactly the sorted head (bit-exact:
             // both paths share the enumerator's float path).
             let want = &full.scenarios[..capped.scenarios.len()];
@@ -284,14 +313,23 @@ fn tail_samples_are_deterministic_and_conserve_mass() {
         assert_eq!(sa, sb);
         assert!(sa.mass_gap() < 1e-9, "gap {:e}", sa.mass_gap());
         // Samples genuinely represent the beyond-k tail.
-        let sampled: Vec<_> =
-            a.scenarios.iter().filter(|q| q.cut.len() > budget.max_cuts).collect();
+        let sampled: Vec<_> = a
+            .scenarios
+            .iter()
+            .filter(|q| q.cut.len() > budget.max_cuts)
+            .collect();
         assert_eq!(sampled.len(), sa.tail_samples_added);
-        assert!(sa.tail_samples_added > 0, "k=1 with these probs must leave a tail");
+        assert!(
+            sa.tail_samples_added > 0,
+            "k=1 with these probs must leave a tail"
+        );
         // Mass moved out of the truncated tail into the set.
         let (_, bare) = ScenarioSet::enumerate_with(
             &probs,
-            &ScenarioBudget { tail_samples: 0, ..budget },
+            &ScenarioBudget {
+                tail_samples: 0,
+                ..budget
+            },
         );
         assert!(sa.truncated_tail < bare.truncated_tail);
         assert!(rel_eq(
@@ -322,7 +360,10 @@ fn solve_case(seed: u64, case: usize, fibers: usize, base_flows: &[Flow]) -> Sol
         beta: [0.9, 0.95, 0.99][rng.below(3)],
         flows: base_flows
             .iter()
-            .map(|f| Flow { demand_gbps: f.demand_gbps * (0.5 + rng.unit()), ..*f })
+            .map(|f| Flow {
+                demand_gbps: f.demand_gbps * (0.5 + rng.unit()),
+                ..*f
+            })
             .collect(),
         // Pruned: k-cut with a mass floor (and sometimes a buffer cap).
         budget: ScenarioBudget {
@@ -343,15 +384,24 @@ fn pruned_solves_stay_inside_the_certified_sandwich() {
     // Benders objective on the triangle with an explicit scenario set.
     let solve = |case: &SolveCase, scenarios: &ScenarioSet, beta: f64| {
         let problem = TeProblem::new(&net, &case.flows, &tunnels, scenarios);
-        let solver = TeSolver::new(&problem).beta(beta).method(SolveMethod::benders());
+        let solver = TeSolver::new(&problem)
+            .beta(beta)
+            .method(SolveMethod::benders());
         solver.solve().expect("benders solve").max_loss
     };
     let verdict = |case: &SolveCase, ()| {
-        let SolveCase { probs, beta, budget, .. } = case;
+        let SolveCase {
+            probs,
+            beta,
+            budget,
+            ..
+        } = case;
         // Exhaustive: every subset of the three fibers.
         let exhaustive = ScenarioSet::enumerate(probs, probs.len(), 0.0);
         let (pruned, stats) = ScenarioSet::enumerate_with(probs, budget);
-        ensure(stats.mass_gap() < 1e-9, || format!("gap {:e}", stats.mass_gap()))?;
+        ensure(stats.mass_gap() < 1e-9, || {
+            format!("gap {:e}", stats.mass_gap())
+        })?;
         let phi = solve(case, &pruned, *beta);
         if pruned.scenarios == exhaustive.scenarios {
             // Nothing pruned: zero certified-objective disagreement
@@ -370,7 +420,9 @@ fn pruned_solves_stay_inside_the_certified_sandwich() {
         let hi = solve(case, &exhaustive, (beta + tail).min(1.0 - 1e-9));
         const EPS: f64 = 2e-4; // 2× the Benders convergence gap
         if phi < lo - EPS || phi > hi + EPS {
-            return Err(format!("Φ {phi} outside [{lo} - ε, {hi} + ε] (tail {tail:e}, β {beta})"));
+            return Err(format!(
+                "Φ {phi} outside [{lo} - ε, {hi} + ε] (tail {tail:e}, β {beta})"
+            ));
         }
         Ok(())
     };

@@ -27,7 +27,7 @@ pub mod oracle;
 use oracle::{random_lp, shrink_lp, torture_lp, LpCase, LpRow, LpVar, Sweep};
 use oracle::{RANDOM_LP_SEED, TORTURE_SEED};
 use prete_lp::{
-    solve_oracle, solve_with, ColdStart, LinearProgram, SimplexOptions, Sense, SolveStatus,
+    solve_oracle, solve_with, ColdStart, LinearProgram, Sense, SimplexOptions, SolveStatus,
 };
 
 const CASES: usize = 520;
@@ -79,7 +79,11 @@ fn kkt_violation(spec: &LpCase, lp: &LinearProgram, sol: &prete_lp::Solution) ->
                 .enumerate()
                 .map(|(i, row)| {
                     sol.duals[i]
-                        * row.terms.iter().find(|&&(k, _)| k == j).map_or(0.0, |&(_, a)| a)
+                        * row
+                            .terms
+                            .iter()
+                            .find(|&&(k, _)| k == j)
+                            .map_or(0.0, |&(_, a)| a)
                 })
                 .sum::<f64>();
         let at_lb = (sol.x[j] - v.lb).abs() <= 10.0 * TOL;
@@ -88,10 +92,14 @@ fn kkt_violation(spec: &LpCase, lp: &LinearProgram, sol: &prete_lp::Solution) ->
             continue; // fixed (or numerically both): mu is unconstrained
         }
         if at_lb && mu < -10.0 * TOL {
-            return Some(format!("var {j}: at lower bound with reduced cost {mu} < 0"));
+            return Some(format!(
+                "var {j}: at lower bound with reduced cost {mu} < 0"
+            ));
         }
         if at_ub && mu > 10.0 * TOL {
-            return Some(format!("var {j}: at upper bound with reduced cost {mu} > 0"));
+            return Some(format!(
+                "var {j}: at upper bound with reduced cost {mu} > 0"
+            ));
         }
         if !at_lb && !at_ub && mu.abs() > 10.0 * TOL {
             return Some(format!("var {j}: interior with reduced cost {mu} != 0"));
@@ -106,7 +114,13 @@ fn kkt_violation(spec: &LpCase, lp: &LinearProgram, sol: &prete_lp::Solution) ->
 fn check_with(spec: &LpCase, cold_start: ColdStart) -> Result<SolveStatus, String> {
     let lp = spec.build();
     let dense = solve_oracle(&lp, SimplexOptions::default());
-    let sparse = solve_with(&lp, SimplexOptions { cold_start, ..SimplexOptions::default() });
+    let sparse = solve_with(
+        &lp,
+        SimplexOptions {
+            cold_start,
+            ..SimplexOptions::default()
+        },
+    );
     if sparse.status == SolveStatus::NumericalFailure {
         return Err("the sparse engine failed numerically".into());
     }
@@ -175,7 +189,10 @@ fn sparse_engine_matches_dense_oracle_on_random_lps() {
         "{} differential failures over {CASES} cases x {} configs (seed {RANDOM_LP_SEED:#x}): {:?}",
         failures.len(),
         MATRIX.len(),
-        failures.iter().map(|(c, cs, _)| (*c, *cs)).collect::<Vec<_>>()
+        failures
+            .iter()
+            .map(|(c, cs, _)| (*c, *cs))
+            .collect::<Vec<_>>()
     );
     // The generator must actually cover the interesting statuses —
     // otherwise the suite silently tests less than it claims.
@@ -202,14 +219,20 @@ fn shrinker_reduces_a_failure_to_a_minimal_repro() {
         .expect("the random suite draws infeasible programs");
     assert_eq!((case, spec.vars.len()), (1, 9));
     let small = shrink_lp(spec, infeasible);
-    assert!(infeasible(&small), "the shrunk case {small:?} no longer fails");
+    assert!(
+        infeasible(&small),
+        "the shrunk case {small:?} no longer fails"
+    );
     for i in 0..small.rows.len() {
         let mut fewer = small.clone();
         fewer.rows.remove(i);
         assert!(!infeasible(&fewer), "row {i} of {small:?} can go");
     }
     let unbound = |v: &LpVar| (v.lb, v.ub, v.cost) == (0.0, f64::INFINITY, 0.0);
-    assert!(small.vars.len() == 9 && small.vars[..8].iter().all(unbound), "{small:?}");
+    assert!(
+        small.vars.len() == 9 && small.vars[..8].iter().all(unbound),
+        "{small:?}"
+    );
     assert_eq!(
         format!("{:?} {:?}", small.vars[8], small.rows),
         "LpVar { lb: 5.0, ub: 12.0, cost: 2.0 } [LpRow { terms: [(8, 4.0)], sense: Eq, rhs: 0.0 }]"
@@ -264,7 +287,10 @@ enum TortureOutcome {
 ///   in the report.
 fn torture_check(spec: &LpCase, cfg: ColdStart) -> Result<TortureOutcome, String> {
     let lp = spec.build();
-    let opts = SimplexOptions { cold_start: cfg, ..SimplexOptions::default() };
+    let opts = SimplexOptions {
+        cold_start: cfg,
+        ..SimplexOptions::default()
+    };
     let sparse = solve_with(&lp, opts);
     let dense = solve_oracle(&lp, SimplexOptions::default());
 
@@ -275,9 +301,7 @@ fn torture_check(spec: &LpCase, cfg: ColdStart) -> Result<TortureOutcome, String
             match sol.quality {
                 None => return Err(format!("{label}: Optimal without SolutionQuality")),
                 Some(q) if !q.passes() => {
-                    return Err(format!(
-                        "{label}: Optimal with failing certificate {q:?}"
-                    ))
+                    return Err(format!("{label}: Optimal with failing certificate {q:?}"))
                 }
                 Some(_) => {}
             }
@@ -306,8 +330,7 @@ fn torture_check(spec: &LpCase, cfg: ColdStart) -> Result<TortureOutcome, String
     // certified side wins (its certificate is a constructive proof),
     // the uncertified claim is recorded but cannot "disagree" —
     // infeasibility and unboundedness claims carry no certificate.
-    let declined =
-        |s: SolveStatus| matches!(s, SolveStatus::Infeasible | SolveStatus::Unbounded);
+    let declined = |s: SolveStatus| matches!(s, SolveStatus::Infeasible | SolveStatus::Unbounded);
     if sparse.status == SolveStatus::Optimal && declined(dense.status) {
         return Ok(TortureOutcome::OracleRefuted);
     }
@@ -339,8 +362,12 @@ struct TortureReport {
 /// Runs torture cases `0..cases` under every [`MATRIX`] configuration.
 fn run(seed: u64, cases: usize) -> TortureReport {
     let mut report = TortureReport::default();
-    let sweep =
-        Sweep { generator: "`torture_lp` in tests/oracle/mod.rs", seed, cases, configs: &MATRIX };
+    let sweep = Sweep {
+        generator: "`torture_lp` in tests/oracle/mod.rs",
+        seed,
+        cases,
+        configs: &MATRIX,
+    };
     let violations = sweep.run(
         torture_lp,
         |spec, cfg| {
@@ -459,25 +486,57 @@ fn sparse_engine_matches_dense_oracle_on_corner_cases() {
         // No constraints at all: bounded by the box.
         LpCase {
             vars: vec![
-                LpVar { lb: -2.0, ub: 3.0, cost: 1.0 },
-                LpVar { lb: 0.0, ub: f64::INFINITY, cost: 2.0 },
+                LpVar {
+                    lb: -2.0,
+                    ub: 3.0,
+                    cost: 1.0,
+                },
+                LpVar {
+                    lb: 0.0,
+                    ub: f64::INFINITY,
+                    cost: 2.0,
+                },
             ],
             rows: vec![],
         },
         // An empty row that is trivially satisfiable and one that is not.
         LpCase {
-            vars: vec![LpVar { lb: 0.0, ub: 10.0, cost: 1.0 }],
-            rows: vec![LpRow { terms: vec![], sense: Sense::Le, rhs: 1.0 }],
+            vars: vec![LpVar {
+                lb: 0.0,
+                ub: 10.0,
+                cost: 1.0,
+            }],
+            rows: vec![LpRow {
+                terms: vec![],
+                sense: Sense::Le,
+                rhs: 1.0,
+            }],
         },
         LpCase {
-            vars: vec![LpVar { lb: 0.0, ub: 10.0, cost: 1.0 }],
-            rows: vec![LpRow { terms: vec![], sense: Sense::Ge, rhs: 1.0 }],
+            vars: vec![LpVar {
+                lb: 0.0,
+                ub: 10.0,
+                cost: 1.0,
+            }],
+            rows: vec![LpRow {
+                terms: vec![],
+                sense: Sense::Ge,
+                rhs: 1.0,
+            }],
         },
         // A fixed variable feeding an equality.
         LpCase {
             vars: vec![
-                LpVar { lb: 2.0, ub: 2.0, cost: 5.0 },
-                LpVar { lb: 0.0, ub: f64::INFINITY, cost: 1.0 },
+                LpVar {
+                    lb: 2.0,
+                    ub: 2.0,
+                    cost: 5.0,
+                },
+                LpVar {
+                    lb: 0.0,
+                    ub: f64::INFINITY,
+                    cost: 1.0,
+                },
             ],
             rows: vec![LpRow {
                 terms: vec![(0, 1.0), (1, 1.0)],
@@ -487,20 +546,52 @@ fn sparse_engine_matches_dense_oracle_on_corner_cases() {
         },
         // Redundant row dominated by the bounds.
         LpCase {
-            vars: vec![LpVar { lb: 0.0, ub: 1.0, cost: -1.0 }],
-            rows: vec![LpRow { terms: vec![(0, 1.0)], sense: Sense::Le, rhs: 100.0 }],
+            vars: vec![LpVar {
+                lb: 0.0,
+                ub: 1.0,
+                cost: -1.0,
+            }],
+            rows: vec![LpRow {
+                terms: vec![(0, 1.0)],
+                sense: Sense::Le,
+                rhs: 100.0,
+            }],
         },
         // Degenerate: many ties at the same vertex.
         LpCase {
             vars: vec![
-                LpVar { lb: 0.0, ub: f64::INFINITY, cost: -1.0 },
-                LpVar { lb: 0.0, ub: f64::INFINITY, cost: -1.0 },
+                LpVar {
+                    lb: 0.0,
+                    ub: f64::INFINITY,
+                    cost: -1.0,
+                },
+                LpVar {
+                    lb: 0.0,
+                    ub: f64::INFINITY,
+                    cost: -1.0,
+                },
             ],
             rows: vec![
-                LpRow { terms: vec![(0, 1.0), (1, 1.0)], sense: Sense::Le, rhs: 1.0 },
-                LpRow { terms: vec![(0, 1.0)], sense: Sense::Le, rhs: 1.0 },
-                LpRow { terms: vec![(1, 1.0)], sense: Sense::Le, rhs: 1.0 },
-                LpRow { terms: vec![(0, 2.0), (1, 2.0)], sense: Sense::Le, rhs: 2.0 },
+                LpRow {
+                    terms: vec![(0, 1.0), (1, 1.0)],
+                    sense: Sense::Le,
+                    rhs: 1.0,
+                },
+                LpRow {
+                    terms: vec![(0, 1.0)],
+                    sense: Sense::Le,
+                    rhs: 1.0,
+                },
+                LpRow {
+                    terms: vec![(1, 1.0)],
+                    sense: Sense::Le,
+                    rhs: 1.0,
+                },
+                LpRow {
+                    terms: vec![(0, 2.0), (1, 2.0)],
+                    sense: Sense::Le,
+                    rhs: 2.0,
+                },
             ],
         },
     ];

@@ -45,12 +45,25 @@ fn initial_tunnel_sets_are_pinned() {
         ("B4", topologies::b4(), 0.08, 0x71e2_ad26_45a3_345d),
         ("IBM", topologies::ibm(), 0.08, 0x61dd_8827_09c6_9f9d),
         ("TWAN", topologies::twan(), 0.08, 0xfe43_d2f4_cc66_24c9),
-        ("gen:waxman:100", generated("gen:waxman:100"), 0.02, 0x3dab_edee_bd98_14ae),
-        ("gen:ring:100", generated("gen:ring:100"), 0.02, 0xeb9b_9a3b_2705_273b),
+        (
+            "gen:waxman:100",
+            generated("gen:waxman:100"),
+            0.02,
+            0x3dab_edee_bd98_14ae,
+        ),
+        (
+            "gen:ring:100",
+            generated("gen:ring:100"),
+            0.02,
+            0xeb9b_9a3b_2705_273b,
+        ),
     ];
     for (name, net, load, want) in cases {
         let got = initial_fingerprint(&net, load);
-        assert_eq!(got, want, "{name}: tunnel set moved, fingerprint {got:#018x}");
+        assert_eq!(
+            got, want,
+            "{name}: tunnel set moved, fingerprint {got:#018x}"
+        );
     }
 }
 
@@ -73,8 +86,12 @@ fn algorithm1_updates_are_pinned() {
         (34, 15, 0xd493_020e_d4dd_950d),
     ] {
         let mut tunnels = base.clone();
-        let created =
-            update_tunnels(&net, &mut tunnels, FiberId(fiber), TunnelUpdateConfig::default());
+        let created = update_tunnels(
+            &net,
+            &mut tunnels,
+            FiberId(fiber),
+            TunnelUpdateConfig::default(),
+        );
         let got = fingerprint(&tunnels);
         assert_eq!(
             (created.len(), got),
@@ -104,7 +121,10 @@ fn waxman100_survivability_gap_is_mostly_the_greedy_restarts() {
                 .is_some()
         })
         .count();
-    assert_eq!((flows.len(), violations.len(), flows_hit.len()), (481, 558, 245));
+    assert_eq!(
+        (flows.len(), violations.len(), flows_hit.len()),
+        (481, 558, 245)
+    );
     // 258 pairs have a detour the disjoint search missed; for the other
     // 300 the fiber is a bridge between the flow's endpoints.
     assert_eq!((with_detour, violations.len() - with_detour), (258, 300));
@@ -151,7 +171,12 @@ fn random_multigraph(rng: &mut Rng) -> Network {
         let (a2, b2) = b.fiber_endpoints(f2);
         // Two spans sharing exactly one site make an express link
         // between their far ends.
-        let ends = [(a1, b1, a2, b2), (a1, b1, b2, a2), (b1, a1, a2, b2), (b1, a1, b2, a2)];
+        let ends = [
+            (a1, b1, a2, b2),
+            (a1, b1, b2, a2),
+            (b1, a1, a2, b2),
+            (b1, a1, b2, a2),
+        ];
         if let Some(&(u, _, _, w)) = ends.iter().find(|&&(u, m1, m2, w)| m1 == m2 && u != w) {
             b.link(u, w, 100.0, vec![f1, f2]);
         }
@@ -160,7 +185,12 @@ fn random_multigraph(rng: &mut Rng) -> Network {
 }
 
 fn link_weight(net: &Network, l: LinkId) -> f64 {
-    net.link(l).fibers.iter().map(|&f| net.fiber(f).length_km).sum::<f64>() + 1.0
+    net.link(l)
+        .fibers
+        .iter()
+        .map(|&f| net.fiber(f).length_km)
+        .sum::<f64>()
+        + 1.0
 }
 
 /// The lightest usable link of the hop `a → b`, if any.
@@ -230,8 +260,9 @@ fn yen_returns_exactly_the_k_lightest_simple_routes() {
                     dst = SiteId((dst.index() + 1 + rng.below(n - 1)) % n);
                 }
                 let src = SiteId((dst.index() + 1 + rng.below(n - 1)) % n);
-                let banned: HashSet<FiberId> =
-                    (0..rng.below(4)).map(|_| FiberId(rng.below(net.num_fibers()))).collect();
+                let banned: HashSet<FiberId> = (0..rng.below(4))
+                    .map(|_| FiberId(rng.below(net.num_fibers())))
+                    .collect();
                 let k = 1 + rng.below(8);
                 (src, dst, banned, k)
             })
@@ -253,11 +284,19 @@ fn yen_returns_exactly_the_k_lightest_simple_routes() {
             checked += 1;
             let got = finder.k_shortest_paths_avoiding(src, dst, k, banned);
             let free = k_shortest_paths_avoiding(net, src, dst, k, banned);
-            ensure(got == free, || "the finder and the free function differ".into())?;
-            ensure(got.len() == want.len().min(k), || format!("count {}", got.len()))?;
+            ensure(got == free, || {
+                "the finder and the free function differ".into()
+            })?;
+            ensure(got.len() == want.len().min(k), || {
+                format!("count {}", got.len())
+            })?;
             for (p, (weight, sites)) in got.iter().zip(&want) {
-                ensure(&p.sites == sites, || format!("route {:?}, want {sites:?}", p.sites))?;
-                ensure(p.weight.to_bits() == weight.to_bits(), || format!("weight {}", p.weight))?;
+                ensure(&p.sites == sites, || {
+                    format!("route {:?}, want {sites:?}", p.sites)
+                })?;
+                ensure(p.weight.to_bits() == weight.to_bits(), || {
+                    format!("weight {}", p.weight)
+                })?;
                 ensure(p.links.len() + 1 == p.sites.len(), || "hops".into())?;
                 for (hop, &l) in p.sites.windows(2).zip(&p.links) {
                     let link = net.link(l);
@@ -266,7 +305,9 @@ fn yen_returns_exactly_the_k_lightest_simple_routes() {
                             || (link.a, link.b) == (hop[1], hop[0]),
                         || "link off the route".into(),
                     )?;
-                    ensure(link.fibers.iter().all(|f| !banned.contains(f)), || "ban".into())?;
+                    ensure(link.fibers.iter().all(|f| !banned.contains(f)), || {
+                        "ban".into()
+                    })?;
                     ensure(
                         Some(link_weight(net, l)) == hop_weight(net, hop[0], hop[1], banned),
                         || "not the lightest parallel link".into(),
@@ -284,7 +325,10 @@ fn yen_returns_exactly_the_k_lightest_simple_routes() {
     };
     let failures = sweep.run(generate, verdict, |case, ()| case.clone());
     assert!(failures.is_empty(), "{failures:?}");
-    assert!(checked > 1100, "only {checked} of 1200 queries were free of ties");
+    assert!(
+        checked > 1100,
+        "only {checked} of 1200 queries were free of ties"
+    );
 }
 
 #[test]
@@ -318,7 +362,9 @@ fn disjoint_paths_are_disjoint_and_no_fewer_than_plain_greedy() {
             banned.extend(p.fibers(net));
             greedy += 1;
         }
-        ensure(got.len() >= greedy && got.len() <= k, || format!("{} < {greedy}", got.len()))
+        ensure(got.len() >= greedy && got.len() <= k, || {
+            format!("{} < {greedy}", got.len())
+        })
     };
     let sweep = Sweep {
         generator: "the `random_multigraph` stream in tests/tunnel_paths.rs",
