@@ -307,7 +307,9 @@ pub struct SolverStats {
     /// and their warm re-solves. A B&B search (the Benders master, the
     /// exact MIP) adds nothing here; its nodes count under `mip_nodes`.
     pub lp_solves: usize,
-    /// Simplex pivots across the tracked LP solves.
+    /// Simplex pivots across the tracked LP solves and every
+    /// branch-and-bound node relaxation (the Benders master, the exact
+    /// MIP).
     pub pivots: usize,
     /// Benders iterations (0 for the other methods).
     pub benders_iters: usize,
@@ -1171,8 +1173,9 @@ impl Master {
     }
 
     /// Solves the master, returning the new selection, the master
-    /// objective (a lower bound) and the B&B node count.
-    fn solve(&self, simplex: SimplexOptions) -> (Vec<Vec<usize>>, f64, usize) {
+    /// objective (a lower bound), and the B&B search's node and pivot
+    /// counts.
+    fn solve(&self, simplex: SimplexOptions) -> (Vec<Vec<usize>>, f64, usize, usize) {
         let binaries: Vec<VarId> = self.dvars.iter().flatten().map(|&(_, v)| v).collect();
         let r = solve_mip(
             &self.lp,
@@ -1192,7 +1195,7 @@ impl Master {
                 .collect()
         };
         let obj = if r.has_incumbent() { r.objective } else { 0.0 };
-        (delta, obj, r.nodes)
+        (delta, obj, r.nodes, r.pivots)
     }
 }
 
@@ -1259,9 +1262,10 @@ impl SolveCtx<'_, '_, '_> {
             }
             // Step 2: master problem.
             let t1 = Instant::now();
-            let (new_delta, master_obj, nodes) = master.solve(self.simplex_opts());
+            let (new_delta, master_obj, nodes, pivots) = master.solve(self.simplex_opts());
             self.stats.master_ms += ms_since(t1);
             self.stats.mip_nodes += nodes;
+            self.stats.pivots += pivots;
             lb = lb.max(master_obj);
             if ub - lb <= eps {
                 break;
@@ -1295,6 +1299,7 @@ impl SolveCtx<'_, '_, '_> {
         let r = solve_mip(&lp, &binaries, opts);
         self.stats.master_ms += ms_since(t0);
         self.stats.mip_nodes += r.nodes;
+        self.stats.pivots += r.pivots;
         match r.status {
             MipStatus::Optimal => {}
             // Φ ∈ [0, 1] bounds the objective, so Unbounded only arises
@@ -1563,7 +1568,7 @@ mod tests {
         assert_eq!(stats.lp_solves, stats.benders_iters + 1);
         assert!(stats.mip_nodes > 0);
         assert!(stats.pivots > 0);
-        let (_, exact) = TeSolver::new(&p)
+        let (exact_sol, exact) = TeSolver::new(&p)
             .beta(0.99)
             .method(SolveMethod::BranchAndBound)
             .solve_with_stats()
@@ -1573,6 +1578,26 @@ mod tests {
             "the polish; the MIP's nodes are mip_nodes"
         );
         assert!(exact.mip_nodes > 0);
+        // Pivots: the polish's and every node relaxation's.
+        let simplex = SimplexOptions {
+            cold_start: exact.cold_start,
+            ..SimplexOptions::default()
+        };
+        let (lp, _, dvars) = p.mip_lp(0.99);
+        let binaries: Vec<VarId> = dvars.iter().flatten().map(|&(_, v)| v).collect();
+        let mip = solve_mip(
+            &lp,
+            &binaries,
+            MipOptions {
+                simplex,
+                ..MipOptions::default()
+            },
+        );
+        let polish = WarmSimplex::new(simplex)
+            .solve(&p.polish_lp(&exact_sol.delta, exact_sol.max_loss).0)
+            .iterations;
+        assert!(mip.pivots > 0);
+        assert_eq!(exact.pivots, mip.pivots + polish);
         if stats.benders_iters > 1 {
             assert!(
                 stats.rhs_resolves > 0,

@@ -23,10 +23,9 @@
 //! * [`mip`] — branch-and-bound over binary/integer variables on top of
 //!   the simplex relaxation, each branch a variable bound rather than
 //!   a row, every node after the root relaxed on one live core warm
-//!   from the root's basis ([`mip::NodeCore`]), used for the Benders
-//!   master problem and as
-//!   an exact (small-instance) reference solver for the full MIP
-//!   (2)–(8);
+//!   from the last basis it certified ([`mip::NodeCore`]), used for
+//!   the Benders master problem and as an exact (small-instance)
+//!   reference solver for the full MIP (2)–(8);
 //! * [`warm`] — a [`warm::BasisCache`] for reusing optimal bases across
 //!   solves; together with [`simplex::WarmSimplex`] it gives rhs-only
 //!   dual-simplex re-solves inside a Benders loop and basis-restored

@@ -14,10 +14,11 @@
 //! waves of `WAVE` and relaxed one after another on the calling
 //! thread. A branch is a variable bound, never a row: every node
 //! relaxation has the root's rows, so every node is relaxed on one
-//! live [`NodeCore`] built over the root, warm from the root's optimal
-//! basis. Before any solve, a node whose box leaves some row's activity
-//! range short of its rhs is refused as infeasible. A node the live
-//! core cannot answer with a certified optimum is solved cold with
+//! live [`NodeCore`] built over the root, warm from the last basis it
+//! certified optimal — in DFS order, the node's parent's or sibling's.
+//! Before any solve, a node whose box leaves some row's activity range
+//! short of its rhs is refused as infeasible. A node the live core
+//! cannot answer with a certified optimum is solved cold with
 //! [`solve_with`].
 
 use crate::model::{LinearProgram, Sense, VarId};
@@ -84,6 +85,9 @@ pub struct MipResult {
     pub objective: f64,
     /// Number of branch-and-bound nodes explored.
     pub nodes: usize,
+    /// Simplex pivots over every explored node's relaxation, on the
+    /// live core or cold.
+    pub pivots: usize,
     /// The root relaxation's objective (`-∞` when the root was not
     /// solved to a usable point). A valid lower bound, but the search
     /// never tightens it: it is not the minimum over the open nodes, so
@@ -103,9 +107,25 @@ impl MipResult {
 /// to take integral values. Integer variables should carry finite
 /// bounds (binaries: `[0, 1]`).
 pub fn solve_mip(lp: &LinearProgram, integers: &[VarId], opts: MipOptions) -> MipResult {
+    let mut relaxer = Relaxer::new(lp, opts.simplex);
+    search(lp.num_vars(), integers, opts.max_nodes, |b| {
+        relaxer.relax(b)
+    })
+}
+
+/// The search over a program of `num_vars` variables whose node
+/// relaxations `relax` returns (`None` for a node refused without a
+/// solve).
+fn search(
+    num_vars: usize,
+    integers: &[VarId],
+    max_nodes: usize,
+    mut relax: impl FnMut(&[(VarId, f64, f64)]) -> Option<Solution>,
+) -> MipResult {
     let mut best_x: Option<Vec<f64>> = None;
     let mut best_obj = f64::INFINITY;
     let mut nodes = 0usize;
+    let mut pivots = 0usize;
     let mut lower_bound = f64::NEG_INFINITY;
     let mut root_unbounded = false;
 
@@ -113,24 +133,25 @@ pub fn solve_mip(lp: &LinearProgram, integers: &[VarId], opts: MipOptions) -> Mi
     // (var, lower, upper) branches applied to the base program.
     let mut stack: Vec<Vec<(VarId, f64, f64)>> = vec![Vec::new()];
     let mut node_limit_hit = false;
-    let mut relaxer = Relaxer::new(lp, opts.simplex);
 
     'outer: while !stack.is_empty() {
-        // Pop a wave of nodes in DFS order and relax them together.
-        let take = WAVE.min(stack.len());
+        if nodes >= max_nodes {
+            node_limit_hit = true;
+            break;
+        }
+        // Pop a wave of nodes in DFS order and relax them together,
+        // never more than the node cap still allows.
+        let take = WAVE.min(stack.len()).min(max_nodes - nodes);
         let wave: Vec<Vec<(VarId, f64, f64)>> = stack.drain(stack.len() - take..).rev().collect();
-        let sols: Vec<Option<Solution>> = wave.iter().map(|b| relaxer.relax(b)).collect();
+        let sols: Vec<Option<Solution>> = wave.iter().map(|b| relax(b)).collect();
         for (branches, sol) in wave.into_iter().zip(sols) {
-            if nodes >= opts.max_nodes {
-                node_limit_hit = true;
-                break 'outer;
-            }
             nodes += 1;
             // An empty box or a row its box cannot meet: the node is
             // infeasible without an LP solve.
             let Some(sol) = sol else {
                 continue;
             };
+            pivots += sol.iterations;
             match sol.status {
                 SolveStatus::Infeasible => continue,
                 SolveStatus::Unbounded => {
@@ -205,9 +226,10 @@ pub fn solve_mip(lp: &LinearProgram, integers: &[VarId], opts: MipOptions) -> Mi
     };
     MipResult {
         status,
-        x: best_x.unwrap_or_else(|| vec![0.0; lp.num_vars()]),
+        x: best_x.unwrap_or_else(|| vec![0.0; num_vars]),
         objective: best_obj,
         nodes,
+        pivots,
         lower_bound,
     }
 }
@@ -403,6 +425,29 @@ mod tests {
             },
         );
         assert_eq!(r.status, MipStatus::NodeLimit);
+    }
+
+    #[test]
+    fn the_node_cap_bounds_the_relaxations_not_only_the_count() {
+        // After the root and its two children the stack still holds
+        // nodes: the cap must stop the search before it relaxes them.
+        let mut lp = LinearProgram::new();
+        let vars: Vec<_> = (0..12)
+            .map(|i| lp.add_var(0.0, 1.0, -(1.0 + i as f64 * 0.1)))
+            .collect();
+        lp.add_constraint(vars.iter().map(|&v| (v, 1.0)).collect(), Sense::Le, 6.5);
+        let mut relaxer = Relaxer::new(&lp, SimplexOptions::default());
+        let (mut relaxed, mut iterations) = (0, 0);
+        let r = search(lp.num_vars(), &vars, 3, |b| {
+            let sol = relaxer.relax(b);
+            relaxed += 1;
+            iterations += sol.as_ref().map_or(0, |s| s.iterations);
+            sol
+        });
+        assert_eq!(r.status, MipStatus::NodeLimit);
+        assert_eq!((r.nodes, relaxed), (3, 3));
+        assert!(iterations > 0);
+        assert_eq!(r.pivots, iterations);
     }
 
     #[test]

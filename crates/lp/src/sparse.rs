@@ -1569,17 +1569,20 @@ impl WarmSimplex {
 /// the optimal basis; from then on every artificial column is fixed at
 /// 0. [`NodeCore::relax`] writes a node's variable box into the core in
 /// place (shifts, upper bounds, the shifted rhs and the objective
-/// constant), installs the root's basis, which stays dual feasible
-/// under any box, and refactorizes; the dual simplex restores primal
-/// feasibility and a primal pass cleans up. A node therefore costs a
-/// factorization and its own pivots, not a program clone, a presolve,
-/// a core build and a cold two-phase solve.
+/// constant), installs the last basis the core certified optimal (the
+/// root's, until a node is certified) and refactorizes; the dual
+/// simplex restores primal feasibility and a primal pass cleans up. In
+/// depth-first order the last certified node is the next one's parent
+/// or sibling, so a node costs a factorization and the few pivots
+/// between neighbouring boxes, not a program clone, a presolve, a core
+/// build and a cold two-phase solve.
 ///
-/// Only a certified `Optimal` answer leaves this type: anything else
-/// (an uncertified point, an infeasible or unbounded verdict, a
-/// singular basis, the pivot cap) is `None`, and the caller solves the
-/// node cold with [`crate::solve_with`]. The pivot cap applies to each
-/// node on its own.
+/// Only a certified `Optimal` answer leaves this type, and only such an
+/// answer replaces the saved basis: anything else (an uncertified
+/// point, an infeasible or unbounded verdict, a singular basis, the
+/// pivot cap) is `None`, and the caller solves the node cold with
+/// [`crate::solve_with`]. The pivot cap applies to each node on its
+/// own.
 #[derive(Debug)]
 pub struct NodeCore {
     core: SparseCore,
@@ -1587,6 +1590,10 @@ pub struct NodeCore {
     /// lower-bound shift.
     rhs: Vec<f64>,
     /// The root relaxation's optimal basis and at-upper flags.
+    root_basis: Vec<usize>,
+    root_at_upper: Vec<bool>,
+    /// The basis and at-upper flags of the last certified answer: the
+    /// next node's start.
     basis: Vec<usize>,
     at_upper: Vec<bool>,
 }
@@ -1623,6 +1630,8 @@ impl NodeCore {
             Self {
                 core,
                 rhs,
+                root_basis: basis.clone(),
+                root_at_upper: at_upper.clone(),
                 basis,
                 at_upper,
             },
@@ -1630,8 +1639,8 @@ impl NodeCore {
     }
 
     /// Relaxes `node`, the root program with tightened variable
-    /// bounds, from the root's basis. `Some` only for an answer
-    /// certified against `node`.
+    /// bounds, from the last certified basis. `Some` only for an answer
+    /// certified against `node`, whose basis then starts the next node.
     pub fn relax(&mut self, node: &LinearProgram) -> Option<Solution> {
         let core = &mut self.core;
         let n = core.n_structural;
@@ -1659,11 +1668,25 @@ impl NodeCore {
         core.upper_cols
             .extend((0..n).filter(|&j| core.costs[j] != 0.0 && core.ub[j].is_finite()));
 
-        core.basis.clone_from(&self.basis);
+        // A box moves neither costs nor columns, so an optimal basis
+        // stays dual feasible under it, except where a column held at
+        // upper under a finite branch bound gets its infinite upper
+        // bound back. Only general integers branch that way; the root's
+        // at-upper columns are bounded in every box that tightens the
+        // root's, so its basis starts such a node.
+        let lifted = self
+            .at_upper
+            .iter()
+            .zip(&core.ub)
+            .any(|(&f, ub)| f && ub.is_infinite());
+        let (basis, at_upper) = if lifted {
+            (&self.root_basis, &self.root_at_upper)
+        } else {
+            (&self.basis, &self.at_upper)
+        };
+        core.basis.clone_from(basis);
+        core.at_upper.clone_from(at_upper);
         core.mark_basis();
-        for ((f, &root), ub) in core.at_upper.iter_mut().zip(&self.at_upper).zip(&core.ub) {
-            *f = root && ub.is_finite();
-        }
         core.iterations = 0;
         core.cursor = 0;
         core.condition_max = 0.0;
@@ -1681,7 +1704,12 @@ impl NodeCore {
         }
         let mut sol = core.extract();
         certify(node, &mut sol);
-        sol.is_optimal().then_some(sol)
+        if !sol.is_optimal() {
+            return None;
+        }
+        self.basis.clone_from(&core.basis);
+        self.at_upper.clone_from(&core.at_upper);
+        Some(sol)
     }
 }
 

@@ -1,19 +1,20 @@
 //! Differential suite for branch-and-bound's live node core.
 //!
 //! [`NodeCore`] relaxes every node after the root on one core built
-//! over the root program, warm from the root's optimal basis, and only
-//! hands back answers it certified. This suite holds it to the cold
-//! path it replaced:
+//! over the root program, each warm from the last basis the core
+//! certified optimal, and only hands back answers it certified. This
+//! suite holds it to the cold path it replaced:
 //!
-//! * on seeded random programs × random branch boxes, every answer the
-//!   live core returns agrees with a cold [`solve_with`] of the same
-//!   node on status and, where both are certified optimal, on the
-//!   objective within `1e-7·(1 + |obj|)`, and the live core answers
-//!   (rather than falls back on) nearly every node the cold path
-//!   solves;
+//! * on seeded random programs × random branch boxes relaxed one after
+//!   another on one core, every answer the live core returns agrees
+//!   with a cold [`solve_with`] of the same node on status and, where
+//!   both are certified optimal, on the objective within
+//!   `1e-7·(1 + |obj|)`, and the live core answers (rather than falls
+//!   back on) nearly every node the cold path solves;
 //! * [`solve_mip`] equals exhaustive enumeration on programs with at
 //!   most 12 binaries, and on a general-integer program whose down
-//!   branches make an infinite upper bound finite;
+//!   branches make an infinite upper bound finite; a node that gives
+//!   that bound back is answered like a cold solve;
 //! * the pivot cap applies to each node, not to the live core's life.
 //!
 //! Cases come from the shared harness, `tests/oracle/mod.rs`.
@@ -399,7 +400,8 @@ fn general_integer_branch_makes_an_infinite_upper_bound_finite() {
     let ints = [vec![0.0, 1.0, 2.0], (0..=5).map(f64::from).collect()];
     for cold_start in MATRIX {
         assert_eq!(mip_check(&lp, &ints, cold_start).unwrap(), Some(-10.0));
-        // The down branch itself, on the live core.
+        // The down branch itself, on the live core: it leaves y at its
+        // finite upper bound 1.
         let (_, mut core) = NodeCore::root(&lp.build(), opts(cold_start)).expect("root");
         let mut down = lp.clone();
         down.vars[1].ub = 1.0;
@@ -411,6 +413,20 @@ fn general_integer_branch_makes_an_infinite_upper_bound_finite() {
             "{}",
             warm.objective
         );
+        // The next node gives y its infinite upper bound back: the
+        // saved basis, which holds y at upper, cannot start it.
+        let mut lifted = lp.clone();
+        lifted.vars[0].ub = 2.0;
+        let lifted = lifted.build();
+        let warm = core.relax(&lifted).expect("certified on the live core");
+        let cold = solve_with(&lifted, opts(cold_start));
+        assert_eq!(cold.status, SolveStatus::Optimal);
+        assert!(
+            close(warm.objective, cold.objective) && close(warm.objective, -6.0 - 5.0),
+            "live {} vs cold {}",
+            warm.objective,
+            cold.objective
+        );
     }
 }
 
@@ -418,11 +434,11 @@ fn general_integer_branch_makes_an_infinite_upper_bound_finite() {
 // The pivot cap
 // ---------------------------------------------------------------------------
 
-/// A knapsack-like program whose root and every node need several
-/// pivots: with the cap just above the largest single solve, the
-/// nodes' pivots together exceed it many times over, and every node
-/// must still be answered on one live core, in the pivots it takes on
-/// a core of its own.
+/// A knapsack-like program whose root and nodes need several pivots
+/// each: with the cap just above the root's cold solve, the largest
+/// single solve, the nodes' pivots together exceed it several times
+/// over, and every node must still be answered on one live core, in
+/// the pivots it takes from the same chain of starts without a cap.
 #[test]
 fn the_pivot_cap_applies_to_each_node_not_to_the_live_core() {
     let n = 24;
@@ -454,21 +470,21 @@ fn the_pivot_cap_applies_to_each_node_not_to_the_live_core() {
         })
         .collect();
     let uncapped = SimplexOptions::default();
-    let root = || NodeCore::root(&lp.build(), uncapped).expect("root");
-    // Each node's pivots, measured on a core of its own.
+    // Each node's pivots on an uncapped core, each node starting where
+    // the one before it ended.
+    let (root, mut core) = NodeCore::root(&lp.build(), uncapped).expect("root");
     let pivots: Vec<usize> = boxes
         .iter()
-        .map(|b| root().1.relax(&b.build()).expect("answered").iterations)
+        .map(|b| core.relax(&b.build()).expect("answered").iterations)
         .collect();
-    let root = root().0;
-    // A solve that needs `p` pivots runs under a cap of `p + 1`.
-    let cap = pivots
-        .iter()
-        .copied()
-        .chain([root.iterations])
-        .max()
-        .unwrap()
-        + 1;
+    // A solve that needs `p` pivots runs under a cap of `p + 1`. The
+    // cap comes from the root alone, so a count that ran on across
+    // nodes could not raise it.
+    let cap = root.iterations + 1;
+    assert!(
+        pivots.iter().all(|&p| p < cap),
+        "the root is the largest single solve: {pivots:?}, cap {cap}"
+    );
     let total: usize = pivots.iter().sum();
     assert!(
         total > 3 * cap,
